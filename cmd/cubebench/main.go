@@ -30,7 +30,6 @@ func main() {
 		maxDims   = flag.Int("maxdims", 0, "upper end of the dimensionality sweep (default 16; paper: 28)")
 		par       = flag.Int("parallelism", 0, "worker count for every CURE build (0/1 = sequential; parallel-speedup sweeps its own counts)")
 		noIndex   = flag.Bool("no-index", false, "restrict query-throughput to its full-scan arms (zone-map ablation)")
-		compress  = flag.String("compress", "auto", "extent storage format for every CURE build: auto (compressed blocks) | none (fixed-width v1)")
 		workDir   = flag.String("workdir", "", "scratch directory (default: a temp dir, removed on exit)")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
 		format    = flag.String("format", "text", "output format: text | md | json")
@@ -49,7 +48,6 @@ func main() {
 		MaxDims:      *maxDims,
 		Parallelism:  *par,
 		NoIndex:      *noIndex,
-		Compression:  *compress,
 		WorkDir:      *workDir,
 		Metrics:      obs.Registry(),
 	}

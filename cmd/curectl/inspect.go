@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,8 +15,7 @@ import (
 
 // cmdInspect renders the per-node extent table of a cube directory from
 // its manifest: rows, raw bytes, encoded bytes, compression ratio, and
-// the encoding histogram each compressed extent settled on. Works on
-// uncompressed (v1) cubes too, where every extent reports ratio 1.00.
+// the encoding histogram each extent settled on.
 func cmdInspect(args []string) {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	cube := fs.String("cube", "", "cube directory (or positional: curectl inspect <cube-dir>)")
@@ -32,28 +33,22 @@ func cmdInspect(args []string) {
 	defer r.Close()
 	m := r.Manifest()
 	enum := r.Enum()
-	hier := r.Hier()
 
-	mode := m.Compression
-	if mode == "" {
-		mode = "none (fixed-width v1)"
-	}
 	fmt.Printf("manifest version: %d\n", m.Version)
-	fmt.Printf("compression:      %s\n", mode)
 
 	// histogram renders an encoding histogram as "enc:count" pairs.
-	histogram := func(c *storage.ExtentCodec) string {
-		if c == nil || len(c.Encodings) == 0 {
+	histogram := func(encodings map[string]int64) string {
+		if len(encodings) == 0 {
 			return "-"
 		}
-		keys := make([]string, 0, len(c.Encodings))
-		for k := range c.Encodings {
+		keys := make([]string, 0, len(encodings))
+		for k := range encodings {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		parts := make([]string, 0, len(keys))
 		for _, k := range keys {
-			parts = append(parts, fmt.Sprintf("%s:%d", k, c.Encodings[k]))
+			parts = append(parts, fmt.Sprintf("%s:%d", k, encodings[k]))
 		}
 		return strings.Join(parts, " ")
 	}
@@ -71,13 +66,8 @@ func cmdInspect(args []string) {
 		hist           string
 	}
 	var rows []extRow
-	add := func(node int64, name, rel string, n, rawBytes int64, c *storage.ExtentCodec, hist string) {
-		enc := rawBytes
-		if c != nil {
-			enc = c.EncodedBytes()
-			rawBytes = c.RawBytes
-		}
-		rows = append(rows, extRow{node: node, name: name, rel: rel, rows: n, raw: rawBytes, enc: enc, hist: hist})
+	add := func(node int64, name, rel string, n int64, c *storage.ExtentCodec) {
+		rows = append(rows, extRow{node: node, name: name, rel: rel, rows: n, raw: c.RawBytes, enc: c.EncodedBytes(), hist: histogram(c.Encodings)})
 	}
 	for k, nm := range m.Nodes {
 		id, err := strconv.ParseInt(k, 10, 64)
@@ -85,24 +75,18 @@ func cmdInspect(args []string) {
 			fatalf("manifest node key %q: %v", k, err)
 		}
 		name := enum.Name(lattice.NodeID(id))
-		arity := 0
-		for d, l := range enum.Decode(lattice.NodeID(id), nil) {
-			if !hier.Dims[d].IsAll(l) {
-				arity++
-			}
-		}
 		if nm.NTRows > 0 {
-			add(id, name, "nt", nm.NTRows, nm.NTRows*int64(m.NTRowWidth(arity)), nm.NTCodec, histogram(nm.NTCodec))
+			add(id, name, "nt", nm.NTRows, nm.NTCodec)
 		}
 		if nm.TTRows > 0 {
 			if nm.TTKind == storage.TTBitmap {
-				add(id, name, "tt(bm)", nm.TTRows, nm.TTBmLen, nil, "bitmap")
+				rows = append(rows, extRow{node: id, name: name, rel: "tt(bm)", rows: nm.TTRows, raw: nm.TTBmLen, enc: nm.TTBmLen, hist: "bitmap"})
 			} else {
-				add(id, name, "tt", nm.TTRows, nm.TTRows*8, nm.TTCodec, histogram(nm.TTCodec))
+				add(id, name, "tt", nm.TTRows, nm.TTCodec)
 			}
 		}
 		if nm.CATRows > 0 {
-			add(id, name, "cat", nm.CATRows, nm.CATRows*int64(m.CATRowWidth()), nm.CATCodec, histogram(nm.CATCodec))
+			add(id, name, "cat", nm.CATRows, nm.CATCodec)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -112,7 +96,7 @@ func cmdInspect(args []string) {
 		return rows[i].rel < rows[j].rel
 	})
 	if m.AggRows > 0 {
-		add(-1, "(shared)", "agg", m.AggRows, m.AggRows*int64(m.AggRowWidth()), m.AggCodec, histogram(m.AggCodec))
+		add(-1, "(shared)", "agg", m.AggRows, m.AggCodec)
 	}
 
 	fmt.Printf("%-6s %-28s %-7s %10s %12s %12s %8s  %s\n",
@@ -130,54 +114,44 @@ func cmdInspect(args []string) {
 	}
 	fmt.Printf("%-6s %-28s %-7s %10s %12d %12d %8s\n",
 		"", "TOTAL", "", "", totRaw, totEnc, ratio(totRaw, totEnc))
-	fmt.Printf("cube bytes on disk: %d\n", m.Sizes.Total())
+	// Every file of the directory is the cube's footprint: the manifest
+	// holds the block offsets and zone maps the extents cannot be read
+	// without. Left out are the finalize sidecar (wall clocks, no reader)
+	// and the fact table, when it happens to live here: it is the cube's
+	// input, not the cube.
+	entries, err := os.ReadDir(*cube)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	var onDisk int64
+	for _, e := range entries {
+		if e.Name() == storage.FinalizeStatsFile || filepath.Join(*cube, e.Name()) == filepath.Clean(r.FactPath()) {
+			continue
+		}
+		if fi, err := e.Info(); err == nil && fi.Mode().IsRegular() {
+			onDisk += fi.Size()
+		}
+	}
+	fmt.Printf("cube bytes on disk: %d (extents %d)\n", onDisk, m.Sizes.Total())
 	fmt.Printf("overall ratio: %s\n", ratio(totRaw, totEnc))
 
-	// Finalize sidecar, when the cube carries one (older cubes don't):
-	// per-sub-phase wall clocks, the pipeline's worker count, the codec
-	// histogram, and the sampled-selection hit rate.
+	// Finalize sidecar: where the wall clock went, and the CPU time of
+	// the extent passes split by the work done.
 	st, err := storage.ReadFinalizeStats(*cube)
 	if err != nil {
 		return
 	}
-	fmt.Printf("\nfinalize (%s, parallelism %d, %d worker(s)):\n",
-		orNone(st.Compression), st.Parallelism, st.Workers)
-	phase := func(name string, sec float64) {
-		if sec > 0 {
-			fmt.Printf("  %-10s %8.3fs\n", name, sec)
-		}
+	fmt.Printf("\nfinalize (parallelism %d, %d worker(s)):\n", st.Parallelism, st.Workers)
+	for _, ph := range []struct {
+		name string
+		sec  float64
+	}{
+		{"seal logs", st.CompactSec}, {"extent passes", st.CompressSec}, {"commit", st.CommitSec},
+	} {
+		fmt.Printf("  %-13s %8.3fs\n", ph.name, ph.sec)
 	}
-	phase("compact", st.CompactSec)
-	phase("compress", st.CompressSec)
-	phase("zones", st.ZonesSec)
-	phase("commit", st.CommitSec)
-	if st.Extents > 0 {
-		fmt.Printf("  extents=%d blocks=%d reread_bytes=%d commit_stalls=%d\n",
-			st.Extents, st.Blocks, st.RereadBytes, st.CommitStalls)
-	}
-	if len(st.Encodings) > 0 {
-		keys := make([]string, 0, len(st.Encodings))
-		for k := range st.Encodings {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		parts := make([]string, 0, len(keys))
-		for _, k := range keys {
-			parts = append(parts, fmt.Sprintf("%s:%d", k, st.Encodings[k]))
-		}
-		fmt.Printf("  codec histogram: %s\n", strings.Join(parts, " "))
-	}
-	if st.SampledBlocks+st.Mispredicts > 0 {
-		fmt.Printf("  sampled column-blocks: %d, mispredicts: %d (%.1f%%)\n",
-			st.SampledBlocks, st.Mispredicts,
-			100*float64(st.Mispredicts)/float64(st.SampledBlocks+st.Mispredicts))
-	}
-}
-
-// orNone renders an empty compression mode as "none".
-func orNone(s string) string {
-	if s == "" {
-		return "none"
-	}
-	return s
+	fmt.Printf("  work in the extent passes (CPU, summed over workers): gather+transform %.3fs, encode %.3fs, zone fold %.3fs, write %.3fs\n",
+		st.GatherSec, st.EncodeSec, st.ZoneFoldSec, st.WriteSec)
+	fmt.Printf("  extents=%d blocks=%d commit_stalls=%d\n", st.Extents, st.Blocks, st.CommitStalls)
+	fmt.Printf("  codec histogram: %s\n", histogram(st.Encodings))
 }

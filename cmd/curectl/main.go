@@ -204,7 +204,6 @@ func cmdBuild(args []string) {
 	par := fs.Int("parallelism", 0, "worker count for the build (0/1 = sequential; >1 fans the cubing recursion and the partitioning scan across cores)")
 	scanBatch := fs.Int("scan-batch-rows", 0, "rows per partitioning-scan read batch (0 = ~1MiB of rows)")
 	scanShard := fs.Int64("scan-shard-rows", 0, "rows per partitioning-scan shard; shard boundaries fix the deterministic merge order (0 = 8 batches per shard)")
-	compress := fs.String("compress", "auto", `extent compression: "auto" (block-compressed columnar extents) or "none" (fixed-width v1 layout)`)
 	obs := obsv.RegisterFlags(fs)
 	fs.Parse(args)
 	if *fact == "" || *hierPath == "" || *out == "" {
@@ -233,7 +232,6 @@ func cmdBuild(args []string) {
 		Parallelism:   *par,
 		ScanBatchRows: *scanBatch,
 		ScanShardRows: *scanShard,
-		Compression:   *compress,
 		Metrics:       obs.Registry(),
 	})
 	if ferr := obs.Finish(); ferr != nil && err == nil {
@@ -595,12 +593,8 @@ func renderPlan(p *query.Plan) {
 		if i == len(p.Extents)-1 {
 			branch = "└─"
 		}
-		compressed := ""
-		if ext.Compressed {
-			compressed = " (compressed)"
-		}
-		fmt.Printf(" %s %-3s node %-6d %-28s rows %-8d scan %-8d %-11s est %d B%s\n",
-			branch, ext.Relation, ext.Node, ext.NodeName, ext.Rows, ext.ScanRows, ext.Access, ext.EstBytes, compressed)
+		fmt.Printf(" %s %-3s node %-6d %-28s rows %-8d scan %-8d %-11s est %d B\n",
+			branch, ext.Relation, ext.Node, ext.NodeName, ext.Rows, ext.ScanRows, ext.Access, ext.EstBytes)
 		if z := ext.Zones; z != nil {
 			cont := "│"
 			if i == len(p.Extents)-1 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -185,6 +186,42 @@ func TestCLIQueryBadInput(t *testing.T) {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		if err != nil {
 			t.Errorf("curectl %v failed: %v\n%s", args, err, out)
+		}
+	}
+}
+
+// TestCLIInspectFootprint runs the real binary: "cube bytes on disk" is
+// the whole directory — manifest and hierarchy sidecar included, the fact
+// table that BuildFromTable put there and the finalize sidecar not — and
+// the finalize summary splits the extent passes four ways.
+func TestCLIInspectFootprint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles the binary")
+	}
+	bin := buildCurectl(t)
+	cube := buildTestCube(t)
+	out, err := exec.Command(bin, "inspect", cube).Output()
+	if err != nil {
+		t.Fatalf("curectl inspect: %v", err)
+	}
+	var want int64
+	for _, name := range []string{"nt.bin", "tt.bin", "cat.bin", "agg.bin", "hier.gob", "manifest.json"} {
+		fi, err := os.Stat(filepath.Join(cube, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += fi.Size()
+	}
+	var onDisk, extents int64
+	for _, line := range strings.Split(string(out), "\n") {
+		fmt.Sscanf(line, "cube bytes on disk: %d (extents %d)", &onDisk, &extents)
+	}
+	if onDisk != want || extents <= 0 || extents >= onDisk {
+		t.Errorf("cube bytes on disk = %d (extents %d), want %d for the directory\n%s", onDisk, extents, want, out)
+	}
+	for _, s := range []string{"seal logs", "extent passes", "commit", "gather+transform", "encode", "zone fold", "write"} {
+		if !strings.Contains(string(out), s) {
+			t.Errorf("inspect output lacks %q:\n%s", s, out)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func (q cureQuerier) Close() error { return q.e.Close() }
 func (h *Harness) buildCURE(dir string, ft *relation.FactTable, hier *hierarchy.Schema, mod func(*core.Options)) (*core.BuildStats, error) {
 	opts := core.Options{
 		Dir: dir, Hier: hier, AggSpecs: stdSpecs(), Metrics: h.reg,
-		Parallelism: h.cfg.Parallelism, Compression: h.cfg.Compression,
+		Parallelism: h.cfg.Parallelism,
 	}
 	if mod != nil {
 		mod(&opts)

@@ -47,11 +47,6 @@ type Config struct {
 	// NoIndex restricts the query-throughput experiment to its full-scan
 	// arms (the zone-map ablation); by default both arms run.
 	NoIndex bool
-	// Compression is the extent storage format for every CURE build the
-	// harness runs ("auto" = compressed columnar blocks, the default;
-	// "none" = fixed-width v1). query-throughput additionally runs an
-	// uncompressed ablation arm whenever compression is on.
-	Compression string
 	// Metrics, when set, is the registry the harness instruments its
 	// builds with (so a caller can dump cumulative counters afterwards);
 	// by default the harness creates a private one. Either way the
@@ -68,7 +63,6 @@ func DefaultConfig() Config {
 		Queries:      1000,
 		Seed:         1,
 		MaxDims:      16,
-		Compression:  "auto",
 	}
 }
 
@@ -171,9 +165,6 @@ func New(cfg Config) (*Harness, error) {
 	if cfg.MaxDims <= 0 {
 		cfg.MaxDims = def.MaxDims
 	}
-	if cfg.Compression == "" {
-		cfg.Compression = def.Compression
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obsv.NewRegistry()
@@ -236,7 +227,7 @@ func (h *Harness) experiments() map[string]experiment {
 		"ablation-plan":        {"ablation-plan", "Shared hierarchical plan vs independent sub-cubes", (*Harness).runPlanAblation},
 		"query-throughput":     {"throughput", "Concurrent query serving: QPS/latency, zone maps vs full scans", (*Harness).runThroughput},
 		"partition-throughput": {"partition", "Partitioning phase: batched parallel scan vs row-at-a-time", (*Harness).runPartitionThroughput},
-		"finalize-throughput":  {"finalize", "Finalize pipeline: parallel fused compression + zone maps", (*Harness).runFinalizeThroughput},
+		"finalize-throughput":  {"finalize", "Finalize pipeline: one parallel pass per relation file", (*Harness).runFinalizeThroughput},
 	}
 }
 

@@ -15,11 +15,9 @@ import (
 // runFinalizeThroughput times the finalize extent pipeline in isolation:
 // the APB-1 hierarchical cube (CURE+, middle density) is built with the
 // construction phase held sequential while FinalizeParallelism sweeps
-// P ∈ {1, 2, 8} over exact ("auto") codec selection, plus a sampled-
-// selection arm at P=8. Every "auto" arm's extent files and manifest
-// must be byte-identical to the P=1 run — the pipeline's ordered commit
-// is the whole point — and the sampled arm reports its misprediction
-// rate instead (its codec picks may legitimately differ).
+// P ∈ {1, 2, 8}. Every arm's extent files and manifest must be
+// byte-identical to the P=1 run — the pipeline's ordered commit is the
+// whole point.
 func (h *Harness) runFinalizeThroughput() (map[string]*Result, error) {
 	density := h.cfg.APBDensities[len(h.cfg.APBDensities)/2]
 	factPath := filepath.Join(h.cfg.WorkDir, fmt.Sprintf("apb_%g.bin", density))
@@ -32,29 +30,19 @@ func (h *Harness) runFinalizeThroughput() (map[string]*Result, error) {
 
 	res := &Result{
 		ID:     "finalize-throughput",
-		Title:  "Finalize pipeline: parallel fused compression + zone maps",
-		Header: []string{"arm", "P", "finalize", "compress+zones", "speedup", "reread", "identical", "mispredicts"},
+		Title:  "Finalize pipeline: one parallel pass per relation file",
+		Header: []string{"P", "finalize", "extent passes", "speedup", "identical"},
 		Notes: []string{
 			fmt.Sprintf("APB-1 CURE+ cube at density %g (%s tuples); construction held sequential, FinalizeParallelism sweeps the extent pipeline", density, fmtCount(int64(tuples))),
-			"best of 3 builds per arm; identical = nt/tt/cat/agg/ttbm.bin and manifest byte-equal to the auto P=1 run; sampled arms may pick different codecs, so they report mispredicts instead",
+			"best of 3 builds per arm; identical = nt/tt/cat/agg/ttbm.bin and manifest byte-equal to the P=1 run",
 		},
-	}
-
-	arms := []struct {
-		mode string
-		par  int
-	}{
-		{storage.CompressionAuto, 1},
-		{storage.CompressionAuto, 2},
-		{storage.CompressionAuto, 8},
-		{storage.CompressionSampled, 8},
 	}
 
 	const reps = 3
 	var refDir string
 	var baseSec float64
-	for _, arm := range arms {
-		dir := filepath.Join(h.cfg.WorkDir, fmt.Sprintf("finalize_%s_p%d", arm.mode, arm.par))
+	for _, par := range []int{1, 2, 8} {
+		dir := filepath.Join(h.cfg.WorkDir, fmt.Sprintf("finalize_p%d", par))
 		var best *storage.FinalizeStats
 		for r := 0; r < reps; r++ {
 			if err := os.RemoveAll(dir); err != nil {
@@ -66,9 +54,8 @@ func (h *Harness) runFinalizeThroughput() (map[string]*Result, error) {
 				Hier:                gen.APBSchema(),
 				AggSpecs:            stdSpecs(),
 				Plus:                true,
-				Compression:         arm.mode,
 				Parallelism:         1,
-				FinalizeParallelism: arm.par,
+				FinalizeParallelism: par,
 				Metrics:             h.reg,
 			}); err != nil {
 				return nil, err
@@ -85,37 +72,25 @@ func (h *Harness) runFinalizeThroughput() (map[string]*Result, error) {
 			}
 		}
 		finSec := finalizeSec(best)
-		identical := "-"
-		if arm.mode == storage.CompressionAuto {
-			if refDir == "" {
-				refDir, baseSec = dir, finSec
-				identical = "ref"
-			} else if same, err := cubesByteEqual(refDir, dir); err != nil {
-				return nil, err
-			} else if same {
-				identical = "yes"
-			} else {
-				identical = "NO"
-			}
+		identical := "ref"
+		if refDir == "" {
+			refDir, baseSec = dir, finSec
+		} else if same, err := cubesByteEqual(refDir, dir); err != nil {
+			return nil, err
+		} else if same {
+			identical = "yes"
+		} else {
+			identical = "NO"
 		}
-		speedup := "-"
-		if baseSec > 0 {
-			speedup = fmt.Sprintf("%.2fx", baseSec/finSec)
-		}
-		mispred := "-"
-		if best.SampledBlocks+best.Mispredicts > 0 {
-			mispred = fmt.Sprintf("%d/%d", best.Mispredicts, best.SampledBlocks+best.Mispredicts)
-		}
-		res.AddRow(arm.mode, fmt.Sprintf("%d", arm.par),
-			fmtDur(finSec), fmtDur(best.CompressSec+best.ZonesSec),
-			speedup, fmtBytes(best.RereadBytes), identical, mispred)
+		res.AddRow(fmt.Sprintf("%d", par), fmtDur(finSec), fmtDur(best.CompressSec),
+			fmt.Sprintf("%.2fx", baseSec/finSec), identical)
 	}
 	return map[string]*Result{"finalize-throughput": res}, nil
 }
 
 // finalizeSec is the total finalize wall clock a sidecar records.
 func finalizeSec(st *storage.FinalizeStats) float64 {
-	return st.CompactSec + st.CompressSec + st.ZonesSec + st.CommitSec
+	return st.CompactSec + st.CompressSec + st.CommitSec
 }
 
 // cubesByteEqual reports whether two cube directories hold byte-equal

@@ -150,7 +150,6 @@ func (h *Harness) runPartitionThroughput() (map[string]*Result, error) {
 		AggSpecs:     specs,
 		MemoryBudget: rBytes / 8,
 		Parallelism:  8,
-		Compression:  h.cfg.Compression,
 		Metrics:      h.reg,
 	})
 	if err != nil {

@@ -31,12 +31,11 @@ type tpOp struct {
 // runThroughput measures concurrent query serving: a mixed workload
 // (~40% point slices, ~30% range selections, ~30% roll-up scans) driven
 // by C ∈ {1, 4, 16} concurrent clients over one shared engine, with and
-// without zone-map indexes on the same store, plus an uncompressed-twin
-// ablation arm when the configured format is compressed. Reported per
-// arm: QPS, latency percentiles from the query.latency_us histogram,
-// the cumulative zone-map block counters, physical scan MB/s, and
-// cube_bytes_on_disk. Every arm must return the same row volume — the
-// cross-format equivalence check rides along with the timing.
+// without zone-map indexes on the same store. Reported per arm: QPS,
+// latency percentiles from the query.latency_us histogram, the
+// cumulative zone-map block counters, physical scan MB/s, and
+// cube_bytes_on_disk. Every arm must return the same row volume — an
+// equivalence check that rides along with the timing.
 func (h *Harness) runThroughput() (map[string]*Result, error) {
 	density := h.cfg.APBDensities[0]
 	ft, hier, err := gen.APB(density, h.cfg.Seed)
@@ -50,23 +49,6 @@ func (h *Harness) runThroughput() (map[string]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Whenever the configured format is compressed, build an uncompressed
-	// twin of the same cube for the -compress=none ablation arm: same
-	// data, same zone maps, fixed-width v1 extents.
-	nocompDir := ""
-	var nocompBytes int64
-	if h.cfg.Compression != "none" && !h.cfg.NoIndex {
-		nocompDir = filepath.Join(h.cfg.WorkDir, "throughput_nocompress")
-		ns, err := h.buildCURE(nocompDir, ft, hier, func(o *core.Options) {
-			o.ZoneBlockRows = throughputZoneBlockRows
-			o.Compression = "none"
-		})
-		if err != nil {
-			return nil, err
-		}
-		nocompBytes = ns.Sizes.Total()
-	}
-
 	// Pre-generate the workload once; every arm replays the same ops.
 	enum := lattice.NewEnum(hier)
 	var coarse []lattice.NodeID
@@ -123,33 +105,28 @@ func (h *Harness) runThroughput() (map[string]*Result, error) {
 		Header: []string{"index", "clients", "QPS", "p50", "p90", "p99", "blocks skipped", "rows", "scan MB/s", "cube_bytes_on_disk"},
 		Notes: []string{
 			fmt.Sprintf("APB-1 density %.3g (%s tuples); %d mixed ops per arm (40%% point slice / 30%% range / 30%% roll-up), shared engine, full fact cache", density, fmtCount(int64(ft.Len())), len(ops)),
-			fmt.Sprintf("storage format %q; scan MB/s counts physical extent bytes read per second", h.cfg.Compression),
+			"scan MB/s counts physical extent bytes read per second",
 		},
 	}
-	// Arm families: zone maps and full scans over the configured format,
-	// plus (when compressed) zone maps over the uncompressed twin.
+	// Arms: zone maps and full scans over the same cube.
 	type armSpec struct {
 		label   string
-		dir     string
 		noIndex bool
 		suffix  string
-		cubeB   int64
 	}
 	arms := []armSpec{
-		{label: "zone maps", dir: dir, cubeB: stats.Sizes.Total()},
-		{label: "no index", dir: dir, noIndex: true, suffix: ".noindex", cubeB: stats.Sizes.Total()},
+		{label: "zone maps"},
+		{label: "no index", noIndex: true, suffix: ".noindex"},
 	}
 	if h.cfg.NoIndex {
 		arms = arms[1:2]
-	} else if nocompDir != "" {
-		arms = append(arms, armSpec{label: "no compress", dir: nocompDir, suffix: ".nocompress", cubeB: nocompBytes})
 	}
 	var wantRows int64 = -1
 	for _, arm := range arms {
 		for _, c := range []int{1, 4, 16} {
 			reg := obsv.NewRegistry()
 			tracker := obsv.NewQueryTracker(reg, 64)
-			eng, err := query.Open(arm.dir, query.Options{
+			eng, err := query.Open(dir, query.Options{
 				CacheFraction: 1, PinAggregates: true, Metrics: reg, Queries: tracker, NoIndex: arm.noIndex,
 			})
 			if err != nil {
@@ -209,7 +186,7 @@ func (h *Harness) runThroughput() (map[string]*Result, error) {
 				fmtCount(snap.Counters["query.index.blocks_skipped"]),
 				fmtCount(snap.Counters["query.rows"]),
 				fmt.Sprintf("%.1f", float64(snap.Counters["query.bytes_read"])/wall/1e6),
-				fmt.Sprintf("%d", arm.cubeB))
+				fmt.Sprintf("%d", stats.Sizes.Total()))
 		}
 	}
 	return map[string]*Result{"query-throughput": res}, nil

@@ -77,7 +77,7 @@ type Options struct {
 	// correctness.
 	Parallelism int
 	// FinalizeParallelism overrides the worker cap of the finalize extent
-	// pipeline (compression + fused zone maps). 0 inherits Parallelism;
+	// pipeline. 0 inherits Parallelism;
 	// ≤0 otherwise means sequential. The finalized cube is byte-identical
 	// at every setting — the knob exists so benchmarks and tests can vary
 	// finalize concurrency while holding the build itself fixed.
@@ -91,17 +91,15 @@ type Options struct {
 	ScanShardRows int64
 	// ForceFormat overrides the dynamic CAT-format decision.
 	ForceFormat signature.Format
-	// ZoneBlockRows is the zone-map block granularity Finalize indexes
-	// the cube's extents at (0 = storage.DefaultZoneBlockRows, negative
+	// ZoneBlockRows is the rows per extent block and per zone-map block,
+	// so zone pruning skips whole blocks (0 =
+	// storage.DefaultZoneBlockRows, negative keeps default blocks and
 	// disables zone maps).
 	ZoneBlockRows int
-	// Compression selects the extent storage format: "" or "none" keeps
-	// the fixed-width v1 layout, "auto" rewrites every extent into
-	// compressed columnar blocks at Finalize (block granularity = the
-	// effective ZoneBlockRows, so zone pruning skips whole blocks), and
-	// "sampled" is the same format with sampled codec selection (the
-	// codec of a column is predicted from its first few blocks, with
-	// exact brute force as the fallback).
+	// Compression is a vestige: there is one extent format. "", "auto" and
+	// "block" are accepted and mean the same; anything else is an error.
+	// The field stays only because benchmarks/cubemark sets it, and goes
+	// with the next benchmark PR.
 	Compression string
 	// TempDir holds partition files (default: Dir/tmp).
 	TempDir string
@@ -207,9 +205,9 @@ func Build(opts Options) (*BuildStats, error) {
 		}
 	} else {
 		defer fr.Close()
-		// The CURE_DR compaction resolves one fact row per NT tuple; a
-		// paged read-through cache keeps that from degenerating into one
-		// random read per tuple.
+		// Finalize resolves one fact row per zone-mapped or CURE_DR tuple;
+		// a paged read-through cache keeps that from degenerating into
+		// one random read per tuple.
 		resolver = newPagedResolver(fr)
 	}
 	loadSpan.End()
@@ -240,7 +238,6 @@ func Build(opts Options) (*BuildStats, error) {
 		Resolver:      resolver,
 		Iceberg:       opts.Iceberg,
 		ZoneBlockRows: opts.ZoneBlockRows,
-		Compression:   opts.Compression,
 		Parallelism:   finPar,
 		Pool:          finPool,
 		Metrics:       reg,
@@ -351,6 +348,11 @@ func validate(opts *Options) error {
 	}
 	if len(opts.AggSpecs) == 0 {
 		return errors.New("core: need at least one aggregate")
+	}
+	switch opts.Compression {
+	case "", "auto", "block":
+	default:
+		return fmt.Errorf("core: unknown Compression %q: extents have one format (\"auto\")", opts.Compression)
 	}
 	if opts.TempDir == "" {
 		opts.TempDir = filepath.Join(opts.Dir, "tmp")

@@ -5,15 +5,15 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
+	"cure/internal/cubetest"
 	"cure/internal/hierarchy"
-	"cure/internal/lattice"
 	"cure/internal/query"
 	"cure/internal/relation"
 	"cure/internal/signature"
+	"cure/internal/storage"
 )
 
 // paperHier builds the running example: A0(12)→A1(6)→A2(2), B0(8)→B1(3),
@@ -60,44 +60,6 @@ func testSpecs() []relation.AggSpec {
 	}
 }
 
-// referenceNode computes node id by brute force: group the fact table on
-// the node's projected dims and aggregate.
-func referenceNode(hier *hierarchy.Schema, enum *lattice.Enum, ft *relation.FactTable, specs []relation.AggSpec, id lattice.NodeID) map[string][]float64 {
-	levels := enum.Decode(id, nil)
-	groups := map[string]*relation.Aggregator{}
-	meas := make([]float64, len(ft.Measures))
-	for r := 0; r < ft.Len(); r++ {
-		var key strings.Builder
-		for d, l := range levels {
-			if hier.Dims[d].IsAll(l) {
-				continue
-			}
-			fmt.Fprintf(&key, "%d|", hier.Dims[d].MapCode(ft.Dims[d][r], l))
-		}
-		k := key.String()
-		a, ok := groups[k]
-		if !ok {
-			a = relation.NewAggregator(specs)
-			groups[k] = a
-		}
-		meas = ft.MeasureRow(r, meas)
-		a.AddValues(meas)
-	}
-	out := make(map[string][]float64, len(groups))
-	for k, a := range groups {
-		out[k] = a.Values(nil)
-	}
-	return out
-}
-
-func rowKey(dims []int32) string {
-	var b strings.Builder
-	for _, d := range dims {
-		fmt.Fprintf(&b, "%d|", d)
-	}
-	return b.String()
-}
-
 // verifyCube checks every lattice node of the cube against the reference.
 func verifyCube(t *testing.T, dir string, hier *hierarchy.Schema, ft *relation.FactTable, specs []relation.AggSpec, engOpts query.Options) {
 	t.Helper()
@@ -108,10 +70,10 @@ func verifyCube(t *testing.T, dir string, hier *hierarchy.Schema, ft *relation.F
 	defer eng.Close()
 	enum := eng.Enum()
 	for _, id := range enum.AllNodes() {
-		want := referenceNode(hier, enum, ft, specs, id)
+		want := cubetest.ReferenceNode(hier, enum, ft, specs, id)
 		got := map[string][]float64{}
 		err := eng.NodeQuery(id, func(row query.Row) error {
-			k := rowKey(row.Dims)
+			k := cubetest.RowKey(row.Dims)
 			if _, dup := got[k]; dup {
 				return fmt.Errorf("duplicate tuple %q in node %s", k, enum.Name(id))
 			}
@@ -270,10 +232,10 @@ func TestFlatBuildMatchesFlatReference(t *testing.T) {
 		t.Fatalf("flat cube has %d nodes, want 8", enum.NumNodes())
 	}
 	for _, id := range enum.AllNodes() {
-		want := referenceNode(flat, enum, ft, specs, id)
+		want := cubetest.ReferenceNode(flat, enum, ft, specs, id)
 		count := 0
 		if err := eng.NodeQuery(id, func(row query.Row) error {
-			w, ok := want[rowKey(row.Dims)]
+			w, ok := want[cubetest.RowKey(row.Dims)]
 			if !ok {
 				return fmt.Errorf("unexpected tuple %v", row.Dims)
 			}
@@ -311,7 +273,7 @@ func TestIcebergBuild(t *testing.T) {
 	defer eng.Close()
 	enum := eng.Enum()
 	for _, id := range enum.AllNodes() {
-		want := referenceNode(hier, enum, ft, specs, id)
+		want := cubetest.ReferenceNode(hier, enum, ft, specs, id)
 		// Keep only groups meeting the threshold.
 		for k, v := range want {
 			if v[1] < minCount {
@@ -320,7 +282,7 @@ func TestIcebergBuild(t *testing.T) {
 		}
 		got := map[string]bool{}
 		if err := eng.NodeQuery(id, func(row query.Row) error {
-			k := rowKey(row.Dims)
+			k := cubetest.RowKey(row.Dims)
 			w, ok := want[k]
 			if !ok {
 				return fmt.Errorf("tuple %q below threshold or wrong (aggrs %v)", k, row.Aggrs)
@@ -355,7 +317,7 @@ func TestIcebergQueryOnCompleteCube(t *testing.T) {
 	enum := eng.Enum()
 	const minCount = 5.0
 	for _, id := range enum.AllNodes() {
-		want := referenceNode(hier, enum, ft, specs, id)
+		want := cubetest.ReferenceNode(hier, enum, ft, specs, id)
 		for k, v := range want {
 			if v[1] <= minCount {
 				delete(want, k)
@@ -363,7 +325,7 @@ func TestIcebergQueryOnCompleteCube(t *testing.T) {
 		}
 		got := 0
 		if err := eng.IcebergQuery(id, 1, minCount, func(row query.Row) error {
-			w, ok := want[rowKey(row.Dims)]
+			w, ok := want[cubetest.RowKey(row.Dims)]
 			if !ok || w[0] != row.Aggrs[0] {
 				return fmt.Errorf("unexpected iceberg tuple %v %v", row.Dims, row.Aggrs)
 			}
@@ -420,6 +382,29 @@ func TestComplexHierarchyBuild(t *testing.T) {
 	verifyCube(t, opts.Dir, hier, ft, specs, query.Options{CacheFraction: 1, PinAggregates: true})
 }
 
+// relationalBytes is the paper's size unit: the cube's rows at their
+// fixed relational widths, before block encoding.
+func relationalBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	m, err := storage.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	add := func(c *storage.ExtentCodec) {
+		if c != nil {
+			total += c.RawBytes
+		}
+	}
+	add(m.AggCodec)
+	for _, nm := range m.Nodes {
+		add(nm.NTCodec)
+		add(nm.CATCodec)
+		total += 8 * nm.TTRows // row-ids, however CURE+ stored them
+	}
+	return total
+}
+
 func TestPoolSizeAffectsCubeSizeMonotonically(t *testing.T) {
 	// Figure 18's claim: cube size decreases (weakly) with pool size.
 	hier := paperHier(t)
@@ -428,11 +413,10 @@ func TestPoolSizeAffectsCubeSizeMonotonically(t *testing.T) {
 	var sizes []int64
 	for _, cap := range []int{NoPool, 16, 256, 0 /* default = unbounded here */} {
 		opts := Options{Dir: t.TempDir(), Hier: hier, AggSpecs: specs, PoolCapacity: cap}
-		stats, err := BuildFromTable(ft, opts)
-		if err != nil {
+		if _, err := BuildFromTable(ft, opts); err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, stats.Sizes.Total())
+		sizes = append(sizes, relationalBytes(t, opts.Dir))
 	}
 	if !sort.SliceIsSorted(sizes, func(i, j int) bool { return sizes[i] >= sizes[j] }) {
 		t.Errorf("cube sizes not non-increasing with pool size: %v", sizes)
@@ -904,7 +888,7 @@ func TestPairPartitionedVariantsAndSkew(t *testing.T) {
 				defer eng.Close()
 				enum := eng.Enum()
 				for _, id := range enum.AllNodes() {
-					want := referenceNode(hier, enum, ft, specs, id)
+					want := cubetest.ReferenceNode(hier, enum, ft, specs, id)
 					for k, v := range want {
 						if v[1] < float64(opts.Iceberg) {
 							delete(want, k)
@@ -912,7 +896,7 @@ func TestPairPartitionedVariantsAndSkew(t *testing.T) {
 					}
 					got := 0
 					if err := eng.NodeQuery(id, func(row query.Row) error {
-						if _, ok := want[rowKey(row.Dims)]; !ok {
+						if _, ok := want[cubetest.RowKey(row.Dims)]; !ok {
 							return fmt.Errorf("unexpected tuple %v", row.Dims)
 						}
 						got++

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"cure/internal/obsv"
 	"cure/internal/relation"
 	"cure/internal/storage"
 )
@@ -36,27 +38,23 @@ func readCubeFiles(t *testing.T, dir string) map[string][]byte {
 // finalize pipeline: with the construction phase held sequential, any
 // FinalizeParallelism must produce byte-identical extent files and
 // manifests — across the flat, hierarchical, and pair-partitioned build
-// paths, for both exact and sampled codec selection. Run with -race this
-// doubles as the pipeline's data-race regression test over real builds
+// paths. Run with -race this doubles as the pipeline's data-race regression test over real builds
 // (including CURE_DR's shared paged resolver).
 func TestFinalizeParallelismByteIdentity(t *testing.T) {
 	cases := []struct {
 		name string
-		mode string
 		opts Options
 		seed int64
 		pair bool
 		rows int
 	}{
-		{name: "hierarchical", mode: storage.CompressionAuto, opts: Options{AggSpecs: testSpecs()}, seed: 7, rows: 1500},
-		{name: "hierarchical-sampled", mode: storage.CompressionSampled, opts: Options{AggSpecs: testSpecs()}, seed: 7, rows: 1500},
-		{name: "flat", mode: storage.CompressionAuto, opts: Options{AggSpecs: testSpecs(), Flat: true}, seed: 8, rows: 1500},
-		{name: "pair-partitioned", mode: storage.CompressionAuto, opts: Options{AggSpecs: testSpecs(), MemoryBudget: 5_600}, seed: 27, pair: true},
+		{name: "hierarchical", opts: Options{AggSpecs: testSpecs()}, seed: 7, rows: 1500},
+		{name: "flat", opts: Options{AggSpecs: testSpecs(), Flat: true}, seed: 8, rows: 1500},
+		{name: "pair-partitioned", opts: Options{AggSpecs: testSpecs(), MemoryBudget: 5_600}, seed: 27, pair: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
-			opts.Compression = tc.mode
 			opts.Parallelism = 1
 			if tc.pair {
 				opts.Hier = pairHier(t)
@@ -105,12 +103,11 @@ func TestFinalizeParallelismByteIdentity(t *testing.T) {
 
 // TestFinalizeSidecarFromBuild checks the wiring end to end: a core build
 // leaves a finalize sidecar recording the configured parallelism and the
-// fused pass's volume, and FinalizeParallelism=0 inherits Parallelism.
+// pipeline's volume, and FinalizeParallelism=0 inherits Parallelism.
 func TestFinalizeSidecarFromBuild(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
-		Hier: paperHier(t), AggSpecs: testSpecs(),
-		Compression: storage.CompressionAuto, Parallelism: 4,
+		Hier: paperHier(t), AggSpecs: testSpecs(), Parallelism: 4,
 	}
 	buildAt(t, dir, randomFact(t, 1200, 5), opts)
 	st, err := storage.ReadFinalizeStats(filepath.Join(dir, "cube"))
@@ -120,13 +117,60 @@ func TestFinalizeSidecarFromBuild(t *testing.T) {
 	if st.Parallelism != 4 {
 		t.Errorf("sidecar parallelism = %d, want 4 (inherited from Options.Parallelism)", st.Parallelism)
 	}
-	if st.Compression != storage.CompressionAuto {
-		t.Errorf("sidecar compression = %q", st.Compression)
-	}
 	if st.Extents == 0 || st.Blocks == 0 {
 		t.Errorf("sidecar records no pipeline volume: %+v", st)
 	}
-	if st.CompactSec <= 0 && st.CompressSec <= 0 {
+	if st.CompressSec <= 0 {
 		t.Errorf("sidecar records no finalize wall clock: %+v", st)
+	}
+}
+
+// TestFinalizeSpansNameTheWork: the finalize span has one child per
+// relation file plus the commit, and the sidecar's wall clocks account
+// for the span.
+func TestFinalizeSpansNameTheWork(t *testing.T) {
+	reg := obsv.NewRegistry()
+	dir := t.TempDir()
+	buildAt(t, dir, randomFact(t, 3000, 5), Options{Hier: paperHier(t), AggSpecs: testSpecs(), Metrics: reg})
+	var fin *obsv.SpanSnapshot
+	for _, root := range reg.Snapshot().Spans {
+		for i, ch := range root.Children {
+			if root.Name == "build" && ch.Name == "finalize" {
+				fin = &root.Children[i]
+			}
+		}
+	}
+	if fin == nil {
+		t.Fatal("no build/finalize span")
+	}
+	var names []string
+	for _, ch := range fin.Children {
+		names = append(names, ch.Name)
+	}
+	if want := []string{"extents.nt", "extents.tt", "extents.agg", "extents.cat", "commit"}; !slices.Equal(names, want) {
+		t.Errorf("finalize children = %v, want %v", names, want)
+	}
+	st, err := storage.ReadFinalizeStats(filepath.Join(dir, "cube"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := st.CompactSec + st.CompressSec + st.ZonesSec + st.CommitSec
+	if sum > fin.ElapsedSec || sum < fin.ElapsedSec/2 {
+		t.Errorf("sidecar wall clocks sum to %.4fs, the finalize span took %.4fs", sum, fin.ElapsedSec)
+	}
+}
+
+// TestCompressionVestige: the one extent format answers to "", "auto" and
+// "block"; the retired modes are errors, not silent fallbacks.
+func TestCompressionVestige(t *testing.T) {
+	ft := randomFact(t, 200, 5)
+	for _, mode := range []string{"", "auto", "block"} {
+		buildAt(t, t.TempDir(), ft, Options{Hier: paperHier(t), AggSpecs: testSpecs(), Compression: mode})
+	}
+	for _, mode := range []string{"none", "sampled", "zstd"} {
+		opts := Options{Dir: t.TempDir(), Hier: paperHier(t), AggSpecs: testSpecs(), Compression: mode}
+		if _, err := BuildFromTable(ft, opts); err == nil {
+			t.Errorf("Compression %q accepted", mode)
+		}
 	}
 }

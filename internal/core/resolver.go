@@ -11,13 +11,13 @@ import (
 const resolverPageRows = 512
 
 // resolverMaxPages bounds the paged resolver's memory (pages are evicted
-// FIFO beyond this; compaction reads are clustered enough that a simple
+// FIFO beyond this; finalize reads are clustered enough that a simple
 // policy works).
 const resolverMaxPages = 256
 
 // newPagedResolver wraps a fact reader in a read-through page cache,
 // serving base dimension codes by row-id. It exists for out-of-core
-// CURE_DR builds, whose compaction step dereferences one fact row per
+// CURE_DR builds, whose finalize pass dereferences one fact row per
 // normal tuple. The resolver is mutex-guarded: parallel finalize workers
 // fold zone maps concurrently, and the cache (pages map, eviction order,
 // measure scratch) is shared state.

@@ -288,9 +288,9 @@ func (b *Bundle) reportPartition(w io.Writer) {
 }
 
 // reportFinalize renders the finalize extent pipeline: worker count and
-// raw-byte skew across workers, extent/block volume, the sampled-codec
-// hit rate, and how many bytes the pass re-read from finalized files
-// (≈0 when zone maps were fused into the compression scan).
+// raw-byte skew across workers, extent/block volume, and the CPU time of
+// the pass split by the work done (gather+transform, encode, zone fold,
+// write — summed over workers).
 func (b *Bundle) reportFinalize(w io.Writer) {
 	if b.Metrics == nil {
 		return
@@ -300,20 +300,19 @@ func (b *Bundle) reportFinalize(w io.Writer) {
 		return
 	}
 	fmt.Fprintf(w, "\n## Finalize\n")
-	fmt.Fprintf(w, "workers=%d extents=%d blocks=%d reread=%s commit_stalls=%d\n",
+	fmt.Fprintf(w, "workers=%d extents=%d blocks=%d commit_stalls=%d\n",
 		b.Metrics.Gauges["storage.finalize.workers"], extents,
 		b.Metrics.Counters["storage.finalize.blocks"],
-		fmtBytes(b.Metrics.Counters["storage.finalize.reread_bytes"]),
 		b.Metrics.Counters["storage.finalize.commit_stalls"])
+	sec := func(name string) float64 {
+		return float64(b.Metrics.Counters["storage.finalize."+name+"_us"]) / 1e6
+	}
+	fmt.Fprintf(w, "work gather=%.3fs encode=%.3fs zone_fold=%.3fs write=%.3fs\n",
+		sec("gather"), sec("encode"), sec("zone_fold"), sec("write"))
 	if mean := b.Metrics.Gauges["storage.finalize.skew.mean_bytes"]; mean > 0 {
 		max := b.Metrics.Gauges["storage.finalize.skew.max_bytes"]
 		fmt.Fprintf(w, "raw bytes/worker mean=%s max=%s (skew ×%.2f)\n",
 			fmtBytes(mean), fmtBytes(max), float64(max)/float64(mean))
-	}
-	if sampled := b.Metrics.Counters["storage.finalize.sampled_blocks"]; sampled > 0 {
-		mis := b.Metrics.Counters["storage.finalize.mispredicts"]
-		fmt.Fprintf(w, "sampled column-blocks=%d mispredicts=%d (%.1f%% of fast-path attempts)\n",
-			sampled, mis, 100*float64(mis)/float64(sampled+mis))
 	}
 }
 

@@ -357,10 +357,11 @@ func TestDoctorFinalizeSection(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("storage.finalize.extents").Add(12)
 	r.Counter("storage.finalize.blocks").Add(340)
-	r.Counter("storage.finalize.reread_bytes").Add(2048)
 	r.Counter("storage.finalize.commit_stalls").Add(3)
-	r.Counter("storage.finalize.sampled_blocks").Add(90)
-	r.Counter("storage.finalize.mispredicts").Add(10)
+	r.Counter("storage.finalize.gather_us").Add(1_500_000)
+	r.Counter("storage.finalize.encode_us").Add(250_000)
+	r.Counter("storage.finalize.zone_fold_us").Add(2_000_000)
+	r.Counter("storage.finalize.write_us").Add(40_000)
 	r.Gauge("storage.finalize.workers").Set(4)
 	r.Gauge("storage.finalize.skew.mean_bytes").Set(1 << 20)
 	r.Gauge("storage.finalize.skew.max_bytes").Set(3 << 20)
@@ -376,9 +377,9 @@ func TestDoctorFinalizeSection(t *testing.T) {
 	rep := sb.String()
 	for _, want := range []string{
 		"## Finalize",
-		"workers=4 extents=12 blocks=340 reread=2.0KiB commit_stalls=3",
+		"workers=4 extents=12 blocks=340 commit_stalls=3",
+		"work gather=1.500s encode=0.250s zone_fold=2.000s write=0.040s",
 		"raw bytes/worker mean=1.00MiB max=3.00MiB (skew ×3.00)",
-		"sampled column-blocks=90 mispredicts=10 (10.0% of fast-path attempts)",
 	} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)

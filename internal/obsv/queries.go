@@ -54,9 +54,8 @@ type QueryIO struct {
 	BytesRead int64 `json:"bytes_read"`
 	// Reads counts the ReadAt calls behind BytesRead.
 	Reads int64 `json:"reads,omitempty"`
-	// BytesDecoded counts raw-equivalent bytes materialized from
-	// compressed extent blocks (0 for uncompressed cubes and for blocks
-	// served from the decoded-block cache).
+	// BytesDecoded counts raw-equivalent bytes materialized from extent
+	// blocks (0 for blocks served from the decoded-block cache).
 	BytesDecoded int64 `json:"bytes_decoded,omitempty"`
 	// CacheHits and PagesFaulted are the query's fact-page cache hits
 	// and misses (a miss faults one page in).

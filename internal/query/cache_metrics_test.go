@@ -98,10 +98,9 @@ func buildWideCube(t *testing.T) string {
 	}
 	dir := filepath.Join(t.TempDir(), "cube")
 	if _, err := core.BuildFromTable(ft, core.Options{
-		Dir:         dir,
-		Hier:        hier,
-		AggSpecs:    []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}},
-		Compression: testCompression(),
+		Dir:      dir,
+		Hier:     hier,
+		AggSpecs: []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,90 +5,67 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"cure/internal/core"
+	"cure/internal/cubetest"
 	"cure/internal/hierarchy"
 	"cure/internal/obsv"
 	"cure/internal/relation"
 )
 
-// testCompression returns the Compression mode the cube-building test
-// helpers pass to core: the CURE_TEST_COMPRESSION env var when set
-// ("none" or "auto"), the fixed-width v1 default otherwise. CI runs the
-// query suites once per mode, so every test in this package doubles as a
-// compressed-format regression test.
-func testCompression() string { return os.Getenv("CURE_TEST_COMPRESSION") }
-
-// buildTwin builds a cube over ft with the given compression mode.
-func buildTwin(t *testing.T, ft *relation.FactTable, hier *hierarchy.Schema, mode string, plus bool) string {
+// buildBlockCube builds a cube over ft with small (32-row) blocks, so
+// that the extents of the test table span many of them.
+func buildBlockCube(t *testing.T, ft *relation.FactTable, hier *hierarchy.Schema, plus bool) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "cube")
 	if _, err := core.BuildFromTable(ft, core.Options{
-		Dir: dir, Hier: hier,
-		AggSpecs: []relation.AggSpec{
-			{Func: relation.AggSum, Measure: 0},
-			{Func: relation.AggCount},
-		},
+		Dir: dir, Hier: hier, AggSpecs: testAggSpecs(),
 		Plus:          plus,
 		ZoneBlockRows: 32,
-		Compression:   mode,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	return dir
 }
 
-// TestCompressedQueryEquivalence is the tentpole acceptance check: a
-// compressed cube answers every node query byte-identically to its
-// uncompressed twin, across the Diff sweep and at C = 1, 4, 16
-// concurrent clients (an undersized decoded-block cache keeps evictions
-// racing shared-block readers under -race).
+func testAggSpecs() []relation.AggSpec {
+	return []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}}
+}
+
+// TestCompressedQueryEquivalence: a cube read through the block decode
+// paths answers every node query like the brute-force group-by, at C = 1,
+// 4, 16 concurrent clients (an undersized decoded-block cache keeps
+// evictions racing shared-block readers under -race).
 func TestCompressedQueryEquivalence(t *testing.T) {
 	for _, plus := range []bool{false, true} {
 		t.Run(fmt.Sprintf("plus=%v", plus), func(t *testing.T) {
 			_, hier, ft := buildTestCube(t, plus)
-			dirNone := buildTwin(t, ft, hier, "none", plus)
-			dirAuto := buildTwin(t, ft, hier, "auto", plus)
-
-			none, err := OpenDefault(dirNone)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer none.Close()
 			reg := obsv.NewRegistry()
-			auto, err := Open(dirAuto, Options{
+			eng, err := Open(buildBlockCube(t, ft, hier, plus), Options{
 				CacheFraction: 1, PinAggregates: true, Metrics: reg,
 				DecodedCacheBytes: 64 << 10, // undersized: force evictions
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer auto.Close()
+			defer eng.Close()
 
-			if none.Manifest().Compressed() || !auto.Manifest().Compressed() {
-				t.Fatalf("compression flags: none=%q auto=%q",
-					none.Manifest().Compression, auto.Manifest().Compression)
-			}
-			rep, err := Diff(none, auto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.Equal() {
-				t.Fatalf("compressed cube differs: %v", rep.Differences)
-			}
-
-			nodes := none.Enum().AllNodes()
+			nodes := eng.Enum().AllNodes()
 			want := make([][]string, len(nodes))
-			for i := range nodes {
-				want[i] = collectNode(t, none, int64(i))
+			for i, id := range nodes {
+				for k, aggrs := range cubetest.ReferenceNode(hier, eng.Enum(), ft, testAggSpecs(), id) {
+					want[i] = append(want[i], fmt.Sprintf("%s%v", k, aggrs))
+				}
+				sort.Strings(want[i])
 			}
 			for _, c := range []int{1, 4, 16} {
 				got := make([][]string, len(nodes))
 				var mu sync.Mutex
-				if err := auto.NodeQueryBatch(c, nodes, func(qi int, r Row) error {
-					s := fmt.Sprintf("%v|%v|%d", r.Dims, r.Aggrs, r.RRowid)
+				if err := eng.NodeQueryBatch(c, nodes, func(qi int, r Row) error {
+					s := fmt.Sprintf("%s%v", cubetest.RowKey(r.Dims), r.Aggrs)
 					mu.Lock()
 					got[qi] = append(got[qi], s)
 					mu.Unlock()
@@ -110,7 +87,7 @@ func TestCompressedQueryEquivalence(t *testing.T) {
 			}
 			snap := reg.Snapshot()
 			if snap.Counters["query.bytes_decoded"] == 0 {
-				t.Error("compressed scans attributed no decoded bytes")
+				t.Error("scans attributed no decoded bytes")
 			}
 			if snap.Counters["query.block_cache.hits"] == 0 {
 				t.Error("repeated scans never hit the decoded-block cache")
@@ -119,57 +96,37 @@ func TestCompressedQueryEquivalence(t *testing.T) {
 	}
 }
 
-// TestV1CubeFixtureCompat pins the backward-compat story: a cube built
-// with Compression "none" is a byte-for-byte v1 directory (manifest
-// version 1, no codec metadata) and the same Engine opens and queries it
-// without ever touching a decode path.
-func TestV1CubeFixtureCompat(t *testing.T) {
-	_, hier, ft := buildTestCube(t, false)
-	dir := buildTwin(t, ft, hier, "none", false)
-	reg := obsv.NewRegistry()
-	eng, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, Metrics: reg})
-	if err != nil {
+// TestV1ManifestRejected: the fixed-width format is retired. A directory
+// whose manifest says version 1 must not open, and the error must say
+// what to do about it.
+func TestV1ManifestRejected(t *testing.T) {
+	dir, _, _ := buildTestCube(t, false)
+	v1 := `{"version": 1, "agg_specs": [{"Func": 0, "Measure": 0}], "nodes": {"0": {"nt_rows": 3}}}`
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	m := eng.Manifest()
-	if m.Version != 1 || m.Compressed() || m.AggCodec != nil {
-		t.Fatalf("v1 fixture: version=%d compression=%q aggCodec=%v", m.Version, m.Compression, m.AggCodec)
+	_, err := Open(dir, Options{})
+	if err == nil {
+		t.Fatal("version-1 cube opened")
 	}
-	for _, nm := range m.Nodes {
-		if nm.NTCodec != nil || nm.TTCodec != nil || nm.CATCodec != nil {
-			t.Fatal("v1 fixture carries codec metadata")
+	for _, want := range []string{"fixed-width", "retired", "rebuild"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
 		}
-	}
-	rows := 0
-	for i := range eng.Enum().AllNodes() {
-		rows += len(collectNode(t, eng, int64(i)))
-	}
-	if rows == 0 {
-		t.Fatal("v1 cube returned no rows")
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["query.bytes_decoded"] != 0 {
-		t.Errorf("v1 reads decoded %d bytes", snap.Counters["query.bytes_decoded"])
-	}
-	if snap.Counters["query.bytes_read"] == 0 {
-		t.Error("v1 reads attributed no bytes")
 	}
 }
 
-// TestExplainCompressedEstimates checks the EXPLAIN story on a
-// compressed cube: extents are marked compressed, byte estimates come
-// from the codec's block offsets (encoded bytes, not raw row widths),
-// and ANALYZE actuals carry the decoded bytes that settle into the
-// query.bytes_decoded counter.
+// TestExplainCompressedEstimates checks the EXPLAIN byte story: estimates
+// come from the extents' block offsets (encoded bytes, not raw row
+// widths), and ANALYZE actuals carry the decoded bytes that settle into
+// the query.bytes_decoded counter.
 func TestExplainCompressedEstimates(t *testing.T) {
 	_, hier, ft := buildIndexedCube(t, false)
 	dir := filepath.Join(t.TempDir(), "cube")
 	if _, err := core.BuildFromTable(ft, core.Options{
 		Dir: dir, Hier: hier,
-		AggSpecs:      []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}},
+		AggSpecs:      testAggSpecs(),
 		ZoneBlockRows: 8,
-		Compression:   "auto",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +149,6 @@ func TestExplainCompressedEstimates(t *testing.T) {
 	m := eng.Manifest()
 	arity := 2
 	for _, ext := range plan.Extents {
-		if !ext.Compressed {
-			t.Errorf("extent %s/%d not marked compressed", ext.Relation, ext.Node)
-		}
 		if ext.EstBytes <= 0 {
 			t.Errorf("extent %s/%d: est %d bytes", ext.Relation, ext.Node, ext.EstBytes)
 		}
@@ -205,7 +159,7 @@ func TestExplainCompressedEstimates(t *testing.T) {
 	}
 	io := plan.Actual.IO
 	if io.BytesDecoded == 0 {
-		t.Error("compressed ANALYZE decoded no bytes")
+		t.Error("ANALYZE decoded no bytes")
 	}
 	if got := after["query.bytes_decoded"] - before["query.bytes_decoded"]; io.BytesDecoded != got {
 		t.Errorf("bytes decoded: plan %d, counter delta %d", io.BytesDecoded, got)
@@ -216,9 +170,8 @@ func TestExplainCompressedEstimates(t *testing.T) {
 // no decoded-block cache, and every block read decodes.
 func TestBlockCacheDisabled(t *testing.T) {
 	_, hier, ft := buildTestCube(t, false)
-	dir := buildTwin(t, ft, hier, "auto", false)
 	reg := obsv.NewRegistry()
-	eng, err := Open(dir, Options{
+	eng, err := Open(buildBlockCube(t, ft, hier, false), Options{
 		CacheFraction: 1, PinAggregates: true, Metrics: reg,
 		DecodedCacheBytes: -1,
 	})
@@ -233,6 +186,6 @@ func TestBlockCacheDisabled(t *testing.T) {
 		t.Errorf("disabled cache recorded %d hits", snap.Counters["query.block_cache.hits"])
 	}
 	if snap.Counters["query.bytes_decoded"] == 0 {
-		t.Error("compressed scans attributed no decoded bytes")
+		t.Error("scans attributed no decoded bytes")
 	}
 }

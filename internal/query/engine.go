@@ -28,9 +28,8 @@ type Options struct {
 	// ablation arm of the query-throughput experiment); selections then
 	// fall back to full extent scans.
 	NoIndex bool
-	// DecodedCacheBytes budgets the decoded-block cache of compressed
-	// cubes in raw-equivalent bytes (0 = a 32 MiB default, negative =
-	// disabled). Uncompressed cubes never allocate one.
+	// DecodedCacheBytes budgets the decoded-block cache in raw-equivalent
+	// bytes (0 = a 32 MiB default, negative = disabled).
 	DecodedCacheBytes int64
 	// Metrics is the optional observability registry: cache
 	// hit/miss/eviction counters, per-query row counters, and a
@@ -113,13 +112,11 @@ func Open(dir string, opts Options) (*Engine, error) {
 	}
 	e.zoneOffs, _ = storage.ZoneSlots(r.Hier())
 	opts.Metrics.Gauge("query.cache.fraction_pct").Set(int64(opts.CacheFraction * 100))
-	if r.Manifest().Compressed() {
-		// Compressed cubes read through a decoded-block cache: a hit costs
-		// neither the pread nor the decode. Attached before any read path
-		// runs, per the reader's concurrency contract.
-		if bc := newBlockCache(opts.DecodedCacheBytes, opts.Metrics); bc != nil {
-			r.SetBlockCache(bc)
-		}
+	// Extents are read through a decoded-block cache: a hit costs neither
+	// the pread nor the decode. Attached before any read path runs, per
+	// the reader's concurrency contract.
+	if bc := newBlockCache(opts.DecodedCacheBytes, opts.Metrics); bc != nil {
+		r.SetBlockCache(bc)
 	}
 	if opts.PinAggregates {
 		if e.aggRaw, err = r.AggregatesRaw(); err != nil {

@@ -49,13 +49,10 @@ type PlanExtent struct {
 	ScanRows int64 `json:"scan_rows"`
 	// EstBytes estimates the read cost: TT extents are always fetched
 	// whole; NT/CAT extents read only the kept ranges; unpinned
-	// AGGREGATES lookups add one row per CAT reference. Compressed
-	// extents estimate encoded bytes — the blocks overlapping the kept
-	// ranges — not raw row widths.
+	// AGGREGATES lookups add one row per CAT reference. The bytes are
+	// encoded bytes — the blocks overlapping the kept ranges — not raw
+	// row widths.
 	EstBytes int64 `json:"est_bytes"`
-	// Compressed reports that the extent is stored block-compressed, so
-	// the scan decodes blocks instead of reading fixed-width rows.
-	Compressed bool `json:"compressed,omitempty"`
 	// Access is "linear" (full scan), "zone" (zone-map block pruning),
 	// or "zone+narrow" (pruning after sorted-slot binary-search
 	// narrowing, the CURE+ path).
@@ -121,13 +118,6 @@ func (e *Engine) Explain(id lattice.NodeID, preds []Predicate, analyze bool) (*P
 // the counters of the query it describes.
 func (e *Engine) buildPlan(id lattice.NodeID, levels []int, f *scanFilter) *Plan {
 	m := e.r.Manifest()
-	hier := e.r.Hier()
-	arity := 0
-	for d, l := range levels {
-		if !hier.Dims[d].IsAll(l) {
-			arity++
-		}
-	}
 	op := "node"
 	if f != nil {
 		op = "where"
@@ -169,20 +159,19 @@ func (e *Engine) buildPlan(id lattice.NodeID, levels []int, f *scanFilter) *Plan
 		}
 		pz, scan := zones(nm.TTZones, nm.TTRows)
 		plan.Extents = append(plan.Extents, PlanExtent{
-			Relation:   "tt",
-			Node:       int64(anc),
-			NodeName:   e.nodeName(anc),
-			Rows:       nm.TTRows,
-			ScanRows:   scan,
-			EstBytes:   nm.TTBytes(), // TT extents are fetched whole
-			Compressed: nm.TTCodec != nil,
-			Access:     access(pz),
-			Zones:      pz,
+			Relation: "tt",
+			Node:     int64(anc),
+			NodeName: e.nodeName(anc),
+			Rows:     nm.TTRows,
+			ScanRows: scan,
+			EstBytes: nm.TTBytes(), // TT extents are fetched whole
+			Access:   access(pz),
+			Zones:    pz,
 		})
 	}
 	if nm, ok := m.NodeMeta(id); ok {
-		// keptRanges maps a pruning verdict to the ranges a compressed
-		// estimate covers (nil = the whole extent).
+		// keptRanges maps a pruning verdict to the ranges the estimate
+		// covers (nil = the whole extent).
 		keptRanges := func(pz *PlanZones) []storage.RowRange {
 			if pz == nil {
 				return nil
@@ -191,48 +180,35 @@ func (e *Engine) buildPlan(id lattice.NodeID, levels []int, f *scanFilter) *Plan
 		}
 		if nm.NTRows > 0 {
 			pz, scan := zones(nm.NTZones, nm.NTRows)
-			est := scan * int64(m.NTRowWidth(arity))
-			if nm.NTCodec != nil {
-				est = nm.NTCodec.BytesForRanges(keptRanges(pz))
-			}
 			plan.Extents = append(plan.Extents, PlanExtent{
-				Relation:   "nt",
-				Node:       int64(id),
-				NodeName:   plan.NodeName,
-				Rows:       nm.NTRows,
-				ScanRows:   scan,
-				EstBytes:   est,
-				Compressed: nm.NTCodec != nil,
-				Access:     access(pz),
-				Zones:      pz,
+				Relation: "nt",
+				Node:     int64(id),
+				NodeName: plan.NodeName,
+				Rows:     nm.NTRows,
+				ScanRows: scan,
+				EstBytes: nm.NTCodec.BytesForRanges(keptRanges(pz)),
+				Access:   access(pz),
+				Zones:    pz,
 			})
 		}
 		if nm.CATRows > 0 {
 			pz, scan := zones(nm.CATZones, nm.CATRows)
-			est := scan * int64(m.CATRowWidth())
-			if nm.CATCodec != nil {
-				est = nm.CATCodec.BytesForRanges(keptRanges(pz))
-			}
-			if e.aggRaw == nil {
+			est := nm.CATCodec.BytesForRanges(keptRanges(pz))
+			if e.aggRaw == nil && m.AggRows > 0 {
 				// Unpinned AGGREGATES: every visited CAT reference costs
 				// one AGGREGATES row read — estimated at the relation's
-				// mean encoded row cost when it is compressed.
-				aggRow := int64(m.AggRowWidth())
-				if m.AggCodec != nil && m.AggRows > 0 {
-					aggRow = m.AggCodec.EncodedBytes() / m.AggRows
-				}
-				est += scan * aggRow
+				// mean encoded row cost.
+				est += scan * (m.AggCodec.EncodedBytes() / m.AggRows)
 			}
 			plan.Extents = append(plan.Extents, PlanExtent{
-				Relation:   "cat",
-				Node:       int64(id),
-				NodeName:   plan.NodeName,
-				Rows:       nm.CATRows,
-				ScanRows:   scan,
-				EstBytes:   est,
-				Compressed: nm.CATCodec != nil,
-				Access:     access(pz),
-				Zones:      pz,
+				Relation: "cat",
+				Node:     int64(id),
+				NodeName: plan.NodeName,
+				Rows:     nm.CATRows,
+				ScanRows: scan,
+				EstBytes: est,
+				Access:   access(pz),
+				Zones:    pz,
 			})
 		}
 	}

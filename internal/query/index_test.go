@@ -40,7 +40,6 @@ func buildIndexedCube(t *testing.T, dr bool) (string, *hierarchy.Schema, *relati
 		AggSpecs:      []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}},
 		DimsInline:    dr,
 		ZoneBlockRows: 8,
-		Compression:   testCompression(),
 	}); err != nil {
 		t.Fatal(err)
 	}

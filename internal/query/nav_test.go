@@ -41,8 +41,7 @@ func buildComplexCube(t *testing.T) (string, *hierarchy.Schema) {
 	dir := filepath.Join(t.TempDir(), "cube")
 	if _, err := core.BuildFromTable(ft, core.Options{
 		Dir: dir, Hier: hier,
-		AggSpecs:    []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}},
-		Compression: testCompression(),
+		AggSpecs: []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}},
 	}); err != nil {
 		t.Fatal(err)
 	}

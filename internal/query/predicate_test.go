@@ -33,9 +33,8 @@ func buildPredCube(t *testing.T, dr bool) (string, *hierarchy.Schema, *relation.
 	dir := filepath.Join(t.TempDir(), "cube")
 	if _, err := core.BuildFromTable(ft, core.Options{
 		Dir: dir, Hier: hier,
-		AggSpecs:    []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}},
-		DimsInline:  dr,
-		Compression: testCompression(),
+		AggSpecs:   []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}},
+		DimsInline: dr,
 	}); err != nil {
 		t.Fatal(err)
 	}

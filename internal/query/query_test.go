@@ -42,8 +42,7 @@ func buildTestCube(t *testing.T, plus bool) (string, *hierarchy.Schema, *relatio
 			{Func: relation.AggSum, Measure: 0},
 			{Func: relation.AggCount},
 		},
-		Plus:        plus,
-		Compression: testCompression(),
+		Plus: plus,
 	})
 	if err != nil {
 		t.Fatal(err)

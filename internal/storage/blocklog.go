@@ -4,30 +4,49 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
-	"sort"
+	"slices"
 
 	"cure/internal/lattice"
 )
 
 // blockLog is the sequential construction-time spill target for one
-// relation class (NT, TT, or CAT). Rows for the same node are staged in
-// memory and written as node-tagged blocks — header <nodeID int64,
-// payloadLen int32> followed by fixed-width rows — so construction I/O is
-// purely sequential no matter how the signature pool interleaves nodes.
+// relation class (NT, TT, CAT or AGGREGATES). Rows for the same node are
+// staged in memory and written as node-tagged blocks of fixed-width rows,
+// so construction I/O is purely sequential no matter how the signature
+// pool interleaves nodes.
+//
+// Every block header names the node's previous block, so a node's rows
+// are a chain through the file that gather walks backwards from the
+// newest block. The log itself remembers only each node's row count and
+// newest block: writer memory is O(nodes), not O(blocks) — the paper's
+// D = 28 cube has 88,932 relations and far more blocks.
 type blockLog struct {
 	path     string
-	f        *os.File
+	f        *os.File // write handle until finish, read handle after
 	w        *bufio.Writer
 	rowWidth int
-	stages   map[lattice.NodeID][]byte
+	nodes    map[lattice.NodeID]*nodeLog
+	dirty    []*nodeLog // nodes holding staged rows, in first-staged order
 	budget   *stageBudget
 	staged   int64
+	off      int64 // bytes written so far: the next block's offset
 	scratch  []byte
 	rows     int64
-	closed   bool
 }
+
+// nodeLog is what the log remembers of one node.
+type nodeLog struct {
+	id      lattice.NodeID
+	stage   []byte // rows not yet spilled
+	rows    int64  // rows appended in total
+	lastOff int64  // offset of the node's newest block, -1 before the first spill
+	lastLen int32  // payload bytes of that block
+}
+
+// logHdrSize is the block header: <node int64, payloadLen int32,
+// prevLen int32, prevOff int64>. prevOff is -1 on a node's first block.
+const logHdrSize = 24
 
 // stageBudget caps the total bytes staged across the logs that share it.
 type stageBudget struct {
@@ -45,7 +64,7 @@ func newBlockLog(path string, rowWidth int, budget *stageBudget) (*blockLog, err
 		f:        f,
 		w:        bufio.NewWriterSize(f, 1<<20),
 		rowWidth: rowWidth,
-		stages:   map[lattice.NodeID][]byte{},
+		nodes:    map[lattice.NodeID]*nodeLog{},
 		budget:   budget,
 		scratch:  make([]byte, rowWidth),
 	}, nil
@@ -56,7 +75,16 @@ func newBlockLog(path string, rowWidth int, budget *stageBudget) (*blockLog, err
 func (l *blockLog) rowBuf() []byte { return l.scratch }
 
 func (l *blockLog) append(node lattice.NodeID, row []byte) error {
-	l.stages[node] = append(l.stages[node], row[:l.rowWidth]...)
+	n := l.nodes[node]
+	if n == nil {
+		n = &nodeLog{id: node, lastOff: -1}
+		l.nodes[node] = n
+	}
+	if len(n.stage) == 0 {
+		l.dirty = append(l.dirty, n)
+	}
+	n.stage = append(n.stage, row[:l.rowWidth]...)
+	n.rows++
 	l.staged += int64(l.rowWidth)
 	l.budget.used += int64(l.rowWidth)
 	l.rows++
@@ -66,146 +94,100 @@ func (l *blockLog) append(node lattice.NodeID, row []byte) error {
 	return nil
 }
 
-// spill writes all staged rows out as blocks and releases their budget.
+// spill writes all staged rows out as blocks, each chained to its node's
+// previous one, and releases their budget.
 func (l *blockLog) spill() error {
-	var hdr [12]byte
-	for node, rows := range l.stages {
-		if len(rows) == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint64(hdr[0:], uint64(node))
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(rows)))
+	var hdr [logHdrSize]byte
+	for _, n := range l.dirty {
+		binary.LittleEndian.PutUint64(hdr[0:], uint64(n.id))
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(n.stage)))
+		binary.LittleEndian.PutUint32(hdr[12:], uint32(n.lastLen))
+		binary.LittleEndian.PutUint64(hdr[16:], uint64(n.lastOff))
 		if _, err := l.w.Write(hdr[:]); err != nil {
 			return err
 		}
-		if _, err := l.w.Write(rows); err != nil {
+		if _, err := l.w.Write(n.stage); err != nil {
 			return err
 		}
-		delete(l.stages, node)
+		n.lastOff, n.lastLen = l.off, int32(len(n.stage))
+		l.off += logHdrSize + int64(len(n.stage))
+		n.stage = nil
 	}
+	l.dirty = l.dirty[:0]
 	l.budget.used -= l.staged
 	l.staged = 0
 	return nil
 }
 
-// finish spills remaining stages and flushes the log to disk.
+// finish spills remaining stages, flushes the log to disk and reopens it
+// for gather. Call it once.
 func (l *blockLog) finish() error {
-	if l.closed {
-		return nil
-	}
-	l.closed = true
 	if err := l.spill(); err != nil {
 		return err
 	}
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
-	return l.f.Close()
-}
-
-// scan replays the log, calling fn for every block.
-func (l *blockLog) scan(fn func(node lattice.NodeID, payload []byte) error) error {
+	if err := l.f.Close(); err != nil {
+		return err
+	}
 	f, err := os.Open(l.path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
-	var hdr [12]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("storage: scanning %s: %w", l.path, err)
-		}
-		node := lattice.NodeID(binary.LittleEndian.Uint64(hdr[0:]))
-		n := int(binary.LittleEndian.Uint32(hdr[8:]))
-		if cap(payload) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return fmt.Errorf("storage: scanning %s: truncated block: %w", l.path, err)
-		}
-		if err := fn(node, payload); err != nil {
-			return err
-		}
-	}
+	l.f = f
+	return nil
 }
 
-// rewriteFunc converts one log row into its final on-disk form for node
-// id; dst is widthFn(id) bytes. A nil rewriteFunc means identity (final
-// width must equal the log row width).
-type rewriteFunc func(id lattice.NodeID, src, dst []byte) error
+// remove closes and deletes the log file.
+func (l *blockLog) remove() {
+	l.f.Close()
+	os.Remove(l.path)
+}
 
-// compactLog turns a block log into a compacted extent file: all rows of
-// a node stored contiguously, nodes in id order. done is called once per
-// node with its byte offset and row count.
-func compactLog(l *blockLog, finalPath string, widthFn func(lattice.NodeID) int, rewrite rewriteFunc, done func(id lattice.NodeID, off, rows int64)) error {
-	if err := l.finish(); err != nil {
-		return err
-	}
-	// Pass 1: row counts per node.
-	counts := map[lattice.NodeID]int64{}
-	if err := l.scan(func(node lattice.NodeID, payload []byte) error {
-		counts[node] += int64(len(payload) / l.rowWidth)
-		return nil
-	}); err != nil {
-		return err
-	}
-	ids := make([]lattice.NodeID, 0, len(counts))
-	for id := range counts {
+// nodeIDs returns the nodes that received rows, ascending.
+func (l *blockLog) nodeIDs() []lattice.NodeID {
+	ids := make([]lattice.NodeID, 0, len(l.nodes))
+	for id := range l.nodes {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	offsets := make(map[lattice.NodeID]int64, len(counts))
-	cursor := make(map[lattice.NodeID]int64, len(counts))
-	var off int64
-	for _, id := range ids {
-		offsets[id] = off
-		cursor[id] = off
-		off += counts[id] * int64(widthFn(id))
+	slices.Sort(ids)
+	return ids
+}
+
+// gather reads all rows of node in arrival order, after finish. *scratch
+// is grown when too small and the result aliases it. Safe for concurrent
+// calls with distinct scratch buffers.
+//
+// The chain is walked newest block first and the buffer filled from the
+// back. Each block is one ReadAt of header plus payload: the payload
+// lands in place and the header on the bytes just before it, which belong
+// to an older block not read yet (or to the slack in front of the first).
+func (l *blockLog) gather(node lattice.NodeID, scratch *[]byte) ([]byte, error) {
+	n := l.nodes[node]
+	size := int(n.rows) * l.rowWidth
+	if cap(*scratch) < logHdrSize+size {
+		*scratch = make([]byte, logHdrSize+size)
 	}
-	out, err := os.Create(finalPath)
-	if err != nil {
-		return err
-	}
-	// Pass 2: place blocks at their node cursors.
-	var outBuf []byte
-	err = l.scan(func(node lattice.NodeID, payload []byte) error {
-		rows := len(payload) / l.rowWidth
-		w := widthFn(node)
-		var data []byte
-		if rewrite == nil && w == l.rowWidth {
-			data = payload
-		} else {
-			need := rows * w
-			if cap(outBuf) < need {
-				outBuf = make([]byte, need)
-			}
-			data = outBuf[:need]
-			for i := 0; i < rows; i++ {
-				if err := rewrite(node, payload[i*l.rowWidth:(i+1)*l.rowWidth], data[i*w:(i+1)*w]); err != nil {
-					return err
-				}
-			}
+	buf := (*scratch)[:logHdrSize+size]
+	pos, off, ln := size, n.lastOff, int(n.lastLen)
+	for pos > 0 {
+		if off < 0 || ln <= 0 || ln > pos {
+			return nil, fmt.Errorf("storage: %s: block chain of node %d is broken at %d", l.path, node, off)
 		}
-		if _, err := out.WriteAt(data, cursor[node]); err != nil {
-			return err
+		seg := buf[pos-ln : pos+logHdrSize]
+		if _, err := l.f.ReadAt(seg, off); err != nil {
+			return nil, fmt.Errorf("storage: reading %s: %w", l.path, err)
 		}
-		cursor[node] += int64(len(data))
-		return nil
-	})
-	if cerr := out.Close(); err == nil {
-		err = cerr
+		if lattice.NodeID(binary.LittleEndian.Uint64(seg)) != node || int(binary.LittleEndian.Uint32(seg[8:])) != ln {
+			return nil, fmt.Errorf("storage: %s: block at %d does not belong to node %d", l.path, off, node)
+		}
+		pos -= ln
+		ln = int(binary.LittleEndian.Uint32(seg[12:]))
+		off = int64(binary.LittleEndian.Uint64(seg[16:]))
 	}
-	if err != nil {
-		return err
+	if off != -1 {
+		return nil, fmt.Errorf("storage: %s: node %d has more blocks than rows counted", l.path, node)
 	}
-	for _, id := range ids {
-		done(id, offsets[id], counts[id])
-	}
-	return os.Remove(l.path)
+	return buf[logHdrSize:], nil
 }

@@ -7,17 +7,17 @@ import (
 	"math/bits"
 )
 
-// Compressed columnar extents. CURE's whole point (§5) is a small stored
-// cube, yet the compacted extents hold fixed-width 8-byte row-ids and
-// IEEE-754 aggregates over data that is heavily repetitive: CURE+ sorts
-// TT row-ids and format-(a) CAT rows, COUNT aggregates are tiny integers,
-// and CURE_DR dimension columns are low-cardinality codes. A compression
-// pass at Finalize rewrites each extent into blocks of ZoneBlockRows rows
-// stored column-major; every column of every block independently picks
-// the cheapest of a handful of lightweight encodings, recorded in a
-// per-block header so the reader dispatches once per column, not per row.
-// Block byte offsets live in the manifest (ExtentCodec), so zone-map
-// pruning skips the read *and* the decode of pruned blocks.
+// The extent format. CURE's whole point (§5) is a small stored cube, and
+// its relations — 8-byte row-ids and IEEE-754 aggregates — are heavily
+// repetitive: CURE+ sorts TT row-ids and format-(a) CAT rows, COUNT
+// aggregates are tiny integers, and CURE_DR dimension columns are
+// low-cardinality codes. Finalize writes each extent as blocks of
+// ZoneBlockRows rows stored column-major; every column of every block
+// independently picks the cheapest of a handful of lightweight encodings,
+// recorded in a per-block header so the reader dispatches once per
+// column, not per row. Block byte offsets live in the manifest
+// (ExtentCodec), so zone-map pruning skips the read *and* the decode of
+// pruned blocks.
 //
 // Block layout:
 //
@@ -38,36 +38,8 @@ import (
 //
 // Selection is brute force per column per block: encode the applicable
 // candidates and keep the shortest. Blocks are small (ZoneBlockRows rows,
-// 256 by default), so the write-side cost is negligible next to the sort
-// and compaction passes.
-
-// Compression mode names accepted by Options.Compression.
-const (
-	// CompressionNone leaves extents in the fixed-width v1 layout.
-	CompressionNone = "none"
-	// CompressionAuto enables the block-columnar codec with per-column
-	// cheapest-encoding selection (exact brute force on every block).
-	CompressionAuto = "auto"
-	// CompressionSampled enables the codec with sampled selection: the
-	// first DefaultSampleBlocks blocks of each column are brute-forced;
-	// when they agree on a codec, later blocks encode only that codec and
-	// fall back to the exact brute force when the prediction loses to
-	// raw. The on-disk format is identical to "auto" — only which codec
-	// wins a given block may differ.
-	CompressionSampled = "sampled"
-)
-
-// compressionEnabled maps an Options.Compression string to a decision;
-// the empty string means "none" so existing writers are byte-stable.
-func compressionEnabled(mode string) (bool, error) {
-	switch mode {
-	case "", CompressionNone:
-		return false, nil
-	case CompressionAuto, "block", CompressionSampled:
-		return true, nil
-	}
-	return false, fmt.Errorf("storage: unknown compression mode %q", mode)
-}
+// 256 by default), so the write-side cost is negligible next to the
+// build's sorts.
 
 // Column kinds of the extent schemas.
 type colKind uint8
@@ -115,8 +87,7 @@ func encName(tag byte) string {
 // granularity, the pre-compression footprint, the encoding histogram
 // (column-blocks per tag name), and the block byte offsets relative to
 // the extent's file offset (len = NumBlocks+1, so block b occupies
-// [Offs[b], Offs[b+1])). A nil *ExtentCodec means the extent is stored
-// in the fixed-width v1 layout.
+// [Offs[b], Offs[b+1])). Only an empty extent has a nil *ExtentCodec.
 type ExtentCodec struct {
 	BlockRows int64            `json:"block_rows"`
 	RawBytes  int64            `json:"raw_bytes"`
@@ -132,7 +103,31 @@ func (c *ExtentCodec) NumBlocks() int {
 	return len(c.Offs) - 1
 }
 
-// EncodedBytes returns the extent's compressed footprint.
+// check validates the record against its extent's row count, so that
+// the read paths can index Offs by block number without further checks.
+func (c *ExtentCodec) check(rows int64) error {
+	if c == nil {
+		if rows != 0 {
+			return fmt.Errorf("%d rows but no block index", rows)
+		}
+		return nil
+	}
+	blocks := int64(0)
+	if rows > 0 && c.BlockRows > 0 {
+		blocks = (rows-1)/c.BlockRows + 1
+	}
+	if rows < 0 || c.BlockRows <= 0 || int64(len(c.Offs)) != blocks+1 || c.Offs[0] != 0 {
+		return fmt.Errorf("block index does not cover %d rows", rows)
+	}
+	for b := 1; b < len(c.Offs); b++ {
+		if c.Offs[b] < c.Offs[b-1] {
+			return fmt.Errorf("block %d ends before it starts", b-1)
+		}
+	}
+	return nil
+}
+
+// EncodedBytes returns the extent's encoded footprint.
 func (c *ExtentCodec) EncodedBytes() int64 {
 	if c == nil || len(c.Offs) == 0 {
 		return 0
@@ -142,7 +137,7 @@ func (c *ExtentCodec) EncodedBytes() int64 {
 
 // BytesForRanges returns the encoded bytes of the blocks overlapping the
 // given row ranges (nil ranges = the whole extent) — the read cost
-// EXPLAIN estimates for a compressed extent.
+// EXPLAIN estimates for an extent.
 func (c *ExtentCodec) BytesForRanges(ranges []RowRange) int64 {
 	if c == nil {
 		return 0
@@ -507,17 +502,6 @@ func decodeRawF64(src []byte, dst []float64) error {
 
 // --- block encode / decode ------------------------------------------------
 
-// DefaultSampleBlocks is the per-column sampling window of the
-// "sampled" mode: how many leading blocks are brute-forced before the
-// encoder commits to a predicted codec.
-const DefaultSampleBlocks = 4
-
-// Prediction sentinels of the sampled selector (real tags are < 0x80).
-const (
-	predUnset byte = 0xFE // no sampled block seen yet
-	predNone  byte = 0xFF // sampled blocks disagreed: stay exact
-)
-
 // blockEncoder turns row-major fixed-width rows into encoded blocks,
 // reusing its gather and candidate buffers across blocks.
 type blockEncoder struct {
@@ -528,22 +512,12 @@ type blockEncoder struct {
 	i64 []int64
 	i32 []int32
 	f64 []float64
-	// cand/alt are the candidate payload buffers the selector compares.
-	cand, alt []byte
+	// cand is the candidate payload buffer the selector compares.
+	cand []byte
 	// tags/payloads of the current block, one per column.
 	tags     []byte
 	payloads [][]byte
 	bufs     [][]byte // retained payload buffers, one per column
-
-	// Sampled selection state: during the first sampleLeft blocks each
-	// column's brute-force winners vote on predicted[c]; afterwards the
-	// fast path encodes only the predicted codec, falling back to the
-	// exact brute force when the prediction loses to raw.
-	sampled       bool
-	sampleLeft    int
-	predicted     []byte
-	sampledBlocks int64 // column-blocks taken by the fast path
-	mispredicts   int64 // fast-path encodes beaten by raw, re-brute-forced
 }
 
 func newBlockEncoder(kinds []colKind) *blockEncoder {
@@ -561,23 +535,6 @@ func newBlockEncoder(kinds []colKind) *blockEncoder {
 	return be
 }
 
-// newSampledBlockEncoder returns an encoder whose codec selection is
-// predicted from the column's first sampleBlocks blocks (≤0 means
-// DefaultSampleBlocks).
-func newSampledBlockEncoder(kinds []colKind, sampleBlocks int) *blockEncoder {
-	be := newBlockEncoder(kinds)
-	if sampleBlocks <= 0 {
-		sampleBlocks = DefaultSampleBlocks
-	}
-	be.sampled = true
-	be.sampleLeft = sampleBlocks
-	be.predicted = make([]byte, len(kinds))
-	for i := range be.predicted {
-		be.predicted[i] = predUnset
-	}
-	return be
-}
-
 // pick chooses the shorter of the current best (tag, payload in bufs[c])
 // and the candidate in be.cand, leaving the winner in bufs[c].
 func (be *blockEncoder) pick(c int, tag byte) {
@@ -588,116 +545,27 @@ func (be *blockEncoder) pick(c int, tag byte) {
 	}
 }
 
-// accept takes the candidate in be.cand as column c's encoding without
-// comparing alternatives — the sampled fast path.
-func (be *blockEncoder) accept(c int, tag byte) {
-	be.tags[c] = tag
-	be.bufs[c] = append(be.bufs[c][:0], be.cand...)
-	be.payloads[c] = be.bufs[c]
-	be.sampledBlocks++
-}
-
-// fastTag returns column c's predicted codec once the sampling window
-// closed with a unanimous vote.
-func (be *blockEncoder) fastTag(c int) (byte, bool) {
-	if !be.sampled || be.sampleLeft > 0 {
-		return 0, false
-	}
-	t := be.predicted[c]
-	return t, t < predUnset
-}
-
-// vote folds column c's brute-force winner into its prediction while the
-// sampling window is open.
-func (be *blockEncoder) vote(c int) {
-	if !be.sampled || be.sampleLeft == 0 {
-		return
-	}
-	switch {
-	case be.predicted[c] == predUnset:
-		be.predicted[c] = be.tags[c]
-	case be.predicted[c] != be.tags[c]:
-		be.predicted[c] = predNone
-	}
-}
-
 // encodeI64Col selects and retains column c's encoding of vals.
 func (be *blockEncoder) encodeI64Col(c int, vals []int64) {
-	if tag, ok := be.fastTag(c); ok {
-		switch tag {
-		case encRaw:
-			be.cand = encodeRaw64(be.cand[:0], vals)
-			be.accept(c, encRaw)
-			return
-		case encDelta:
-			be.cand = encodeDelta64(be.cand[:0], vals)
-			if len(be.cand) < 8*len(vals) {
-				be.accept(c, encDelta)
-				return
-			}
-		}
-		be.mispredicts++
-	}
 	be.cand = encodeRaw64(be.cand[:0], vals)
 	be.pick(c, encRaw)
 	be.cand = encodeDelta64(be.cand[:0], vals)
 	be.pick(c, encDelta)
-	be.vote(c)
 }
 
 // encodeI32Col selects and retains column c's encoding of vals.
 func (be *blockEncoder) encodeI32Col(c int, vals []int32) {
-	if tag, ok := be.fastTag(c); ok {
-		switch tag {
-		case encRaw:
-			be.cand = encodeRaw32(be.cand[:0], vals)
-			be.accept(c, encRaw)
-			return
-		case encBitpack:
-			be.cand = encodeBitpack32(be.cand[:0], vals)
-		case encRLE:
-			be.cand = encodeRLE32(be.cand[:0], vals)
-		}
-		if len(be.cand) < 4*len(vals) {
-			be.accept(c, tag)
-			return
-		}
-		be.mispredicts++
-	}
 	be.cand = encodeRaw32(be.cand[:0], vals)
 	be.pick(c, encRaw)
 	be.cand = encodeBitpack32(be.cand[:0], vals)
 	be.pick(c, encBitpack)
 	be.cand = encodeRLE32(be.cand[:0], vals)
 	be.pick(c, encRLE)
-	be.vote(c)
 }
 
 // encodeF64Col selects and retains column c's encoding of vals. intOK
 // reports whether every value survives the intfloat round-trip.
 func (be *blockEncoder) encodeF64Col(c int, vals []float64, intOK bool) {
-	if tag, ok := be.fastTag(c); ok {
-		valid := true
-		switch tag {
-		case encRaw:
-			be.cand = encodeRawF64(be.cand[:0], vals)
-			be.accept(c, encRaw)
-			return
-		case encRLE:
-			be.cand = encodeRLEF64(be.cand[:0], vals)
-		case encIntFloat:
-			if intOK {
-				be.cand = encodeIntFloat(be.cand[:0], vals)
-			} else {
-				valid = false
-			}
-		}
-		if valid && len(be.cand) < 8*len(vals) {
-			be.accept(c, tag)
-			return
-		}
-		be.mispredicts++
-	}
 	be.cand = encodeRawF64(be.cand[:0], vals)
 	be.pick(c, encRaw)
 	be.cand = encodeRLEF64(be.cand[:0], vals)
@@ -706,7 +574,6 @@ func (be *blockEncoder) encodeF64Col(c int, vals []float64, intOK bool) {
 		be.cand = encodeIntFloat(be.cand[:0], vals)
 		be.pick(c, encIntFloat)
 	}
-	be.vote(c)
 }
 
 // encodeBlock appends the encoded form of rows[0:n] (row-major, be.width
@@ -746,9 +613,6 @@ func (be *blockEncoder) encodeBlock(rows []byte, n int, dst []byte) []byte {
 			}
 			be.encodeF64Col(c, vals, intOK)
 		}
-	}
-	if be.sampleLeft > 0 {
-		be.sampleLeft--
 	}
 	dst = appendUvarint(dst, uint64(n))
 	for c := range be.kinds {

@@ -179,64 +179,3 @@ func FuzzDecodeBlockBytes(f *testing.F) {
 		decodeBlock(data, kinds, wantRows, &db) //nolint:errcheck // errors expected; panics are the bug
 	})
 }
-
-// FuzzSampledBlockRoundTrip drives the sampled selector over a stream of
-// blocks: a one-block sampling window commits to a prediction fast, the
-// remaining blocks exercise the fast path and its raw fallback. Every
-// block must decode back exactly, and the exact encoder must agree on
-// the decoded values (the formats are identical; only codec picks may
-// differ).
-func FuzzSampledBlockRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(make([]byte, 20))  // one block of one zero row
-	f.Add(make([]byte, 200)) // several blocks
-	mixed := make([]byte, 400)
-	for i := range mixed {
-		mixed[i] = byte(i * 7) // shapes that flip the winning codec mid-stream
-	}
-	f.Add(mixed)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		kinds := []colKind{colI64, colI32, colF64}
-		const width = 20
-		const blockRows = 3
-		rows := data[:len(data)/width*width]
-		n := len(rows) / width
-		be := newSampledBlockEncoder(kinds, 1)
-		ex := newBlockEncoder(kinds)
-		for r0 := 0; r0 < n; r0 += blockRows {
-			bn := blockRows
-			if r0+bn > n {
-				bn = n - r0
-			}
-			block := rows[r0*width : (r0+bn)*width]
-			enc := be.encodeBlock(block, bn, nil)
-			var db DecodedBlock
-			if consumed, err := decodeBlock(enc, kinds, bn, &db); err != nil {
-				t.Fatalf("block at row %d: decode: %v", r0, err)
-			} else if consumed != len(enc) {
-				t.Fatalf("block at row %d: consumed %d of %d bytes", r0, consumed, len(enc))
-			}
-			encEx := ex.encodeBlock(block, bn, nil)
-			var dbEx DecodedBlock
-			if _, err := decodeBlock(encEx, kinds, bn, &dbEx); err != nil {
-				t.Fatalf("block at row %d: exact decode: %v", r0, err)
-			}
-			for i := 0; i < bn; i++ {
-				rec := block[i*width:]
-				if got, want := db.I64[0][i], int64(binary.LittleEndian.Uint64(rec)); got != want {
-					t.Fatalf("row %d i64: %d, want %d", r0+i, got, want)
-				}
-				if got, want := db.I32[1][i], int32(binary.LittleEndian.Uint32(rec[8:])); got != want {
-					t.Fatalf("row %d i32: %d, want %d", r0+i, got, want)
-				}
-				if got, want := math.Float64bits(db.F64[2][i]), binary.LittleEndian.Uint64(rec[12:]); got != want {
-					t.Fatalf("row %d f64 bits: %x, want %x", r0+i, got, want)
-				}
-				if math.Float64bits(db.F64[2][i]) != math.Float64bits(dbEx.F64[2][i]) ||
-					db.I64[0][i] != dbEx.I64[0][i] || db.I32[1][i] != dbEx.I32[1][i] {
-					t.Fatalf("row %d: sampled and exact decodes disagree", r0+i)
-				}
-			}
-		}
-	})
-}

@@ -6,9 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 
-	"cure/internal/relation"
+	"cure/internal/lattice"
 	"cure/internal/signature"
 )
 
@@ -125,59 +126,70 @@ func TestCodecRowCountMismatchRejected(t *testing.T) {
 	}
 }
 
-func TestCompressionModeValidation(t *testing.T) {
-	for _, mode := range []string{"", "none", "auto", "block", "sampled"} {
-		if _, err := compressionEnabled(mode); err != nil {
-			t.Errorf("mode %q rejected: %v", mode, err)
-		}
-	}
-	if _, err := compressionEnabled("zstd"); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if _, err := NewWriter(Options{
-		Dir: t.TempDir(), Hier: testHier(t),
-		AggSpecs:    []relation.AggSpec{{Func: relation.AggCount}},
-		Compression: "zstd",
-	}); err == nil {
-		t.Error("writer with unknown compression mode accepted")
-	}
-}
-
 // writeWorkload writes one deterministic mixed workload (multi-block NT,
-// TT, CAT extents plus AGGREGATES) into w and finalizes it.
-func writeWorkload(t *testing.T, w *Writer, plus bool, formatA bool) *Manifest {
+// TT, CAT extents plus AGGREGATES) into w and finalizes it. It returns
+// the manifest and every tuple it handed the writer, rendered the way
+// collectExtents renders what a Reader gives back.
+func writeWorkload(t *testing.T, w *Writer, formatA bool) (*Manifest, []string) {
 	t.Helper()
 	enum := w.Enum()
 	nodeA0B := enum.Encode([]int{0, 0})
 	nodeA1 := enum.Encode([]int{1, 1})
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 700; i++ {
-		if err := w.WriteNT(nodeA0B, int64(rng.Intn(5000)), []float64{float64(rng.Intn(50)), float64(1 + rng.Intn(9))}); err != nil {
+	var want []string
+	writeNT := func(node lattice.NodeID, levels []int) {
+		rrowid := int64(rng.Intn(5000))
+		aggrs := []float64{float64(rng.Intn(50)), float64(1 + rng.Intn(9))}
+		if err := w.WriteNT(node, rrowid, aggrs); err != nil {
 			t.Fatal(err)
 		}
+		var dims []int32
+		if w.opts.DimsInline {
+			// CURE_DR rows come back as the row's codes at the node's levels.
+			base := make([]int32, 2)
+			if err := finalizeTestResolver(rrowid, base); err != nil {
+				t.Fatal(err)
+			}
+			for d, l := range levels {
+				if !w.opts.Hier.Dims[d].IsAll(l) {
+					dims = append(dims, w.opts.Hier.Dims[d].MapCode(base[d], l))
+				}
+			}
+			rrowid = -1
+		}
+		want = append(want, fmt.Sprintf("nt %d %d %v %v", node, rrowid, dims, aggrs))
 	}
-	for i := 0; i < 900; i++ {
-		if err := w.WriteTT(nodeA1, int64(rng.Intn(5000))); err != nil {
+	for i := 0; i < 700; i++ {
+		writeNT(nodeA0B, []int{0, 0})
+	}
+	for i := 0; i < 300; i++ {
+		writeNT(nodeA1, []int{1, 1})
+	}
+	// TT row-ids are distinct within a node, as in a real build.
+	for _, id := range rng.Perm(5000)[:900] {
+		if err := w.WriteTT(nodeA1, int64(id)); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, fmt.Sprintf("tt %d %d", nodeA1, id))
 	}
 	format := signature.FormatB
 	for i := 0; i < 500; i++ {
-		rrowid := int64(-1)
+		rrowid, catSrc := int64(-1), int64(rng.Intn(5000))
 		if formatA {
-			rrowid = int64(rng.Intn(5000))
+			rrowid, catSrc = catSrc, -1
 		}
-		a, err := w.AppendAggregate(rrowid, []float64{float64(rng.Intn(100)) + 0.5, float64(2 + rng.Intn(7))})
+		aggrs := []float64{float64(rng.Intn(100)) + 0.5, float64(2 + rng.Intn(7))}
+		a, err := w.AppendAggregate(rrowid, aggrs)
 		if err != nil {
 			t.Fatal(err)
-		}
-		catSrc := int64(-1)
-		if !formatA {
-			catSrc = int64(rng.Intn(5000))
 		}
 		if err := w.WriteCAT(nodeA0B, catSrc, a); err != nil {
 			t.Fatal(err)
 		}
+		want = append(want,
+			fmt.Sprintf("cat %d %d %d", nodeA0B, catSrc, a),
+			fmt.Sprintf("agg %d %d %v", a, rrowid, aggrs),
+			fmt.Sprintf("aggraw %d %d %v", a, rrowid, aggrs))
 	}
 	if formatA {
 		format = signature.FormatA
@@ -186,11 +198,13 @@ func writeWorkload(t *testing.T, w *Writer, plus bool, formatA bool) *Manifest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	sort.Strings(want)
+	return m, want
 }
 
-// collectExtents renders every readable tuple of the cube as strings, the
-// equivalence unit compressed and uncompressed cubes are compared by.
+// collectExtents renders every tuple a Reader returns as strings, sorted:
+// NT, TT and CAT rows of every node, and AGGREGATES read both row by row
+// and through the pinned raw buffer.
 func collectExtents(t *testing.T, dir string) []string {
 	t.Helper()
 	r, err := OpenReader(dir)
@@ -201,10 +215,11 @@ func collectExtents(t *testing.T, dir string) []string {
 	var out []string
 	m := r.Manifest()
 	for k := range m.Nodes {
-		id, err := parseNodeKey(k)
+		n, err := strconv.ParseInt(k, 10, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
+		id := lattice.NodeID(n)
 		if err := r.NTRows(id, func(nt NTRow) error {
 			out = append(out, fmt.Sprintf("nt %s %d %v %v", k, nt.RRowid, nt.Dims, nt.Aggrs))
 			return nil
@@ -245,57 +260,63 @@ func collectExtents(t *testing.T, dir string) []string {
 	return out
 }
 
-func TestCompressedCubeEquivalence(t *testing.T) {
+// TestCubeRoundTrip: what a Reader gives back is, tuple for tuple, what
+// the Writer was handed — through the log, every Finalize transform, the
+// block codec and the decode paths.
+func TestCubeRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		plus    bool
-		formatA bool
+		name              string
+		plus, formatA, dr bool
 	}{
-		{"plain-formatB", false, false},
-		{"plus-formatB", true, false},
-		{"plus-formatA", true, true},
+		{name: "plain-formatB"},
+		{name: "dr-formatB", dr: true},
+		{name: "plus-formatB", plus: true},
+		{name: "plus-formatA", plus: true, formatA: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dirNone, dirAuto := t.TempDir(), t.TempDir()
-			wNone := newTestWriter(t, Options{Dir: dirNone, Plus: tc.plus, FactRows: 5000, ZoneBlockRows: 64})
-			mNone := writeWorkload(t, wNone, tc.plus, tc.formatA)
-			wAuto := newTestWriter(t, Options{Dir: dirAuto, Plus: tc.plus, FactRows: 5000, ZoneBlockRows: 64, Compression: "auto"})
-			mAuto := writeWorkload(t, wAuto, tc.plus, tc.formatA)
-
-			if mNone.Version != 1 || mNone.Compressed() {
-				t.Errorf("uncompressed manifest: version %d, compression %q", mNone.Version, mNone.Compression)
+			dir := t.TempDir()
+			w := newTestWriter(t, Options{
+				Dir: dir, Plus: tc.plus, DimsInline: tc.dr, FactRows: 5000,
+				ZoneBlockRows: 64, Resolver: finalizeTestResolver,
+			})
+			m, want := writeWorkload(t, w, tc.formatA)
+			if m.Version != 2 || m.Compression != "block" {
+				t.Errorf("manifest: version %d, compression %q", m.Version, m.Compression)
 			}
-			if mAuto.Version != 2 || !mAuto.Compressed() {
-				t.Errorf("compressed manifest: version %d, compression %q", mAuto.Version, mAuto.Compression)
+			if m.AggCodec == nil {
+				t.Error("cube without AggCodec")
 			}
-			if mAuto.AggCodec == nil {
-				t.Error("compressed cube without AggCodec")
-			}
-			if got, want := collectExtents(t, dirAuto), collectExtents(t, dirNone); !reflect.DeepEqual(got, want) {
-				t.Fatalf("compressed cube decodes differently: %d vs %d tuples", len(got), len(want))
+			if got := collectExtents(t, dir); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cube reads back differently: %d vs %d tuples", len(got), len(want))
 			}
 			// The workload is repetitive on purpose: the codec must win.
-			if mAuto.Sizes.Total() >= mNone.Sizes.Total() {
-				t.Errorf("compressed cube not smaller: %d >= %d", mAuto.Sizes.Total(), mNone.Sizes.Total())
-			}
-			if bad, err := func() ([]string, error) {
-				r, err := OpenReader(dirAuto)
-				if err != nil {
-					return nil, err
+			var raw int64
+			for _, nm := range m.Nodes {
+				for _, c := range []*ExtentCodec{nm.NTCodec, nm.TTCodec, nm.CATCodec} {
+					if c != nil {
+						raw += c.RawBytes
+					}
 				}
-				defer r.Close()
-				return r.VerifyChecksums()
-			}(); err != nil || len(bad) != 0 {
-				t.Errorf("checksums after compression: bad=%v err=%v", bad, err)
+			}
+			if raw += m.AggCodec.RawBytes; m.Sizes.Total() >= raw {
+				t.Errorf("encoded cube not smaller than its rows: %d >= %d", m.Sizes.Total(), raw)
+			}
+			r, err := OpenReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if bad, err := r.VerifyChecksums(); err != nil || len(bad) != 0 {
+				t.Errorf("checksums: bad=%v err=%v", bad, err)
 			}
 		})
 	}
 }
 
-func TestCompressedExtentCodecMetadata(t *testing.T) {
+func TestExtentCodecMetadata(t *testing.T) {
 	dir := t.TempDir()
-	w := newTestWriter(t, Options{Dir: dir, FactRows: 5000, ZoneBlockRows: 64, Compression: "auto"})
-	m := writeWorkload(t, w, false, false)
+	w := newTestWriter(t, Options{Dir: dir, FactRows: 5000, ZoneBlockRows: 64})
+	m, _ := writeWorkload(t, w, false)
 	for k, nm := range m.Nodes {
 		if nm.NTRows > 0 {
 			c := nm.NTCodec
@@ -332,27 +353,17 @@ func benchRows(n int) ([]colKind, []byte, int) {
 }
 
 func BenchmarkBlockEncode(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		mk   func(kinds []colKind) *blockEncoder
-	}{
-		{"exact", func(kinds []colKind) *blockEncoder { return newBlockEncoder(kinds) }},
-		{"sampled", func(kinds []colKind) *blockEncoder { return newSampledBlockEncoder(kinds, 1) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			const n = 256
-			kinds, rows, width := benchRows(n)
-			be := bc.mk(kinds)
-			enc := be.encodeBlock(rows, n, nil)
-			b.ReportAllocs()
-			b.SetBytes(int64(n * width))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				enc = be.encodeBlock(rows, n, enc[:0])
-			}
-			_ = enc
-		})
+	const n = 256
+	kinds, rows, width := benchRows(n)
+	be := newBlockEncoder(kinds)
+	enc := be.encodeBlock(rows, n, nil)
+	b.ReportAllocs()
+	b.SetBytes(int64(n * width))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc = be.encodeBlock(rows, n, enc[:0])
 	}
+	_ = enc
 }
 
 // TestBlockEncodeSteadyStateAllocs pins the encoder's steady state at
@@ -360,27 +371,17 @@ func BenchmarkBlockEncode(b *testing.B) {
 // payload buffer must be recycled once warmed up. A regression here
 // multiplies across every block of every extent of a finalize pass.
 func TestBlockEncodeSteadyStateAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		be   func(kinds []colKind) *blockEncoder
-	}{
-		{"exact", func(kinds []colKind) *blockEncoder { return newBlockEncoder(kinds) }},
-		{"sampled", func(kinds []colKind) *blockEncoder { return newSampledBlockEncoder(kinds, 1) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const n = 256
-			kinds, rows, _ := benchRows(n)
-			be := tc.be(kinds)
-			var enc []byte
-			for i := 0; i < 4; i++ { // warm up buffers and close the sampling window
-				enc = be.encodeBlock(rows, n, enc[:0])
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				enc = be.encodeBlock(rows, n, enc[:0])
-			})
-			if allocs != 0 {
-				t.Errorf("steady-state encodeBlock allocates %.1f times per block, want 0", allocs)
-			}
-		})
+	const n = 256
+	kinds, rows, _ := benchRows(n)
+	be := newBlockEncoder(kinds)
+	var enc []byte
+	for i := 0; i < 4; i++ { // warm up buffers
+		enc = be.encodeBlock(rows, n, enc[:0])
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		enc = be.encodeBlock(rows, n, enc[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state encodeBlock allocates %.1f times per block, want 0", allocs)
 	}
 }

@@ -3,19 +3,15 @@ package storage
 import (
 	"fmt"
 	"os"
-
-	"cure/internal/lattice"
-	"cure/internal/signature"
 )
 
-// Block-wise read paths of compressed extents. Each public Reader method
-// keeps its streaming contract; under the hood the compressed variants
-// fetch one block at a time — consulting the optional decoded-block cache
-// first, so cached blocks cost neither the read nor the decode — and run
-// tight per-column loops over the decoded buffers. All scratch state is
-// per-call, so the paths stay safe for concurrent queries.
+// The Reader's accessors stream rows; under the hood they fetch one block
+// at a time — consulting the optional decoded-block cache first, so cached
+// blocks cost neither the read nor the decode — and run tight per-column
+// loops over the decoded buffers. All scratch state is per-call, so the
+// paths stay safe for concurrent queries.
 
-// blockFetcher streams the blocks of one compressed extent. The local
+// blockFetcher streams the blocks of one extent. The local
 // DecodedBlock is reused across blocks when no cache is attached (zero
 // allocations steady-state); with a cache, misses decode into a fresh
 // block that is then shared immutably between queries.
@@ -66,7 +62,7 @@ func (bf *blockFetcher) fetch(b int, io *IOStats) (*DecodedBlock, error) {
 	}
 	buf := bf.enc[:n]
 	if _, err := bf.f.ReadAt(buf, bf.base+lo); err != nil {
-		return nil, fmt.Errorf("block %d: %w", b, err)
+		return nil, bf.wrap(b, err)
 	}
 	bf.r.account(io, n)
 	want := blockRowCount(bf.c, bf.rows, b)
@@ -75,7 +71,7 @@ func (bf *blockFetcher) fetch(b int, io *IOStats) (*DecodedBlock, error) {
 		db = &DecodedBlock{}
 	}
 	if _, err := decodeBlock(buf, bf.kinds, want, db); err != nil {
-		return nil, fmt.Errorf("block %d: %w", b, err)
+		return nil, bf.wrap(b, err)
 	}
 	decoded := int64(want) * bf.rawWidth
 	io.addDecoded(decoded)
@@ -87,134 +83,33 @@ func (bf *blockFetcher) fetch(b int, io *IOStats) (*DecodedBlock, error) {
 	return db, nil
 }
 
-// ttRowIDsBlocks decodes a compressed TT id extent whole (the TT contract:
-// the extent is fetched in one piece, zone pruning narrows iteration).
-func (r *Reader) ttRowIDsBlocks(id lattice.NodeID, nm NodeMeta, dst []int64, io *IOStats) ([]int64, error) {
-	if cap(dst) < int(nm.TTRows) {
-		dst = make([]int64, 0, nm.TTRows)
+// wrap names the extent and block a read or decode error came from.
+func (bf *blockFetcher) wrap(b int, err error) error {
+	if bf.rel == BlockRelAgg {
+		return fmt.Errorf("storage: AGGREGATES: block %d: %w", b, err)
 	}
-	dst = dst[:0]
-	bf := &blockFetcher{
-		r: r, f: r.ttF, rel: BlockRelTT, node: int64(id), base: nm.TTOff,
-		c: nm.TTCodec, kinds: ttKinds(), rows: nm.TTRows, rawWidth: ttLogRowWidth,
-	}
-	for b := 0; b < nm.TTCodec.NumBlocks(); b++ {
-		db, err := bf.fetch(b, io)
-		if err != nil {
-			return nil, fmt.Errorf("storage: TT extent of node %d: %w", id, err)
-		}
-		dst = append(dst, db.I64[0][:db.Rows]...)
-	}
-	return dst, nil
+	name := [...]string{BlockRelNT: "NT", BlockRelTT: "TT", BlockRelCAT: "CAT"}[bf.rel]
+	return fmt.Errorf("storage: %s extent of node %d: block %d: %w", name, bf.node, b, err)
 }
 
-// ntRowsBlocks streams a compressed NT extent block-at-a-time over the
-// kept row ranges; pruned blocks are neither read nor decoded.
-func (r *Reader) ntRowsBlocks(id lattice.NodeID, nm NodeMeta, arity int, ranges []RowRange, io *IOStats, fn func(row NTRow) error) error {
-	kinds := r.m.ntKinds(arity)
-	row := NTRow{Aggrs: make([]float64, r.m.NumAggrs())}
-	dimsInline := r.m.DimsInline
-	if dimsInline {
-		row.Dims = make([]int32, arity)
-	}
-	bf := &blockFetcher{
-		r: r, f: r.ntF, rel: BlockRelNT, node: int64(id), base: nm.NTOff,
-		c: nm.NTCodec, kinds: kinds, rows: nm.NTRows,
-		rawWidth: int64(r.m.ntRowWidth(arity)),
-	}
-	br := nm.NTCodec.BlockRows
+// scan visits the rows inside the given half-open extent-row ranges block
+// by block: fn gets each overlapping block and the rows [lo, hi) of it
+// that fall in the range. Blocks outside every range are neither read nor
+// decoded.
+func (bf *blockFetcher) scan(ranges []RowRange, io *IOStats, fn func(db *DecodedBlock, lo, hi int64) error) error {
+	br := bf.c.BlockRows
 	for _, rg := range ranges {
-		if rg.Lo < 0 || rg.Hi > nm.NTRows || rg.Lo >= rg.Hi {
+		if rg.Lo < 0 || rg.Hi > bf.rows || rg.Lo >= rg.Hi {
 			continue
 		}
 		for b := int(rg.Lo / br); int64(b)*br < rg.Hi; b++ {
 			db, err := bf.fetch(b, io)
 			if err != nil {
-				return fmt.Errorf("storage: NT extent of node %d: %w", id, err)
+				return err
 			}
 			base := int64(b) * br
-			lo, hi := rg.Lo-base, rg.Hi-base
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > int64(db.Rows) {
-				hi = int64(db.Rows)
-			}
-			if dimsInline {
-				for i := lo; i < hi; i++ {
-					for d := 0; d < arity; d++ {
-						row.Dims[d] = db.I32[d][i]
-					}
-					for a := range row.Aggrs {
-						row.Aggrs[a] = db.F64[arity+a][i]
-					}
-					row.RRowid = -1
-					if err := fn(row); err != nil {
-						return err
-					}
-				}
-			} else {
-				ids := db.I64[0]
-				for i := lo; i < hi; i++ {
-					row.RRowid = ids[i]
-					for a := range row.Aggrs {
-						row.Aggrs[a] = db.F64[1+a][i]
-					}
-					if err := fn(row); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// catRowsBlocks streams a compressed CAT extent block-at-a-time over the
-// kept row ranges.
-func (r *Reader) catRowsBlocks(id lattice.NodeID, nm NodeMeta, ranges []RowRange, io *IOStats, fn func(row CATRow) error) error {
-	formatA := r.m.CatFormat == signature.FormatA
-	bf := &blockFetcher{
-		r: r, f: r.catF, rel: BlockRelCAT, node: int64(id), base: nm.CATOff,
-		c: nm.CATCodec, kinds: r.m.catKinds(), rows: nm.CATRows,
-		rawWidth: int64(r.m.catRowWidth()),
-	}
-	br := nm.CATCodec.BlockRows
-	for _, rg := range ranges {
-		if rg.Lo < 0 || rg.Hi > nm.CATRows || rg.Lo >= rg.Hi {
-			continue
-		}
-		for b := int(rg.Lo / br); int64(b)*br < rg.Hi; b++ {
-			db, err := bf.fetch(b, io)
-			if err != nil {
-				return fmt.Errorf("storage: CAT extent of node %d: %w", id, err)
-			}
-			base := int64(b) * br
-			lo, hi := rg.Lo-base, rg.Hi-base
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > int64(db.Rows) {
-				hi = int64(db.Rows)
-			}
-			var row CATRow
-			if formatA {
-				row.RRowid = -1
-				ids := db.I64[0]
-				for i := lo; i < hi; i++ {
-					row.ARowid = ids[i]
-					if err := fn(row); err != nil {
-						return err
-					}
-				}
-			} else {
-				rr, ar := db.I64[0], db.I64[1]
-				for i := lo; i < hi; i++ {
-					row.RRowid, row.ARowid = rr[i], ar[i]
-					if err := fn(row); err != nil {
-						return err
-					}
-				}
+			if err := fn(db, max(rg.Lo-base, 0), min(rg.Hi-base, int64(db.Rows))); err != nil {
+				return err
 			}
 		}
 	}
@@ -228,59 +123,4 @@ func (r *Reader) aggFetcher(skipCache bool) *blockFetcher {
 		c: r.m.AggCodec, kinds: r.m.aggKinds(), rows: r.m.AggRows,
 		rawWidth: int64(r.m.aggRowWidth()), skipCache: skipCache,
 	}
-}
-
-// readAggregateBlock fetches one AGGREGATES tuple out of its compressed
-// block (unpinned engines; pinned ones go through AggregatesRaw once).
-func (r *Reader) readAggregateBlock(arowid int64, aggrs []float64, io *IOStats) (int64, error) {
-	c := r.m.AggCodec
-	bf := r.aggFetcher(false)
-	db, err := bf.fetch(int(arowid/c.BlockRows), io)
-	if err != nil {
-		return 0, fmt.Errorf("storage: AGGREGATES: %w", err)
-	}
-	i := arowid % c.BlockRows
-	rrowid := int64(-1)
-	off := 0
-	if r.m.CatFormat == signature.FormatA {
-		rrowid = db.I64[0][i]
-		off = 1
-	}
-	for a := 0; a < r.m.NumAggrs(); a++ {
-		aggrs[a] = db.F64[off+a][i]
-	}
-	return rrowid, nil
-}
-
-// aggregatesRawBlocks decodes the whole compressed AGGREGATES relation
-// into buf in the fixed-width v1 layout DecodeAggregate expects.
-func (r *Reader) aggregatesRawBlocks(buf []byte) error {
-	c := r.m.AggCodec
-	bf := r.aggFetcher(true) // one-shot pass: don't churn the block cache
-	width := r.m.aggRowWidth()
-	formatA := r.m.CatFormat == signature.FormatA
-	y := r.m.NumAggrs()
-	aggs := make([]float64, y)
-	pos := 0
-	for b := 0; b < c.NumBlocks(); b++ {
-		db, err := bf.fetch(b, nil)
-		if err != nil {
-			return fmt.Errorf("storage: AGGREGATES: %w", err)
-		}
-		for i := 0; i < db.Rows; i++ {
-			rec := buf[pos : pos+width]
-			off := 0
-			colOff := 0
-			if formatA {
-				putInt64(rec, db.I64[0][i])
-				off, colOff = 8, 1
-			}
-			for a := 0; a < y; a++ {
-				aggs[a] = db.F64[colOff+a][i]
-			}
-			putAggrs(rec[off:], aggs)
-			pos += width
-		}
-	}
-	return nil
 }

@@ -1,13 +1,14 @@
 package storage
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 
 	"cure/internal/lattice"
 )
 
-// Extent locates one node's rows inside a compacted extent file.
+// Extent locates one node's rows inside an extent file.
 type Extent struct {
 	Off  int64 `json:"off"`
 	Rows int64 `json:"rows"`
@@ -48,25 +49,42 @@ func (w *ExtentWriter) Append(node lattice.NodeID, row []byte) error {
 // Rows returns the number of rows appended so far.
 func (w *ExtentWriter) Rows() int64 { return w.log.rows }
 
-// Compact turns the log into the extent file at finalPath, removes the
-// log, and returns the per-node extents (byte offsets).
+// Compact turns the log into the extent file at finalPath — each node's
+// rows contiguous, nodes in ascending id order — removes the log, and
+// returns the per-node extents (byte offsets).
 func (w *ExtentWriter) Compact(finalPath string) (map[lattice.NodeID]Extent, error) {
-	extents := map[lattice.NodeID]Extent{}
-	err := compactLog(w.log, finalPath, func(lattice.NodeID) int { return w.rowWidth }, nil,
-		func(id lattice.NodeID, off, rows int64) {
-			extents[id] = Extent{Off: off, Rows: rows}
-		})
+	defer w.log.remove()
+	if err := w.log.finish(); err != nil {
+		return nil, err
+	}
+	out, err := os.Create(finalPath)
 	if err != nil {
 		return nil, err
 	}
-	return extents, nil
+	defer out.Close()
+	bw := bufio.NewWriterSize(out, 1<<20)
+	extents := map[lattice.NodeID]Extent{}
+	var buf []byte
+	var off int64
+	for _, id := range w.log.nodeIDs() {
+		rows, err := w.log.gather(id, &buf)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := bw.Write(rows); err != nil {
+			return nil, err
+		}
+		extents[id] = Extent{Off: off, Rows: int64(len(rows) / w.rowWidth)}
+		off += int64(len(rows))
+	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
+	return extents, out.Close()
 }
 
 // Abort discards the log without compacting.
-func (w *ExtentWriter) Abort() {
-	w.log.f.Close()
-	os.Remove(w.log.path)
-}
+func (w *ExtentWriter) Abort() { w.log.remove() }
 
 // ReadExtent reads rows [0, ext.Rows) of an extent into a buffer.
 func ReadExtent(f *os.File, ext Extent, rowWidth int) ([]byte, error) {

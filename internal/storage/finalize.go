@@ -4,31 +4,32 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"cure/internal/bitmap"
 	"cure/internal/hierarchy"
+	"cure/internal/lattice"
 	"cure/internal/obsv"
+	"cure/internal/signature"
 )
 
-// Finalize's extent pipeline. Compression (manifest v2) and zone-map
-// construction used to be two serial passes over the whole cube: encode
-// every extent, then re-read the finalized files through a Reader to
-// index them. Extents are independent — the same observation that makes
-// the cube's group-bys parallel makes its storage rewrite parallel — so
-// both are now one fused pass executed as concurrent work items: each
-// worker reads one extent's raw rows, picks codecs and encodes the
-// blocks into a private buffer, folds the very same rows into the
-// extent's zone map, and whoever holds the commit lock flushes every
-// ready prefix result to the temp file in ascending-offset order. The
-// ordered commit is what keeps the output byte-identical to the
-// sequential pass at every worker count; the fused zone fold is what
-// kills the second read of the cube.
+// Finalize is one pass per relation file. For each node in ascending id a
+// worker gathers the node's rows from the construction log, applies the
+// node-local transform (CURE_DR projection, format-(a) narrowing, the
+// CURE+ sorts and the dense-TT bitmap of §5.3), encodes the rows into
+// blocks and folds the same in-memory rows into the extent's zone map.
+// Whoever holds the commit lock appends every ready prefix result to the
+// relation file in node order, which keeps the output byte-identical at
+// every worker count. Nothing is written twice and nothing written is
+// read back: the only bytes read are the logs.
 
 // WorkerPool grants extra worker slots from a build-wide limiter so the
 // finalize pipeline draws from the same concurrency budget as every
@@ -46,42 +47,37 @@ type WorkerPool interface {
 // byte-identical across worker counts (and across runs of equal input).
 const FinalizeStatsFile = "finalize.json"
 
-// FinalizeStats is the persisted record of one Finalize run: sub-phase
-// wall clocks, pipeline volume, the codec histogram, the sampled-codec
-// hit rate, and how many bytes the pass re-read from files it had
-// already written (≈0 when zone construction is fused into the
-// compression scan).
+// FinalizeStats is the persisted record of one Finalize run.
 type FinalizeStats struct {
 	// Parallelism is the configured worker cap; Workers is what the
 	// pipeline actually got (pool grants can fall short on a busy build).
 	Parallelism int `json:"parallelism"`
 	Workers     int `json:"workers"`
-	// Compression is the writer's mode ("", "none", "auto", "sampled").
-	Compression string `json:"compression,omitempty"`
 
-	// Wall-clock seconds of the finalize sub-phases.
+	// Wall-clock seconds; their sum is the Finalize wall clock. CompactSec
+	// is sealing the logs (spilling the rows still staged in memory),
+	// CompressSec the four extent passes, CommitSec the hierarchy sidecar
+	// and the manifest. ZonesSec is always 0 — zone maps are folded inside
+	// the extent passes — and stays only because benchmarks/cubemark reads
+	// it; it goes with the next benchmark PR.
 	CompactSec  float64 `json:"compact_sec"`
-	CompressSec float64 `json:"compress_sec,omitempty"`
+	CompressSec float64 `json:"compress_sec"`
 	ZonesSec    float64 `json:"zones_sec,omitempty"`
 	CommitSec   float64 `json:"commit_sec"`
 
-	// CPU-time sums inside the fused pass; they overlap across workers,
-	// so they may exceed the CompressSec wall clock.
-	EncodeSec   float64 `json:"encode_sec,omitempty"`
-	ZoneFoldSec float64 `json:"zone_fold_sec,omitempty"`
-	WriteSec    float64 `json:"write_sec,omitempty"`
+	// CPU-time sums inside the extent passes, by the work done; they
+	// overlap across workers, so they may exceed CompressSec. GatherSec is
+	// reading a node's rows from the log plus the node-local transform.
+	GatherSec   float64 `json:"gather_sec"`
+	EncodeSec   float64 `json:"encode_sec"`
+	ZoneFoldSec float64 `json:"zone_fold_sec"`
+	WriteSec    float64 `json:"write_sec"`
 
-	Extents   int64            `json:"extents"`
-	Blocks    int64            `json:"blocks"`
-	Encodings map[string]int64 `json:"encodings,omitempty"`
-	// SampledBlocks counts column-blocks encoded by the sampled fast
-	// path; Mispredicts counts the ones whose prediction lost to raw and
-	// fell back to the exact brute force.
-	SampledBlocks int64 `json:"sampled_blocks,omitempty"`
-	Mispredicts   int64 `json:"mispredicts,omitempty"`
-	ZoneExtents   int64 `json:"zone_extents"`
-	RereadBytes   int64 `json:"reread_bytes"`
-	CommitStalls  int64 `json:"commit_stalls"`
+	Extents      int64            `json:"extents"`
+	Blocks       int64            `json:"blocks"`
+	Encodings    map[string]int64 `json:"encodings,omitempty"`
+	ZoneExtents  int64            `json:"zone_extents"`
+	CommitStalls int64            `json:"commit_stalls"`
 
 	// WorkerRawBytes is the raw extent volume each worker slot processed
 	// (slot 0 is the calling goroutine) — the pipeline's skew record.
@@ -108,6 +104,147 @@ func ReadFinalizeStats(dir string) (*FinalizeStats, error) {
 		return nil, fmt.Errorf("storage: finalize sidecar: %w", err)
 	}
 	return st, nil
+}
+
+// Finalize turns the construction logs into the cube: the four relation
+// files, the hierarchy sidecar and, last, the manifest — the directory
+// opens as a cube only once the manifest has been renamed into place.
+// catFormat is the format the signature pool locked (FormatUndecided is
+// acceptable when no CATs exist). A failed Finalize removes what it wrote.
+func (w *Writer) Finalize(catFormat signature.Format) (*Manifest, error) {
+	if w.finalized {
+		return nil, errors.New("storage: Finalize called twice")
+	}
+	w.finalized = true
+	m, err := w.finalize(catFormat)
+	if err != nil {
+		w.discard()
+		return nil, err
+	}
+	return m, nil
+}
+
+func (w *Writer) finalize(catFormat signature.Format) (*Manifest, error) {
+	if w.catFormat == signature.FormatUndecided {
+		w.catFormat = catFormat
+	} else if catFormat != signature.FormatUndecided && catFormat != w.catFormat {
+		return nil, fmt.Errorf("storage: pool format %v disagrees with written AGGREGATES format %v", catFormat, w.catFormat)
+	}
+	if w.catFormat == signature.FormatUndecided {
+		w.catFormat = signature.FormatNT // no CATs anywhere; pick the degenerate format
+	}
+	m := &Manifest{
+		Version:         manifestVersion,
+		AggSpecs:        w.opts.AggSpecs,
+		CatFormat:       w.catFormat,
+		DimsInline:      w.opts.DimsInline,
+		Plus:            w.opts.Plus,
+		PartitionLevel:  w.partLevel,
+		PartitionLevelB: w.partLevelB,
+		ShortPlan:       w.opts.ShortPlan,
+		FactFile:        w.opts.FactFile,
+		FactRows:        w.opts.FactRows,
+		AggRows:         w.aggRows,
+		Nodes:           map[string]NodeMeta{},
+		Iceberg:         w.opts.Iceberg,
+		Compression:     "block",
+	}
+	// A cube being rebuilt in place stops being one before its files change.
+	if err := os.Remove(filepath.Join(w.opts.Dir, ManifestFile)); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+
+	fin := w.newFinState(m)
+	defer fin.closeFiles()
+	// AGGREGATES goes before CAT: format-(a) CAT zone folds dereference
+	// its R-rowid column, which the AGGREGATES pass leaves in memory.
+	for rel := relNT; rel < numRels; rel++ {
+		if err := fin.writeRelation(rel); err != nil {
+			return nil, err
+		}
+	}
+
+	commitStart := time.Now()
+	commitSpan := w.finSpan.Child("commit")
+	m.Checksums = map[string]uint32{}
+	for _, f := range fin.files {
+		m.Checksums[f.name] = f.crc
+		switch f.name {
+		case NTFile:
+			m.Sizes.NT = f.size
+		case TTFile:
+			m.Sizes.TT = f.size
+		case CATFile:
+			m.Sizes.CAT = f.size
+		case AggFile:
+			m.Sizes.Agg = f.size
+		case BitmapFile:
+			m.Sizes.Bitmap = f.size
+		}
+	}
+	if reg := w.opts.Metrics; reg != nil {
+		reg.Gauge("storage.size.nt").Set(m.Sizes.NT)
+		reg.Gauge("storage.size.tt").Set(m.Sizes.TT)
+		reg.Gauge("storage.size.cat").Set(m.Sizes.CAT)
+		reg.Gauge("storage.size.agg").Set(m.Sizes.Agg)
+		reg.Gauge("storage.size.bitmap").Set(m.Sizes.Bitmap)
+		reg.Gauge("storage.nodes").Set(int64(len(m.Nodes)))
+	}
+	if err := hierarchy.WriteSchemaFile(filepath.Join(w.opts.Dir, HierFile), w.opts.Hier); err != nil {
+		return nil, err
+	}
+	if err := WriteManifest(w.opts.Dir, m); err != nil {
+		return nil, err
+	}
+	commitSpan.End()
+	fin.stats.CommitSec = time.Since(commitStart).Seconds()
+	return m, fin.finish()
+}
+
+// relKind names the four relation files in the order Finalize writes them.
+type relKind uint8
+
+const (
+	relNT relKind = iota
+	relTT
+	relAgg
+	relCAT
+	numRels
+)
+
+var relFiles = [numRels]string{relNT: NTFile, relTT: TTFile, relAgg: AggFile, relCAT: CATFile}
+
+// extentFile is one output file of Finalize: created once, appended to
+// in commit order, its size and CRC-32 kept as the bytes go by so that
+// the commit step does not read the file back.
+type extentFile struct {
+	name string
+	f    *os.File
+	bw   *bufio.Writer
+	size int64
+	crc  uint32
+}
+
+func (e *extentFile) append(p []byte) error {
+	if _, err := e.bw.Write(p); err != nil {
+		return err
+	}
+	e.crc = crc32.Update(e.crc, crc32.IEEETable, p)
+	e.size += int64(len(p))
+	return nil
+}
+
+func (e *extentFile) close() error {
+	if e.f == nil {
+		return nil
+	}
+	f := e.f
+	e.f = nil
+	if err := e.bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // zoneConfig is the zone-map layout of a build, nil when indexing is off
@@ -181,42 +318,40 @@ type zoneSpec struct {
 	slotIdx []int
 }
 
-// extentJob is one unit of pipeline work: where the raw rows live, their
-// column schema, how the rows map to zone slots, and how to record the
-// new location once the ordered committer reaches it.
-type extentJob struct {
-	off, rows int64
-	kinds     []colKind
-	zone      zoneSpec
-	// captureRowIDs retains the extent's int64 column 0 — the AGGREGATES
-	// R-rowid column format-(a) CAT zone maps dereference, captured while
-	// agg.bin streams through the encoder instead of re-reading it.
-	captureRowIDs bool
-	set           func(off int64, c *ExtentCodec, z *ZoneIndex)
-}
-
 // extentResult is a processed extent waiting for its ordered commit.
 type extentResult struct {
-	enc              []byte
-	codec            *ExtentCodec
-	zone             *ZoneIndex
-	rowIDs           []int64
-	slot             int
-	encodeNs, zoneNs int64
-	sampledBlocks    int64
-	mispredicts      int64
+	id   lattice.NodeID
+	rows int64
+	// enc is what the committer appends: the encoded blocks, or — bitmap
+	// set — a marshaled TT bitmap bound for ttbm.bin, which has no codec.
+	enc      []byte
+	bitmap   bool
+	codec    *ExtentCodec
+	zone     *ZoneIndex
+	rawBytes int64
+	// rowIDs is the AGGREGATES R-rowid column, kept under format (a) for
+	// the CAT zone folds.
+	rowIDs                     []int64
+	slot                       int
+	gatherNs, encodeNs, zoneNs int64
 }
 
 // finState carries one Finalize run's pipeline state and metric bindings
-// across the per-file rewrites.
+// across the relation passes.
 type finState struct {
 	w    *Writer
-	mode string
+	m    *Manifest
 	zcfg *zoneConfig
+	// blockRows is the rows per encoded block (and, whenever zone maps
+	// are on, per zone-map block, so pruning skips whole blocks).
+	blockRows int64
 	// aggRRows is the R-rowid column of AGGREGATES under format (a), set
-	// by the committer when agg.bin's extent lands (agg.bin is rewritten
-	// before cat.bin exactly so the CAT zone fold finds it here).
+	// when the AGGREGATES extent commits.
 	aggRRows []int64
+	// files are the output files in creation order; bitmaps is ttbm.bin,
+	// created by the first dense TT extent.
+	files   []*extentFile
+	bitmaps *extentFile
 
 	stats       FinalizeStats
 	workerBytes []int64
@@ -225,49 +360,57 @@ type finState struct {
 	cRawBytes, cEncBytes *obsv.Counter
 	cFinExtents          *obsv.Counter
 	cFinBlocks           *obsv.Counter
-	cSampled, cMispred   *obsv.Counter
-	cReread, cStalls     *obsv.Counter
+	cStalls              *obsv.Counter
 	cZoneExts, cZoneBlks *obsv.Counter
+	// storage.finalize.{gather,encode,zone_fold,write}_us: the pass's CPU
+	// time by the work done, summed over workers.
+	cGatherUs, cEncodeUs, cZoneUs, cWriteUs *obsv.Counter
 }
 
-func (w *Writer) newFinState() *finState {
+func (w *Writer) newFinState(m *Manifest) *finState {
 	reg := w.opts.Metrics
 	fin := &finState{
 		w:           w,
-		mode:        w.opts.Compression,
+		m:           m,
 		zcfg:        w.zoneConfig(),
+		blockRows:   int64(w.opts.ZoneBlockRows),
 		cExtents:    reg.Counter("storage.codec.extents"),
 		cBlocks:     reg.Counter("storage.codec.blocks"),
 		cRawBytes:   reg.Counter("storage.codec.raw_bytes"),
 		cEncBytes:   reg.Counter("storage.codec.encoded_bytes"),
 		cFinExtents: reg.Counter("storage.finalize.extents"),
 		cFinBlocks:  reg.Counter("storage.finalize.blocks"),
-		cSampled:    reg.Counter("storage.finalize.sampled_blocks"),
-		cMispred:    reg.Counter("storage.finalize.mispredicts"),
-		cReread:     reg.Counter("storage.finalize.reread_bytes"),
 		cStalls:     reg.Counter("storage.finalize.commit_stalls"),
 		cZoneExts:   reg.Counter("storage.zone.extents"),
 		cZoneBlks:   reg.Counter("storage.zone.blocks"),
+		cGatherUs:   reg.Counter("storage.finalize.gather_us"),
+		cEncodeUs:   reg.Counter("storage.finalize.encode_us"),
+		cZoneUs:     reg.Counter("storage.finalize.zone_fold_us"),
+		cWriteUs:    reg.Counter("storage.finalize.write_us"),
 	}
-	fin.stats.Parallelism = w.opts.Parallelism
-	if fin.stats.Parallelism < 1 {
-		fin.stats.Parallelism = 1
+	if fin.blockRows <= 0 {
+		fin.blockRows = DefaultZoneBlockRows
 	}
+	fin.stats.Parallelism = max(w.opts.Parallelism, 1)
 	fin.stats.Workers = 1
-	fin.stats.Compression = w.opts.Compression
 	fin.stats.Encodings = map[string]int64{}
 	return fin
 }
 
-// codecBlockRows is the block granularity of the compression pass (and,
-// whenever zone maps are on, of the zone maps — they share it so pruning
-// skips whole codec blocks).
-func (fin *finState) codecBlockRows() int64 {
-	br := int64(fin.w.opts.ZoneBlockRows)
-	if br <= 0 {
-		br = DefaultZoneBlockRows
+func (fin *finState) create(name string) (*extentFile, error) {
+	f, err := os.Create(filepath.Join(fin.w.opts.Dir, name))
+	if err != nil {
+		return nil, err
 	}
-	return br
+	e := &extentFile{name: name, f: f, bw: bufio.NewWriterSize(f, 1<<20)}
+	fin.files = append(fin.files, e)
+	return e, nil
+}
+
+func (fin *finState) closeFiles() {
+	for _, f := range fin.files {
+		f.close()
+	}
 }
 
 // acquireWorkers grants the pipeline's worker count for one file: the
@@ -275,10 +418,7 @@ func (fin *finState) codecBlockRows() int64 {
 // build-wide pool when one is attached (finalize never oversubscribes a
 // parallel build's budget) or spawned freely otherwise.
 func (fin *finState) acquireWorkers(jobs int) (int, func()) {
-	want := fin.w.opts.Parallelism - 1
-	if want > jobs-1 {
-		want = jobs - 1
-	}
+	want := min(fin.w.opts.Parallelism, jobs) - 1
 	if want <= 0 {
 		return 1, func() {}
 	}
@@ -296,163 +436,234 @@ func (fin *finState) acquireWorkers(jobs int) (int, func()) {
 			}
 		}
 	}
-	if got+1 > fin.stats.Workers {
-		fin.stats.Workers = got + 1
-	}
+	fin.stats.Workers = max(fin.stats.Workers, got+1)
 	return got + 1, release
 }
 
-// foldResult folds one committed extent into the run's counters and
-// stats. Called with the commit lock held, in commit order, so totals
-// are deterministic.
-func (fin *finState) foldResult(res *extentResult) {
-	nb := int64(res.codec.NumBlocks())
-	fin.cExtents.Inc()
-	fin.cBlocks.Add(nb)
-	fin.cRawBytes.Add(res.codec.RawBytes)
-	fin.cEncBytes.Add(res.codec.EncodedBytes())
-	fin.cFinExtents.Inc()
-	fin.cFinBlocks.Add(nb)
-	fin.cSampled.Add(res.sampledBlocks)
-	fin.cMispred.Add(res.mispredicts)
-	st := &fin.stats
-	st.Extents++
-	st.Blocks += nb
-	st.SampledBlocks += res.sampledBlocks
-	st.Mispredicts += res.mispredicts
-	st.EncodeSec += float64(res.encodeNs) / 1e9
-	st.ZoneFoldSec += float64(res.zoneNs) / 1e9
-	for name, n := range res.codec.Encodings {
-		st.Encodings[name] += n
+// writeRelation is the whole life of one relation file: seal its log,
+// create the file, run the extents through the pipeline, close it and
+// drop the log.
+func (fin *finState) writeRelation(rel relKind) error {
+	sp := fin.w.finSpan.Child("extents." + strings.TrimSuffix(relFiles[rel], ".bin"))
+	defer sp.End()
+	log := fin.w.logs[rel]
+	start := time.Now()
+	if err := log.finish(); err != nil {
+		return err
 	}
-	for len(fin.workerBytes) <= res.slot {
-		fin.workerBytes = append(fin.workerBytes, 0)
+	sealed := time.Now()
+	fin.stats.CompactSec += sealed.Sub(start).Seconds()
+	out, err := fin.create(relFiles[rel])
+	if err != nil {
+		return err
 	}
-	fin.workerBytes[res.slot] += res.codec.RawBytes
-	if res.zone != nil {
-		fin.recordZone(res.zone)
+	if err := fin.runExtents(rel, log.nodeIDs(), out); err != nil {
+		return err
 	}
-}
-
-func (fin *finState) recordZone(z *ZoneIndex) {
-	fin.cZoneExts.Inc()
-	fin.cZoneBlks.Add(int64(z.NumBlocks()))
-	fin.stats.ZoneExtents++
-}
-
-// finish publishes the worker-skew gauges and writes the sidecar.
-func (fin *finState) finish() error {
-	st := &fin.stats
-	st.WorkerRawBytes = fin.workerBytes
-	if reg := fin.w.opts.Metrics; reg != nil {
-		reg.Gauge("storage.finalize.workers").Set(int64(st.Workers))
-		if len(fin.workerBytes) > 0 {
-			var max, sum int64
-			for _, b := range fin.workerBytes {
-				sum += b
-				if b > max {
-					max = b
-				}
-			}
-			reg.Gauge("storage.finalize.skew.max_bytes").Set(max)
-			reg.Gauge("storage.finalize.skew.mean_bytes").Set(sum / int64(len(fin.workerBytes)))
+	if err := out.close(); err != nil {
+		return err
+	}
+	if rel == relTT && fin.bitmaps != nil {
+		if err := fin.bitmaps.close(); err != nil {
+			return err
 		}
 	}
-	return WriteFinalizeStats(fin.w.opts.Dir, st)
+	log.remove()
+	sp.AddBytesWritten(out.size)
+	fin.stats.CompressSec += time.Since(sealed).Seconds()
+	return nil
 }
 
 // finalizeWorker is one pipeline worker's scratch state, reused across
 // the extents the worker claims.
 type finalizeWorker struct {
-	raw    []byte
-	sparse []int32
-	zr     *zoneResolver
+	raw, xform []byte
+	ids        []int64
+	levels     []int
+	dims, proj []int32
+	sparse     []int32
+	zr         *zoneResolver
 }
 
-// processExtent reads one extent's raw rows, encodes its blocks into a
-// private buffer (recycled from committed results when possible), and
-// folds the same rows into the extent's zone map.
-func (w *Writer) processExtent(fw *finalizeWorker, in *os.File, e *extentJob, fin *finState, enc []byte) (*extentResult, error) {
+// buildExtent produces one node's extent of one relation: gather the rows
+// from the log, transform them into their final shape and order, encode
+// the blocks into enc (recycled from a committed result when possible),
+// and fold the same rows into the zone map.
+func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.NodeID, enc []byte) (*extentResult, error) {
+	m := fin.m
+	t0 := time.Now()
+	raw, err := fin.w.logs[rel].gather(id, &fw.raw)
+	if err != nil {
+		return nil, err
+	}
+	res := &extentResult{id: id}
+	var kinds []colKind
+	zone := zoneSpec{mode: zoneRowID}
+	switch rel {
+	case relNT:
+		arity := 0
+		if m.DimsInline {
+			if raw, arity, zone, err = fin.projectNT(fw, id, raw); err != nil {
+				return nil, err
+			}
+		}
+		kinds = m.ntKinds(arity)
+	case relTT:
+		kinds = ttKinds()
+		if m.Plus {
+			fw.sortInt64Rows(raw)
+			res.bitmap = bitmap.DenserThanIDs(m.FactRows, int64(len(fw.ids)))
+		}
+	case relAgg:
+		kinds = m.aggKinds()
+		zone.mode = zoneNone
+		if m.CatFormat != signature.FormatA {
+			raw = dropLeadingColumn(raw, aggLogRowWidth(m.NumAggrs()))
+		}
+	case relCAT:
+		kinds = m.catKinds()
+		if m.CatFormat == signature.FormatA {
+			raw = dropLeadingColumn(raw, catLogRowWidth)
+			zone.mode = zoneAggRef
+			if m.Plus {
+				fw.sortInt64Rows(raw)
+			}
+		}
+	}
 	width := 0
-	for _, k := range e.kinds {
+	for _, k := range kinds {
 		width += k.width()
 	}
-	size := e.rows * int64(width)
-	if int64(cap(fw.raw)) < size {
-		fw.raw = make([]byte, size)
-	}
-	raw := fw.raw[:size]
-	if size > 0 {
-		if _, err := in.ReadAt(raw, e.off); err != nil {
-			return nil, fmt.Errorf("storage: finalize: reading extent at %d: %w", e.off, err)
-		}
-	}
-	blockRows := fin.codecBlockRows()
-	var be *blockEncoder
-	if fin.mode == CompressionSampled {
-		be = newSampledBlockEncoder(e.kinds, DefaultSampleBlocks)
+	res.rows = int64(len(raw) / width)
+	res.rawBytes = int64(len(raw))
+	t1 := time.Now()
+	res.gatherNs = t1.Sub(t0).Nanoseconds()
+
+	if res.bitmap {
+		res.enc = bitmap.FromIDs(m.FactRows, fw.ids).Marshal()
 	} else {
-		be = newBlockEncoder(e.kinds)
-	}
-	codec := &ExtentCodec{
-		BlockRows: blockRows,
-		RawBytes:  size,
-		Offs:      []int64{0},
-		Encodings: map[string]int64{},
-	}
-	enc = enc[:0]
-	t0 := time.Now()
-	for r0 := int64(0); r0 < e.rows; r0 += blockRows {
-		n := blockRows
-		if r0+n > e.rows {
-			n = e.rows - r0
+		be := newBlockEncoder(kinds)
+		codec := &ExtentCodec{
+			BlockRows: fin.blockRows,
+			RawBytes:  res.rawBytes,
+			Offs:      []int64{0},
+			Encodings: map[string]int64{},
 		}
-		enc = be.encodeBlock(raw[r0*int64(width):], int(n), enc)
-		codec.Offs = append(codec.Offs, int64(len(enc)))
-		for _, tag := range be.tags {
-			codec.Encodings[encName(tag)]++
+		enc = enc[:0]
+		for r0 := int64(0); r0 < res.rows; r0 += fin.blockRows {
+			n := min(fin.blockRows, res.rows-r0)
+			enc = be.encodeBlock(raw[r0*int64(width):], int(n), enc)
+			codec.Offs = append(codec.Offs, int64(len(enc)))
+			for _, tag := range be.tags {
+				codec.Encodings[encName(tag)]++
+			}
 		}
+		res.enc, res.codec = enc, codec
 	}
-	res := &extentResult{
-		enc:           enc,
-		codec:         codec,
-		encodeNs:      time.Since(t0).Nanoseconds(),
-		sampledBlocks: be.sampledBlocks,
-		mispredicts:   be.mispredicts,
-	}
-	if zc := fin.zcfg; zc != nil && e.zone.mode != zoneNone && e.rows >= int64(zc.blockRows) {
-		t1 := time.Now()
-		z, err := w.foldExtentZones(fw, e, fin, raw, width)
-		if err != nil {
+	t2 := time.Now()
+	res.encodeNs = t2.Sub(t1).Nanoseconds()
+
+	if zc := fin.zcfg; zc != nil && zone.mode != zoneNone && res.rows >= int64(zc.blockRows) {
+		if res.zone, err = fin.foldExtentZones(fw, zone, raw, width); err != nil {
 			return nil, err
 		}
-		res.zone = z
-		res.zoneNs = time.Since(t1).Nanoseconds()
+		res.zoneNs = time.Since(t2).Nanoseconds()
 	}
-	if e.captureRowIDs && e.rows > 0 {
-		ids := make([]int64, e.rows)
-		for r := int64(0); r < e.rows; r++ {
-			ids[r] = getInt64(raw[r*int64(width):])
+	if rel == relAgg && fin.zcfg != nil && m.CatFormat == signature.FormatA {
+		res.rowIDs = make([]int64, res.rows)
+		for r := range res.rowIDs {
+			res.rowIDs[r] = getInt64(raw[r*width:])
 		}
-		res.rowIDs = ids
 	}
 	return res, nil
 }
 
-// foldExtentZones builds the zone map of one extent from the raw rows
-// already in memory for compression. Raw extent order is the final
-// on-disk order (compression runs after CURE+ post-processing), which is
-// exactly the order query-time scans visit — the invariant that makes
-// the fused zones equal to the legacy Reader-based pass.
-func (w *Writer) foldExtentZones(fw *finalizeWorker, e *extentJob, fin *finState, raw []byte, width int) (*ZoneIndex, error) {
+// projectNT is the CURE_DR transform: every log row's R-rowid is resolved
+// to base dimension codes and projected onto the node's own levels. It
+// also returns the node's arity and its zone spec: DR rows carry codes
+// only at those levels, the other zone slots stay unknown.
+func (fin *finState) projectNT(fw *finalizeWorker, id lattice.NodeID, raw []byte) ([]byte, int, zoneSpec, error) {
+	w := fin.w
+	hier := w.opts.Hier
+	fw.levels = w.enum.Decode(id, fw.levels)
+	zone := zoneSpec{mode: zoneSparse}
+	arity := 0
+	for d, l := range fw.levels {
+		if hier.Dims[d].IsAll(l) {
+			continue
+		}
+		arity++
+		if fin.zcfg != nil {
+			zone.slotIdx = append(zone.slotIdx, fin.zcfg.offs[d]+l)
+		}
+	}
+	aggBytes := 8 * len(w.opts.AggSpecs)
+	inW, outW := 8+aggBytes, 4*arity+aggBytes
+	rows := len(raw) / inW
+	if cap(fw.xform) < rows*outW {
+		fw.xform = make([]byte, rows*outW)
+	}
+	out := fw.xform[:rows*outW]
+	if fw.dims == nil {
+		fw.dims = make([]int32, hier.NumDims())
+		fw.proj = make([]int32, hier.NumDims())
+	}
+	for r := 0; r < rows; r++ {
+		src, dst := raw[r*inW:(r+1)*inW], out[r*outW:(r+1)*outW]
+		rrowid := getInt64(src)
+		if err := w.opts.Resolver(rrowid, fw.dims); err != nil {
+			return nil, 0, zone, fmt.Errorf("storage: resolving dims of row %d: %w", rrowid, err)
+		}
+		proj := fw.proj[:0]
+		for d, l := range fw.levels {
+			if !hier.Dims[d].IsAll(l) {
+				proj = append(proj, hier.Dims[d].MapCode(fw.dims[d], l))
+			}
+		}
+		putDims(dst, proj)
+		copy(dst[4*arity:], src[8:])
+	}
+	return out, arity, zone, nil
+}
+
+// sortInt64Rows sorts an extent of bare int64 rows in place (§5.3: CURE+
+// TT row-ids and format-(a) CAT A-rowids, for sequential scans) and
+// leaves the sorted values in fw.ids.
+func (fw *finalizeWorker) sortInt64Rows(raw []byte) {
+	fw.ids = fw.ids[:0]
+	for off := 0; off < len(raw); off += 8 {
+		fw.ids = append(fw.ids, getInt64(raw[off:]))
+	}
+	slices.Sort(fw.ids)
+	for i, v := range fw.ids {
+		putInt64(raw[8*i:], v)
+	}
+}
+
+// dropLeadingColumn removes the first 8-byte column of every width-byte
+// row in place: the R-rowid of format-(a) CAT rows (it lives in
+// AGGREGATES) and of format-(b) AGGREGATES rows (there is none).
+func dropLeadingColumn(raw []byte, width int) []byte {
+	rows := len(raw) / width
+	for r := 0; r < rows; r++ {
+		copy(raw[r*(width-8):], raw[r*width+8:(r+1)*width])
+	}
+	return raw[:rows*(width-8)]
+}
+
+// foldExtentZones builds the zone map of one extent from the rows
+// already in memory for encoding, in their final order — exactly the
+// order query-time scans visit. CURE+ bitmap TTs fold here too: their
+// ids are sorted in raw, the order a bitmap scan yields.
+func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneSpec, raw []byte, width int) (*ZoneIndex, error) {
 	zc := fin.zcfg
 	if fw.zr == nil {
-		fw.zr = newZoneResolver(w.opts.Resolver, w.opts.Hier, zc)
+		fw.zr = newZoneResolver(fin.w.opts.Resolver, fin.w.opts.Hier, zc)
 	}
 	zb := newZoneBuilder(zc.blockRows, zc.slots)
-	for r := int64(0); r < e.rows; r++ {
-		row := raw[r*int64(width):]
-		switch e.zone.mode {
+	for off := 0; off < len(raw); off += width {
+		row := raw[off:]
+		switch zone.mode {
 		case zoneRowID:
 			codes, err := fw.zr.rowCodes(getInt64(row))
 			if err != nil {
@@ -460,7 +671,7 @@ func (w *Writer) foldExtentZones(fw *finalizeWorker, e *extentJob, fin *finState
 			}
 			zb.addAll(codes)
 		case zoneSparse:
-			k := len(e.zone.slotIdx)
+			k := len(zone.slotIdx)
 			if cap(fw.sparse) < k {
 				fw.sparse = make([]int32, k)
 			}
@@ -468,7 +679,7 @@ func (w *Writer) foldExtentZones(fw *finalizeWorker, e *extentJob, fin *finState
 			for i := range sp {
 				sp[i] = int32(binary.LittleEndian.Uint32(row[4*i:]))
 			}
-			zb.addSparse(e.zone.slotIdx, sp)
+			zb.addSparse(zone.slotIdx, sp)
 		case zoneAggRef:
 			ar := getInt64(row)
 			if ar < 0 || ar >= int64(len(fin.aggRRows)) {
@@ -484,30 +695,106 @@ func (w *Writer) foldExtentZones(fw *finalizeWorker, e *extentJob, fin *finState
 	return zb.finish(), nil
 }
 
-// rewriteExtents rewrites one relation file through the worker/committer
-// pipeline. Workers claim extents (sorted by ascending offset) from a
-// shared cursor, bounded by a lookahead window so buffered results never
-// exceed ~2 extents per worker; whoever holds the commit lock flushes
-// every ready prefix result, so bytes reach the temp file in exactly the
-// sequential pass's order at any worker count. The temp file is renamed
-// over the original, so a crash mid-pass leaves either the old or the
-// new file, never a mix.
-func (w *Writer) rewriteExtents(path string, jobs []extentJob, fin *finState) error {
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].off < jobs[j].off })
-	in, err := os.Open(path)
-	if err != nil {
+// commit appends one extent to its file and records where it landed.
+// Called with the commit lock held, in node order, so offsets and totals
+// are deterministic.
+func (fin *finState) commit(rel relKind, res *extentResult, out *extentFile) error {
+	if res.bitmap {
+		if fin.bitmaps == nil {
+			var err error
+			if fin.bitmaps, err = fin.create(BitmapFile); err != nil {
+				return err
+			}
+		}
+		out = fin.bitmaps
+	}
+	off := out.size
+	t0 := time.Now()
+	if err := out.append(res.enc); err != nil {
 		return err
 	}
-	defer in.Close()
-	tmp := path + ".z"
-	out, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer out.Close()
-	bw := bufio.NewWriterSize(out, 1<<20)
+	st := &fin.stats
+	writeNs := time.Since(t0).Nanoseconds()
 
-	workers, release := fin.acquireWorkers(len(jobs))
+	key := nodeKey(res.id)
+	nm := fin.m.Nodes[key]
+	switch rel {
+	case relNT:
+		nm.NTOff, nm.NTRows, nm.NTCodec, nm.NTZones = off, res.rows, res.codec, res.zone
+	case relTT:
+		nm.TTOff, nm.TTRows, nm.TTCodec, nm.TTZones = off, res.rows, res.codec, res.zone
+		if res.bitmap {
+			nm.TTKind, nm.TTBmLen = TTBitmap, int64(len(res.enc))
+		}
+	case relCAT:
+		nm.CATOff, nm.CATRows, nm.CATCodec, nm.CATZones = off, res.rows, res.codec, res.zone
+	case relAgg:
+		fin.m.AggCodec, fin.aggRRows = res.codec, res.rowIDs
+	}
+	if rel != relAgg {
+		fin.m.Nodes[key] = nm
+	}
+
+	if c := res.codec; c != nil {
+		nb := int64(c.NumBlocks())
+		fin.cExtents.Inc()
+		fin.cBlocks.Add(nb)
+		fin.cRawBytes.Add(c.RawBytes)
+		fin.cEncBytes.Add(c.EncodedBytes())
+		fin.cFinExtents.Inc()
+		fin.cFinBlocks.Add(nb)
+		st.Extents++
+		st.Blocks += nb
+		for name, n := range c.Encodings {
+			st.Encodings[name] += n
+		}
+	}
+	st.GatherSec += float64(res.gatherNs) / 1e9
+	st.EncodeSec += float64(res.encodeNs) / 1e9
+	st.ZoneFoldSec += float64(res.zoneNs) / 1e9
+	st.WriteSec += float64(writeNs) / 1e9
+	fin.cGatherUs.Add(res.gatherNs / 1e3)
+	fin.cEncodeUs.Add(res.encodeNs / 1e3)
+	fin.cZoneUs.Add(res.zoneNs / 1e3)
+	fin.cWriteUs.Add(writeNs / 1e3)
+	for len(fin.workerBytes) <= res.slot {
+		fin.workerBytes = append(fin.workerBytes, 0)
+	}
+	fin.workerBytes[res.slot] += res.rawBytes
+	if res.zone != nil {
+		fin.cZoneExts.Inc()
+		fin.cZoneBlks.Add(int64(res.zone.NumBlocks()))
+		st.ZoneExtents++
+	}
+	return nil
+}
+
+// finish publishes the worker-skew gauges and writes the sidecar.
+func (fin *finState) finish() error {
+	st := &fin.stats
+	st.WorkerRawBytes = fin.workerBytes
+	if reg := fin.w.opts.Metrics; reg != nil {
+		reg.Gauge("storage.finalize.workers").Set(int64(st.Workers))
+		if len(fin.workerBytes) > 0 {
+			var sum int64
+			for _, b := range fin.workerBytes {
+				sum += b
+			}
+			reg.Gauge("storage.finalize.skew.max_bytes").Set(slices.Max(fin.workerBytes))
+			reg.Gauge("storage.finalize.skew.mean_bytes").Set(sum / int64(len(fin.workerBytes)))
+		}
+	}
+	return WriteFinalizeStats(fin.w.opts.Dir, st)
+}
+
+// runExtents runs one relation's extents through the worker/committer
+// pipeline. Workers claim nodes (ascending id) from a shared cursor,
+// bounded by a lookahead window so buffered results never exceed ~2
+// extents per worker; whoever holds the commit lock commits every ready
+// prefix result, so bytes reach the file in exactly the sequential pass's
+// order at any worker count.
+func (fin *finState) runExtents(rel relKind, ids []lattice.NodeID, out *extentFile) error {
+	workers, release := fin.acquireWorkers(len(ids))
 	defer release()
 	window := 2 * workers
 
@@ -516,29 +803,20 @@ func (w *Writer) rewriteExtents(path string, jobs []extentJob, fin *finState) er
 		cond      = sync.NewCond(&mu)
 		next      int
 		committed int
-		cursor    int64
-		results   = make([]*extentResult, len(jobs))
+		results   = make([]*extentResult, len(ids))
 		spare     [][]byte // recycled encode buffers of committed results
 		firstErr  error
 		panicVal  any
-		writeNs   int64
 	)
 	commitReady := func() {
-		for firstErr == nil && committed < len(jobs) && results[committed] != nil {
+		for firstErr == nil && committed < len(ids) && results[committed] != nil {
 			res := results[committed]
-			t0 := time.Now()
-			if _, err := bw.Write(res.enc); err != nil {
-				firstErr = err
+			if firstErr = fin.commit(rel, res, out); firstErr != nil {
 				break
 			}
-			writeNs += time.Since(t0).Nanoseconds()
-			jobs[committed].set(cursor, res.codec, res.zone)
-			cursor += int64(len(res.enc))
-			if res.rowIDs != nil {
-				fin.aggRRows = res.rowIDs
+			if !res.bitmap {
+				spare = append(spare, res.enc)
 			}
-			fin.foldResult(res)
-			spare = append(spare, res.enc)
 			results[committed] = nil
 			committed++
 		}
@@ -557,14 +835,14 @@ func (w *Writer) rewriteExtents(path string, jobs []extentJob, fin *finState) er
 		fw := &finalizeWorker{}
 		for {
 			mu.Lock()
-			if firstErr == nil && panicVal == nil && next < len(jobs) && next-committed >= window {
+			if firstErr == nil && panicVal == nil && next < len(ids) && next-committed >= window {
 				fin.cStalls.Inc()
 				fin.stats.CommitStalls++
-				for firstErr == nil && panicVal == nil && next < len(jobs) && next-committed >= window {
+				for firstErr == nil && panicVal == nil && next < len(ids) && next-committed >= window {
 					cond.Wait()
 				}
 			}
-			if firstErr != nil || panicVal != nil || next >= len(jobs) {
+			if firstErr != nil || panicVal != nil || next >= len(ids) {
 				mu.Unlock()
 				return
 			}
@@ -576,7 +854,7 @@ func (w *Writer) rewriteExtents(path string, jobs []extentJob, fin *finState) er
 			}
 			mu.Unlock()
 
-			res, err := w.processExtent(fw, in, &jobs[i], fin, buf)
+			res, err := fin.buildExtent(fw, rel, ids[i], buf)
 			mu.Lock()
 			if err != nil {
 				if firstErr == nil {
@@ -609,77 +887,5 @@ func (w *Writer) rewriteExtents(path string, jobs []extentJob, fin *finState) er
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-	fin.stats.WriteSec += float64(writeNs) / 1e9
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// buildBitmapZones indexes CURE+ bitmap TT extents after the fused pass.
-// Bitmaps are already a compressed form, so they never stream through
-// the encoder — these extents are the one place finalize still re-reads
-// bytes it already wrote, counted in storage.finalize.reread_bytes.
-func (w *Writer) buildBitmapZones(m *Manifest, fin *finState) error {
-	zc := fin.zcfg
-	if zc == nil {
-		return nil
-	}
-	var f *os.File
-	var zr *zoneResolver
-	keys := make([]string, 0, len(m.Nodes))
-	for k := range m.Nodes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		nm := m.Nodes[k]
-		if nm.TTKind != TTBitmap || nm.TTRows < int64(zc.blockRows) {
-			continue
-		}
-		if f == nil {
-			var err error
-			if f, err = os.Open(filepath.Join(w.opts.Dir, BitmapFile)); err != nil {
-				return err
-			}
-			defer f.Close()
-			zr = newZoneResolver(w.opts.Resolver, w.opts.Hier, zc)
-		}
-		buf := make([]byte, nm.TTBmLen)
-		if _, err := f.ReadAt(buf, nm.TTOff); err != nil {
-			return fmt.Errorf("storage: finalize: TT bitmap of node %s: %w", k, err)
-		}
-		fin.cReread.Add(nm.TTBmLen)
-		fin.stats.RereadBytes += nm.TTBmLen
-		bm, err := bitmap.Unmarshal(buf)
-		if err != nil {
-			return err
-		}
-		zb := newZoneBuilder(zc.blockRows, zc.slots)
-		var ferr error
-		bm.ForEach(func(i int64) bool {
-			codes, err := zr.rowCodes(i)
-			if err != nil {
-				ferr = err
-				return false
-			}
-			zb.addAll(codes)
-			return true
-		})
-		if ferr != nil {
-			return ferr
-		}
-		if z := zb.finish(); z != nil {
-			fin.recordZone(z)
-			nm.TTZones = z
-			m.Nodes[k] = nm
-		}
-	}
-	return nil
+	return firstErr
 }

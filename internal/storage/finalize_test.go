@@ -2,10 +2,18 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
+
+	"cure/internal/lattice"
+	"cure/internal/signature"
 )
 
 // finalizeTestResolver maps R-rowids of the writeWorkload fact space
@@ -17,15 +25,15 @@ func finalizeTestResolver(rrowid int64, dst []int32) error {
 }
 
 // buildFinalizeCube runs the standard mixed workload through a writer
-// with zone maps on and the given compression mode and parallelism.
-func buildFinalizeCube(t *testing.T, dir, mode string, par int, pool WorkerPool, plus, formatA bool) *Manifest {
+// with zone maps on and the given parallelism.
+func buildFinalizeCube(t *testing.T, dir string, par int, pool WorkerPool, plus, formatA bool) *Manifest {
 	t.Helper()
 	w := newTestWriter(t, Options{
 		Dir: dir, Plus: plus, FactRows: 5000, ZoneBlockRows: 64,
-		Compression: mode, Parallelism: par, Pool: pool,
-		Resolver: finalizeTestResolver,
+		Parallelism: par, Pool: pool, Resolver: finalizeTestResolver,
 	})
-	return writeWorkload(t, w, plus, formatA)
+	m, _ := writeWorkload(t, w, formatA)
+	return m
 }
 
 // cubeFiles reads every extent file plus the manifest, keyed by name.
@@ -70,10 +78,8 @@ func (p *testPool) TryAcquire() bool {
 func (p *testPool) Release() { p.slots <- struct{}{} }
 
 // TestParallelFinalizeByteIdentity pins the pipeline's core contract:
-// whatever the worker count, the rewritten extent files and the manifest
-// are byte-for-byte the sequential pass's output. Sampled selection is
-// held to the same bar — its codec picks may differ from "auto", but
-// they must not depend on scheduling.
+// whatever the worker count, the extent files and the manifest are
+// byte-for-byte the sequential pass's output.
 func TestParallelFinalizeByteIdentity(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -85,26 +91,24 @@ func TestParallelFinalizeByteIdentity(t *testing.T) {
 		{"plus-formatA", true, true},
 	}
 	for _, tc := range cases {
-		for _, mode := range []string{CompressionAuto, CompressionSampled} {
-			t.Run(tc.name+"/"+mode, func(t *testing.T) {
-				refDir := t.TempDir()
-				buildFinalizeCube(t, refDir, mode, 1, nil, tc.plus, tc.formatA)
-				ref := cubeFiles(t, refDir)
-				for _, par := range []int{2, 8} {
-					dir := t.TempDir()
-					buildFinalizeCube(t, dir, mode, par, nil, tc.plus, tc.formatA)
-					got := cubeFiles(t, dir)
-					if len(got) != len(ref) {
-						t.Fatalf("P=%d: %d files, want %d", par, len(got), len(ref))
-					}
-					for name, want := range ref {
-						if !bytes.Equal(got[name], want) {
-							t.Errorf("P=%d: %s differs from sequential output", par, name)
-						}
+		t.Run(tc.name, func(t *testing.T) {
+			refDir := t.TempDir()
+			buildFinalizeCube(t, refDir, 1, nil, tc.plus, tc.formatA)
+			ref := cubeFiles(t, refDir)
+			for _, par := range []int{2, 8} {
+				dir := t.TempDir()
+				buildFinalizeCube(t, dir, par, nil, tc.plus, tc.formatA)
+				got := cubeFiles(t, dir)
+				if len(got) != len(ref) {
+					t.Fatalf("P=%d: %d files, want %d", par, len(got), len(ref))
+				}
+				for name, want := range ref {
+					if !bytes.Equal(got[name], want) {
+						t.Errorf("P=%d: %s differs from sequential output", par, name)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -113,11 +117,11 @@ func TestParallelFinalizeByteIdentity(t *testing.T) {
 // match the sequential pass, and the sidecar must record the grant.
 func TestParallelFinalizePooled(t *testing.T) {
 	refDir := t.TempDir()
-	buildFinalizeCube(t, refDir, CompressionAuto, 1, nil, true, false)
+	buildFinalizeCube(t, refDir, 1, nil, true, false)
 	ref := cubeFiles(t, refDir)
 
 	dir := t.TempDir()
-	buildFinalizeCube(t, dir, CompressionAuto, 8, newTestPool(2), true, false)
+	buildFinalizeCube(t, dir, 8, newTestPool(2), true, false)
 	for name, want := range ref {
 		if got := cubeFiles(t, dir)[name]; !bytes.Equal(got, want) {
 			t.Errorf("pooled P=8: %s differs from sequential output", name)
@@ -135,124 +139,305 @@ func TestParallelFinalizePooled(t *testing.T) {
 	}
 }
 
-// TestSampledCubeDecodesEqual: sampled selection may encode blocks
-// differently from exact brute force, but the decoded cube must be
-// identical — and to the uncompressed cube too.
-func TestSampledCubeDecodesEqual(t *testing.T) {
-	dirNone, dirAuto, dirSampled := t.TempDir(), t.TempDir(), t.TempDir()
-	buildFinalizeCube(t, dirNone, "", 1, nil, true, false)
-	buildFinalizeCube(t, dirAuto, CompressionAuto, 4, nil, true, false)
-	buildFinalizeCube(t, dirSampled, CompressionSampled, 4, nil, true, false)
-
-	want := collectExtents(t, dirNone)
-	if got := collectExtents(t, dirAuto); !reflect.DeepEqual(got, want) {
-		t.Fatalf("auto cube decodes differently: %d vs %d tuples", len(got), len(want))
+// bruteZones is the zone map of one extent computed the slow way: rows
+// holds, in scan order, each row's code per slot, with unknown marking a
+// slot the row says nothing about.
+func bruteZones(blockRows, slots int, rows [][]int32) *ZoneIndex {
+	const unknown = math.MinInt32
+	if len(rows) < blockRows {
+		return nil
 	}
-	if got := collectExtents(t, dirSampled); !reflect.DeepEqual(got, want) {
-		t.Fatalf("sampled cube decodes differently: %d vs %d tuples", len(got), len(want))
+	z := &ZoneIndex{BlockRows: int32(blockRows), Slots: int32(slots)}
+	for r0 := 0; r0 < len(rows); r0 += blockRows {
+		for s := 0; s < slots; s++ {
+			lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
+			for _, row := range rows[r0:min(r0+blockRows, len(rows))] {
+				if row[s] != unknown {
+					lo, hi = min(lo, row[s]), max(hi, row[s])
+				}
+			}
+			if lo > hi { // no row knows the slot: nothing may be pruned on it
+				lo, hi = math.MinInt32, math.MaxInt32
+			}
+			z.Lo, z.Hi = append(z.Lo, lo), append(z.Hi, hi)
+		}
 	}
-	st, err := ReadFinalizeStats(dirSampled)
-	if err != nil {
-		t.Fatal(err)
+	if nb := len(z.Lo) / slots; nb > 1 {
+		sorted, anySorted := make([]bool, slots), false
+		for s := range sorted {
+			sorted[s] = true
+			for b := 1; b < nb; b++ {
+				sorted[s] = sorted[s] && z.Hi[(b-1)*slots+s] <= z.Lo[b*slots+s]
+			}
+			anySorted = anySorted || sorted[s]
+		}
+		if anySorted {
+			z.Sorted = sorted
+		}
 	}
-	if st.SampledBlocks == 0 {
-		t.Error("sampled build recorded no fast-path blocks")
-	}
-	if st, err := ReadFinalizeStats(dirAuto); err != nil || st.SampledBlocks != 0 {
-		t.Errorf("auto build recorded sampled blocks: %+v err=%v", st, err)
-	}
+	return z
 }
 
-// TestFusedZonesMatchLegacy compares the fused zone maps (built from
-// the raw bytes streaming through the compressor) with the legacy
-// Reader-based pass an uncompressed build still runs. Row content and
-// order are identical across the two cubes, so every zone index must be.
-func TestFusedZonesMatchLegacy(t *testing.T) {
+// TestZoneMapsMatchBruteForce recomputes every zone map from what a
+// Reader returns, in the order it returns it, crossed with the in-memory
+// codes of the rows, and demands equality with the maps Finalize folded
+// while the rows were in flight — over plain row-id extents, CURE_DR's
+// sparse slots, CURE+ sorted ids, CURE+ bitmaps and format-(a) CATs.
+func TestZoneMapsMatchBruteForce(t *testing.T) {
+	const unknown = math.MinInt32
 	for _, tc := range []struct {
-		name    string
-		plus    bool
-		formatA bool
+		name              string
+		plus, formatA, dr bool
+		factRows          int64 // small enough and the TT extent becomes a bitmap
 	}{
-		{"plain-formatB", false, false},
-		{"plus-formatB", true, false},
-		{"plus-formatA", true, true},
+		{name: "plain-formatB", factRows: 5000},
+		{name: "dr-formatB", dr: true, factRows: 5000},
+		{name: "plus-ids-formatA", plus: true, formatA: true, factRows: 1 << 20},
+		{name: "plus-bitmap-formatB", plus: true, factRows: 5000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dirLegacy, dirFused := t.TempDir(), t.TempDir()
-			mLegacy := buildFinalizeCube(t, dirLegacy, "", 1, nil, tc.plus, tc.formatA)
-			mFused := buildFinalizeCube(t, dirFused, CompressionAuto, 4, nil, tc.plus, tc.formatA)
-
-			zones := 0
-			for k, nl := range mLegacy.Nodes {
-				nf, ok := mFused.Nodes[k]
-				if !ok {
-					t.Fatalf("node %s missing from fused cube", k)
+			dir := t.TempDir()
+			w := newTestWriter(t, Options{
+				Dir: dir, Plus: tc.plus, DimsInline: tc.dr, FactRows: tc.factRows,
+				ZoneBlockRows: 64, Parallelism: 4, Resolver: finalizeTestResolver,
+			})
+			hier := w.opts.Hier
+			m, _ := writeWorkload(t, w, tc.formatA)
+			r, err := OpenReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			offs, slots := ZoneSlots(hier)
+			rowCodes := func(rrowid int64) []int32 {
+				base := make([]int32, hier.NumDims())
+				if err := finalizeTestResolver(rrowid, base); err != nil {
+					t.Fatal(err)
+				}
+				codes := make([]int32, slots)
+				for d, dim := range hier.Dims {
+					for l := 0; l < dim.AllLevel(); l++ {
+						codes[offs[d]+l] = dim.MapCode(base[d], l)
+					}
+				}
+				return codes
+			}
+			zones, bitmaps := 0, 0
+			for k, nm := range m.Nodes {
+				n, _ := strconv.ParseInt(k, 10, 64)
+				id := lattice.NodeID(n)
+				var nt, tt, cat [][]int32
+				if err := r.NTRows(id, func(row NTRow) error {
+					if !tc.dr {
+						nt = append(nt, rowCodes(row.RRowid))
+						return nil
+					}
+					codes := make([]int32, slots)
+					for s := range codes {
+						codes[s] = unknown
+					}
+					i := 0
+					for d, l := range r.Enum().Decode(id, nil) {
+						if !hier.Dims[d].IsAll(l) {
+							codes[offs[d]+l] = row.Dims[i]
+							i++
+						}
+					}
+					nt = append(nt, codes)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				ids, err := r.TTRowIDs(id, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rrowid := range ids {
+					tt = append(tt, rowCodes(rrowid))
+				}
+				aggs := make([]float64, m.NumAggrs())
+				if err := r.CATRows(id, func(row CATRow) error {
+					rrowid := row.RRowid
+					if tc.formatA {
+						if rrowid, err = r.ReadAggregate(row.ARowid, aggs); err != nil {
+							return err
+						}
+					}
+					cat = append(cat, rowCodes(rrowid))
+					return nil
+				}); err != nil {
+					t.Fatal(err)
 				}
 				for _, z := range []struct {
-					rel           string
-					legacy, fused *ZoneIndex
-				}{
-					{"nt", nl.NTZones, nf.NTZones},
-					{"tt", nl.TTZones, nf.TTZones},
-					{"cat", nl.CATZones, nf.CATZones},
-				} {
-					if !reflect.DeepEqual(z.legacy, z.fused) {
-						t.Errorf("node %s %s zones differ:\nlegacy %+v\nfused  %+v", k, z.rel, z.legacy, z.fused)
+					rel  string
+					got  *ZoneIndex
+					rows [][]int32
+				}{{"nt", nm.NTZones, nt}, {"tt", nm.TTZones, tt}, {"cat", nm.CATZones, cat}} {
+					want := bruteZones(64, slots, z.rows)
+					if !reflect.DeepEqual(z.got, want) {
+						t.Errorf("node %s %s zones:\ngot  %+v\nwant %+v", k, z.rel, z.got, want)
 					}
-					if z.legacy != nil {
+					if want != nil {
 						zones++
 					}
 				}
+				if nm.TTKind == TTBitmap && nm.TTZones != nil {
+					bitmaps++
+				}
 			}
-			if zones == 0 {
-				t.Fatal("workload produced no zone maps; the comparison is vacuous")
+			if zones < 3 {
+				t.Fatalf("workload produced %d zone maps; the comparison is vacuous", zones)
+			}
+			if wantBitmap := tc.plus && tc.factRows == 5000; wantBitmap != (bitmaps > 0) {
+				t.Fatalf("%d zone-mapped bitmap TT extents, want some = %v", bitmaps, wantBitmap)
 			}
 		})
 	}
 }
 
-// TestFinalizeRereadBytes pins the point of the fused pass: a compressed
-// build's zone maps come from bytes already in memory. The only allowed
-// re-read is bitmap TT extents (they never stream through the encoder);
-// with none present the counter must be exactly zero. The legacy
-// uncompressed pass, by contrast, re-reads the cube it just wrote.
-func TestFinalizeRereadBytes(t *testing.T) {
+// TestFinalizeIsOnePass watches the cube directory from inside Finalize:
+// the resolver, which workers call for every zone-mapped row, lists the
+// directory each time. Only the logs and the final files may ever exist
+// — no temporary, no raw copy, no manifest before the end — and a final
+// file, once created, only grows.
+func TestFinalizeIsOnePass(t *testing.T) {
 	dir := t.TempDir()
-	m := buildFinalizeCube(t, dir, CompressionAuto, 4, nil, false, false)
-	st, err := ReadFinalizeStats(dir)
-	if err != nil {
-		t.Fatal(err)
+	allowed := map[string]bool{HierFile: true}
+	for _, name := range []string{NTFile, TTFile, CATFile, AggFile} {
+		allowed[name], allowed[name+".log"] = true, true
 	}
-	var bitmapBytes int64
-	for _, nm := range m.Nodes {
-		if nm.TTKind == TTBitmap && nm.TTRows >= 64 {
-			bitmapBytes += nm.TTBmLen
+	allowed[BitmapFile] = true
+	var (
+		mu       sync.Mutex
+		sizes    = map[string]int64{}
+		calls    int
+		problems []string
+	)
+	resolver := func(rrowid int64, dst []int32) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if calls++; calls%97 != 0 { // listing on every row is needlessly slow
+			return finalizeTestResolver(rrowid, dst)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			name := e.Name()
+			if !allowed[name] {
+				problems = append(problems, "unexpected file "+name)
+				continue
+			}
+			if strings.HasSuffix(name, ".log") {
+				continue
+			}
+			fi, err := e.Info()
+			if err != nil {
+				return err
+			}
+			if fi.Size() < sizes[name] {
+				problems = append(problems, name+" shrank")
+			}
+			sizes[name] = fi.Size()
+		}
+		return finalizeTestResolver(rrowid, dst)
+	}
+	w := newTestWriter(t, Options{
+		Dir: dir, Plus: true, FactRows: 5000, ZoneBlockRows: 64,
+		Parallelism: 4, Resolver: resolver,
+	})
+	m, _ := writeWorkload(t, w, true)
+	if calls < 97 {
+		t.Fatalf("resolver called %d times; the directory was never watched", calls)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+	// Whatever was seen mid-pass was a prefix of the final file.
+	for name, seen := range sizes {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() < seen {
+			t.Errorf("%s ended at %d bytes after being seen at %d", name, fi.Size(), seen)
 		}
 	}
-	if st.RereadBytes != bitmapBytes {
-		t.Errorf("compressed build reread %d bytes, want %d (bitmap residual only)", st.RereadBytes, bitmapBytes)
+	if m.Sizes.Bitmap == 0 {
+		t.Error("workload wrote no bitmap; ttbm.bin went unwatched")
 	}
-	if bitmapBytes == 0 && st.RereadBytes != 0 {
-		t.Errorf("fused pass re-read %d bytes with no bitmaps present", st.RereadBytes)
-	}
-
-	dirLegacy := t.TempDir()
-	buildFinalizeCube(t, dirLegacy, "", 1, nil, false, false)
-	stLegacy, err := ReadFinalizeStats(dirLegacy)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stLegacy.RereadBytes == 0 {
-		t.Error("legacy zone pass reported zero re-read bytes")
+	for _, e := range entries {
+		if n := e.Name(); !allowed[n] && n != ManifestFile && n != FinalizeStatsFile || strings.HasSuffix(n, ".log") {
+			t.Errorf("finalized cube holds %s", n)
+		}
+	}
+}
+
+// TestFailedFinalizeLeavesNoCube kills Finalize mid-pass — the resolver
+// fails once the NT file has been written and the TT pass is under way —
+// and demands a directory that does not open: no logs, no partial
+// relation files, no manifest, not even the one of the cube that was
+// there before.
+func TestFailedFinalizeLeavesNoCube(t *testing.T) {
+	dir := t.TempDir()
+	buildFinalizeCube(t, dir, 1, nil, false, false)
+	if r, err := OpenReader(dir); err != nil {
+		t.Fatal(err)
+	} else {
+		r.Close()
+	}
+
+	boom := errors.New("injected resolver failure")
+	var mu sync.Mutex
+	calls := 0
+	w := newTestWriter(t, Options{
+		Dir: dir, FactRows: 5000, ZoneBlockRows: 64, Parallelism: 2,
+		Resolver: func(rrowid int64, dst []int32) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if calls++; calls > 1200 { // 1000 NT rows, then into the TT extent
+				return boom
+			}
+			return finalizeTestResolver(rrowid, dst)
+		},
+	})
+	enum := w.Enum()
+	for i := 0; i < 1000; i++ {
+		if err := w.WriteNT(enum.Encode([]int{0, 0}), int64(i), []float64{1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteTT(enum.Encode([]int{1, 1}), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Finalize(signature.FormatNT); !errors.Is(err, boom) {
+		t.Fatalf("Finalize error = %v, want the injected failure", err)
+	}
+	if _, err := OpenReader(dir); err == nil {
+		t.Error("directory opens as a cube after a failed Finalize")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != FinalizeStatsFile { // the previous build's telemetry
+			t.Errorf("failed Finalize left %s behind", e.Name())
+		}
 	}
 }
 
 // TestFinalizeStatsSidecar checks the sidecar's shape on a parallel
-// compressed build, and that ReadFinalizeStats fails cleanly on a
-// directory without one.
+// build, and that ReadFinalizeStats fails cleanly on a directory
+// without one.
 func TestFinalizeStatsSidecar(t *testing.T) {
 	dir := t.TempDir()
-	buildFinalizeCube(t, dir, CompressionAuto, 8, nil, true, false)
+	buildFinalizeCube(t, dir, 8, nil, true, false)
 	st, err := ReadFinalizeStats(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -260,14 +445,14 @@ func TestFinalizeStatsSidecar(t *testing.T) {
 	if st.Parallelism != 8 || st.Workers < 1 || st.Workers > 8 {
 		t.Errorf("parallelism=%d workers=%d", st.Parallelism, st.Workers)
 	}
-	if st.Compression != CompressionAuto {
-		t.Errorf("compression = %q", st.Compression)
-	}
 	if st.Extents == 0 || st.Blocks == 0 || len(st.Encodings) == 0 {
 		t.Errorf("empty pipeline record: %+v", st)
 	}
 	if st.ZoneExtents == 0 {
 		t.Error("no zone extents recorded despite resolver being set")
+	}
+	if st.GatherSec <= 0 || st.EncodeSec <= 0 || st.ZoneFoldSec <= 0 {
+		t.Errorf("work split not recorded: gather=%v encode=%v zone_fold=%v", st.GatherSec, st.EncodeSec, st.ZoneFoldSec)
 	}
 	if len(st.WorkerRawBytes) < 1 || len(st.WorkerRawBytes) > st.Workers {
 		t.Errorf("worker skew record has %d slots for %d workers", len(st.WorkerRawBytes), st.Workers)

@@ -4,11 +4,11 @@
 //
 // During construction, classified tuples arrive interleaved across nodes
 // (the signature pool flushes whenever it fills), so the writer appends
-// node-tagged blocks to sequential log files. Finalize compacts the logs
-// into per-node extents inside one file per relation class — the paper's
-// D = 28 experiment materializes 88,932 relations, which would be
-// pathological as individual files — and records the extents in a JSON
-// manifest next to the data.
+// node-tagged blocks to sequential log files. Finalize turns the logs
+// into per-node extents of column-encoded blocks inside one file per
+// relation class — the paper's D = 28 experiment materializes 88,932
+// relations, which would be pathological as individual files — and
+// records the extents in a JSON manifest next to the data.
 package storage
 
 import (
@@ -45,7 +45,7 @@ const (
 )
 
 // NodeMeta records where one lattice node's tuples live inside the
-// compacted relation files. Offsets are byte offsets; counts are rows.
+// relation files. Offsets are byte offsets; counts are rows.
 type NodeMeta struct {
 	NTOff   int64  `json:"nt_off"`
 	NTRows  int64  `json:"nt_rows"`
@@ -60,9 +60,8 @@ type NodeMeta struct {
 	NTZones  *ZoneIndex `json:"nt_zones,omitempty"`
 	TTZones  *ZoneIndex `json:"tt_zones,omitempty"`
 	CATZones *ZoneIndex `json:"cat_zones,omitempty"`
-	// Block-codec records of compressed extents (nil = fixed-width v1
-	// layout; version-2 manifests only). TTCodec applies only to TTIDs
-	// extents — bitmaps are already compressed.
+	// Block records of the extents (nil when the extent is empty). TTCodec
+	// applies only to TTIDs extents — a bitmap is its own encoding.
 	NTCodec  *ExtentCodec `json:"nt_codec,omitempty"`
 	TTCodec  *ExtentCodec `json:"tt_codec,omitempty"`
 	CATCodec *ExtentCodec `json:"cat_codec,omitempty"`
@@ -124,17 +123,12 @@ type Manifest struct {
 	// Iceberg is the min-count threshold the cube was built with (1 for
 	// a complete cube).
 	Iceberg int64 `json:"iceberg"`
-	// Compression names the extent codec ("block" for the columnar block
-	// codec, empty for fixed-width v1 extents). Version-1 manifests never
-	// carry it; version-2 readers treat its absence as uncompressed.
+	// Compression names the extent codec; always "block".
 	Compression string `json:"compression,omitempty"`
-	// AggCodec is the block-codec record of the AGGREGATES relation (one
-	// extent covering all AggRows rows), nil when uncompressed.
+	// AggCodec is the block record of the AGGREGATES relation (one extent
+	// covering all AggRows rows), nil when the relation is empty.
 	AggCodec *ExtentCodec `json:"agg_codec,omitempty"`
 }
-
-// Compressed reports whether any extent of the cube uses the block codec.
-func (m *Manifest) Compressed() bool { return m.Compression != "" }
 
 // NodeMeta returns the extent record for a node.
 func (m *Manifest) NodeMeta(id lattice.NodeID) (NodeMeta, bool) {
@@ -149,25 +143,21 @@ func (m *Manifest) NumAggrs() int { return len(m.AggSpecs) }
 // for planners (EXPLAIN cost estimates) outside the package.
 func (m *Manifest) NTRowWidth(arity int) int { return m.ntRowWidth(arity) }
 
-// CATRowWidth returns the byte width of one compacted CAT row.
+// CATRowWidth returns the raw byte width of one CAT row.
 func (m *Manifest) CATRowWidth() int { return m.catRowWidth() }
 
 // AggRowWidth returns the byte width of one AGGREGATES row.
 func (m *Manifest) AggRowWidth() int { return m.aggRowWidth() }
 
 // TTBytes returns the bytes one full read of the node's TT extent costs:
-// the bitmap length under CURE+, the encoded footprint when the extent is
-// block-compressed, 8 bytes per row-id otherwise. The TT extent is always
-// fetched whole (zone pruning narrows the iteration, not the read), so
-// this is also the read a query pays.
+// the bitmap length for a CURE+ bitmap, the encoded footprint otherwise.
+// The TT extent is always fetched whole (zone pruning narrows the
+// iteration, not the read), so this is also the read a query pays.
 func (nm NodeMeta) TTBytes() int64 {
 	if nm.TTKind == TTBitmap {
 		return nm.TTBmLen
 	}
-	if nm.TTCodec != nil {
-		return nm.TTCodec.EncodedBytes()
-	}
-	return nm.TTRows * ttLogRowWidth
+	return nm.TTCodec.EncodedBytes()
 }
 
 // ntRowWidth returns the byte width of one NT row of the given node.
@@ -180,7 +170,7 @@ func (m *Manifest) ntRowWidth(arity int) int {
 	return 8 + 8*m.NumAggrs()
 }
 
-// catRowWidth returns the byte width of one compacted CAT row.
+// catRowWidth returns the raw byte width of one CAT row.
 func (m *Manifest) catRowWidth() int {
 	if m.CatFormat == signature.FormatA {
 		return 8 // bare A-rowid
@@ -196,16 +186,21 @@ func (m *Manifest) aggRowWidth() int {
 	return 8 * m.NumAggrs()
 }
 
-// WriteManifest writes m into dir.
+// WriteManifest writes m into dir: to a temporary file first, then
+// renamed into place, so the manifest is either absent or whole.
 func WriteManifest(dir string, m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", " ")
 	if err != nil {
 		return fmt.Errorf("storage: marshaling manifest: %w", err)
 	}
-	return os.WriteFile(filepath.Join(dir, ManifestFile), data, 0o644)
+	path := filepath.Join(dir, ManifestFile)
+	if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path)
 }
 
-// ReadManifest loads the manifest of a cube directory.
+// ReadManifest loads and validates the manifest of a cube directory.
 func ReadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
@@ -215,17 +210,32 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(data, m); err != nil {
 		return nil, fmt.Errorf("storage: parsing manifest in %s: %w", dir, err)
 	}
-	if m.Version < 1 || m.Version > manifestVersion {
-		return nil, fmt.Errorf("storage: manifest version %d, want 1..%d", m.Version, manifestVersion)
+	if m.Version == 1 {
+		return nil, fmt.Errorf("storage: %s is a version-1 cube: the fixed-width extent format is retired, rebuild the cube", dir)
+	}
+	if m.Version != manifestVersion {
+		return nil, fmt.Errorf("storage: manifest version %d, want %d", m.Version, manifestVersion)
+	}
+	if err := m.AggCodec.check(m.AggRows); err != nil {
+		return nil, fmt.Errorf("storage: manifest in %s: AGGREGATES: %w", dir, err)
+	}
+	for k, nm := range m.Nodes {
+		err := nm.NTCodec.check(nm.NTRows)
+		if err == nil && nm.TTKind != TTBitmap {
+			err = nm.TTCodec.check(nm.TTRows)
+		}
+		if err == nil {
+			err = nm.CATCodec.check(nm.CATRows)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("storage: manifest in %s: node %s: %w", dir, k, err)
+		}
 	}
 	return m, nil
 }
 
-// manifestVersion is the newest manifest format this build writes and
-// reads. Version 1 is the fixed-width extent layout; version 2 adds the
-// optional block-codec records (Compression, *Codec fields). Uncompressed
-// cubes are still written as version 1, byte-identical to older builds,
-// so v1 directories and v1 readers stay interoperable.
+// manifestVersion is the one manifest format this build writes and reads:
+// block-columnar extents. Version 1 was the fixed-width layout.
 const manifestVersion = 2
 
 // resolveFactPath resolves the manifest's fact-file reference against the

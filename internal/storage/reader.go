@@ -2,6 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,7 +32,7 @@ type Reader struct {
 	cReads     *obsv.Counter
 	// Codec decode accounting (storage.codec.bytes_decoded /
 	// storage.codec.blocks_read): raw-equivalent bytes materialized from
-	// compressed blocks, and the block-decode count.
+	// encoded blocks, and the block-decode count.
 	cDecBytes  *obsv.Counter
 	cDecBlocks *obsv.Counter
 	// blocks is the optional decoded-block cache (set once before
@@ -158,9 +160,8 @@ type IOStats struct {
 	BytesRead int64 `json:"bytes_read"`
 	// Reads is the number of ReadAt calls issued.
 	Reads int64 `json:"reads"`
-	// BytesDecoded is the raw-equivalent bytes materialized from
-	// compressed extent blocks (0 when reading v1 fixed-width extents or
-	// when every block was a decoded-cache hit).
+	// BytesDecoded is the raw-equivalent bytes materialized from extent
+	// blocks (0 when every block was a decoded-cache hit).
 	BytesDecoded int64 `json:"bytes_decoded,omitempty"`
 }
 
@@ -211,20 +212,22 @@ func (r *Reader) TTRowIDsIO(id lattice.NodeID, dst []int64, io *IOStats) ([]int6
 		})
 		return dst, nil
 	}
-	if nm.TTCodec != nil {
-		return r.ttRowIDsBlocks(id, nm, dst, io)
-	}
-	buf := make([]byte, nm.TTRows*ttLogRowWidth)
-	if _, err := r.ttF.ReadAt(buf, nm.TTOff); err != nil {
-		return nil, fmt.Errorf("storage: TT extent of node %d: %w", id, err)
-	}
-	r.account(io, nm.TTRows*ttLogRowWidth)
+	// The extent is fetched whole, block by block: zone pruning narrows
+	// the iteration over the ids, not the read.
 	if cap(dst) < int(nm.TTRows) {
 		dst = make([]int64, 0, nm.TTRows)
 	}
 	dst = dst[:0]
-	for i := int64(0); i < nm.TTRows; i++ {
-		dst = append(dst, getInt64(buf[i*8:]))
+	bf := &blockFetcher{
+		r: r, f: r.ttF, rel: BlockRelTT, node: int64(id), base: nm.TTOff,
+		c: nm.TTCodec, kinds: ttKinds(), rows: nm.TTRows, rawWidth: ttLogRowWidth,
+	}
+	for b := 0; b < nm.TTCodec.NumBlocks(); b++ {
+		db, err := bf.fetch(b, io)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, db.I64[0][:db.Rows]...)
 	}
 	return dst, nil
 }
@@ -246,9 +249,10 @@ func (r *Reader) NTRows(id lattice.NodeID, fn func(row NTRow) error) error {
 // NTRowsRanges streams the normal tuples of node id whose extent-row
 // index falls in one of the given half-open ranges (nil = the whole
 // extent; an empty non-nil slice streams nothing). Zone-map pruning
-// produces the ranges; extent bytes fetched are tallied into io (nil
-// disables attribution). NTRowsRanges is safe for concurrent use: every
-// call reads through ReadAt with private buffers.
+// produces the ranges — blocks outside them are neither read nor decoded;
+// extent bytes fetched are tallied into io (nil disables attribution).
+// NTRowsRanges is safe for concurrent use: every call reads through
+// ReadAt with private buffers.
 func (r *Reader) NTRowsRanges(id lattice.NodeID, ranges []RowRange, io *IOStats, fn func(row NTRow) error) error {
 	nm, ok := r.m.NodeMeta(id)
 	if !ok || nm.NTRows == 0 {
@@ -258,44 +262,43 @@ func (r *Reader) NTRowsRanges(id lattice.NodeID, ranges []RowRange, io *IOStats,
 		ranges = []RowRange{{0, nm.NTRows}}
 	}
 	arity := r.nodeArity(id)
-	if nm.NTCodec != nil {
-		return r.ntRowsBlocks(id, nm, arity, ranges, io, fn)
-	}
-	width := int64(r.m.ntRowWidth(arity))
-	row := NTRow{Aggrs: make([]float64, r.m.NumAggrs())}
-	if r.m.DimsInline {
+	row := NTRow{RRowid: -1, Aggrs: make([]float64, r.m.NumAggrs())}
+	dimsInline := r.m.DimsInline
+	if dimsInline {
 		row.Dims = make([]int32, arity)
 	}
-	var buf []byte
-	for _, rg := range ranges {
-		if rg.Lo < 0 || rg.Hi > nm.NTRows || rg.Lo >= rg.Hi {
-			continue
+	bf := &blockFetcher{
+		r: r, f: r.ntF, rel: BlockRelNT, node: int64(id), base: nm.NTOff,
+		c: nm.NTCodec, kinds: r.m.ntKinds(arity), rows: nm.NTRows,
+		rawWidth: int64(r.m.ntRowWidth(arity)),
+	}
+	return bf.scan(ranges, io, func(db *DecodedBlock, lo, hi int64) error {
+		if dimsInline {
+			for i := lo; i < hi; i++ {
+				for d := 0; d < arity; d++ {
+					row.Dims[d] = db.I32[d][i]
+				}
+				for a := range row.Aggrs {
+					row.Aggrs[a] = db.F64[arity+a][i]
+				}
+				if err := fn(row); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		n := rg.Hi - rg.Lo
-		if int64(cap(buf)) < n*width {
-			buf = make([]byte, n*width)
-		}
-		buf = buf[:n*width]
-		if _, err := r.ntF.ReadAt(buf, nm.NTOff+rg.Lo*width); err != nil {
-			return fmt.Errorf("storage: NT extent of node %d: %w", id, err)
-		}
-		r.account(io, n*width)
-		for i := int64(0); i < n; i++ {
-			rec := buf[i*width : (i+1)*width]
-			if r.m.DimsInline {
-				getDims(rec, row.Dims)
-				getAggrs(rec[4*arity:], row.Aggrs)
-				row.RRowid = -1
-			} else {
-				row.RRowid = getInt64(rec)
-				getAggrs(rec[8:], row.Aggrs)
+		ids := db.I64[0]
+		for i := lo; i < hi; i++ {
+			row.RRowid = ids[i]
+			for a := range row.Aggrs {
+				row.Aggrs[a] = db.F64[1+a][i]
 			}
 			if err := fn(row); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // CATRow is one decoded common-aggregate tuple reference. RRowid is -1
@@ -313,7 +316,8 @@ func (r *Reader) CATRows(id lattice.NodeID, fn func(row CATRow) error) error {
 // CATRowsRanges streams the CAT references of node id within the given
 // extent-row ranges (nil = the whole extent; an empty non-nil slice
 // streams nothing), tallying extent bytes into io (nil disables
-// attribution). Safe for concurrent use.
+// attribution). Blocks outside the ranges are neither read nor decoded.
+// Safe for concurrent use.
 func (r *Reader) CATRowsRanges(id lattice.NodeID, ranges []RowRange, io *IOStats, fn func(row CATRow) error) error {
 	nm, ok := r.m.NodeMeta(id)
 	if !ok || nm.CATRows == 0 {
@@ -322,40 +326,33 @@ func (r *Reader) CATRowsRanges(id lattice.NodeID, ranges []RowRange, io *IOStats
 	if ranges == nil {
 		ranges = []RowRange{{0, nm.CATRows}}
 	}
-	if nm.CATCodec != nil {
-		return r.catRowsBlocks(id, nm, ranges, io, fn)
+	formatA := r.m.CatFormat == signature.FormatA
+	bf := &blockFetcher{
+		r: r, f: r.catF, rel: BlockRelCAT, node: int64(id), base: nm.CATOff,
+		c: nm.CATCodec, kinds: r.m.catKinds(), rows: nm.CATRows,
+		rawWidth: int64(r.m.catRowWidth()),
 	}
-	width := int64(r.m.catRowWidth())
-	var buf []byte
-	for _, rg := range ranges {
-		if rg.Lo < 0 || rg.Hi > nm.CATRows || rg.Lo >= rg.Hi {
-			continue
-		}
-		n := rg.Hi - rg.Lo
-		if int64(cap(buf)) < n*width {
-			buf = make([]byte, n*width)
-		}
-		buf = buf[:n*width]
-		if _, err := r.catF.ReadAt(buf, nm.CATOff+rg.Lo*width); err != nil {
-			return fmt.Errorf("storage: CAT extent of node %d: %w", id, err)
-		}
-		r.account(io, n*width)
-		for i := int64(0); i < n; i++ {
-			rec := buf[i*width:]
-			var row CATRow
-			if r.m.CatFormat == signature.FormatA {
-				row.RRowid = -1
-				row.ARowid = getInt64(rec)
-			} else {
-				row.RRowid = getInt64(rec)
-				row.ARowid = getInt64(rec[8:])
+	return bf.scan(ranges, io, func(db *DecodedBlock, lo, hi int64) error {
+		row := CATRow{RRowid: -1}
+		if formatA {
+			ids := db.I64[0]
+			for i := lo; i < hi; i++ {
+				row.ARowid = ids[i]
+				if err := fn(row); err != nil {
+					return err
+				}
 			}
+			return nil
+		}
+		rr, ar := db.I64[0], db.I64[1]
+		for i := lo; i < hi; i++ {
+			row.RRowid, row.ARowid = rr[i], ar[i]
 			if err := fn(row); err != nil {
 				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // ReadAggregate fetches AGGREGATES tuple arowid. Under format (a) the
@@ -369,45 +366,54 @@ func (r *Reader) ReadAggregateIO(arowid int64, aggrs []float64, io *IOStats) (in
 	if arowid < 0 || arowid >= r.m.AggRows {
 		return 0, fmt.Errorf("storage: A-rowid %d out of range [0,%d)", arowid, r.m.AggRows)
 	}
-	if r.m.AggCodec != nil {
-		return r.readAggregateBlock(arowid, aggrs, io)
-	}
-	width := r.m.aggRowWidth()
-	buf := make([]byte, width)
-	if _, err := r.aggF.ReadAt(buf, arowid*int64(width)); err != nil {
+	bf := r.aggFetcher(false)
+	db, err := bf.fetch(int(arowid/bf.c.BlockRows), io)
+	if err != nil {
 		return 0, err
 	}
-	r.account(io, int64(width))
+	i := arowid % bf.c.BlockRows
 	rrowid := int64(-1)
 	off := 0
 	if r.m.CatFormat == signature.FormatA {
-		rrowid = getInt64(buf)
-		off = 8
+		rrowid = db.I64[0][i]
+		off = 1
 	}
-	getAggrs(buf[off:], aggrs[:r.m.NumAggrs()])
+	for a := 0; a < r.m.NumAggrs(); a++ {
+		aggrs[a] = db.F64[off+a][i]
+	}
 	return rrowid, nil
 }
 
-// AggregatesRaw reads the entire AGGREGATES relation into one raw buffer;
-// the query cache uses it to pin the relation in memory (§5.3 singles out
-// AGGREGATES, together with the fact table, as the two relations worth
-// caching).
+// AggregatesRaw decodes the entire AGGREGATES relation into one buffer of
+// fixed-width rows (<R-rowid under format (a), aggrs…>) for
+// DecodeAggregate; the query cache uses it to pin the relation in memory
+// (§5.3 singles out AGGREGATES, together with the fact table, as the two
+// relations worth caching).
 func (r *Reader) AggregatesRaw() ([]byte, error) {
-	width := int64(r.m.aggRowWidth())
-	buf := make([]byte, r.m.AggRows*width)
-	if r.m.AggRows == 0 {
-		return buf, nil
-	}
-	if r.m.AggCodec != nil {
-		// Decode the whole relation back to the fixed-width layout so
-		// DecodeAggregate (and the pin that holds it) work unchanged.
-		if err := r.aggregatesRawBlocks(buf); err != nil {
+	width := r.m.aggRowWidth()
+	buf := make([]byte, r.m.AggRows*int64(width))
+	bf := r.aggFetcher(true) // one-shot pass: don't churn the block cache
+	formatA := r.m.CatFormat == signature.FormatA
+	aggs := make([]float64, r.m.NumAggrs())
+	pos := 0
+	for b := 0; b < bf.c.NumBlocks(); b++ {
+		db, err := bf.fetch(b, nil)
+		if err != nil {
 			return nil, err
 		}
-		return buf, nil
-	}
-	if _, err := r.aggF.ReadAt(buf, 0); err != nil {
-		return nil, err
+		for i := 0; i < db.Rows; i++ {
+			rec := buf[pos : pos+width]
+			off, col := 0, 0
+			if formatA {
+				putInt64(rec, db.I64[0][i])
+				off, col = 8, 1
+			}
+			for a := range aggs {
+				aggs[a] = db.F64[col+a][i]
+			}
+			putAggrs(rec[off:], aggs)
+			pos += width
+		}
 	}
 	return buf, nil
 }
@@ -466,4 +472,18 @@ func (r *Reader) VerifyChecksums() ([]string, error) {
 	}
 	sort.Strings(bad)
 	return bad, nil
+}
+
+// fileChecksum computes the CRC-32 (IEEE) of a whole file.
+func fileChecksum(path string) (uint32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	h := crc32.NewIEEE()
+	if _, err := io.Copy(h, f); err != nil {
+		return 0, err
+	}
+	return h.Sum32(), nil
 }

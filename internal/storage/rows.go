@@ -3,9 +3,11 @@ package storage
 import (
 	"encoding/binary"
 	"math"
+
+	"cure/internal/lattice"
 )
 
-// Row codecs shared by the writer (logs, compaction) and the reader.
+// Row codecs shared by the writer (logs, finalize) and the reader.
 // All integers are little endian; aggregates are IEEE-754 bit patterns.
 
 func putInt64(b []byte, v int64) { binary.LittleEndian.PutUint64(b, uint64(v)) }
@@ -35,11 +37,16 @@ func getDims(b []byte, dst []int32) {
 	}
 }
 
-// Log row widths (pre-compaction; logs always carry the widest shape so
-// that no ordering constraint exists between format lock and first write).
-func ntLogRowWidth(numAggrs int) int { return 8 + 8*numAggrs }
+// Log row widths (logs always carry the widest shape so that no ordering
+// constraint exists between format lock and first write).
+func ntLogRowWidth(numAggrs int) int  { return 8 + 8*numAggrs } // R-rowid, aggrs
+func aggLogRowWidth(numAggrs int) int { return 8 + 8*numAggrs } // R-rowid (or -1), aggrs
 
 const (
 	ttLogRowWidth  = 8  // R-rowid
 	catLogRowWidth = 16 // R-rowid (or -1), A-rowid
+
+	// aggNode is the one node AGGREGATES rows are logged under: the
+	// relation is shared by the whole cube.
+	aggNode lattice.NodeID = 0
 )

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestRoundTripBasic(t *testing.T) {
 		t.Errorf("AggRows = %d", m.AggRows)
 	}
 	// Logs must be gone.
-	for _, n := range []string{NTFile + ".log", TTFile + ".log", CATFile + ".log"} {
+	for _, n := range []string{NTFile + ".log", TTFile + ".log", CATFile + ".log", AggFile + ".log"} {
 		if _, err := os.Stat(filepath.Join(dir, n)); !os.IsNotExist(err) {
 			t.Errorf("log %s survived finalize", n)
 		}
@@ -165,8 +166,17 @@ func TestRoundTripBasic(t *testing.T) {
 	if _, err := r.ReadAggregate(99, aggrs); err == nil {
 		t.Error("out-of-range A-rowid accepted")
 	}
-	// Size accounting: NT extent = 2 rows × (8 + 16) bytes, etc.
-	if m.Sizes.NT != 2*24 || m.Sizes.TT != 2*8 || m.Sizes.CAT != 2*16 || m.Sizes.Agg != 16 {
+	// Relational volume (the paper's size unit): an NT row is 8 + 16
+	// bytes, a TT row 8, a format-(b) CAT row 16, an AGGREGATES row 16.
+	a0b, _ := m.NodeMeta(nodeA0B)
+	a1, _ := m.NodeMeta(nodeA1)
+	if a0b.NTCodec.RawBytes != 2*24 || a1.TTCodec.RawBytes != 2*8 ||
+		a0b.CATCodec.RawBytes != 16 || a1.CATCodec.RawBytes != 16 || m.AggCodec.RawBytes != 16 {
+		t.Errorf("raw bytes: nt=%d tt=%d cat=%d+%d agg=%d", a0b.NTCodec.RawBytes, a1.TTCodec.RawBytes,
+			a0b.CATCodec.RawBytes, a1.CATCodec.RawBytes, m.AggCodec.RawBytes)
+	}
+	// File sizes are what was encoded, extent after extent.
+	if m.Sizes.NT != a0b.NTCodec.EncodedBytes() || m.Sizes.CAT != a0b.CATCodec.EncodedBytes()+a1.CATCodec.EncodedBytes() {
 		t.Errorf("Sizes = %+v", m.Sizes)
 	}
 	if m.Sizes.Total() != m.Sizes.NT+m.Sizes.TT+m.Sizes.CAT+m.Sizes.Agg {
@@ -197,8 +207,8 @@ func TestFormatARoundTrip(t *testing.T) {
 		t.Fatalf("CatFormat = %v", m.CatFormat)
 	}
 	// Format (a): CAT rows are 8 bytes, AGGREGATES rows carry rrowid.
-	if m.Sizes.CAT != 8 || m.Sizes.Agg != 8+16 {
-		t.Errorf("Sizes = %+v", m.Sizes)
+	if nm, _ := m.NodeMeta(node); nm.CATCodec.RawBytes != 8 || m.AggCodec.RawBytes != 8+16 {
+		t.Errorf("raw bytes: cat=%d agg=%d", nm.CATCodec.RawBytes, m.AggCodec.RawBytes)
 	}
 	r, err := OpenReader(dir)
 	if err != nil {
@@ -245,7 +255,7 @@ func TestFinalizeTwiceRejected(t *testing.T) {
 	}
 }
 
-func TestDimsInlineCompaction(t *testing.T) {
+func TestDimsInlineProjection(t *testing.T) {
 	dir := t.TempDir()
 	// The resolver serves base dims for row-ids: row r has A = r%8, B = r%4.
 	resolver := func(rrowid int64, dst []int32) error {
@@ -268,8 +278,8 @@ func TestDimsInlineCompaction(t *testing.T) {
 		t.Fatal("manifest lost DimsInline")
 	}
 	// Row width: 2 dims × 4 + 2 aggrs × 8 = 24.
-	if m.Sizes.NT != 24 {
-		t.Errorf("NT size = %d, want 24", m.Sizes.NT)
+	if nm, _ := m.NodeMeta(nodeA1B); nm.NTCodec.RawBytes != 24 {
+		t.Errorf("NT raw bytes = %d, want 24", nm.NTCodec.RawBytes)
 	}
 	r, err := OpenReader(dir)
 	if err != nil {
@@ -408,7 +418,7 @@ func TestPlusSortsCATFormatA(t *testing.T) {
 
 func TestStageSpillPreservesData(t *testing.T) {
 	// A tiny stage budget forces many spills and multi-block nodes; the
-	// compacted extents must still hold every row.
+	// extents must still hold every row, in arrival order.
 	dir := t.TempDir()
 	w := newTestWriter(t, Options{Dir: dir, StageBudget: 64})
 	enum := w.Enum()
@@ -442,12 +452,12 @@ func TestStageSpillPreservesData(t *testing.T) {
 		if !ok || nm.NTRows != perNode || nm.TTRows != perNode {
 			t.Fatalf("node %d meta = %+v", n, nm)
 		}
-		seen := map[int64]bool{}
+		next := int64(0)
 		if err := r.NTRows(n, func(row NTRow) error {
-			if seen[row.RRowid] {
-				t.Fatalf("duplicate NT rrowid %d", row.RRowid)
+			if row.RRowid != next {
+				t.Fatalf("node %d: NT row %d arrived where %d was written", n, row.RRowid, next)
 			}
-			seen[row.RRowid] = true
+			next++
 			if row.Aggrs[0] != float64(row.RRowid) {
 				t.Fatalf("row %d has aggr %v", row.RRowid, row.Aggrs)
 			}
@@ -455,8 +465,8 @@ func TestStageSpillPreservesData(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if len(seen) != perNode {
-			t.Fatalf("node %d: %d distinct NT rows", n, len(seen))
+		if next != perNode {
+			t.Fatalf("node %d: %d NT rows", n, next)
 		}
 	}
 }
@@ -470,8 +480,9 @@ func TestManifestRoundTrip(t *testing.T) {
 		PartitionLevel: 2,
 		FactFile:       "fact.bin",
 		FactRows:       1234,
-		Nodes:          map[string]NodeMeta{"7": {NTRows: 3, NTOff: 24}},
-		Iceberg:        1,
+		Nodes: map[string]NodeMeta{"7": {NTRows: 3, NTOff: 24,
+			NTCodec: &ExtentCodec{BlockRows: 256, RawBytes: 72, Offs: []int64{0, 40}}}},
+		Iceberg: 1,
 	}
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
@@ -490,15 +501,48 @@ func TestManifestRoundTrip(t *testing.T) {
 	if _, ok := back.NodeMeta(8); ok {
 		t.Error("phantom node meta")
 	}
+	// The manifest lands by rename: no temporary survives.
+	if _, err := os.Stat(filepath.Join(dir, ManifestFile+".tmp")); !os.IsNotExist(err) {
+		t.Errorf("manifest temporary left behind: %v", err)
+	}
+}
+
+// TestReadManifestRejectsUnreadableExtents: rows without a block index
+// covering them cannot be read, so the manifest must not load.
+func TestReadManifestRejectsUnreadableExtents(t *testing.T) {
+	for name, nm := range map[string]NodeMeta{
+		"no codec":        {NTRows: 3},
+		"short offsets":   {NTRows: 600, NTCodec: &ExtentCodec{BlockRows: 256, Offs: []int64{0, 40}}},
+		"zero block rows": {CATRows: 3, CATCodec: &ExtentCodec{Offs: []int64{0, 40}}},
+		"offsets go back": {TTRows: 300, TTCodec: &ExtentCodec{BlockRows: 256, Offs: []int64{0, 40, 30}}},
+	} {
+		dir := t.TempDir()
+		m := &Manifest{Version: manifestVersion, Nodes: map[string]NodeMeta{"7": nm}}
+		if err := WriteManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadManifest(dir); err == nil {
+			t.Errorf("%s: manifest accepted", name)
+		}
+	}
 }
 
 func TestReadManifestRejectsBadVersion(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(`{"version": 99}`), 0o644); err != nil {
+	for _, v := range []string{"0", "3", "99"} {
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(`{"version": `+v+`}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadManifest(dir); err == nil {
+			t.Errorf("version %s accepted", v)
+		}
+	}
+	// Version 1 was the fixed-width format: the error must say what to do.
+	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(`{"version": 1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadManifest(dir); err == nil {
-		t.Error("bad version accepted")
+	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "rebuild the cube") {
+		t.Errorf("version 1: error = %v, want one that says to rebuild", err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(`{not json`), 0o644); err != nil {
 		t.Fatal(err)
@@ -615,10 +659,13 @@ func TestReaderTruncatedExtent(t *testing.T) {
 	}
 }
 
-func TestAbortCleansLogs(t *testing.T) {
+func TestAbortLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
 	w := newTestWriter(t, Options{Dir: dir})
 	if err := w.WriteTT(w.Enum().Encode([]int{0, 0}), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendAggregate(-1, []float64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	w.Abort()
@@ -627,9 +674,7 @@ func TestAbortCleansLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".log" {
-			t.Errorf("log %s survived Abort", e.Name())
-		}
+		t.Errorf("%s survived Abort", e.Name())
 	}
 	// Abort after Finalize is a no-op.
 	w2 := newTestWriter(t, Options{Dir: t.TempDir()})

@@ -1,18 +1,13 @@
 package storage
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"strconv"
 	"sync"
-	"time"
 
-	"cure/internal/bitmap"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/obsv"
@@ -21,10 +16,10 @@ import (
 )
 
 // DimResolver fetches the base-level dimension codes of an original
-// fact-table row. The CURE_DR variant needs it during compaction to
-// replace NT row-ids with projected dimension values; the in-memory build
-// path backs it with the loaded table, the partitioned path with a
-// relation.FactReader.
+// fact-table row. Finalize needs it to fold zone maps and, for the
+// CURE_DR variant, to replace NT row-ids with projected dimension values;
+// the in-memory build path backs it with the loaded table, the
+// partitioned path with a relation.FactReader.
 type DimResolver func(rrowid int64, dst []int32) error
 
 // Options configures a cube writer.
@@ -51,22 +46,14 @@ type Options struct {
 	// StageBudget bounds the bytes buffered across per-node stages
 	// before they are spilled to the logs (default 8 MiB).
 	StageBudget int64
-	// ZoneBlockRows is the zone-map block granularity Finalize indexes
-	// extents at (0 = DefaultZoneBlockRows, negative = no zone maps).
+	// ZoneBlockRows is the rows per extent block and per zone-map block
+	// (0 = DefaultZoneBlockRows; negative = default blocks, no zone maps).
 	// Zone maps also require a Resolver; writers without one (incremental
 	// merges) skip them silently.
 	ZoneBlockRows int
-	// Compression selects the extent storage format: "" or "none" keeps
-	// the fixed-width v1 layout; "auto" rewrites extents into compressed
-	// columnar blocks at Finalize (block granularity = the effective
-	// ZoneBlockRows, so zone-map pruning skips whole blocks); "sampled"
-	// is the same format with sampled codec selection (see
-	// CompressionSampled).
-	Compression string
-	// Parallelism caps the workers of the finalize extent pipeline
-	// (compression + fused zone maps); ≤1 keeps it sequential. The output
-	// is byte-identical at every setting. When Parallelism > 1 the
-	// Resolver must be safe for concurrent calls.
+	// Parallelism caps the workers of the finalize extent pipeline; ≤1
+	// keeps it sequential. The output is byte-identical at every setting.
+	// When Parallelism > 1 the Resolver must be safe for concurrent calls.
 	Parallelism int
 	// Pool, when set, is the build-wide limiter extra finalize workers
 	// are drawn from (up to Parallelism-1), so finalize shares one
@@ -83,10 +70,11 @@ type Options struct {
 
 // Writer materializes a cube. It implements signature.Sink for NT/CAT
 // traffic and additionally receives trivial tuples directly (they bypass
-// the signature pool). Finalize compacts everything and writes the
-// manifest. A Writer is single-goroutine until Lock() arms its mutex;
-// parallel builds then share one writer across all workers, and the
-// storage.lock.* counters report how contended that sharing was.
+// the signature pool). Construction spools every relation to a log;
+// Finalize turns the logs into the cube. A Writer is single-goroutine
+// until Lock() arms its mutex; parallel builds then share one writer
+// across all workers, and the storage.lock.* counters report how
+// contended that sharing was.
 type Writer struct {
 	opts Options
 	enum *lattice.Enum
@@ -95,11 +83,8 @@ type Writer struct {
 	mu     sync.Mutex
 	locked bool
 
-	ntLog, ttLog, catLog *blockLog
-	aggF                 *os.File
-	aggW                 *bufio.Writer
-	aggRows              int64
-	aggBuf               []byte
+	logs    [numRels]*blockLog // construction logs, by relation
+	aggRows int64
 
 	catFormat  signature.Format
 	partLevel  int
@@ -117,8 +102,8 @@ type Writer struct {
 	cLockAcq, cLockContended *obsv.Counter
 
 	// finSpan, when set, parents the finalize sub-phase spans
-	// (finalize.compact/compress/zones/commit). nil is fine — child
-	// spans of a nil span are inert.
+	// (extents.nt/tt/agg/cat, commit). nil is fine — child spans of a nil
+	// span are inert.
 	finSpan *obsv.Span
 
 	finalized bool
@@ -138,29 +123,19 @@ func NewWriter(opts Options) (*Writer, error) {
 	if opts.Iceberg <= 0 {
 		opts.Iceberg = 1
 	}
-	if _, err := compressionEnabled(opts.Compression); err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
 	w := &Writer{opts: opts, enum: lattice.NewEnum(opts.Hier), partLevel: -1, partLevelB: -1}
 	share := &stageBudget{limit: opts.StageBudget}
-	var err error
-	if w.ntLog, err = newBlockLog(filepath.Join(opts.Dir, NTFile+".log"), ntLogRowWidth(len(opts.AggSpecs)), share); err != nil {
-		return nil, err
+	y := len(opts.AggSpecs)
+	for rel, width := range [numRels]int{relNT: ntLogRowWidth(y), relTT: ttLogRowWidth, relAgg: aggLogRowWidth(y), relCAT: catLogRowWidth} {
+		var err error
+		if w.logs[rel], err = newBlockLog(filepath.Join(opts.Dir, relFiles[rel]+".log"), width, share); err != nil {
+			w.discard()
+			return nil, err
+		}
 	}
-	if w.ttLog, err = newBlockLog(filepath.Join(opts.Dir, TTFile+".log"), ttLogRowWidth, share); err != nil {
-		return nil, err
-	}
-	if w.catLog, err = newBlockLog(filepath.Join(opts.Dir, CATFile+".log"), catLogRowWidth, share); err != nil {
-		return nil, err
-	}
-	if w.aggF, err = os.Create(filepath.Join(opts.Dir, AggFile)); err != nil {
-		return nil, err
-	}
-	w.aggW = bufio.NewWriterSize(w.aggF, 1<<20)
-	w.aggBuf = make([]byte, 8+8*len(opts.AggSpecs))
 	reg := opts.Metrics // nil registry yields nil (inert) counters
 	w.cNTRows, w.cNTBytes = reg.Counter("storage.nt.rows"), reg.Counter("storage.nt.bytes")
 	w.cTTRows, w.cTTBytes = reg.Counter("storage.tt.rows"), reg.Counter("storage.tt.bytes")
@@ -214,17 +189,17 @@ func (w *Writer) unlock() {
 func (w *Writer) WriteNT(node lattice.NodeID, rrowid int64, aggrs []float64) error {
 	w.lock()
 	defer w.unlock()
-	row := w.ntLog.rowBuf()
+	row := w.logs[relNT].rowBuf()
 	putInt64(row, rrowid)
 	putAggrs(row[8:], aggrs)
 	w.cNTRows.Inc()
 	w.cNTBytes.Add(int64(len(row)))
-	return w.ntLog.append(node, row)
+	return w.logs[relNT].append(node, row)
 }
 
-// AppendAggregate implements signature.Sink. Rows are written in final
-// form immediately (the CAT format is locked before the first call);
-// A-rowids are the append order.
+// AppendAggregate implements signature.Sink. A-rowids are the append
+// order. The log row always carries the R-rowid column (-1 under format
+// (b)); Finalize drops it again when the locked format has none.
 func (w *Writer) AppendAggregate(rrowid int64, aggrs []float64) (int64, error) {
 	w.lock()
 	defer w.unlock()
@@ -239,34 +214,26 @@ func (w *Writer) AppendAggregate(rrowid int64, aggrs []float64) (int64, error) {
 	default:
 		return 0, fmt.Errorf("storage: AGGREGATES format flip: had %v, got %v", w.catFormat, inferred)
 	}
-	buf := w.aggBuf[:0]
-	if rrowid >= 0 {
-		buf = buf[:8]
-		putInt64(buf, rrowid)
-	}
-	off := len(buf)
-	buf = buf[:off+8*len(aggrs)]
-	putAggrs(buf[off:], aggrs)
-	if _, err := w.aggW.Write(buf); err != nil {
-		return 0, err
-	}
+	row := w.logs[relAgg].rowBuf()
+	putInt64(row, rrowid)
+	putAggrs(row[8:], aggrs)
 	w.cAggRows.Inc()
-	w.cAggBytes.Add(int64(len(buf)))
+	w.cAggBytes.Add(int64(len(row)))
 	id := w.aggRows
 	w.aggRows++
-	return id, nil
+	return id, w.logs[relAgg].append(aggNode, row)
 }
 
 // WriteCAT implements signature.Sink.
 func (w *Writer) WriteCAT(node lattice.NodeID, rrowid, arowid int64) error {
 	w.lock()
 	defer w.unlock()
-	row := w.catLog.rowBuf()
+	row := w.logs[relCAT].rowBuf()
 	putInt64(row, rrowid)
 	putInt64(row[8:], arowid)
 	w.cCATRows.Inc()
 	w.cCATBytes.Add(int64(len(row)))
-	return w.catLog.append(node, row)
+	return w.logs[relCAT].append(node, row)
 }
 
 // WriteTT records a trivial tuple: just the R-rowid, stored once in its
@@ -274,388 +241,34 @@ func (w *Writer) WriteCAT(node lattice.NodeID, rrowid, arowid int64) error {
 func (w *Writer) WriteTT(node lattice.NodeID, rrowid int64) error {
 	w.lock()
 	defer w.unlock()
-	row := w.ttLog.rowBuf()
+	row := w.logs[relTT].rowBuf()
 	putInt64(row, rrowid)
 	w.cTTRows.Inc()
 	w.cTTBytes.Add(int64(len(row)))
-	return w.ttLog.append(node, row)
+	return w.logs[relTT].append(node, row)
 }
 
-// Finalize compacts the logs into per-node extents, runs CURE+
-// post-processing if requested, writes the manifest and hierarchy sidecar,
-// and removes the logs. catFormat is the format the signature pool locked
-// (FormatUndecided is acceptable when no CATs exist).
-func (w *Writer) Finalize(catFormat signature.Format) (*Manifest, error) {
-	if w.finalized {
-		return nil, errors.New("storage: Finalize called twice")
-	}
-	w.finalized = true
-	if w.catFormat == signature.FormatUndecided {
-		w.catFormat = catFormat
-	} else if catFormat != signature.FormatUndecided && catFormat != w.catFormat {
-		return nil, fmt.Errorf("storage: pool format %v disagrees with written AGGREGATES format %v", catFormat, w.catFormat)
-	}
-	if w.catFormat == signature.FormatUndecided {
-		w.catFormat = signature.FormatNT // no CATs anywhere; pick the degenerate format
-	}
-	if err := w.aggW.Flush(); err != nil {
-		return nil, err
-	}
-	if err := w.aggF.Close(); err != nil {
-		return nil, err
-	}
-
-	// Uncompressed cubes are written as manifest version 1, byte-identical
-	// to pre-codec builds; the compression pass below bumps to version 2.
-	m := &Manifest{
-		Version:         1,
-		AggSpecs:        w.opts.AggSpecs,
-		CatFormat:       w.catFormat,
-		DimsInline:      w.opts.DimsInline,
-		Plus:            w.opts.Plus,
-		PartitionLevel:  w.partLevel,
-		PartitionLevelB: w.partLevelB,
-		ShortPlan:       w.opts.ShortPlan,
-		FactFile:        w.opts.FactFile,
-		FactRows:        w.opts.FactRows,
-		AggRows:         w.aggRows,
-		Nodes:           map[string]NodeMeta{},
-		Iceberg:         w.opts.Iceberg,
-	}
-
-	fin := w.newFinState()
-
-	// Compact each log into its extent file.
-	compactStart := time.Now()
-	compactSpan := w.finSpan.Child("compact")
-	ntW := ntCompactor{w: w, m: m}
-	if err := compactLog(w.ntLog, filepath.Join(w.opts.Dir, NTFile), ntW.width, ntW.rewrite, func(id lattice.NodeID, off, rows int64) {
-		nm := m.Nodes[nodeKey(id)]
-		nm.NTOff, nm.NTRows = off, rows
-		m.Nodes[nodeKey(id)] = nm
-	}); err != nil {
-		return nil, err
-	}
-	if err := compactLog(w.ttLog, filepath.Join(w.opts.Dir, TTFile), func(lattice.NodeID) int { return ttLogRowWidth }, nil, func(id lattice.NodeID, off, rows int64) {
-		nm := m.Nodes[nodeKey(id)]
-		nm.TTOff, nm.TTRows = off, rows
-		m.Nodes[nodeKey(id)] = nm
-	}); err != nil {
-		return nil, err
-	}
-	catW := catCompactor{format: w.catFormat}
-	if err := compactLog(w.catLog, filepath.Join(w.opts.Dir, CATFile), func(lattice.NodeID) int { return m.catRowWidth() }, catW.rewrite, func(id lattice.NodeID, off, rows int64) {
-		nm := m.Nodes[nodeKey(id)]
-		nm.CATOff, nm.CATRows = off, rows
-		m.Nodes[nodeKey(id)] = nm
-	}); err != nil {
-		return nil, err
-	}
-
-	if w.opts.Plus {
-		if err := w.postProcess(m); err != nil {
-			return nil, err
-		}
-	}
-	compactSpan.End()
-	fin.stats.CompactSec = time.Since(compactStart).Seconds()
-
-	// Compression runs after CURE+ post-processing (sorted extents are
-	// where RLE and delta coding earn their keep) and before checksums,
-	// which see the final compressed files. Zone maps are folded into the
-	// same pass: workers index each extent from the raw rows already in
-	// memory for encoding, so the cube is read once, not twice. Bitmap TT
-	// extents never stream through the encoder and are indexed in a small
-	// residual pass.
-	compressed, _ := compressionEnabled(w.opts.Compression)
-	if compressed {
-		t := time.Now()
-		sp := w.finSpan.Child("compress")
-		err := w.compressExtents(m, fin)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		fin.stats.CompressSec = time.Since(t).Seconds()
-		m.Compression = "block"
-		m.Version = manifestVersion
-
-		t = time.Now()
-		sp = w.finSpan.Child("zones")
-		err = w.buildBitmapZones(m, fin)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		fin.stats.ZonesSec = time.Since(t).Seconds()
-	}
-
-	commitStart := time.Now()
-	commitSpan := w.finSpan.Child("commit")
-	// Footprint accounting and integrity checksums.
-	m.Checksums = map[string]uint32{}
-	for _, f := range []struct {
-		name string
-		dst  *int64
-	}{
-		{NTFile, &m.Sizes.NT}, {TTFile, &m.Sizes.TT}, {CATFile, &m.Sizes.CAT},
-		{AggFile, &m.Sizes.Agg}, {BitmapFile, &m.Sizes.Bitmap},
-	} {
-		path := filepath.Join(w.opts.Dir, f.name)
-		if fi, err := os.Stat(path); err == nil {
-			*f.dst = fi.Size()
-			sum, err := fileChecksum(path)
-			if err != nil {
-				return nil, err
-			}
-			m.Checksums[f.name] = sum
-		}
-	}
-
-	if reg := w.opts.Metrics; reg != nil {
-		reg.Gauge("storage.size.nt").Set(m.Sizes.NT)
-		reg.Gauge("storage.size.tt").Set(m.Sizes.TT)
-		reg.Gauge("storage.size.cat").Set(m.Sizes.CAT)
-		reg.Gauge("storage.size.agg").Set(m.Sizes.Agg)
-		reg.Gauge("storage.size.bitmap").Set(m.Sizes.Bitmap)
-		reg.Gauge("storage.nodes").Set(int64(len(m.Nodes)))
-	}
-
-	if err := hierarchy.WriteSchemaFile(filepath.Join(w.opts.Dir, HierFile), w.opts.Hier); err != nil {
-		return nil, err
-	}
-	if err := WriteManifest(w.opts.Dir, m); err != nil {
-		return nil, err
-	}
-	commitSpan.End()
-	fin.stats.CommitSec = time.Since(commitStart).Seconds()
-
-	if !compressed {
-		// The v1 path still indexes by re-reading the finalized extents
-		// through a Reader (it needs the manifest already on disk), then
-		// rewrites the manifest with the zone maps attached. Every byte
-		// the pass touches is charged to storage.finalize.reread_bytes.
-		t := time.Now()
-		sp := w.finSpan.Child("zones")
-		err := w.buildZoneMaps(m, fin)
-		if err == nil {
-			err = WriteManifest(w.opts.Dir, m)
-		}
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		fin.stats.ZonesSec = time.Since(t).Seconds()
-	}
-	if err := fin.finish(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Abort releases writer resources without finalizing (best effort).
+// Abort discards everything the writer put into the cube directory
+// (best effort). It is a no-op after Finalize.
 func (w *Writer) Abort() {
 	if w.finalized {
 		return
 	}
 	w.finalized = true
-	for _, l := range []*blockLog{w.ntLog, w.ttLog, w.catLog} {
+	w.discard()
+}
+
+// discard removes the logs and whatever a partial Finalize wrote, so a
+// failed build never leaves a directory that opens.
+func (w *Writer) discard() {
+	for _, l := range w.logs {
 		if l != nil {
-			l.f.Close()
-			os.Remove(l.path)
+			l.remove()
 		}
 	}
-	if w.aggF != nil {
-		w.aggF.Close()
+	for _, name := range []string{NTFile, TTFile, CATFile, AggFile, BitmapFile, HierFile, ManifestFile, ManifestFile + ".tmp"} {
+		os.Remove(filepath.Join(w.opts.Dir, name))
 	}
 }
 
-func nodeKey(id lattice.NodeID) string { return fmt.Sprintf("%d", id) }
-
-// ntCompactor rewrites NT log rows into their final shape. For plain CURE
-// the log row already is the final row; for CURE_DR the R-rowid is
-// resolved to base dims and projected onto the node's levels.
-type ntCompactor struct {
-	w      *Writer
-	m      *Manifest
-	levels []int
-	dims   []int32
-	proj   []int32
-}
-
-func (c *ntCompactor) arity(id lattice.NodeID) int {
-	c.levels = c.w.enum.Decode(id, c.levels)
-	arity := 0
-	for d, l := range c.levels {
-		if !c.w.opts.Hier.Dims[d].IsAll(l) {
-			arity++
-		}
-	}
-	return arity
-}
-
-func (c *ntCompactor) width(id lattice.NodeID) int {
-	if !c.w.opts.DimsInline {
-		return ntLogRowWidth(len(c.w.opts.AggSpecs))
-	}
-	return c.m.ntRowWidth(c.arity(id))
-}
-
-// rewrite converts one log row into the final row for node id. dst has
-// width(id) bytes. With DimsInline unset it is nil (identity copy).
-func (c *ntCompactor) rewrite(id lattice.NodeID, src, dst []byte) error {
-	if !c.w.opts.DimsInline {
-		copy(dst, src)
-		return nil
-	}
-	rrowid := getInt64(src)
-	hier := c.w.opts.Hier
-	if cap(c.dims) < len(hier.Dims) {
-		c.dims = make([]int32, len(hier.Dims))
-		c.proj = make([]int32, len(hier.Dims))
-	}
-	c.dims = c.dims[:len(hier.Dims)]
-	if err := c.w.opts.Resolver(rrowid, c.dims); err != nil {
-		return fmt.Errorf("storage: resolving dims of row %d: %w", rrowid, err)
-	}
-	c.levels = c.w.enum.Decode(id, c.levels)
-	proj := c.proj[:0]
-	for d, l := range c.levels {
-		if hier.Dims[d].IsAll(l) {
-			continue
-		}
-		proj = append(proj, hier.Dims[d].MapCode(c.dims[d], l))
-	}
-	putDims(dst, proj)
-	copy(dst[4*len(proj):], src[8:8+8*len(c.w.opts.AggSpecs)])
-	return nil
-}
-
-// catCompactor shrinks CAT log rows to the final width under format (a).
-type catCompactor struct{ format signature.Format }
-
-func (c catCompactor) rewrite(id lattice.NodeID, src, dst []byte) error {
-	if c.format == signature.FormatA {
-		copy(dst, src[8:16]) // keep only the A-rowid
-		return nil
-	}
-	copy(dst, src)
-	return nil
-}
-
-// postProcess implements §5.3 for CURE+: per node, sort TT row-ids (and
-// format-(a) CAT rows by A-rowid) to produce sequential scans, and convert
-// dense TT id sets into bitmap indices over the fact table.
-func (w *Writer) postProcess(m *Manifest) error {
-	ttPath := filepath.Join(w.opts.Dir, TTFile)
-	ttF, err := os.OpenFile(ttPath, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer ttF.Close()
-	var bmF *os.File
-	var bmOff int64
-	ids := make([]int64, 0, 1024)
-	keys := make([]string, 0, len(m.Nodes))
-	for k := range m.Nodes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		nm := m.Nodes[k]
-		if nm.TTRows == 0 {
-			continue
-		}
-		buf := make([]byte, nm.TTRows*ttLogRowWidth)
-		if _, err := ttF.ReadAt(buf, nm.TTOff); err != nil {
-			return err
-		}
-		ids = ids[:0]
-		for i := int64(0); i < nm.TTRows; i++ {
-			ids = append(ids, getInt64(buf[i*8:]))
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		if bitmap.DenserThanIDs(m.FactRows, nm.TTRows) {
-			if bmF == nil {
-				if bmF, err = os.Create(filepath.Join(w.opts.Dir, BitmapFile)); err != nil {
-					return err
-				}
-				defer bmF.Close()
-			}
-			bm := bitmap.FromIDs(m.FactRows, ids)
-			data := bm.Marshal()
-			if _, err := bmF.WriteAt(data, bmOff); err != nil {
-				return err
-			}
-			nm.TTKind = TTBitmap
-			nm.TTOff = bmOff
-			nm.TTBmLen = int64(len(data))
-			bmOff += int64(len(data))
-			m.Nodes[k] = nm
-			continue
-		}
-		for i, id := range ids {
-			putInt64(buf[i*8:], id)
-		}
-		if _, err := ttF.WriteAt(buf, nm.TTOff); err != nil {
-			return err
-		}
-	}
-	// Bitmap-converted nodes leave dead extents inside tt.bin; rebuilding
-	// the file to reclaim them is a straightforward extension we skip —
-	// the size accounting below charges tt.bin as written, which is the
-	// conservative direction.
-	if w.catFormat == signature.FormatA {
-		if err := w.sortCATByARowid(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sortCATByARowid sorts each node's format-(a) CAT extent so query-time
-// AGGREGATES accesses are sequential.
-func (w *Writer) sortCATByARowid(m *Manifest) error {
-	path := filepath.Join(w.opts.Dir, CATFile)
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	width := m.catRowWidth()
-	for k, nm := range m.Nodes {
-		if nm.CATRows == 0 {
-			continue
-		}
-		buf := make([]byte, nm.CATRows*int64(width))
-		if _, err := f.ReadAt(buf, nm.CATOff); err != nil {
-			return fmt.Errorf("storage: reading CAT extent of node %s: %w", k, err)
-		}
-		rows := make([]int64, nm.CATRows)
-		for i := range rows {
-			rows[i] = getInt64(buf[i*width:])
-		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
-		for i, v := range rows {
-			putInt64(buf[i*width:], v)
-		}
-		if _, err := f.WriteAt(buf, nm.CATOff); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fileChecksum computes the CRC-32 (IEEE) of a whole file.
-func fileChecksum(path string) (uint32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	h := crc32.NewIEEE()
-	if _, err := io.Copy(h, f); err != nil {
-		return 0, err
-	}
-	return h.Sum32(), nil
-}
+func nodeKey(id lattice.NodeID) string { return strconv.FormatInt(int64(id), 10) }

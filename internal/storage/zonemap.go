@@ -1,14 +1,10 @@
 package storage
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"cure/internal/hierarchy"
-	"cure/internal/lattice"
-	"cure/internal/signature"
 )
 
 // Zone maps are the sparse indexes of the query path: per node, per
@@ -282,153 +278,4 @@ func (b *zoneBuilder) finish() *ZoneIndex {
 		}
 	}
 	return z
-}
-
-// buildZoneMaps is the legacy (uncompressed v1) zone-map pass: it runs
-// after compaction with the manifest already on disk and re-reads every
-// extent through a Reader — guaranteeing block order matches query-time
-// scan order, bitmap expansion and CURE+ sorting included — resolves
-// each tuple's representative source row to codes at every
-// dimension-level, and attaches the per-extent zone maps to m's NodeMeta
-// records. Compressed builds never come here: their zones are folded
-// into the compression scan (see foldExtentZones), which is why this
-// pass charges every byte it touches to storage.finalize.reread_bytes.
-// Cubes written without a resolver (incremental merges) skip indexing.
-func (w *Writer) buildZoneMaps(m *Manifest, fin *finState) error {
-	zc := fin.zcfg
-	if zc == nil {
-		return nil
-	}
-	blockRows, offs, slots := zc.blockRows, zc.offs, zc.slots
-	hier := w.opts.Hier
-	r, err := OpenReader(w.opts.Dir)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	io := &IOStats{}
-	defer func() {
-		fin.cReread.Add(io.BytesRead)
-		fin.stats.RereadBytes += io.BytesRead
-	}()
-
-	// Format (a) CAT rows reach their representative row through
-	// AGGREGATES; pin the relation for the pass.
-	var aggRaw []byte
-	if m.CatFormat == signature.FormatA && m.AggRows > 0 {
-		if aggRaw, err = r.AggregatesRaw(); err != nil {
-			return err
-		}
-		io.Add(int64(len(aggRaw)))
-	}
-	baseDims := make([]int32, hier.NumDims())
-	aggs := make([]float64, m.NumAggrs())
-	codes := make([]int32, slots)
-	resolve := func(rrowid int64) error {
-		if err := w.opts.Resolver(rrowid, baseDims); err != nil {
-			return fmt.Errorf("storage: zone map: resolving row %d: %w", rrowid, err)
-		}
-		for d, dim := range hier.Dims {
-			for l := 0; l < dim.AllLevel(); l++ {
-				codes[offs[d]+l] = dim.MapCode(baseDims[d], l)
-			}
-		}
-		return nil
-	}
-
-	record := func(z *ZoneIndex) *ZoneIndex {
-		if z != nil {
-			fin.recordZone(z)
-		}
-		return z
-	}
-
-	keys := make([]string, 0, len(m.Nodes))
-	for k := range m.Nodes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var levels []int
-	for _, k := range keys {
-		nm := m.Nodes[k]
-		idNum, err := strconv.ParseInt(k, 10, 64)
-		if err != nil {
-			return fmt.Errorf("storage: zone map: bad node key %q: %w", k, err)
-		}
-		id := lattice.NodeID(idNum)
-
-		if nm.NTRows >= int64(blockRows) {
-			zb := newZoneBuilder(blockRows, slots)
-			if m.DimsInline {
-				// DR rows carry codes only at the node's own levels; the
-				// other slots stay unknown.
-				levels = w.enum.Decode(id, levels)
-				slotIdx := make([]int, 0, len(levels))
-				for d, l := range levels {
-					if !hier.Dims[d].IsAll(l) {
-						slotIdx = append(slotIdx, offs[d]+l)
-					}
-				}
-				if err := r.NTRowsRanges(id, nil, io, func(nt NTRow) error {
-					zb.addSparse(slotIdx, nt.Dims)
-					return nil
-				}); err != nil {
-					return err
-				}
-			} else {
-				if err := r.NTRowsRanges(id, nil, io, func(nt NTRow) error {
-					if err := resolve(nt.RRowid); err != nil {
-						return err
-					}
-					zb.addAll(codes)
-					return nil
-				}); err != nil {
-					return err
-				}
-			}
-			nm.NTZones = record(zb.finish())
-		}
-
-		if nm.TTRows >= int64(blockRows) {
-			ids, err := r.TTRowIDsIO(id, nil, io)
-			if err != nil {
-				return err
-			}
-			zb := newZoneBuilder(blockRows, slots)
-			for _, rrowid := range ids {
-				if err := resolve(rrowid); err != nil {
-					return err
-				}
-				zb.addAll(codes)
-			}
-			nm.TTZones = record(zb.finish())
-		}
-
-		if nm.CATRows >= int64(blockRows) {
-			zb := newZoneBuilder(blockRows, slots)
-			if err := r.CATRowsRanges(id, nil, io, func(cat CATRow) error {
-				rr := cat.RRowid
-				if rr < 0 {
-					// Format (a): the representative row-id lives in the
-					// AGGREGATES tuple — the same indirection queries take.
-					if aggRaw != nil {
-						rr = r.DecodeAggregate(aggRaw, cat.ARowid, aggs)
-					} else if rr, err = r.ReadAggregateIO(cat.ARowid, aggs, io); err != nil {
-						return err
-					}
-				}
-				if err := resolve(rr); err != nil {
-					return err
-				}
-				zb.addAll(codes)
-				return nil
-			}); err != nil {
-				return err
-			}
-			nm.CATZones = record(zb.finish())
-		}
-
-		m.Nodes[k] = nm
-	}
-	return nil
 }

@@ -27,9 +27,11 @@
 package update
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"cure/internal/hierarchy"
@@ -149,8 +151,6 @@ func Apply(opts Options) (*Stats, error) {
 		FactFile: factPath,
 		FactRows: factRows,
 		Plus:     m.Plus,
-		// The maintained cube keeps the old cube's storage format.
-		Compression: m.Compression,
 	})
 	if err != nil {
 		return nil, err
@@ -294,8 +294,14 @@ func (mg *merger) mergeNode(id lattice.NodeID, parent map[string]*mergedTuple) (
 		}
 	}
 
-	// Emit.
+	// Emit in ascending minimum row-id — unique per group within a node —
+	// so that two applies of one delta write the same bytes.
+	emit := make([]*mergedTuple, 0, len(merged))
 	for _, t := range merged {
+		emit = append(emit, t)
+	}
+	slices.SortFunc(emit, func(a, b *mergedTuple) int { return cmp.Compare(a.minRowid, b.minRowid) })
+	for _, t := range emit {
 		switch {
 		case t.isNew:
 			mg.stats.Inserted++

@@ -1,8 +1,10 @@
 package update
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"cure/internal/hierarchy"
 	"cure/internal/query"
 	"cure/internal/relation"
+	"cure/internal/storage"
 )
 
 func testHier(t testing.TB) *hierarchy.Schema {
@@ -419,4 +422,70 @@ func TestApplyMinMaxAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cubesEqual(t, newDir, refDir)
+}
+
+// TestApplyIsDeterministic: the merge walks Go maps, but what it writes
+// must not depend on their iteration order. Two applies of one delta onto
+// copies of one cube (at one path, so that the manifests name the same
+// fact file) must leave byte-identical directories.
+func TestApplyIsDeterministic(t *testing.T) {
+	hier := testHier(t)
+	rng := rand.New(rand.NewSource(5))
+	base, delta := randomRows(rng, 600), randomRows(rng, 150)
+	dir := t.TempDir()
+	pristine := filepath.Join(dir, "pristine")
+	if _, err := core.BuildFromTable(base, core.Options{Dir: pristine, Hier: hier, AggSpecs: specs()}); err != nil {
+		t.Fatal(err)
+	}
+	oldDir := filepath.Join(dir, "old")
+	apply := func(newDir string) map[string][]byte {
+		// Apply extends the old cube's fact file, so each run gets a fresh copy.
+		for _, d := range []string{oldDir, newDir} {
+			if err := os.RemoveAll(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.Mkdir(oldDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		src, err := os.ReadDir(pristine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range src {
+			data, err := os.ReadFile(filepath.Join(pristine, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(oldDir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Apply(Options{OldDir: oldDir, NewDir: newDir, Delta: delta}); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		entries, err := os.ReadDir(newDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() == storage.FinalizeStatsFile { // wall clocks
+				continue
+			}
+			if files[e.Name()], err = os.ReadFile(filepath.Join(newDir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	first, second := apply(filepath.Join(dir, "new")), apply(filepath.Join(dir, "new"))
+	if len(first) < 6 || len(first) != len(second) {
+		t.Fatalf("applies wrote %d and %d files", len(first), len(second))
+	}
+	for name, want := range first {
+		if !bytes.Equal(second[name], want) {
+			t.Errorf("%s differs between two applies of the same delta", name)
+		}
+	}
 }
