@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"cure/internal/factstore"
 	"cure/internal/hierarchy"
 	"cure/internal/obsv"
 	"cure/internal/partition"
@@ -157,6 +158,17 @@ type BuildStats struct {
 // (covering all nodes with dimension 0 at levels ≤ L), and the rest of
 // the cube is computed from the in-memory node N.
 func Build(opts Options) (*BuildStats, error) {
+	return build(opts, factStoreRows)
+}
+
+// factStoreRows is the fact rows an out-of-core build keeps resident for
+// finalize, which dereferences one fact row per zone-mapped or CURE_DR
+// tuple.
+const factStoreRows = 131_072
+
+// build is Build with the out-of-core fact-store budget as a parameter, so
+// tests can make finalize evict on small inputs.
+func build(opts Options, storeRows int64) (*BuildStats, error) {
 	start := time.Now()
 	if err := validate(&opts); err != nil {
 		return nil, err
@@ -187,7 +199,7 @@ func Build(opts Options) (*BuildStats, error) {
 		effHier = opts.Hier.Flatten()
 	}
 
-	var resolver storage.DimResolver
+	var facts *factstore.Store
 	var table *relation.FactTable
 	inMemory := opts.MemoryBudget <= 0 || rBytes <= opts.MemoryBudget/2
 	if inMemory {
@@ -197,18 +209,10 @@ func Build(opts Options) (*BuildStats, error) {
 		}
 		loadSpan.AddRowsIn(rows)
 		loadSpan.AddBytesRead(rBytes)
-		resolver = func(rrowid int64, dst []int32) error {
-			for d := range dst {
-				dst[d] = table.Dims[d][rrowid]
-			}
-			return nil
-		}
+		facts = factstore.FromColumns(table)
 	} else {
 		defer fr.Close()
-		// Finalize resolves one fact row per zone-mapped or CURE_DR tuple;
-		// a paged read-through cache keeps that from degenerating into
-		// one random read per tuple.
-		resolver = newPagedResolver(fr)
+		facts = factstore.New(fr, storeRows)
 	}
 	loadSpan.End()
 
@@ -226,6 +230,7 @@ func Build(opts Options) (*BuildStats, error) {
 		// other parallel site.
 		finPool = limiterPool{lim}
 	}
+	resolver := func(rowids []int64, dims [][]int32) error { return facts.Deref(rowids, dims, nil, nil) }
 	w, err := storage.NewWriter(storage.Options{
 		Dir:           opts.Dir,
 		Hier:          effHier,

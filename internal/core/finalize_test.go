@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
+	"cure/internal/factstore"
 	"cure/internal/obsv"
 	"cure/internal/relation"
 	"cure/internal/storage"
@@ -38,8 +40,9 @@ func readCubeFiles(t *testing.T, dir string) map[string][]byte {
 // finalize pipeline: with the construction phase held sequential, any
 // FinalizeParallelism must produce byte-identical extent files and
 // manifests — across the flat, hierarchical, and pair-partitioned build
-// paths. Run with -race this doubles as the pipeline's data-race regression test over real builds
-// (including CURE_DR's shared paged resolver).
+// paths. Run with -race this doubles as the pipeline's data-race regression
+// test over real builds (the pair-partitioned case has every finalize
+// worker dereferencing through the build's one paged fact store).
 func TestFinalizeParallelismByteIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,6 +101,53 @@ func TestFinalizeParallelismByteIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFinalizeUnderStoreEviction: an out-of-core finalize dereferences
+// through a fact store that keeps a bounded number of pages, and every
+// golden partitioned build fits inside the real bound. Here the store
+// holds two pages of a twelve-page fact file, so zone folds and the
+// CURE_DR projection evict constantly — from eight workers at once at P=8
+// — and the cube must come out byte-identical to the one built with the
+// whole file resident.
+func TestFinalizeUnderStoreEviction(t *testing.T) {
+	ft := randomFact(t, 3000, 13)
+	base := t.TempDir()
+	factPath := filepath.Join(base, "fact.bin")
+	if err := relation.WriteFactFile(factPath, ft); err != nil {
+		t.Fatal(err)
+	}
+	for _, dr := range []bool{false, true} {
+		for _, p := range []int{1, 8} {
+			name := fmt.Sprintf("dr=%v/P=%d", dr, p)
+			opts := Options{
+				FactPath: factPath, Hier: paperHier(t), AggSpecs: testSpecs(),
+				MemoryBudget: 60_000, DimsInline: dr, ZoneBlockRows: 64,
+				Parallelism: 1, FinalizeParallelism: p,
+			}
+			cubes := map[int64]map[string][]byte{}
+			for _, storeRows := range []int64{factStoreRows, 2 * factstore.PageRows} {
+				opts.Dir = filepath.Join(base, fmt.Sprintf("cube-%v-%d-%d", dr, p, storeRows))
+				st, err := build(opts, storeRows)
+				if err != nil {
+					t.Fatalf("%s: store of %d rows: %v", name, storeRows, err)
+				}
+				if !st.Partitioned {
+					t.Fatalf("%s: the build ran in memory and never paged", name)
+				}
+				cubes[storeRows] = readCubeFiles(t, opts.Dir)
+			}
+			want := cubes[factStoreRows]
+			if !bytes.Contains(want[storage.ManifestFile], []byte(`"block_rows": 64`)) {
+				t.Fatalf("%s: no zone map in the manifest; the folds went untested", name)
+			}
+			for fname, data := range cubes[2*factstore.PageRows] {
+				if !bytes.Equal(data, want[fname]) {
+					t.Errorf("%s: %s differs from the build whose store never evicted", name, fname)
+				}
+			}
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func (k ExtentKind) String() string {
 
 // QueryIO is the per-query I/O and scan accounting attached to every
 // completed query record: how much the query actually read, how the
-// fact-page cache treated it, and what zone-map pruning saved.
+// fact store treated it, and what zone-map pruning saved.
 type QueryIO struct {
 	// BytesRead counts bytes fetched from disk for this query: extent
 	// reads, AGGREGATES lookups, and fact-page faults.
@@ -57,8 +57,9 @@ type QueryIO struct {
 	// BytesDecoded counts raw-equivalent bytes materialized from extent
 	// blocks (0 for blocks served from the decoded-block cache).
 	BytesDecoded int64 `json:"bytes_decoded,omitempty"`
-	// CacheHits and PagesFaulted are the query's fact-page cache hits
-	// and misses (a miss faults one page in).
+	// CacheHits and PagesFaulted are the fact pages the query found
+	// resident and had to read, counted per distinct page per batch of
+	// row-ids it dereferenced (a decoded block, a chunk of a TT list).
 	CacheHits    int64 `json:"cache_hits,omitempty"`
 	PagesFaulted int64 `json:"pages_faulted,omitempty"`
 	// TTScanned / NTScanned / CATScanned are rows visited per extent

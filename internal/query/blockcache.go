@@ -11,7 +11,7 @@ import (
 
 // defaultBlockCacheBytes is the decoded-block cache budget when the
 // option is left zero: enough for the hot blocks of the workload's
-// working set without competing with the fact-page cache for memory.
+// working set without competing with the fact store for memory.
 const defaultBlockCacheBytes = 32 << 20
 
 // blockCache is a sharded LRU cache of decoded extent blocks, bounded by
@@ -58,7 +58,7 @@ func newBlockCache(budget int64, reg *obsv.Registry) *blockCache {
 	if budget == 0 {
 		budget = defaultBlockCacheBytes
 	}
-	numShards := maxCacheShards
+	const numShards = 16 // lock stripes
 	c := &blockCache{
 		shards:  make([]blockShard, numShards),
 		cHits:   reg.Counter("query.block_cache.hits"),

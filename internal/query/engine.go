@@ -1,11 +1,22 @@
+// Package query answers node queries over materialized CURE cubes: it
+// reassembles each node's tuples from its NT/TT/CAT relations (collecting
+// shared trivial tuples along the execution-plan path), dereferences
+// R-rowids against the original fact table a block at a time through a
+// budgeted factstore.Store (§5.3 identifies the fact table and AGGREGATES
+// as the two relations worth caching), and provides iceberg count queries
+// and roll-up / drill-down navigation. The engine is safe for concurrent
+// use: any number of goroutines may run queries over one Engine.
 package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"cure/internal/factstore"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/obsv"
@@ -16,9 +27,9 @@ import (
 
 // Options configures a query engine.
 type Options struct {
-	// CacheFraction is the fraction of the fact table held in the page
-	// cache (0 = no caching, 1 = the whole table). This is the knob of
-	// the paper's Figure 17.
+	// CacheFraction is the fraction of the fact table the fact store may
+	// keep resident (0 = nothing, 1 = the whole table, which then never
+	// evicts). This is the knob of the paper's Figure 17.
 	CacheFraction float64
 	// PinAggregates loads the whole AGGREGATES relation into memory —
 	// the other half of §5.3's caching advice. Defaults to true via
@@ -46,8 +57,9 @@ type Options struct {
 type Engine struct {
 	r      *storage.Reader
 	fact   *relation.FactReader
-	cache  *factCache
-	aggRaw []byte // pinned AGGREGATES, nil when not pinned
+	facts  *factstore.Store // every R-rowid dereference goes through it
+	bufs   sync.Pool        // of *scanBufs
+	aggRaw []byte           // pinned AGGREGATES, nil when not pinned
 	enum   *lattice.Enum
 	// reg is nil when no registry is attached; hLatency/cRows are then
 	// inert, and latency clocking is skipped entirely.
@@ -58,6 +70,11 @@ type Engine struct {
 	cTTScan  *obsv.Counter
 	cNTScan  *obsv.Counter
 	cCATScan *obsv.Counter
+	// Fact-store accounting: the registry counters, and the totals behind
+	// CacheStats, which must work without a registry. Both settle once per
+	// query, like every other query.* counter.
+	cHits, cMisses, cEvicts *obsv.Counter
+	cacheHits, cacheMisses  atomic.Int64
 	// Zone-map index accounting and the umbrella latency histogram every
 	// public query op observes.
 	cIdxHits    *obsv.Counter
@@ -90,7 +107,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 	e := &Engine{
 		r:        r,
 		fact:     fact,
-		cache:    newFactCache(fact, opts.CacheFraction, opts.Metrics),
+		facts:    factstore.New(fact, int64(min(max(opts.CacheFraction, 0), 1)*float64(fact.Rows()))),
 		enum:     r.Enum(),
 		reg:      opts.Metrics,
 		hLatency: opts.Metrics.Histogram("query.node.latency_us"),
@@ -99,6 +116,9 @@ func Open(dir string, opts Options) (*Engine, error) {
 		cTTScan:  opts.Metrics.Counter("query.scan.tt_rows"),
 		cNTScan:  opts.Metrics.Counter("query.scan.nt_rows"),
 		cCATScan: opts.Metrics.Counter("query.scan.cat_rows"),
+		cHits:    opts.Metrics.Counter("query.cache.hits"),
+		cMisses:  opts.Metrics.Counter("query.cache.misses"),
+		cEvicts:  opts.Metrics.Counter("query.cache.evictions"),
 
 		cIdxHits:    opts.Metrics.Counter("query.index.hits"),
 		cIdxSkipped: opts.Metrics.Counter("query.index.blocks_skipped"),
@@ -109,6 +129,15 @@ func Open(dir string, opts Options) (*Engine, error) {
 		hQuery:      opts.Metrics.Histogram("query.latency_us"),
 		noIndex:     opts.NoIndex,
 		queries:     opts.Queries,
+	}
+	// Row-ids come off disk and index the fact file: a file shorter than
+	// the cube was built over, or with other columns, cannot be the one they
+	// reference. A longer one is legal — update.Apply appends the delta
+	// before the refreshed cube exists.
+	if fact.Rows() < r.Manifest().FactRows || fact.Schema().NumDims() != r.Hier().NumDims() {
+		e.Close()
+		return nil, fmt.Errorf("query: fact file %s has %d rows × %d dims, the cube references %d rows × %d dims",
+			r.FactPath(), fact.Rows(), fact.Schema().NumDims(), r.Manifest().FactRows, r.Hier().NumDims())
 	}
 	e.zoneOffs, _ = storage.ZoneSlots(r.Hier())
 	opts.Metrics.Gauge("query.cache.fraction_pct").Set(int64(opts.CacheFraction * 100))
@@ -155,8 +184,9 @@ func (e *Engine) FactPath() string { return e.r.FactPath() }
 // Manifest exposes the cube catalog.
 func (e *Engine) Manifest() *storage.Manifest { return e.r.Manifest() }
 
-// CacheStats returns fact-cache hits and misses.
-func (e *Engine) CacheStats() (hits, misses int64) { return e.cache.Stats() }
+// CacheStats returns the fact store's hits and misses over the queries
+// completed so far, counted per distinct fact page per dereferenced batch.
+func (e *Engine) CacheStats() (hits, misses int64) { return e.cacheHits.Load(), e.cacheMisses.Load() }
 
 // Row is one result tuple of a node query: the node's grouping-attribute
 // codes (at the node's levels, in dimension order) and the aggregates.
@@ -171,7 +201,7 @@ type Row struct {
 
 // qctx is the per-query attribution context: one per query, owned by
 // the single goroutine running it, threaded through scanNode down to
-// the storage reader and fact cache. Tallies are plain fields (no
+// the storage reader and fact store. Tallies are plain fields (no
 // atomics — concurrent queries each carry their own) and settle into
 // the engine's registry counters exactly once at query end, which is
 // what makes an EXPLAIN ANALYZE's actuals equal the cure_query_*
@@ -180,9 +210,8 @@ type qctx struct {
 	id   int64
 	rows int64
 	io   storage.IOStats
-	// Fact-page cache treatment.
-	cacheHits    int64
-	pagesFaulted int64
+	// Fact-store treatment of the row-ids dereferenced.
+	facts factstore.Stats
 	// Rows visited per extent class (post zone-map pruning).
 	ttScanned  int64
 	ntScanned  int64
@@ -197,11 +226,11 @@ type qctx struct {
 // queryIO renders the tally as the record's I/O block.
 func (q *qctx) queryIO() obsv.QueryIO {
 	return obsv.QueryIO{
-		BytesRead:         q.io.BytesRead,
-		Reads:             q.io.Reads,
+		BytesRead:         q.io.BytesRead + q.facts.BytesRead,
+		Reads:             q.io.Reads + q.facts.Faults,
 		BytesDecoded:      q.io.BytesDecoded,
-		CacheHits:         q.cacheHits,
-		PagesFaulted:      q.pagesFaulted,
+		CacheHits:         q.facts.Hits,
+		PagesFaulted:      q.facts.Faults,
 		TTScanned:         q.ttScanned,
 		NTScanned:         q.ntScanned,
 		CATScanned:        q.catScanned,
@@ -232,9 +261,14 @@ func (e *Engine) endQuery(q *qctx, err error) error {
 	e.cCATScan.Add(q.catScanned)
 	e.cIdxHits.Add(q.zoneKept)
 	e.cIdxSkipped.Add(q.zoneSkipped)
-	e.cBytes.Add(q.io.BytesRead)
+	e.cBytes.Add(q.io.BytesRead + q.facts.BytesRead)
 	e.cDecoded.Add(q.io.BytesDecoded)
 	e.cRows.Add(q.rows)
+	e.cHits.Add(q.facts.Hits)
+	e.cMisses.Add(q.facts.Faults)
+	e.cEvicts.Add(q.facts.Evictions)
+	e.cacheHits.Add(q.facts.Hits)
+	e.cacheMisses.Add(q.facts.Faults)
 	if e.queries != nil {
 		var plan any
 		if q.plan != nil {
@@ -305,37 +339,43 @@ func (e *Engine) whereString(preds []Predicate) string {
 	return b.String()
 }
 
+// runQuery is the frame every public scan op shares — they differ only in
+// the filter they hand scanNode: the per-query context and panic
+// attribution, and with a registry a root span "query.<op>" (so in-flight
+// queries show up in /metrics and /progress next to build phases; the
+// registry caps retained root spans, keeping long query workloads
+// bounded), the op's counter and its latency histogram.
+func (e *Engine) runQuery(op string, id lattice.NodeID, where string, count *obsv.Counter, lat *obsv.Histogram,
+	fn func(Row) error, scan func(q *qctx, fn func(Row) error) error) error {
+	q := e.beginQuery(op, id, where)
+	defer obsv.CapturePanic(e.reg, e.panicCtx(q, op, id))
+	cfn := func(r Row) error { q.rows++; return fn(r) }
+	if e.reg == nil {
+		return e.endQuery(q, scan(q, cfn))
+	}
+	sp := e.reg.StartSpan("query." + op)
+	defer sp.End()
+	start := time.Now()
+	err := scan(q, cfn)
+	sp.AddRowsOut(q.rows)
+	count.Inc()
+	us := time.Since(start).Microseconds()
+	lat.Observe(us)
+	e.hQuery.Observe(us)
+	return e.endQuery(q, err)
+}
+
 // NodeQuery streams every tuple of node id to fn. The Row passed to fn
 // reuses internal buffers. This is the "node query, no selection"
 // workload of the paper's §7. Safe for concurrent use — any number of
 // goroutines may query one Engine simultaneously.
 func (e *Engine) NodeQuery(id lattice.NodeID, fn func(Row) error) error {
-	q := e.beginQuery("node", id, "")
-	defer obsv.CapturePanic(e.reg, e.panicCtx(q, "node", id))
-	cfn := func(r Row) error { q.rows++; return fn(r) }
-	if e.reg == nil {
-		return e.endQuery(q, e.nodeQuery(id, q, cfn))
-	}
-	// Each instrumented query is a root span, so in-flight queries show
-	// up in /metrics and /progress next to build phases. The registry
-	// caps retained root spans, keeping long query workloads bounded.
-	sp := e.reg.StartSpan("query.node")
-	defer sp.End()
-	start := time.Now()
-	err := e.nodeQuery(id, q, cfn)
-	sp.AddRowsOut(q.rows)
-	e.cQueries.Inc()
-	us := time.Since(start).Microseconds()
-	e.hLatency.Observe(us)
-	e.hQuery.Observe(us)
-	return e.endQuery(q, err)
-}
-
-func (e *Engine) nodeQuery(id lattice.NodeID, q *qctx, fn func(Row) error) error {
-	if !e.enum.Valid(id) {
-		return fmt.Errorf("query: invalid node id %d", id)
-	}
-	return e.scanNode(id, e.enum.Decode(id, nil), nil, q, fn)
+	return e.runQuery("node", id, "", e.cQueries, e.hLatency, fn, func(q *qctx, fn func(Row) error) error {
+		if !e.enum.Valid(id) {
+			return fmt.Errorf("query: invalid node id %d", id)
+		}
+		return e.scanNode(id, e.enum.Decode(id, nil), nil, q, fn)
+	})
 }
 
 // scanFilter is a per-query selection threaded through scanNode: the
@@ -346,14 +386,42 @@ type scanFilter struct {
 	preds []Predicate
 	zp    []storage.ZonePred
 	drPos []int
+	// minCount > 0 makes the scan an iceberg query: only tuples whose COUNT
+	// aggregate (index countAgg) exceeds it pass, tested on a block's
+	// aggregate column before the survivors' fact rows are dereferenced.
+	// Trivial tuples have count 1, which no threshold lets through, so
+	// their walk is skipped wholesale.
+	countAgg int
+	minCount float64
 }
 
+// scanBufs is a node scan's batch scratch: the row-ids in hand, the block
+// positions they came from, their fact columns and the CAT rows'
+// aggregates. The engine pools it, so a query's garbage — and with it the
+// collector's share of a serving core — does not grow with the block size;
+// derefChunkRows bounds what a pooled one can hold.
+type scanBufs struct {
+	ids   []int64
+	sel   []int
+	aggrs []float64
+	dims  [][]int32
+	meas  [][]float64
+}
+
+// derefChunkRows caps the trivial-tuple row-ids dereferenced in one call,
+// bounding a scan's column scratch (half a megabyte on a four-dimension,
+// two-measure schema). NT and CAT rows go a decoded block at a time.
+const derefChunkRows = 16 << 10
+
 // scanNode streams the tuples of node id through the optional filter,
-// attributing every read, cache access, and pruning verdict to q. All
-// scratch state is per-call, so concurrent scans never share mutable
-// memory.
+// attributing every read, fact-store access, and pruning verdict to q.
+// Fact rows are dereferenced a batch at a time — one decoded NT/CAT block,
+// one chunk of an ancestor's TT list — never per row. All scratch state is
+// per-call, so concurrent scans never share mutable memory.
 func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qctx, fn func(Row) error) error {
 	hier := e.r.Hier()
+	specs := e.r.Manifest().AggSpecs
+	iceberg := f != nil && f.minCount > 0
 	activeDims := make([]int, 0, len(levels))
 	for d, l := range levels {
 		if !hier.Dims[d].IsAll(l) {
@@ -362,45 +430,71 @@ func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qct
 	}
 	row := Row{
 		Dims:  make([]int32, len(activeDims)),
-		Aggrs: make([]float64, e.r.Manifest().NumAggrs()),
+		Aggrs: make([]float64, len(specs)),
 	}
-	baseDims := make([]int32, hier.NumDims())
-	baseMeas := make([]float64, e.fact.Schema().NumMeasures())
-	rawBuf := make([]byte, e.fact.RowWidth())
-	specs := e.r.Manifest().AggSpecs
-
-	project := func(rrowid int64) error {
-		if err := e.cache.readRow(rrowid, rawBuf, q); err != nil {
-			return err
-		}
-		e.fact.DecodeRow(rawBuf, baseDims, baseMeas)
-		for i, d := range activeDims {
-			row.Dims[i] = hier.Dims[d].MapCode(baseDims[d], levels[d])
-		}
-		return nil
+	// base and meas receive the fact columns of the batch in hand; only
+	// the columns the scan reads are asked for: the grouped dimensions,
+	// the predicates' dimensions and, for trivial tuples — whose
+	// aggregates are their single source row's measures — the aggregated
+	// measures.
+	base := make([][]int32, hier.NumDims())
+	meas := make([][]float64, e.fact.Schema().NumMeasures())
+	sb, _ := e.bufs.Get().(*scanBufs)
+	if sb == nil {
+		sb = &scanBufs{dims: make([][]int32, len(base)), meas: make([][]float64, len(meas))}
 	}
-	// match evaluates the filter on the current row: CURE_DR tuples on
-	// the inline codes already in row.Dims, everything else on the
-	// projected base row — the exact semantics zone maps are built with,
-	// which is what makes block pruning lossless.
-	match := func() bool {
-		if f == nil {
-			return true
+	defer e.bufs.Put(sb)
+	dimCols := slices.Clone(activeDims)
+	if f != nil && f.drPos == nil {
+		for _, p := range f.preds {
+			dimCols = append(dimCols, p.Dim)
 		}
-		if f.drPos != nil {
+	}
+	deref := func(rowids []int64, withMeas bool) error {
+		n := len(rowids)
+		for _, d := range dimCols {
+			sb.dims[d] = slices.Grow(sb.dims[d][:0], n)
+			base[d] = sb.dims[d][:n]
+		}
+		if !withMeas {
+			return e.facts.Deref(rowids, base, nil, &q.facts)
+		}
+		for _, s := range specs {
+			if s.Func != relation.AggCount {
+				sb.meas[s.Measure] = slices.Grow(sb.meas[s.Measure][:0], n)
+				meas[s.Measure] = sb.meas[s.Measure][:n]
+			}
+		}
+		return e.facts.Deref(rowids, base, meas, &q.facts)
+	}
+	// emit hands fn the tuple at position k of the dereferenced batch, its
+	// aggregates already in row.Aggrs, if it passes the tuple predicates.
+	// A negative rrowid marks a CURE_DR normal tuple, whose codes are
+	// already in row.Dims; everything else is projected from its source
+	// row. CURE_DR cubes evaluate predicates on the projected codes, the
+	// rest on the base columns — the exact semantics zone maps are built
+	// with, which is what makes block pruning lossless.
+	emit := func(k int, rrowid int64) error {
+		if rrowid >= 0 {
+			for i, d := range activeDims {
+				row.Dims[i] = hier.Dims[d].MapCode(base[d][k], levels[d])
+			}
+		}
+		if f != nil {
 			for _, p := range f.preds {
-				if !p.Match(row.Dims[f.drPos[p.Dim]]) {
-					return false
+				var code int32
+				if f.drPos != nil {
+					code = row.Dims[f.drPos[p.Dim]]
+				} else {
+					code = hier.Dims[p.Dim].MapCode(base[p.Dim][k], p.Level)
+				}
+				if !p.Match(code) {
+					return nil
 				}
 			}
-			return true
 		}
-		for _, p := range f.preds {
-			if !p.Match(hier.Dims[p.Dim].MapCode(baseDims[p.Dim], p.Level)) {
-				return false
-			}
-		}
-		return true
+		row.RRowid = rrowid
+		return fn(row)
 	}
 	// prune lowers the filter onto one extent's zone map; a nil result
 	// means scan everything (no filter, no map, or indexing disabled).
@@ -419,39 +513,42 @@ func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qct
 	// belong to; collect them along the plan path (bounded to the
 	// partition subtree when the cube was built partitioned). Each
 	// ancestor extent prunes against its own zone map.
-	for _, anc := range e.planPath(id, levels) {
+	ttPath := e.planPath(id, levels)
+	if iceberg {
+		ttPath = nil // a count of 1 exceeds no threshold
+	}
+	var tt []int64 // not pooled: an ancestor's whole list has no bound
+	for _, anc := range ttPath {
 		q.active.SetExtent(obsv.ExtentTT, int64(anc))
-		ids, err := e.r.TTRowIDsIO(anc, nil, &q.io)
-		if err != nil {
+		var err error
+		if tt, err = e.r.TTRowIDsIO(anc, tt, &q.io); err != nil {
 			return err
 		}
-		ttRanges := []storage.RowRange{{Lo: 0, Hi: int64(len(ids))}}
-		if nm, ok := e.r.Manifest().NodeMeta(anc); ok {
-			if pr := prune(nm.TTZones, int64(len(ids))); pr != nil {
-				ttRanges = pr
-			}
+		ttRanges := []storage.RowRange{{Lo: 0, Hi: int64(len(tt))}}
+		nm, _ := e.r.Manifest().NodeMeta(anc)
+		if pr := prune(nm.TTZones, int64(len(tt))); pr != nil {
+			ttRanges = pr
 		}
 		for _, rg := range ttRanges {
-			for _, rrowid := range ids[rg.Lo:rg.Hi] {
-				q.ttScanned++
-				if err := project(rrowid); err != nil {
+			for lo := rg.Lo; lo < rg.Hi; lo += derefChunkRows {
+				chunk := tt[lo:min(lo+derefChunkRows, rg.Hi)]
+				q.ttScanned += int64(len(chunk))
+				if err := deref(chunk, true); err != nil {
 					return err
 				}
-				if !match() {
-					continue
-				}
-				// A trivial tuple's aggregates are the projections of its
-				// single source tuple.
-				for i, s := range specs {
-					if s.Func == relation.AggCount {
-						row.Aggrs[i] = 1
-					} else {
-						row.Aggrs[i] = baseMeas[s.Measure]
+				for k, rrowid := range chunk {
+					// A trivial tuple's aggregates are the projections of its
+					// single source tuple.
+					for i, s := range specs {
+						if s.Func == relation.AggCount {
+							row.Aggrs[i] = 1
+						} else {
+							row.Aggrs[i] = meas[s.Measure][k]
+						}
 					}
-				}
-				row.RRowid = rrowid
-				if err := fn(row); err != nil {
-					return err
+					if err := emit(k, rrowid); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -459,47 +556,78 @@ func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qct
 
 	nm, _ := e.r.Manifest().NodeMeta(id)
 
-	// 2. Normal tuples.
+	// 2. Normal tuples. sel holds the block positions that pass the
+	// iceberg threshold (all of them otherwise), ids their row-ids.
 	q.active.SetExtent(obsv.ExtentNT, int64(id))
-	if err := e.r.NTRowsRanges(id, prune(nm.NTZones, nm.NTRows), &q.io, func(nt storage.NTRow) error {
-		q.ntScanned++
-		if e.r.Manifest().DimsInline {
-			copy(row.Dims, nt.Dims)
-		} else if err := project(nt.RRowid); err != nil {
-			return err
+	if err := e.r.NTBlocks(id, prune(nm.NTZones, nm.NTRows), &q.io, func(b *storage.NTBlock) error {
+		q.ntScanned += int64(b.Len())
+		sb.sel, sb.ids = sb.sel[:0], sb.ids[:0]
+		for i := 0; i < b.Len(); i++ {
+			if iceberg && b.Aggrs[f.countAgg][i] <= f.minCount {
+				continue
+			}
+			sb.sel = append(sb.sel, i)
+			if b.RRowids != nil {
+				sb.ids = append(sb.ids, b.RRowids[i])
+			}
 		}
-		if !match() {
-			return nil
+		if b.RRowids != nil {
+			if err := deref(sb.ids, false); err != nil {
+				return err
+			}
 		}
-		copy(row.Aggrs, nt.Aggrs)
-		row.RRowid = nt.RRowid // -1 under CURE_DR
-		return fn(row)
+		for k, i := range sb.sel {
+			rrowid := int64(-1) // CURE_DR: the codes are inline, the reference dropped
+			if b.RRowids != nil {
+				rrowid = sb.ids[k]
+			}
+			for j, col := range b.Dims {
+				row.Dims[j] = col[i]
+			}
+			for a, col := range b.Aggrs {
+				row.Aggrs[a] = col[i]
+			}
+			if err := emit(k, rrowid); err != nil {
+				return err
+			}
+		}
+		return nil
 	}); err != nil {
 		return err
 	}
 
 	// 3. Common aggregate tuples: aggregates via AGGREGATES, dimensions
 	// via the source row-id (carried by the CAT row under format (b), by
-	// the AGGREGATES tuple under format (a)).
+	// the AGGREGATES tuple under format (a)). aggrs keeps the surviving
+	// rows' aggregates until their fact rows are in.
 	q.active.SetExtent(obsv.ExtentCAT, int64(id))
-	return e.r.CATRowsRanges(id, prune(nm.CATZones, nm.CATRows), &q.io, func(cat storage.CATRow) error {
-		q.catScanned++
-		aggRowid, err := e.readAggregate(cat.ARowid, row.Aggrs, &q.io)
-		if err != nil {
+	return e.r.CATBlocks(id, prune(nm.CATZones, nm.CATRows), &q.io, func(b *storage.CATBlock) error {
+		q.catScanned += int64(len(b.ARowids))
+		sb.ids, sb.aggrs = sb.ids[:0], sb.aggrs[:0]
+		for i, arowid := range b.ARowids {
+			rrowid, err := e.readAggregate(arowid, row.Aggrs, &q.io)
+			if err != nil {
+				return err
+			}
+			if iceberg && row.Aggrs[f.countAgg] <= f.minCount {
+				continue
+			}
+			if b.RRowids != nil {
+				rrowid = b.RRowids[i]
+			}
+			sb.ids = append(sb.ids, rrowid)
+			sb.aggrs = append(sb.aggrs, row.Aggrs...)
+		}
+		if err := deref(sb.ids, false); err != nil {
 			return err
 		}
-		rrowid := cat.RRowid
-		if rrowid < 0 {
-			rrowid = aggRowid
+		for k, rrowid := range sb.ids {
+			copy(row.Aggrs, sb.aggrs[k*len(specs):])
+			if err := emit(k, rrowid); err != nil {
+				return err
+			}
 		}
-		if err := project(rrowid); err != nil {
-			return err
-		}
-		if !match() {
-			return nil
-		}
-		row.RRowid = rrowid
-		return fn(row)
+		return nil
 	})
 }
 
@@ -567,89 +695,21 @@ func (e *Engine) NodeCount(id lattice.NodeID) (int64, error) {
 // always 1) — the property that makes iceberg queries on CURE cubes
 // orders of magnitude cheaper than on formats that materialize TTs.
 func (e *Engine) IcebergQuery(id lattice.NodeID, countAgg int, minCount float64, fn func(Row) error) error {
-	q := e.beginQuery("iceberg", id, fmt.Sprintf("count>%v", minCount))
-	defer obsv.CapturePanic(e.reg, e.panicCtx(q, "iceberg", id))
-	cfn := func(r Row) error { q.rows++; return fn(r) }
-	if e.reg == nil {
-		return e.endQuery(q, e.icebergQuery(id, countAgg, minCount, q, cfn))
-	}
-	sp := e.reg.StartSpan("query.iceberg")
-	defer sp.End()
-	start := time.Now()
-	err := e.icebergQuery(id, countAgg, minCount, q, cfn)
-	sp.AddRowsOut(q.rows)
-	e.reg.Counter("query.iceberg.count").Inc()
-	us := time.Since(start).Microseconds()
-	e.reg.Histogram("query.iceberg.latency_us").Observe(us)
-	e.hQuery.Observe(us)
-	return e.endQuery(q, err)
-}
-
-func (e *Engine) icebergQuery(id lattice.NodeID, countAgg int, minCount float64, q *qctx, fn func(Row) error) error {
-	specs := e.r.Manifest().AggSpecs
-	if countAgg < 0 || countAgg >= len(specs) || specs[countAgg].Func != relation.AggCount {
-		return fmt.Errorf("query: aggregate %d is not a COUNT", countAgg)
-	}
-	if minCount < 1 {
-		return fmt.Errorf("query: iceberg threshold %v below 1 matches everything", minCount)
-	}
-	levels := e.enum.Decode(id, nil)
-	hier := e.r.Hier()
-	activeDims := make([]int, 0, len(levels))
-	for d, l := range levels {
-		if !hier.Dims[d].IsAll(l) {
-			activeDims = append(activeDims, d)
-		}
-	}
-	row := Row{Dims: make([]int32, len(activeDims)), Aggrs: make([]float64, len(specs))}
-	baseDims := make([]int32, hier.NumDims())
-	baseMeas := make([]float64, e.fact.Schema().NumMeasures())
-	rawBuf := make([]byte, e.fact.RowWidth())
-	project := func(rrowid int64) error {
-		if err := e.cache.readRow(rrowid, rawBuf, q); err != nil {
-			return err
-		}
-		e.fact.DecodeRow(rawBuf, baseDims, baseMeas)
-		for i, d := range activeDims {
-			row.Dims[i] = hier.Dims[d].MapCode(baseDims[d], levels[d])
-		}
-		return nil
-	}
-	q.active.SetExtent(obsv.ExtentNT, int64(id))
-	if err := e.r.NTRowsRanges(id, nil, &q.io, func(nt storage.NTRow) error {
-		q.ntScanned++
-		if nt.Aggrs[countAgg] <= minCount {
-			return nil
-		}
-		if e.r.Manifest().DimsInline {
-			copy(row.Dims, nt.Dims)
-		} else if err := project(nt.RRowid); err != nil {
-			return err
-		}
-		copy(row.Aggrs, nt.Aggrs)
-		return fn(row)
-	}); err != nil {
-		return err
-	}
-	q.active.SetExtent(obsv.ExtentCAT, int64(id))
-	return e.r.CATRowsRanges(id, nil, &q.io, func(cat storage.CATRow) error {
-		q.catScanned++
-		aggRowid, err := e.readAggregate(cat.ARowid, row.Aggrs, &q.io)
-		if err != nil {
-			return err
-		}
-		if row.Aggrs[countAgg] <= minCount {
-			return nil
-		}
-		rrowid := cat.RRowid
-		if rrowid < 0 {
-			rrowid = aggRowid
-		}
-		if err := project(rrowid); err != nil {
-			return err
-		}
-		return fn(row)
-	})
+	return e.runQuery("iceberg", id, fmt.Sprintf("count>%v", minCount),
+		e.reg.Counter("query.iceberg.count"), e.reg.Histogram("query.iceberg.latency_us"), fn,
+		func(q *qctx, fn func(Row) error) error {
+			specs := e.r.Manifest().AggSpecs
+			if countAgg < 0 || countAgg >= len(specs) || specs[countAgg].Func != relation.AggCount {
+				return fmt.Errorf("query: aggregate %d is not a COUNT", countAgg)
+			}
+			if minCount < 1 {
+				return fmt.Errorf("query: iceberg threshold %v below 1 matches everything", minCount)
+			}
+			if !e.enum.Valid(id) {
+				return fmt.Errorf("query: invalid node id %d", id)
+			}
+			return e.scanNode(id, e.enum.Decode(id, nil), &scanFilter{countAgg: countAgg, minCount: minCount}, q, fn)
+		})
 }
 
 // RollUp returns the node id with dimension dim one hierarchy level

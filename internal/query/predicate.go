@@ -2,10 +2,8 @@ package query
 
 import (
 	"fmt"
-	"time"
 
 	"cure/internal/lattice"
-	"cure/internal/obsv"
 	"cure/internal/storage"
 )
 
@@ -45,22 +43,9 @@ func (e *Engine) NodeQueryWhere(id lattice.NodeID, preds []Predicate, fn func(Ro
 	if e.queries != nil {
 		where = e.whereString(preds)
 	}
-	q := e.beginQuery("where", id, where)
-	defer obsv.CapturePanic(e.reg, e.panicCtx(q, "where", id))
-	cfn := func(r Row) error { q.rows++; return fn(r) }
-	if e.reg == nil {
-		return e.endQuery(q, e.scanNode(id, levels, f, q, cfn))
-	}
-	sp := e.reg.StartSpan("query.where")
-	defer sp.End()
-	start := time.Now()
-	serr := e.scanNode(id, levels, f, q, cfn)
-	sp.AddRowsOut(q.rows)
-	e.cWhere.Inc()
-	us := time.Since(start).Microseconds()
-	e.hWhere.Observe(us)
-	e.hQuery.Observe(us)
-	return e.endQuery(q, serr)
+	return e.runQuery("where", id, where, e.cWhere, e.hWhere, fn, func(q *qctx, fn func(Row) error) error {
+		return e.scanNode(id, levels, f, q, fn)
+	})
 }
 
 // compileFilter validates preds against node id and lowers them into a

@@ -290,3 +290,44 @@ func TestDiffEquivalentAndDivergent(t *testing.T) {
 		t.Error("divergent cubes reported equal")
 	}
 }
+
+// TestOpenChecksFactFile: the cube's row-ids index the fact file, so Open
+// rejects one that cannot be the file they reference — too short, or with
+// another dimension count — instead of failing mid-query. A longer file is
+// legal: update.Apply appends the delta before the refreshed cube exists.
+func TestOpenChecksFactFile(t *testing.T) {
+	dir, _, ft := buildTestCube(t, false)
+	factPath := filepath.Join(dir, "fact.bin")
+	head := func(schema *relation.Schema, rows int) *relation.FactTable {
+		out := relation.NewFactTable(schema, rows)
+		dims := make([]int32, schema.NumDims())
+		for r := 0; r < rows; r++ {
+			copy(dims, ft.DimRow(r, nil))
+			out.Append(dims, ft.MeasureRow(r, nil))
+		}
+		return out
+	}
+
+	if _, err := relation.AppendToFactFile(factPath, head(ft.Schema, 10)); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := OpenDefault(dir)
+	if err != nil {
+		t.Fatalf("fact file longer than the cube's: %v", err)
+	}
+	eng.Close()
+
+	wider := &relation.Schema{DimNames: []string{"A", "B", "C"}, MeasureNames: []string{"M"}}
+	for name, bad := range map[string]*relation.FactTable{
+		"truncated":             head(ft.Schema, ft.Len()-1),
+		"other dimension count": head(wider, ft.Len()),
+	} {
+		if err := relation.WriteFactFile(factPath, bad); err != nil {
+			t.Fatal(err)
+		}
+		if eng, err := OpenDefault(dir); err == nil {
+			eng.Close()
+			t.Errorf("%s fact file: Open succeeded", name)
+		}
+	}
+}

@@ -353,13 +353,7 @@ func (fr *FactReader) Rows() int64 { return fr.rows }
 func (fr *FactReader) RowWidth() int { return fr.rowWidth }
 
 // ReadRaw reads the raw bytes of row id into buf (len >= RowWidth).
-func (fr *FactReader) ReadRaw(id int64, buf []byte) error {
-	if id < 0 || id >= fr.rows {
-		return fmt.Errorf("relation: row-id %d out of range [0,%d)", id, fr.rows)
-	}
-	_, err := fr.f.ReadAt(buf[:fr.rowWidth], fr.dataOff+id*int64(fr.rowWidth))
-	return err
-}
+func (fr *FactReader) ReadRaw(id int64, buf []byte) error { return fr.ReadRawAt(id, 1, buf) }
 
 // ReadRawAt reads count consecutive rows starting at row id into buf.
 func (fr *FactReader) ReadRawAt(id int64, count int, buf []byte) error {
@@ -372,16 +366,6 @@ func (fr *FactReader) ReadRawAt(id int64, count int, buf []byte) error {
 
 // HasRowIDs reports whether rows carry an explicit original row-id.
 func (fr *FactReader) HasRowIDs() bool { return fr.hasIDs }
-
-// Read decodes row id into dims and measures.
-func (fr *FactReader) Read(id int64, dims []int32, measures []float64) error {
-	buf := make([]byte, fr.rowWidth)
-	if err := fr.ReadRaw(id, buf); err != nil {
-		return err
-	}
-	decodeRow(buf, dims, measures)
-	return nil
-}
 
 // RowIDOf extracts the original row-id from a raw row buffer of a file
 // with explicit row-ids.

@@ -270,18 +270,20 @@ func TestFactReaderRandomAccess(t *testing.T) {
 	}
 	dims := make([]int32, 3)
 	meas := make([]float64, 2)
+	row := make([]byte, fr.RowWidth())
 	for _, id := range []int64{0, 63, 17, 31, 1} {
-		if err := fr.Read(id, dims, meas); err != nil {
-			t.Fatalf("Read(%d): %v", id, err)
+		if err := fr.ReadRaw(id, row); err != nil {
+			t.Fatalf("ReadRaw(%d): %v", id, err)
 		}
+		fr.DecodeRow(row, dims, meas)
 		if dims[0] != int32(id) || dims[1] != int32(id*id) || meas[1] != float64(-id) {
 			t.Errorf("row %d decoded as dims=%v meas=%v", id, dims, meas)
 		}
 	}
-	if err := fr.Read(64, dims, meas); err == nil {
+	if err := fr.ReadRaw(64, row); err == nil {
 		t.Error("out-of-range read succeeded")
 	}
-	if err := fr.Read(-1, dims, meas); err == nil {
+	if err := fr.ReadRaw(-1, row); err == nil {
 		t.Error("negative read succeeded")
 	}
 	// Batch read of three consecutive rows.

@@ -70,20 +70,8 @@ func (fr *FactReader) ScanBatches(start, end int64, batchRows int, fn func(*Batc
 	if batchRows <= 0 {
 		batchRows = BatchRowsFor(fr.rowWidth)
 	}
-	numDims := fr.schema.NumDims()
-	numMeas := fr.schema.NumMeasures()
-	b := &Batch{
-		Dims:  make([][]int32, numDims),
-		Meas:  make([][]float64, numMeas),
-		Raw:   make([]byte, batchRows*fr.rowWidth),
-		Width: fr.rowWidth,
-	}
-	for d := range b.Dims {
-		b.Dims[d] = make([]int32, batchRows)
-	}
-	for m := range b.Meas {
-		b.Meas[m] = make([]float64, batchRows)
-	}
+	b := &Batch{Raw: make([]byte, batchRows*fr.rowWidth), Width: fr.rowWidth}
+	b.Dims, b.Meas = newColumns(fr.schema, batchRows)
 	if fr.hasIDs {
 		b.IDs = make([]int64, batchRows)
 	}
@@ -105,6 +93,35 @@ func (fr *FactReader) ScanBatches(start, end int64, batchRows int, fn func(*Batc
 		at += int64(n)
 	}
 	return nil
+}
+
+// newColumns allocates n-row dimension and measure columns for a schema.
+func newColumns(s *Schema, n int) ([][]int32, [][]float64) {
+	dims, meas := make([][]int32, s.NumDims()), make([][]float64, s.NumMeasures())
+	for d := range dims {
+		dims[d] = make([]int32, n)
+	}
+	for m := range meas {
+		meas[m] = make([]float64, n)
+	}
+	return dims, meas
+}
+
+// ReadColumns reads rows [start, start+n) with one pread and returns them
+// decoded into fresh columns the caller may keep: dims[d][i] and
+// meas[m][i] hold row start+i. raw is the caller's scratch for the
+// undecoded bytes, grown when too small. Safe for concurrent use.
+func (fr *FactReader) ReadColumns(start int64, n int, raw *[]byte) ([][]int32, [][]float64, error) {
+	size := n * fr.rowWidth
+	if cap(*raw) < size {
+		*raw = make([]byte, size)
+	}
+	if err := fr.ReadRawAt(start, n, (*raw)[:size]); err != nil {
+		return nil, nil, err
+	}
+	dims, meas := newColumns(fr.schema, n)
+	decodeBatchColumns((*raw)[:size], fr.rowWidth, n, &Batch{Dims: dims, Meas: meas}, false, 0)
+	return dims, meas, nil
 }
 
 // decodeBatchColumns decodes n raw rows column-at-a-time: each column is

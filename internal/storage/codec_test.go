@@ -277,7 +277,7 @@ func TestCubeRoundTrip(t *testing.T) {
 			dir := t.TempDir()
 			w := newTestWriter(t, Options{
 				Dir: dir, Plus: tc.plus, DimsInline: tc.dr, FactRows: 5000,
-				ZoneBlockRows: 64, Resolver: finalizeTestResolver,
+				ZoneBlockRows: 64, Resolver: perRow(finalizeTestResolver),
 			})
 			m, want := writeWorkload(t, w, tc.formatA)
 			if m.Version != 2 || m.Compression != "block" {

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -270,37 +269,21 @@ func (w *Writer) zoneConfig() *zoneConfig {
 	return &zoneConfig{blockRows: blockRows, offs: offs, slots: slots}
 }
 
-// zoneResolver maps an R-rowid to codes at every dimension-level slot.
-// Each pipeline worker owns one; Options.Resolver must therefore be safe
-// for concurrent calls when Options.Parallelism > 1.
-type zoneResolver struct {
-	resolver DimResolver
-	hier     *hierarchy.Schema
-	offs     []int
-	baseDims []int32
-	codes    []int32
-}
+// resolveChunkRows caps the row-ids handed to Options.Resolver in one
+// call, which bounds a worker's resolved-column scratch.
+const resolveChunkRows = 64 << 10
 
-func newZoneResolver(resolver DimResolver, hier *hierarchy.Schema, zc *zoneConfig) *zoneResolver {
-	return &zoneResolver{
-		resolver: resolver,
-		hier:     hier,
-		offs:     zc.offs,
-		baseDims: make([]int32, hier.NumDims()),
-		codes:    make([]int32, zc.slots),
+// resolve fills fw.base with the base-level dimension codes of rowids.
+// Each pipeline worker resolves into its own columns; Options.Resolver
+// must therefore be safe for concurrent calls when Options.Parallelism > 1.
+func (fin *finState) resolve(fw *finalizeWorker, rowids []int64) error {
+	if fw.base == nil {
+		fw.base = make([][]int32, fin.w.opts.Hier.NumDims())
 	}
-}
-
-func (zr *zoneResolver) rowCodes(rrowid int64) ([]int32, error) {
-	if err := zr.resolver(rrowid, zr.baseDims); err != nil {
-		return nil, fmt.Errorf("storage: zone map: resolving row %d: %w", rrowid, err)
+	for d := range fw.base {
+		fw.base[d] = slices.Grow(fw.base[d][:0], len(rowids))[:len(rowids)]
 	}
-	for d, dim := range zr.hier.Dims {
-		for l := 0; l < dim.AllLevel(); l++ {
-			zr.codes[zr.offs[d]+l] = dim.MapCode(zr.baseDims[d], l)
-		}
-	}
-	return zr.codes, nil
+	return fin.w.opts.Resolver(rowids, fw.base)
 }
 
 // zoneMode says how an extent's raw rows map to zone-map codes.
@@ -478,11 +461,11 @@ func (fin *finState) writeRelation(rel relKind) error {
 // the extents the worker claims.
 type finalizeWorker struct {
 	raw, xform []byte
-	ids        []int64
+	ids        []int64 // sortInt64Rows output, read by the bitmap encoder
 	levels     []int
-	dims, proj []int32
-	sparse     []int32
-	zr         *zoneResolver
+	rowids     []int64   // the chunk being resolved
+	base       [][]int32 // its base-level codes, one column per dimension
+	codes      []int32   // one row's codes, by zone slot
 }
 
 // buildExtent produces one node's extent of one relation: gather the rows
@@ -604,24 +587,27 @@ func (fin *finState) projectNT(fw *finalizeWorker, id lattice.NodeID, raw []byte
 		fw.xform = make([]byte, rows*outW)
 	}
 	out := fw.xform[:rows*outW]
-	if fw.dims == nil {
-		fw.dims = make([]int32, hier.NumDims())
-		fw.proj = make([]int32, hier.NumDims())
-	}
-	for r := 0; r < rows; r++ {
-		src, dst := raw[r*inW:(r+1)*inW], out[r*outW:(r+1)*outW]
-		rrowid := getInt64(src)
-		if err := w.opts.Resolver(rrowid, fw.dims); err != nil {
-			return nil, 0, zone, fmt.Errorf("storage: resolving dims of row %d: %w", rrowid, err)
+	fw.codes = slices.Grow(fw.codes[:0], arity)
+	for r0 := 0; r0 < rows; r0 += resolveChunkRows {
+		n := min(resolveChunkRows, rows-r0)
+		fw.rowids = fw.rowids[:0]
+		for r := r0; r < r0+n; r++ {
+			fw.rowids = append(fw.rowids, getInt64(raw[r*inW:]))
 		}
-		proj := fw.proj[:0]
-		for d, l := range fw.levels {
-			if !hier.Dims[d].IsAll(l) {
-				proj = append(proj, hier.Dims[d].MapCode(fw.dims[d], l))
+		if err := fin.resolve(fw, fw.rowids); err != nil {
+			return nil, 0, zone, fmt.Errorf("storage: resolving dims of node %d: %w", id, err)
+		}
+		for i := 0; i < n; i++ {
+			src, dst := raw[(r0+i)*inW:(r0+i+1)*inW], out[(r0+i)*outW:(r0+i+1)*outW]
+			proj := fw.codes[:0]
+			for d, l := range fw.levels {
+				if !hier.Dims[d].IsAll(l) {
+					proj = append(proj, hier.Dims[d].MapCode(fw.base[d][i], l))
+				}
 			}
+			putDims(dst, proj)
+			copy(dst[4*arity:], src[8:])
 		}
-		putDims(dst, proj)
-		copy(dst[4*arity:], src[8:])
 	}
 	return out, arity, zone, nil
 }
@@ -657,39 +643,41 @@ func dropLeadingColumn(raw []byte, width int) []byte {
 // ids are sorted in raw, the order a bitmap scan yields.
 func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneSpec, raw []byte, width int) (*ZoneIndex, error) {
 	zc := fin.zcfg
-	if fw.zr == nil {
-		fw.zr = newZoneResolver(fin.w.opts.Resolver, fin.w.opts.Hier, zc)
-	}
 	zb := newZoneBuilder(zc.blockRows, zc.slots)
-	for off := 0; off < len(raw); off += width {
-		row := raw[off:]
-		switch zone.mode {
-		case zoneRowID:
-			codes, err := fw.zr.rowCodes(getInt64(row))
-			if err != nil {
-				return nil, err
+	if zone.mode == zoneSparse {
+		fw.codes = slices.Grow(fw.codes[:0], len(zone.slotIdx))[:len(zone.slotIdx)]
+		for off := 0; off < len(raw); off += width {
+			getDims(raw[off:], fw.codes)
+			zb.addSparse(zone.slotIdx, fw.codes)
+		}
+		return zb.finish(), nil
+	}
+	hier := fin.w.opts.Hier
+	fw.codes = slices.Grow(fw.codes[:0], zc.slots)[:zc.slots]
+	for len(raw) > 0 {
+		chunk := raw[:min(len(raw), resolveChunkRows*width)]
+		raw = raw[len(chunk):]
+		fw.rowids = fw.rowids[:0]
+		for off := 0; off < len(chunk); off += width {
+			id := getInt64(chunk[off:])
+			if zone.mode == zoneAggRef {
+				if id < 0 || id >= int64(len(fin.aggRRows)) {
+					return nil, fmt.Errorf("storage: finalize: A-rowid %d outside AGGREGATES (%d rows)", id, len(fin.aggRRows))
+				}
+				id = fin.aggRRows[id]
 			}
-			zb.addAll(codes)
-		case zoneSparse:
-			k := len(zone.slotIdx)
-			if cap(fw.sparse) < k {
-				fw.sparse = make([]int32, k)
+			fw.rowids = append(fw.rowids, id)
+		}
+		if err := fin.resolve(fw, fw.rowids); err != nil {
+			return nil, fmt.Errorf("storage: zone map: %w", err)
+		}
+		for i := range fw.rowids {
+			for d, dim := range hier.Dims {
+				for l := 0; l < dim.AllLevel(); l++ {
+					fw.codes[zc.offs[d]+l] = dim.MapCode(fw.base[d][i], l)
+				}
 			}
-			sp := fw.sparse[:k]
-			for i := range sp {
-				sp[i] = int32(binary.LittleEndian.Uint32(row[4*i:]))
-			}
-			zb.addSparse(zone.slotIdx, sp)
-		case zoneAggRef:
-			ar := getInt64(row)
-			if ar < 0 || ar >= int64(len(fin.aggRRows)) {
-				return nil, fmt.Errorf("storage: finalize: A-rowid %d outside AGGREGATES (%d rows)", ar, len(fin.aggRRows))
-			}
-			codes, err := fw.zr.rowCodes(fin.aggRRows[ar])
-			if err != nil {
-				return nil, err
-			}
-			zb.addAll(codes)
+			zb.addAll(fw.codes)
 		}
 	}
 	return zb.finish(), nil

@@ -24,13 +24,30 @@ func finalizeTestResolver(rrowid int64, dst []int32) error {
 	return nil
 }
 
+// perRow adapts a row-at-a-time resolver to the batch DimResolver shape,
+// calling fn once per row-id in batch order.
+func perRow(fn func(rrowid int64, dst []int32) error) DimResolver {
+	return func(rowids []int64, dims [][]int32) error {
+		dst := make([]int32, len(dims))
+		for i, id := range rowids {
+			if err := fn(id, dst); err != nil {
+				return err
+			}
+			for d := range dims {
+				dims[d][i] = dst[d]
+			}
+		}
+		return nil
+	}
+}
+
 // buildFinalizeCube runs the standard mixed workload through a writer
 // with zone maps on and the given parallelism.
 func buildFinalizeCube(t *testing.T, dir string, par int, pool WorkerPool, plus, formatA bool) *Manifest {
 	t.Helper()
 	w := newTestWriter(t, Options{
 		Dir: dir, Plus: plus, FactRows: 5000, ZoneBlockRows: 64,
-		Parallelism: par, Pool: pool, Resolver: finalizeTestResolver,
+		Parallelism: par, Pool: pool, Resolver: perRow(finalizeTestResolver),
 	})
 	m, _ := writeWorkload(t, w, formatA)
 	return m
@@ -199,7 +216,7 @@ func TestZoneMapsMatchBruteForce(t *testing.T) {
 			dir := t.TempDir()
 			w := newTestWriter(t, Options{
 				Dir: dir, Plus: tc.plus, DimsInline: tc.dr, FactRows: tc.factRows,
-				ZoneBlockRows: 64, Parallelism: 4, Resolver: finalizeTestResolver,
+				ZoneBlockRows: 64, Parallelism: 4, Resolver: perRow(finalizeTestResolver),
 			})
 			hier := w.opts.Hier
 			m, _ := writeWorkload(t, w, tc.formatA)
@@ -345,7 +362,7 @@ func TestFinalizeIsOnePass(t *testing.T) {
 	}
 	w := newTestWriter(t, Options{
 		Dir: dir, Plus: true, FactRows: 5000, ZoneBlockRows: 64,
-		Parallelism: 4, Resolver: resolver,
+		Parallelism: 4, Resolver: perRow(resolver),
 	})
 	m, _ := writeWorkload(t, w, true)
 	if calls < 97 {
@@ -397,14 +414,14 @@ func TestFailedFinalizeLeavesNoCube(t *testing.T) {
 	calls := 0
 	w := newTestWriter(t, Options{
 		Dir: dir, FactRows: 5000, ZoneBlockRows: 64, Parallelism: 2,
-		Resolver: func(rrowid int64, dst []int32) error {
+		Resolver: perRow(func(rrowid int64, dst []int32) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if calls++; calls > 1200 { // 1000 NT rows, then into the TT extent
 				return boom
 			}
 			return finalizeTestResolver(rrowid, dst)
-		},
+		}),
 	})
 	enum := w.Enum()
 	for i := 0; i < 1000; i++ {

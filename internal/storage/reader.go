@@ -232,6 +232,60 @@ func (r *Reader) TTRowIDsIO(id lattice.NodeID, dst []int64, io *IOStats) ([]int6
 	return dst, nil
 }
 
+// NTBlock is a run of consecutive normal tuples inside one decoded block,
+// column-major. Under CURE_DR (Manifest.DimsInline) the tuples carry Dims
+// and RRowids is nil; otherwise Dims is empty. The columns alias a decoded block that may be
+// shared through the block cache: read-only, and valid only until the
+// callback returns.
+type NTBlock struct {
+	RRowids []int64
+	Dims    [][]int32   // CURE_DR only: Dims[k][i], k over the node's grouped dimensions
+	Aggrs   [][]float64 // Aggrs[a][i]
+}
+
+// Len returns the number of tuples in the run.
+func (b *NTBlock) Len() int { return len(b.Aggrs[0]) }
+
+// NTBlocks visits the normal tuples of node id a decoded block at a time,
+// restricted to the extent-row indexes inside the given half-open ranges
+// (nil = the whole extent; an empty non-nil slice visits nothing).
+// Zone-map pruning produces the ranges — blocks outside them are neither
+// read nor decoded; extent bytes fetched are tallied into io (nil disables
+// attribution). Safe for concurrent use: every call reads through ReadAt
+// with private buffers.
+func (r *Reader) NTBlocks(id lattice.NodeID, ranges []RowRange, io *IOStats, fn func(*NTBlock) error) error {
+	nm, ok := r.m.NodeMeta(id)
+	if !ok || nm.NTRows == 0 {
+		return nil
+	}
+	if ranges == nil {
+		ranges = []RowRange{{0, nm.NTRows}}
+	}
+	arity := 0
+	if r.m.DimsInline {
+		arity = r.nodeArity(id)
+	}
+	bf := &blockFetcher{
+		r: r, f: r.ntF, rel: BlockRelNT, node: int64(id), base: nm.NTOff,
+		c: nm.NTCodec, kinds: r.m.ntKinds(arity), rows: nm.NTRows,
+		rawWidth: int64(r.m.ntRowWidth(arity)),
+	}
+	blk := NTBlock{Dims: make([][]int32, arity), Aggrs: make([][]float64, r.m.NumAggrs())}
+	return bf.scan(ranges, io, func(db *DecodedBlock, lo, hi int64) error {
+		first := arity // plain NT rows lead with the R-rowid column instead
+		if !r.m.DimsInline {
+			blk.RRowids, first = db.I64[0][lo:hi], 1
+		}
+		for k := range blk.Dims {
+			blk.Dims[k] = db.I32[k][lo:hi]
+		}
+		for a := range blk.Aggrs {
+			blk.Aggrs[a] = db.F64[first+a][lo:hi]
+		}
+		return fn(&blk)
+	})
+}
+
 // NTRow is one decoded normal tuple. Exactly one of RRowid / Dims is
 // meaningful, depending on Manifest.DimsInline.
 type NTRow struct {
@@ -240,64 +294,62 @@ type NTRow struct {
 	Aggrs  []float64
 }
 
-// NTRows streams the normal tuples of node id. The row passed to fn
-// reuses internal buffers; copy what must outlive the call.
+// NTRows streams the normal tuples of node id one row at a time. The row
+// passed to fn reuses internal buffers; copy what must outlive the call.
 func (r *Reader) NTRows(id lattice.NodeID, fn func(row NTRow) error) error {
-	return r.NTRowsRanges(id, nil, nil, fn)
-}
-
-// NTRowsRanges streams the normal tuples of node id whose extent-row
-// index falls in one of the given half-open ranges (nil = the whole
-// extent; an empty non-nil slice streams nothing). Zone-map pruning
-// produces the ranges — blocks outside them are neither read nor decoded;
-// extent bytes fetched are tallied into io (nil disables attribution).
-// NTRowsRanges is safe for concurrent use: every call reads through
-// ReadAt with private buffers.
-func (r *Reader) NTRowsRanges(id lattice.NodeID, ranges []RowRange, io *IOStats, fn func(row NTRow) error) error {
-	nm, ok := r.m.NodeMeta(id)
-	if !ok || nm.NTRows == 0 {
-		return nil
-	}
-	if ranges == nil {
-		ranges = []RowRange{{0, nm.NTRows}}
-	}
-	arity := r.nodeArity(id)
 	row := NTRow{RRowid: -1, Aggrs: make([]float64, r.m.NumAggrs())}
-	dimsInline := r.m.DimsInline
-	if dimsInline {
-		row.Dims = make([]int32, arity)
-	}
-	bf := &blockFetcher{
-		r: r, f: r.ntF, rel: BlockRelNT, node: int64(id), base: nm.NTOff,
-		c: nm.NTCodec, kinds: r.m.ntKinds(arity), rows: nm.NTRows,
-		rawWidth: int64(r.m.ntRowWidth(arity)),
-	}
-	return bf.scan(ranges, io, func(db *DecodedBlock, lo, hi int64) error {
-		if dimsInline {
-			for i := lo; i < hi; i++ {
-				for d := 0; d < arity; d++ {
-					row.Dims[d] = db.I32[d][i]
-				}
-				for a := range row.Aggrs {
-					row.Aggrs[a] = db.F64[arity+a][i]
-				}
-				if err := fn(row); err != nil {
-					return err
-				}
+	return r.NTBlocks(id, nil, nil, func(b *NTBlock) error {
+		for i := 0; i < b.Len(); i++ {
+			if b.RRowids != nil {
+				row.RRowid = b.RRowids[i]
 			}
-			return nil
-		}
-		ids := db.I64[0]
-		for i := lo; i < hi; i++ {
-			row.RRowid = ids[i]
-			for a := range row.Aggrs {
-				row.Aggrs[a] = db.F64[1+a][i]
+			row.Dims = row.Dims[:0]
+			for _, col := range b.Dims {
+				row.Dims = append(row.Dims, col[i])
+			}
+			for a, col := range b.Aggrs {
+				row.Aggrs[a] = col[i]
 			}
 			if err := fn(row); err != nil {
 				return err
 			}
 		}
 		return nil
+	})
+}
+
+// CATBlock is a run of consecutive common-aggregate tuple references
+// inside one decoded block, under NTBlock's aliasing rules. RRowids is nil
+// under format (a): the source row-id lives in AGGREGATES.
+type CATBlock struct {
+	RRowids []int64
+	ARowids []int64
+}
+
+// CATBlocks visits the CAT references of node id a decoded block at a
+// time within the given extent-row ranges, with NTBlocks' range, I/O
+// attribution and concurrency contract.
+func (r *Reader) CATBlocks(id lattice.NodeID, ranges []RowRange, io *IOStats, fn func(*CATBlock) error) error {
+	nm, ok := r.m.NodeMeta(id)
+	if !ok || nm.CATRows == 0 {
+		return nil
+	}
+	if ranges == nil {
+		ranges = []RowRange{{0, nm.CATRows}}
+	}
+	bf := &blockFetcher{
+		r: r, f: r.catF, rel: BlockRelCAT, node: int64(id), base: nm.CATOff,
+		c: nm.CATCodec, kinds: r.m.catKinds(), rows: nm.CATRows,
+		rawWidth: int64(r.m.catRowWidth()),
+	}
+	var blk CATBlock
+	return bf.scan(ranges, io, func(db *DecodedBlock, lo, hi int64) error {
+		if r.m.CatFormat == signature.FormatA {
+			blk.ARowids = db.I64[0][lo:hi]
+		} else {
+			blk.RRowids, blk.ARowids = db.I64[0][lo:hi], db.I64[1][lo:hi]
+		}
+		return fn(&blk)
 	})
 }
 
@@ -308,45 +360,15 @@ type CATRow struct {
 	ARowid int64
 }
 
-// CATRows streams the CAT references of node id.
+// CATRows streams the CAT references of node id one row at a time.
 func (r *Reader) CATRows(id lattice.NodeID, fn func(row CATRow) error) error {
-	return r.CATRowsRanges(id, nil, nil, fn)
-}
-
-// CATRowsRanges streams the CAT references of node id within the given
-// extent-row ranges (nil = the whole extent; an empty non-nil slice
-// streams nothing), tallying extent bytes into io (nil disables
-// attribution). Blocks outside the ranges are neither read nor decoded.
-// Safe for concurrent use.
-func (r *Reader) CATRowsRanges(id lattice.NodeID, ranges []RowRange, io *IOStats, fn func(row CATRow) error) error {
-	nm, ok := r.m.NodeMeta(id)
-	if !ok || nm.CATRows == 0 {
-		return nil
-	}
-	if ranges == nil {
-		ranges = []RowRange{{0, nm.CATRows}}
-	}
-	formatA := r.m.CatFormat == signature.FormatA
-	bf := &blockFetcher{
-		r: r, f: r.catF, rel: BlockRelCAT, node: int64(id), base: nm.CATOff,
-		c: nm.CATCodec, kinds: r.m.catKinds(), rows: nm.CATRows,
-		rawWidth: int64(r.m.catRowWidth()),
-	}
-	return bf.scan(ranges, io, func(db *DecodedBlock, lo, hi int64) error {
+	return r.CATBlocks(id, nil, nil, func(b *CATBlock) error {
 		row := CATRow{RRowid: -1}
-		if formatA {
-			ids := db.I64[0]
-			for i := lo; i < hi; i++ {
-				row.ARowid = ids[i]
-				if err := fn(row); err != nil {
-					return err
-				}
+		for i, ar := range b.ARowids {
+			if b.RRowids != nil {
+				row.RRowid = b.RRowids[i]
 			}
-			return nil
-		}
-		rr, ar := db.I64[0], db.I64[1]
-		for i := lo; i < hi; i++ {
-			row.RRowid, row.ARowid = rr[i], ar[i]
+			row.ARowid = ar
 			if err := fn(row); err != nil {
 				return err
 			}

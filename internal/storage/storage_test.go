@@ -263,7 +263,7 @@ func TestDimsInlineProjection(t *testing.T) {
 		dst[1] = int32(rrowid % 4)
 		return nil
 	}
-	w := newTestWriter(t, Options{Dir: dir, DimsInline: true, Resolver: resolver})
+	w := newTestWriter(t, Options{Dir: dir, DimsInline: true, Resolver: perRow(resolver)})
 	enum := w.Enum()
 	nodeA1B := enum.Encode([]int{1, 0}) // A at level 1, B at base
 	// Row-id 5: A0 = 5 → A1 = 5/4 = 1; B = 1.

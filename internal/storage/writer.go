@@ -15,12 +15,15 @@ import (
 	"cure/internal/signature"
 )
 
-// DimResolver fetches the base-level dimension codes of an original
-// fact-table row. Finalize needs it to fold zone maps and, for the
-// CURE_DR variant, to replace NT row-ids with projected dimension values;
-// the in-memory build path backs it with the loaded table, the
-// partitioned path with a relation.FactReader.
-type DimResolver func(rrowid int64, dst []int32) error
+// DimResolver fetches the base-level dimension codes of a batch of
+// original fact-table rows: dims[d][i] receives the code of dimension d in
+// row rowids[i], every column being at least len(rowids) long. It must
+// reject a row-id outside the fact table with an error. Finalize needs it
+// to fold zone maps and, for the CURE_DR variant, to replace NT row-ids
+// with projected dimension values, and hands it an extent (or a
+// resolveChunkRows slice of one) at a time; builds back it with
+// factstore.Store.Deref.
+type DimResolver func(rowids []int64, dims [][]int32) error
 
 // Options configures a cube writer.
 type Options struct {

@@ -34,6 +34,7 @@ import (
 	"slices"
 	"time"
 
+	"cure/internal/factstore"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/query"
@@ -175,7 +176,7 @@ func Apply(opts Options) (*Stats, error) {
 		countAgg: countAgg,
 		pool:     pool,
 		w:        w,
-		fact:     fact,
+		facts:    factstore.FromColumns(fact),
 		stats:    &Stats{DeltaRows: opts.Delta.Len()},
 	}
 	if err := mg.walk(mg.enum.RootID(), nil); err != nil {
@@ -205,7 +206,7 @@ type merger struct {
 	countAgg int
 	pool     *signature.Pool
 	w        *storage.Writer
-	fact     *relation.FactTable
+	facts    *factstore.Store // the extended fact table
 	stats    *Stats
 
 	keyBuf  []byte
@@ -301,6 +302,30 @@ func (mg *merger) mergeNode(id lattice.NodeID, parent map[string]*mergedTuple) (
 		emit = append(emit, t)
 	}
 	slices.SortFunc(emit, func(a, b *mergedTuple) int { return cmp.Compare(a.minRowid, b.minRowid) })
+	// A singleton's group in the plan parent comes from re-projecting its
+	// source fact row; the node's singletons are dereferenced in one batch.
+	var plevels []int
+	base := make([][]int32, mg.hier.NumDims())
+	if parent != nil {
+		pid, ok := mg.enum.PlanParent(id)
+		if !ok {
+			return nil, fmt.Errorf("update: node %s has no plan parent", mg.enum.Name(id))
+		}
+		plevels = mg.enum.Decode(pid, nil)
+		var rowids []int64
+		for _, t := range emit {
+			if t.count == 1 {
+				rowids = append(rowids, t.minRowid)
+			}
+		}
+		for d := range base {
+			base[d] = make([]int32, len(rowids))
+		}
+		if err := mg.facts.Deref(rowids, base, nil, nil); err != nil {
+			return nil, fmt.Errorf("update: node %s: %w", mg.enum.Name(id), err)
+		}
+	}
+	singles := 0
 	for _, t := range emit {
 		switch {
 		case t.isNew:
@@ -316,11 +341,9 @@ func (mg *merger) mergeNode(id lattice.NodeID, parent map[string]*mergedTuple) (
 			// group is also a singleton (then an ancestor already holds
 			// it and this node inherits it).
 			if parent != nil {
-				pk, err := mg.parentKey(id, t.minRowid)
-				if err != nil {
-					return nil, err
-				}
-				if pt, ok := parent[pk]; ok && pt.count == 1 {
+				pt, ok := parent[mg.parentKey(plevels, base, singles)]
+				singles++
+				if ok && pt.count == 1 {
 					continue
 				}
 			}
@@ -348,22 +371,18 @@ func (mg *merger) key(dims []int32) string {
 	return string(mg.keyBuf)
 }
 
-// parentKey computes a tuple's group key in the plan parent of node id by
-// re-projecting its source fact row.
-func (mg *merger) parentKey(id lattice.NodeID, rrowid int64) (string, error) {
-	pid, ok := mg.enum.PlanParent(id)
-	if !ok {
-		return "", fmt.Errorf("update: node %s has no plan parent", mg.enum.Name(id))
-	}
-	plevels := mg.enum.Decode(pid, nil)
-	proj := make([]int32, 0, len(plevels))
+// parentKey computes the group key, in the plan parent whose levels are
+// plevels, of the singleton whose source row is position k of the
+// dereferenced base columns.
+func (mg *merger) parentKey(plevels []int, base [][]int32, k int) string {
+	proj := mg.dimBuf[:0]
 	for d, l := range plevels {
-		if mg.hier.Dims[d].IsAll(l) {
-			continue
+		if !mg.hier.Dims[d].IsAll(l) {
+			proj = append(proj, mg.hier.Dims[d].MapCode(base[d][k], l))
 		}
-		proj = append(proj, mg.hier.Dims[d].MapCode(mg.fact.Dims[d][rrowid], l))
 	}
-	return mg.key(proj), nil
+	mg.dimBuf = proj
+	return mg.key(proj)
 }
 
 // initAggrs seeds aggregate values from one source tuple's measures.
