@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -20,25 +22,46 @@ import (
 )
 
 func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return // -h already printed the usage
+	}
+	fmt.Fprintf(os.Stderr, "cubebench: %v\n", err)
+	os.Exit(1)
+}
+
+// run is the whole command; main is the only os.Exit, so the harness
+// scratch dir is removed and the observability sinks are flushed on
+// every return path.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("cubebench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp       = flag.String("exp", "all", "experiment id (table1, fig14..fig28, iceberg, ablation-sort, ablation-plan) or 'all'")
-		scale     = flag.Float64("scale", 0, "dataset scale relative to the paper (default 0.02)")
-		densities = flag.String("densities", "", "comma-separated APB-1 densities (default 0.004,0.04,0.4; paper: 0.4,4,40)")
-		mem       = flag.Int64("mem", 0, "CURE memory budget in bytes for APB builds (default 32 MiB)")
-		queries   = flag.Int("queries", 0, "node-query workload size (default 1000)")
-		seed      = flag.Int64("seed", 0, "random seed (default 1)")
-		maxDims   = flag.Int("maxdims", 0, "upper end of the dimensionality sweep (default 16; paper: 28)")
-		par       = flag.Int("parallelism", 0, "worker count for every CURE build (0/1 = sequential; parallel-speedup sweeps its own counts)")
-		noIndex   = flag.Bool("no-index", false, "restrict query-throughput to its full-scan arms (zone-map ablation)")
-		workDir   = flag.String("workdir", "", "scratch directory (default: a temp dir, removed on exit)")
-		list      = flag.Bool("list", false, "list experiment ids and exit")
-		format    = flag.String("format", "text", "output format: text | md | json")
-		baseline  = flag.String("baseline", "", "bench JSON file (from -format json) to compare per-phase wall times against")
-		regFail   = flag.Bool("regress-fail", false, "exit non-zero when the -baseline comparison flags regressions (default: report only)")
-		regThresh = flag.Float64("regress-threshold", 0.20, "per-phase wall-time growth fraction the -baseline gate flags")
+		exp       = fs.String("exp", "all", "experiment id (table1, fig14..fig28, iceberg, update, ablation-sort, ablation-height, ablation-plan) or 'all'")
+		scale     = fs.Float64("scale", 0, "dataset scale relative to the paper (default 0.02)")
+		densities = fs.String("densities", "", "comma-separated APB-1 densities (default 0.004,0.04,0.4; paper: 0.4,4,40)")
+		mem       = fs.Int64("mem", 0, "CURE memory budget in bytes for APB builds (default 32 MiB)")
+		queries   = fs.Int("queries", 0, "node-query workload size (default 1000)")
+		seed      = fs.Int64("seed", 0, "random seed (default 1)")
+		maxDims   = fs.Int("maxdims", 0, "upper end of the dimensionality sweep (default 16; paper: 28)")
+		par       = fs.Int("parallelism", 0, "worker count for every CURE build (0/1 = sequential, the paper's setting)")
+		workDir   = fs.String("workdir", "", "scratch directory (default: a temp dir, removed on exit)")
+		list      = fs.Bool("list", false, "list experiment ids and exit")
+		format    = fs.String("format", "text", "output format: text | md")
 	)
-	obs := obsv.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	obs := obsv.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var render func(*bench.Result) string
+	switch *format {
+	case "text":
+		render = (*bench.Result).String
+	case "md":
+		render = (*bench.Result).Markdown
+	default:
+		return fmt.Errorf("unknown -format %q (have text, md)", *format)
+	}
 
 	cfg := bench.Config{
 		Scale:        *scale,
@@ -47,7 +70,6 @@ func main() {
 		Seed:         *seed,
 		MaxDims:      *maxDims,
 		Parallelism:  *par,
-		NoIndex:      *noIndex,
 		WorkDir:      *workDir,
 		Metrics:      obs.Registry(),
 	}
@@ -55,75 +77,43 @@ func main() {
 		for _, part := range strings.Split(*densities, ",") {
 			d, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 			if err != nil {
-				fatalf("bad density %q: %v", part, err)
+				return fmt.Errorf("bad density %q: %w", part, err)
 			}
 			cfg.APBDensities = append(cfg.APBDensities, d)
 		}
 	}
 	h, err := bench.New(cfg)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer h.Close()
 
 	if *list {
 		for _, id := range h.IDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return nil
 	}
-	if err := obs.Start(os.Stderr); err != nil {
-		fatalf("%v", err)
+	if err := obs.Start(stderr); err != nil {
+		return err
 	}
 	defer func() {
-		if err := obs.Finish(); err != nil {
-			fatalf("%v", err)
+		if ferr := obs.Finish(); ferr != nil && err == nil {
+			err = ferr
 		}
 	}()
-	render := func(r *bench.Result) string {
-		switch *format {
-		case "md":
-			return r.Markdown()
-		case "json":
-			return r.JSON()
-		default:
-			return r.String()
-		}
-	}
 	ids := strings.Split(*exp, ",")
 	if *exp == "all" {
 		ids = h.IDs()
 	}
 	// Stream each result as its group completes; the whole suite can
 	// take tens of minutes at larger scales.
-	var results []*bench.Result
 	for _, id := range ids {
 		r, err := h.Run(strings.TrimSpace(id))
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		results = append(results, r)
-		fmt.Println(render(r))
+		fmt.Fprintln(stdout, render(r))
 	}
-	if *baseline != "" {
-		base, err := bench.LoadResults(*baseline)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		regs := bench.CompareRuns(base, results, *regThresh)
-		fmt.Fprintln(os.Stderr, bench.CompareReport(regs, *regThresh))
-		if len(regs) > 0 && *regFail {
-			// os.Exit skips the deferred cleanup; run it by hand.
-			h.Close()
-			if err := obs.Finish(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			os.Exit(1)
-		}
-	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "cubebench: "+format+"\n", args...)
-	os.Exit(1)
+	return nil
 }

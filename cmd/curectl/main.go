@@ -202,8 +202,6 @@ func cmdBuild(args []string) {
 	flat := fs.Bool("flat", false, "FCURE: flat cube at base levels only")
 	iceberg := fs.Int64("iceberg", 0, "min-count threshold (iceberg cube)")
 	par := fs.Int("parallelism", 0, "worker count for the build (0/1 = sequential; >1 fans the cubing recursion and the partitioning scan across cores)")
-	scanBatch := fs.Int("scan-batch-rows", 0, "rows per partitioning-scan read batch (0 = ~1MiB of rows)")
-	scanShard := fs.Int64("scan-shard-rows", 0, "rows per partitioning-scan shard; shard boundaries fix the deterministic merge order (0 = 8 batches per shard)")
 	obs := obsv.RegisterFlags(fs)
 	fs.Parse(args)
 	if *fact == "" || *hierPath == "" || *out == "" {
@@ -219,20 +217,18 @@ func cmdBuild(args []string) {
 		fatalf("%v", err)
 	}
 	stats, err := core.Build(core.Options{
-		Dir:           *out,
-		FactPath:      *fact,
-		Hier:          loadHier(*hierPath),
-		AggSpecs:      parseAggs(*agg, numMeasures),
-		MemoryBudget:  *mem,
-		PoolCapacity:  *pool,
-		Plus:          *plus,
-		DimsInline:    *dr,
-		Flat:          *flat,
-		Iceberg:       *iceberg,
-		Parallelism:   *par,
-		ScanBatchRows: *scanBatch,
-		ScanShardRows: *scanShard,
-		Metrics:       obs.Registry(),
+		Dir:          *out,
+		FactPath:     *fact,
+		Hier:         loadHier(*hierPath),
+		AggSpecs:     parseAggs(*agg, numMeasures),
+		MemoryBudget: *mem,
+		PoolCapacity: *pool,
+		Plus:         *plus,
+		DimsInline:   *dr,
+		Flat:         *flat,
+		Iceberg:      *iceberg,
+		Parallelism:  *par,
+		Metrics:      obs.Registry(),
 	})
 	if ferr := obs.Finish(); ferr != nil && err == nil {
 		err = ferr

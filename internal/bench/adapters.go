@@ -10,7 +10,6 @@ import (
 	"cure/internal/core"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
-	"cure/internal/obsv"
 	"cure/internal/query"
 	"cure/internal/relation"
 )
@@ -49,9 +48,8 @@ func (q cureQuerier) Query(id lattice.NodeID, fn func([]int32, []float64) error)
 }
 func (q cureQuerier) Close() error { return q.e.Close() }
 
-// buildCURE writes the table to disk (once per dir) and runs a CURE
-// variant over it, recording per-phase wall times into the harness
-// registry (they surface as the Phases of the group's results).
+// buildCURE runs a CURE variant over the table, instrumented with the
+// harness registry.
 func (h *Harness) buildCURE(dir string, ft *relation.FactTable, hier *hierarchy.Schema, mod func(*core.Options)) (*core.BuildStats, error) {
 	opts := core.Options{
 		Dir: dir, Hier: hier, AggSpecs: stdSpecs(), Metrics: h.reg,
@@ -60,11 +58,7 @@ func (h *Harness) buildCURE(dir string, ft *relation.FactTable, hier *hierarchy.
 	if mod != nil {
 		mod(&opts)
 	}
-	stats, err := core.BuildFromTable(ft, opts)
-	for path, sec := range obsv.PhaseTotals(h.reg.TakeSpans()) {
-		h.phases[path] += sec
-	}
-	return stats, err
+	return core.BuildFromTable(ft, opts)
 }
 
 // timeWorkload measures the average per-query wall time of a node-query

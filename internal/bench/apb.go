@@ -10,7 +10,6 @@ import (
 	"cure/internal/core"
 	"cure/internal/gen"
 	"cure/internal/lattice"
-	"cure/internal/obsv"
 	"cure/internal/query"
 )
 
@@ -45,9 +44,6 @@ func (h *Harness) buildAPBVariant(density float64, label string, mod func(*core.
 	}
 	mod(&opts)
 	stats, err := core.Build(opts)
-	for path, sec := range obsv.PhaseTotals(h.reg.TakeSpans()) {
-		h.phases[path] += sec
-	}
 	return stats, dir, err
 }
 

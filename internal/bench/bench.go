@@ -6,10 +6,15 @@
 // is recorded in each result so shapes — who wins, by what factor, where
 // crossovers fall — can be compared against the paper's absolute-scale
 // graphs.
+//
+// The package answers "does this engine reproduce the paper's exhibits?"
+// and nothing else: its timings are single unchecked runs and gate
+// nothing. "Did a change make the engine faster or slower?" is answered
+// by benchmarks/cubemark (BENCHMARK.json), whose every answer is checked
+// against a brute-force oracle and whose run-to-run noise is measured.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -41,16 +46,11 @@ type Config struct {
 	// pruning its complete-cube output grows as 2^D.
 	MaxDims int
 	// Parallelism is passed to every CURE build the harness runs (0/1 =
-	// sequential, the paper's setting). The parallel-speedup experiment
-	// sweeps its own worker counts regardless.
+	// sequential, the paper's setting).
 	Parallelism int
-	// NoIndex restricts the query-throughput experiment to its full-scan
-	// arms (the zone-map ablation); by default both arms run.
-	NoIndex bool
 	// Metrics, when set, is the registry the harness instruments its
 	// builds with (so a caller can dump cumulative counters afterwards);
-	// by default the harness creates a private one. Either way the
-	// per-phase wall times surface in each Result's Phases.
+	// by default the harness creates a private one.
 	Metrics *obsv.Registry
 }
 
@@ -68,24 +68,11 @@ func DefaultConfig() Config {
 
 // Result is one regenerated table or figure.
 type Result struct {
-	ID     string     `json:"id"`
-	Title  string     `json:"title"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-	Notes  []string   `json:"notes,omitempty"`
-	// Phases holds the per-phase wall times (seconds, summed over every
-	// build the experiment group ran), keyed by span path, e.g.
-	// "build/cube" or "build/partition.split".
-	Phases map[string]float64 `json:"phases,omitempty"`
-}
-
-// JSON renders the result as an indented JSON object.
-func (r *Result) JSON() string {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return fmt.Sprintf(`{"id":%q,"error":%q}`, r.ID, err.Error())
-	}
-	return string(data)
+	ID     string
+	Title  string
+	Header []string
+	Rows   [][]string
+	Notes  []string
 }
 
 // AddRow appends a formatted row.
@@ -138,10 +125,8 @@ type Harness struct {
 	cfg     Config
 	tempDir string
 	cache   map[string]map[string]*Result // group → id → result
-	// reg instruments every build the harness runs; phases accumulates
-	// the span totals of the current experiment group.
-	reg    *obsv.Registry
-	phases map[string]float64
+	// reg instruments every build the harness runs.
+	reg *obsv.Registry
 }
 
 // New creates a harness; zero-value Config fields fall back to defaults.
@@ -170,10 +155,9 @@ func New(cfg Config) (*Harness, error) {
 		reg = obsv.NewRegistry()
 	}
 	h := &Harness{
-		cfg:    cfg,
-		cache:  map[string]map[string]*Result{},
-		reg:    reg,
-		phases: map[string]float64{},
+		cfg:   cfg,
+		cache: map[string]map[string]*Result{},
+		reg:   reg,
 	}
 	if cfg.WorkDir == "" {
 		dir, err := os.MkdirTemp("", "curebench")
@@ -203,31 +187,27 @@ type experiment struct {
 
 func (h *Harness) experiments() map[string]experiment {
 	return map[string]experiment{
-		"table1":               {"table1", "Partitioning feasibility (Table 1)", (*Harness).runTable1},
-		"fig14":                {"real", "Real datasets: construction time", (*Harness).runReal},
-		"fig15":                {"real", "Real datasets: storage space", (*Harness).runReal},
-		"fig16":                {"real", "Real datasets: average query response time", (*Harness).runReal},
-		"fig17":                {"real", "Effect of caching on average QRT", (*Harness).runReal},
-		"fig18":                {"pool", "Signature-pool size vs cube size", (*Harness).runPool},
-		"fig19":                {"dims", "Dimensionality vs construction time", (*Harness).runDims},
-		"fig20":                {"dims", "Dimensionality vs storage space", (*Harness).runDims},
-		"fig21":                {"skew", "Skew vs construction time", (*Harness).runSkew},
-		"fig22":                {"skew", "Skew vs storage space", (*Harness).runSkew},
-		"fig23":                {"apb", "APB-1: construction time", (*Harness).runAPB},
-		"fig24":                {"apb", "APB-1: storage space", (*Harness).runAPB},
-		"fig25":                {"apbq", "APB-1: average QRT by result size", (*Harness).runAPBQuery},
-		"fig26":                {"flathier", "Flat vs hierarchical: construction time", (*Harness).runFlatHier},
-		"fig27":                {"flathier", "Flat vs hierarchical: storage space", (*Harness).runFlatHier},
-		"fig28":                {"flathier", "Flat vs hierarchical: roll-up/drill-down QRT", (*Harness).runFlatHier},
-		"iceberg":              {"iceberg", "Iceberg count queries (§7 closing remark)", (*Harness).runIceberg},
-		"update":               {"update", "Incremental maintenance vs full rebuild (§8)", (*Harness).runUpdate},
-		"ablation-sort":        {"ablation-sort", "CountingSort vs QuickSort under skew", (*Harness).runSortAblation},
-		"parallel-speedup":     {"parallel", "Segment-parallel build: worker scaling", (*Harness).runParallel},
-		"ablation-height":      {"ablation-height", "Tallest plan (P3) vs shortest plan (P2)", (*Harness).runHeightAblation},
-		"ablation-plan":        {"ablation-plan", "Shared hierarchical plan vs independent sub-cubes", (*Harness).runPlanAblation},
-		"query-throughput":     {"throughput", "Concurrent query serving: QPS/latency, zone maps vs full scans", (*Harness).runThroughput},
-		"partition-throughput": {"partition", "Partitioning phase: batched parallel scan vs row-at-a-time", (*Harness).runPartitionThroughput},
-		"finalize-throughput":  {"finalize", "Finalize pipeline: one parallel pass per relation file", (*Harness).runFinalizeThroughput},
+		"table1":          {"table1", "Partitioning feasibility (Table 1)", (*Harness).runTable1},
+		"fig14":           {"real", "Real datasets: construction time", (*Harness).runReal},
+		"fig15":           {"real", "Real datasets: storage space", (*Harness).runReal},
+		"fig16":           {"real", "Real datasets: average query response time", (*Harness).runReal},
+		"fig17":           {"real", "Effect of caching on average QRT", (*Harness).runReal},
+		"fig18":           {"pool", "Signature-pool size vs cube size", (*Harness).runPool},
+		"fig19":           {"dims", "Dimensionality vs construction time", (*Harness).runDims},
+		"fig20":           {"dims", "Dimensionality vs storage space", (*Harness).runDims},
+		"fig21":           {"skew", "Skew vs construction time", (*Harness).runSkew},
+		"fig22":           {"skew", "Skew vs storage space", (*Harness).runSkew},
+		"fig23":           {"apb", "APB-1: construction time", (*Harness).runAPB},
+		"fig24":           {"apb", "APB-1: storage space", (*Harness).runAPB},
+		"fig25":           {"apbq", "APB-1: average QRT by result size", (*Harness).runAPBQuery},
+		"fig26":           {"flathier", "Flat vs hierarchical: construction time", (*Harness).runFlatHier},
+		"fig27":           {"flathier", "Flat vs hierarchical: storage space", (*Harness).runFlatHier},
+		"fig28":           {"flathier", "Flat vs hierarchical: roll-up/drill-down QRT", (*Harness).runFlatHier},
+		"iceberg":         {"iceberg", "Iceberg count queries (§7 closing remark)", (*Harness).runIceberg},
+		"update":          {"update", "Incremental maintenance vs full rebuild (§8)", (*Harness).runUpdate},
+		"ablation-sort":   {"ablation-sort", "CountingSort vs QuickSort under skew", (*Harness).runSortAblation},
+		"ablation-height": {"ablation-height", "Tallest plan (P3) vs shortest plan (P2)", (*Harness).runHeightAblation},
+		"ablation-plan":   {"ablation-plan", "Shared hierarchical plan vs independent sub-cubes", (*Harness).runPlanAblation},
 	}
 }
 
@@ -253,17 +233,9 @@ func (h *Harness) Run(id string) (*Result, error) {
 			return res, nil
 		}
 	}
-	h.phases = map[string]float64{}
 	results, err := exp.run(h)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", id, err)
-	}
-	if len(h.phases) > 0 {
-		// The group's builds share one phase breakdown; attach it to every
-		// result the group produced.
-		for _, res := range results {
-			res.Phases = h.phases
-		}
 	}
 	h.cache[exp.group] = results
 	res, ok := results[id]

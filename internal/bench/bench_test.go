@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -246,73 +245,6 @@ func TestUpdateAndHeightExperiments(t *testing.T) {
 	}
 	if len(hgt.Rows) != 2 {
 		t.Fatalf("height rows = %d", len(hgt.Rows))
-	}
-}
-
-func TestQueryThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench experiments in -short mode")
-	}
-	cfg := tinyConfig()
-	cfg.Queries = 30
-	h, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	res, err := h.Run("query-throughput")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two arms (zone maps / no index) × three client counts.
-	if len(res.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(res.Rows))
-	}
-	for i, row := range res.Rows {
-		if row[7] != res.Rows[0][7] {
-			t.Errorf("arm %d returned %s rows, arm 0 returned %s", i, row[7], res.Rows[0][7])
-		}
-	}
-	// The indexed arms must actually skip blocks; the full-scan arms none.
-	if res.Rows[0][6] == "0" {
-		t.Error("zone-map arm skipped no blocks")
-	}
-	if res.Rows[3][6] != "0" {
-		t.Errorf("no-index arm skipped %s blocks", res.Rows[3][6])
-	}
-	// Column 9 is cube_bytes_on_disk.
-	if b, err := strconv.ParseInt(res.Rows[0][9], 10, 64); err != nil || b <= 0 {
-		t.Errorf("cube_bytes_on_disk = %s", res.Rows[0][9])
-	}
-	// Per-arm wall times surface as phases for the regression gate.
-	found := 0
-	for path := range res.Phases {
-		if strings.HasPrefix(path, "query/throughput.c") {
-			found++
-		}
-	}
-	if found != 6 {
-		t.Errorf("phase entries = %d, want 6", found)
-	}
-
-	// The NoIndex config restricts the experiment to its ablation arms.
-	cfg.NoIndex = true
-	h2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Close()
-	res2, err := h2.Run("query-throughput")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Rows) != 3 {
-		t.Fatalf("ablation rows = %d, want 3", len(res2.Rows))
-	}
-	for _, row := range res2.Rows {
-		if row[0] != "no index" {
-			t.Errorf("ablation arm = %q", row[0])
-		}
 	}
 }
 

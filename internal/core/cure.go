@@ -83,13 +83,6 @@ type Options struct {
 	// at every setting — the knob exists so benchmarks and tests can vary
 	// finalize concurrency while holding the build itself fixed.
 	FinalizeParallelism int
-	// ScanBatchRows overrides the partitioner's decode batch size in
-	// rows (≤ 0 picks enough rows for ~1 MB of raw data).
-	ScanBatchRows int
-	// ScanShardRows overrides the partitioner's shard size in rows
-	// (≤ 0 picks 8 decode batches). Shard boundaries never depend on
-	// Parallelism, so the pass is reproducible across worker counts.
-	ScanShardRows int64
 	// ForceFormat overrides the dynamic CAT-format decision.
 	ForceFormat signature.Format
 	// ZoneBlockRows is the rows per extent block and per zone-map block,
@@ -102,11 +95,6 @@ type Options struct {
 	// The field stays only because benchmarks/cubemark sets it, and goes
 	// with the next benchmark PR.
 	Compression string
-	// TempDir holds partition files (default: Dir/tmp).
-	TempDir string
-	// KeepPartitions leaves partition files on disk after the build
-	// (for inspection); by default they are removed.
-	KeepPartitions bool
 	// Metrics is the optional observability registry: when set, the
 	// build records phase spans, sort/prune counters, partition I/O
 	// bytes, pool occupancy, and per-relation write volumes into it, and
@@ -359,9 +347,6 @@ func validate(opts *Options) error {
 	default:
 		return fmt.Errorf("core: unknown Compression %q: extents have one format (\"auto\")", opts.Compression)
 	}
-	if opts.TempDir == "" {
-		opts.TempDir = filepath.Join(opts.Dir, "tmp")
-	}
 	return nil
 }
 
@@ -407,6 +392,10 @@ func partitionReadBytes(reg *obsv.Registry, path string) {
 
 func buildPartitioned(opts Options, hier *hierarchy.Schema, rBytes int64, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
 	reg := opts.Metrics
+	// Partition files live in Dir/tmp and go on every return path, a
+	// failed scan included (the pair fallback returns through here too).
+	partDir := filepath.Join(opts.Dir, "tmp")
+	defer os.RemoveAll(partDir)
 	// Memory split: half the budget for a loaded partition, a quarter
 	// for node N (the signature pool and sort scratch take the rest).
 	partBudget := opts.MemoryBudget / 2
@@ -417,21 +406,18 @@ func buildPartitioned(opts Options, hier *hierarchy.Schema, rBytes int64, lim *p
 		// dimensions when no single level of dimension 0 is feasible.
 		if hier.NumDims() >= 2 {
 			if pairChoice, perr := partition.SelectLevelPair(hier.Dims[0], hier.Dims[1], rBytes, partBudget, nBudget); perr == nil {
-				return buildPartitionedPair(opts, hier, pairChoice, lim, pool, w, stats, root)
+				return buildPartitionedPair(opts, partDir, hier, pairChoice, lim, pool, w, stats, root)
 			}
 		}
 		return err
 	}
 	splitSpan := root.Child("partition.split")
 	splitSpan.AddBytesRead(rBytes)
-	res, err := partition.PartitionScan(opts.FactPath, opts.TempDir, hier, opts.AggSpecs, choice, scanConfig(opts, lim, splitSpan))
+	res, err := partition.PartitionScan(opts.FactPath, partDir, hier, opts.AggSpecs, choice, scanConfig(opts, lim, splitSpan))
 	if err != nil {
 		return err
 	}
 	splitSpan.End()
-	if !opts.KeepPartitions {
-		defer os.RemoveAll(opts.TempDir)
-	}
 	L := choice.Level
 	w.SetPartitionLevel(L)
 	stats.Partitioned = true
@@ -554,17 +540,14 @@ func runPartitionsParallel(paths []string, level int, hier *hierarchy.Schema, op
 // {A_L, B_M} cover the nodes with both dimensions at fine levels; the
 // in-memory node N1 covers dimension 0 above L; N2 covers the remaining
 // nodes (dimension 0 fine, dimension 1 above M).
-func buildPartitionedPair(opts Options, hier *hierarchy.Schema, choice partition.PairChoice, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
+func buildPartitionedPair(opts Options, partDir string, hier *hierarchy.Schema, choice partition.PairChoice, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
 	reg := opts.Metrics
 	splitSpan := root.Child("partition.split")
-	res, err := partition.PartitionPairScan(opts.FactPath, opts.TempDir, hier, opts.AggSpecs, choice, scanConfig(opts, lim, splitSpan))
+	res, err := partition.PartitionPairScan(opts.FactPath, partDir, hier, opts.AggSpecs, choice, scanConfig(opts, lim, splitSpan))
 	if err != nil {
 		return err
 	}
 	splitSpan.End()
-	if !opts.KeepPartitions {
-		defer os.RemoveAll(opts.TempDir)
-	}
 	L, M := choice.LevelA, choice.LevelB
 	w.SetPartitionLevelPair(L, M)
 	stats.Partitioned = true

@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 
 	"cure/internal/cubetest"
+	"cure/internal/gen"
 	"cure/internal/hierarchy"
 	"cure/internal/query"
 	"cure/internal/relation"
@@ -911,6 +913,78 @@ func TestPairPartitionedVariantsAndSkew(t *testing.T) {
 				return
 			}
 			verifyCube(t, opts.Dir, hier, ft, specs, query.Options{CacheFraction: 1, PinAggregates: true})
+		})
+	}
+}
+
+// TestFailedPartitionedBuildLeavesNothing: a partitioning scan that fails
+// midway (here a fact file whose body is shorter than its header says)
+// must return the error and leave neither the partition files in Dir/tmp
+// nor a directory that opens — on the single-dimension path and on the
+// pair fallback.
+func TestFailedPartitionedBuildLeavesNothing(t *testing.T) {
+	cases := []struct {
+		name   string
+		hier   *hierarchy.Schema
+		budget int64
+		write  func(path string) error
+	}{
+		{"single", gen.APBSchema(), 200_000, func(path string) error {
+			_, _, err := gen.APBToFile(path, 0.0008, 1)
+			return err
+		}},
+		{"pair", pairHier(t), 5_600, func(path string) error {
+			return relation.WriteFactFile(path, pairEquivFact(t, 8))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			factPath := filepath.Join(dir, "fact.bin")
+			if err := tc.write(factPath); err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{
+				Dir:          filepath.Join(dir, "cube"),
+				FactPath:     factPath,
+				Hier:         tc.hier,
+				AggSpecs:     testSpecs(),
+				MemoryBudget: tc.budget,
+			}
+			// The intact file takes the path under test.
+			stats, err := Build(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := storage.ReadManifest(opts.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stats.Partitioned || (m.PartitionLevelB >= 0) != (tc.name == "pair") {
+				t.Fatalf("fixture took the wrong path: partitioned=%v levelB=%d", stats.Partitioned, m.PartitionLevelB)
+			}
+			if err := os.RemoveAll(opts.Dir); err != nil {
+				t.Fatal(err)
+			}
+
+			fi, err := os.Stat(factPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(factPath, fi.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Build(opts); err == nil {
+				t.Fatal("build over a truncated fact file succeeded")
+			}
+			if _, err := os.Stat(filepath.Join(opts.Dir, "tmp")); !os.IsNotExist(err) {
+				left, _ := filepath.Glob(filepath.Join(opts.Dir, "tmp", "*"))
+				t.Errorf("Dir/tmp survives the failed build (stat err %v): %v", err, left)
+			}
+			if r, err := storage.OpenReader(opts.Dir); err == nil {
+				r.Close()
+				t.Error("the failed build left a directory that opens")
+			}
 		})
 	}
 }

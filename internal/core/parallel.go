@@ -64,14 +64,12 @@ func (p limiterPool) TryAcquire() bool { return p.lim.tryAcquire() }
 func (p limiterPool) Release()         { p.lim.release() }
 
 // scanConfig assembles the partitioner's pipeline configuration from the
-// build options: worker slots come from the shared limiter, batch/shard
-// sizing from the scan knobs, and counters/spans from the metrics
-// registry.
+// build options: worker slots come from the shared limiter, and
+// counters/spans from the metrics registry (batch and shard sizes are
+// the partitioner's defaults).
 func scanConfig(opts Options, lim *parLimiter, span *obsv.Span) partition.ScanConfig {
 	cfg := partition.ScanConfig{
 		Parallelism: opts.Parallelism,
-		BatchRows:   opts.ScanBatchRows,
-		ShardRows:   opts.ScanShardRows,
 		Reg:         opts.Metrics,
 		Span:        span,
 	}

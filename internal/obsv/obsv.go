@@ -342,20 +342,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// TakeSpans removes and returns the registry's root spans (running spans
-// included — callers doing per-build accounting call this between
-// builds, when everything has ended).
-func (r *Registry) TakeSpans() []*Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	spans := r.spans
-	r.spans = nil
-	return spans
-}
-
 // CurrentPath returns the slash-joined path of the most recently started
 // un-ended span ("" when idle or r is nil). The runtime sampler tags
 // each memory sample with it so heap growth is attributable to a phase.

@@ -243,14 +243,6 @@ func TestSpanHierarchy(t *testing.T) {
 	if snap.Spans[0].Children[0].RowsIn != 100 || snap.Spans[0].Children[0].BytesRead != 4096 {
 		t.Fatalf("child snapshot = %+v", snap.Spans[0].Children[0])
 	}
-
-	totals := PhaseTotals(r.TakeSpans())
-	if totals["build/load"] <= 0 || totals["build"] <= 0 {
-		t.Fatalf("phase totals = %v", totals)
-	}
-	if len(r.TakeSpans()) != 0 {
-		t.Fatal("TakeSpans did not drain")
-	}
 }
 
 func TestConcurrentInstruments(t *testing.T) {
@@ -342,8 +334,7 @@ func TestProgressLine(t *testing.T) {
 // TestConcurrentSegSpans models the build's segment fan-out: many
 // goroutines attach "seg" children to one phase span, tally rows, and
 // end them while a scraper keeps snapshotting. All children must
-// survive into the snapshot with their row counts, and PhaseTotals must
-// merge them under one path.
+// survive into the snapshot with their row counts.
 func TestConcurrentSegSpans(t *testing.T) {
 	r := NewRegistry()
 	root := r.StartSpan("build")
@@ -403,10 +394,6 @@ func TestConcurrentSegSpans(t *testing.T) {
 	}
 	if rows != int64(workers*spansEach*rowsEach) {
 		t.Fatalf("seg rows = %d, want %d", rows, workers*spansEach*rowsEach)
-	}
-	totals := PhaseTotals(r.TakeSpans())
-	if totals["build/cube/seg"] <= 0 {
-		t.Fatalf("phase totals missing merged seg path: %v", totals)
 	}
 }
 

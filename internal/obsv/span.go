@@ -226,22 +226,3 @@ func (s *Span) snapshot() SpanSnapshot {
 	}
 	return ss
 }
-
-// PhaseTotals sums elapsed seconds by span path over a set of root
-// spans, one map entry per distinct path ("build", "build/partition.split",
-// …). Repeated builds accumulate, which is what per-experiment phase
-// attribution wants.
-func PhaseTotals(spans []*Span) map[string]float64 {
-	totals := map[string]float64{}
-	var walk func(s *Span)
-	walk = func(s *Span) {
-		totals[s.Path()] += s.Elapsed().Seconds()
-		for _, c := range s.Children() {
-			walk(c)
-		}
-	}
-	for _, s := range spans {
-		walk(s)
-	}
-	return totals
-}

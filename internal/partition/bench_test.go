@@ -9,9 +9,8 @@ import (
 	"cure/internal/relation"
 )
 
-// benchFixture writes a fact file shaped like the bench harness's
-// partition-throughput dataset: hierarchical A (8192→512→32), three flat
-// dims, one integer measure.
+// benchFixture writes a fact file with a hierarchical A (8192→512→32),
+// three flat dims and one integer measure.
 func benchFixture(b *testing.B, rows int) (string, *hierarchy.Schema, LevelChoice) {
 	b.Helper()
 	m01 := hierarchy.BuildContiguousMap(8192, 512)

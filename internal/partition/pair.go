@@ -90,17 +90,12 @@ type PairResult struct {
 	NCountCol int
 }
 
-// PartitionPair streams the fact table once, routing each tuple by its
-// (A_L, B_M) pair code and hash-building both in-memory nodes in the same
-// pass. Both affected dimensions must be hierarchy-consistent above their
-// partitioning levels.
-func PartitionPair(factPath, dir string, hier *hierarchy.Schema, specs []relation.AggSpec, choice PairChoice) (*PairResult, error) {
-	return PartitionPairScan(factPath, dir, hier, specs, choice, ScanConfig{})
-}
-
-// PartitionPairScan is PartitionPair through the parallel scan pipeline
-// (see PartitionScan): same deterministic N1/N2 at every worker count,
-// same partition-row multisets, plus the scan counters and spans.
+// PartitionPairScan streams the fact table once through the parallel scan
+// pipeline (see PartitionScan), routing each tuple by its (A_L, B_M) pair
+// code and hash-building both in-memory nodes in the same pass: same
+// deterministic N1/N2 at every worker count, same partition-row
+// multisets. Both affected dimensions must be hierarchy-consistent above
+// their partitioning levels.
 func PartitionPairScan(factPath, dir string, hier *hierarchy.Schema, specs []relation.AggSpec, choice PairChoice, cfg ScanConfig) (res *PairResult, err error) {
 	if hier.NumDims() < 2 {
 		return nil, fmt.Errorf("partition: pair partitioning needs at least 2 dimensions")

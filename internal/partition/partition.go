@@ -137,33 +137,24 @@ func DerivedSpecs(specs []relation.AggSpec, countCol int) []relation.AggSpec {
 	return out
 }
 
-// Partition streams the fact table at factPath once, routing each tuple
-// to its partition (A_L code modulo the partition count — sound on A_L
-// because equal codes always land together) and folding it into the
+// PartitionScan streams the fact table at factPath once, routing each
+// tuple to its partition (A_L code modulo the partition count — sound on
+// A_L because equal codes always land together) and folding it into the
 // in-memory node N via hashing. Partition files are written under dir.
 //
 // The dimension-0 hierarchy must be consistent above L (level maps for
-// l > L+1 must factor through level L+1), which Partition verifies; this
-// is what lets N's representative base codes stand in for their groups at
-// every coarser level.
-func Partition(factPath, dir string, hier *hierarchy.Schema, specs []relation.AggSpec, choice LevelChoice) (*Result, error) {
-	return PartitionObs(factPath, dir, hier, specs, choice, nil)
-}
-
-// PartitionObs is Partition with I/O accounting: the single scan of R is
+// l > L+1 must factor through level L+1), which PartitionScan verifies;
+// this is what lets N's representative base codes stand in for their
+// groups at every coarser level.
+//
+// cfg carries the scan knobs — worker count (drawn from cfg.Pool when
+// set), batch and shard sizing, the parent span for per-shard scan
+// children — and the registry for I/O accounting: the single scan of R is
 // charged to partition.bytes_read, partition file volumes to
 // partition.bytes_written (§4's 2-reads-1-write bound is then checkable as
 // bytes_read ≈ 2 × bytes_written once the cubing phase re-reads the
 // partitions), and a partition event per file records its rows and bytes.
-// A nil registry makes it identical to Partition.
-func PartitionObs(factPath, dir string, hier *hierarchy.Schema, specs []relation.AggSpec, choice LevelChoice, reg *obsv.Registry) (*Result, error) {
-	return PartitionScan(factPath, dir, hier, specs, choice, ScanConfig{Reg: reg})
-}
-
-// PartitionScan is the full pipeline entry point: PartitionObs plus the
-// scan knobs — worker count (drawn from cfg.Pool when set), batch and
-// shard sizing, and the parent span for per-shard scan children. The
-// result is identical at every parallelism level: the node N comes out
+// The result is identical at every parallelism level: the node N comes out
 // in the exact group order a sequential scan produces (see nodeHash),
 // and partition files hold the same row multiset with original row-ids
 // (row order within a partition file may differ under parallelism).

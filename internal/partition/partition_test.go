@@ -147,7 +147,7 @@ func TestPartitionSoundnessAndN(t *testing.T) {
 	path, hier, ft := buildTestFact(t, 500)
 	specs := []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}}
 	choice := LevelChoice{Level: 0, NumPartitions: 4}
-	res, err := Partition(path, t.TempDir(), hier, specs, choice)
+	res, err := PartitionScan(path, t.TempDir(), hier, specs, choice, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestPartitionOnTopLevelDropsDim0(t *testing.T) {
 	specs := []relation.AggSpec{{Func: relation.AggSum, Measure: 0}}
 	// L = 1 is the top real level → N is grouped on (ALL, B) = B only.
 	choice := LevelChoice{Level: 1, NumPartitions: 2}
-	res, err := Partition(path, t.TempDir(), hier, specs, choice)
+	res, err := PartitionScan(path, t.TempDir(), hier, specs, choice, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestPartitionRejectsNonFactoringHierarchy(t *testing.T) {
 	if err := relation.WriteFactFile(path, ft); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Partition(path, t.TempDir(), hier, []relation.AggSpec{{Func: relation.AggCount}}, LevelChoice{Level: 0, NumPartitions: 2}); err == nil {
+	if _, err := PartitionScan(path, t.TempDir(), hier, []relation.AggSpec{{Func: relation.AggCount}}, LevelChoice{Level: 0, NumPartitions: 2}, ScanConfig{}); err == nil {
 		t.Error("non-factoring hierarchy accepted")
 	}
 }
@@ -366,7 +366,7 @@ func TestPartitionPairSoundness(t *testing.T) {
 	// L = 0, M = 1: N1 groups on (A_1, B_0); N2 on (A_0, ALL) since
 	// M + 1 is B's ALL level.
 	choice := PairChoice{LevelA: 0, LevelB: 1, NumPartitions: 5}
-	res, err := PartitionPair(path, t.TempDir(), hier, specs, choice)
+	res, err := PartitionPairScan(path, t.TempDir(), hier, specs, choice, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,11 +206,11 @@ func TestPartitionRejectsNegativeCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []relation.AggSpec{{Func: relation.AggCount}}
-	if _, err := Partition(path, t.TempDir(), hier, specs, LevelChoice{Level: 0, NumPartitions: 2}); err == nil {
+	if _, err := PartitionScan(path, t.TempDir(), hier, specs, LevelChoice{Level: 0, NumPartitions: 2}, ScanConfig{}); err == nil {
 		t.Fatal("negative dim code accepted")
 	}
 	// Pair path too.
-	if _, err := PartitionPair(path, t.TempDir(), hier, specs, PairChoice{LevelA: 0, LevelB: 0, NumPartitions: 2}); err == nil {
+	if _, err := PartitionPairScan(path, t.TempDir(), hier, specs, PairChoice{LevelA: 0, LevelB: 0, NumPartitions: 2}, ScanConfig{}); err == nil {
 		t.Fatal("negative dim code accepted by pair partitioner")
 	}
 }

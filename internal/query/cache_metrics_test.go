@@ -68,14 +68,17 @@ func TestCacheMetricsFullCache(t *testing.T) {
 	if snap.Counters["query.rows"] == 0 {
 		t.Fatal("query.rows not counted")
 	}
-	var lat *obsv.HistogramSnapshot
-	for i := range snap.Histograms {
-		if snap.Histograms[i].Name == "query.node.latency_us" {
-			lat = &snap.Histograms[i]
+	// Both the per-op and the all-ops latency histograms saw every query.
+	for _, name := range []string{"query.node.latency_us", "query.latency_us"} {
+		var lat *obsv.HistogramSnapshot
+		for i := range snap.Histograms {
+			if snap.Histograms[i].Name == name {
+				lat = &snap.Histograms[i]
+			}
 		}
-	}
-	if lat == nil || lat.Count != 2*nodes {
-		t.Fatalf("latency histogram = %+v, want count %d", lat, 2*nodes)
+		if lat == nil || lat.Count != 2*nodes {
+			t.Fatalf("%s histogram = %+v, want count %d", name, lat, 2*nodes)
+		}
 	}
 }
 

@@ -35,9 +35,8 @@ type Options struct {
 	// the other half of §5.3's caching advice. Defaults to true via
 	// OpenDefault.
 	PinAggregates bool
-	// NoIndex disables zone-map block pruning for predicate queries (the
-	// ablation arm of the query-throughput experiment); selections then
-	// fall back to full extent scans.
+	// NoIndex disables zone-map block pruning for predicate queries;
+	// selections then fall back to full extent scans.
 	NoIndex bool
 	// DecodedCacheBytes budgets the decoded-block cache in raw-equivalent
 	// bytes (0 = a 32 MiB default, negative = disabled).
