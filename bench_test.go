@@ -239,5 +239,3 @@ func BenchmarkHierarchyMapCode(b *testing.B) {
 }
 
 func BenchmarkAblationPlanHeight(b *testing.B) { benchExperiment(b, "ablation-height") }
-
-func BenchmarkIncrementalUpdate(b *testing.B) { benchExperiment(b, "update") }

@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("cubebench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp       = fs.String("exp", "all", "experiment id (table1, fig14..fig28, iceberg, update, ablation-sort, ablation-height, ablation-plan) or 'all'")
+		exp       = fs.String("exp", "all", "experiment id (table1, fig14..fig28, iceberg, ablation-sort, ablation-height, ablation-plan) or 'all'")
 		scale     = fs.Float64("scale", 0, "dataset scale relative to the paper (default 0.02)")
 		densities = fs.String("densities", "", "comma-separated APB-1 densities (default 0.004,0.04,0.4; paper: 0.4,4,40)")
 		mem       = fs.Int64("mem", 0, "CURE memory budget in bytes for APB builds (default 32 MiB)")

@@ -677,8 +677,9 @@ func cmdImport(args []string) {
 	}
 }
 
-// cmdUpdate merges a delta fact file into an existing cube, producing a
-// refreshed cube directory.
+// cmdUpdate re-cubes an existing cube's fact table extended by a delta
+// fact file into a refreshed cube directory, then appends the delta to the
+// fact table.
 func cmdUpdate(args []string) {
 	fs := flag.NewFlagSet("update", flag.ExitOnError)
 	cube := fs.String("cube", "", "existing cube directory (required)")
@@ -696,10 +697,8 @@ func cmdUpdate(args []string) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	diag("merged %d delta rows across %d nodes in %v\n", stats.DeltaRows, stats.Nodes, stats.Elapsed)
-	diag(" inserted %d, updated %d, carried %d tuples (%d TTs)\n",
-		stats.Inserted, stats.Updated, stats.Carried, stats.TTs)
-	diag(" refreshed cube size: %d bytes\n", stats.Sizes.Total())
+	diag("applied %d delta rows in %v\n", stats.DeltaRows, stats.Elapsed)
+	diag(" refreshed cube: %d TTs, %d bytes\n", stats.TTs, stats.Sizes.Total())
 }
 
 // cmdVerify recomputes sampled nodes from the fact table and compares

@@ -1,8 +1,8 @@
 // Incremental: keep a cube fresh as new fact batches arrive — the §8
-// future-work direction of the paper. Builds a retail cube, merges two
-// delta batches with update.Apply, and shows that queries over the
-// refreshed cube match a from-scratch rebuild while the old cube stays
-// queryable until the swap.
+// future-work direction of the paper. Builds a retail cube, applies two
+// delta batches with update.Apply (each re-cubes the extended fact table
+// beside the cube it refreshes, which stays queryable until the swap), and
+// verifies the refreshed cube against its fact table.
 //
 //	go run ./examples/incremental
 package main
@@ -57,8 +57,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("day %d: merged %d rows in %v — %d new tuples, %d updated, %d carried\n",
-			day, us.DeltaRows, us.Elapsed, us.Inserted, us.Updated, us.Carried)
+		fmt.Printf("day %d: applied %d rows in %v — refreshed cube has %d TTs in %d bytes\n",
+			day, us.DeltaRows, us.Elapsed, us.TTs, us.Sizes.Total())
 		cur = next
 	}
 

@@ -204,7 +204,6 @@ func (h *Harness) experiments() map[string]experiment {
 		"fig27":           {"flathier", "Flat vs hierarchical: storage space", (*Harness).runFlatHier},
 		"fig28":           {"flathier", "Flat vs hierarchical: roll-up/drill-down QRT", (*Harness).runFlatHier},
 		"iceberg":         {"iceberg", "Iceberg count queries (§7 closing remark)", (*Harness).runIceberg},
-		"update":          {"update", "Incremental maintenance vs full rebuild (§8)", (*Harness).runUpdate},
 		"ablation-sort":   {"ablation-sort", "CountingSort vs QuickSort under skew", (*Harness).runSortAblation},
 		"ablation-height": {"ablation-height", "Tallest plan (P3) vs shortest plan (P2)", (*Harness).runHeightAblation},
 		"ablation-plan":   {"ablation-plan", "Shared hierarchical plan vs independent sub-cubes", (*Harness).runPlanAblation},

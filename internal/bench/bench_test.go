@@ -218,7 +218,7 @@ func TestPlanAblation(t *testing.T) {
 	}
 }
 
-func TestUpdateAndHeightExperiments(t *testing.T) {
+func TestHeightAblationExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench experiments in -short mode")
 	}
@@ -227,18 +227,6 @@ func TestUpdateAndHeightExperiments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	upd, err := h.Run("update")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(upd.Rows) != 3 {
-		t.Fatalf("update rows = %d", len(upd.Rows))
-	}
-	for _, row := range upd.Rows {
-		if row[3] != "yes" {
-			t.Fatalf("merge diverged from rebuild: %v", row)
-		}
-	}
 	hgt, err := h.Run("ablation-height")
 	if err != nil {
 		t.Fatal(err)

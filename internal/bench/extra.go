@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"path/filepath"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"cure/internal/partition"
 	"cure/internal/query"
 	"cure/internal/relation"
-	"cure/internal/update"
 )
 
 // runTable1 regenerates Table 1: the partition-level selection arithmetic
@@ -263,89 +261,4 @@ func (h *Harness) runHeightAblation() (map[string]*Result, error) {
 	}
 	res.AddRow("P2 (shortest)", fmtDur(short.Elapsed.Seconds()), fmtBytes(short.Sizes.Total()))
 	return map[string]*Result{"ablation-height": res}, nil
-}
-
-// runUpdate evaluates the §8 future-work implementation: merging delta
-// batches into an existing cube versus rebuilding it from scratch, across
-// delta sizes.
-func (h *Harness) runUpdate() (map[string]*Result, error) {
-	density := h.cfg.APBDensities[0]
-	base, hier, err := gen.APB(density, h.cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{ID: "update", Title: "Incremental maintenance vs full rebuild",
-		Header: []string{"delta rows", "merge (update.Apply)", "full rebuild", "merged = rebuilt"},
-		Notes: []string{
-			fmt.Sprintf("base: APB-1 density %g (%s tuples)", density, fmtCount(int64(base.Len()))),
-			"the merge is O(cube) while a rebuild is O(T·plan): on sparse cubes (cube >> fact table) rebuilds win;",
-			"the merge's value is independence from T (no fact re-scan) and keeping the old cube queryable until swap",
-		}}
-	rng := rand.New(rand.NewSource(h.cfg.Seed + 7))
-	newDelta := func(n int) *relation.FactTable {
-		d := relation.NewFactTable(base.Schema, n)
-		dims := make([]int32, hier.NumDims())
-		for i := 0; i < n; i++ {
-			for di, dim := range hier.Dims {
-				dims[di] = rng.Int31n(dim.Card(0))
-			}
-			unit := float64(1 + rng.Intn(9))
-			d.Append(dims, []float64{unit, unit * float64(1+rng.Intn(50))})
-		}
-		return d
-	}
-	for _, frac := range []float64{0.01, 0.05, 0.2} {
-		n := int(float64(base.Len()) * frac)
-		if n < 1 {
-			n = 1
-		}
-		delta := newDelta(n)
-		oldDir := filepath.Join(h.cfg.WorkDir, fmt.Sprintf("upd_base_%g", frac))
-		if _, err := h.buildCURE(oldDir, base, hier, nil); err != nil {
-			return nil, err
-		}
-		newDir := filepath.Join(h.cfg.WorkDir, fmt.Sprintf("upd_new_%g", frac))
-		us, err := update.Apply(update.Options{OldDir: oldDir, NewDir: newDir, Delta: delta})
-		if err != nil {
-			return nil, err
-		}
-		// Full rebuild over base ∪ delta.
-		combined := relation.NewFactTable(base.Schema, base.Len()+delta.Len())
-		dims := make([]int32, hier.NumDims())
-		meas := make([]float64, base.Schema.NumMeasures())
-		for _, tbl := range []*relation.FactTable{base, delta} {
-			for r := 0; r < tbl.Len(); r++ {
-				dims = tbl.DimRow(r, dims)
-				meas = tbl.MeasureRow(r, meas)
-				combined.Append(dims, meas)
-			}
-		}
-		refDir := filepath.Join(h.cfg.WorkDir, fmt.Sprintf("upd_ref_%g", frac))
-		rs, err := h.buildCURE(refDir, combined, hier, nil)
-		if err != nil {
-			return nil, err
-		}
-		// Equivalence check via Diff.
-		a, err := query.OpenDefault(newDir)
-		if err != nil {
-			return nil, err
-		}
-		b, err := query.OpenDefault(refDir)
-		if err != nil {
-			a.Close()
-			return nil, err
-		}
-		rep, err := query.Diff(a, b)
-		a.Close()
-		b.Close()
-		if err != nil {
-			return nil, err
-		}
-		equal := "yes"
-		if !rep.Equal() {
-			equal = fmt.Sprintf("NO (%d diffs)", len(rep.Differences))
-		}
-		res.AddRow(fmtCount(int64(n)), fmtDur(us.Elapsed.Seconds()), fmtDur(rs.Elapsed.Seconds()), equal)
-	}
-	return map[string]*Result{"update": res}, nil
 }

@@ -146,7 +146,7 @@ type BuildStats struct {
 // (covering all nodes with dimension 0 at levels ≤ L), and the rest of
 // the cube is computed from the in-memory node N.
 func Build(opts Options) (*BuildStats, error) {
-	return build(opts, factStoreRows)
+	return build(opts, nil, factStoreRows)
 }
 
 // factStoreRows is the fact rows an out-of-core build keeps resident for
@@ -154,9 +154,12 @@ func Build(opts Options) (*BuildStats, error) {
 // tuple.
 const factStoreRows = 131_072
 
-// build is Build with the out-of-core fact-store budget as a parameter, so
-// tests can make finalize evict on small inputs.
-func build(opts Options, storeRows int64) (*BuildStats, error) {
+// build is Build with two more parameters. A non-nil table is the loaded
+// content of opts.FactPath — the rows that file holds, or will hold once
+// the caller has written them — and is cubed in memory without the file
+// being read. storeRows is the out-of-core fact-store budget, so tests can
+// make finalize evict on small inputs.
+func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStats, error) {
 	start := time.Now()
 	if err := validate(&opts); err != nil {
 		return nil, err
@@ -171,15 +174,22 @@ func build(opts Options, storeRows int64) (*BuildStats, error) {
 	defer root.End() // ends early on success; ending twice is a no-op
 
 	loadSpan := root.Child("load")
-	fr, err := relation.OpenFactReader(opts.FactPath)
-	if err != nil {
-		return nil, err
+	var fr *relation.FactReader // stays nil when the caller passed the table
+	var rows, rBytes int64
+	var schema *relation.Schema
+	var err error
+	if table != nil {
+		rows, schema = int64(table.Len()), table.Schema
+	} else {
+		if fr, err = relation.OpenFactReader(opts.FactPath); err != nil {
+			return nil, err
+		}
+		defer fr.Close()
+		rows, schema = fr.Rows(), fr.Schema()
+		rBytes = rows * int64(fr.RowWidth())
 	}
-	rows := fr.Rows()
-	rBytes := rows * int64(fr.RowWidth())
-	if fr.Schema().NumDims() != opts.Hier.NumDims() {
-		fr.Close()
-		return nil, fmt.Errorf("core: fact table has %d dims, hierarchy %d", fr.Schema().NumDims(), opts.Hier.NumDims())
+	if schema.NumDims() != opts.Hier.NumDims() {
+		return nil, fmt.Errorf("core: fact table has %d dims, hierarchy %d", schema.NumDims(), opts.Hier.NumDims())
 	}
 
 	effHier := opts.Hier
@@ -187,19 +197,18 @@ func build(opts Options, storeRows int64) (*BuildStats, error) {
 		effHier = opts.Hier.Flatten()
 	}
 
-	var facts *factstore.Store
-	var table *relation.FactTable
-	inMemory := opts.MemoryBudget <= 0 || rBytes <= opts.MemoryBudget/2
-	if inMemory {
-		fr.Close()
+	if table == nil && (opts.MemoryBudget <= 0 || rBytes <= opts.MemoryBudget/2) {
 		if table, err = relation.ReadFactFile(opts.FactPath); err != nil {
 			return nil, err
 		}
 		loadSpan.AddRowsIn(rows)
 		loadSpan.AddBytesRead(rBytes)
+	}
+	var facts *factstore.Store
+	inMemory := table != nil
+	if inMemory {
 		facts = factstore.FromColumns(table)
 	} else {
-		defer fr.Close()
 		facts = factstore.New(fr, storeRows)
 	}
 	loadSpan.End()
@@ -325,8 +334,17 @@ func BuildFromTable(t *relation.FactTable, opts Options) (*BuildStats, error) {
 	if err := relation.WriteFactFile(opts.FactPath, t); err != nil {
 		return nil, err
 	}
+	return BuildLoaded(t, opts)
+}
+
+// BuildLoaded cubes, in memory, a fact table the caller already holds:
+// t is the content of opts.FactPath, row i of one being row-id i of the
+// other, and the file is not read. The file may lag the table — the
+// manifest records t.Len() rows, and the cube opens once the file holds
+// them (update.Apply appends its delta only after the cube is finalized).
+func BuildLoaded(t *relation.FactTable, opts Options) (*BuildStats, error) {
 	opts.MemoryBudget = 0
-	return Build(opts)
+	return build(opts, t, factStoreRows)
 }
 
 func validate(opts *Options) error {

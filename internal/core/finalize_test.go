@@ -129,7 +129,7 @@ func TestFinalizeUnderStoreEviction(t *testing.T) {
 			cubes := map[int64]map[string][]byte{}
 			for _, storeRows := range []int64{factStoreRows, 2 * factstore.PageRows} {
 				opts.Dir = filepath.Join(base, fmt.Sprintf("cube-%v-%d-%d", dr, p, storeRows))
-				st, err := build(opts, storeRows)
+				st, err := build(opts, nil, storeRows)
 				if err != nil {
 					t.Fatalf("%s: store of %d rows: %v", name, storeRows, err)
 				}

@@ -131,8 +131,9 @@ func Open(dir string, opts Options) (*Engine, error) {
 	}
 	// Row-ids come off disk and index the fact file: a file shorter than
 	// the cube was built over, or with other columns, cannot be the one they
-	// reference. A longer one is legal — update.Apply appends the delta
-	// before the refreshed cube exists.
+	// reference. A longer one is legal: update.Apply extends the file as
+	// its last step, so the cube it refreshed sees more rows than it covers
+	// — and a refreshed cube whose append never happened sees fewer.
 	if fact.Rows() < r.Manifest().FactRows || fact.Schema().NumDims() != r.Hier().NumDims() {
 		e.Close()
 		return nil, fmt.Errorf("query: fact file %s has %d rows × %d dims, the cube references %d rows × %d dims",

@@ -294,7 +294,8 @@ func TestDiffEquivalentAndDivergent(t *testing.T) {
 // TestOpenChecksFactFile: the cube's row-ids index the fact file, so Open
 // rejects one that cannot be the file they reference — too short, or with
 // another dimension count — instead of failing mid-query. A longer file is
-// legal: update.Apply appends the delta before the refreshed cube exists.
+// legal: update.Apply appends the delta once the refreshed cube is
+// finalized, and the cube it superseded keeps reading its own prefix.
 func TestOpenChecksFactFile(t *testing.T) {
 	dir, _, ft := buildTestCube(t, false)
 	factPath := filepath.Join(dir, "fact.bin")

@@ -384,8 +384,9 @@ func (fr *FactReader) Close() error { return fr.f.Close() }
 // AppendToFactFile appends the rows of t to an existing fact file and
 // patches the header row count, returning the row-id of the first
 // appended row. Schemas must match; the target file must not use explicit
-// row-ids. Incremental cube maintenance uses this to extend the fact
-// table before merging the delta cube.
+// row-ids. The header patch comes last, so a failed append leaves a file
+// that still reads as its old rows. update.Apply extends the fact table
+// with this as its last step, once the refreshed cube is finalized.
 func AppendToFactFile(path string, t *FactTable) (firstID int64, err error) {
 	fr, err := OpenFactReader(path)
 	if err != nil {

@@ -51,8 +51,8 @@ type Options struct {
 	StageBudget int64
 	// ZoneBlockRows is the rows per extent block and per zone-map block
 	// (0 = DefaultZoneBlockRows; negative = default blocks, no zone maps).
-	// Zone maps also require a Resolver; writers without one (incremental
-	// merges) skip them silently.
+	// Zone maps also require a Resolver; writers without one skip them
+	// silently.
 	ZoneBlockRows int
 	// Parallelism caps the workers of the finalize extent pipeline; ≤1
 	// keeps it sequential. The output is byte-identical at every setting.
