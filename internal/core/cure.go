@@ -228,6 +228,7 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 		finPool = limiterPool{lim}
 	}
 	resolver := func(rowids []int64, dims [][]int32) error { return facts.Deref(rowids, dims, nil, nil) }
+	setupSpan := root.Child("setup")
 	w, err := storage.NewWriter(storage.Options{
 		Dir:           opts.Dir,
 		Hier:          effHier,
@@ -270,6 +271,7 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 	}
 	pool.ForceFormat = opts.ForceFormat
 	pool.Metrics = reg
+	setupSpan.End()
 
 	if lim != nil {
 		// Concurrent workers append through the shared writer.
@@ -291,14 +293,17 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 		return nil, err
 	}
 	flushSpan.End()
+	// The pool's last use: nothing below refers to it, so finalize runs
+	// without the record buffer reachable.
+	catFormat, poolStats := pool.Format(), pool.Stats()
 	finSpan := root.Child("finalize")
 	w.SetFinalizeSpan(finSpan)
-	m, err := w.Finalize(pool.Format())
+	m, err := w.Finalize(catFormat)
 	if err != nil {
 		return nil, err
 	}
 	finSpan.End()
-	stats.Pool = pool.Stats().Add(stats.workerPool)
+	stats.Pool = poolStats.Add(stats.workerPool)
 	stats.CatFormat = m.CatFormat
 	stats.Sizes = m.Sizes
 	stats.NodesMaterialized = len(m.Nodes)

@@ -60,6 +60,12 @@ type executor struct {
 	// edge adds a dimension at *each* of its levels; no dashed edges).
 	shortPlan bool
 	idx       []int32
+	// keys is aligned with idx: keys[j] is the sort code of row idx[j] on
+	// the edge that last sorted position j. A recursion overwrites only
+	// the subrange it was handed, and every run loop finds a run's end
+	// before descending into it, so one array serves the whole depth.
+	// Owned by this executor, never shared (see parallel.go).
+	keys []int32
 	// levels[d] is the hierarchy level of dimension d in the node being
 	// computed; AllLevel means the dimension is aggregated away.
 	levels []int
@@ -79,6 +85,7 @@ type executor struct {
 	// an optional plan-traversal trace sink.
 	tr            *obsv.TraceWriter
 	cSortCounting *obsv.Counter
+	cSortInsert   *obsv.Counter
 	cSortQuick    *obsv.Counter
 	cSortRows     *obsv.Counter
 	cSegments     *obsv.Counter
@@ -100,6 +107,7 @@ func newExecutor(t *relation.FactTable, hier *hierarchy.Schema, specs []relation
 	if reg != nil {
 		ex.tr = reg.Trace()
 		ex.cSortCounting = reg.Counter("core.sort.counting")
+		ex.cSortInsert = reg.Counter("core.sort.insertion")
 		ex.cSortQuick = reg.Counter("core.sort.quick")
 		ex.cSortRows = reg.Counter("core.sort.rows")
 		ex.cSegments = reg.Counter("core.segments")
@@ -111,6 +119,7 @@ func newExecutor(t *relation.FactTable, hier *hierarchy.Schema, specs []relation
 	}
 	ex.sorter.ForceQuick = forceQuick
 	ex.idx = sortutil.Iota(nil, t.Len())
+	ex.keys = make([]int32, t.Len())
 	ex.levels = make([]int, hier.NumDims())
 	ex.baseLevel = make([]int, hier.NumDims())
 	for d, dim := range hier.Dims {
@@ -242,17 +251,7 @@ func (ex *executor) executePlan(lo, hi, dim int) error {
 // current level and recurses into every run of equal codes (Figure 13's
 // FollowEdge).
 func (ex *executor) followEdge(lo, hi, dim int, edge edgeKind) error {
-	key := ex.keyer(dim)
-	seg := ex.idx[lo:hi]
-	alg := ex.sorter.Sort(seg, key)
-	switch alg {
-	case sortutil.AlgCounting:
-		ex.cSortCounting.Inc()
-		ex.cSortRows.Add(int64(len(seg)))
-	case sortutil.AlgQuick:
-		ex.cSortQuick.Inc()
-		ex.cSortRows.Add(int64(len(seg)))
-	}
+	alg := ex.sortSegment(lo, hi, dim)
 	if ex.tr != nil {
 		ex.tr.Emit(obsv.EdgeEvent{
 			Ev:    "edge",
@@ -262,40 +261,63 @@ func (ex *executor) followEdge(lo, hi, dim int, edge edgeKind) error {
 			Alg:   alg.String(),
 			Dim:   dim,
 			Level: ex.levels[dim],
-			Rows:  len(seg),
+			Rows:  hi - lo,
 		})
 	}
 	if ex.par != nil && lo == 0 && hi == len(ex.idx) {
 		// A root sort over the whole table: its runs are independent
 		// subproblems, so fan them out instead of recursing inline.
-		if handled, err := ex.fanOut(dim, key); handled {
+		if handled, err := ex.fanOut(dim); handled {
 			return err
 		}
 	}
-	runLo := 0
-	for runLo < len(seg) {
-		code := key.Key(seg[runLo])
-		runHi := runLo + 1
-		for runHi < len(seg) && key.Key(seg[runHi]) == code {
-			runHi++
-		}
-		if err := ex.executePlan(lo+runLo, lo+runHi, dim+1); err != nil {
+	for lo < hi {
+		end := runEnd(ex.keys, lo, hi)
+		if err := ex.executePlan(lo, end, dim+1); err != nil {
 			return err
 		}
-		runLo = runHi
+		lo = end
 	}
 	return nil
 }
 
-// keyer builds the sort key for dimension dim at its current level.
-func (ex *executor) keyer(dim int) sortutil.Keyer {
+// sortSegment materialises the codes of rows idx[lo:hi] on dimension dim
+// at its current level into keys[lo:hi] — one pass, no interface call per
+// row — and sorts the two arrays together, so the run loops that follow
+// read sorted codes instead of looking every row up again.
+func (ex *executor) sortSegment(lo, hi, dim int) sortutil.Alg {
+	seg, keys := ex.idx[lo:hi], ex.keys[lo:hi]
 	d := ex.hier.Dims[dim]
 	lvl := ex.levels[dim]
-	col := ex.table.Dims[dim]
-	if lvl == 0 {
-		return sortutil.SliceKeyer{Col: col, Hi: d.Card(0)}
+	var levelMap []int32 // level 0 is the column itself
+	if lvl > 0 {
+		levelMap = d.Levels[lvl].Map
 	}
-	return sortutil.MappedKeyer{Col: col, Map: d.Levels[lvl].Map, Hi: d.Card(lvl)}
+	sortutil.Codes(keys, seg, ex.table.Dims[dim], levelMap)
+	alg := ex.sorter.SortKeyed(seg, keys, int(d.Card(lvl)))
+	switch alg {
+	case sortutil.AlgCounting:
+		ex.cSortCounting.Inc()
+	case sortutil.AlgInsertion:
+		ex.cSortInsert.Inc()
+	case sortutil.AlgQuick:
+		ex.cSortQuick.Inc()
+	}
+	if alg != sortutil.AlgNone {
+		ex.cSortRows.Add(int64(len(seg)))
+	}
+	return alg
+}
+
+// runEnd returns the end of the run of equal codes that starts at
+// keys[lo], within keys[lo:hi].
+func runEnd(keys []int32, lo, hi int) int {
+	code := keys[lo]
+	end := lo + 1
+	for end < hi && keys[end] == code {
+		end++
+	}
+	return end
 }
 
 // runPartitionPair executes one pair-partitioning root {A_la, B_lb}: the
@@ -314,22 +336,9 @@ func (ex *executor) runPartitionPair(la, lb int, stats *BuildStats) error {
 		ex.levels[0] = ex.hier.Dims[0].AllLevel()
 		ex.levels[1] = ex.hier.Dims[1].AllLevel()
 	}()
-	key0 := ex.keyer(0)
-	switch ex.sorter.Sort(ex.idx, key0) {
-	case sortutil.AlgCounting:
-		ex.cSortCounting.Inc()
-		ex.cSortRows.Add(int64(len(ex.idx)))
-	case sortutil.AlgQuick:
-		ex.cSortQuick.Inc()
-		ex.cSortRows.Add(int64(len(ex.idx)))
-	}
-	lo := 0
-	for lo < len(ex.idx) {
-		code := key0.Key(ex.idx[lo])
-		hi := lo + 1
-		for hi < len(ex.idx) && key0.Key(ex.idx[hi]) == code {
-			hi++
-		}
+	ex.sortSegment(0, len(ex.idx), 0)
+	for lo := 0; lo < len(ex.idx); {
+		hi := runEnd(ex.keys, lo, len(ex.idx))
 		// Inner segmentation on dimension 1 at level lb.
 		if err := ex.followEdge(lo, hi, 1, edgeSolid); err != nil {
 			return err

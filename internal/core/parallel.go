@@ -12,7 +12,6 @@ import (
 	"cure/internal/obsv"
 	"cure/internal/partition"
 	"cure/internal/signature"
-	"cure/internal/sortutil"
 )
 
 // parLimiter caps the extra goroutines a build may run beyond the ones
@@ -212,9 +211,9 @@ type parCtx struct {
 
 // segWorker is one slot's private cubing state: a cloned executor that
 // shares the parent's fact table and index array (batches touch
-// disjoint subranges) but owns its sorter, level state, aggregate
-// scratch, and a sharded signature pool. Its trivial-tuple and pool
-// statistics merge into the parent's BuildStats in finishPar.
+// disjoint subranges) but owns its sorter, key scratch, level state,
+// aggregate scratch, and a sharded signature pool. Its trivial-tuple and
+// pool statistics merge into the parent's BuildStats in finishPar.
 type segWorker struct {
 	ex  *executor
 	tts int64
@@ -238,13 +237,13 @@ func (p *parCtx) newSegWorker(parent *executor) (*segWorker, error) {
 		countCol:      parent.countCol,
 		minCount:      parent.minCount,
 		shortPlan:     parent.shortPlan,
-		idx:           parent.idx,
 		levels:        make([]int, len(parent.levels)),
 		baseLevel:     make([]int, len(parent.baseLevel)),
 		aggBuf:        make([]float64, len(parent.specs)),
 		ttWritten:     &w.tts,
 		tr:            parent.tr,
 		cSortCounting: parent.cSortCounting,
+		cSortInsert:   parent.cSortInsert,
 		cSortQuick:    parent.cSortQuick,
 		cSortRows:     parent.cSortRows,
 		cSegments:     parent.cSegments,
@@ -264,17 +263,11 @@ func (p *parCtx) newSegWorker(parent *executor) (*segWorker, error) {
 // false return means the segment collapsed to a single run and the
 // caller should recurse sequentially — the next dimension down offers
 // fan-out again through the same hook.
-func (ex *executor) fanOut(dim int, key sortutil.Keyer) (bool, error) {
+func (ex *executor) fanOut(dim int) (bool, error) {
 	p := ex.par
-	seg := ex.idx
 	p.runs = p.runs[:0]
-	lo := 0
-	for lo < len(seg) {
-		code := key.Key(seg[lo])
-		hi := lo + 1
-		for hi < len(seg) && key.Key(seg[hi]) == code {
-			hi++
-		}
+	for lo := 0; lo < len(ex.idx); {
+		hi := runEnd(ex.keys, lo, len(ex.idx))
 		p.runs = append(p.runs, segRun{lo, hi})
 		lo = hi
 	}
@@ -319,7 +312,17 @@ func (ex *executor) fanOut(dim int, key sortutil.Keyer) (bool, error) {
 		sp.AddRowsIn(rows)
 		defer sp.End()
 		for _, r := range batches[bi] {
-			if err := wex.executePlan(r.lo, r.hi, dim+1); err != nil {
+			lo, hi := r.lo, r.hi
+			if slot > 0 {
+				// A worker sees the run as its whole index array, so its
+				// key scratch is as long as its longest run, not the table.
+				lo, hi = 0, r.hi-r.lo
+				wex.idx = ex.idx[r.lo:r.hi]
+				if len(wex.keys) < hi {
+					wex.keys = make([]int32, hi)
+				}
+			}
+			if err := wex.executePlan(lo, hi, dim+1); err != nil {
 				return err
 			}
 		}

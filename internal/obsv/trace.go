@@ -193,7 +193,7 @@ type EdgeEvent struct {
 	Node  int64  `json:"node"` // target node of the edge
 	Edge  string `json:"edge"` // "solid" | "dashed"
 	Mode  string `json:"mode"` // "sort" | "pipeline"
-	Alg   string `json:"alg"`  // "counting" | "quick" | "none"
+	Alg   string `json:"alg"`  // "counting" | "insertion" | "quick" | "none"
 	Dim   int    `json:"dim"`
 	Level int    `json:"level"`
 	Rows  int    `json:"rows"`

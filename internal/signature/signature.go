@@ -10,11 +10,22 @@
 // tuples is what lets CURE defer the NT/CAT decision without holding the
 // cube in memory; a bounded pool trades a little redundancy (tuples
 // classified per flush instead of globally) for bounded memory.
+//
+// Order contract. A flush emits aggregate-value groups ascending by
+// (aggr1, …, aggrY) and, inside a group, signatures ascending by R-rowid.
+// Signatures that tie on both differ only in node and go to different
+// relations, so their mutual order is unspecified and reaches no file.
+//
+// Float contract. Classification is on canonical bits, fixed at Add: −0
+// becomes +0 and every NaN, whatever its sign or payload, becomes the one
+// quiet NaN of math.NaN(). Values otherwise group exactly when their bits
+// are equal, order numerically, and NaN orders above +Inf; NaN groups with
+// NaN. The value a sink receives is the canonical one.
 package signature
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"cure/internal/lattice"
 	"cure/internal/obsv"
@@ -144,10 +155,11 @@ type Sink interface {
 	WriteCAT(node lattice.NodeID, rrowid, arowid int64) error
 }
 
-// Pool is the bounded signature pool. Aggregate values are stored flat
-// ([Y]float64 per signature) to keep the per-signature footprint at
-// 8·(Y+2) bytes, matching the paper's "(Y+2)·4 MB per million
-// signatures" up to the word size.
+// Pool is the bounded signature pool: one flat []uint64 of (Y+2)-word
+// records <key(aggr1)..key(aggrY), R-rowid, node>, 8·(Y+2) bytes per
+// signature, matching the paper's "(Y+2)·4 MB per million signatures" up
+// to the word size. Flush sorts the records in place, so a full pool is
+// the whole of the classification's memory.
 //
 // A Pool is not safe for concurrent use.
 type Pool struct {
@@ -155,9 +167,14 @@ type Pool struct {
 	capacity int
 	sink     Sink
 
-	aggrs   []float64
-	rrowids []int64
-	nodes   []lattice.NodeID
+	// recs holds the buffered records back to back. It is allocated at
+	// the first Add, so a pool that never sees a signature costs nothing,
+	// and is reused across flushes.
+	recs []uint64
+	// aggBuf is the decoded aggregate values handed to the sink.
+	aggBuf []float64
+	// hold is one record's worth of scratch for the insertion sort.
+	hold []uint64
 
 	format Format
 	stats  Stats
@@ -181,24 +198,23 @@ func NewPool(numAggrs, capacity int, sink Sink) (*Pool, error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("signature: negative capacity %d", capacity)
 	}
-	p := &Pool{numAggrs: numAggrs, capacity: capacity, sink: sink}
-	if capacity > 0 {
-		hint := capacity
-		if hint > 1<<20 {
-			hint = 1 << 20 // grow lazily for huge pools
-		}
-		p.aggrs = make([]float64, 0, hint*numAggrs)
-		p.rrowids = make([]int64, 0, hint)
-		p.nodes = make([]lattice.NodeID, 0, hint)
-	}
-	return p, nil
+	return &Pool{
+		numAggrs: numAggrs,
+		capacity: capacity,
+		sink:     sink,
+		aggBuf:   make([]float64, numAggrs),
+		hold:     make([]uint64, numAggrs+2),
+	}, nil
 }
 
+// width is the record length in words.
+func (p *Pool) width() int { return p.numAggrs + 2 }
+
 // Len returns the number of buffered signatures.
-func (p *Pool) Len() int { return len(p.rrowids) }
+func (p *Pool) Len() int { return len(p.recs) / p.width() }
 
 // Full reports whether the pool has reached capacity.
-func (p *Pool) Full() bool { return len(p.rrowids) >= p.capacity }
+func (p *Pool) Full() bool { return len(p.recs) >= p.capacity*p.width() }
 
 // Format returns the storage format in effect (FormatUndecided until the
 // first flush that observes CATs).
@@ -210,7 +226,40 @@ func (p *Pool) Stats() Stats { return p.stats }
 // SizeBytes returns the in-memory footprint of a full pool, for memory
 // accounting.
 func (p *Pool) SizeBytes() int64 {
-	return int64(p.capacity) * int64(8*(p.numAggrs+2))
+	return int64(p.capacity) * int64(8*p.width())
+}
+
+const signBit = 1 << 63
+
+// canonical is the float contract's choice of representative: +0 for
+// both zeroes, one positive quiet NaN for every NaN.
+func canonical(v float64) float64 {
+	switch {
+	case v == 0:
+		return 0
+	case v != v:
+		return math.NaN()
+	}
+	return v
+}
+
+// floatKey maps v to a word whose unsigned order is the numeric order of
+// canonical values, NaN above +Inf: negative values have every bit
+// complemented, the rest only the sign bit set.
+func floatKey(v float64) uint64 {
+	b := math.Float64bits(canonical(v))
+	if b&signBit != 0 {
+		return ^b
+	}
+	return b | signBit
+}
+
+// keyFloat inverts floatKey.
+func keyFloat(k uint64) float64 {
+	if k&signBit != 0 {
+		return math.Float64frombits(k &^ signBit)
+	}
+	return math.Float64frombits(^k)
 }
 
 // Add buffers the signature of one non-trivial tuple, flushing first if
@@ -220,53 +269,158 @@ func (p *Pool) Add(node lattice.NodeID, rrowid int64, aggrs []float64) error {
 	p.stats.Total++
 	if p.capacity == 0 {
 		p.stats.NTs++
-		return p.sink.WriteNT(node, rrowid, aggrs)
+		for i, v := range aggrs[:p.numAggrs] {
+			p.aggBuf[i] = canonical(v)
+		}
+		return p.sink.WriteNT(node, rrowid, p.aggBuf)
 	}
 	if p.Full() {
 		if err := p.Flush(); err != nil {
 			return err
 		}
 	}
-	p.aggrs = append(p.aggrs, aggrs[:p.numAggrs]...)
-	p.rrowids = append(p.rrowids, rrowid)
-	p.nodes = append(p.nodes, node)
+	if p.recs == nil {
+		// Huge pools grow by append instead of reserving it all.
+		p.recs = make([]uint64, 0, min(p.capacity, 1<<20)*p.width())
+	}
+	for _, v := range aggrs[:p.numAggrs] {
+		p.recs = append(p.recs, floatKey(v))
+	}
+	// The sign flip makes the word order of R-rowids their int64 order.
+	p.recs = append(p.recs, uint64(rrowid)^signBit, uint64(node))
 	return nil
 }
 
-// aggrsOf returns the aggregate slice of buffered signature i.
-func (p *Pool) aggrsOf(i int32) []float64 {
-	return p.aggrs[int(i)*p.numAggrs : (int(i)+1)*p.numAggrs]
+// insertionCutoff is the range length under which sortRecs stops
+// partitioning.
+const insertionCutoff = 12
+
+// sortRecs sorts records [lo, hi), which agree on words [0, d), by words
+// [d, Y]: a three-way radix quicksort. A partition equal to the pivot on
+// word d descends to word d+1 instead of being compared again, which is
+// what a pool made mostly of duplicate aggregates wants. The smaller
+// parts recurse and the largest loops, so the stack stays logarithmic.
+func (p *Pool) sortRecs(lo, hi, d int) {
+	w, recs := p.width(), p.recs
+	for d <= p.numAggrs && hi-lo > insertionCutoff {
+		pivot := median3(recs[lo*w+d], recs[(lo+(hi-lo)/2)*w+d], recs[(hi-1)*w+d])
+		// Bentley–McIlroy: records equal to the pivot are parked at the
+		// two ends and swapped into the middle afterwards, so the inner
+		// loops exchange only records on the wrong side of it.
+		i, j, a, b := lo, hi-1, lo, hi-1
+		for {
+			for ; i <= j && recs[i*w+d] <= pivot; i++ {
+				if recs[i*w+d] == pivot {
+					p.swap(a, i)
+					a++
+				}
+			}
+			for ; i <= j && recs[j*w+d] >= pivot; j-- {
+				if recs[j*w+d] == pivot {
+					p.swap(j, b)
+					b--
+				}
+			}
+			if i > j {
+				break
+			}
+			p.swap(i, j)
+			i++
+			j--
+		}
+		for k, m := 0, min(a-lo, i-a); k < m; k++ {
+			p.swap(lo+k, i-1-k)
+		}
+		for k, m := 0, min(hi-1-b, b-j); k < m; k++ {
+			p.swap(i+k, hi-1-k)
+		}
+		lt, gt := lo+(i-a), hi-(b-j)
+		parts := [3][3]int{{lo, lt, d}, {lt, gt, d + 1}, {gt, hi, d}}
+		big := 0
+		for j := 1; j < 3; j++ {
+			if parts[j][1]-parts[j][0] > parts[big][1]-parts[big][0] {
+				big = j
+			}
+		}
+		for j, q := range parts {
+			if j != big {
+				p.sortRecs(q[0], q[1], q[2])
+			}
+		}
+		lo, hi, d = parts[big][0], parts[big][1], parts[big][2]
+	}
+	if d > p.numAggrs {
+		return
+	}
+	for i := lo + 1; i < hi; i++ {
+		j := i
+		for j > lo && p.less(i, j-1, d) {
+			j--
+		}
+		if j < i {
+			copy(p.hold, recs[i*w:(i+1)*w])
+			copy(recs[(j+1)*w:(i+1)*w], recs[j*w:i*w])
+			copy(recs[j*w:(j+1)*w], p.hold)
+		}
+	}
 }
 
-// compareSig orders signatures by (aggrs, R-rowid); grouping by aggregate
-// values is a prefix of this order, so one sort serves both formats.
-func (p *Pool) compareSig(a, b int32) int {
-	av, bv := p.aggrsOf(a), p.aggrsOf(b)
-	for i := range av {
-		if av[i] < bv[i] {
-			return -1
-		}
-		if av[i] > bv[i] {
-			return 1
-		}
+func median3(a, b, c uint64) uint64 {
+	if a > b {
+		a, b = b, a
 	}
-	switch {
-	case p.rrowids[a] < p.rrowids[b]:
-		return -1
-	case p.rrowids[a] > p.rrowids[b]:
-		return 1
+	if b > c {
+		b = c
 	}
-	return 0
+	if a > b {
+		b = a
+	}
+	return b
 }
 
-func (p *Pool) sameAggrs(a, b int32) bool {
-	av, bv := p.aggrsOf(a), p.aggrsOf(b)
-	for i := range av {
-		if av[i] != bv[i] {
-			return false
+func (p *Pool) swap(a, b int) {
+	w := p.width()
+	ra, rb := p.recs[a*w:(a+1)*w], p.recs[b*w:(b+1)*w]
+	for k := range ra {
+		ra[k], rb[k] = rb[k], ra[k]
+	}
+}
+
+// less orders records a and b by words [d, Y].
+func (p *Pool) less(a, b, d int) bool {
+	w := p.width()
+	ra, rb := p.recs[a*w:a*w+p.numAggrs+1], p.recs[b*w:b*w+p.numAggrs+1]
+	for k := d; k < len(ra); k++ {
+		if ra[k] != rb[k] {
+			return ra[k] < rb[k]
 		}
 	}
-	return true
+	return false
+}
+
+// groupEnd returns the end of the run of records starting at lo that
+// agree with it on words [0, words).
+func (p *Pool) groupEnd(lo, n, words int) int {
+	w := p.width()
+	first := p.recs[lo*w : lo*w+words]
+	hi := lo + 1
+	for ; hi < n; hi++ {
+		r := p.recs[hi*w : hi*w+words]
+		for k := range first {
+			if r[k] != first[k] {
+				return hi
+			}
+		}
+	}
+	return hi
+}
+
+func (p *Pool) rrowid(i int) int64 {
+	return int64(p.recs[i*p.width()+p.numAggrs] ^ signBit)
+}
+
+func (p *Pool) node(i int) lattice.NodeID {
+	return lattice.NodeID(p.recs[i*p.width()+p.numAggrs+1])
 }
 
 // Flush sorts the buffered signatures, updates the format statistics,
@@ -274,33 +428,22 @@ func (p *Pool) sameAggrs(a, b int32) bool {
 // emits every buffered signature to the sink as an NT or CAT. The pool is
 // empty afterwards.
 func (p *Pool) Flush() error {
-	n := len(p.rrowids)
+	n := p.Len()
 	if n == 0 {
 		return nil
 	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool { return p.compareSig(order[i], order[j]) < 0 })
+	p.sortRecs(0, n, 0)
 
 	// First pass: statistics over aggregate-value groups.
 	var flushStats Stats
 	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && p.sameAggrs(order[lo], order[hi]) {
-			hi++
-		}
+		hi := p.groupEnd(lo, n, p.numAggrs)
 		if hi-lo > 1 {
 			flushStats.CatGroups++
 			flushStats.CatSigs += int64(hi - lo)
-			sources := int64(1)
-			for i := lo + 1; i < hi; i++ {
-				if p.rrowids[order[i]] != p.rrowids[order[i-1]] {
-					sources++
-				}
+			for i := lo; i < hi; i = p.groupEnd(i, hi, p.numAggrs+1) {
+				flushStats.CatSourceSets++
 			}
-			flushStats.CatSourceSets += sources
 		}
 		lo = hi
 	}
@@ -334,11 +477,8 @@ func (p *Pool) Flush() error {
 	ntsBefore := p.stats.NTs
 	var err error
 	for lo := 0; lo < n && err == nil; {
-		hi := lo + 1
-		for hi < n && p.sameAggrs(order[lo], order[hi]) {
-			hi++
-		}
-		err = p.emitGroup(order[lo:hi], effective)
+		hi := p.groupEnd(lo, n, p.numAggrs)
+		err = p.emitGroup(lo, hi, effective)
 		lo = hi
 	}
 	if reg := p.Metrics; reg != nil {
@@ -352,19 +492,21 @@ func (p *Pool) Flush() error {
 			})
 		}
 	}
-	p.aggrs = p.aggrs[:0]
-	p.rrowids = p.rrowids[:0]
-	p.nodes = p.nodes[:0]
+	p.recs = p.recs[:0]
 	return err
 }
 
-// emitGroup writes one aggregate-value group (already sorted by R-rowid)
-// to the sink under the chosen format.
-func (p *Pool) emitGroup(group []int32, format Format) error {
-	if len(group) == 1 || format == FormatNT {
-		for _, s := range group {
+// emitGroup writes one aggregate-value group, records [lo, hi) (already
+// sorted by R-rowid), to the sink under the chosen format.
+func (p *Pool) emitGroup(lo, hi int, format Format) error {
+	aggrs := p.aggBuf
+	for k := range aggrs {
+		aggrs[k] = keyFloat(p.recs[lo*p.width()+k])
+	}
+	if hi-lo == 1 || format == FormatNT {
+		for s := lo; s < hi; s++ {
 			p.stats.NTs += 1
-			if err := p.sink.WriteNT(p.nodes[s], p.rrowids[s], p.aggrsOf(s)); err != nil {
+			if err := p.sink.WriteNT(p.node(s), p.rrowid(s), aggrs); err != nil {
 				return err
 			}
 		}
@@ -375,30 +517,27 @@ func (p *Pool) emitGroup(group []int32, format Format) error {
 		// One AGGREGATES tuple per common-source subgroup; coincidental
 		// members of the group each get their own (the paper's "second,
 		// mainly redundant tuple" cost that the decision rule weighs).
-		for lo := 0; lo < len(group); {
-			hi := lo + 1
-			for hi < len(group) && p.rrowids[group[hi]] == p.rrowids[group[lo]] {
-				hi++
-			}
-			arowid, err := p.sink.AppendAggregate(p.rrowids[group[lo]], p.aggrsOf(group[lo]))
+		for lo < hi {
+			end := p.groupEnd(lo, hi, p.numAggrs+1)
+			arowid, err := p.sink.AppendAggregate(p.rrowid(lo), aggrs)
 			if err != nil {
 				return err
 			}
-			for _, s := range group[lo:hi] {
-				if err := p.sink.WriteCAT(p.nodes[s], -1, arowid); err != nil {
+			for s := lo; s < end; s++ {
+				if err := p.sink.WriteCAT(p.node(s), -1, arowid); err != nil {
 					return err
 				}
 			}
-			lo = hi
+			lo = end
 		}
 		return nil
 	case FormatB:
-		arowid, err := p.sink.AppendAggregate(-1, p.aggrsOf(group[0]))
+		arowid, err := p.sink.AppendAggregate(-1, aggrs)
 		if err != nil {
 			return err
 		}
-		for _, s := range group {
-			if err := p.sink.WriteCAT(p.nodes[s], p.rrowids[s], arowid); err != nil {
+		for s := lo; s < hi; s++ {
+			if err := p.sink.WriteCAT(p.node(s), p.rrowid(s), arowid); err != nil {
 				return err
 			}
 		}

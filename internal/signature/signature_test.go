@@ -2,6 +2,7 @@ package signature
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -381,5 +382,373 @@ func TestFormatString(t *testing.T) {
 	}
 	if got := Format(99).String(); got != fmt.Sprintf("Format(%d)", 99) {
 		t.Errorf("unknown format string = %q", got)
+	}
+}
+
+// refSig is one signature as a struct, and refPool the pool as it was
+// before the flat record buffer: signatures sorted through a comparator on
+// (aggregate values, R-rowid), groups found by value equality. It is the
+// oracle the in-place radix sort is held to.
+type refSig struct {
+	node   lattice.NodeID
+	rrowid int64
+	aggrs  []float64
+}
+
+type refPool struct {
+	numAggrs, capacity int
+	sink               Sink
+	sigs               []refSig
+	force, format      Format
+	stats              Stats
+}
+
+func compareRef(a, b refSig) int {
+	for i := range a.aggrs {
+		if a.aggrs[i] < b.aggrs[i] {
+			return -1
+		}
+		if a.aggrs[i] > b.aggrs[i] {
+			return 1
+		}
+	}
+	switch {
+	case a.rrowid < b.rrowid:
+		return -1
+	case a.rrowid > b.rrowid:
+		return 1
+	}
+	return 0
+}
+
+func (p *refPool) add(s refSig) {
+	p.stats.Total++
+	if len(p.sigs) >= p.capacity {
+		p.flush()
+	}
+	p.sigs = append(p.sigs, s)
+}
+
+func (p *refPool) flush() {
+	if len(p.sigs) == 0 {
+		return
+	}
+	sigs := p.sigs
+	sort.SliceStable(sigs, func(i, j int) bool { return compareRef(sigs[i], sigs[j]) < 0 })
+	var groups [][]refSig
+	for lo := 0; lo < len(sigs); {
+		hi := lo + 1
+		for hi < len(sigs) && reflect.DeepEqual(sigs[lo].aggrs, sigs[hi].aggrs) {
+			hi++
+		}
+		groups = append(groups, sigs[lo:hi])
+		lo = hi
+	}
+	var fs Stats
+	for _, g := range groups {
+		if len(g) < 2 {
+			continue
+		}
+		fs.CatGroups++
+		fs.CatSigs += int64(len(g))
+		fs.CatSourceSets++
+		for i := 1; i < len(g); i++ {
+			if g[i].rrowid != g[i-1].rrowid {
+				fs.CatSourceSets++
+			}
+		}
+	}
+	p.stats = p.stats.Add(fs)
+	p.stats.Flushes++
+	if p.format == FormatUndecided {
+		if p.force != FormatUndecided {
+			p.format = p.force
+		} else if fs.CatGroups > 0 {
+			p.format = Decide(fs, p.numAggrs)
+		}
+	}
+	for _, g := range groups {
+		switch {
+		case len(g) == 1 || p.format == FormatNT || p.format == FormatUndecided:
+			for _, s := range g {
+				p.stats.NTs++
+				p.sink.WriteNT(s.node, s.rrowid, s.aggrs)
+			}
+		case p.format == FormatA:
+			var arowid int64
+			for i, s := range g {
+				if i == 0 || s.rrowid != g[i-1].rrowid {
+					arowid, _ = p.sink.AppendAggregate(s.rrowid, s.aggrs)
+				}
+				p.sink.WriteCAT(s.node, -1, arowid)
+			}
+		default:
+			arowid, _ := p.sink.AppendAggregate(-1, g[0].aggrs)
+			for _, s := range g {
+				p.sink.WriteCAT(s.node, s.rrowid, arowid)
+			}
+		}
+	}
+	p.sigs = p.sigs[:0]
+}
+
+// perNode splits a recording by node: signatures that tie on (aggregates,
+// R-rowid) differ only in node and may leave a flush in either order, so
+// the order that matters — and that reaches the cube — is per node.
+func (s *recordingSink) perNode() (map[lattice.NodeID][]ntRec, map[lattice.NodeID][]catRec) {
+	nts, cats := map[lattice.NodeID][]ntRec{}, map[lattice.NodeID][]catRec{}
+	for _, r := range s.nts {
+		nts[r.node] = append(nts[r.node], r)
+	}
+	for _, r := range s.cats {
+		cats[r.node] = append(cats[r.node], r)
+	}
+	return nts, cats
+}
+
+func TestPoolMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const n = 400
+	for _, y := range []int{1, 2, 3} {
+		for _, distinct := range []bool{false, true} {
+			sigs := make([]refSig, n)
+			for i := range sigs {
+				aggrs := make([]float64, y)
+				for k := range aggrs {
+					if distinct {
+						aggrs[k] = rng.NormFloat64() * 1e3
+					} else {
+						aggrs[k] = float64(rng.Intn(4)) - 1.5
+					}
+				}
+				sigs[i] = refSig{lattice.NodeID(rng.Intn(6)), int64(rng.Intn(12)), aggrs}
+			}
+			for _, capacity := range []int{1, 2, 7, n} {
+				for _, force := range []Format{FormatUndecided, FormatA, FormatB, FormatNT} {
+					name := fmt.Sprintf("Y=%d distinct=%v cap=%d force=%v", y, distinct, capacity, force)
+					got, want := &recordingSink{}, &recordingSink{}
+					p, err := NewPool(y, capacity, got)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.ForceFormat = force
+					ref := &refPool{numAggrs: y, capacity: capacity, sink: want, force: force}
+					for _, s := range sigs {
+						if err := p.Add(s.node, s.rrowid, s.aggrs); err != nil {
+							t.Fatal(err)
+						}
+						ref.add(s)
+					}
+					if err := p.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					ref.flush()
+					if p.Stats() != ref.stats || p.Format() != ref.format {
+						t.Fatalf("%s: stats %+v format %v, reference %+v %v", name, p.Stats(), p.Format(), ref.stats, ref.format)
+					}
+					if !reflect.DeepEqual(got.aggs, want.aggs) {
+						t.Fatalf("%s: AGGREGATES differ from the reference", name)
+					}
+					gotNT, gotCAT := got.perNode()
+					wantNT, wantCAT := want.perNode()
+					if !reflect.DeepEqual(gotNT, wantNT) || !reflect.DeepEqual(gotCAT, wantCAT) {
+						t.Fatalf("%s: per-node NT/CAT sequences differ from the reference", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// canonBits is the float contract stated independently of floatKey.
+func canonBits(v float64) uint64 {
+	switch {
+	case v == 0:
+		return 0
+	case math.IsNaN(v):
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(v)
+}
+
+// lessTotal is the order the contract promises: numeric, NaN above +Inf.
+func lessTotal(a, b []float64) bool {
+	for i := range a {
+		an, bn := math.IsNaN(a[i]), math.IsNaN(b[i])
+		switch {
+		case an != bn:
+			return bn
+		case !an && a[i] != b[i]:
+			return a[i] < b[i]
+		}
+	}
+	return false
+}
+
+func TestPoolFloatContract(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	values := []float64{
+		0, negZero, math.Inf(1), math.Inf(-1), 1, -1, 1.5,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2e-308, 1e-310,
+		math.NaN(),
+		math.Float64frombits(0x7ff8000000000002), // another quiet payload
+		math.Float64frombits(0xfff8000000000001), // negative quiet
+		math.Float64frombits(0x7ff0000000000001), // signalling
+		math.Float64frombits(0xfff00000deadbeef), // negative signalling
+	}
+	type member struct {
+		node   lattice.NodeID
+		rrowid int64
+	}
+	rng := rand.New(rand.NewSource(31))
+	for y := 1; y <= 3; y++ {
+		sink := &recordingSink{}
+		p, err := NewPool(y, 10_000, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.ForceFormat = FormatB
+		want := map[[3]uint64][]member{}
+		for i := 0; i < 600*y; i++ {
+			aggrs := make([]float64, y)
+			var key [3]uint64
+			for k := range aggrs {
+				aggrs[k] = values[rng.Intn(len(values))]
+				if y == 3 && k > 0 {
+					aggrs[k] = values[rng.Intn(4)] // keep groups populated
+				}
+				key[k] = canonBits(aggrs[k])
+			}
+			m := member{lattice.NodeID(rng.Intn(5)), int64(i)}
+			want[key] = append(want[key], m)
+			if err := p.Add(m.node, m.rrowid, aggrs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got := map[[3]uint64][]member{}
+		emitted := func(aggrs []float64) [3]uint64 {
+			var key [3]uint64
+			for k, v := range aggrs {
+				// The emitted value is the canonical one, bit for bit.
+				if key[k] = math.Float64bits(v); key[k] != canonBits(v) {
+					t.Fatalf("Y=%d: emitted %#x is not canonical", y, key[k])
+				}
+			}
+			return key
+		}
+		for _, r := range sink.nts {
+			key := emitted(r.aggrs)
+			if len(want[key]) != 1 {
+				t.Fatalf("Y=%d: NT for a group of %d", y, len(want[key]))
+			}
+			got[key] = append(got[key], member{r.node, r.rrowid})
+		}
+		for _, c := range sink.cats {
+			key := emitted(sink.aggs[c.arowid].aggrs)
+			got[key] = append(got[key], member{c.node, c.rrowid})
+		}
+		// R-rowids were added ascending, so the brute-force lists are in
+		// the R-rowid order a group is emitted in.
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Y=%d: groups differ from the brute-force grouping on canonical bits", y)
+		}
+		for i := 1; i < len(sink.aggs); i++ {
+			if !lessTotal(sink.aggs[i-1].aggrs, sink.aggs[i].aggrs) {
+				t.Fatalf("Y=%d: AGGREGATES %v before %v", y, sink.aggs[i-1].aggrs, sink.aggs[i].aggrs)
+			}
+		}
+		for i := 1; i < len(sink.nts); i++ {
+			if !lessTotal(sink.nts[i-1].aggrs, sink.nts[i].aggrs) {
+				t.Fatalf("Y=%d: NT %v before %v", y, sink.nts[i-1].aggrs, sink.nts[i].aggrs)
+			}
+		}
+	}
+}
+
+// TestPoolFlushSteadyStateAllocs pins the pool's memory contract: nothing
+// is reserved before the first signature, and a warm Add…Flush cycle
+// allocates nothing — no permutation, no scratch proportional to the pool.
+func TestPoolFlushSteadyStateAllocs(t *testing.T) {
+	const n = 2000
+	p, err := NewPool(2, n, discardSink{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.recs != nil {
+		t.Fatalf("NewPool reserved %d words before the first Add", cap(p.recs))
+	}
+	rng := rand.New(rand.NewSource(3))
+	aggrs := make([][]float64, n)
+	for i := range aggrs {
+		aggrs[i] = []float64{float64(rng.Intn(40)), float64(rng.Intn(3))}
+	}
+	cycle := func() {
+		for i, a := range aggrs {
+			if err := p.Add(lattice.NodeID(i&7), int64(i%50), a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // warm: the buffer exists from here on
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("warm Add…Flush cycle allocated %.1f times, want 0", allocs)
+	}
+}
+
+// discardSink drops everything, so a benchmark measures the pool alone.
+type discardSink struct{}
+
+func (discardSink) WriteNT(lattice.NodeID, int64, []float64) error  { return nil }
+func (discardSink) AppendAggregate(int64, []float64) (int64, error) { return 0, nil }
+func (discardSink) WriteCAT(lattice.NodeID, int64, int64) error     { return nil }
+
+// BenchmarkPoolFlush fills a 1 M-signature pool (Y = 2) and flushes it.
+// dup17 has every aggregate combination shared by 17 signatures on
+// average, a third of them from a common source — the CAT-heavy shape of
+// an APB build; distinct has no two signatures alike, the worst case for
+// a sort that wins on duplicates.
+func BenchmarkPoolFlush(b *testing.B) {
+	const n = 1_000_000
+	for _, bc := range []struct {
+		name   string
+		groups int
+	}{{"dup17", n / 17}, {"distinct", n}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			aggrs := make([][2]float64, n)
+			rrowids := make([]int64, n)
+			for i := range aggrs {
+				g := i
+				if bc.groups < n {
+					g = rng.Intn(bc.groups)
+				}
+				aggrs[i] = [2]float64{float64(g%4099) * 1.25, float64(g / 4099)}
+				rrowids[i] = int64(g*3 + rng.Intn(3))
+			}
+			rng.Shuffle(n, func(i, j int) { aggrs[i], aggrs[j] = aggrs[j], aggrs[i] })
+			pool, err := NewPool(2, n, discardSink{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range aggrs {
+					if err := pool.Add(lattice.NodeID(j&63), rrowids[j], aggrs[j][:]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := pool.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/1e6/b.Elapsed().Seconds(), "Msigs/s")
+		})
 	}
 }

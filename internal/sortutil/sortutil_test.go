@@ -3,6 +3,7 @@ package sortutil
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -200,6 +201,56 @@ func TestQuickVsCountingAgreeOnOrder(t *testing.T) {
 	}
 }
 
+// TestSortKeyedMatchesStableReference sweeps both sides of the insertion
+// cut-off and of the counting-sort heuristic: the stable paths must give
+// exactly sort.SliceStable's permutation (a cube's float sums depend on
+// the order of rows inside a run), quicksort a sorted one, keys must come
+// back sorted beside idx, and Sort — the adapter — must agree with the
+// kernel it wraps.
+func TestSortKeyedMatchesStableReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for n := 0; n <= 40; n++ {
+		for _, card := range []int{1, 2, 3, 7, 16, 64, 65, 255, 256, 257, 300} {
+			col, idx := randomCase(rng, n, card)
+			ident := make([]int32, card)
+			for i := range ident {
+				ident[i] = int32(i)
+			}
+			rng.Shuffle(card, func(i, j int) { ident[i], ident[j] = ident[j], ident[i] })
+			for _, key := range []Keyer{
+				SliceKeyer{Col: col, Hi: int32(card)},
+				MappedKeyer{Col: col, Map: ident, Hi: int32(card)},
+			} {
+				want := append([]int32(nil), idx...)
+				sort.SliceStable(want, func(i, j int) bool { return key.Key(want[i]) < key.Key(want[j]) })
+				for _, s := range []*Sorter{{}, {ForceCounting: true}, {ForceQuick: true}} {
+					got := append([]int32(nil), idx...)
+					keys := make([]int32, n)
+					for i, r := range got {
+						keys[i] = key.Key(r)
+					}
+					alg := s.SortKeyed(got, keys, card)
+					for i, r := range got {
+						if keys[i] != key.Key(r) {
+							t.Fatalf("n=%d card=%d %v: keys[%d]=%d beside row %d with key %d", n, card, alg, i, keys[i], r, key.Key(r))
+						}
+					}
+					if !IsSorted(got, key) {
+						t.Fatalf("n=%d card=%d %v: not sorted", n, card, alg)
+					}
+					if alg != AlgQuick && !reflect.DeepEqual(got, want) {
+						t.Fatalf("n=%d card=%d %v: %v, stable reference %v", n, card, alg, got, want)
+					}
+					viaSort := append([]int32(nil), idx...)
+					if a := s.Sort(viaSort, key); a != alg || !reflect.DeepEqual(viaSort, got) {
+						t.Fatalf("n=%d card=%d: Sort ran %v -> %v, SortKeyed %v -> %v", n, card, a, viaSort, alg, got)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestHighSkewSort(t *testing.T) {
 	// Long runs of one value — the regime where naive quicksort is
 	// quadratic; both variants must handle it (three-way partitioning).
@@ -241,6 +292,19 @@ func TestSorterSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state Sort allocated %.1f times per run, want 0", allocs)
 	}
+	// The keyed kernel, fed the way the executor feeds it: the caller owns
+	// the key array, and sizes on both sides of the insertion cut-off mix.
+	keys := make([]int32, n)
+	sizes = append(sizes, 2, 9, 16, 17)
+	allocs = testing.AllocsPerRun(50, func() {
+		for _, sz := range sizes {
+			Codes(keys, idx[:sz], col, nil)
+			s.SortKeyed(idx[:sz], keys[:sz], card)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state SortKeyed allocated %.1f times per run, want 0", allocs)
+	}
 }
 
 // TestSorterGrowsGeometrically feeds steadily growing segments and
@@ -269,8 +333,10 @@ func TestSorterGrowsGeometrically(t *testing.T) {
 }
 
 // BenchmarkSorterManySmallSegments is the fan-out workload: one sorter
-// handling a stream of small segments of varying size. The report must
-// show 0 allocs/op in steady state.
+// handling a stream of small segments of varying size, through the Keyer
+// adapter (what buc and bubst call) and through the keyed kernel the way
+// the executor drives it (Codes into its own key array, then SortKeyed). The report must
+// show 0 allocs/op in steady state on both arms.
 func BenchmarkSorterManySmallSegments(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	const n, card = 1 << 16, 300
@@ -278,15 +344,29 @@ func BenchmarkSorterManySmallSegments(b *testing.B) {
 	for i := range col {
 		col[i] = int32(rng.Intn(card))
 	}
-	var s Sorter
-	idx := Iota(nil, n)
-	key := Keyer(SliceKeyer{Col: col, Hi: card})
-	s.Sort(idx, key) // steady state
-	segs := []int{900, 64, 4000, 17, 1 << 14, 333}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sz := segs[i%len(segs)]
-		s.Sort(idx[:sz], key)
-	}
+	segs := []int{900, 64, 4000, 17, 1 << 14, 333, 5, 12}
+	b.Run("adapter", func(b *testing.B) {
+		var s Sorter
+		idx := Iota(nil, n)
+		key := Keyer(SliceKeyer{Col: col, Hi: card})
+		s.Sort(idx, key) // steady state
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.Sort(idx[:segs[i%len(segs)]], key)
+		}
+	})
+	b.Run("keyed", func(b *testing.B) {
+		var s Sorter
+		idx := Iota(nil, n)
+		keys := make([]int32, n)
+		s.Sort(idx, SliceKeyer{Col: col, Hi: card}) // steady state
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			seg := idx[:segs[i%len(segs)]]
+			Codes(keys, seg, col, nil)
+			s.SortKeyed(seg, keys[:len(seg)], card)
+		}
+	})
 }
