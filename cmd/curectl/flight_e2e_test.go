@@ -75,7 +75,7 @@ func TestFlightBundleOnWorkerPanic(t *testing.T) {
 	}
 	bundleDir := filepath.Join(flightDir, entries[0].Name())
 	for _, name := range []string{
-		"bundle.json", "metrics.json", "history.json", "mem_series.json",
+		"bundle.json", "metrics.json", "history.json",
 		"queries.json", "goroutines.txt", "heap.pprof", "stack.txt",
 	} {
 		if _, err := os.Stat(filepath.Join(bundleDir, name)); err != nil {

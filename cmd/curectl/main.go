@@ -825,6 +825,10 @@ func cmdEstimate(args []string) {
 		fmt.Println("strategy: in-memory build")
 	case plan.ChoiceErr != "":
 		fmt.Printf("strategy: partitioning infeasible — %s\n", plan.ChoiceErr)
+	case plan.Pair != nil:
+		c := plan.Pair
+		fmt.Printf("strategy: partition on the pair (%s level %d, %s level %d) → %d partitions of ≈%d bytes, |N1| ≈ %d bytes, |N2| ≈ %d bytes\n",
+			hier.Dims[0].Name, c.LevelA, hier.Dims[1].Name, c.LevelB, c.NumPartitions, c.PartitionBytes, c.N1Bytes, c.N2Bytes)
 	default:
 		c := plan.Choice
 		fmt.Printf("strategy: partition on %s level %d → %d partitions of ≈%d bytes, |N| ≈ %d bytes\n",

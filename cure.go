@@ -27,8 +27,8 @@
 //	eng, err := cure.OpenCube("cube/")
 //	err = eng.NodeQuery(id, func(row cure.Row) error { ... })
 //
-// See the runnable programs under examples/ and the experiment harness in
-// cmd/cubebench.
+// See the runnable examples in example_test.go and the experiment
+// harness in cmd/cubebench.
 package cure
 
 import (
@@ -66,14 +66,9 @@ type (
 	MetricsSnapshot = obsv.Snapshot
 	// TraceWriter streams JSONL plan-traversal events during a build.
 	TraceWriter = obsv.TraceWriter
-	// Sampler periodically records runtime memory statistics into a
-	// registry; see StartSampler.
-	Sampler = obsv.Sampler
-	// SamplerOptions configures a Sampler's interval, ring capacity, and
-	// optional memory-budget override.
-	SamplerOptions = obsv.SamplerOptions
-	// MemSample is one runtime memory observation from a Sampler.
-	MemSample = obsv.MemSample
+	// History samples a registry's runtime memory, budget crossings and
+	// scalar metrics on one clock into a fixed ring; see StartHistory.
+	History = obsv.History
 	// TelemetryServer serves /metrics, /healthz, /progress, and pprof
 	// for a registry; see StartTelemetry.
 	TelemetryServer = obsv.Server
@@ -118,9 +113,11 @@ func NewTrace(w io.Writer) *TraceWriter { return obsv.NewTraceWriter(w) }
 // format (version 0.0.4).
 func WriteMetrics(w io.Writer, s *MetricsSnapshot) error { return obsv.WriteProm(w, s) }
 
-// StartSampler begins sampling runtime memory statistics into the
-// registry at opts.Interval; stop it with Sampler.Stop.
-func StartSampler(r *Registry, opts SamplerOptions) *Sampler { return obsv.StartSampler(r, opts) }
+// StartHistory begins sampling the registry every 250ms: runtime memory
+// into the runtime.* gauges, crossings of the build's memory budget, and
+// one point of every counter and gauge. Stop it with History.Stop; pass
+// it to TelemetryOptions.History to serve /metrics/history.
+func StartHistory(r *Registry) *History { return obsv.StartHistory(r) }
 
 // StartTelemetry serves /metrics, /healthz, /progress, and /debug/pprof
 // for the registry on addr (e.g. "127.0.0.1:9090"; ":0" picks a free

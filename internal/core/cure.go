@@ -113,6 +113,9 @@ type BuildStats struct {
 	Partitioned bool
 	// PartitionLevel is L when partitioned (-1 otherwise).
 	PartitionLevel int
+	// PartitionLevelB is M, the level of dimension 1, when partitioned
+	// on a pair of dimensions (-1 otherwise).
+	PartitionLevelB int
 	// NumPartitions is the partition count when partitioned.
 	NumPartitions int
 	// NRows is the row count of the in-memory node N when partitioned.
@@ -197,12 +200,18 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 		effHier = opts.Hier.Flatten()
 	}
 
-	if table == nil && (opts.MemoryBudget <= 0 || rBytes <= opts.MemoryBudget/2) {
-		if table, err = relation.ReadFactFile(opts.FactPath); err != nil {
+	var strategy Strategy
+	if table == nil {
+		if strategy, err = ChooseStrategy(effHier, rBytes, opts.MemoryBudget, reg); err != nil {
 			return nil, err
 		}
-		loadSpan.AddRowsIn(rows)
-		loadSpan.AddBytesRead(rBytes)
+		if strategy.InMemory {
+			if table, err = relation.ReadFactFile(opts.FactPath); err != nil {
+				return nil, err
+			}
+			loadSpan.AddRowsIn(rows)
+			loadSpan.AddBytesRead(rBytes)
+		}
 	}
 	var facts *factstore.Store
 	inMemory := table != nil
@@ -277,11 +286,14 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 		// Concurrent workers append through the shared writer.
 		w.Lock()
 	}
-	stats := &BuildStats{PartitionLevel: -1}
-	if inMemory {
+	stats := &BuildStats{PartitionLevel: -1, PartitionLevelB: -1}
+	switch {
+	case inMemory:
 		err = buildInMemory(table, effHier, opts, lim, pool, w, stats, root)
-	} else {
-		err = buildPartitioned(opts, effHier, rBytes, lim, pool, w, stats, root)
+	case strategy.Pair != nil:
+		err = buildPartitionedPair(opts, effHier, *strategy.Pair, lim, pool, w, stats, root)
+	default:
+		err = buildPartitioned(opts, effHier, strategy.Choice, rBytes, lim, pool, w, stats, root)
 	}
 	if err != nil {
 		w.Abort()
@@ -413,27 +425,47 @@ func partitionReadBytes(reg *obsv.Registry, path string) {
 	}
 }
 
-func buildPartitioned(opts Options, hier *hierarchy.Schema, rBytes int64, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
+// Strategy is how Build cubes a fact table: in memory, partitioned on
+// one level of dimension 0 (Choice), or — when Pair is set —
+// partitioned on a pair of levels of dimensions 0 and 1.
+type Strategy struct {
+	InMemory bool
+	Choice   partition.LevelChoice
+	Pair     *partition.PairChoice
+}
+
+// ChooseStrategy is Build's decision for a fact table of rBytes bytes
+// under memoryBudget (0 = unlimited), and the one place it is made
+// (estimate.BuildPlan reports it without building). The table is cubed
+// in memory when it fits half the budget. Otherwise half the budget
+// bounds a loaded partition and a quarter node N (the signature pool
+// and sort scratch take the rest): the highest feasible level of
+// dimension 0 (§4, SelectLevel), else the pair extension §4 mentions
+// and omits (SelectLevelPair). With neither feasible the error is the
+// single-level one. reg receives the selection trace.
+func ChooseStrategy(hier *hierarchy.Schema, rBytes, memoryBudget int64, reg *obsv.Registry) (Strategy, error) {
+	if memoryBudget <= 0 || rBytes <= memoryBudget/2 {
+		return Strategy{InMemory: true}, nil
+	}
+	partBudget, nBudget := memoryBudget/2, memoryBudget/4
+	choice, err := partition.SelectLevelObs(hier.Dims[0], rBytes, partBudget, nBudget, reg)
+	if err == nil {
+		return Strategy{Choice: choice}, nil
+	}
+	if hier.NumDims() >= 2 {
+		if pair, perr := partition.SelectLevelPair(hier.Dims[0], hier.Dims[1], rBytes, partBudget, nBudget); perr == nil {
+			return Strategy{Pair: &pair}, nil
+		}
+	}
+	return Strategy{}, err
+}
+
+func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.LevelChoice, rBytes int64, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
 	reg := opts.Metrics
 	// Partition files live in Dir/tmp and go on every return path, a
-	// failed scan included (the pair fallback returns through here too).
+	// failed scan included.
 	partDir := filepath.Join(opts.Dir, "tmp")
 	defer os.RemoveAll(partDir)
-	// Memory split: half the budget for a loaded partition, a quarter
-	// for node N (the signature pool and sort scratch take the rest).
-	partBudget := opts.MemoryBudget / 2
-	nBudget := opts.MemoryBudget / 4
-	choice, err := partition.SelectLevelObs(hier.Dims[0], rBytes, partBudget, nBudget, reg)
-	if err != nil {
-		// §4's omitted extension: fall back to partitioning on a pair of
-		// dimensions when no single level of dimension 0 is feasible.
-		if hier.NumDims() >= 2 {
-			if pairChoice, perr := partition.SelectLevelPair(hier.Dims[0], hier.Dims[1], rBytes, partBudget, nBudget); perr == nil {
-				return buildPartitionedPair(opts, partDir, hier, pairChoice, lim, pool, w, stats, root)
-			}
-		}
-		return err
-	}
 	splitSpan := root.Child("partition.split")
 	splitSpan.AddBytesRead(rBytes)
 	res, err := partition.PartitionScan(opts.FactPath, partDir, hier, opts.AggSpecs, choice, scanConfig(opts, lim, splitSpan))
@@ -563,8 +595,10 @@ func runPartitionsParallel(paths []string, level int, hier *hierarchy.Schema, op
 // {A_L, B_M} cover the nodes with both dimensions at fine levels; the
 // in-memory node N1 covers dimension 0 above L; N2 covers the remaining
 // nodes (dimension 0 fine, dimension 1 above M).
-func buildPartitionedPair(opts Options, partDir string, hier *hierarchy.Schema, choice partition.PairChoice, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
+func buildPartitionedPair(opts Options, hier *hierarchy.Schema, choice partition.PairChoice, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
 	reg := opts.Metrics
+	partDir := filepath.Join(opts.Dir, "tmp")
+	defer os.RemoveAll(partDir)
 	splitSpan := root.Child("partition.split")
 	res, err := partition.PartitionPairScan(opts.FactPath, partDir, hier, opts.AggSpecs, choice, scanConfig(opts, lim, splitSpan))
 	if err != nil {
@@ -575,6 +609,7 @@ func buildPartitionedPair(opts Options, partDir string, hier *hierarchy.Schema, 
 	w.SetPartitionLevelPair(L, M)
 	stats.Partitioned = true
 	stats.PartitionLevel = L
+	stats.PartitionLevelB = M
 	stats.NumPartitions = choice.NumPartitions
 	stats.NRows = res.N1.Len() + res.N2.Len()
 

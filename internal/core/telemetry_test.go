@@ -1,15 +1,14 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"cure/internal/obsv"
 	"cure/internal/query"
@@ -30,13 +29,33 @@ func httpGet(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-// TestLiveTelemetryDuringPartitionedBuild is the tentpole acceptance
+// promLine is the shape of every line WriteProm emits: a TYPE comment
+// or one series with an optional label block and a float value.
+var promLine = regexp.MustCompile(`^(# TYPE cure_\w+ (counter|gauge)|cure_\w+(\{.*\})? -?[0-9.]+(e[-+][0-9]+)?)$`)
+
+// promSeries checks every line of an exposition against promLine and
+// returns the set of series (name plus label block).
+func promSeries(t *testing.T, body string) map[string]bool {
+	t.Helper()
+	series := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if !promLine.MatchString(line) {
+			t.Fatalf("/metrics line %q is not exposition text", line)
+		}
+		if !strings.HasPrefix(line, "#") {
+			series[line[:strings.LastIndexByte(line, ' ')]] = true
+		}
+	}
+	return series
+}
+
+// TestLiveTelemetryDuringPartitionedBuild is the live-plane acceptance
 // check: while a partitioned build runs, the telemetry server answers
-// /metrics (valid Prometheus text), /healthz, /progress (JSON and SSE),
-// and pprof; the runtime sampler emits mem_sample events and — under the
-// forced low memory budget — a mem_budget crossing; and a query engine
-// attached to the same registry lands its spans and counters in the same
-// exposition as the build's.
+// /metrics (exposition text), /healthz, /progress and pprof; the history
+// ticks emit mem_sample events and — under the forced low memory budget
+// — a mem_budget crossing; and a query engine attached to the same
+// registry lands its spans and counters in the same exposition as the
+// build's.
 func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 	hier := paperHier(t)
 	// Large enough that the build cannot outrun the first scrape loop
@@ -55,11 +74,9 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 	reg := obsv.NewRegistry()
 	var trace bytes.Buffer
 	reg.SetTrace(obsv.NewTraceWriter(&trace))
-	smp := obsv.StartSampler(reg, obsv.SamplerOptions{Interval: 2 * time.Millisecond})
-	srv, err := obsv.StartServer("127.0.0.1:0", reg, obsv.ServerOptions{
-		Sampler:          smp,
-		ProgressInterval: 2 * time.Millisecond,
-	})
+	hist := obsv.StartHistory(reg)
+	defer hist.Stop()
+	srv, err := obsv.StartServer("127.0.0.1:0", reg, obsv.ServerOptions{History: hist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +86,7 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 	// Scaled from the known-sound 400-rows/16KB pairing: large enough for
 	// the partitioner to find a sound split, small enough both to force
 	// the external path and to sit far below the process's real heap use
-	// (so the sampler must record a budget crossing).
+	// (so the history must record a budget crossing).
 	// Scaled 2× with the 192k-row table so level selection still finds a
 	// sound split while the heap still crosses the budget.
 	const memBudget = 7_680_000
@@ -88,10 +105,10 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 		buildDone <- berr
 	}()
 
-	// Scrape while the build runs. The build takes orders of magnitude
-	// longer than one scrape loop, so observing a running build span is
-	// deterministic in practice; every scrape must be well-formed either
-	// way.
+	// Scrape while the build runs, taking a history tick per scrape.
+	// The build takes orders of magnitude longer than one scrape loop, so
+	// observing a running build span is deterministic in practice; every
+	// scrape must be well-formed either way.
 	sawLiveBuild := false
 	sawLiveMetrics := false
 	sawDegraded := false
@@ -104,6 +121,7 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 			done = true
 		default:
 		}
+		hist.Record()
 
 		// Before the heap crosses the forced budget /healthz is 200 "ok";
 		// after the crossing it must degrade to 503 naming the budget.
@@ -145,11 +163,7 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 		if code != 200 {
 			t.Fatalf("/metrics = %d", code)
 		}
-		metrics, err := obsv.ParseProm(strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("/metrics is not valid Prometheus text: %v\n%s", err, body)
-		}
-		if _, ok := metrics[`cure_span_elapsed_seconds{path="build"}`]; ok && !done {
+		if promSeries(t, body)[`cure_span_elapsed_seconds{path="build"}`] && !done {
 			sawLiveMetrics = true
 		}
 	}
@@ -158,30 +172,6 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 	}
 	if !sawLiveBuild || !sawLiveMetrics {
 		t.Fatalf("never observed the build live (progress=%v, metrics=%v)", sawLiveBuild, sawLiveMetrics)
-	}
-
-	// SSE: one request must yield progress events.
-	req, err := http.NewRequest("GET", base+"/progress?stream=1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("SSE content type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sseData := 0
-	for sc.Scan() && sseData < 2 {
-		if strings.HasPrefix(sc.Text(), "data: ") {
-			sseData++
-		}
-	}
-	resp.Body.Close()
-	if sseData < 2 {
-		t.Fatalf("SSE stream yielded %d data lines", sseData)
 	}
 
 	// pprof is mounted.
@@ -201,10 +191,7 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 	}
 	eng.Close()
 	_, body := httpGet(t, base+"/metrics")
-	metrics, err := obsv.ParseProm(strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	metrics := promSeries(t, body)
 	for _, name := range []string{
 		"cure_query_node_count",
 		"cure_query_scan_nt_rows",
@@ -213,14 +200,14 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 		"cure_runtime_heap_inuse_bytes",
 		`cure_span_elapsed_seconds{path="query.node"}`,
 	} {
-		if _, ok := metrics[name]; !ok {
+		if !metrics[name] {
 			t.Fatalf("exposition missing %q after query traffic:\n%s", name, body)
 		}
 	}
 
-	// Sampler evidence in the trace: mem_sample events during the build,
+	// History evidence in the trace: mem_sample events during the build,
 	// and a mem_budget "above" crossing against the forced low budget.
-	smp.Stop()
+	hist.Stop()
 	srv.Close()
 	if err := reg.Trace().Flush(); err != nil {
 		t.Fatal(err)
@@ -256,9 +243,6 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 	}
 	if !sawDegraded {
 		t.Fatal("/healthz never reported degraded despite the heap sitting above the forced budget")
-	}
-	if smp.Samples() < 1 {
-		t.Fatal("sampler took no samples")
 	}
 
 	verifyCube(t, filepath.Join(dir, "cube"), hier, ft, testSpecs(), query.Options{CacheFraction: 1, PinAggregates: true})

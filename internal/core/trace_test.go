@@ -228,12 +228,17 @@ func TestPartitionedBuildObservability(t *testing.T) {
 		t.Fatalf("materialized %d nodes, want %d", stats.NodesMaterialized, len(all))
 	}
 
-	// Partition split events agree with the selection.
-	var parts int
+	// Partition split events agree with the selection, the selection
+	// trace names exactly the level the build took, and every pool flush
+	// left one event.
+	var parts, flushes int
+	var selected []int
 	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
 	for dec.More() {
 		var ev struct {
-			Ev string `json:"ev"`
+			Ev       string `json:"ev"`
+			Level    int    `json:"level"`
+			Feasible bool   `json:"feasible"`
 		}
 		if err := dec.Decode(&ev); err != nil {
 			t.Fatal(err)
@@ -241,10 +246,22 @@ func TestPartitionedBuildObservability(t *testing.T) {
 		switch ev.Ev {
 		case "partition":
 			parts++
+		case "select-level":
+			if ev.Feasible {
+				selected = append(selected, ev.Level)
+			}
+		case "pool-flush":
+			flushes++
 		}
 	}
 	if parts != stats.NumPartitions {
 		t.Fatalf("%d partition events, want %d", parts, stats.NumPartitions)
+	}
+	if len(selected) != 1 || selected[0] != stats.PartitionLevel {
+		t.Fatalf("feasible select-level events at levels %v, build partitioned at %d", selected, stats.PartitionLevel)
+	}
+	if n := snap.Counters["pool.flushes"]; flushes == 0 || int64(flushes) != n {
+		t.Fatalf("%d pool-flush events, pool.flushes = %d", flushes, n)
 	}
 
 	verifyCube(t, filepath.Join(dir, "cube"), hier, ft, testSpecs(), query.Options{CacheFraction: 1, PinAggregates: true})

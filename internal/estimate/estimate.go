@@ -12,9 +12,9 @@ import (
 	"math"
 	"sort"
 
+	"cure/internal/core"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
-	"cure/internal/partition"
 	"cure/internal/relation"
 )
 
@@ -149,20 +149,22 @@ func Cube(hier *hierarchy.Schema, rows int64, numAggrs int) (*CubeEstimate, erro
 	return est, nil
 }
 
-// Plan combines the cube estimate with §4's partition-level selection for
-// a given memory budget, reporting what a Build would decide.
+// Plan combines the cube estimate with the strategy core.Build would
+// take for a given memory budget: in memory, partitioned on a level of
+// dimension 0 (Choice), or partitioned on a pair of levels (Pair).
 type Plan struct {
 	RowBytes   int64
 	TableBytes int64
-	InMemory   bool
-	Choice     partition.LevelChoice
-	ChoiceErr  string
-	Estimate   *CubeEstimate
+	core.Strategy
+	// ChoiceErr is why no partitioning is feasible ("" when one is).
+	ChoiceErr string
+	Estimate  *CubeEstimate
 }
 
 // BuildPlan predicts the execution strategy of core.Build for a table of
-// rows tuples under the given memory budget (bytes; 0 = unlimited). The
-// relational schema supplies the row width.
+// rows tuples under the given memory budget (bytes; 0 = unlimited) by
+// asking core.ChooseStrategy, the function Build itself decides with.
+// The relational schema supplies the row width.
 func BuildPlan(hier *hierarchy.Schema, schema *relation.Schema, rows int64, memoryBudget int64, numAggrs int) (*Plan, error) {
 	est, err := Cube(hier, rows, numAggrs)
 	if err != nil {
@@ -173,15 +175,8 @@ func BuildPlan(hier *hierarchy.Schema, schema *relation.Schema, rows int64, memo
 		TableBytes: rows * int64(schema.RowWidth()),
 		Estimate:   est,
 	}
-	if memoryBudget <= 0 || p.TableBytes <= memoryBudget/2 {
-		p.InMemory = true
-		return p, nil
-	}
-	choice, err := partition.SelectLevel(hier.Dims[0], p.TableBytes, memoryBudget/2, memoryBudget/4)
-	if err != nil {
+	if p.Strategy, err = core.ChooseStrategy(hier, p.TableBytes, memoryBudget, nil); err != nil {
 		p.ChoiceErr = err.Error()
-		return p, nil
 	}
-	p.Choice = choice
 	return p, nil
 }

@@ -3,6 +3,7 @@ package estimate
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -196,5 +197,55 @@ func TestBuildPlan(t *testing.T) {
 	}
 	if p3.InMemory || p3.ChoiceErr == "" {
 		t.Errorf("expected infeasible plan, got %+v", p3)
+	}
+}
+
+// TestBuildPlanNamesThePairTheBuildTakes: on a schema where no single
+// level of dimension 0 is feasible (A's top level has too few values,
+// its base level makes node N too big) the plan must name the same
+// dimension pair core.Build partitions on, not call it infeasible.
+func TestBuildPlanNamesThePairTheBuildTakes(t *testing.T) {
+	a, err := hierarchy.NewLinearDim("A", []string{"A0", "A1"}, []int32{64, 4}, [][]int32{hierarchy.BuildContiguousMap(64, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := hierarchy.NewLinearDim("B", []string{"B0", "B1"}, []int32{256, 16}, [][]int32{hierarchy.BuildContiguousMap(256, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, err := hierarchy.NewSchema(a, b, hierarchy.NewFlatDim("C", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := &relation.Schema{DimNames: []string{"A", "B", "C"}, MeasureNames: []string{"M1", "M2"}}
+	ft := relation.NewFactTable(schema, 1600)
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 1600; i++ {
+		ft.Append([]int32{int32(rng.Intn(64)), int32(rng.Intn(256)), int32(rng.Intn(5))}, []float64{1, 2})
+	}
+	dir := t.TempDir()
+	factPath := filepath.Join(dir, "fact.bin")
+	if err := relation.WriteFactFile(factPath, ft); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 5_600
+	specs := []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}}
+	stats, err := core.Build(core.Options{Dir: filepath.Join(dir, "cube"), FactPath: factPath, Hier: hier, AggSpecs: specs, MemoryBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.PartitionLevelB < 0 {
+		t.Fatalf("fixture did not take the pair path: %+v", stats)
+	}
+	plan, err := BuildPlan(hier, schema, 1600, budget, len(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.ChoiceErr != "" || plan.Pair == nil {
+		t.Fatalf("plan names no pair (err %q)", plan.ChoiceErr)
+	}
+	if p := plan.Pair; p.LevelA != stats.PartitionLevel || p.LevelB != stats.PartitionLevelB || p.NumPartitions != stats.NumPartitions {
+		t.Fatalf("plan pair (%d, %d) × %d partitions, build took (%d, %d) × %d",
+			p.LevelA, p.LevelB, p.NumPartitions, stats.PartitionLevel, stats.PartitionLevelB, stats.NumPartitions)
 	}
 }

@@ -27,8 +27,8 @@ const (
 
 // CLI bundles the observability command-line flags shared by the cure
 // commands (curectl, cubebench, apbgen): metrics/trace sinks, pprof
-// profiles, a periodic progress reporter, the runtime sampler, and the
-// live telemetry server.
+// profiles, a periodic progress reporter, the sampling history, the
+// flight recorder, and the live telemetry server.
 type CLI struct {
 	MetricsOut    string
 	TraceOut      string
@@ -38,19 +38,15 @@ type CLI struct {
 	Progress      bool
 	ServeAddr     string
 	ServeHold     time.Duration
-	SampleEvery   time.Duration
 	SlowQueryMs   int64
 	SlowQueryOut  string
 	FlightDir     string
-	HistoryEvery  time.Duration
-	HistoryWindow time.Duration
 
 	reg          *Registry
 	closeTrace   func() error
 	closeSlow    func() error
 	stopCPU      func()
 	stopProgress func()
-	sampler      *Sampler
 	server       *Server
 	queries      *QueryTracker
 	history      *History
@@ -70,22 +66,19 @@ func RegisterFlags(fs *flag.FlagSet) *CLI {
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write CPU profile to file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write heap profile to file")
 	fs.BoolVar(&c.Progress, "progress", false, "report build progress to stderr every 2s")
-	fs.StringVar(&c.ServeAddr, "serve", "", "serve live telemetry on this address (/metrics, /healthz, /progress, /debug/pprof)")
+	fs.StringVar(&c.ServeAddr, "serve", "", "serve live telemetry on this address (/metrics, /metrics/history, /healthz, /progress, /queries, /debug/pprof)")
 	fs.DurationVar(&c.ServeHold, "serve-hold", 0, "keep the -serve telemetry server up this long after the work finishes")
-	fs.DurationVar(&c.SampleEvery, "sample-every", 0, "runtime sampler interval (default 250ms when -serve is set, off otherwise)")
 	fs.Int64Var(&c.SlowQueryMs, "slow-query-ms", -1, "log queries at least this slow as JSONL (0 = log every query, -1 = off)")
 	fs.StringVar(&c.SlowQueryOut, "slow-query-out", "", "slow-query JSONL sink ('-' = stdout, default stderr)")
 	fs.StringVar(&c.FlightDir, "flight-dir", "", "enable the flight recorder: write diagnostic bundles into this directory on panic, SIGQUIT/SIGUSR1, mem-budget crossing, or /debug/bundle")
-	fs.DurationVar(&c.HistoryEvery, "history-every", 0, "metric history snapshot interval (default 1s when history is on; history is on with -serve or -flight-dir)")
-	fs.DurationVar(&c.HistoryWindow, "history-window", 0, "raw-resolution metric history window (default 5m; the coarse long window covers 12x)")
 	return c
 }
 
 // Registry returns the registry the flags call for: a live one when any
-// metrics, trace, progress, serve, sampling, or slow-query flag was
+// metrics, trace, progress, serve, slow-query, or flight flag was
 // given, nil (zero-overhead) otherwise.
 func (c *CLI) Registry() *Registry {
-	if c.reg == nil && (c.MetricsOut != "" || c.TraceOut != "" || c.Progress || c.ServeAddr != "" || c.SampleEvery > 0 || c.SlowQueryMs >= 0 || c.FlightDir != "" || c.HistoryEvery > 0) {
+	if c.reg == nil && (c.MetricsOut != "" || c.TraceOut != "" || c.Progress || c.ServeAddr != "" || c.SlowQueryMs >= 0 || c.FlightDir != "") {
 		c.reg = NewRegistry()
 	}
 	return c.reg
@@ -103,10 +96,10 @@ func (c *CLI) Queries() *QueryTracker {
 }
 
 // Start opens the trace sink, begins CPU profiling, launches the
-// progress reporter (writing to progressW), starts the runtime sampler,
-// and brings up the telemetry server as requested by the flags. The
-// server (and sampler) come up before the instrumented work begins, so
-// /healthz answers for the whole run. Call Finish when the work is done.
+// progress reporter (writing to progressW), starts the history, and
+// brings up the telemetry server as requested by the flags. The server
+// (and history) come up before the instrumented work begins, so /healthz
+// answers for the whole run. Call Finish when the work is done.
 func (c *CLI) Start(progressW io.Writer) error {
 	if c.TraceOut != "" {
 		tw, closeFn, err := OpenTraceFile(c.TraceOut)
@@ -159,18 +152,12 @@ func (c *CLI) Start(progressW io.Writer) error {
 		}
 		tw.SetTailCap(512)
 	}
-	if c.FlightDir != "" || c.ServeAddr != "" || c.HistoryEvery > 0 {
-		c.history = StartHistory(c.Registry(), HistoryOptions{Interval: c.HistoryEvery, Window: c.HistoryWindow})
+	if c.FlightDir != "" || c.ServeAddr != "" {
+		c.history = StartHistory(c.Registry())
 	}
-	// The flight recorder wants the sampler's memory series; sampling is
-	// therefore implied by -flight-dir as it is by -serve.
-	if c.SampleEvery > 0 || c.ServeAddr != "" || c.FlightDir != "" {
-		c.sampler = StartSampler(c.Registry(), SamplerOptions{Interval: c.SampleEvery})
-	}
-	c.flight.Attach(c.sampler, c.history, c.Queries())
+	c.flight.Attach(c.history, c.Queries())
 	if c.ServeAddr != "" {
 		srv, err := StartServer(c.ServeAddr, c.Registry(), ServerOptions{
-			Sampler: c.sampler,
 			Queries: c.Queries(),
 			History: c.history,
 			Flight:  c.flight,
@@ -187,14 +174,12 @@ func (c *CLI) Start(progressW io.Writer) error {
 	return nil
 }
 
-// flushSinks stops the sampler and history store (each takes a final
-// point), writes the -metrics-out snapshot, and closes the trace and
-// slow-query sinks — exactly once, shared by Finish and the signal
-// handler so an interrupted -serve-hold session loses no buffered tail
-// records.
+// flushSinks stops the history (it takes a final point), writes the
+// -metrics-out snapshot, and closes the trace and slow-query sinks —
+// exactly once, shared by Finish and the signal handler so an
+// interrupted -serve-hold session loses no buffered tail records.
 func (c *CLI) flushSinks() error {
 	c.flushOnce.Do(func() {
-		c.sampler.Stop()
 		c.history.Stop()
 		if c.MetricsOut != "" {
 			if err := WriteMetricsFile(c.reg, c.MetricsOut); err != nil && c.flushErr == nil {
@@ -223,7 +208,12 @@ func (c *CLI) flushSinks() error {
 func (c *CLI) installSignals(progressW io.Writer) {
 	ch := make(chan os.Signal, 4)
 	signal.Notify(ch, notifySignals()...)
-	c.stopSignals = func() { signal.Stop(ch) }
+	// Stop guarantees no further sends, so closing ch is safe and ends
+	// the handler goroutine.
+	c.stopSignals = func() {
+		signal.Stop(ch)
+		close(ch)
+	}
 	go func() {
 		for sig := range ch {
 			action, code := classifySignal(sig)
@@ -247,9 +237,9 @@ func (c *CLI) installSignals(progressW io.Writer) {
 }
 
 // Finish stops the progress reporter and CPU profiler, holds then closes
-// the telemetry server, stops the sampler, writes the heap profile and
-// metrics snapshot, and flushes the trace. Safe to call once after Start
-// (even a failed one).
+// the telemetry server, stops the history, writes the heap profile and
+// metrics snapshot, flushes the trace, and releases the signal handler.
+// Safe to call once after Start (even a failed one).
 func (c *CLI) Finish() error {
 	if c.stopProgress != nil {
 		c.stopProgress()
@@ -271,9 +261,9 @@ func (c *CLI) Finish() error {
 			firstErr = err
 		}
 	}
-	// Sampler and history stop inside flushSinks, after the server is
-	// down: scrapes stay consistent to the end, and the final tick still
-	// lands in the metrics file and trace.
+	// The history stops inside flushSinks, after the server is down:
+	// scrapes stay consistent to the end, and the final tick still lands
+	// in the metrics file and trace.
 	if err := c.flushSinks(); err != nil && firstErr == nil {
 		firstErr = err
 	}

@@ -29,7 +29,6 @@ type Bundle struct {
 	Info       BundleInfo
 	Metrics    *Snapshot
 	History    *HistoryDoc
-	MemSeries  []MemSample
 	Inflight   []InflightQuery
 	Recent     []QueryRecord
 	Goroutines string
@@ -54,7 +53,6 @@ func ReadBundle(path string) (*Bundle, error) {
 	}
 	readJSONFile(filepath.Join(dir, BundleMetrics), &b.Metrics)
 	readJSONFile(filepath.Join(dir, BundleHistory), &b.History)
-	readJSONFile(filepath.Join(dir, BundleMemSeries), &b.MemSeries)
 	var qdoc bundleQueriesDoc
 	if readJSONFile(filepath.Join(dir, BundleQueries), &qdoc) == nil {
 		b.Inflight = qdoc.Inflight
@@ -176,32 +174,33 @@ func (b *Bundle) WriteReport(w io.Writer) error {
 	return bw.Flush()
 }
 
-// reportMemory renders the heap trajectory against the budget.
+// reportMemory renders the heap trajectory of the history points
+// against the budget.
 func (b *Bundle) reportMemory(w io.Writer) {
-	if len(b.MemSeries) == 0 {
+	if b.History == nil || len(b.History.Points) == 0 {
 		return
 	}
+	pts := b.History.Points
+	first, last := pts[0], pts[len(pts)-1]
 	fmt.Fprintf(w, "\n## Memory trajectory (%d samples over %s)\n",
-		len(b.MemSeries),
-		b.MemSeries[len(b.MemSeries)-1].Time.Sub(b.MemSeries[0].Time).Round(timeRound))
-	first := b.MemSeries[0]
-	last := b.MemSeries[len(b.MemSeries)-1]
+		len(pts), last.Time.Sub(first.Time).Round(timeRound))
+	heap := func(pt HistoryPoint) int64 { return pt.Gauges["runtime.heap_inuse_bytes"] }
 	peak := first
-	for _, sm := range b.MemSeries {
-		if sm.HeapInuse > peak.HeapInuse {
-			peak = sm
+	for _, pt := range pts {
+		if heap(pt) > heap(peak) {
+			peak = pt
 		}
 	}
 	var budget int64
 	if b.Metrics != nil {
 		budget = b.Metrics.Gauges[BudgetGaugeName]
 	}
-	line := func(label string, sm MemSample) {
-		fmt.Fprintf(w, "%-6s heap_inuse=%s goroutines=%d", label, fmtBytes(int64(sm.HeapInuse)), sm.Goroutines)
-		if sm.Span != "" {
-			fmt.Fprintf(w, " span=%s", sm.Span)
+	line := func(label string, pt HistoryPoint) {
+		fmt.Fprintf(w, "%-6s heap_inuse=%s goroutines=%d", label, fmtBytes(heap(pt)), pt.Gauges["runtime.goroutines"])
+		if pt.Span != "" {
+			fmt.Fprintf(w, " span=%s", pt.Span)
 		}
-		if budget > 0 && sm.HeapInuse > uint64(budget) {
+		if budget > 0 && heap(pt) > budget {
 			fmt.Fprintf(w, "  ** OVER BUDGET **")
 		}
 		fmt.Fprintln(w)
@@ -211,10 +210,8 @@ func (b *Bundle) reportMemory(w io.Writer) {
 	line("last", last)
 	if budget > 0 {
 		fmt.Fprintf(w, "budget %s", fmtBytes(budget))
-		if b.Metrics != nil {
-			if n := b.Metrics.Counters["runtime.mem_budget_exceeded"]; n > 0 {
-				fmt.Fprintf(w, " — exceeded %d time(s)", n)
-			}
+		if n := b.Metrics.Counters["runtime.mem_budget_exceeded"]; n > 0 {
+			fmt.Fprintf(w, " — exceeded %d time(s)", n)
 		}
 		fmt.Fprintln(w)
 	}

@@ -45,8 +45,7 @@ func PromName(name string) string {
 }
 
 // promEscape escapes a label value per the exposition format: backslash,
-// newline, and double quote become \\, \n, and \". promUnescape inverts
-// it; WriteProm → ParseProm → ParseLabels round-trips any value.
+// newline, and double quote become \\, \n, and \".
 func promEscape(v string) string {
 	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 	return r.Replace(v)
@@ -165,170 +164,4 @@ func WriteProm(w io.Writer, s *Snapshot) error {
 type promSeries struct {
 	labels string
 	value  float64
-}
-
-// PromMetric is one parsed exposition series.
-type PromMetric struct {
-	Name   string
-	Labels string // raw label block including braces, "" when absent
-	Value  float64
-	Type   string // from the preceding # TYPE line, "" when absent
-}
-
-// ParseProm parses Prometheus text exposition into its series, keyed by
-// name+labels, validating the subset of the format WriteProm emits
-// (# TYPE / # HELP comments, optional label blocks, float values). It is
-// the format check the telemetry tests and the CI smoke job rely on.
-func ParseProm(r io.Reader) (map[string]PromMetric, error) {
-	out := map[string]PromMetric{}
-	types := map[string]string{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 2 && (fields[1] == "TYPE" || fields[1] == "HELP") {
-				if fields[1] == "TYPE" {
-					if len(fields) != 4 {
-						return nil, fmt.Errorf("prom: line %d: malformed TYPE comment %q", lineNo, line)
-					}
-					switch fields[3] {
-					case "counter", "gauge", "histogram", "summary", "untyped":
-					default:
-						return nil, fmt.Errorf("prom: line %d: unknown metric type %q", lineNo, fields[3])
-					}
-					types[fields[2]] = fields[3]
-				}
-				continue
-			}
-			return nil, fmt.Errorf("prom: line %d: unrecognized comment %q", lineNo, line)
-		}
-		name := line
-		labels := ""
-		rest := ""
-		if i := strings.IndexByte(line, '{'); i >= 0 {
-			j := strings.LastIndexByte(line, '}')
-			if j < i {
-				return nil, fmt.Errorf("prom: line %d: unbalanced label braces in %q", lineNo, line)
-			}
-			name, labels, rest = line[:i], line[i:j+1], strings.TrimSpace(line[j+1:])
-		} else {
-			fields := strings.Fields(line)
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("prom: line %d: missing value in %q", lineNo, line)
-			}
-			name, rest = fields[0], fields[1]
-		}
-		if !validPromName(name) {
-			return nil, fmt.Errorf("prom: line %d: invalid metric name %q", lineNo, name)
-		}
-		// A value (and optional timestamp) follows the label block.
-		valueField := strings.Fields(rest)
-		if len(valueField) < 1 || len(valueField) > 2 {
-			return nil, fmt.Errorf("prom: line %d: expected value after %q", lineNo, name)
-		}
-		v, err := strconv.ParseFloat(valueField[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("prom: line %d: bad value %q: %v", lineNo, valueField[0], err)
-		}
-		out[name+labels] = PromMetric{Name: name, Labels: labels, Value: v, Type: types[name]}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ParseLabels parses a raw label block as returned in PromMetric.Labels
-// ("{name=\"value\",...}" or "") into a name → unescaped-value map. It
-// scans character by character — escaped values may contain commas,
-// braces, and quotes, so splitting on delimiters would corrupt them.
-func ParseLabels(block string) (map[string]string, error) {
-	out := map[string]string{}
-	if block == "" {
-		return out, nil
-	}
-	if len(block) < 2 || block[0] != '{' || block[len(block)-1] != '}' {
-		return nil, fmt.Errorf("prom: label block %q not brace-delimited", block)
-	}
-	s := block[1 : len(block)-1]
-	i := 0
-	for i < len(s) {
-		// Label name up to '='.
-		j := i
-		for j < len(s) && s[j] != '=' {
-			j++
-		}
-		if j == len(s) || j == i {
-			return nil, fmt.Errorf("prom: malformed label pair at %q", s[i:])
-		}
-		name := s[i:j]
-		i = j + 1
-		if i >= len(s) || s[i] != '"' {
-			return nil, fmt.Errorf("prom: label %q value not quoted", name)
-		}
-		i++
-		var b strings.Builder
-		closed := false
-		for i < len(s) {
-			c := s[i]
-			if c == '\\' {
-				if i+1 >= len(s) {
-					return nil, fmt.Errorf("prom: label %q has dangling escape", name)
-				}
-				switch s[i+1] {
-				case '\\':
-					b.WriteByte('\\')
-				case 'n':
-					b.WriteByte('\n')
-				case '"':
-					b.WriteByte('"')
-				default:
-					return nil, fmt.Errorf("prom: label %q has unknown escape \\%c", name, s[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				closed = true
-				i++
-				break
-			}
-			b.WriteByte(c)
-			i++
-		}
-		if !closed {
-			return nil, fmt.Errorf("prom: label %q value unterminated", name)
-		}
-		out[name] = b.String()
-		if i < len(s) {
-			if s[i] != ',' {
-				return nil, fmt.Errorf("prom: expected ',' after label %q", name)
-			}
-			i++
-		}
-	}
-	return out, nil
-}
-
-func validPromName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(c >= '0' && c <= '9' && i > 0)
-		if !ok {
-			return false
-		}
-	}
-	return true
 }

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -19,122 +20,66 @@ func TestPromName(t *testing.T) {
 	}
 }
 
+// TestWritePromRoundTrip takes a snapshot to text and pins the text byte
+// for byte: families sorted by name, histograms as five series, span
+// paths summed when they repeat. Two renders of one snapshot must match,
+// so map iteration order never leaks into the output.
 func TestWritePromRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("partition.bytes_read").Add(1234)
-	r.Counter("core.tt_pruned").Add(9)
-	r.Gauge("pool.occupancy").Set(42)
-	h := r.Histogram("query.node.latency_us")
-	for _, v := range []int64{5, 10, 200} {
-		h.Observe(v)
+	snap := &Snapshot{
+		Counters: map[string]int64{"partition.bytes_read": 1234, "core.tt_pruned": 9},
+		Gauges:   map[string]int64{"pool.occupancy": 42},
+		Histograms: []HistogramSnapshot{
+			{Name: "query.node.latency_us", Count: 3, Sum: 215, P50: 15, P90: 255, P99: 255},
+		},
+		Spans: []SpanSnapshot{{Name: "build", ElapsedSec: 1.5, Children: []SpanSnapshot{
+			{Name: "load", ElapsedSec: 0.25, RowsIn: 100, BytesRead: 4096},
+			{Name: "part", ElapsedSec: 0.5, RowsIn: 10},
+			{Name: "part", ElapsedSec: 0.25, RowsIn: 20},
+		}}},
 	}
-	sp := r.StartSpan("build")
-	c := sp.Child("load")
-	c.AddRowsIn(100)
-	c.AddBytesRead(4096)
-	c.End()
-	sp.End()
-
-	var buf bytes.Buffer
-	if err := WriteProm(&buf, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	metrics, err := ParseProm(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v\n%s", err, text)
-	}
-	checks := map[string]float64{
-		"cure_partition_bytes_read":                                 1234,
-		"cure_core_tt_pruned":                                       9,
-		"cure_pool_occupancy":                                       42,
-		"cure_query_node_latency_us_count":                          3,
-		"cure_query_node_latency_us_sum":                            215,
-		`cure_span_rows_total{path="build/load",direction="in"}`:    100,
-		`cure_span_bytes_total{path="build/load",direction="read"}`: 4096,
-	}
-	for key, want := range checks {
-		m, ok := metrics[key]
-		if !ok {
-			t.Fatalf("missing series %q in exposition:\n%s", key, text)
+	const want = `# TYPE cure_core_tt_pruned counter
+cure_core_tt_pruned 9
+# TYPE cure_partition_bytes_read counter
+cure_partition_bytes_read 1234
+# TYPE cure_pool_occupancy gauge
+cure_pool_occupancy 42
+# TYPE cure_query_node_latency_us_count counter
+cure_query_node_latency_us_count 3
+# TYPE cure_query_node_latency_us_sum counter
+cure_query_node_latency_us_sum 215
+# TYPE cure_query_node_latency_us_p50 gauge
+cure_query_node_latency_us_p50 15
+# TYPE cure_query_node_latency_us_p90 gauge
+cure_query_node_latency_us_p90 255
+# TYPE cure_query_node_latency_us_p99 gauge
+cure_query_node_latency_us_p99 255
+# TYPE cure_span_elapsed_seconds gauge
+cure_span_elapsed_seconds{path="build"} 1.5
+cure_span_elapsed_seconds{path="build/load"} 0.25
+cure_span_elapsed_seconds{path="build/part"} 0.75
+# TYPE cure_span_rows_total counter
+cure_span_rows_total{path="build/load",direction="in"} 100
+cure_span_rows_total{path="build/part",direction="in"} 30
+# TYPE cure_span_bytes_total counter
+cure_span_bytes_total{path="build/load",direction="read"} 4096
+`
+	for i := 0; i < 2; i++ {
+		var buf bytes.Buffer
+		if err := WriteProm(&buf, snap); err != nil {
+			t.Fatal(err)
 		}
-		if m.Value != want {
-			t.Errorf("%s = %v, want %v", key, m.Value, want)
+		if got := buf.String(); got != want {
+			t.Fatalf("render %d:\n%s\nwant:\n%s", i, got, want)
 		}
-	}
-	if m := metrics["cure_partition_bytes_read"]; m.Type != "counter" {
-		t.Errorf("counter typed %q", m.Type)
-	}
-	if m := metrics["cure_pool_occupancy"]; m.Type != "gauge" {
-		t.Errorf("gauge typed %q", m.Type)
-	}
-	for _, q := range []string{"_p50", "_p90", "_p99"} {
-		if _, ok := metrics["cure_query_node_latency_us"+q]; !ok {
-			t.Errorf("missing quantile series %s", q)
-		}
-	}
-	if _, ok := metrics[`cure_span_elapsed_seconds{path="build"}`]; !ok {
-		t.Error("missing span elapsed series for build")
-	}
-
-	// Deterministic output: a second render is byte-identical (the
-	// snapshot is re-taken but nothing moved).
-	var buf2 bytes.Buffer
-	if err := WriteProm(&buf2, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Error("exposition not deterministic across identical snapshots")
 	}
 }
 
-func TestWritePromEmptyAndNil(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteProm(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("nil snapshot rendered %q", buf.String())
-	}
-	var r *Registry
-	if err := WriteProm(&buf, r.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParsePromRejectsGarbage(t *testing.T) {
-	bad := []string{
-		"not a metric line at all!",
-		"cure_x{unclosed 1",
-		"cure_x notanumber",
-		"# TYPE cure_x sometype",
-		"1leading_digit 5",
-	}
-	for _, line := range bad {
-		if _, err := ParseProm(strings.NewReader(line + "\n")); err == nil {
-			t.Errorf("ParseProm accepted %q", line)
-		}
-	}
-	good := "# TYPE cure_x counter\ncure_x 5\ncure_y{a=\"b\"} 1.5 1700000000\n"
-	metrics, err := ParseProm(strings.NewReader(good))
-	if err != nil {
-		t.Fatalf("ParseProm rejected valid input: %v", err)
-	}
-	if metrics["cure_x"].Value != 5 || metrics[`cure_y{a="b"}`].Value != 1.5 {
-		t.Fatalf("parsed = %+v", metrics)
-	}
-}
-
+// TestPromLabelEscapeRoundTrip renders span paths holding the three
+// characters the exposition escapes (backslash, newline, double quote)
+// and the delimiters a label reader must not split on, and reads each
+// path label back: the series stays on one line and unquotes to the
+// original bytes.
 func TestPromLabelEscapeRoundTrip(t *testing.T) {
-	// Fuzz-style table: every value a span path could plausibly carry,
-	// including the three characters the exposition format escapes
-	// (backslash, newline, double quote) and the delimiters the label
-	// scanner must not split on (commas, braces). Each value goes
-	// registry → WriteProm → ParseProm → ParseLabels and must come back
-	// byte-identical.
 	values := []string{
 		"plain",
 		`back\slash`,
@@ -147,68 +92,46 @@ func TestPromLabelEscapeRoundTrip(t *testing.T) {
 		`\n`, // literal backslash-n, must not turn into a newline
 		"mix\\\"ed,\nall{of}it",
 	}
+	const prefix = "cure_span_elapsed_seconds{path="
 	for _, v := range values {
-		r := NewRegistry()
-		sp := r.StartSpan(v)
-		sp.End()
+		snap := &Snapshot{Spans: []SpanSnapshot{{Name: v, ElapsedSec: 0.5}}}
 		var buf bytes.Buffer
-		if err := WriteProm(&buf, r.Snapshot()); err != nil {
+		if err := WriteProm(&buf, snap); err != nil {
 			t.Fatalf("%q: WriteProm: %v", v, err)
 		}
-		metrics, err := ParseProm(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%q: ParseProm: %v\n%s", v, err, buf.String())
-		}
 		var found bool
-		for _, m := range metrics {
-			if m.Name != "cure_span_elapsed_seconds" {
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if !strings.HasPrefix(line, prefix) {
 				continue
 			}
 			found = true
-			labels, err := ParseLabels(m.Labels)
-			if err != nil {
-				t.Fatalf("%q: ParseLabels(%q): %v", v, m.Labels, err)
+			end := strings.LastIndex(line, "} ")
+			if end < len(prefix) || line[end:] != "} 0.5" {
+				t.Fatalf("%q: malformed series %q", v, line)
 			}
-			if got := labels["path"]; got != v {
-				t.Errorf("path label round-trip: got %q, want %q (wire %q)", got, v, m.Labels)
+			got, err := strconv.Unquote(line[len(prefix):end])
+			if err != nil {
+				t.Fatalf("%q: path label %q: %v", v, line[len(prefix):end], err)
+			}
+			if got != v {
+				t.Errorf("path label round-trip: got %q, want %q (wire %q)", got, v, line)
 			}
 		}
 		if !found {
-			t.Fatalf("%q: no cure_span_elapsed_seconds series in:\n%s", v, buf.String())
+			t.Fatalf("%q: no span elapsed series in:\n%s", v, buf.String())
 		}
 	}
 }
 
-func TestParseLabels(t *testing.T) {
-	labels, err := ParseLabels(`{a="x",b="y,z",c="q\"w",d="p\\q",e="l\nm"}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{"a": "x", "b": "y,z", "c": `q"w`, "d": `p\q`, "e": "l\nm"}
-	if len(labels) != len(want) {
-		t.Fatalf("labels = %+v", labels)
-	}
-	for k, v := range want {
-		if labels[k] != v {
-			t.Errorf("label %s = %q, want %q", k, labels[k], v)
+func TestWritePromEmptyAndNil(t *testing.T) {
+	var r *Registry
+	for _, snap := range []*Snapshot{nil, r.Snapshot()} {
+		var buf bytes.Buffer
+		if err := WriteProm(&buf, snap); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if empty, err := ParseLabels(""); err != nil || len(empty) != 0 {
-		t.Fatalf("empty block: %v %+v", err, empty)
-	}
-	bad := []string{
-		`a="x"`,          // no braces
-		`{a=x}`,          // unquoted value
-		`{a="x}`,         // unterminated value
-		`{a="x\q"}`,      // unknown escape
-		`{a="x\"}`,       // escape eats the closing quote
-		`{a="x""b"="y"}`, // missing comma separator
-		`{="x"}`,         // empty name
-		`{a}`,            // no '='
-	}
-	for _, block := range bad {
-		if _, err := ParseLabels(block); err == nil {
-			t.Errorf("ParseLabels accepted %q", block)
+		if buf.Len() != 0 {
+			t.Fatalf("empty snapshot rendered %q", buf.String())
 		}
 	}
 }

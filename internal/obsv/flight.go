@@ -28,7 +28,6 @@ const (
 	BundleManifest   = "bundle.json"
 	BundleMetrics    = "metrics.json"
 	BundleHistory    = "history.json"
-	BundleMemSeries  = "mem_series.json"
 	BundleQueries    = "queries.json"
 	BundleGoroutines = "goroutines.txt"
 	BundleHeap       = "heap.pprof"
@@ -68,7 +67,6 @@ type FlightRecorder struct {
 	mu      sync.Mutex
 	seq     int
 	once    map[string]bool // reasons already bundled via TriggerOnce
-	sampler *Sampler
 	history *History
 	queries *QueryTracker
 }
@@ -82,13 +80,12 @@ func NewFlightRecorder(dir string, reg *Registry) *FlightRecorder {
 
 // Attach wires the recorder's optional data sources; nil arguments
 // leave the corresponding member out of future bundles.
-func (f *FlightRecorder) Attach(smp *Sampler, h *History, q *QueryTracker) {
+func (f *FlightRecorder) Attach(h *History, q *QueryTracker) {
 	if f == nil {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.sampler = smp
 	f.history = h
 	f.queries = q
 }
@@ -143,7 +140,7 @@ func (f *FlightRecorder) write(reason, note, panicMsg string, stack []byte) stri
 	f.mu.Lock()
 	f.seq++
 	seq := f.seq
-	smp, hist, queries := f.sampler, f.history, f.queries
+	hist, queries := f.history, f.queries
 	f.mu.Unlock()
 
 	// One last history point so the final window ends at the incident.
@@ -181,7 +178,7 @@ func (f *FlightRecorder) write(reason, note, panicMsg string, stack []byte) stri
 		}
 		info.Files = append(info.Files, name)
 	}
-	writeJSON := func(v any) func(*os.File) error {
+	jsonMember := func(v any) func(*os.File) error {
 		return func(fh *os.File) error {
 			enc := json.NewEncoder(fh)
 			enc.SetIndent("", " ")
@@ -189,12 +186,9 @@ func (f *FlightRecorder) write(reason, note, panicMsg string, stack []byte) stri
 		}
 	}
 
-	member(BundleMetrics, writeJSON(f.reg.Snapshot()))
+	member(BundleMetrics, jsonMember(f.reg.Snapshot()))
 	if hist != nil {
-		member(BundleHistory, writeJSON(hist.Doc()))
-	}
-	if smp != nil {
-		member(BundleMemSeries, writeJSON(smp.Series()))
+		member(BundleHistory, jsonMember(hist.Doc()))
 	}
 	if queries != nil {
 		doc := bundleQueriesDoc{Inflight: queries.Inflight(), Recent: queries.Recent()}
@@ -204,7 +198,7 @@ func (f *FlightRecorder) write(reason, note, panicMsg string, stack []byte) stri
 		if doc.Recent == nil {
 			doc.Recent = []QueryRecord{}
 		}
-		member(BundleQueries, writeJSON(doc))
+		member(BundleQueries, jsonMember(doc))
 	}
 	member(BundleGoroutines, func(fh *os.File) error {
 		return pprof.Lookup("goroutine").WriteTo(fh, 2)
@@ -232,12 +226,12 @@ func (f *FlightRecorder) write(reason, note, panicMsg string, stack []byte) stri
 		})
 	}
 
-	member(BundleManifest, writeJSON(&info))
+	member(BundleManifest, jsonMember(&info))
 	return dir
 }
 
 // SetFlight attaches (or detaches, with nil) the registry's flight
-// recorder; panic wrappers, the sampler's budget check, and the
+// recorder; panic wrappers, the history's budget check, and the
 // telemetry server find it here.
 func (r *Registry) SetFlight(f *FlightRecorder) {
 	if r != nil {

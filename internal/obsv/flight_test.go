@@ -6,12 +6,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
-// fullRegistry assembles a registry with every flight-recorder data
-// source live: trace tail, sampler, query tracker, history, and some
-// counters to move.
+// fullRecorder assembles a registry with every flight-recorder data
+// source live: trace tail, query tracker, history, and some counters to
+// move.
 func fullRecorder(t *testing.T) (*Registry, *FlightRecorder, string) {
 	t.Helper()
 	r := NewRegistry()
@@ -22,19 +21,13 @@ func fullRecorder(t *testing.T) (*Registry, *FlightRecorder, string) {
 	sp := r.StartSpan("build")
 	sp.End()
 
-	smp := StartSampler(r, SamplerOptions{Interval: 2 * time.Millisecond})
-	for smp.Samples() < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	smp.Stop()
-
 	tr := NewQueryTracker(r, 8)
 	done := tr.Begin("node", 3, "Product.Class,Outlet.ALL", "")
 	tr.End(done, 12, nil, QueryIO{BytesRead: 96}, nil)
 	running := tr.Begin("where", 7, "Product.Code,Outlet.ALL", "Product.Class=1")
 	t.Cleanup(func() { tr.End(running, 0, nil, QueryIO{}, nil) })
 
-	h := newHistory(r, HistoryOptions{Interval: time.Second})
+	h := newHistory(r)
 	h.Record()
 	r.Counter("core.sort.rows").Add(500)
 	// write() records the final point itself, closing the window at the
@@ -43,7 +36,7 @@ func fullRecorder(t *testing.T) (*Registry, *FlightRecorder, string) {
 	dir := t.TempDir()
 	f := NewFlightRecorder(dir, r)
 	r.SetFlight(f)
-	f.Attach(smp, h, tr)
+	f.Attach(h, tr)
 	return r, f, dir
 }
 
@@ -60,8 +53,7 @@ func TestFlightBundleContentsAndDoctor(t *testing.T) {
 		t.Fatal("Trigger returned empty dir")
 	}
 	for _, name := range []string{
-		BundleManifest, BundleMetrics, BundleHistory, BundleMemSeries,
-		BundleQueries, BundleGoroutines, BundleHeap, BundleTraceTail,
+		BundleManifest, BundleMetrics, BundleHistory, BundleQueries, BundleGoroutines, BundleHeap, BundleTraceTail,
 	} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("bundle member %s missing: %v", name, err)
@@ -86,8 +78,8 @@ func TestFlightBundleContentsAndDoctor(t *testing.T) {
 	if b.History == nil || b.History.Deltas["core.sort.rows"] != 500 {
 		t.Fatalf("history member deltas = %+v", b.History)
 	}
-	if len(b.MemSeries) < 2 {
-		t.Fatalf("mem series = %d samples", len(b.MemSeries))
+	if pts := b.History.Points; len(pts) < 2 || pts[len(pts)-1].Gauges["runtime.heap_inuse_bytes"] == 0 {
+		t.Fatalf("history carries no memory trajectory: %+v", pts)
 	}
 	if len(b.Inflight) != 1 || b.Inflight[0].Op != "where" || len(b.Recent) != 1 {
 		t.Fatalf("queries member = %+v / %+v", b.Inflight, b.Recent)
@@ -152,7 +144,7 @@ func TestFlightTriggerOnceAndNil(t *testing.T) {
 	if nilF.Trigger("x", "") != "" || nilF.TriggerOnce("x", "") != "" || nilF.TriggerPanic(&PanicError{}) != "" || nilF.Dir() != "" {
 		t.Fatal("nil recorder not inert")
 	}
-	nilF.Attach(nil, nil, nil)
+	nilF.Attach(nil, nil)
 }
 
 // TestCapturePanicWritesBundle exercises the production panic path: a
@@ -260,7 +252,7 @@ func TestReadBundleErrors(t *testing.T) {
 
 func TestServerHistoryAndBundleEndpoints(t *testing.T) {
 	r, f, _ := fullRecorder(t)
-	h := newHistory(r, HistoryOptions{Interval: time.Second})
+	h := newHistory(r)
 	h.Record()
 	r.Counter("core.sort.rows").Add(100)
 	h.Record()
@@ -277,11 +269,6 @@ func TestServerHistoryAndBundleEndpoints(t *testing.T) {
 	}
 	if len(doc.Points) < 2 || doc.Deltas["core.sort.rows"] != 100 {
 		t.Fatalf("/metrics/history doc = %+v", doc)
-	}
-
-	code, body = get(t, base+"/metrics/history?format=csv")
-	if code != 200 || !strings.HasPrefix(body, "time,") || !strings.Contains(body, "core.sort.rows") {
-		t.Fatalf("/metrics/history?format=csv = %d %q", code, body)
 	}
 
 	code, body = get(t, base+"/debug/bundle")

@@ -1,114 +1,100 @@
 package obsv
 
 import (
-	"encoding/csv"
-	"io"
-	"sort"
-	"strconv"
+	"fmt"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// The metric history store is the flight recorder's time axis: it
-// periodically snapshots every registry counter, gauge, and histogram
-// quantile into a fixed-memory downsampling ring, so "what was the
-// system doing in the two minutes before it fell over" has an answer
-// after the fact. Two rings cover two horizons: the raw ring holds one
-// point per interval over a short window, and the long ring holds one
-// point per LongEvery intervals over a proportionally longer window.
-// Memory is bounded by the ring capacities regardless of process
-// lifetime; the /metrics/history endpoint and diagnostic bundles render
-// the merged series.
+// The history is the observability plane's one sampling clock. Every
+// tick it reads runtime.MemStats into the runtime.* gauges, checks
+// heap-in-use against the build's declared memory budget (§4), emits a
+// mem_sample trace event, and records one point of the registry's
+// scalar state — every counter, gauge and histogram summary plus the
+// running span path — into a fixed ring. So "what was the system doing
+// in the minutes before it fell over" has an answer after the fact: the
+// /metrics/history endpoint and the history.json bundle member render
+// the ring, and `curectl doctor` reads its memory trajectory and counter
+// movement from it. Span trees are never copied; a point is scalars
+// only, so a tick costs the same whether the registry retains no spans
+// or thousands.
+
+// BudgetGaugeName is the gauge the partitioned build path sets to its
+// declared memory budget (core.Options.MemoryBudget); the history reads
+// it every tick to decide whether heap-in-use violates §4's budget rule.
+const BudgetGaugeName = "build.mem_budget_bytes"
+
+const (
+	// historyInterval is the tick. A quarter second resolves the heap
+	// peak of a build phase that lasts a second or less, which a budget
+	// check on a 1 s clock would miss.
+	historyInterval = 250 * time.Millisecond
+	// historyCap is the ring size: 150 s of history at the interval.
+	historyCap = 600
+)
 
 // HistoryPoint is one snapshot of the registry's scalar state. Counters
 // hold counter values plus per-histogram <name>.count / <name>.sum;
-// Gauges hold gauge values plus per-histogram <name>.p50 / .p90 / .p99.
-// The split matters downstream: deltas and rates are only meaningful
-// over the Counters map.
+// Gauges hold gauge values (the runtime.* readings of the tick among
+// them) plus per-histogram <name>.p50 / .p90 / .p99. The split matters
+// downstream: deltas and rates are only meaningful over the Counters
+// map. Span is the span path running at the tick.
 type HistoryPoint struct {
 	Time     time.Time        `json:"time"`
+	Span     string           `json:"span,omitempty"`
 	Counters map[string]int64 `json:"counters,omitempty"`
 	Gauges   map[string]int64 `json:"gauges,omitempty"`
 }
 
-// HistoryOptions configures a history store.
-type HistoryOptions struct {
-	// Interval between snapshots (default 1s).
-	Interval time.Duration
-	// Window is the raw-resolution retention horizon (default 5m). The
-	// raw ring holds Window/Interval points.
-	Window time.Duration
-	// LongEvery downsamples: every LongEvery-th point also lands in the
-	// long ring (default 12, i.e. one point per 12s at the defaults).
-	LongEvery int
-	// LongWindow is the long ring's retention horizon (default
-	// 12×Window = 1h at the defaults).
-	LongWindow time.Duration
-}
-
-// History periodically records registry snapshots into its rings. The
-// nil History is a valid no-op.
+// History samples a registry on one ticker into a fixed ring. The nil
+// History is a valid no-op.
 type History struct {
-	reg  *Registry
-	opts HistoryOptions
+	reg *Registry
 
-	mu       sync.Mutex
-	raw      []HistoryPoint
-	rawNext  int
-	rawFull  bool
-	long     []HistoryPoint
-	longNext int
-	longFull bool
-	n        int64 // total points recorded
+	gHeapInuse  *Gauge
+	gHeapAlloc  *Gauge
+	gGoroutines *Gauge
+	gNumGC      *Gauge
+	gGCPause    *Gauge
+	gBudget     *Gauge
 
-	count    atomic.Int64
+	mu   sync.Mutex
+	ring []HistoryPoint
+	next int
+	full bool
+	over bool // heap above budget at the last tick
+
 	done     chan struct{}
 	finished chan struct{}
 }
 
 // newHistory builds the store without starting the ticker goroutine
 // (tests drive Record directly).
-func newHistory(reg *Registry, opts HistoryOptions) *History {
-	if opts.Interval <= 0 {
-		opts.Interval = time.Second
-	}
-	if opts.Window <= 0 {
-		opts.Window = 5 * time.Minute
-	}
-	if opts.LongEvery <= 0 {
-		opts.LongEvery = 12
-	}
-	if opts.LongWindow <= 0 {
-		opts.LongWindow = time.Duration(opts.LongEvery) * opts.Window
-	}
-	rawCap := int(opts.Window / opts.Interval)
-	if rawCap < 2 {
-		rawCap = 2
-	}
-	longCap := int(opts.LongWindow / (opts.Interval * time.Duration(opts.LongEvery)))
-	if longCap < 2 {
-		longCap = 2
-	}
+func newHistory(reg *Registry) *History {
 	return &History{
-		reg:      reg,
-		opts:     opts,
-		raw:      make([]HistoryPoint, rawCap),
-		long:     make([]HistoryPoint, longCap),
-		done:     make(chan struct{}),
-		finished: make(chan struct{}),
+		reg:         reg,
+		gHeapInuse:  reg.Gauge("runtime.heap_inuse_bytes"),
+		gHeapAlloc:  reg.Gauge("runtime.heap_alloc_bytes"),
+		gGoroutines: reg.Gauge("runtime.goroutines"),
+		gNumGC:      reg.Gauge("runtime.gc_count"),
+		gGCPause:    reg.Gauge("runtime.gc_pause_total_ns"),
+		gBudget:     reg.Gauge(BudgetGaugeName),
+		ring:        make([]HistoryPoint, historyCap),
+		done:        make(chan struct{}),
+		finished:    make(chan struct{}),
 	}
 }
 
-// StartHistory launches a history store snapshotting reg every interval
-// (nil when reg is nil). An immediate first point is taken so even
-// short-lived processes leave a non-empty history. Call Stop when done;
-// a final point is recorded at Stop.
-func StartHistory(reg *Registry, opts HistoryOptions) *History {
+// StartHistory launches the sampling clock over reg (nil when reg is
+// nil). An immediate first point is taken, so even a process that
+// crashes within the first interval leaves a trajectory in its bundle.
+// Call Stop when done; a final point is recorded at Stop.
+func StartHistory(reg *Registry) *History {
 	if reg == nil {
 		return nil
 	}
-	h := newHistory(reg, opts)
+	h := newHistory(reg)
 	h.Record()
 	go h.loop()
 	return h
@@ -116,7 +102,7 @@ func StartHistory(reg *Registry, opts HistoryOptions) *History {
 
 func (h *History) loop() {
 	defer close(h.finished)
-	t := time.NewTicker(h.opts.Interval)
+	t := time.NewTicker(historyInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -143,36 +129,47 @@ func (h *History) Stop() {
 	<-h.finished
 }
 
-// Points returns the number of snapshots recorded so far (0 for nil).
-func (h *History) Points() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Interval returns the configured snapshot cadence (0 for nil).
-func (h *History) Interval() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return h.opts.Interval
-}
-
-// Record takes one snapshot now: every counter and gauge value, plus
-// count/sum/p50/p90/p99 per histogram (no-op on nil). The flight
-// recorder calls it once more at bundle time so the final window always
-// ends at the incident.
+// Record takes one tick now: runtime gauges, mem_sample event, budget
+// check, one ring point (no-op on nil). The flight recorder calls it
+// once more at bundle time so the final window always ends at the
+// incident. Safe for concurrent use with the ticker.
 func (h *History) Record() {
 	if h == nil {
 		return
 	}
-	s := h.reg.Snapshot()
-	pt := HistoryPoint{
-		Time:     time.Now(),
-		Counters: s.Counters,
-		Gauges:   s.Gauges,
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	span := h.reg.CurrentPath()
+	goroutines := runtime.NumGoroutine()
+	h.gHeapInuse.Set(int64(ms.HeapInuse))
+	h.gHeapAlloc.Set(int64(ms.HeapAlloc))
+	h.gGoroutines.Set(int64(goroutines))
+	h.gNumGC.Set(int64(ms.NumGC))
+	h.gGCPause.Set(int64(ms.PauseTotalNs))
+
+	tr := h.reg.Trace()
+	tr.Emit(MemSampleEvent{
+		Ev:           "mem_sample",
+		HeapInuse:    ms.HeapInuse,
+		HeapAlloc:    ms.HeapAlloc,
+		Goroutines:   goroutines,
+		NumGC:        ms.NumGC,
+		GCPauseNanos: ms.PauseTotalNs,
+		Span:         span,
+	})
+	if budget := h.gBudget.Value(); budget > 0 {
+		over := ms.HeapInuse > uint64(budget)
+		h.mu.Lock()
+		crossed := over != h.over
+		h.over = over
+		h.mu.Unlock()
+		if crossed {
+			h.crossed(over, ms.HeapInuse, budget, span)
+		}
 	}
+
+	s := h.reg.scalars()
+	pt := HistoryPoint{Time: time.Now(), Span: span, Counters: s.Counters, Gauges: s.Gauges}
 	for _, hs := range s.Histograms {
 		pt.Counters[hs.Name+".count"] = hs.Count
 		pt.Counters[hs.Name+".sum"] = hs.Sum
@@ -180,102 +177,50 @@ func (h *History) Record() {
 		pt.Gauges[hs.Name+".p90"] = hs.P90
 		pt.Gauges[hs.Name+".p99"] = hs.P99
 	}
-
 	h.mu.Lock()
-	h.raw[h.rawNext] = pt
-	h.rawNext++
-	if h.rawNext == len(h.raw) {
-		h.rawNext = 0
-		h.rawFull = true
-	}
-	h.n++
-	if h.n%int64(h.opts.LongEvery) == 0 {
-		h.long[h.longNext] = pt
-		h.longNext++
-		if h.longNext == len(h.long) {
-			h.longNext = 0
-			h.longFull = true
-		}
+	h.ring[h.next] = pt
+	h.next++
+	if h.next == len(h.ring) {
+		h.next = 0
+		h.full = true
 	}
 	h.mu.Unlock()
-	h.count.Add(1)
 }
 
-// ringSeries copies a ring out in chronological order.
-func ringSeries(ring []HistoryPoint, next int, full bool) []HistoryPoint {
-	if !full {
-		return append([]HistoryPoint{}, ring[:next]...)
+// crossed reports one budget crossing: a mem_budget event each way,
+// and on the way up the runtime.mem_budget_exceeded counter and — once
+// per process, crossings can flap — a flight bundle taken while the
+// over-budget heap is still live.
+func (h *History) crossed(over bool, heap uint64, budget int64, span string) {
+	dir := "below"
+	if over {
+		dir = "above"
+		h.reg.Counter("runtime.mem_budget_exceeded").Inc()
+		h.reg.Flight().TriggerOnce("mem_budget",
+			fmt.Sprintf("heap_inuse %d > budget %d (span %s)", heap, budget, span))
 	}
-	out := make([]HistoryPoint, 0, len(ring))
-	out = append(out, ring[next:]...)
-	return append(out, ring[:next]...)
+	h.reg.Trace().Emit(MemBudgetEvent{Ev: "mem_budget", Dir: dir, HeapInuse: heap, Budget: budget, Span: span})
 }
 
-// RawSeries returns the raw-resolution window, oldest first (nil for
-// the nil History).
-func (h *History) RawSeries() []HistoryPoint {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return ringSeries(h.raw, h.rawNext, h.rawFull)
-}
-
-// LongSeries returns the downsampled long window, oldest first.
-func (h *History) LongSeries() []HistoryPoint {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return ringSeries(h.long, h.longNext, h.longFull)
-}
-
-// Series merges the two horizons into one chronological series: long
-// points older than the raw window, then the raw window itself. Every
-// raw point inside the window appears exactly once; a long point is
-// included only when it predates the oldest raw point (the raw ring
-// already covers its time at finer resolution).
+// Series returns the retained points, oldest first (nil for the nil
+// History). The slice is a copy.
 func (h *History) Series() []HistoryPoint {
 	if h == nil {
 		return nil
 	}
 	h.mu.Lock()
-	raw := ringSeries(h.raw, h.rawNext, h.rawFull)
-	long := ringSeries(h.long, h.longNext, h.longFull)
-	h.mu.Unlock()
-	if len(raw) == 0 {
-		return long
+	defer h.mu.Unlock()
+	if !h.full {
+		return append([]HistoryPoint{}, h.ring[:h.next]...)
 	}
-	out := make([]HistoryPoint, 0, len(long)+len(raw))
-	for _, pt := range long {
-		if pt.Time.Before(raw[0].Time) {
-			out = append(out, pt)
-		}
-	}
-	return append(out, raw...)
-}
-
-// Deltas returns last−first for every counter over the retained series
-// (counters absent from the first point count from zero). With fewer
-// than two points the map is empty: a delta needs a window.
-func (h *History) Deltas() map[string]int64 {
-	series := h.Series()
-	out := map[string]int64{}
-	if len(series) < 2 {
-		return out
-	}
-	first, last := series[0], series[len(series)-1]
-	for name, v := range last.Counters {
-		out[name] = v - first.Counters[name]
-	}
-	return out
+	out := make([]HistoryPoint, 0, len(h.ring))
+	out = append(out, h.ring[h.next:]...)
+	return append(out, h.ring[:h.next]...)
 }
 
 // HistoryDoc is the JSON document of /metrics/history and the
-// history.json bundle member: the merged series plus counter deltas and
-// per-second rates over its window.
+// history.json bundle member: the retained points plus counter deltas
+// and per-second rates over their window.
 type HistoryDoc struct {
 	IntervalSec float64            `json:"interval_sec"`
 	WindowSec   float64            `json:"window_sec"`
@@ -285,14 +230,16 @@ type HistoryDoc struct {
 }
 
 // Doc assembles the exported history document (nil for the nil
-// History).
+// History). Deltas are last−first per counter (a counter absent from
+// the first point counts from zero); with fewer than two points there
+// is no window and they are empty.
 func (h *History) Doc() *HistoryDoc {
 	if h == nil {
 		return nil
 	}
 	series := h.Series()
 	doc := &HistoryDoc{
-		IntervalSec: h.opts.Interval.Seconds(),
+		IntervalSec: historyInterval.Seconds(),
 		Points:      series,
 		Deltas:      map[string]int64{},
 		RatesPerSec: map[string]float64{},
@@ -310,48 +257,4 @@ func (h *History) Doc() *HistoryDoc {
 		}
 	}
 	return doc
-}
-
-// WriteCSV renders the merged series as CSV: a time column followed by
-// one column per metric name (counters and gauges united, sorted),
-// empty cells for metrics a point did not carry.
-func (h *History) WriteCSV(w io.Writer) error {
-	series := h.Series()
-	names := map[string]bool{}
-	for _, pt := range series {
-		for name := range pt.Counters {
-			names[name] = true
-		}
-		for name := range pt.Gauges {
-			names[name] = true
-		}
-	}
-	cols := make([]string, 0, len(names))
-	for name := range names {
-		cols = append(cols, name)
-	}
-	sort.Strings(cols)
-
-	cw := csv.NewWriter(w)
-	if err := cw.Write(append([]string{"time"}, cols...)); err != nil {
-		return err
-	}
-	rec := make([]string, len(cols)+1)
-	for _, pt := range series {
-		rec[0] = pt.Time.Format(time.RFC3339Nano)
-		for i, name := range cols {
-			if v, ok := pt.Counters[name]; ok {
-				rec[i+1] = strconv.FormatInt(v, 10)
-			} else if v, ok := pt.Gauges[name]; ok {
-				rec[i+1] = strconv.FormatInt(v, 10)
-			} else {
-				rec[i+1] = ""
-			}
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

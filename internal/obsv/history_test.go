@@ -2,97 +2,37 @@ package obsv
 
 import (
 	"bytes"
-	"encoding/csv"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 )
 
-// counterValues projects one counter out of a series, in order.
-func counterValues(series []HistoryPoint, name string) []int64 {
-	out := make([]int64, len(series))
-	for i, pt := range series {
-		out[i] = pt.Counters[name]
-	}
-	return out
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestHistoryRingWraparound drives both rings past capacity and checks
-// the merged series: raw holds the newest Window/Interval points, the
-// long ring every LongEvery-th point, and Series splices long points
-// strictly older than the raw window in front of it.
+// TestHistoryRingWraparound drives the ring past capacity: the newest
+// historyCap points survive, oldest first, and the document's deltas
+// span exactly the retained window.
 func TestHistoryRingWraparound(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test.ticks")
-	// rawCap = 4s/1s = 4; longCap = 8s/(1s×2) = 4, fed every 2nd point.
-	h := newHistory(r, HistoryOptions{
-		Interval:   time.Second,
-		Window:     4 * time.Second,
-		LongEvery:  2,
-		LongWindow: 8 * time.Second,
-	})
-	for i := 0; i < 10; i++ {
+	h := newHistory(r)
+	for i := 0; i < historyCap+10; i++ {
 		c.Add(1)
 		h.Record()
 	}
-	if h.Points() != 10 {
-		t.Fatalf("Points = %d, want 10", h.Points())
-	}
-	// Raw ring wrapped twice: the last rawCap points survive.
-	if got := counterValues(h.RawSeries(), "test.ticks"); !int64sEqual(got, []int64{7, 8, 9, 10}) {
-		t.Fatalf("RawSeries ticks = %v", got)
-	}
-	// Long ring saw points 2,4,6,8,10 and wrapped once at cap 4.
-	if got := counterValues(h.LongSeries(), "test.ticks"); !int64sEqual(got, []int64{4, 6, 8, 10}) {
-		t.Fatalf("LongSeries ticks = %v", got)
-	}
-	// Merged: long points predating the raw window (4, 6), then raw.
 	series := h.Series()
-	if got := counterValues(series, "test.ticks"); !int64sEqual(got, []int64{4, 6, 7, 8, 9, 10}) {
-		t.Fatalf("Series ticks = %v", got)
+	if len(series) != historyCap {
+		t.Fatalf("Series holds %d points, want %d", len(series), historyCap)
 	}
-	for i := 1; i < len(series); i++ {
-		if series[i].Time.Before(series[i-1].Time) {
+	for i, pt := range series {
+		if want := int64(i + 11); pt.Counters["test.ticks"] != want {
+			t.Fatalf("point %d ticks = %d, want %d", i, pt.Counters["test.ticks"], want)
+		}
+		if i > 0 && pt.Time.Before(series[i-1].Time) {
 			t.Fatalf("Series out of order at %d", i)
 		}
 	}
-	if d := h.Deltas()["test.ticks"]; d != 6 {
-		t.Fatalf("Deltas over merged series = %d, want 6 (10-4)", d)
-	}
-}
-
-// TestHistoryDownsampleBoundary pins the raw→long hand-off before any
-// wraparound: while the raw ring still covers everything, Series must
-// be exactly the raw series (no duplicated long points).
-func TestHistoryDownsampleBoundary(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test.ticks")
-	h := newHistory(r, HistoryOptions{
-		Interval:  time.Second,
-		Window:    8 * time.Second,
-		LongEvery: 2,
-	})
-	for i := 0; i < 4; i++ {
-		c.Add(1)
-		h.Record()
-	}
-	if got := counterValues(h.LongSeries(), "test.ticks"); !int64sEqual(got, []int64{2, 4}) {
-		t.Fatalf("LongSeries ticks = %v", got)
-	}
-	if got := counterValues(h.Series(), "test.ticks"); !int64sEqual(got, []int64{1, 2, 3, 4}) {
-		t.Fatalf("Series ticks = %v (long points must not duplicate raw ones)", got)
+	if d := h.Doc().Deltas["test.ticks"]; d != historyCap-1 {
+		t.Fatalf("delta over the ring = %d, want %d", d, historyCap-1)
 	}
 }
 
@@ -103,9 +43,9 @@ func TestHistoryDownsampleBoundary(t *testing.T) {
 func TestHistoryDeltasMatchCounters(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("storage.read.bytes").Add(100)
-	r.Gauge("runtime.heap_inuse_bytes").Set(42)
+	r.Gauge("pool.occupancy").Set(42)
 	r.Histogram("query.latency_us").Observe(1000)
-	h := newHistory(r, HistoryOptions{Interval: 10 * time.Millisecond})
+	h := newHistory(r)
 	h.Record()
 	time.Sleep(5 * time.Millisecond)
 	r.Counter("storage.read.bytes").Add(250)
@@ -113,7 +53,7 @@ func TestHistoryDeltasMatchCounters(t *testing.T) {
 	h.Record()
 
 	doc := h.Doc()
-	if doc.IntervalSec != 0.01 {
+	if doc.IntervalSec != historyInterval.Seconds() {
 		t.Fatalf("IntervalSec = %v", doc.IntervalSec)
 	}
 	if doc.WindowSec <= 0 {
@@ -129,7 +69,7 @@ func TestHistoryDeltasMatchCounters(t *testing.T) {
 		t.Fatalf("rate storage.read.bytes = %v", rate)
 	}
 	last := doc.Points[len(doc.Points)-1]
-	if last.Gauges["runtime.heap_inuse_bytes"] != 42 {
+	if last.Gauges["pool.occupancy"] != 42 {
 		t.Fatalf("gauge missing from point: %+v", last.Gauges)
 	}
 	if last.Gauges["query.latency_us.p50"] == 0 {
@@ -142,64 +82,140 @@ func TestHistoryDeltasMatchCounters(t *testing.T) {
 	}
 }
 
-func TestHistoryCSV(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a.ticks").Add(1)
-	h := newHistory(r, HistoryOptions{Interval: time.Second})
-	h.Record()
-	r.Gauge("b.depth").Set(7)
-	h.Record()
-
-	var buf bytes.Buffer
-	if err := h.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("CSV rows = %d, want header + 2 points", len(rows))
-	}
-	header := strings.Join(rows[0], ",")
-	if header != "time,a.ticks,b.depth" {
-		t.Fatalf("CSV header = %q", header)
-	}
-	// First point predates b.depth: its cell must be empty, not zero.
-	if rows[1][1] != "1" || rows[1][2] != "" {
-		t.Fatalf("first CSV row = %v", rows[1])
-	}
-	if rows[2][2] != "7" {
-		t.Fatalf("second CSV row = %v", rows[2])
-	}
-}
-
 func TestHistoryStartStopAndNil(t *testing.T) {
 	var nilH *History
 	nilH.Record()
 	nilH.Stop()
-	if nilH.Series() != nil || nilH.Doc() != nil || nilH.Points() != 0 || len(nilH.Deltas()) != 0 {
+	if nilH.Series() != nil || nilH.Doc() != nil {
 		t.Fatal("nil history not inert")
 	}
-	if StartHistory(nil, HistoryOptions{}) != nil {
+	if StartHistory(nil) != nil {
 		t.Fatal("history on nil registry should be nil")
 	}
 
-	r := NewRegistry()
-	h := StartHistory(r, HistoryOptions{Interval: 2 * time.Millisecond, Window: 100 * time.Millisecond})
-	if h.Points() < 1 {
+	h := StartHistory(NewRegistry())
+	before := len(h.Series())
+	if before < 1 {
 		t.Fatal("no immediate first point")
 	}
-	for h.Points() < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	before := h.Points()
 	h.Stop()
-	if h.Points() <= before {
-		t.Fatalf("Stop did not record a final point: %d then %d", before, h.Points())
+	if len(h.Series()) <= before {
+		t.Fatalf("Stop did not record a final point: %d then %d", before, len(h.Series()))
 	}
 	h.Stop() // idempotent
-	if len(h.Series()) == 0 {
-		t.Fatal("empty series after ticking history")
+}
+
+// traceEvents decodes a JSONL trace buffer into its events.
+func traceEvents(t *testing.T, buf *bytes.Buffer) []MemBudgetEvent {
+	t.Helper()
+	var evs []MemBudgetEvent
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev MemBudgetEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line not JSON: %v", err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
+}
+
+// TestHistorySamplesAndTagsSpans: every tick mirrors runtime.MemStats
+// into the runtime.* gauges, tags its point with the running span path,
+// and emits a mem_sample trace event.
+func TestHistorySamplesAndTagsSpans(t *testing.T) {
+	var buf bytes.Buffer
+	r := NewRegistry()
+	r.SetTrace(NewTraceWriter(&buf))
+	sp := r.StartSpan("build")
+	child := sp.Child("partition.cube")
+	h := newHistory(r)
+	for i := 0; i < 3; i++ {
+		h.Record()
+	}
+	child.End()
+	sp.End()
+	if err := r.Trace().Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	series := h.Series()
+	if len(series) != 3 {
+		t.Fatalf("series = %d points, want 3", len(series))
+	}
+	for i, pt := range series {
+		if pt.Gauges["runtime.heap_inuse_bytes"] == 0 || pt.Gauges["runtime.goroutines"] == 0 {
+			t.Fatalf("point %d has zero runtime stats: %+v", i, pt.Gauges)
+		}
+		if pt.Span != "build/partition.cube" {
+			t.Fatalf("point %d span = %q", i, pt.Span)
+		}
+		if i > 0 && pt.Time.Before(series[i-1].Time) {
+			t.Fatalf("series out of order at %d", i)
+		}
+	}
+	if r.Gauge("runtime.heap_inuse_bytes").Value() == 0 {
+		t.Fatal("history did not mirror gauges")
+	}
+	var memSamples int
+	for _, ev := range traceEvents(t, &buf) {
+		if ev.Ev == "mem_sample" {
+			memSamples++
+		}
+	}
+	if memSamples != 3 {
+		t.Fatalf("trace has %d mem_sample events, want 3", memSamples)
+	}
+}
+
+// TestHistoryBudgetCrossing: a 1-byte budget guarantees heap-in-use is
+// above it, so the first tick records the crossing — and only the first
+// (edge-triggered).
+func TestHistoryBudgetCrossing(t *testing.T) {
+	var buf bytes.Buffer
+	r := NewRegistry()
+	r.SetTrace(NewTraceWriter(&buf))
+	r.Gauge(BudgetGaugeName).Set(1)
+	h := newHistory(r)
+	for i := 0; i < 4; i++ {
+		h.Record()
+	}
+	if err := r.Trace().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var crossings int
+	for _, ev := range traceEvents(t, &buf) {
+		if ev.Ev != "mem_budget" {
+			continue
+		}
+		crossings++
+		if ev.Dir != "above" || ev.Budget != 1 || ev.HeapInuse <= 1 {
+			t.Fatalf("mem_budget event = %+v", ev)
+		}
+	}
+	if crossings != 1 {
+		t.Fatalf("crossings = %d, want exactly 1 (edge-triggered)", crossings)
+	}
+	if r.Counter("runtime.mem_budget_exceeded").Value() != 1 {
+		t.Fatal("mem_budget_exceeded counter not bumped")
+	}
+}
+
+// TestHistoryRecordIgnoresSpans: a tick records scalars only, so a
+// registry retaining the maximum number of span trees costs what an
+// empty one does.
+func TestHistoryRecordIgnoresSpans(t *testing.T) {
+	allocs := func(r *Registry) float64 {
+		h := newHistory(r)
+		return testing.AllocsPerRun(20, h.Record)
+	}
+	empty := allocs(NewRegistry())
+	r := NewRegistry()
+	for i := 0; i < maxRetainedRootSpans; i++ {
+		sp := r.StartSpan("query.node")
+		sp.Child("scan").End()
+		sp.End()
+	}
+	if full := allocs(r); full > 2*empty {
+		t.Fatalf("Record allocates %.0f times with %d retained roots, %.0f with none", full, maxRetainedRootSpans, empty)
 	}
 }

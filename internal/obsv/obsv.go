@@ -287,6 +287,22 @@ type Snapshot struct {
 // atomics without stopping writers, so a snapshot is per-instrument
 // consistent rather than a global atomic cut.
 func (r *Registry) Snapshot() *Snapshot {
+	s := r.scalars()
+	if r == nil {
+		return s
+	}
+	r.mu.Lock()
+	spans := append([]*Span{}, r.spans...)
+	r.mu.Unlock()
+	for _, sp := range spans {
+		s.Spans = append(s.Spans, sp.snapshot())
+	}
+	return s
+}
+
+// scalars is Snapshot without the span trees: what the history records
+// every tick.
+func (r *Registry) scalars() *Snapshot {
 	s := &Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}}
 	if r == nil {
 		return s
@@ -304,7 +320,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	for _, h := range r.hists {
 		hists = append(hists, h)
 	}
-	spans := append([]*Span{}, r.spans...)
 	r.mu.Unlock()
 
 	for _, c := range counters {
@@ -329,9 +344,6 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 		s.Histograms = append(s.Histograms, hs)
 	}
-	for _, sp := range spans {
-		s.Spans = append(s.Spans, sp.snapshot())
-	}
 	return s
 }
 
@@ -343,8 +355,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // CurrentPath returns the slash-joined path of the most recently started
-// un-ended span ("" when idle or r is nil). The runtime sampler tags
-// each memory sample with it so heap growth is attributable to a phase.
+// un-ended span ("" when idle or r is nil). The history tags each point
+// with it so heap growth is attributable to a phase.
 func (r *Registry) CurrentPath() string {
 	if r == nil {
 		return ""

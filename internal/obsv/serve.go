@@ -6,14 +6,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 )
 
 // ServerOptions configures the telemetry HTTP server.
 type ServerOptions struct {
-	// Sampler, when set, contributes its time series to /progress.
-	Sampler *Sampler
 	// Queries, when set, backs the /queries endpoint with live
 	// per-query introspection.
 	Queries *QueryTracker
@@ -23,35 +20,29 @@ type ServerOptions struct {
 	// Flight, when set, backs the /debug/bundle endpoint: a POST (or
 	// GET, for curl convenience) writes a diagnostic bundle on demand.
 	Flight *FlightRecorder
-	// ProgressInterval is the SSE emission cadence (default 1s).
-	ProgressInterval time.Duration
 }
 
 // Server is the opt-in live telemetry plane of a build or query process:
 //
-//	GET /metrics       Prometheus text exposition of the registry
-//	GET /healthz       liveness ("ok")
-//	GET /progress      JSON: progress line, snapshot, sampler series
-//	GET /progress      (Accept: text/event-stream or ?stream=1) SSE
-//	                   stream of progress lines
-//	GET /queries       JSON: in-flight queries + recent completed ring
-//	GET /queries      (Accept: text/event-stream or ?stream=1) SSE
-//	                   stream of the same document
-//	GET /debug/pprof/  the standard pprof handlers
+//	GET /metrics          Prometheus text exposition of the registry
+//	GET /metrics/history  JSON: the history's points, deltas and rates
+//	GET /healthz          liveness ("ok"), or 503 with degraded reasons
+//	GET /progress         JSON: progress line and registry snapshot
+//	GET /queries          JSON: in-flight queries + recent completed ring
+//	GET /debug/bundle     write a flight-recorder bundle now
+//	GET /debug/pprof/     the standard pprof handlers
 //
 // It serves snapshots of a live registry, so everything works mid-build;
 // nothing here blocks or slows the instrumented work beyond the snapshot
-// cost per scrape.
+// cost per request.
 type Server struct {
-	reg      *Registry
-	smp      *Sampler
-	queries  *QueryTracker
-	history  *History
-	flight   *FlightRecorder
-	interval time.Duration
-	start    time.Time
-	ln       net.Listener
-	srv      *http.Server
+	reg     *Registry
+	queries *QueryTracker
+	history *History
+	flight  *FlightRecorder
+	start   time.Time
+	ln      net.Listener
+	srv     *http.Server
 }
 
 // StartServer listens on addr (host:port, ":0" picks a free port) and
@@ -67,17 +58,12 @@ func StartServer(addr string, reg *Registry, opts ServerOptions) (*Server, error
 		return nil, err
 	}
 	s := &Server{
-		reg:      reg,
-		smp:      opts.Sampler,
-		queries:  opts.Queries,
-		history:  opts.History,
-		flight:   opts.Flight,
-		interval: opts.ProgressInterval,
-		start:    time.Now(),
-		ln:       ln,
-	}
-	if s.interval <= 0 {
-		s.interval = time.Second
+		reg:     reg,
+		queries: opts.Queries,
+		history: opts.History,
+		flight:  opts.Flight,
+		start:   time.Now(),
+		ln:      ln,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -104,7 +90,7 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close shuts the server down, dropping open SSE streams (no-op on nil).
+// Close shuts the server down (no-op on nil).
 func (s *Server) Close() error {
 	if s == nil {
 		return nil
@@ -112,28 +98,28 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
+// writeJSON answers with status code and v as indented JSON.
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	enc.Encode(v)
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	WriteProm(w, s.reg.Snapshot())
 }
 
-// handleHistory serves the flight recorder's metric time series: JSON
-// by default (the HistoryDoc: merged points + counter deltas and rates
-// over the window), CSV with ?format=csv or an Accept: text/csv header.
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
+// handleHistory serves the history document: the points plus counter
+// deltas and rates over their window.
+func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request) {
 	if s.history == nil {
 		http.Error(w, "history store not enabled", http.StatusNotFound)
 		return
 	}
-	if r.URL.Query().Get("format") == "csv" || strings.Contains(r.Header.Get("Accept"), "text/csv") {
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		s.history.WriteCSV(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(s.history.Doc())
+	writeJSON(w, http.StatusOK, s.history.Doc())
 }
 
 // handleBundle writes a diagnostic bundle on demand and reports its
@@ -148,10 +134,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "bundle write failed", http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(map[string]string{"bundle": dir})
+	writeJSON(w, http.StatusOK, map[string]string{"bundle": dir})
 }
 
 // healthzDoc is the JSON body of a degraded /healthz response.
@@ -160,10 +143,10 @@ type healthzDoc struct {
 	Reasons []string `json:"reasons"`
 }
 
-// healthReasons inspects the registry snapshot for degraded conditions:
-// trace events dropped at the byte cap, or live heap above the declared
-// memory budget. It reads only already-interned instruments (via the
-// snapshot), so probing health never pollutes /metrics with
+// healthReasons inspects the registry's scalars for degraded
+// conditions: trace events dropped at the byte cap, or live heap above
+// the declared memory budget. It reads only already-interned
+// instruments, so probing health never pollutes /metrics with
 // zero-valued entries.
 func healthReasons(snap *Snapshot) []string {
 	var reasons []string
@@ -182,40 +165,27 @@ func healthReasons(snap *Snapshot) []string {
 // JSON reason list when the process is degraded (trace drops, heap over
 // budget).
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	reasons := healthReasons(s.reg.Snapshot())
+	reasons := healthReasons(s.reg.scalars())
 	if len(reasons) == 0 {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(healthzDoc{Status: "degraded", Reasons: reasons})
+	writeJSON(w, http.StatusServiceUnavailable, healthzDoc{Status: "degraded", Reasons: reasons})
 }
 
 // progressJSON is the /progress JSON document.
 type progressJSON struct {
-	ElapsedSec float64     `json:"elapsed_sec"`
-	Progress   string      `json:"progress"`
-	Snapshot   *Snapshot   `json:"snapshot"`
-	MemSeries  []MemSample `json:"mem_series,omitempty"`
+	ElapsedSec float64   `json:"elapsed_sec"`
+	Progress   string    `json:"progress"`
+	Snapshot   *Snapshot `json:"snapshot"`
 }
 
-func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") || r.URL.Query().Get("stream") != "" {
-		s.streamProgress(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(progressJSON{
+func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, progressJSON{
 		ElapsedSec: time.Since(s.start).Seconds(),
 		Progress:   s.reg.ProgressLine(),
 		Snapshot:   s.reg.Snapshot(),
-		MemSeries:  s.smp.Series(),
 	})
 }
 
@@ -227,7 +197,7 @@ type queriesJSON struct {
 	Recent     []QueryRecord   `json:"recent"`
 }
 
-func (s *Server) queriesDoc() queriesJSON {
+func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
 	doc := queriesJSON{
 		ElapsedSec: time.Since(s.start).Seconds(),
 		Inflight:   s.queries.Inflight(),
@@ -239,87 +209,5 @@ func (s *Server) queriesDoc() queriesJSON {
 	if doc.Recent == nil {
 		doc.Recent = []QueryRecord{}
 	}
-	return doc
-}
-
-func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") || r.URL.Query().Get("stream") != "" {
-		s.streamQueries(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(s.queriesDoc())
-}
-
-// streamQueries emits one SSE "queries" event per interval carrying the
-// /queries JSON document, until the client hangs up.
-func (s *Server) streamQueries(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	emit := func() bool {
-		data, err := json.Marshal(s.queriesDoc())
-		if err != nil {
-			return false
-		}
-		_, werr := fmt.Fprintf(w, "event: queries\ndata: %s\n\n", data)
-		fl.Flush()
-		return werr == nil
-	}
-	if !emit() {
-		return
-	}
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-t.C:
-			if !emit() {
-				return
-			}
-		}
-	}
-}
-
-// streamProgress emits one SSE "progress" event per interval carrying
-// the registry's progress line, until the client hangs up.
-func (s *Server) streamProgress(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	emit := func() bool {
-		_, err := fmt.Fprintf(w, "event: progress\ndata: [%7.1fs] %s\n\n",
-			time.Since(s.start).Seconds(), s.reg.ProgressLine())
-		fl.Flush()
-		return err == nil
-	}
-	if !emit() {
-		return
-	}
-	t := time.NewTicker(s.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-t.C:
-			if !emit() {
-				return
-			}
-		}
-	}
+	writeJSON(w, http.StatusOK, doc)
 }

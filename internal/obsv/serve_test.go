@@ -1,115 +1,20 @@
 package obsv
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
-
-func TestSamplerSamplesAndTagsSpans(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRegistry()
-	r.SetTrace(NewTraceWriter(&buf))
-	sp := r.StartSpan("build")
-	child := sp.Child("partition.cube")
-	s := StartSampler(r, SamplerOptions{Interval: 5 * time.Millisecond})
-	for s.Samples() < 3 {
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	child.End()
-	sp.End()
-	if err := r.Trace().Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	series := s.Series()
-	if len(series) < 3 {
-		t.Fatalf("series = %d samples, want ≥ 3", len(series))
-	}
-	for i, sm := range series {
-		if sm.HeapInuse == 0 || sm.Goroutines == 0 {
-			t.Fatalf("sample %d has zero runtime stats: %+v", i, sm)
-		}
-		if sm.Span != "build/partition.cube" {
-			t.Fatalf("sample %d span = %q", i, sm.Span)
-		}
-		if i > 0 && sm.Time.Before(series[i-1].Time) {
-			t.Fatalf("series out of order at %d", i)
-		}
-	}
-	if r.Gauge("runtime.heap_inuse_bytes").Value() == 0 {
-		t.Fatal("sampler did not mirror gauges")
-	}
-	var memSamples int
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var ev struct {
-			Ev   string `json:"ev"`
-			Span string `json:"span"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line not JSON: %v", err)
-		}
-		if ev.Ev == "mem_sample" {
-			memSamples++
-		}
-	}
-	if memSamples < 3 {
-		t.Fatalf("trace has %d mem_sample events, want ≥ 3", memSamples)
-	}
-
-	var nilS *Sampler
-	nilS.Stop()
-	if nilS.Samples() != 0 || nilS.Series() != nil {
-		t.Fatal("nil sampler not inert")
-	}
-	if StartSampler(nil, SamplerOptions{}) != nil {
-		t.Fatal("sampler on nil registry should be nil")
-	}
-}
-
-func TestSamplerBudgetCrossing(t *testing.T) {
-	var buf bytes.Buffer
-	r := NewRegistry()
-	r.SetTrace(NewTraceWriter(&buf))
-	// A 1-byte budget guarantees heap-in-use is above it: the first
-	// sample must record the crossing, and only once (edge-triggered).
-	r.Gauge(BudgetGaugeName).Set(1)
-	s := StartSampler(r, SamplerOptions{Interval: 2 * time.Millisecond})
-	for s.Samples() < 4 {
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	if err := r.Trace().Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var crossings int
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var ev MemBudgetEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Ev != "mem_budget" {
-			continue
-		}
-		crossings++
-		if ev.Dir != "above" || ev.Budget != 1 || ev.HeapInuse <= 1 {
-			t.Fatalf("mem_budget event = %+v", ev)
-		}
-	}
-	if crossings != 1 {
-		t.Fatalf("crossings = %d, want exactly 1 (edge-triggered)", crossings)
-	}
-	if r.Counter("runtime.mem_budget_exceeded").Value() != 1 {
-		t.Fatal("mem_budget_exceeded counter not bumped")
-	}
-}
 
 func startTestServer(t *testing.T, r *Registry, opts ServerOptions) *Server {
 	t.Helper()
@@ -135,14 +40,16 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// promLine is the shape of every line WriteProm emits: a TYPE comment
+// or one series with an optional label block and a float value.
+var promLine = regexp.MustCompile(`^(# TYPE cure_\w+ (counter|gauge)|cure_\w+(\{.*\})? -?[0-9.]+(e[-+][0-9]+)?)$`)
+
 func TestServerEndpoints(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("partition.bytes_read").Add(777)
 	sp := r.StartSpan("build") // left running: snapshots must be clean mid-build
 	defer sp.End()
-	smp := StartSampler(r, SamplerOptions{Interval: 2 * time.Millisecond})
-	defer smp.Stop()
-	srv := startTestServer(t, r, ServerOptions{Sampler: smp, ProgressInterval: 5 * time.Millisecond})
+	srv := startTestServer(t, r, ServerOptions{})
 	base := "http://" + srv.Addr()
 
 	if code, body := get(t, base+"/healthz"); code != 200 || strings.TrimSpace(body) != "ok" {
@@ -153,34 +60,26 @@ func TestServerEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
-	metrics, err := ParseProm(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("/metrics not valid Prometheus text: %v\n%s", err, body)
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		if !promLine.MatchString(line) {
+			t.Fatalf("/metrics line %q is not exposition text", line)
+		}
 	}
-	if metrics["cure_partition_bytes_read"].Value != 777 {
-		t.Fatalf("metrics = %v", body)
-	}
-	if _, ok := metrics[`cure_span_elapsed_seconds{path="build"}`]; !ok {
-		t.Fatalf("running span missing from exposition:\n%s", body)
+	for _, want := range []string{"\ncure_partition_bytes_read 777\n", "\ncure_span_elapsed_seconds{path=\"build\"} "} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, body)
+		}
 	}
 
-	for smp.Samples() == 0 {
-		time.Sleep(time.Millisecond)
-	}
 	code, body = get(t, base+"/progress")
 	if code != 200 {
 		t.Fatalf("/progress = %d", code)
 	}
-	var pj struct {
-		ElapsedSec float64     `json:"elapsed_sec"`
-		Progress   string      `json:"progress"`
-		Snapshot   *Snapshot   `json:"snapshot"`
-		MemSeries  []MemSample `json:"mem_series"`
-	}
+	var pj progressJSON
 	if err := json.Unmarshal([]byte(body), &pj); err != nil {
 		t.Fatalf("/progress not JSON: %v", err)
 	}
-	if !strings.Contains(pj.Progress, "phase=build") || pj.Snapshot == nil || len(pj.MemSeries) == 0 {
+	if !strings.Contains(pj.Progress, "phase=build") || pj.Snapshot == nil {
 		t.Fatalf("/progress = %+v", pj)
 	}
 	if len(pj.Snapshot.Spans) != 1 || !pj.Snapshot.Spans[0].Running || !pj.Snapshot.Spans[0].EndTime.IsZero() {
@@ -192,47 +91,8 @@ func TestServerEndpoints(t *testing.T) {
 	}
 }
 
-func TestServerProgressSSE(t *testing.T) {
-	r := NewRegistry()
-	sp := r.StartSpan("build")
-	defer sp.End()
-	r.Counter("core.sort.rows").Add(5)
-	srv := startTestServer(t, r, ServerOptions{ProgressInterval: 5 * time.Millisecond})
-
-	req, err := http.NewRequest("GET", "http://"+srv.Addr()+"/progress", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("SSE content type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	var events, datas int
-	for sc.Scan() && datas < 3 {
-		line := sc.Text()
-		if strings.HasPrefix(line, "event: progress") {
-			events++
-		}
-		if strings.HasPrefix(line, "data: ") {
-			datas++
-			if !strings.Contains(line, "phase=build") {
-				t.Fatalf("SSE data line %q missing progress content", line)
-			}
-		}
-	}
-	if events < 3 || datas < 3 {
-		t.Fatalf("SSE stream yielded %d events / %d data lines", events, datas)
-	}
-}
-
 func TestCLIServeFlags(t *testing.T) {
-	c := &CLI{ServeAddr: "127.0.0.1:0", SampleEvery: 2 * time.Millisecond, SlowQueryMs: -1}
+	c := &CLI{ServeAddr: "127.0.0.1:0", SlowQueryMs: -1}
 	var diag bytes.Buffer
 	if err := c.Start(&diag); err != nil {
 		t.Fatal(err)
@@ -248,14 +108,100 @@ func TestCLIServeFlags(t *testing.T) {
 	if err := c.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if c.sampler.Samples() == 0 {
-		t.Fatal("CLI sampler took no samples")
+	if len(c.history.Series()) < 2 {
+		t.Fatal("CLI history took no start and stop points")
 	}
 	if _, err := http.Get(fmt.Sprintf("http://%s/healthz", addr)); err == nil {
 		t.Fatal("server still up after Finish")
 	}
 	if !strings.Contains(diag.String(), "telemetry: serving") {
 		t.Fatalf("diag output = %q", diag.String())
+	}
+}
+
+// TestCLITraceSinks: -trace-out keeps whole events up to
+// -trace-max-bytes and counts the rest in trace.dropped, which
+// -metrics-out records when Finish flushes the sinks.
+func TestCLITraceSinks(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "metrics.json")
+	c := &CLI{TraceOut: tracePath, TraceMaxBytes: 100, MetricsOut: metricsPath, SlowQueryMs: -1}
+	if err := c.Start(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	const events = 10
+	for i := 0; i < events; i++ {
+		c.Registry().Trace().Emit(NodeEvent{Ev: "node", Node: int64(i)})
+	}
+	if err := c.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	trace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(trace)), "\n")
+	if len(trace) > 100 || len(lines) == 0 {
+		t.Fatalf("trace holds %d bytes in %d lines, cap 100", len(trace), len(lines))
+	}
+	for _, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Fatalf("trace line %q is not a whole event", line)
+		}
+	}
+	data, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["trace.dropped"]; got != int64(events-len(lines)) {
+		t.Fatalf("trace.dropped = %d, want %d", got, events-len(lines))
+	}
+}
+
+// TestCLIStartFinishLeaksNoGoroutines: a session with every periodic
+// part on (server, history, flight recorder, signal handler) leaves
+// nothing running after Finish.
+func TestCLIStartFinishLeaksNoGoroutines(t *testing.T) {
+	cycle := func() {
+		c := &CLI{ServeAddr: "127.0.0.1:0", FlightDir: t.TempDir(), SlowQueryMs: -1}
+		if err := c.Start(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // os/signal starts its one process-wide watcher on first use
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("%d goroutines after 20 Start/Finish cycles, %d before", n, base)
+	}
+}
+
+// TestRegisterFlagsSet pins the observability flags every command
+// shares.
+func TestRegisterFlagsSet(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	RegisterFlags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"cpuprofile", "flight-dir", "memprofile", "metrics-out", "progress", "serve",
+		"serve-hold", "slow-query-ms", "slow-query-out", "trace-max-bytes", "trace-out",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("flags = %v, want %v", got, want)
 	}
 }
 
@@ -268,7 +214,7 @@ func TestServerQueriesEndpoint(t *testing.T) {
 	running.SetExtent(ExtentNT, 7)
 	defer tr.End(running, 0, nil, QueryIO{}, nil)
 
-	srv := startTestServer(t, r, ServerOptions{Queries: tr, ProgressInterval: 5 * time.Millisecond})
+	srv := startTestServer(t, r, ServerOptions{Queries: tr})
 	base := "http://" + srv.Addr()
 
 	code, body := get(t, base+"/queries")
@@ -288,36 +234,6 @@ func TestServerQueriesEndpoint(t *testing.T) {
 	}
 	if len(doc.Recent) != 1 || doc.Recent[0].Rows != 12 || doc.Recent[0].IO.ZoneBlocksSkipped != 4 {
 		t.Fatalf("recent = %+v", doc.Recent)
-	}
-
-	// SSE stream of the same document.
-	req, err := http.NewRequest("GET", base+"/queries", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("SSE content type = %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var datas int
-	for sc.Scan() && datas < 2 {
-		line := sc.Text()
-		if strings.HasPrefix(line, "data: ") {
-			datas++
-			if !strings.Contains(line, `"inflight"`) || !strings.Contains(line, `"recent"`) {
-				t.Fatalf("SSE data line %q missing queries document", line)
-			}
-		}
-	}
-	if datas < 2 {
-		t.Fatalf("SSE stream yielded %d data lines", datas)
 	}
 }
 

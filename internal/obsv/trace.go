@@ -243,7 +243,7 @@ type PartitionEvent struct {
 	Bytes int64  `json:"bytes"`
 }
 
-// MemSampleEvent records one runtime sampler tick: heap occupancy, GC
+// MemSampleEvent records one history tick: heap occupancy, GC
 // state, and goroutine count, tagged with the span path that was running
 // when the sample was taken.
 type MemSampleEvent struct {
@@ -256,7 +256,7 @@ type MemSampleEvent struct {
 	Span         string `json:"span,omitempty"`
 }
 
-// MemBudgetEvent records the sampler observing heap-in-use crossing the
+// MemBudgetEvent records the history observing heap-in-use crossing the
 // declared memory budget (the build.mem_budget_bytes gauge, set by the
 // partitioned build path from Options.MemoryBudget): Dir is "above" when
 // the crossing violates the budget and "below" when heap drops back

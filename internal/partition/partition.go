@@ -40,8 +40,8 @@ type LevelChoice struct {
 // (observation 2; |A_{LT+1}| = 1, i.e. dimension 0 projected out).
 //
 // It returns an error when no level qualifies; the paper notes the
-// algorithm can then be extended to pairs of dimensions, an extension we
-// do not implement.
+// algorithm can then be extended to pairs of dimensions, which is
+// SelectLevelPair (core.ChooseStrategy tries it next).
 func SelectLevel(dim *hierarchy.Dim, rBytes, partBudget, nBudget int64) (LevelChoice, error) {
 	return SelectLevelObs(dim, rBytes, partBudget, nBudget, nil)
 }
