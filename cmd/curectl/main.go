@@ -216,10 +216,11 @@ func cmdBuild(args []string) {
 	if err := obs.Start(os.Stderr); err != nil {
 		fatalf("%v", err)
 	}
+	hier := loadHier(*hierPath)
 	stats, err := core.Build(core.Options{
 		Dir:          *out,
 		FactPath:     *fact,
-		Hier:         loadHier(*hierPath),
+		Hier:         hier,
 		AggSpecs:     parseAggs(*agg, numMeasures),
 		MemoryBudget: *mem,
 		PoolCapacity: *pool,
@@ -238,8 +239,12 @@ func cmdBuild(args []string) {
 	}
 	mode := "in-memory"
 	if stats.Partitioned {
-		mode = fmt.Sprintf("partitioned (L=%d, %d partitions, |N|=%d rows)",
-			stats.PartitionLevel, stats.NumPartitions, stats.NRows)
+		levels := []int{stats.PartitionLevel}
+		if stats.PartitionLevelB >= 0 {
+			levels = append(levels, stats.PartitionLevelB)
+		}
+		mode = fmt.Sprintf("partitioned on %s: %d partitions, N holds %d rows",
+			prefixLevels(hier, levels), stats.NumPartitions, stats.NRows)
 	}
 	diag("built cube in %v (%s)\n", stats.Elapsed, mode)
 	diag(" nodes materialized: %d (%d relations)\n", stats.NodesMaterialized, stats.Relations)
@@ -788,6 +793,16 @@ func cmdDiff(args []string) {
 	os.Exit(1)
 }
 
+// prefixLevels names a partitioning prefix: "Product level 1, Customer
+// level 0".
+func prefixLevels(hier *hierarchy.Schema, levels []int) string {
+	names := make([]string, len(levels))
+	for j, l := range levels {
+		names[j] = fmt.Sprintf("%s level %d", hier.Dims[j].Name, l)
+	}
+	return strings.Join(names, ", ")
+}
+
 // cmdEstimate predicts cube sizes and the partitioning plan without
 // building anything.
 func cmdEstimate(args []string) {
@@ -825,14 +840,13 @@ func cmdEstimate(args []string) {
 		fmt.Println("strategy: in-memory build")
 	case plan.ChoiceErr != "":
 		fmt.Printf("strategy: partitioning infeasible — %s\n", plan.ChoiceErr)
-	case plan.Pair != nil:
-		c := plan.Pair
-		fmt.Printf("strategy: partition on the pair (%s level %d, %s level %d) → %d partitions of ≈%d bytes, |N1| ≈ %d bytes, |N2| ≈ %d bytes\n",
-			hier.Dims[0].Name, c.LevelA, hier.Dims[1].Name, c.LevelB, c.NumPartitions, c.PartitionBytes, c.N1Bytes, c.N2Bytes)
 	default:
 		c := plan.Choice
-		fmt.Printf("strategy: partition on %s level %d → %d partitions of ≈%d bytes, |N| ≈ %d bytes\n",
-			hier.Dims[0].Name, c.Level, c.NumPartitions, c.PartitionBytes, c.NBytes)
+		fmt.Printf("strategy: partition on %s → %d partitions of ≈%d bytes", prefixLevels(hier, c.Levels), c.NumPartitions, c.PartitionBytes)
+		for j, n := range c.NBytes {
+			fmt.Printf(", |N_%d| ≈ %d bytes", j, n)
+		}
+		fmt.Println()
 	}
 	fmt.Printf("largest nodes:\n")
 	for i, n := range est.Nodes {

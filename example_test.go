@@ -249,9 +249,10 @@ func Example_outofcore() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c := strategy.Choice
+	c, dim0 := strategy.Choice, hier.Dims[0]
+	L := c.Levels[0]
 	fmt.Printf("partition plan: L = %s (level %d), %d partitions of ≤%d KB, |A0|/|A(L+1)| = %.0f, |N| ≈ %d KB\n",
-		hier.Dims[0].LevelName(c.Level), c.Level, c.NumPartitions, c.PartitionBytes>>10, c.Ratio, c.NBytes>>10)
+		dim0.LevelName(L), L, c.NumPartitions, c.PartitionBytes>>10, float64(dim0.Card(0))/float64(dim0.Card(L+1)), c.NBytes[0]>>10)
 
 	specs := []cure.AggSpec{{Func: cure.AggSum, Measure: 0}, {Func: cure.AggCount}}
 	outDir, refDir := filepath.Join(root, "cube"), filepath.Join(root, "ref")

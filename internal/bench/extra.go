@@ -37,16 +37,17 @@ func (h *Harness) runTable1() (map[string]*Result, error) {
 	}{
 		{"10 GB", 10 * gb}, {"100 GB", 100 * gb}, {"1 TB", 1000 * gb},
 	} {
-		c, err := partition.SelectLevel(product, r.bytes, gb, gb)
+		c, err := partition.SelectLevel(product, r.bytes, gb, gb, nil)
 		if err != nil {
 			return nil, err
 		}
+		l := c.Levels[0]
 		res.AddRow(r.label,
-			product.LevelName(c.Level),
+			product.LevelName(l),
 			fmtCount(int64(c.NumPartitions)),
 			fmtBytes(c.PartitionBytes),
-			fmt.Sprintf("%.0f", c.Ratio),
-			fmtBytes(c.NBytes))
+			fmt.Sprintf("%.0f", float64(product.Card(0))/float64(product.Card(l+1))),
+			fmtBytes(c.NBytes[0]))
 	}
 	return map[string]*Result{"table1": res}, nil
 }

@@ -145,9 +145,10 @@ type BuildStats struct {
 // Build constructs the cube of the fact table at opts.FactPath following
 // Algorithm CURE of Figure 13: if the table fits in the memory budget it
 // is loaded and cubed in memory; otherwise it is partitioned on the
-// selected level L of dimension 0, the partitions are cubed one at a time
-// (covering all nodes with dimension 0 at levels ≤ L), and the rest of
-// the cube is computed from the in-memory node N.
+// selected level L of dimension 0 (or a pair of levels, see
+// ChooseStrategy), the partitions are cubed one at a time (covering all
+// nodes with dimension 0 at levels ≤ L), and the rest of the cube is
+// computed from the in-memory nodes N_j.
 func Build(opts Options) (*BuildStats, error) {
 	return build(opts, nil, factStoreRows)
 }
@@ -230,12 +231,6 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 	if finPar == 0 {
 		finPar = opts.Parallelism
 	}
-	var finPool storage.WorkerPool
-	if lim != nil {
-		// Finalize workers draw from the same build-wide limiter as every
-		// other parallel site.
-		finPool = limiterPool{lim}
-	}
 	resolver := func(rowids []int64, dims [][]int32) error { return facts.Deref(rowids, dims, nil, nil) }
 	setupSpan := root.Child("setup")
 	w, err := storage.NewWriter(storage.Options{
@@ -251,7 +246,6 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 		Iceberg:       opts.Iceberg,
 		ZoneBlockRows: opts.ZoneBlockRows,
 		Parallelism:   finPar,
-		Pool:          finPool,
 		Metrics:       reg,
 	})
 	if err != nil {
@@ -287,12 +281,9 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 		w.Lock()
 	}
 	stats := &BuildStats{PartitionLevel: -1, PartitionLevelB: -1}
-	switch {
-	case inMemory:
+	if inMemory {
 		err = buildInMemory(table, effHier, opts, lim, pool, w, stats, root)
-	case strategy.Pair != nil:
-		err = buildPartitionedPair(opts, effHier, *strategy.Pair, lim, pool, w, stats, root)
-	default:
+	} else {
 		err = buildPartitioned(opts, effHier, strategy.Choice, rBytes, lim, pool, w, stats, root)
 	}
 	if err != nil {
@@ -425,42 +416,52 @@ func partitionReadBytes(reg *obsv.Registry, path string) {
 	}
 }
 
-// Strategy is how Build cubes a fact table: in memory, partitioned on
-// one level of dimension 0 (Choice), or — when Pair is set —
-// partitioned on a pair of levels of dimensions 0 and 1.
+// Strategy is how Build cubes a fact table: in memory, or partitioned on
+// the prefix levels of Choice — one level of dimension 0, or a pair of
+// levels of dimensions 0 and 1.
 type Strategy struct {
 	InMemory bool
-	Choice   partition.LevelChoice
-	Pair     *partition.PairChoice
+	Choice   partition.Choice
 }
 
 // ChooseStrategy is Build's decision for a fact table of rBytes bytes
 // under memoryBudget (0 = unlimited), and the one place it is made
 // (estimate.BuildPlan reports it without building). The table is cubed
 // in memory when it fits half the budget. Otherwise half the budget
-// bounds a loaded partition and a quarter node N (the signature pool
-// and sort scratch take the rest): the highest feasible level of
+// bounds a loaded partition and a quarter each node N_j (the signature
+// pool and sort scratch take the rest): the highest feasible level of
 // dimension 0 (§4, SelectLevel), else the pair extension §4 mentions
 // and omits (SelectLevelPair). With neither feasible the error is the
-// single-level one. reg receives the selection trace.
+// single-level one. reg receives the selection trace of both searches.
 func ChooseStrategy(hier *hierarchy.Schema, rBytes, memoryBudget int64, reg *obsv.Registry) (Strategy, error) {
 	if memoryBudget <= 0 || rBytes <= memoryBudget/2 {
 		return Strategy{InMemory: true}, nil
 	}
 	partBudget, nBudget := memoryBudget/2, memoryBudget/4
-	choice, err := partition.SelectLevelObs(hier.Dims[0], rBytes, partBudget, nBudget, reg)
+	choice, err := partition.SelectLevel(hier.Dims[0], rBytes, partBudget, nBudget, reg)
 	if err == nil {
 		return Strategy{Choice: choice}, nil
 	}
 	if hier.NumDims() >= 2 {
-		if pair, perr := partition.SelectLevelPair(hier.Dims[0], hier.Dims[1], rBytes, partBudget, nBudget); perr == nil {
-			return Strategy{Pair: &pair}, nil
+		if pair, perr := partition.SelectLevelPair(hier.Dims[0], hier.Dims[1], rBytes, partBudget, nBudget, reg); perr == nil {
+			return Strategy{Choice: pair}, nil
 		}
 	}
 	return Strategy{}, err
 }
 
-func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.LevelChoice, rBytes int64, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
+// buildPartitioned is the out-of-core path on the prefix levels
+// L_0 … L_{k-1} of choice. One scan splits R into partitions sound on the
+// prefix and builds every node N_j. Phase 1 cubes each partition: with
+// k = 1 dimension 0 enters at L_0 (Figure 13 lines 12–16: FollowEdge at
+// level L), covering every node with dimension 0 at a level ≤ L_0; with
+// k = 2 one root {A_i, B_{L_1}} per level i ≤ L_0 covers the nodes with
+// both dimensions at or below their levels. Phase 2 cubes each N_j: N_0
+// yields every node with dimension 0 above L_0 (lines 17–20: start
+// dimension 0 at its top level, never descend below L_0+1); N_1 yields the
+// nodes with dimension 0 at a level ≤ L_0 and dimension 1 above L_1, one
+// root {A_i} per level i ≤ L_0.
+func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Choice, rBytes int64, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
 	reg := opts.Metrics
 	// Partition files live in Dir/tmp and go on every return path, a
 	// failed scan included.
@@ -468,77 +469,68 @@ func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Lev
 	defer os.RemoveAll(partDir)
 	splitSpan := root.Child("partition.split")
 	splitSpan.AddBytesRead(rBytes)
-	res, err := partition.PartitionScan(opts.FactPath, partDir, hier, opts.AggSpecs, choice, scanConfig(opts, lim, splitSpan))
+	res, err := partition.PartitionScan(opts.FactPath, partDir, hier, opts.AggSpecs, choice,
+		partition.ScanConfig{Parallelism: opts.Parallelism, Reg: reg, Span: splitSpan})
 	if err != nil {
 		return err
 	}
 	splitSpan.End()
-	L := choice.Level
-	w.SetPartitionLevel(L)
+	levels := choice.Levels
+	w.SetPartitionLevels(levels)
 	stats.Partitioned = true
-	stats.PartitionLevel = L
+	stats.PartitionLevel = levels[0]
+	if len(levels) > 1 {
+		stats.PartitionLevelB = levels[1]
+	}
 	stats.NumPartitions = choice.NumPartitions
-	stats.NRows = res.N.Len()
+	for _, n := range res.N {
+		stats.NRows += n.Len()
+	}
 
-	// Phase 1: every partition covers the nodes with dimension 0 at
-	// levels [0, L] (Figure 13 lines 13–16: FollowEdge at level L).
-	// Partitions are disjoint and sound, so with Parallelism > 1 they
-	// are cubed by concurrent workers, each with its own signature pool
-	// (the writer serializes the actual appends).
 	cubeSpan := root.Child("partition.cube")
-	if lim != nil {
-		if err := runPartitionsParallel(res.PartitionPaths, L, hier, opts, lim, w, stats, cubeSpan); err != nil {
-			return err
-		}
-	} else {
-		for _, pp := range res.PartitionPaths {
-			pt, err := relation.ReadFactFile(pp)
-			if err != nil {
-				return err
-			}
-			partitionReadBytes(reg, pp)
-			if pt.Len() == 0 {
-				continue
-			}
-			ps := cubeSpan.Child("part")
-			ps.AddRowsIn(int64(pt.Len()))
-			ex := newExecutor(pt, hier, opts.AggSpecs, -1, pool, w, opts.Iceberg, opts.ForceQuickSort, reg)
-			if err := ex.runPartition(L, stats); err != nil {
-				return err
-			}
-			ps.End()
-		}
+	if err := runPartitions(res.PartitionPaths, levels, hier, opts, lim, pool, w, stats, cubeSpan); err != nil {
+		return err
 	}
 	cubeSpan.End()
 
-	// Phase 2: all remaining nodes from N (lines 17–20: start dimension
-	// 0 at its top level, never descend below L+1).
-	if res.N.Len() > 0 {
-		nSpan := root.Child("n.cube")
-		nSpan.AddRowsIn(int64(res.N.Len()))
-		defer nSpan.End()
-		ex := newExecutor(res.N, hier, res.NSpecs, res.NCountCol, pool, w, opts.Iceberg, opts.ForceQuickSort, reg)
-		ex.baseLevel[0] = L + 1
+	nSpan := root.Child("n.cube")
+	defer nSpan.End()
+	for j, n := range res.N {
+		if n.Len() == 0 {
+			continue
+		}
+		nSpan.AddRowsIn(int64(n.Len()))
+		ex := newExecutor(n, hier, res.NSpecs, res.NCountCol, pool, w, opts.Iceberg, opts.ForceQuickSort, reg)
 		attachPar(ex, lim, nSpan, &opts)
-		if err := ex.run(stats); err != nil {
+		if j == 0 {
+			ex.baseLevel[0] = levels[0] + 1
+			err = ex.run(stats)
+		} else {
+			for la := 0; la <= levels[0] && err == nil; la++ {
+				err = ex.runRoot(la, []int{la, levels[1] + 1}, stats)
+			}
+		}
+		if err != nil {
 			return err
 		}
-		return ex.finishPar(stats)
+		if err := ex.finishPar(stats); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// runPartitionsParallel cubes the partitions on the shared worker
-// budget. Each task owns a signature pool (flushed when its partition
-// is done) so classification needs no cross-worker coordination; the
-// shared writer is already armed for locking, and a task's executor may
-// itself fan out whenever limiter slots are idle (fewer partitions than
-// workers, or a skewed straggler). Work is claimed from an atomic
-// counter, not a channel — the old channel-fed pool deadlocked when
-// every worker had errored and returned while the producer still
-// blocked on the unbuffered jobs channel. Errors from all partitions
-// are aggregated with errors.Join, each wrapped with its path.
-func runPartitionsParallel(paths []string, level int, hier *hierarchy.Schema, opts Options, lim *parLimiter, w *storage.Writer, stats *BuildStats, cubeSpan *obsv.Span) error {
+// runPartitions is phase 1: it cubes the partition files on the prefix
+// levels. Every partition is one runTasks task. Without a limiter the
+// tasks run in order on the calling goroutine and share the build's pool.
+// With one, partitions are disjoint and sound, so concurrent tasks each
+// own a signature pool (flushed when the partition is done) and
+// classification needs no cross-worker coordination; the shared writer
+// is already armed for locking, and a task's executor may itself fan out
+// whenever limiter slots are idle (fewer partitions than workers, or a
+// skewed straggler). Errors from all partitions are aggregated with
+// errors.Join, each wrapped with its path.
+func runPartitions(paths []string, levels []int, hier *hierarchy.Schema, opts Options, lim *parLimiter, shared *signature.Pool, w *storage.Writer, stats *BuildStats, cubeSpan *obsv.Span) error {
 	reg := opts.Metrics
 	poolCap := shardedPoolCap(&opts)
 	type taskResult struct {
@@ -559,28 +551,38 @@ func runPartitionsParallel(paths []string, level int, hier *hierarchy.Schema, op
 		if pt.Len() == 0 {
 			return nil
 		}
-		pool, err := signature.NewPool(len(opts.AggSpecs), poolCap, w)
-		if err != nil {
-			return fmt.Errorf("core: partition %s: %w", pp, err)
+		pool := shared
+		if lim != nil {
+			if pool, err = signature.NewPool(len(opts.AggSpecs), poolCap, w); err != nil {
+				return fmt.Errorf("core: partition %s: %w", pp, err)
+			}
+			pool.ForceFormat = opts.ForceFormat
+			pool.Metrics = reg
 		}
-		pool.ForceFormat = opts.ForceFormat
-		pool.Metrics = reg
 		ps := cubeSpan.Child("part")
 		ps.AddRowsIn(int64(pt.Len()))
 		ex := newExecutor(pt, hier, opts.AggSpecs, -1, pool, w, opts.Iceberg, opts.ForceQuickSort, reg)
 		attachPar(ex, lim, ps, &opts)
 		var local BuildStats
-		if err := ex.runPartition(level, &local); err != nil {
-			return fmt.Errorf("core: partition %s: %w", pp, err)
+		if len(levels) == 1 {
+			err = ex.runRoot(levels[0], nil, &local)
+		} else {
+			for la := 0; la <= levels[0] && err == nil; la++ {
+				err = ex.runPartitionPair(la, levels[1], &local)
+			}
 		}
-		if err := ex.finishPar(&local); err != nil {
-			return fmt.Errorf("core: partition %s: %w", pp, err)
+		if err == nil {
+			err = ex.finishPar(&local)
 		}
-		if err := pool.Flush(); err != nil {
+		if err == nil && pool != shared {
+			err = pool.Flush()
+			local.workerPool = local.workerPool.Add(pool.Stats())
+		}
+		if err != nil {
 			return fmt.Errorf("core: partition %s: %w", pp, err)
 		}
 		ps.End()
-		results[i] = taskResult{tts: local.TTs, pool: pool.Stats().Add(local.workerPool)}
+		results[i] = taskResult{tts: local.TTs, pool: local.workerPool}
 		return nil
 	})
 	for _, r := range results {
@@ -588,83 +590,4 @@ func runPartitionsParallel(paths []string, level int, hier *hierarchy.Schema, op
 		stats.workerPool = stats.workerPool.Add(r.pool)
 	}
 	return err
-}
-
-// buildPartitionedPair is the out-of-core path when partitioning needs a
-// pair of dimensions (§4's omitted extension): partitions sound on
-// {A_L, B_M} cover the nodes with both dimensions at fine levels; the
-// in-memory node N1 covers dimension 0 above L; N2 covers the remaining
-// nodes (dimension 0 fine, dimension 1 above M).
-func buildPartitionedPair(opts Options, hier *hierarchy.Schema, choice partition.PairChoice, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
-	reg := opts.Metrics
-	partDir := filepath.Join(opts.Dir, "tmp")
-	defer os.RemoveAll(partDir)
-	splitSpan := root.Child("partition.split")
-	res, err := partition.PartitionPairScan(opts.FactPath, partDir, hier, opts.AggSpecs, choice, scanConfig(opts, lim, splitSpan))
-	if err != nil {
-		return err
-	}
-	splitSpan.End()
-	L, M := choice.LevelA, choice.LevelB
-	w.SetPartitionLevelPair(L, M)
-	stats.Partitioned = true
-	stats.PartitionLevel = L
-	stats.PartitionLevelB = M
-	stats.NumPartitions = choice.NumPartitions
-	stats.NRows = res.N1.Len() + res.N2.Len()
-
-	// Phase 1: each partition covers the subtrees rooted at {A_i, B_M}
-	// for every i ∈ [0, L].
-	cubeSpan := root.Child("partition.cube")
-	for _, pp := range res.PartitionPaths {
-		pt, err := relation.ReadFactFile(pp)
-		if err != nil {
-			return err
-		}
-		partitionReadBytes(reg, pp)
-		if pt.Len() == 0 {
-			continue
-		}
-		ps := cubeSpan.Child("part")
-		ps.AddRowsIn(int64(pt.Len()))
-		ex := newExecutor(pt, hier, opts.AggSpecs, -1, pool, w, opts.Iceberg, opts.ForceQuickSort, reg)
-		for la := 0; la <= L; la++ {
-			if err := ex.runPartitionPair(la, M, stats); err != nil {
-				return err
-			}
-		}
-		ps.End()
-	}
-	cubeSpan.End()
-	// Phase 2: N1 yields every node with dimension 0 above L (or ALL).
-	nSpan := root.Child("n.cube")
-	defer nSpan.End()
-	if res.N1.Len() > 0 {
-		nSpan.AddRowsIn(int64(res.N1.Len()))
-		ex := newExecutor(res.N1, hier, res.NSpecs, res.NCountCol, pool, w, opts.Iceberg, opts.ForceQuickSort, reg)
-		ex.baseLevel[0] = L + 1
-		attachPar(ex, lim, nSpan, &opts)
-		if err := ex.run(stats); err != nil {
-			return err
-		}
-		if err := ex.finishPar(stats); err != nil {
-			return err
-		}
-	}
-	// Phase 3: N2 yields the nodes with dimension 0 at levels ≤ L and
-	// dimension 1 above M (or ALL), one root {A_i} per level.
-	if res.N2.Len() > 0 {
-		nSpan.AddRowsIn(int64(res.N2.Len()))
-		ex := newExecutor(res.N2, hier, res.NSpecs, res.NCountCol, pool, w, opts.Iceberg, opts.ForceQuickSort, reg)
-		attachPar(ex, lim, nSpan, &opts)
-		for la := 0; la <= L; la++ {
-			if err := ex.runN2Root(la, M+1, stats); err != nil {
-				return err
-			}
-		}
-		if err := ex.finishPar(stats); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -139,18 +139,26 @@ func (ex *executor) run(stats *BuildStats) error {
 	return ex.executePlan(0, len(ex.idx), 0)
 }
 
-// runPartition executes the partition phase for one partition: dimension
-// 0 enters directly at level L (Figure 13 lines 12–15), covering exactly
-// the nodes with dimension 0 at levels ≤ L.
-func (ex *executor) runPartition(level int, stats *BuildStats) error {
+// runRoot executes the plan subtree that enters dimension 0 at level
+// (one solid edge from the root ∅) with base overriding baseLevel for
+// the duration (nil keeps every dimension free to descend to its base).
+// With no override it is the partition phase for one partition (Figure
+// 13 lines 12–15), covering exactly the nodes with dimension 0 at levels
+// ≤ level. The N_1 phase of a pair build pins dimension 0 with
+// base = {level, M+1}: dimension 0 never descends, and dimension 1 stops
+// at M+1.
+func (ex *executor) runRoot(level int, base []int, stats *BuildStats) error {
 	ex.ttWritten = &stats.TTs
 	if ex.table.Len() == 0 {
 		return nil
 	}
 	ex.levels[0] = level
-	err := ex.followEdge(0, len(ex.idx), 0, edgeSolid)
-	ex.levels[0] = ex.hier.Dims[0].AllLevel()
-	return err
+	copy(ex.baseLevel, base)
+	defer func() {
+		ex.levels[0] = ex.hier.Dims[0].AllLevel()
+		clear(ex.baseLevel)
+	}()
+	return ex.followEdge(0, len(ex.idx), 0, edgeSolid)
 }
 
 // executePlan computes the tuple of the current node (identified by
@@ -320,11 +328,12 @@ func runEnd(keys []int32, lo, hi int) int {
 	return end
 }
 
-// runPartitionPair executes one pair-partitioning root {A_la, B_lb}: the
-// segment tree fixes dimension 0 at level la and enters dimension 1 at
-// level lb, covering exactly the plan subtree rooted at that node (§4's
-// pair extension). Dimension 0 never descends here — it is never the
-// rightmost grouping dimension inside this subtree.
+// runPartitionPair executes one pair-partitioning root {A_la, B_lb}, the
+// k = 2 prefix pin of the partition phase: the segment tree fixes
+// dimension 0 at level la and enters dimension 1 at level lb, covering
+// exactly the plan subtree rooted at that node (§4's pair extension).
+// Dimension 0 never descends here — it is never the rightmost grouping
+// dimension inside this subtree.
 func (ex *executor) runPartitionPair(la, lb int, stats *BuildStats) error {
 	ex.ttWritten = &stats.TTs
 	if ex.table.Len() == 0 {
@@ -346,23 +355,4 @@ func (ex *executor) runPartitionPair(la, lb int, stats *BuildStats) error {
 		lo = hi
 	}
 	return nil
-}
-
-// runN2Root executes one N2-phase root {A_la} over the pre-aggregated
-// node N2: dimension 1 may only descend to level lbCap (= M+1), and
-// dimension 0 is pinned at la.
-func (ex *executor) runN2Root(la, lbCap int, stats *BuildStats) error {
-	ex.ttWritten = &stats.TTs
-	if ex.table.Len() == 0 {
-		return nil
-	}
-	ex.levels[0] = la
-	ex.baseLevel[0] = la // block dashed descent of dimension 0
-	ex.baseLevel[1] = lbCap
-	defer func() {
-		ex.levels[0] = ex.hier.Dims[0].AllLevel()
-		ex.baseLevel[0] = 0
-		ex.baseLevel[1] = 0
-	}()
-	return ex.followEdge(0, len(ex.idx), 0, edgeSolid)
 }

@@ -10,16 +10,18 @@ import (
 	"sync/atomic"
 
 	"cure/internal/obsv"
-	"cure/internal/partition"
 	"cure/internal/signature"
 )
 
 // parLimiter caps the extra goroutines a build may run beyond the ones
-// that already own its phases. One limiter is shared by every parallel
+// that already own its phases. One limiter is shared by every cubing
 // site — partition workers, the in-memory root fan-out, the node-N
 // phase, and the nested fan-out inside each partition — so total
 // concurrency never exceeds Options.Parallelism no matter how the
-// sites compose.
+// sites compose. The partitioning scan and finalize start their own
+// Parallelism-1 helpers: the scan runs before any cubing site and
+// finalize after the last one, so the limiter would always grant them
+// every slot.
 type parLimiter struct {
 	slots chan struct{}
 }
@@ -53,30 +55,6 @@ func (l *parLimiter) tryAcquire() bool {
 }
 
 func (l *parLimiter) release() { l.slots <- struct{}{} }
-
-// limiterPool adapts the build's limiter to partition.WorkerPool so the
-// scan pipeline's extra workers draw from the same build-wide cap as
-// every other parallel site.
-type limiterPool struct{ lim *parLimiter }
-
-func (p limiterPool) TryAcquire() bool { return p.lim.tryAcquire() }
-func (p limiterPool) Release()         { p.lim.release() }
-
-// scanConfig assembles the partitioner's pipeline configuration from the
-// build options: worker slots come from the shared limiter, and
-// counters/spans from the metrics registry (batch and shard sizes are
-// the partitioner's defaults).
-func scanConfig(opts Options, lim *parLimiter, span *obsv.Span) partition.ScanConfig {
-	cfg := partition.ScanConfig{
-		Parallelism: opts.Parallelism,
-		Reg:         opts.Metrics,
-		Span:        span,
-	}
-	if lim != nil {
-		cfg.Pool = limiterPool{lim}
-	}
-	return cfg
-}
 
 // maxSlots is the worker-state capacity a site must provision: slot 0
 // is the calling goroutine, slots 1..cap(slots) are limiter grants.

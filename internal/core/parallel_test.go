@@ -177,7 +177,7 @@ func TestRunPartitionsParallelErrorAggregation(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var stats BuildStats
-		done <- runPartitionsParallel(paths, 0, hier, opts, lim, nil, &stats, nil)
+		done <- runPartitions(paths, []int{0}, hier, opts, lim, nil, nil, &stats, nil)
 	}()
 	select {
 	case err := <-done:
@@ -188,7 +188,7 @@ func TestRunPartitionsParallelErrorAggregation(t *testing.T) {
 			t.Fatalf("error lacks per-partition context: %v", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("runPartitionsParallel deadlocked on worker errors")
+		t.Fatal("runPartitions deadlocked on worker errors")
 	}
 }
 

@@ -64,7 +64,7 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 	// 32k → 96k → 192k: each time a build phase gets faster — last the
 	// batched partition scan — the window for catching a running span
 	// shrinks again.)
-	ft := duplicatedFact(t, 192000, 31)
+	ft := duplicated(randomFact(t, 192000, 31))
 	dir := t.TempDir()
 	factPath := filepath.Join(dir, "fact.bin")
 	if err := relation.WriteFactFile(factPath, ft); err != nil {

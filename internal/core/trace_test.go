@@ -6,22 +6,20 @@ import (
 	"path/filepath"
 	"testing"
 
+	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/obsv"
 	"cure/internal/query"
 	"cure/internal/relation"
 )
 
-// duplicatedFact builds a fact table where every distinct dimension
-// combination appears exactly twice, so no segment of the traversal is a
-// trivial tuple and the plan visits (and materializes) every lattice node.
-func duplicatedFact(t testing.TB, rows, seed int64) *relation.FactTable {
-	t.Helper()
-	base := randomFact(t, int(rows), seed)
-	schema := &relation.Schema{DimNames: []string{"A", "B", "C"}, MeasureNames: []string{"M1", "M2"}}
-	ft := relation.NewFactTable(schema, base.Len()*2)
-	dims := make([]int32, 3)
-	meas := make([]float64, 2)
+// duplicated returns base with every row twice, so no segment of the
+// traversal is a trivial tuple and the plan visits (and materializes)
+// every lattice node.
+func duplicated(base *relation.FactTable) *relation.FactTable {
+	ft := relation.NewFactTable(base.Schema, base.Len()*2)
+	dims := make([]int32, len(base.Dims))
+	meas := make([]float64, len(base.Measures))
 	for r := 0; r < base.Len(); r++ {
 		for d := range dims {
 			dims[d] = base.Dims[d][r]
@@ -72,7 +70,7 @@ func traceNodeSet(events []traceEvent) map[int64]bool {
 // must agree with the independent lattice enumeration and the manifest.
 func TestTraceCoversTallestPlanNodes(t *testing.T) {
 	hier := paperHier(t)
-	ft := duplicatedFact(t, 300, 11)
+	ft := duplicated(randomFact(t, 300, 11))
 	reg := obsv.NewRegistry()
 	var buf bytes.Buffer
 	reg.SetTrace(obsv.NewTraceWriter(&buf))
@@ -142,129 +140,146 @@ func TestTraceCoversTallestPlanNodes(t *testing.T) {
 	}
 }
 
-// TestPartitionedBuildObservability is the out-of-core acceptance check:
-// phase spans must account for the build's wall time, the partition I/O
-// counters must respect §4's 2-reads-1-write bound, and the trace must
-// still cover the whole lattice across both phases.
+// TestPartitionedBuildObservability is the out-of-core acceptance check,
+// on a one-dimension prefix and on a pair: phase spans must account for
+// the build's wall time, the partition I/O counters must respect §4's
+// 2-reads-1-write bound, and the trace must name the levels the build
+// took and still cover the whole lattice across both phases.
 func TestPartitionedBuildObservability(t *testing.T) {
-	hier := paperHier(t)
-	ft := duplicatedFact(t, 400, 23)
-	dir := t.TempDir()
-	factPath := filepath.Join(dir, "fact.bin")
-	if err := relation.WriteFactFile(factPath, ft); err != nil {
-		t.Fatal(err)
-	}
-	reg := obsv.NewRegistry()
-	var buf bytes.Buffer
-	reg.SetTrace(obsv.NewTraceWriter(&buf))
-
-	stats, err := Build(Options{
-		Dir:          filepath.Join(dir, "cube"),
-		FactPath:     factPath,
-		Hier:         hier,
-		AggSpecs:     testSpecs(),
-		MemoryBudget: 16_000,
-		Metrics:      reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !stats.Partitioned {
-		t.Fatal("build did not partition")
-	}
-	if err := reg.Trace().Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Phase spans: the build root's direct children partition its wall
-	// time; their sum must not exceed it and must account for the bulk
-	// of BuildStats.Elapsed (the remainder is writer/pool setup).
-	snap := reg.Snapshot()
-	if len(snap.Spans) != 1 || snap.Spans[0].Name != "build" {
-		t.Fatalf("spans = %+v", snap.Spans)
-	}
-	root := snap.Spans[0]
-	names := map[string]bool{}
-	var childSum float64
-	for _, c := range root.Children {
-		childSum += c.ElapsedSec
-		names[c.Name] = true
-	}
-	for _, want := range []string{"load", "partition.split", "partition.cube", "n.cube", "pool.flush", "finalize"} {
-		if !names[want] {
-			t.Fatalf("missing phase span %q (have %v)", want, names)
-		}
-	}
-	elapsed := stats.Elapsed.Seconds()
-	if childSum <= 0 || childSum > elapsed {
-		t.Fatalf("phase sum %.6fs outside (0, %.6fs]", childSum, elapsed)
-	}
-	if childSum < 0.2*elapsed {
-		t.Fatalf("phase sum %.6fs accounts for <20%% of Elapsed %.6fs", childSum, elapsed)
-	}
-
-	// 2-reads-1-write (§4): R is scanned once by the split and the
-	// partitions are re-read once, against one write of the partitions.
-	// Partition rows carry an extra row-id, so read/write lands between
-	// 1.5 and 2.5 rather than exactly 2.
-	read := snap.Counters["partition.bytes_read"]
-	written := snap.Counters["partition.bytes_written"]
-	if written <= 0 || read <= written {
-		t.Fatalf("partition bytes: read=%d written=%d", read, written)
-	}
-	if ratio := float64(read) / float64(written); ratio < 1.5 || ratio > 2.5 {
-		t.Fatalf("read/write ratio = %.2f, want ≈2", ratio)
-	}
-
-	// The two phases together traverse the full lattice, and with no TTs
-	// every node materializes.
-	visited := traceNodeSet(parseTrace(t, &buf))
-	enum := lattice.NewEnum(hier)
-	all := enum.AllNodes()
-	if len(visited) != len(all) {
-		t.Fatalf("trace visited %d distinct nodes, lattice has %d", len(visited), len(all))
-	}
-	if stats.NodesMaterialized != len(all) {
-		t.Fatalf("materialized %d nodes, want %d", stats.NodesMaterialized, len(all))
-	}
-
-	// Partition split events agree with the selection, the selection
-	// trace names exactly the level the build took, and every pool flush
-	// left one event.
-	var parts, flushes int
-	var selected []int
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	for dec.More() {
-		var ev struct {
-			Ev       string `json:"ev"`
-			Level    int    `json:"level"`
-			Feasible bool   `json:"feasible"`
-		}
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
-		}
-		switch ev.Ev {
-		case "partition":
-			parts++
-		case "select-level":
-			if ev.Feasible {
-				selected = append(selected, ev.Level)
+	for _, tc := range []struct {
+		name   string
+		hier   *hierarchy.Schema
+		ft     *relation.FactTable
+		budget int64
+	}{
+		{"single", paperHier(t), duplicated(randomFact(t, 400, 23)), 16_000},
+		{"pair", pairHier(t), duplicated(pairEquivFact(t, 27)), 5_600},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hier, ft := tc.hier, tc.ft
+			dir := t.TempDir()
+			factPath := filepath.Join(dir, "fact.bin")
+			if err := relation.WriteFactFile(factPath, ft); err != nil {
+				t.Fatal(err)
 			}
-		case "pool-flush":
-			flushes++
-		}
-	}
-	if parts != stats.NumPartitions {
-		t.Fatalf("%d partition events, want %d", parts, stats.NumPartitions)
-	}
-	if len(selected) != 1 || selected[0] != stats.PartitionLevel {
-		t.Fatalf("feasible select-level events at levels %v, build partitioned at %d", selected, stats.PartitionLevel)
-	}
-	if n := snap.Counters["pool.flushes"]; flushes == 0 || int64(flushes) != n {
-		t.Fatalf("%d pool-flush events, pool.flushes = %d", flushes, n)
-	}
+			reg := obsv.NewRegistry()
+			var buf bytes.Buffer
+			reg.SetTrace(obsv.NewTraceWriter(&buf))
 
-	verifyCube(t, filepath.Join(dir, "cube"), hier, ft, testSpecs(), query.Options{CacheFraction: 1, PinAggregates: true})
+			stats, err := Build(Options{
+				Dir:          filepath.Join(dir, "cube"),
+				FactPath:     factPath,
+				Hier:         hier,
+				AggSpecs:     testSpecs(),
+				MemoryBudget: tc.budget,
+				Metrics:      reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !stats.Partitioned || (stats.PartitionLevelB >= 0) != (tc.name == "pair") {
+				t.Fatalf("fixture took the wrong path: partitioned=%v levelB=%d", stats.Partitioned, stats.PartitionLevelB)
+			}
+			if err := reg.Trace().Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Phase spans: the build root's direct children partition its
+			// wall time; their sum must not exceed it and must account for
+			// the bulk of BuildStats.Elapsed (the remainder is writer/pool
+			// setup).
+			snap := reg.Snapshot()
+			if len(snap.Spans) != 1 || snap.Spans[0].Name != "build" {
+				t.Fatalf("spans = %+v", snap.Spans)
+			}
+			root := snap.Spans[0]
+			names := map[string]bool{}
+			var childSum float64
+			for _, c := range root.Children {
+				childSum += c.ElapsedSec
+				names[c.Name] = true
+			}
+			for _, want := range []string{"load", "partition.split", "partition.cube", "n.cube", "pool.flush", "finalize"} {
+				if !names[want] {
+					t.Fatalf("missing phase span %q (have %v)", want, names)
+				}
+			}
+			elapsed := stats.Elapsed.Seconds()
+			if childSum <= 0 || childSum > elapsed {
+				t.Fatalf("phase sum %.6fs outside (0, %.6fs]", childSum, elapsed)
+			}
+			if childSum < 0.2*elapsed {
+				t.Fatalf("phase sum %.6fs accounts for <20%% of Elapsed %.6fs", childSum, elapsed)
+			}
+
+			// 2-reads-1-write (§4): R is scanned once by the split and the
+			// partitions are re-read once, against one write of the
+			// partitions. Partition rows carry an extra row-id, so
+			// read/write lands between 1.5 and 2.5 rather than exactly 2.
+			read := snap.Counters["partition.bytes_read"]
+			written := snap.Counters["partition.bytes_written"]
+			if written <= 0 || read <= written {
+				t.Fatalf("partition bytes: read=%d written=%d", read, written)
+			}
+			if ratio := float64(read) / float64(written); ratio < 1.5 || ratio > 2.5 {
+				t.Fatalf("read/write ratio = %.2f, want ≈2", ratio)
+			}
+			if g := snap.Gauges["partition.n_groups"]; g <= 0 {
+				t.Fatalf("partition.n_groups = %d, want the groups of every in-memory node", g)
+			}
+
+			// The two phases together traverse the full lattice, and with
+			// no TTs every node materializes.
+			visited := traceNodeSet(parseTrace(t, &buf))
+			enum := lattice.NewEnum(hier)
+			all := enum.AllNodes()
+			if len(visited) != len(all) {
+				t.Fatalf("trace visited %d distinct nodes, lattice has %d", len(visited), len(all))
+			}
+			if stats.NodesMaterialized != len(all) {
+				t.Fatalf("materialized %d nodes, want %d", stats.NodesMaterialized, len(all))
+			}
+
+			// Partition split events agree with the selection, the
+			// selection trace names exactly the levels the build took, and
+			// every pool flush left one event.
+			var parts, flushes int
+			var selected [][2]int
+			dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+			for dec.More() {
+				var ev struct {
+					Ev       string `json:"ev"`
+					Level    int    `json:"level"`
+					LevelB   int    `json:"level_b"`
+					Feasible bool   `json:"feasible"`
+				}
+				if err := dec.Decode(&ev); err != nil {
+					t.Fatal(err)
+				}
+				switch ev.Ev {
+				case "partition":
+					parts++
+				case "select-level":
+					if ev.Feasible {
+						selected = append(selected, [2]int{ev.Level, ev.LevelB})
+					}
+				case "pool-flush":
+					flushes++
+				}
+			}
+			if parts != stats.NumPartitions {
+				t.Fatalf("%d partition events, want %d", parts, stats.NumPartitions)
+			}
+			if took := [2]int{stats.PartitionLevel, stats.PartitionLevelB}; len(selected) != 1 || selected[0] != took {
+				t.Fatalf("feasible select-level events at (level, level_b) %v, build partitioned at %v", selected, took)
+			}
+			if n := snap.Counters["pool.flushes"]; flushes == 0 || int64(flushes) != n {
+				t.Fatalf("%d pool-flush events, pool.flushes = %d", flushes, n)
+			}
+
+			verifyCube(t, filepath.Join(dir, "cube"), hier, ft, testSpecs(), query.Options{CacheFraction: 1, PinAggregates: true})
+		})
+	}
 }
 
 // BenchmarkBuildMetricsNil and BenchmarkBuildMetricsAttached compare the

@@ -150,8 +150,8 @@ func Cube(hier *hierarchy.Schema, rows int64, numAggrs int) (*CubeEstimate, erro
 }
 
 // Plan combines the cube estimate with the strategy core.Build would
-// take for a given memory budget: in memory, partitioned on a level of
-// dimension 0 (Choice), or partitioned on a pair of levels (Pair).
+// take for a given memory budget: in memory, or partitioned on the prefix
+// levels of Choice (a level of dimension 0, or a pair of levels).
 type Plan struct {
 	RowBytes   int64
 	TableBytes int64

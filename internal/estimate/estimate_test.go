@@ -241,11 +241,11 @@ func TestBuildPlanNamesThePairTheBuildTakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.ChoiceErr != "" || plan.Pair == nil {
-		t.Fatalf("plan names no pair (err %q)", plan.ChoiceErr)
+	if plan.ChoiceErr != "" || len(plan.Choice.Levels) != 2 {
+		t.Fatalf("plan names no pair (levels %v, err %q)", plan.Choice.Levels, plan.ChoiceErr)
 	}
-	if p := plan.Pair; p.LevelA != stats.PartitionLevel || p.LevelB != stats.PartitionLevelB || p.NumPartitions != stats.NumPartitions {
+	if p := plan.Choice; p.Levels[0] != stats.PartitionLevel || p.Levels[1] != stats.PartitionLevelB || p.NumPartitions != stats.NumPartitions {
 		t.Fatalf("plan pair (%d, %d) × %d partitions, build took (%d, %d) × %d",
-			p.LevelA, p.LevelB, p.NumPartitions, stats.PartitionLevel, stats.PartitionLevelB, stats.NumPartitions)
+			p.Levels[0], p.Levels[1], p.NumPartitions, stats.PartitionLevel, stats.PartitionLevelB, stats.NumPartitions)
 	}
 }

@@ -221,12 +221,14 @@ type FlushEvent struct {
 	Format    string `json:"format"`
 }
 
-// LevelEvent records one candidate level considered during
-// partition-level selection (§4), with the feasibility verdict.
+// LevelEvent records one candidate considered during partition-level
+// selection (§4), with the feasibility verdict. LevelB is the level of
+// dimension 1 when the candidate is a pair of levels, and -1 otherwise.
 type LevelEvent struct {
 	Ev       string `json:"ev"` // "select-level"
 	Dim      string `json:"dim"`
 	Level    int    `json:"level"`
+	LevelB   int    `json:"level_b"`
 	Card     int64  `json:"card"`
 	Need     int64  `json:"need"`
 	NBytes   int64  `json:"n_bytes"`

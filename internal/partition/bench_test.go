@@ -11,7 +11,7 @@ import (
 
 // benchFixture writes a fact file with a hierarchical A (8192→512→32),
 // three flat dims and one integer measure.
-func benchFixture(b *testing.B, rows int) (string, *hierarchy.Schema, LevelChoice) {
+func benchFixture(b *testing.B, rows int) (string, *hierarchy.Schema, Choice) {
 	b.Helper()
 	m01 := hierarchy.BuildContiguousMap(8192, 512)
 	m02 := hierarchy.ComposeMaps(m01, hierarchy.BuildContiguousMap(512, 32))
@@ -39,7 +39,7 @@ func benchFixture(b *testing.B, rows int) (string, *hierarchy.Schema, LevelChoic
 		b.Fatal(err)
 	}
 	rBytes := int64(rows) * int64(schema.RowWidth())
-	choice, err := SelectLevel(hier.Dims[0], rBytes, (rBytes+7)/8, rBytes)
+	choice, err := SelectLevel(hier.Dims[0], rBytes, (rBytes+7)/8, rBytes, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func BenchmarkPartitionScan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.N.Len() == 0 {
+		if res.N[0].Len() == 0 {
 			b.Fatal("empty N")
 		}
 	}

@@ -1,14 +1,13 @@
 package partition
 
 import (
-	"encoding/binary"
 	"math"
 
 	"cure/internal/relation"
 )
 
-// nodeHash is the flat, allocation-free accumulator behind the in-memory
-// node N. The old path kept a map[string]int32 plus one heap-allocated
+// nodeHash is the flat, allocation-free accumulator behind an in-memory
+// node N_j. The old path kept a map[string]int32 plus one heap-allocated
 // relation.Aggregator per group; at millions of groups the pointer chase
 // and per-group allocs dominated the fold. nodeHash instead stores each
 // group as one fixed-stride record in a flat uint64 array — key words
@@ -20,11 +19,10 @@ import (
 // compare-then-update of the hot path into a single random access
 // instead of one per parallel array.
 type nodeHash struct {
-	specs  []relation.AggSpec
-	keyLen int // logical key bytes: 4 × nDims
-	kw     int // key width in uint64 words: ⌈keyLen/8⌉
-	st     int // record stride in words: kw + 2 + len(specs)
-	nDims  int
+	specs []relation.AggSpec
+	kw    int // key width in uint64 words: ⌈nDims/2⌉
+	st    int // record stride in words: kw + 2 + len(specs)
+	nDims int
 
 	// Open-addressing table: slot value 0 is empty, otherwise group
 	// index + 1. Sized to a power of two, grown at ~2/3 load.
@@ -34,8 +32,6 @@ type nodeHash struct {
 	n       int      // number of groups
 	recs    []uint64 // n × st group records
 	repDims []int32  // n × nDims representative base codes (first occurrence)
-
-	wbuf []uint64 // scratch: one key's words
 }
 
 // Record layout offsets, relative to the record start: key words at
@@ -50,28 +46,11 @@ type nodeHash struct {
 // it (shards are contiguous, ascending row ranges).
 
 func newNodeHash(specs []relation.AggSpec, nDims int) *nodeHash {
-	keyLen := 4 * nDims
-	kw := (keyLen + 7) / 8
-	h := &nodeHash{specs: specs, keyLen: keyLen, kw: kw, st: kw + 2 + len(specs), nDims: nDims}
+	kw := (nDims + 1) / 2
+	h := &nodeHash{specs: specs, kw: kw, st: kw + 2 + len(specs), nDims: nDims}
 	h.slots = make([]int32, 64)
 	h.mask = 63
-	h.wbuf = make([]uint64, kw)
 	return h
-}
-
-// toWords packs the byte key into h.wbuf. keyLen is a multiple of 4, so
-// the tail is either empty or one 4-byte code.
-func (h *nodeHash) toWords(key []byte) []uint64 {
-	w := h.wbuf
-	j := 0
-	for o := 0; o+8 <= h.keyLen; o += 8 {
-		w[j] = binary.LittleEndian.Uint64(key[o:])
-		j++
-	}
-	if h.keyLen%8 != 0 {
-		w[j] = uint64(binary.LittleEndian.Uint32(key[h.keyLen-4:]))
-	}
-	return w
 }
 
 // hashWords is FNV-1a over the key words with a murmur3 finalizer. The
@@ -138,8 +117,8 @@ func (h *nodeHash) grow() {
 // appendGroup adds a new group with zeroed aggregate state and returns
 // its record offset. slot is the empty slot lookup returned for the
 // key. The caller MUST follow up by appending the group's nDims
-// representative codes to repDims (addRow and mergeFrom do; pipeline
-// folds call appendRep) — the two arrays advance in lockstep.
+// representative codes to repDims (mergeFrom does; pipeline folds call
+// appendRepFromBatch) — the two arrays advance in lockstep.
 func (h *nodeHash) appendGroup(slot int, w []uint64, rowid int64) int {
 	gi := h.n
 	h.n++
@@ -155,11 +134,6 @@ func (h *nodeHash) appendGroup(slot int, w []uint64, rowid int64) int {
 	return gi * h.st
 }
 
-// appendRep records the representative base codes of the newest group.
-func (h *nodeHash) appendRep(dims ...int32) {
-	h.repDims = append(h.repDims, dims...)
-}
-
 // appendRepFromBatch records row i of a decoded batch as the newest
 // group's representative.
 func (h *nodeHash) appendRepFromBatch(b *relation.Batch, i int) {
@@ -168,19 +142,11 @@ func (h *nodeHash) appendRepFromBatch(b *relation.Batch, i int) {
 	}
 }
 
-// addRow folds one source row into the group for key, creating it on
-// first sight. Semantics match relation.Aggregator.AddValues exactly.
-// key must hold at least keyLen bytes.
-func (h *nodeHash) addRow(key []byte, dims []int32, meas []float64, rowid int64) {
-	if h.addRowWords(h.toWords(key), meas, rowid) {
-		h.appendRep(dims...)
-	}
-}
-
-// addRowWords is addRow for a pre-packed key (the pipeline's hot path:
-// folds pack dimension codes straight from batch columns into words,
-// skipping the byte-key round trip). It reports whether the row opened
-// a new group — the caller must then appendRep the representative
+// addRowWords folds one source row into the group for the packed key w
+// (the dimension codes two per word, as folds pack them straight from
+// batch columns), creating it on first sight. Semantics match
+// relation.Aggregator.AddValues exactly. It reports whether the row
+// opened a new group — the caller must then append the representative
 // codes.
 func (h *nodeHash) addRowWords(w []uint64, meas []float64, rowid int64) (first bool) {
 	slot := h.lookup(w)
@@ -218,13 +184,12 @@ func (h *nodeHash) addRowWords(w []uint64, meas []float64, rowid int64) (first b
 }
 
 // count, minRow, and val read one group's state out of its record.
-func (h *nodeHash) count(gi int) int64       { return int64(h.recs[gi*h.st+h.kw]) }
-func (h *nodeHash) minRow(gi int) int64      { return int64(h.recs[gi*h.st+h.kw+1]) }
-func (h *nodeHash) val(gi, i int) float64    { return math.Float64frombits(h.recs[gi*h.st+h.kw+2+i]) }
-func (h *nodeHash) keyWords(gi int) []uint64 { return h.recs[gi*h.st : gi*h.st+h.kw] }
+func (h *nodeHash) count(gi int) int64    { return int64(h.recs[gi*h.st+h.kw]) }
+func (h *nodeHash) minRow(gi int) int64   { return int64(h.recs[gi*h.st+h.kw+1]) }
+func (h *nodeHash) val(gi, i int) float64 { return math.Float64frombits(h.recs[gi*h.st+h.kw+2+i]) }
 
 // mergeFrom folds every group of o (in o's insertion order) into h.
-// Unlike addRow this merges *pre-aggregated* state: SUM and COUNT add,
+// Unlike addRowWords this merges *pre-aggregated* state: SUM and COUNT add,
 // MIN/MAX compare, counts add, min row-ids take the minimum. The
 // representative dims of a group present in both stay h's — h holds the
 // earlier shards, so its representative is the first occurrence.
@@ -238,7 +203,7 @@ func (h *nodeHash) mergeFrom(o *nodeHash) {
 		var off int
 		if first {
 			off = h.appendGroup(slot, w, int64(orec[o.kw+1]))
-			h.appendRep(o.repDims[g2*o.nDims : (g2+1)*o.nDims]...)
+			h.repDims = append(h.repDims, o.repDims[g2*o.nDims:(g2+1)*o.nDims]...)
 		} else {
 			off = gi * h.st
 		}

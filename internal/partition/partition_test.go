@@ -41,21 +41,22 @@ func TestSelectLevelReproducesTable1(t *testing.T) {
 		{1000 * gb, 1, 1000, 1000, 1000 * gb / 1000}, // the paper's "1 TB" row: 1000 partitions, |N| ≈ 1 GB
 	}
 	for _, tt := range tests {
-		c, err := SelectLevel(d, tt.rBytes, gb, gb)
+		c, err := SelectLevel(d, tt.rBytes, gb, gb, nil)
 		if err != nil {
 			t.Fatalf("R=%d: %v", tt.rBytes, err)
 		}
-		if c.Level != tt.wantL {
-			t.Errorf("R=%dGB: L = %d, want %d", tt.rBytes/gb, c.Level, tt.wantL)
+		if len(c.Levels) != 1 || c.Levels[0] != tt.wantL {
+			t.Errorf("R=%dGB: levels = %v, want [%d]", tt.rBytes/gb, c.Levels, tt.wantL)
+			continue
 		}
 		if c.NumPartitions != tt.wantParts {
 			t.Errorf("R=%dGB: parts = %d, want %d", tt.rBytes/gb, c.NumPartitions, tt.wantParts)
 		}
-		if c.Ratio != tt.wantRatio {
-			t.Errorf("R=%dGB: ratio = %v, want %v", tt.rBytes/gb, c.Ratio, tt.wantRatio)
+		if ratio := float64(d.Card(0)) / float64(d.Card(c.Levels[0]+1)); ratio != tt.wantRatio {
+			t.Errorf("R=%dGB: ratio = %v, want %v", tt.rBytes/gb, ratio, tt.wantRatio)
 		}
-		if c.NBytes != tt.wantN {
-			t.Errorf("R=%dGB: |N| = %d, want %d", tt.rBytes/gb, c.NBytes, tt.wantN)
+		if len(c.NBytes) != 1 || c.NBytes[0] != tt.wantN {
+			t.Errorf("R=%dGB: |N| = %v, want [%d]", tt.rBytes/gb, c.NBytes, tt.wantN)
 		}
 		if c.PartitionBytes > gb {
 			t.Errorf("R=%dGB: partition size %d exceeds budget", tt.rBytes/gb, c.PartitionBytes)
@@ -71,11 +72,11 @@ func TestSelectLevelInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SelectLevel(d, 10*gb, gb, gb); err == nil {
+	if _, err := SelectLevel(d, 10*gb, gb, gb, nil); err == nil {
 		t.Error("infeasible partitioning accepted (only 8 base values for 10 partitions)")
 	}
 	// Degenerate sizes are rejected.
-	if _, err := SelectLevel(d, 0, gb, gb); err == nil {
+	if _, err := SelectLevel(d, 0, gb, gb, nil); err == nil {
 		t.Error("zero R accepted")
 	}
 }
@@ -88,12 +89,12 @@ func TestSelectLevelPrefersMaxLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := SelectLevel(d, 10*gb, gb, gb)
+	c, err := SelectLevel(d, 10*gb, gb, gb, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Level != 1 {
-		t.Errorf("Level = %d, want 1", c.Level)
+	if c.Levels[0] != 1 {
+		t.Errorf("Level = %d, want 1", c.Levels[0])
 	}
 }
 
@@ -146,7 +147,7 @@ func buildTestFact(t *testing.T, rows int) (string, *hierarchy.Schema, *relation
 func TestPartitionSoundnessAndN(t *testing.T) {
 	path, hier, ft := buildTestFact(t, 500)
 	specs := []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}}
-	choice := LevelChoice{Level: 0, NumPartitions: 4}
+	choice := Choice{Levels: []int{0}, NumPartitions: 4}
 	res, err := PartitionScan(path, t.TempDir(), hier, specs, choice, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +202,7 @@ func TestPartitionSoundnessAndN(t *testing.T) {
 			wantMin[k] = int64(r)
 		}
 	}
-	n := res.N
+	n := res.N[0]
 	if n.Len() != len(wantSum) {
 		t.Fatalf("N has %d groups, want %d", n.Len(), len(wantSum))
 	}
@@ -241,21 +242,21 @@ func TestPartitionOnTopLevelDropsDim0(t *testing.T) {
 	path, hier, ft := buildTestFact(t, 200)
 	specs := []relation.AggSpec{{Func: relation.AggSum, Measure: 0}}
 	// L = 1 is the top real level → N is grouped on (ALL, B) = B only.
-	choice := LevelChoice{Level: 1, NumPartitions: 2}
+	choice := Choice{Levels: []int{1}, NumPartitions: 2}
 	res, err := PartitionScan(path, t.TempDir(), hier, specs, choice, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.N.Len() != 3 { // |B| = 3
-		t.Errorf("N has %d groups, want 3", res.N.Len())
+	if res.N[0].Len() != 3 { // |B| = 3
+		t.Errorf("N has %d groups, want 3", res.N[0].Len())
 	}
 	var totalSum float64
 	for _, v := range ft.Measures[0] {
 		totalSum += v
 	}
 	var nSum float64
-	for r := 0; r < res.N.Len(); r++ {
-		nSum += res.N.Measures[0][r]
+	for r := 0; r < res.N[0].Len(); r++ {
+		nSum += res.N[0].Measures[0][r]
 	}
 	if nSum != totalSum {
 		t.Errorf("N sums to %v, want %v", nSum, totalSum)
@@ -290,7 +291,7 @@ func TestPartitionRejectsNonFactoringHierarchy(t *testing.T) {
 	if err := relation.WriteFactFile(path, ft); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PartitionScan(path, t.TempDir(), hier, []relation.AggSpec{{Func: relation.AggCount}}, LevelChoice{Level: 0, NumPartitions: 2}, ScanConfig{}); err == nil {
+	if _, err := PartitionScan(path, t.TempDir(), hier, []relation.AggSpec{{Func: relation.AggCount}}, Choice{Levels: []int{0}, NumPartitions: 2}, ScanConfig{}); err == nil {
 		t.Error("non-factoring hierarchy accepted")
 	}
 }
@@ -310,28 +311,28 @@ func TestSelectLevelPair(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Single-dimension selection must fail here.
-	if _, err := SelectLevel(a, 44_800, 2_800, 1_400); err == nil {
+	if _, err := SelectLevel(a, 44_800, 2_800, 1_400, nil); err == nil {
 		t.Fatal("single-dimension selection unexpectedly feasible")
 	}
-	c, err := SelectLevelPair(a, b, 44_800, 2_800, 1_400)
+	c, err := SelectLevelPair(a, b, 44_800, 2_800, 1_400, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.LevelA != 1 || c.LevelB != 1 {
-		t.Errorf("levels = (%d, %d), want (1, 1)", c.LevelA, c.LevelB)
+	if len(c.Levels) != 2 || c.Levels[0] != 1 || c.Levels[1] != 1 {
+		t.Fatalf("levels = %v, want [1 1]", c.Levels)
 	}
 	if c.NumPartitions != 16 {
 		t.Errorf("partitions = %d, want 16", c.NumPartitions)
 	}
-	if c.N1Bytes != 44_800/64 || c.N2Bytes != 44_800/256 {
-		t.Errorf("N sizes = %d, %d", c.N1Bytes, c.N2Bytes)
+	if len(c.NBytes) != 2 || c.NBytes[0] != 44_800/64 || c.NBytes[1] != 44_800/256 {
+		t.Errorf("N sizes = %v", c.NBytes)
 	}
 	// Degenerate inputs rejected.
-	if _, err := SelectLevelPair(a, b, 0, 1, 1); err == nil {
+	if _, err := SelectLevelPair(a, b, 0, 1, 1, nil); err == nil {
 		t.Error("zero R accepted")
 	}
 	// Infeasible: both N floors above budget.
-	if _, err := SelectLevelPair(a, b, 44_800, 2_800, 10); err == nil {
+	if _, err := SelectLevelPair(a, b, 44_800, 2_800, 10, nil); err == nil {
 		t.Error("infeasible pair accepted")
 	}
 }
@@ -363,10 +364,10 @@ func TestPartitionPairSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []relation.AggSpec{{Func: relation.AggSum, Measure: 0}, {Func: relation.AggCount}}
-	// L = 0, M = 1: N1 groups on (A_1, B_0); N2 on (A_0, ALL) since
+	// L = 0, M = 1: N_0 groups on (A_1, B_0); N_1 on (A_0, ALL) since
 	// M + 1 is B's ALL level.
-	choice := PairChoice{LevelA: 0, LevelB: 1, NumPartitions: 5}
-	res, err := PartitionPairScan(path, t.TempDir(), hier, specs, choice, ScanConfig{})
+	choice := Choice{Levels: []int{0, 1}, NumPartitions: 5}
+	res, err := PartitionScan(path, t.TempDir(), hier, specs, choice, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,32 +392,32 @@ func TestPartitionPairSoundness(t *testing.T) {
 	if total != ft.Len() {
 		t.Fatalf("partitions hold %d rows, want %d", total, ft.Len())
 	}
-	// N1 groups on (A1, B0): count distinct groups directly.
+	// N_0 groups on (A1, B0): count distinct groups directly.
 	type k1 struct{ a1, b int32 }
 	want1 := map[k1]float64{}
 	for r := 0; r < ft.Len(); r++ {
 		want1[k1{a.MapCode(ft.Dims[0][r], 1), ft.Dims[1][r]}] += ft.Measures[0][r]
 	}
-	if res.N1.Len() != len(want1) {
-		t.Fatalf("N1 groups = %d, want %d", res.N1.Len(), len(want1))
+	if res.N[0].Len() != len(want1) {
+		t.Fatalf("N_0 groups = %d, want %d", res.N[0].Len(), len(want1))
 	}
-	for r := 0; r < res.N1.Len(); r++ {
-		key := k1{a.MapCode(res.N1.Dims[0][r], 1), res.N1.Dims[1][r]}
-		if res.N1.Measures[0][r] != want1[key] {
-			t.Fatalf("N1 group %v sum = %v, want %v", key, res.N1.Measures[0][r], want1[key])
+	for r := 0; r < res.N[0].Len(); r++ {
+		key := k1{a.MapCode(res.N[0].Dims[0][r], 1), res.N[0].Dims[1][r]}
+		if res.N[0].Measures[0][r] != want1[key] {
+			t.Fatalf("N_0 group %v sum = %v, want %v", key, res.N[0].Measures[0][r], want1[key])
 		}
 	}
-	// N2 groups on (A0, B at ALL) = A0 alone.
+	// N_1 groups on (A0, B at ALL) = A0 alone.
 	want2 := map[int32]float64{}
 	for r := 0; r < ft.Len(); r++ {
 		want2[ft.Dims[0][r]] += ft.Measures[0][r]
 	}
-	if res.N2.Len() != len(want2) {
-		t.Fatalf("N2 groups = %d, want %d", res.N2.Len(), len(want2))
+	if res.N[1].Len() != len(want2) {
+		t.Fatalf("N_1 groups = %d, want %d", res.N[1].Len(), len(want2))
 	}
-	for r := 0; r < res.N2.Len(); r++ {
-		if res.N2.Measures[0][r] != want2[res.N2.Dims[0][r]] {
-			t.Fatalf("N2 group %d sum = %v, want %v", res.N2.Dims[0][r], res.N2.Measures[0][r], want2[res.N2.Dims[0][r]])
+	for r := 0; r < res.N[1].Len(); r++ {
+		if res.N[1].Measures[0][r] != want2[res.N[1].Dims[0][r]] {
+			t.Fatalf("N_1 group %d sum = %v, want %v", res.N[1].Dims[0][r], res.N[1].Measures[0][r], want2[res.N[1].Dims[0][r]])
 		}
 	}
 }

@@ -15,31 +15,20 @@ import (
 // into contiguous row-range shards; workers claim shards from an atomic
 // counter, decode them batch-wise (relation.ScanBatches), route each row
 // to its partition through per-worker write buffers that flush in large
-// chunks to mutex-guarded shared writers, and fold the in-memory node(s)
+// chunks to mutex-guarded shared writers, and fold the in-memory nodes
 // into per-shard nodeHash accumulators. Shard accumulators merge into
-// the final node in ascending shard order, which makes the result — the
+// the final nodes in ascending shard order, which makes the result — the
 // group order, representatives, min row-ids, and (with exact arithmetic)
 // the aggregates — identical to what one sequential scan produces, at
 // any worker count. See DESIGN.md §12 for the determinism argument.
-
-// WorkerPool grants extra worker slots from a build-wide limiter so the
-// partitioner's workers and the cubing phases' workers share one
-// concurrency cap. TryAcquire must not block; every successful acquire
-// is paired with one Release.
-type WorkerPool interface {
-	TryAcquire() bool
-	Release()
-}
 
 // ScanConfig tunes the parallel scan pipeline. The zero value is the
 // sequential pipeline with default batch/shard sizes.
 type ScanConfig struct {
 	// Parallelism is the target worker count including the calling
-	// goroutine; values ≤ 1 scan sequentially.
+	// goroutine; values ≤ 1 scan sequentially. The scan is a build's
+	// first phase, so its Parallelism-1 helpers start unconditionally.
 	Parallelism int
-	// Pool optionally gates the extra workers; when nil, Parallelism-1
-	// helpers spawn unconditionally.
-	Pool WorkerPool
 	// BatchRows is the decode batch size in rows (≤ 0 picks enough rows
 	// for relation.DefaultScanBatchBytes).
 	BatchRows int
@@ -144,8 +133,9 @@ func newScanWorker(nDims, nMeas, numParts int) *scanWorker {
 }
 
 // runScanPipeline executes the full pass: it returns the final node
-// hashes (numHashes of them, merged in shard order). Partition rows land
-// in writers; per-partition totals are read back from the writers.
+// hashes (numHashes of them, one per N_j, merged in shard order).
+// Partition rows land in writers; per-partition totals are read back
+// from the writers.
 func runScanPipeline(fr *relation.FactReader, cfg ScanConfig, writers []*relation.FactWriter,
 	numHashes int, specs []relation.AggSpec, nDims int, fn rowFunc) ([]*nodeHash, error) {
 
@@ -298,23 +288,11 @@ func runScanPipeline(fr *relation.FactReader, cfg ScanConfig, writers []*relatio
 		}
 	}
 
-	extras := 0
-	maxExtras := workers - 1
-	if cfg.Pool != nil {
-		for extras < maxExtras && cfg.Pool.TryAcquire() {
-			extras++
-		}
-	} else {
-		extras = maxExtras
-	}
 	var wg sync.WaitGroup
-	for i := 0; i < extras; i++ {
+	for i := 1; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if cfg.Pool != nil {
-				defer cfg.Pool.Release()
-			}
 			defer func() {
 				if v := recover(); v != nil {
 					capture(v)

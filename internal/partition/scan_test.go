@@ -101,15 +101,16 @@ func hierTestFact(t *testing.T, rows int) (string, *hierarchy.Schema) {
 
 // TestPartitionParallelEquivalence is the satellite equivalence matrix:
 // P ∈ {1, 2, 8} (plus deliberately tiny batch/shard sizes to force many
-// shards and partial batches) must yield an identical node N — same
+// shards and partial batches) must yield identical nodes N_j — same
 // groups, same order, same aggregates, same min row-ids — and identical
-// per-partition row multisets with preserved row-ids.
+// per-partition row multisets with preserved row-ids, on a one-dimension
+// prefix and on a pair.
 func TestPartitionParallelEquivalence(t *testing.T) {
 	configs := []struct {
 		name   string
 		fact   func(t *testing.T) (string, *hierarchy.Schema)
 		specs  []relation.AggSpec
-		choice LevelChoice
+		choice Choice
 	}{
 		{"flat", func(t *testing.T) (string, *hierarchy.Schema) {
 			p, h, _ := buildTestFact(t, 700)
@@ -118,7 +119,7 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 			{Func: relation.AggSum, Measure: 0},
 			{Func: relation.AggCount},
 			{Func: relation.AggMin, Measure: 0},
-		}, LevelChoice{Level: 0, NumPartitions: 4}},
+		}, Choice{Levels: []int{0}, NumPartitions: 4}},
 		{"hierarchical", func(t *testing.T) (string, *hierarchy.Schema) {
 			return hierTestFact(t, 900)
 		}, []relation.AggSpec{
@@ -126,7 +127,14 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 			{Func: relation.AggCount},
 			{Func: relation.AggMin, Measure: 1},
 			{Func: relation.AggMax, Measure: 0},
-		}, LevelChoice{Level: 1, NumPartitions: 3}},
+		}, Choice{Levels: []int{1}, NumPartitions: 3}},
+		{"pair", func(t *testing.T) (string, *hierarchy.Schema) {
+			return hierTestFact(t, 800)
+		}, []relation.AggSpec{
+			{Func: relation.AggSum, Measure: 0},
+			{Func: relation.AggCount},
+			{Func: relation.AggMax, Measure: 1},
+		}, Choice{Levels: []int{1, 1}, NumPartitions: 5}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -137,6 +145,9 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(base.N) != len(cfg.choice.Levels) {
+				t.Fatalf("%d in-memory nodes for a prefix of %d", len(base.N), len(cfg.choice.Levels))
+			}
 			baseRows := partitionRowSets(t, base.PartitionPaths)
 			for _, par := range []int{1, 2, 8} {
 				reg := obsv.NewRegistry()
@@ -145,7 +156,9 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("P=%d: %v", par, err)
 				}
-				tablesIdentical(t, fmt.Sprintf("P=%d node N", par), base.N, res.N)
+				for j := range base.N {
+					tablesIdentical(t, fmt.Sprintf("P=%d node N_%d", par, j), base.N[j], res.N[j])
+				}
 				gotRows := partitionRowSets(t, res.PartitionPaths)
 				if !reflect.DeepEqual(baseRows, gotRows) {
 					t.Fatalf("P=%d: partition row multisets differ", par)
@@ -155,37 +168,6 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPartitionPairParallelEquivalence covers the pair-partitioned leg
-// of the matrix: both nodes N1 and N2 and the partition row multisets
-// must be identical at every worker count.
-func TestPartitionPairParallelEquivalence(t *testing.T) {
-	path, hier := hierTestFact(t, 800)
-	specs := []relation.AggSpec{
-		{Func: relation.AggSum, Measure: 0},
-		{Func: relation.AggCount},
-		{Func: relation.AggMax, Measure: 1},
-	}
-	choice := PairChoice{LevelA: 1, LevelB: 1, NumPartitions: 5}
-	base, err := PartitionPairScan(path, t.TempDir(), hier, specs, choice, ScanConfig{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRows := partitionRowSets(t, base.PartitionPaths)
-	for _, par := range []int{1, 2, 8} {
-		res, err := PartitionPairScan(path, t.TempDir(), hier, specs, choice,
-			ScanConfig{Parallelism: par, BatchRows: 29, ShardRows: 97})
-		if err != nil {
-			t.Fatalf("P=%d: %v", par, err)
-		}
-		tablesIdentical(t, fmt.Sprintf("P=%d N1", par), base.N1, res.N1)
-		tablesIdentical(t, fmt.Sprintf("P=%d N2", par), base.N2, res.N2)
-		gotRows := partitionRowSets(t, res.PartitionPaths)
-		if !reflect.DeepEqual(baseRows, gotRows) {
-			t.Fatalf("P=%d: partition row multisets differ", par)
-		}
 	}
 }
 
@@ -206,16 +188,14 @@ func TestPartitionRejectsNegativeCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []relation.AggSpec{{Func: relation.AggCount}}
-	if _, err := PartitionScan(path, t.TempDir(), hier, specs, LevelChoice{Level: 0, NumPartitions: 2}, ScanConfig{}); err == nil {
-		t.Fatal("negative dim code accepted")
-	}
-	// Pair path too.
-	if _, err := PartitionPairScan(path, t.TempDir(), hier, specs, PairChoice{LevelA: 0, LevelB: 0, NumPartitions: 2}, ScanConfig{}); err == nil {
-		t.Fatal("negative dim code accepted by pair partitioner")
+	for _, levels := range [][]int{{0}, {0, 0}} {
+		if _, err := PartitionScan(path, t.TempDir(), hier, specs, Choice{Levels: levels, NumPartitions: 2}, ScanConfig{}); err == nil {
+			t.Fatalf("negative dim code accepted with prefix levels %v", levels)
+		}
 	}
 }
 
-// TestNodeHashMatchesAggregator drives nodeHash.addRow and mergeFrom
+// TestNodeHashMatchesAggregator drives nodeHash.addRowWords and mergeFrom
 // against the reference relation.Aggregator on random data.
 func TestNodeHashMatchesAggregator(t *testing.T) {
 	specs := []relation.AggSpec{
@@ -237,43 +217,36 @@ func TestNodeHashMatchesAggregator(t *testing.T) {
 			meas: []float64{float64(rng.Intn(100)) - 50, float64(rng.Intn(40)) - 20},
 		}
 	}
-	key := make([]byte, 4*nDims)
-	keyOf := func(r row) []byte {
+	// wordsOf packs a row's codes two per word, as the scan folds do.
+	wordsOf := func(r row) []uint64 {
+		w := make([]uint64, (nDims+1)/2)
 		for d, v := range r.dims {
-			key[4*d] = byte(v)
-			key[4*d+1] = byte(v >> 8)
-			key[4*d+2] = byte(v >> 16)
-			key[4*d+3] = byte(v >> 24)
+			w[d>>1] |= uint64(uint32(v)) << (uint(d&1) * 32)
 		}
-		return key
+		return w
+	}
+	add := func(h *nodeHash, r row, rowid int64) {
+		if h.addRowWords(wordsOf(r), r.meas, rowid) {
+			h.repDims = append(h.repDims, r.dims...)
+		}
 	}
 	// Reference: map of Aggregators in first-occurrence order.
 	type ref struct {
+		first  row
 		agg    *relation.Aggregator
 		minRow int64
 	}
 	want := map[string]*ref{}
 	var order []string
 	for i, r := range rows {
-		k := string(keyOf(r))
+		k := fmt.Sprint(r.dims)
 		g, ok := want[k]
 		if !ok {
-			g = &ref{agg: relation.NewAggregator(specs), minRow: int64(i)}
+			g = &ref{first: r, agg: relation.NewAggregator(specs), minRow: int64(i)}
 			want[k] = g
 			order = append(order, k)
 		}
 		g.agg.AddValues(r.meas)
-	}
-	// keyAt unpacks group gi's stored key words back into the byte form
-	// keyOf produces.
-	keyAt := func(h *nodeHash, gi int) string {
-		buf := make([]byte, h.kw*8)
-		for j, v := range h.keyWords(gi) {
-			for b := 0; b < 8; b++ {
-				buf[8*j+b] = byte(v >> (8 * b))
-			}
-		}
-		return string(buf[:h.keyLen])
 	}
 	check := func(label string, h *nodeHash) {
 		t.Helper()
@@ -281,10 +254,11 @@ func TestNodeHashMatchesAggregator(t *testing.T) {
 			t.Fatalf("%s: %d groups, want %d", label, h.n, len(order))
 		}
 		for gi, k := range order {
-			if keyAt(h, gi) != k {
+			g := want[k]
+			if !reflect.DeepEqual(h.recs[gi*h.st:gi*h.st+h.kw], wordsOf(g.first)) ||
+				!reflect.DeepEqual(h.repDims[gi*nDims:(gi+1)*nDims], g.first.dims) {
 				t.Fatalf("%s: group %d out of order", label, gi)
 			}
-			g := want[k]
 			vals := g.agg.Values(nil)
 			for i := range vals {
 				if h.val(gi, i) != vals[i] {
@@ -302,7 +276,7 @@ func TestNodeHashMatchesAggregator(t *testing.T) {
 	// Single hash, sequential adds.
 	h := newNodeHash(specs, nDims)
 	for i, r := range rows {
-		h.addRow(keyOf(r), r.dims, r.meas, int64(i))
+		add(h, r, int64(i))
 	}
 	check("sequential", h)
 	// Split into shards at awkward boundaries, merge in order.
@@ -310,13 +284,10 @@ func TestNodeHashMatchesAggregator(t *testing.T) {
 		merged := newNodeHash(specs, nDims)
 		per := (len(rows) + nShards - 1) / nShards
 		for s := 0; s < nShards; s++ {
-			lo, hi := s*per, (s+1)*per
-			if hi > len(rows) {
-				hi = len(rows)
-			}
+			lo, hi := s*per, min((s+1)*per, len(rows))
 			sh := newNodeHash(specs, nDims)
 			for i := lo; i < hi; i++ {
-				sh.addRow(keyOf(rows[i]), rows[i].dims, rows[i].meas, int64(i))
+				add(sh, rows[i], int64(i))
 			}
 			merged.mergeFrom(sh)
 		}
@@ -338,12 +309,12 @@ func TestScanPipelineEmptyFact(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := PartitionScan(path, t.TempDir(), hier, []relation.AggSpec{{Func: relation.AggCount}},
-		LevelChoice{Level: 0, NumPartitions: 2}, ScanConfig{Parallelism: 4})
+		Choice{Levels: []int{0}, NumPartitions: 2}, ScanConfig{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.N.Len() != 0 {
-		t.Fatalf("empty fact produced %d N groups", res.N.Len())
+	if res.N[0].Len() != 0 {
+		t.Fatalf("empty fact produced %d N groups", res.N[0].Len())
 	}
 	for _, p := range res.PartitionPaths {
 		pt, err := relation.ReadFactFile(p)

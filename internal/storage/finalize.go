@@ -30,17 +30,6 @@ import (
 // every worker count. Nothing is written twice and nothing written is
 // read back: the only bytes read are the logs.
 
-// WorkerPool grants extra worker slots from a build-wide limiter so the
-// finalize pipeline draws from the same concurrency budget as every
-// other parallel site (it mirrors partition.WorkerPool; core's shared
-// limiter satisfies both).
-type WorkerPool interface {
-	// TryAcquire claims one extra worker slot without blocking.
-	TryAcquire() bool
-	// Release returns a slot claimed by TryAcquire.
-	Release()
-}
-
 // FinalizeStatsFile is the sidecar file finalize telemetry is persisted
 // to. Timings can never live in the manifest: the manifest must stay
 // byte-identical across worker counts (and across runs of equal input).
@@ -49,7 +38,7 @@ const FinalizeStatsFile = "finalize.json"
 // FinalizeStats is the persisted record of one Finalize run.
 type FinalizeStats struct {
 	// Parallelism is the configured worker cap; Workers is what the
-	// pipeline actually got (pool grants can fall short on a busy build).
+	// pipeline ran with (fewer when a file has fewer extents).
 	Parallelism int `json:"parallelism"`
 	Workers     int `json:"workers"`
 
@@ -396,31 +385,13 @@ func (fin *finState) closeFiles() {
 	}
 }
 
-// acquireWorkers grants the pipeline's worker count for one file: the
-// calling goroutine plus up to Parallelism-1 extras, drawn from the
-// build-wide pool when one is attached (finalize never oversubscribes a
-// parallel build's budget) or spawned freely otherwise.
-func (fin *finState) acquireWorkers(jobs int) (int, func()) {
-	want := min(fin.w.opts.Parallelism, jobs) - 1
-	if want <= 0 {
-		return 1, func() {}
-	}
-	got := want
-	release := func() {}
-	if pool := fin.w.opts.Pool; pool != nil {
-		got = 0
-		for got < want && pool.TryAcquire() {
-			got++
-		}
-		n := got
-		release = func() {
-			for i := 0; i < n; i++ {
-				pool.Release()
-			}
-		}
-	}
-	fin.stats.Workers = max(fin.stats.Workers, got+1)
-	return got + 1, release
+// workers is the pipeline's worker count for one file of jobs extents:
+// the calling goroutine plus up to Parallelism-1 helpers. Finalize runs
+// after every other phase of a build, so nothing else competes for them.
+func (fin *finState) workers(jobs int) int {
+	n := max(min(fin.w.opts.Parallelism, jobs), 1)
+	fin.stats.Workers = max(fin.stats.Workers, n)
+	return n
 }
 
 // writeRelation is the whole life of one relation file: seal its log,
@@ -782,8 +753,7 @@ func (fin *finState) finish() error {
 // prefix result, so bytes reach the file in exactly the sequential pass's
 // order at any worker count.
 func (fin *finState) runExtents(rel relKind, ids []lattice.NodeID, out *extentFile) error {
-	workers, release := fin.acquireWorkers(len(ids))
-	defer release()
+	workers := fin.workers(len(ids))
 	window := 2 * workers
 
 	var (

@@ -43,11 +43,11 @@ func perRow(fn func(rrowid int64, dst []int32) error) DimResolver {
 
 // buildFinalizeCube runs the standard mixed workload through a writer
 // with zone maps on and the given parallelism.
-func buildFinalizeCube(t *testing.T, dir string, par int, pool WorkerPool, plus, formatA bool) *Manifest {
+func buildFinalizeCube(t *testing.T, dir string, par int, plus, formatA bool) *Manifest {
 	t.Helper()
 	w := newTestWriter(t, Options{
 		Dir: dir, Plus: plus, FactRows: 5000, ZoneBlockRows: 64,
-		Parallelism: par, Pool: pool, Resolver: perRow(finalizeTestResolver),
+		Parallelism: par, Resolver: perRow(finalizeTestResolver),
 	})
 	m, _ := writeWorkload(t, w, formatA)
 	return m
@@ -71,32 +71,10 @@ func cubeFiles(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-// testPool is a fixed-size WorkerPool so tests cover the build-wide
-// limiter path of acquireWorkers, not just the free-spawn path.
-type testPool struct{ slots chan struct{} }
-
-func newTestPool(n int) *testPool {
-	p := &testPool{slots: make(chan struct{}, n)}
-	for i := 0; i < n; i++ {
-		p.slots <- struct{}{}
-	}
-	return p
-}
-
-func (p *testPool) TryAcquire() bool {
-	select {
-	case <-p.slots:
-		return true
-	default:
-		return false
-	}
-}
-
-func (p *testPool) Release() { p.slots <- struct{}{} }
-
 // TestParallelFinalizeByteIdentity pins the pipeline's core contract:
 // whatever the worker count, the extent files and the manifest are
-// byte-for-byte the sequential pass's output.
+// byte-for-byte the sequential pass's output, and the sidecar records the
+// worker count the pipeline ran with.
 func TestParallelFinalizeByteIdentity(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -110,11 +88,18 @@ func TestParallelFinalizeByteIdentity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			refDir := t.TempDir()
-			buildFinalizeCube(t, refDir, 1, nil, tc.plus, tc.formatA)
+			buildFinalizeCube(t, refDir, 1, tc.plus, tc.formatA)
 			ref := cubeFiles(t, refDir)
 			for _, par := range []int{2, 8} {
 				dir := t.TempDir()
-				buildFinalizeCube(t, dir, par, nil, tc.plus, tc.formatA)
+				buildFinalizeCube(t, dir, par, tc.plus, tc.formatA)
+				st, err := ReadFinalizeStats(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Parallelism != par || st.Workers < 2 || st.Workers > par {
+					t.Errorf("P=%d: sidecar parallelism=%d workers=%d, want %d and 2..%d", par, st.Parallelism, st.Workers, par, par)
+				}
 				got := cubeFiles(t, dir)
 				if len(got) != len(ref) {
 					t.Fatalf("P=%d: %d files, want %d", par, len(got), len(ref))
@@ -126,33 +111,6 @@ func TestParallelFinalizeByteIdentity(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestParallelFinalizePooled drives the pipeline through a build-wide
-// WorkerPool that grants fewer slots than requested; output must still
-// match the sequential pass, and the sidecar must record the grant.
-func TestParallelFinalizePooled(t *testing.T) {
-	refDir := t.TempDir()
-	buildFinalizeCube(t, refDir, 1, nil, true, false)
-	ref := cubeFiles(t, refDir)
-
-	dir := t.TempDir()
-	buildFinalizeCube(t, dir, 8, newTestPool(2), true, false)
-	for name, want := range ref {
-		if got := cubeFiles(t, dir)[name]; !bytes.Equal(got, want) {
-			t.Errorf("pooled P=8: %s differs from sequential output", name)
-		}
-	}
-	st, err := ReadFinalizeStats(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Parallelism != 8 {
-		t.Errorf("sidecar parallelism = %d, want 8", st.Parallelism)
-	}
-	if st.Workers < 1 || st.Workers > 3 {
-		t.Errorf("workers = %d, want 1..3 (pool grants 2 extras)", st.Workers)
 	}
 }
 
@@ -402,7 +360,7 @@ func TestFinalizeIsOnePass(t *testing.T) {
 // there before.
 func TestFailedFinalizeLeavesNoCube(t *testing.T) {
 	dir := t.TempDir()
-	buildFinalizeCube(t, dir, 1, nil, false, false)
+	buildFinalizeCube(t, dir, 1, false, false)
 	if r, err := OpenReader(dir); err != nil {
 		t.Fatal(err)
 	} else {
@@ -454,7 +412,7 @@ func TestFailedFinalizeLeavesNoCube(t *testing.T) {
 // without one.
 func TestFinalizeStatsSidecar(t *testing.T) {
 	dir := t.TempDir()
-	buildFinalizeCube(t, dir, 8, nil, true, false)
+	buildFinalizeCube(t, dir, 8, true, false)
 	st, err := ReadFinalizeStats(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -58,11 +58,6 @@ type Options struct {
 	// keeps it sequential. The output is byte-identical at every setting.
 	// When Parallelism > 1 the Resolver must be safe for concurrent calls.
 	Parallelism int
-	// Pool, when set, is the build-wide limiter extra finalize workers
-	// are drawn from (up to Parallelism-1), so finalize shares one
-	// concurrency budget with the rest of the build. nil lets the
-	// pipeline spawn its workers freely.
-	Pool WorkerPool
 	// Iceberg records the min-count threshold of the build (default 1).
 	Iceberg int64
 	// Metrics is the optional observability registry: per-relation tuple
@@ -152,15 +147,14 @@ func NewWriter(opts Options) (*Writer, error) {
 // Enum returns the node enumeration of the cube's schema.
 func (w *Writer) Enum() *lattice.Enum { return w.enum }
 
-// SetPartitionLevel records the external-partitioning level L (dimension
-// 0) so queries can bound trivial-tuple sharing correctly.
-func (w *Writer) SetPartitionLevel(l int) { w.partLevel = l }
-
-// SetPartitionLevelPair records pair-partitioning levels (L, M) on
-// dimensions 0 and 1.
-func (w *Writer) SetPartitionLevelPair(la, lb int) {
-	w.partLevel = la
-	w.partLevelB = lb
+// SetPartitionLevels records the external-partitioning prefix levels —
+// L of dimension 0, and M of dimension 1 on a pair — so queries can bound
+// trivial-tuple sharing correctly.
+func (w *Writer) SetPartitionLevels(levels []int) {
+	w.partLevel = levels[0]
+	if len(levels) > 1 {
+		w.partLevelB = levels[1]
+	}
 }
 
 // Lock arms internal locking so several construction workers may share
