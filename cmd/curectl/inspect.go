@@ -79,11 +79,7 @@ func cmdInspect(args []string) {
 			add(id, name, "nt", nm.NTRows, nm.NTCodec)
 		}
 		if nm.TTRows > 0 {
-			if nm.TTKind == storage.TTBitmap {
-				rows = append(rows, extRow{node: id, name: name, rel: "tt(bm)", rows: nm.TTRows, raw: nm.TTBmLen, enc: nm.TTBmLen, hist: "bitmap"})
-			} else {
-				add(id, name, "tt", nm.TTRows, nm.TTCodec)
-			}
+			add(id, name, "tt", nm.TTRows, nm.TTCodec)
 		}
 		if nm.CATRows > 0 {
 			add(id, name, "cat", nm.CATRows, nm.CATCodec)

@@ -251,8 +251,8 @@ func cmdBuild(args []string) {
 	diag(" trivial tuples:     %d\n", stats.TTs)
 	diag(" signatures:         %d (NTs %d, CAT groups %d, format %v)\n",
 		stats.Pool.Total, stats.Pool.NTs, stats.Pool.CatGroups, stats.CatFormat)
-	diag(" cube size:          %d bytes (NT %d, TT %d, CAT %d, AGG %d, bitmap %d)\n",
-		stats.Sizes.Total(), stats.Sizes.NT, stats.Sizes.TT, stats.Sizes.CAT, stats.Sizes.Agg, stats.Sizes.Bitmap)
+	diag(" cube size:          %d bytes (NT %d, TT %d, CAT %d, AGG %d)\n",
+		stats.Sizes.Total(), stats.Sizes.NT, stats.Sizes.TT, stats.Sizes.CAT, stats.Sizes.Agg)
 }
 
 func openEngine(fs *flag.FlagSet, cube *string) *query.Engine {
@@ -282,8 +282,8 @@ func cmdInfo(args []string) {
 	}
 	fmt.Printf("lattice nodes:  %d total, %d materialized\n", eng.Enum().NumNodes(), len(m.Nodes))
 	fmt.Printf("AGGREGATES:     %d tuples\n", m.AggRows)
-	fmt.Printf("size:           %d bytes (NT %d, TT %d, CAT %d, AGG %d, bitmap %d)\n",
-		m.Sizes.Total(), m.Sizes.NT, m.Sizes.TT, m.Sizes.CAT, m.Sizes.Agg, m.Sizes.Bitmap)
+	fmt.Printf("size:           %d bytes (NT %d, TT %d, CAT %d, AGG %d)\n",
+		m.Sizes.Total(), m.Sizes.NT, m.Sizes.TT, m.Sizes.CAT, m.Sizes.Agg)
 	var dims []string
 	for _, d := range eng.Hier().Dims {
 		var lv []string

@@ -22,7 +22,7 @@ func readCubeFiles(t *testing.T, dir string) map[string][]byte {
 	out := map[string][]byte{}
 	for _, name := range []string{
 		storage.NTFile, storage.TTFile, storage.CATFile,
-		storage.AggFile, storage.BitmapFile, storage.ManifestFile,
+		storage.AggFile, storage.HierFile, storage.ManifestFile,
 	} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if os.IsNotExist(err) {
@@ -139,7 +139,7 @@ func TestFinalizeUnderStoreEviction(t *testing.T) {
 				cubes[storeRows] = readCubeFiles(t, opts.Dir)
 			}
 			want := cubes[factStoreRows]
-			if !bytes.Contains(want[storage.ManifestFile], []byte(`"block_rows": 64`)) {
+			if !bytes.Contains(want[storage.ManifestFile], []byte(`"block_rows":64`)) {
 				t.Fatalf("%s: no zone map in the manifest; the folds went untested", name)
 			}
 			for fname, data := range cubes[2*factstore.PageRows] {

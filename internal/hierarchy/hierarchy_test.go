@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"bytes"
 	"os"
 	"reflect"
 	"testing"
@@ -333,7 +334,11 @@ func TestSchemaFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteSchemaFile(path, s); err != nil {
+	var buf bytes.Buffer
+	if err := WriteSchema(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadSchemaFile(path)

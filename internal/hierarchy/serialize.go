@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -19,20 +20,10 @@ type wireSchema struct {
 	Dims []wireDim
 }
 
-// WriteSchemaFile persists a hierarchy schema (names, cardinalities, level
+// WriteSchema persists a hierarchy schema (names, cardinalities, level
 // maps, roll-up edges) so that a cube on disk can be queried by a fresh
 // process.
-func WriteSchemaFile(path string, s *Schema) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	w := bufio.NewWriter(f)
+func WriteSchema(w io.Writer, s *Schema) error {
 	ws := wireSchema{}
 	for _, d := range s.Dims {
 		ws.Dims = append(ws.Dims, wireDim{Name: d.Name, Levels: d.Levels})
@@ -40,10 +31,10 @@ func WriteSchemaFile(path string, s *Schema) (err error) {
 	if err := gob.NewEncoder(w).Encode(&ws); err != nil {
 		return fmt.Errorf("hierarchy: encoding schema: %w", err)
 	}
-	return w.Flush()
+	return nil
 }
 
-// ReadSchemaFile loads a schema written by WriteSchemaFile, revalidating
+// ReadSchemaFile loads a schema written by WriteSchema, revalidating
 // it and rebuilding the dashed-edge trees.
 func ReadSchemaFile(path string) (*Schema, error) {
 	f, err := os.Open(path)

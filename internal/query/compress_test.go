@@ -2,9 +2,12 @@ package query
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	"cure/internal/core"
 	"cure/internal/cubetest"
 	"cure/internal/hierarchy"
+	"cure/internal/lattice"
 	"cure/internal/obsv"
 	"cure/internal/relation"
 )
@@ -187,5 +191,56 @@ func TestBlockCacheDisabled(t *testing.T) {
 	}
 	if snap.Counters["query.bytes_decoded"] == 0 {
 		t.Error("scans attributed no decoded bytes")
+	}
+}
+
+// TestBitmapTTRepeatQueryHitsBlockCache: a CURE+ bitmap TT is a block of
+// tt.bin like any other, so a second identical node query over a plan
+// path holding one reads and decodes no extent bytes at all.
+func TestBitmapTTRepeatQueryHitsBlockCache(t *testing.T) {
+	// 2,000 rows over 1,000 × 50 cells: most base groups are single rows,
+	// so dense TT sets land at the finest nodes.
+	hier, err := hierarchy.NewSchema(hierarchy.NewFlatDim("A", 1000), hierarchy.NewFlatDim("B", 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := relation.NewFactTable(&relation.Schema{DimNames: []string{"A", "B"}, MeasureNames: []string{"M"}}, 2000)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		ft.Append([]int32{int32(rng.Intn(1000)), int32(rng.Intn(50))}, []float64{float64(rng.Intn(9))})
+	}
+	reg := obsv.NewRegistry()
+	eng, err := Open(buildBlockCube(t, ft, hier, true), Options{
+		CacheFraction: 1, PinAggregates: true, Metrics: reg, DecodedCacheBytes: 8 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	var bitmaps []int64
+	for k, nm := range eng.Manifest().Nodes {
+		if nm.TTCodec != nil && nm.TTCodec.Encodings["bitmap"] > 0 {
+			id, _ := strconv.ParseInt(k, 10, 64)
+			bitmaps = append(bitmaps, id)
+		}
+	}
+	if len(bitmaps) == 0 {
+		t.Fatal("the CURE+ cube holds no bitmap TT; the test is vacuous")
+	}
+	node := lattice.NodeID(slices.Min(bitmaps))
+	query := func() (read, decoded int64) {
+		before := reg.Snapshot().Counters
+		if err := eng.NodeQuery(node, func(Row) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		after := reg.Snapshot().Counters
+		return after["storage.read.bytes"] - before["storage.read.bytes"],
+			after["storage.codec.bytes_decoded"] - before["storage.codec.bytes_decoded"]
+	}
+	if read, decoded := query(); read == 0 || decoded == 0 {
+		t.Fatalf("first query of node %d read %d and decoded %d bytes: nothing was fetched", node, read, decoded)
+	}
+	if read, decoded := query(); read != 0 || decoded != 0 {
+		t.Errorf("second query of node %d read %d and decoded %d extent bytes, want none", node, read, decoded)
 	}
 }

@@ -164,7 +164,7 @@ func (e *Engine) buildPlan(id lattice.NodeID, levels []int, f *scanFilter) *Plan
 			NodeName: e.nodeName(anc),
 			Rows:     nm.TTRows,
 			ScanRows: scan,
-			EstBytes: nm.TTBytes(), // TT extents are fetched whole
+			EstBytes: nm.TTCodec.EncodedBytes(), // TT extents are fetched whole
 			Access:   access(pz),
 			Zones:    pz,
 		})

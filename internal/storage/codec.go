@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // The extent format. CURE's whole point (§5) is a small stored cube, and
@@ -35,11 +36,16 @@ import (
 //	            float64: runs of (uvarint len, 8-byte LE bit pattern)
 //	encDelta    int64: zigzag varints — first the value, then deltas
 //	encIntFloat float64 holding exact integers: zigzag varints of int64(v)
+//	encBitmap   int64, strictly ascending: [zigzag-varint first][uvarint
+//	            span][ceil(span/8) bytes, LSB first] — bit i set means
+//	            first+i is in the column, span = last-first+1
 //
 // Selection is brute force per column per block: encode the applicable
 // candidates and keep the shortest. Blocks are small (ZoneBlockRows rows,
 // 256 by default), so the write-side cost is negligible next to the
-// build's sorts.
+// build's sorts. encBitmap is not a per-block candidate: it is §5.3's
+// CURE+ TT bitmap, which Finalize weighs against a whole extent (see
+// encodeBitmapBlock).
 
 // Column kinds of the extent schemas.
 type colKind uint8
@@ -64,6 +70,7 @@ const (
 	encRLE      byte = 2
 	encDelta    byte = 3
 	encIntFloat byte = 4
+	encBitmap   byte = 5
 )
 
 // encName maps a tag to its histogram name (curectl inspect).
@@ -79,6 +86,8 @@ func encName(tag byte) string {
 		return "delta"
 	case encIntFloat:
 		return "intfloat"
+	case encBitmap:
+		return "bitmap"
 	}
 	return fmt.Sprintf("enc%d", tag)
 }
@@ -405,6 +414,89 @@ func decodeRaw64(src []byte, dst []int64) error {
 	return nil
 }
 
+// uvarintLen is the encoded length of u as a uvarint.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// encodeBitmap64 appends the bitmap payload of vals, which must be
+// non-empty and strictly ascending.
+func encodeBitmap64(dst []byte, vals []int64) []byte {
+	first := vals[0]
+	span := uint64(vals[len(vals)-1]-first) + 1
+	dst = appendUvarint(dst, zigzag(first))
+	dst = appendUvarint(dst, span)
+	n, nb := len(dst), int((span+7)/8)
+	dst = slices.Grow(dst, nb)[:n+nb]
+	bm := dst[n:]
+	clear(bm)
+	for _, v := range vals {
+		i := uint64(v - first)
+		bm[i>>3] |= 1 << (i & 7)
+	}
+	return dst
+}
+
+func decodeBitmap64(src []byte, dst []int64) error {
+	u, n := binary.Uvarint(src)
+	if n <= 0 {
+		return fmt.Errorf("storage: bitmap first value")
+	}
+	first := unzigzag(u)
+	src = src[n:]
+	span, n := binary.Uvarint(src)
+	if n <= 0 {
+		return fmt.Errorf("storage: bitmap span")
+	}
+	src = src[n:]
+	if span > 8*uint64(len(src)) {
+		return fmt.Errorf("storage: bitmap span %d longer than its %d-byte payload", span, len(src))
+	}
+	k := 0
+	for bi, b := range src[:(span+7)/8] {
+		for ; b != 0; b &= b - 1 {
+			i := uint64(bi)*8 + uint64(bits.TrailingZeros8(b))
+			if i >= span || k == len(dst) {
+				return fmt.Errorf("storage: bitmap sets more than %d bits in a span of %d", len(dst), span)
+			}
+			dst[k] = first + int64(i)
+			k++
+		}
+	}
+	if k != len(dst) {
+		return fmt.Errorf("storage: bitmap sets %d bits for %d rows", k, len(dst))
+	}
+	return nil
+}
+
+// encodeBitmapBlock appends ids as one block whose single column is
+// encBitmap — §5.3's CURE+ bitmap over [first, last] — provided that
+// block is shorter than limit bytes. ok is false, and nothing appended,
+// when it is not, or when ids is empty or not strictly ascending.
+func encodeBitmapBlock(dst []byte, ids []int64, limit int) (_ []byte, ok bool) {
+	if len(ids) == 0 {
+		return dst, false
+	}
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			return dst, false
+		}
+	}
+	// Past this the bits alone would not be shorter; the check also keeps
+	// span from overflowing.
+	diff := uint64(ids[len(ids)-1]) - uint64(ids[0])
+	if diff >= 8*uint64(limit) {
+		return dst, false
+	}
+	span := diff + 1
+	payload := uvarintLen(zigzag(ids[0])) + uvarintLen(span) + int((span+7)/8)
+	if uvarintLen(uint64(len(ids)))+1+uvarintLen(uint64(payload))+payload >= limit {
+		return dst, false
+	}
+	dst = appendUvarint(dst, uint64(len(ids)))
+	dst = append(dst, encBitmap)
+	dst = appendUvarint(dst, uint64(payload))
+	return encodeBitmap64(dst, ids), true
+}
+
 // --- float64 codecs -------------------------------------------------------
 
 // intFloatOK reports whether v survives an exact round-trip through
@@ -674,6 +766,8 @@ func decodeBlock(src []byte, kinds []colKind, wantRows int, db *DecodedBlock) (i
 				err = decodeRaw64(payload, db.I64[c])
 			case encDelta:
 				err = decodeDelta64(payload, db.I64[c])
+			case encBitmap:
+				err = decodeBitmap64(payload, db.I64[c])
 			default:
 				err = fmt.Errorf("storage: tag %d on int64 column", h.tag)
 			}

@@ -162,8 +162,55 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBlockBytes feeds arbitrary bytes to the block decoder: it
-// must reject corruption with an error, never panic or over-allocate.
+// ascendingFromBytes derives a strictly ascending column from fuzz bytes:
+// the first 8 bytes are the first value, every later byte a gap of 1–256.
+// It stops short of int64 overflow.
+func ascendingFromBytes(data []byte) []int64 {
+	if len(data) < 8 {
+		return nil
+	}
+	vals := []int64{int64(binary.LittleEndian.Uint64(data))}
+	for _, b := range data[8:] {
+		prev := vals[len(vals)-1]
+		next := prev + int64(b) + 1
+		if next <= prev {
+			break
+		}
+		vals = append(vals, next)
+	}
+	return vals
+}
+
+// FuzzBitmap64RoundTrip encodes a strictly ascending column as one bitmap
+// block — extreme first values and sparse gaps included — and demands the
+// block decoder give it back exactly.
+func FuzzBitmap64RoundTrip(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 0})                                  // single row
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 1, 255})                 // MinInt64, then gaps
+	f.Add([]byte{0xf0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0}) // near MaxInt64
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals := ascendingFromBytes(data)
+		if len(vals) == 0 {
+			return
+		}
+		enc, ok := encodeBitmapBlock(nil, vals, 1<<40)
+		if !ok {
+			t.Fatalf("strictly ascending column of %d values refused", len(vals))
+		}
+		var db DecodedBlock
+		n, err := decodeBlock(enc, ttKinds(), len(vals), &db)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if n != len(enc) || !reflect.DeepEqual(db.I64[0], vals) {
+			t.Fatalf("round trip: consumed %d of %d bytes, got %v, want %v", n, len(enc), db.I64[0], vals)
+		}
+	})
+}
+
+// FuzzDecodeBlockBytes feeds arbitrary bytes to the block decoder, under
+// a two-column schema and under the TT schema a bitmap block has: it must
+// reject corruption with an error, never panic or over-allocate.
 func FuzzDecodeBlockBytes(f *testing.F) {
 	kinds := []colKind{colI64, colF64}
 	be := newBlockEncoder(kinds)
@@ -171,11 +218,15 @@ func FuzzDecodeBlockBytes(f *testing.F) {
 	f.Add(valid, 4)
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff}, 1)
+	bm, _ := encodeBitmapBlock(nil, []int64{3, 5, 6, 10, 700}, 1<<20)
+	f.Add(bm, 5)
+	f.Add(bm[:len(bm)-20], 5) // span longer than the payload
 	f.Fuzz(func(t *testing.T, data []byte, wantRows int) {
 		if wantRows < 0 || wantRows > 1<<16 {
 			return
 		}
 		var db DecodedBlock
-		decodeBlock(data, kinds, wantRows, &db) //nolint:errcheck // errors expected; panics are the bug
+		decodeBlock(data, kinds, wantRows, &db)     //nolint:errcheck // errors expected; panics are the bug
+		decodeBlock(data, ttKinds(), wantRows, &db) //nolint:errcheck
 	})
 }

@@ -165,9 +165,13 @@ func writeWorkload(t *testing.T, w *Writer, formatA bool) (*Manifest, []string) 
 	for i := 0; i < 300; i++ {
 		writeNT(nodeA1, []int{1, 1})
 	}
-	// TT row-ids are distinct within a node, as in a real build.
+	// TT row-ids are distinct within a node, as in a real build, and
+	// spread over the fact table: over 5,000 rows they are dense enough
+	// for a CURE+ bitmap block, over many more they are not.
+	stride := max(w.opts.FactRows/5000, 1)
 	for _, id := range rng.Perm(5000)[:900] {
-		if err := w.WriteTT(nodeA1, int64(id)); err != nil {
+		id := int64(id) * stride
+		if err := w.WriteTT(nodeA1, id); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, fmt.Sprintf("tt %d %d", nodeA1, id))
@@ -383,5 +387,37 @@ func TestBlockEncodeSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state encodeBlock allocates %.1f times per block, want 0", allocs)
+	}
+}
+
+// TestBitmapBlockRejectsCorruption: a bitmap payload whose span runs past
+// its bytes, or whose set bits do not number the block's rows, is an
+// error — including a bit set in the padding past the span.
+func TestBitmapBlockRejectsCorruption(t *testing.T) {
+	ids := []int64{3, 5, 6} // first 3, span 4: bits 0, 2, 3 of one byte
+	block := func(payload []byte) []byte {
+		b := appendUvarint(nil, uint64(len(ids)))
+		b = append(b, encBitmap)
+		b = appendUvarint(b, uint64(len(payload)))
+		return append(b, payload...)
+	}
+	valid := encodeBitmap64(nil, ids)
+	var db DecodedBlock
+	if _, err := decodeBlock(block(valid), ttKinds(), len(ids), &db); err != nil || !reflect.DeepEqual(db.I64[0], ids) {
+		t.Fatalf("valid bitmap: %v, %v", db.I64[0], err)
+	}
+	last := len(valid) - 1
+	for name, payload := range map[string][]byte{
+		"span past payload": append(appendUvarint(appendUvarint(nil, zigzag(3)), 9), valid[last]),
+		"extra bit":         append(append([]byte(nil), valid[:last]...), valid[last]|0b10),
+		"missing bit":       append(append([]byte(nil), valid[:last]...), valid[last]&^0b1000),
+		"bit in padding":    append(append([]byte(nil), valid[:last]...), valid[last]&^0b1000|0b1000_0000),
+	} {
+		if _, err := decodeBlock(block(payload), ttKinds(), len(ids), &db); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, ok := encodeBitmapBlock(nil, []int64{3, 3, 5}, 1<<20); ok {
+		t.Error("a column with a repeated value became a bitmap")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"cure/internal/bitmap"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/obsv"
@@ -23,8 +22,9 @@ import (
 // Finalize is one pass per relation file. For each node in ascending id a
 // worker gathers the node's rows from the construction log, applies the
 // node-local transform (CURE_DR projection, format-(a) narrowing, the
-// CURE+ sorts and the dense-TT bitmap of §5.3), encodes the rows into
-// blocks and folds the same in-memory rows into the extent's zone map.
+// CURE+ sorts), encodes the rows into blocks — or, for a CURE+ TT extent
+// whose §5.3 bitmap is shorter, into one bitmap block — and folds the
+// same in-memory rows into the extent's zone map.
 // Whoever holds the commit lock appends every ready prefix result to the
 // relation file in node order, which keeps the output byte-identical at
 // every worker count. Nothing is written twice and nothing written is
@@ -154,6 +154,16 @@ func (w *Writer) finalize(catFormat signature.Format) (*Manifest, error) {
 
 	commitStart := time.Now()
 	commitSpan := w.finSpan.Child("commit")
+	hier, err := fin.create(HierFile)
+	if err != nil {
+		return nil, err
+	}
+	if err := hierarchy.WriteSchema(hier, w.opts.Hier); err != nil {
+		return nil, err
+	}
+	if err := hier.close(); err != nil {
+		return nil, err
+	}
 	m.Checksums = map[string]uint32{}
 	for _, f := range fin.files {
 		m.Checksums[f.name] = f.crc
@@ -166,8 +176,6 @@ func (w *Writer) finalize(catFormat signature.Format) (*Manifest, error) {
 			m.Sizes.CAT = f.size
 		case AggFile:
 			m.Sizes.Agg = f.size
-		case BitmapFile:
-			m.Sizes.Bitmap = f.size
 		}
 	}
 	if reg := w.opts.Metrics; reg != nil {
@@ -175,11 +183,7 @@ func (w *Writer) finalize(catFormat signature.Format) (*Manifest, error) {
 		reg.Gauge("storage.size.tt").Set(m.Sizes.TT)
 		reg.Gauge("storage.size.cat").Set(m.Sizes.CAT)
 		reg.Gauge("storage.size.agg").Set(m.Sizes.Agg)
-		reg.Gauge("storage.size.bitmap").Set(m.Sizes.Bitmap)
 		reg.Gauge("storage.nodes").Set(int64(len(m.Nodes)))
-	}
-	if err := hierarchy.WriteSchemaFile(filepath.Join(w.opts.Dir, HierFile), w.opts.Hier); err != nil {
-		return nil, err
 	}
 	if err := WriteManifest(w.opts.Dir, m); err != nil {
 		return nil, err
@@ -213,13 +217,11 @@ type extentFile struct {
 	crc  uint32
 }
 
-func (e *extentFile) append(p []byte) error {
-	if _, err := e.bw.Write(p); err != nil {
-		return err
-	}
-	e.crc = crc32.Update(e.crc, crc32.IEEETable, p)
-	e.size += int64(len(p))
-	return nil
+func (e *extentFile) Write(p []byte) (int, error) {
+	n, err := e.bw.Write(p)
+	e.crc = crc32.Update(e.crc, crc32.IEEETable, p[:n])
+	e.size += int64(n)
+	return n, err
 }
 
 func (e *extentFile) close() error {
@@ -294,10 +296,8 @@ type zoneSpec struct {
 type extentResult struct {
 	id   lattice.NodeID
 	rows int64
-	// enc is what the committer appends: the encoded blocks, or — bitmap
-	// set — a marshaled TT bitmap bound for ttbm.bin, which has no codec.
+	// enc is what the committer appends: the encoded blocks.
 	enc      []byte
-	bitmap   bool
 	codec    *ExtentCodec
 	zone     *ZoneIndex
 	rawBytes int64
@@ -320,10 +320,8 @@ type finState struct {
 	// aggRRows is the R-rowid column of AGGREGATES under format (a), set
 	// when the AGGREGATES extent commits.
 	aggRRows []int64
-	// files are the output files in creation order; bitmaps is ttbm.bin,
-	// created by the first dense TT extent.
-	files   []*extentFile
-	bitmaps *extentFile
+	// files are the output files in creation order.
+	files []*extentFile
 
 	stats       FinalizeStats
 	workerBytes []int64
@@ -417,11 +415,6 @@ func (fin *finState) writeRelation(rel relKind) error {
 	if err := out.close(); err != nil {
 		return err
 	}
-	if rel == relTT && fin.bitmaps != nil {
-		if err := fin.bitmaps.close(); err != nil {
-			return err
-		}
-	}
 	log.remove()
 	sp.AddBytesWritten(out.size)
 	fin.stats.CompressSec += time.Since(sealed).Seconds()
@@ -432,7 +425,7 @@ func (fin *finState) writeRelation(rel relKind) error {
 // the extents the worker claims.
 type finalizeWorker struct {
 	raw, xform []byte
-	ids        []int64 // sortInt64Rows output, read by the bitmap encoder
+	ids        []int64 // sortInt64Rows output, read by encodeBitmapBlock
 	levels     []int
 	rowids     []int64   // the chunk being resolved
 	base       [][]int32 // its base-level codes, one column per dimension
@@ -466,7 +459,6 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 		kinds = ttKinds()
 		if m.Plus {
 			fw.sortInt64Rows(raw)
-			res.bitmap = bitmap.DenserThanIDs(m.FactRows, int64(len(fw.ids)))
 		}
 	case relAgg:
 		kinds = m.aggKinds()
@@ -493,27 +485,37 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 	t1 := time.Now()
 	res.gatherNs = t1.Sub(t0).Nanoseconds()
 
-	if res.bitmap {
-		res.enc = bitmap.FromIDs(m.FactRows, fw.ids).Marshal()
-	} else {
-		be := newBlockEncoder(kinds)
-		codec := &ExtentCodec{
-			BlockRows: fin.blockRows,
-			RawBytes:  res.rawBytes,
-			Offs:      []int64{0},
-			Encodings: map[string]int64{},
+	be := newBlockEncoder(kinds)
+	codec := &ExtentCodec{
+		BlockRows: fin.blockRows,
+		RawBytes:  res.rawBytes,
+		Offs:      []int64{0},
+		Encodings: map[string]int64{},
+	}
+	enc = enc[:0]
+	for r0 := int64(0); r0 < res.rows; r0 += fin.blockRows {
+		n := min(fin.blockRows, res.rows-r0)
+		enc = be.encodeBlock(raw[r0*int64(width):], int(n), enc)
+		codec.Offs = append(codec.Offs, int64(len(enc)))
+		for _, tag := range be.tags {
+			codec.Encodings[encName(tag)]++
 		}
-		enc = enc[:0]
-		for r0 := int64(0); r0 < res.rows; r0 += fin.blockRows {
-			n := min(fin.blockRows, res.rows-r0)
-			enc = be.encodeBlock(raw[r0*int64(width):], int(n), enc)
-			codec.Offs = append(codec.Offs, int64(len(enc)))
-			for _, tag := range be.tags {
-				codec.Encodings[encName(tag)]++
+	}
+	// §5.3: a CURE+ TT extent becomes a bitmap over [first, last] when
+	// that one block is shorter than the id blocks. It is encoded past
+	// the end of enc, then moved to its front.
+	if rel == relTT && m.Plus {
+		if bm, ok := encodeBitmapBlock(enc[len(enc):], fw.ids, len(enc)); ok {
+			enc = append(enc[:0], bm...)
+			codec = &ExtentCodec{
+				BlockRows: res.rows,
+				RawBytes:  res.rawBytes,
+				Offs:      []int64{0, int64(len(enc))},
+				Encodings: map[string]int64{encName(encBitmap): 1},
 			}
 		}
-		res.enc, res.codec = enc, codec
 	}
+	res.enc, res.codec = enc, codec
 	t2 := time.Now()
 	res.encodeNs = t2.Sub(t1).Nanoseconds()
 
@@ -610,8 +612,9 @@ func dropLeadingColumn(raw []byte, width int) []byte {
 
 // foldExtentZones builds the zone map of one extent from the rows
 // already in memory for encoding, in their final order — exactly the
-// order query-time scans visit. CURE+ bitmap TTs fold here too: their
-// ids are sorted in raw, the order a bitmap scan yields.
+// order query-time scans visit. A bitmap TT extent folds in zone-sized
+// blocks like any other: its ids are sorted in raw, the order the bitmap
+// decodes to.
 func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneSpec, raw []byte, width int) (*ZoneIndex, error) {
 	zc := fin.zcfg
 	zb := newZoneBuilder(zc.blockRows, zc.slots)
@@ -658,18 +661,9 @@ func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneSpec, raw []by
 // Called with the commit lock held, in node order, so offsets and totals
 // are deterministic.
 func (fin *finState) commit(rel relKind, res *extentResult, out *extentFile) error {
-	if res.bitmap {
-		if fin.bitmaps == nil {
-			var err error
-			if fin.bitmaps, err = fin.create(BitmapFile); err != nil {
-				return err
-			}
-		}
-		out = fin.bitmaps
-	}
 	off := out.size
 	t0 := time.Now()
-	if err := out.append(res.enc); err != nil {
+	if _, err := out.Write(res.enc); err != nil {
 		return err
 	}
 	st := &fin.stats
@@ -682,9 +676,6 @@ func (fin *finState) commit(rel relKind, res *extentResult, out *extentFile) err
 		nm.NTOff, nm.NTRows, nm.NTCodec, nm.NTZones = off, res.rows, res.codec, res.zone
 	case relTT:
 		nm.TTOff, nm.TTRows, nm.TTCodec, nm.TTZones = off, res.rows, res.codec, res.zone
-		if res.bitmap {
-			nm.TTKind, nm.TTBmLen = TTBitmap, int64(len(res.enc))
-		}
 	case relCAT:
 		nm.CATOff, nm.CATRows, nm.CATCodec, nm.CATZones = off, res.rows, res.codec, res.zone
 	case relAgg:
@@ -694,19 +685,18 @@ func (fin *finState) commit(rel relKind, res *extentResult, out *extentFile) err
 		fin.m.Nodes[key] = nm
 	}
 
-	if c := res.codec; c != nil {
-		nb := int64(c.NumBlocks())
-		fin.cExtents.Inc()
-		fin.cBlocks.Add(nb)
-		fin.cRawBytes.Add(c.RawBytes)
-		fin.cEncBytes.Add(c.EncodedBytes())
-		fin.cFinExtents.Inc()
-		fin.cFinBlocks.Add(nb)
-		st.Extents++
-		st.Blocks += nb
-		for name, n := range c.Encodings {
-			st.Encodings[name] += n
-		}
+	c := res.codec
+	nb := int64(c.NumBlocks())
+	fin.cExtents.Inc()
+	fin.cBlocks.Add(nb)
+	fin.cRawBytes.Add(c.RawBytes)
+	fin.cEncBytes.Add(c.EncodedBytes())
+	fin.cFinExtents.Inc()
+	fin.cFinBlocks.Add(nb)
+	st.Extents++
+	st.Blocks += nb
+	for name, n := range c.Encodings {
+		st.Encodings[name] += n
 	}
 	st.GatherSec += float64(res.gatherNs) / 1e9
 	st.EncodeSec += float64(res.encodeNs) / 1e9
@@ -772,9 +762,7 @@ func (fin *finState) runExtents(rel relKind, ids []lattice.NodeID, out *extentFi
 			if firstErr = fin.commit(rel, res, out); firstErr != nil {
 				break
 			}
-			if !res.bitmap {
-				spare = append(spare, res.enc)
-			}
+			spare = append(spare, res.enc)
 			results[committed] = nil
 			committed++
 		}

@@ -58,7 +58,7 @@ func buildFinalizeCube(t *testing.T, dir string, par int, plus, formatA bool) *M
 func cubeFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
-	for _, name := range []string{NTFile, TTFile, CATFile, AggFile, BitmapFile, ManifestFile} {
+	for _, name := range []string{NTFile, TTFile, CATFile, AggFile, HierFile, ManifestFile} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if os.IsNotExist(err) {
 			continue
@@ -157,13 +157,14 @@ func bruteZones(blockRows, slots int, rows [][]int32) *ZoneIndex {
 // Reader returns, in the order it returns it, crossed with the in-memory
 // codes of the rows, and demands equality with the maps Finalize folded
 // while the rows were in flight — over plain row-id extents, CURE_DR's
-// sparse slots, CURE+ sorted ids, CURE+ bitmaps and format-(a) CATs.
+// sparse slots, CURE+ sorted ids, CURE+ bitmap blocks and format-(a)
+// CATs.
 func TestZoneMapsMatchBruteForce(t *testing.T) {
 	const unknown = math.MinInt32
 	for _, tc := range []struct {
 		name              string
 		plus, formatA, dr bool
-		factRows          int64 // small enough and the TT extent becomes a bitmap
+		factRows          int64 // small enough and the TT extent becomes a bitmap block
 	}{
 		{name: "plain-formatB", factRows: 5000},
 		{name: "dr-formatB", dr: true, factRows: 5000},
@@ -256,7 +257,7 @@ func TestZoneMapsMatchBruteForce(t *testing.T) {
 						zones++
 					}
 				}
-				if nm.TTKind == TTBitmap && nm.TTZones != nil {
+				if nm.TTCodec != nil && nm.TTCodec.Encodings[encName(encBitmap)] > 0 && nm.TTZones != nil {
 					bitmaps++
 				}
 			}
@@ -281,7 +282,6 @@ func TestFinalizeIsOnePass(t *testing.T) {
 	for _, name := range []string{NTFile, TTFile, CATFile, AggFile} {
 		allowed[name], allowed[name+".log"] = true, true
 	}
-	allowed[BitmapFile] = true
 	var (
 		mu       sync.Mutex
 		sizes    = map[string]int64{}
@@ -322,7 +322,7 @@ func TestFinalizeIsOnePass(t *testing.T) {
 		Dir: dir, Plus: true, FactRows: 5000, ZoneBlockRows: 64,
 		Parallelism: 4, Resolver: perRow(resolver),
 	})
-	m, _ := writeWorkload(t, w, true)
+	writeWorkload(t, w, true)
 	if calls < 97 {
 		t.Fatalf("resolver called %d times; the directory was never watched", calls)
 	}
@@ -339,8 +339,8 @@ func TestFinalizeIsOnePass(t *testing.T) {
 			t.Errorf("%s ended at %d bytes after being seen at %d", name, fi.Size(), seen)
 		}
 	}
-	if m.Sizes.Bitmap == 0 {
-		t.Error("workload wrote no bitmap; ttbm.bin went unwatched")
+	if st, err := ReadFinalizeStats(dir); err != nil || st.Encodings[encName(encBitmap)] == 0 {
+		t.Errorf("workload wrote no bitmap TT block (err %v); the one-block rule went unwatched", err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

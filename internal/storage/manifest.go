@@ -30,38 +30,24 @@ const (
 	TTFile       = "tt.bin"
 	CATFile      = "cat.bin"
 	AggFile      = "agg.bin"
-	BitmapFile   = "ttbm.bin"
-)
-
-// TTKind says how a node's trivial tuples are materialized.
-type TTKind uint8
-
-const (
-	// TTIDs stores trivial tuples as an extent of 8-byte row-ids.
-	TTIDs TTKind = iota
-	// TTBitmap stores them as a bitmap over the fact table (CURE+ when
-	// the id set is dense enough).
-	TTBitmap
 )
 
 // NodeMeta records where one lattice node's tuples live inside the
 // relation files. Offsets are byte offsets; counts are rows.
 type NodeMeta struct {
-	NTOff   int64  `json:"nt_off"`
-	NTRows  int64  `json:"nt_rows"`
-	TTOff   int64  `json:"tt_off"`
-	TTRows  int64  `json:"tt_rows"`
-	TTKind  TTKind `json:"tt_kind"`
-	TTBmLen int64  `json:"tt_bm_len,omitempty"` // bitmap byte length when TTKind == TTBitmap
-	CATOff  int64  `json:"cat_off"`
-	CATRows int64  `json:"cat_rows"`
+	NTOff   int64 `json:"nt_off"`
+	NTRows  int64 `json:"nt_rows"`
+	TTOff   int64 `json:"tt_off"`
+	TTRows  int64 `json:"tt_rows"`
+	CATOff  int64 `json:"cat_off"`
+	CATRows int64 `json:"cat_rows"`
 	// Zone maps of the extents (nil when the extent is smaller than one
 	// zone block or the cube was written without a resolver).
 	NTZones  *ZoneIndex `json:"nt_zones,omitempty"`
 	TTZones  *ZoneIndex `json:"tt_zones,omitempty"`
 	CATZones *ZoneIndex `json:"cat_zones,omitempty"`
-	// Block records of the extents (nil when the extent is empty). TTCodec
-	// applies only to TTIDs extents — a bitmap is its own encoding.
+	// Block records of the extents (nil when the extent is empty). A
+	// CURE+ TT extent may be one bitmap block (see encodeBitmapBlock).
 	NTCodec  *ExtentCodec `json:"nt_codec,omitempty"`
 	TTCodec  *ExtentCodec `json:"tt_codec,omitempty"`
 	CATCodec *ExtentCodec `json:"cat_codec,omitempty"`
@@ -70,15 +56,14 @@ type NodeMeta struct {
 // Sizes breaks down the on-disk footprint of a cube, the quantity the
 // paper's storage-space figures report.
 type Sizes struct {
-	NT     int64 `json:"nt"`
-	TT     int64 `json:"tt"`
-	CAT    int64 `json:"cat"`
-	Agg    int64 `json:"agg"`
-	Bitmap int64 `json:"bitmap"`
+	NT  int64 `json:"nt"`
+	TT  int64 `json:"tt"`
+	CAT int64 `json:"cat"`
+	Agg int64 `json:"agg"`
 }
 
 // Total returns the cube data footprint in bytes.
-func (s Sizes) Total() int64 { return s.NT + s.TT + s.CAT + s.Agg + s.Bitmap }
+func (s Sizes) Total() int64 { return s.NT + s.TT + s.CAT + s.Agg }
 
 // Manifest is the catalog of a cube directory.
 type Manifest struct {
@@ -116,9 +101,9 @@ type Manifest struct {
 	Nodes map[string]NodeMeta `json:"nodes"`
 	// Sizes is the on-disk footprint breakdown.
 	Sizes Sizes `json:"sizes"`
-	// Checksums maps relation file names to their CRC-32 (IEEE) over the
-	// whole file, computed at finalize; Reader.VerifyChecksums rechecks
-	// them on demand.
+	// Checksums maps the relation files and the hierarchy sidecar to
+	// their CRC-32 (IEEE) over the whole file, computed at finalize;
+	// Reader.VerifyChecksums rechecks them on demand.
 	Checksums map[string]uint32 `json:"checksums,omitempty"`
 	// Iceberg is the min-count threshold the cube was built with (1 for
 	// a complete cube).
@@ -149,17 +134,6 @@ func (m *Manifest) CATRowWidth() int { return m.catRowWidth() }
 // AggRowWidth returns the byte width of one AGGREGATES row.
 func (m *Manifest) AggRowWidth() int { return m.aggRowWidth() }
 
-// TTBytes returns the bytes one full read of the node's TT extent costs:
-// the bitmap length for a CURE+ bitmap, the encoded footprint otherwise.
-// The TT extent is always fetched whole (zone pruning narrows the
-// iteration, not the read), so this is also the read a query pays.
-func (nm NodeMeta) TTBytes() int64 {
-	if nm.TTKind == TTBitmap {
-		return nm.TTBmLen
-	}
-	return nm.TTCodec.EncodedBytes()
-}
-
 // ntRowWidth returns the byte width of one NT row of the given node.
 // Plain CURE: <R-rowid, aggrs> (8 + 8Y). CURE_DR: <dims…, aggrs>
 // (4·arity + 8Y) where arity is the node's grouping arity.
@@ -189,7 +163,7 @@ func (m *Manifest) aggRowWidth() int {
 // WriteManifest writes m into dir: to a temporary file first, then
 // renamed into place, so the manifest is either absent or whole.
 func WriteManifest(dir string, m *Manifest) error {
-	data, err := json.MarshalIndent(m, "", " ")
+	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("storage: marshaling manifest: %w", err)
 	}
@@ -221,7 +195,7 @@ func ReadManifest(dir string) (*Manifest, error) {
 	}
 	for k, nm := range m.Nodes {
 		err := nm.NTCodec.check(nm.NTRows)
-		if err == nil && nm.TTKind != TTBitmap {
+		if err == nil {
 			err = nm.TTCodec.check(nm.TTRows)
 		}
 		if err == nil {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"cure/internal/bitmap"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/obsv"
@@ -22,7 +21,7 @@ type Reader struct {
 	hier *hierarchy.Schema
 	enum *lattice.Enum
 
-	ntF, ttF, catF, aggF, bmF *os.File
+	ntF, ttF, catF, aggF *os.File
 
 	// Global read accounting (nil-safe, set via SetMetrics): every
 	// attributed read tallies here as well as into the per-query IOStats,
@@ -97,26 +96,13 @@ func OpenReader(dir string) (*Reader, error) {
 		return nil, err
 	}
 	r := &Reader{dir: dir, m: m, hier: hier, enum: lattice.NewEnum(hier)}
-	open := func(name string, dst **os.File, required bool) error {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			if os.IsNotExist(err) && !required {
-				return nil
-			}
-			return err
-		}
-		*dst = f
-		return nil
-	}
 	for _, x := range []struct {
-		name     string
-		dst      **os.File
-		required bool
+		name string
+		dst  **os.File
 	}{
-		{NTFile, &r.ntF, true}, {TTFile, &r.ttF, true}, {CATFile, &r.catF, true},
-		{AggFile, &r.aggF, true}, {BitmapFile, &r.bmF, false},
+		{NTFile, &r.ntF}, {TTFile, &r.ttF}, {CATFile, &r.catF}, {AggFile, &r.aggF},
 	} {
-		if err := open(x.name, x.dst, x.required); err != nil {
+		if *x.dst, err = os.Open(filepath.Join(dir, x.name)); err != nil {
 			r.Close()
 			return nil, err
 		}
@@ -127,7 +113,7 @@ func OpenReader(dir string) (*Reader, error) {
 // Close releases the reader's file handles.
 func (r *Reader) Close() error {
 	var first error
-	for _, f := range []*os.File{r.ntF, r.ttF, r.catF, r.aggF, r.bmF} {
+	for _, f := range []*os.File{r.ntF, r.ttF, r.catF, r.aggF} {
 		if f != nil {
 			if err := f.Close(); err != nil && first == nil {
 				first = err
@@ -189,28 +175,11 @@ func (r *Reader) TTRowIDs(id lattice.NodeID, dst []int64) ([]int64, error) {
 }
 
 // TTRowIDsIO is TTRowIDs with per-query I/O attribution: bytes fetched
-// for the extent (or its CURE+ bitmap) are tallied into io.
+// for the extent are tallied into io.
 func (r *Reader) TTRowIDsIO(id lattice.NodeID, dst []int64, io *IOStats) ([]int64, error) {
 	nm, ok := r.m.NodeMeta(id)
 	if !ok || nm.TTRows == 0 {
 		return dst[:0], nil
-	}
-	if nm.TTKind == TTBitmap {
-		buf := make([]byte, nm.TTBmLen)
-		if _, err := r.bmF.ReadAt(buf, nm.TTOff); err != nil {
-			return nil, fmt.Errorf("storage: TT bitmap of node %d: %w", id, err)
-		}
-		r.account(io, nm.TTBmLen)
-		bm, err := bitmap.Unmarshal(buf)
-		if err != nil {
-			return nil, err
-		}
-		dst = dst[:0]
-		bm.ForEach(func(i int64) bool {
-			dst = append(dst, i)
-			return true
-		})
-		return dst, nil
 	}
 	// The extent is fetched whole, block by block: zone pruning narrows
 	// the iteration over the ids, not the read.
@@ -477,7 +446,7 @@ func (r *Reader) NodeTupleCount(id lattice.NodeID) int64 {
 	return nm.NTRows + nm.TTRows + nm.CATRows
 }
 
-// VerifyChecksums recomputes the CRC-32 of every relation file and
+// VerifyChecksums recomputes the CRC-32 of every checksummed file and
 // compares it with the manifest, returning the names of corrupted files
 // (bit rot, truncation, or out-of-band edits). Cubes written before
 // checksumming existed (no recorded sums) verify trivially.

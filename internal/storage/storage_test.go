@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -338,8 +341,8 @@ func TestPlusConvertsDenseTTsToBitmap(t *testing.T) {
 	const factRows = 256
 	w := newTestWriter(t, Options{Dir: dir, Plus: true, FactRows: factRows})
 	node := w.Enum().Encode([]int{0, 0})
-	// 200 of 256 rows are TTs: dense, so the bitmap (16 + 32 bytes) beats
-	// 200 × 8 bytes of ids.
+	// 200 of 256 rows are TTs: dense, so one bitmap block (about 40 bytes)
+	// beats the delta-encoded ids (about 200).
 	for id := int64(0); id < 200; id++ {
 		if err := w.WriteTT(node, id*7%factRows); err != nil {
 			t.Fatal(err)
@@ -350,11 +353,11 @@ func TestPlusConvertsDenseTTsToBitmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	nm, ok := m.NodeMeta(node)
-	if !ok || nm.TTKind != TTBitmap {
-		t.Fatalf("node meta = %+v, want bitmap kind", nm)
+	if !ok || nm.TTCodec.NumBlocks() != 1 || nm.TTCodec.Encodings[encName(encBitmap)] != 1 {
+		t.Fatalf("node meta = %+v, codec %+v, want one bitmap block", nm, nm.TTCodec)
 	}
-	if m.Sizes.Bitmap == 0 {
-		t.Error("bitmap file size not accounted")
+	if m.Sizes.TT != nm.TTCodec.EncodedBytes() {
+		t.Errorf("tt.bin holds %d bytes, the bitmap block %d", m.Sizes.TT, nm.TTCodec.EncodedBytes())
 	}
 	r, err := OpenReader(dir)
 	if err != nil {
@@ -373,6 +376,78 @@ func TestPlusConvertsDenseTTsToBitmap(t *testing.T) {
 		if ids[i] <= ids[i-1] {
 			t.Fatal("bitmap ids not ascending")
 		}
+	}
+}
+
+// TestPlusTTKeepsTheSmallerForm: a CURE+ TT extent is written in
+// whichever form is shorter — delta-encoded id blocks for a sparse id set,
+// one bitmap block for a dense one — and reads back the same either way.
+func TestPlusTTKeepsTheSmallerForm(t *testing.T) {
+	const n = 2000
+	for _, tc := range []struct {
+		name   string
+		stride int64 // one TT row per stride fact rows
+		bitmap bool
+	}{
+		{"density-1/32", 32, false},
+		{"density-1/2", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := newTestWriter(t, Options{Dir: dir, Plus: true, FactRows: n * tc.stride})
+			node := w.Enum().Encode([]int{0, 0})
+			want := make([]int64, n)
+			for i := range want {
+				want[i] = int64(i) * tc.stride
+			}
+			for _, i := range rand.New(rand.NewSource(3)).Perm(n) {
+				if err := w.WriteTT(node, want[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, err := w.Finalize(signature.FormatNT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := m.Nodes[nodeKey(node)].TTCodec
+			bm, _ := encodeBitmapBlock(nil, want, math.MaxInt)
+			var delta []byte
+			be := newBlockEncoder(ttKinds())
+			rows := make([]byte, 8*n)
+			for i, v := range want {
+				putInt64(rows[8*i:], v)
+			}
+			for r0 := 0; r0 < n; r0 += DefaultZoneBlockRows {
+				delta = be.encodeBlock(rows[8*r0:], min(DefaultZoneBlockRows, n-r0), delta)
+			}
+			if tc.bitmap {
+				if c.NumBlocks() != 1 || c.Encodings[encName(encBitmap)] != 1 || c.EncodedBytes() != int64(len(bm)) {
+					t.Errorf("codec %+v, want one %d-byte bitmap block", c, len(bm))
+				}
+				if len(bm) >= len(delta) {
+					t.Errorf("bitmap block %d bytes, delta blocks %d: the bitmap should be smaller", len(bm), len(delta))
+				}
+			} else {
+				if c.NumBlocks() != (n+DefaultZoneBlockRows-1)/DefaultZoneBlockRows || c.Encodings[encName(encBitmap)] != 0 {
+					t.Errorf("codec %+v, want %d-row delta blocks", c, DefaultZoneBlockRows)
+				}
+				if c.EncodedBytes() != int64(len(delta)) || len(delta) >= len(bm) {
+					t.Errorf("extent %d bytes, delta blocks %d, bitmap %d: delta should be written and smaller", c.EncodedBytes(), len(delta), len(bm))
+				}
+			}
+			r, err := OpenReader(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			got, err := r.TTRowIDs(node, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("TT ids read back differently (%d ids, want %d)", len(got), len(want))
+			}
+		})
 	}
 }
 
@@ -527,6 +602,20 @@ func TestReadManifestRejectsUnreadableExtents(t *testing.T) {
 	}
 }
 
+// TestReadManifestRefusesBitmapTTKind: a cube written when CURE+ bitmaps
+// lived in a file of their own records a bitmap TT as tt_kind 1 with no
+// block index; it is refused with an error.
+func TestReadManifestRefusesBitmapTTKind(t *testing.T) {
+	dir := t.TempDir()
+	old := `{"version":2,"nodes":{"7":{"tt_off":0,"tt_rows":200,"tt_kind":1,"tt_bm_len":48}}}`
+	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "no block index") {
+		t.Errorf("error = %v, want the missing block index named", err)
+	}
+}
+
 func TestReadManifestRejectsBadVersion(t *testing.T) {
 	dir := t.TempDir()
 	for _, v := range []string{"0", "3", "99"} {
@@ -620,17 +709,6 @@ func TestOpenReaderMissingFiles(t *testing.T) {
 	if _, err := OpenReader(dir); err == nil {
 		t.Error("reader opened a cube with a missing relation file")
 	}
-	// Missing bitmap file is fine (optional component).
-	dir2 := t.TempDir()
-	w2 := newTestWriter(t, Options{Dir: dir2})
-	if _, err := w2.Finalize(signature.FormatNT); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(dir2)
-	if err != nil {
-		t.Fatalf("reader rejected cube without bitmap file: %v", err)
-	}
-	r.Close()
 }
 
 func TestReaderTruncatedExtent(t *testing.T) {
@@ -737,26 +815,42 @@ func TestChecksums(t *testing.T) {
 	}
 	r.Close()
 
-	// Flip a byte in the NT relation: the checksum must catch it.
-	data, err := os.ReadFile(filepath.Join(dir, NTFile))
-	if err != nil {
-		t.Fatal(err)
+	// Flip a byte in the NT relation, then one in the hierarchy sidecar
+	// that still decodes (a level name): each checksum must catch its file.
+	flips := []struct {
+		name string
+		at   func([]byte) int
+		want []string // VerifyChecksums' verdict after the flip, sorted
+	}{
+		{NTFile, func(data []byte) int { return len(data) / 2 }, []string{NTFile}},
+		{HierFile, func(data []byte) int { return bytes.LastIndex(data, []byte("A1")) }, []string{HierFile, NTFile}},
 	}
-	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(filepath.Join(dir, NTFile), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	bad, err = r2.VerifyChecksums()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bad) != 1 || bad[0] != NTFile {
-		t.Fatalf("corruption not localized: %v", bad)
+	for _, fl := range flips {
+		path := filepath.Join(dir, fl.name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := fl.at(data)
+		if at < 0 {
+			t.Fatalf("%s: nothing to flip", fl.name)
+		}
+		data[at] ^= 0x20
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r2, err := OpenReader(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad, err = r2.VerifyChecksums()
+		r2.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(bad, fl.want) {
+			t.Fatalf("after flipping %s: corrupted files %v, want %v", fl.name, bad, fl.want)
+		}
 	}
 }
 

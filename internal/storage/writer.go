@@ -263,7 +263,7 @@ func (w *Writer) discard() {
 			l.remove()
 		}
 	}
-	for _, name := range []string{NTFile, TTFile, CATFile, AggFile, BitmapFile, HierFile, ManifestFile, ManifestFile + ".tmp"} {
+	for _, name := range []string{NTFile, TTFile, CATFile, AggFile, HierFile, ManifestFile, ManifestFile + ".tmp"} {
 		os.Remove(filepath.Join(w.opts.Dir, name))
 	}
 }
