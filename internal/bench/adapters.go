@@ -90,12 +90,16 @@ func mergeAggs(dst, src []float64, specs []relation.AggSpec, first bool) {
 				dst[i] += src[i]
 			}
 		case relation.AggMin:
-			if first || src[i] < dst[i] {
+			if first {
 				dst[i] = src[i]
+			} else {
+				dst[i] = min(dst[i], src[i])
 			}
 		case relation.AggMax:
-			if first || src[i] > dst[i] {
+			if first {
 				dst[i] = src[i]
+			} else {
+				dst[i] = max(dst[i], src[i])
 			}
 		}
 	}

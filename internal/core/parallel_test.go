@@ -2,74 +2,15 @@ package core
 
 import (
 	"errors"
-	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"cure/internal/query"
 	"cure/internal/relation"
 	"cure/internal/signature"
 )
-
-// pairEquivFact draws rows in pairHier's code space (A:64, B:256, C:5)
-// with integer-valued measures so aggregates stay exact across fold
-// orders — the same shape TestPairPartitionedBuildMatchesReference uses.
-func pairEquivFact(t *testing.T, seed int64) *relation.FactTable {
-	t.Helper()
-	schema := &relation.Schema{DimNames: []string{"A", "B", "C"}, MeasureNames: []string{"M1", "M2"}}
-	ft := relation.NewFactTable(schema, 1600)
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 1600; i++ {
-		ft.Append(
-			[]int32{int32(rng.Intn(64)), int32(rng.Intn(256)), int32(rng.Intn(5))},
-			[]float64{float64(rng.Intn(12)), float64(rng.Intn(3))},
-		)
-	}
-	return ft
-}
-
-func buildAt(t *testing.T, dir string, ft *relation.FactTable, opts Options) *BuildStats {
-	t.Helper()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	factPath := filepath.Join(dir, "fact.bin")
-	if err := relation.WriteFactFile(factPath, ft); err != nil {
-		t.Fatal(err)
-	}
-	opts.Dir = filepath.Join(dir, "cube")
-	opts.FactPath = factPath
-	stats, err := Build(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stats
-}
-
-func diffCubes(t *testing.T, dirA, dirB string) {
-	t.Helper()
-	a, err := query.Open(dirA, query.Options{CacheFraction: 1, PinAggregates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := query.Open(dirB, query.Options{CacheFraction: 1, PinAggregates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	rep, err := query.Diff(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Equal() {
-		t.Fatalf("cubes differ: %v", rep.Differences)
-	}
-}
 
 // TestParallelEquivalence is the correctness contract of the segment
 // fan-out: for every build path — in-memory hierarchical, flat, iceberg,
@@ -147,18 +88,13 @@ func TestParallelNoPoolStatsEquality(t *testing.T) {
 // to ground truth computed straight from the fact table (not just to the
 // sequential build).
 func TestParallelInMemoryMatchesReference(t *testing.T) {
-	hier := paperHier(t)
-	ft := randomFact(t, 900, 33)
-	opts := Options{Hier: hier, AggSpecs: testSpecs(), Parallelism: 4}
-	dir := t.TempDir()
-	stats := buildAt(t, dir, ft, opts)
+	stats := buildChecked(t, randomFact(t, 900, 33), Options{Hier: paperHier(t), AggSpecs: testSpecs(), Parallelism: 4})
 	if stats.Partitioned {
 		t.Fatal("expected an in-memory build")
 	}
 	if stats.CatFormat != signature.FormatB {
 		t.Errorf("parallel in-memory format = %v, want pinned B", stats.CatFormat)
 	}
-	verifyCube(t, filepath.Join(dir, "cube"), hier, ft, testSpecs(), query.Options{CacheFraction: 1, PinAggregates: true})
 }
 
 // TestRunPartitionsParallelErrorAggregation is the regression test for

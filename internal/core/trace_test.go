@@ -9,7 +9,6 @@ import (
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/obsv"
-	"cure/internal/query"
 	"cure/internal/relation"
 )
 
@@ -277,7 +276,7 @@ func TestPartitionedBuildObservability(t *testing.T) {
 				t.Fatalf("%d pool-flush events, pool.flushes = %d", flushes, n)
 			}
 
-			verifyCube(t, filepath.Join(dir, "cube"), hier, ft, testSpecs(), query.Options{CacheFraction: 1, PinAggregates: true})
+			checkCube(t, filepath.Join(dir, "cube"))
 		})
 	}
 }

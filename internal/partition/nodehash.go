@@ -171,12 +171,16 @@ func (h *nodeHash) addRowWords(w []uint64, meas []float64, rowid int64) (first b
 		case relation.AggCount:
 			v[i] = math.Float64bits(math.Float64frombits(v[i]) + 1)
 		case relation.AggMin:
-			if m := meas[s.Measure]; first || m < math.Float64frombits(v[i]) {
+			if m := meas[s.Measure]; first {
 				v[i] = math.Float64bits(m)
+			} else {
+				v[i] = math.Float64bits(min(math.Float64frombits(v[i]), m))
 			}
 		case relation.AggMax:
-			if m := meas[s.Measure]; first || m > math.Float64frombits(v[i]) {
+			if m := meas[s.Measure]; first {
 				v[i] = math.Float64bits(m)
+			} else {
+				v[i] = math.Float64bits(max(math.Float64frombits(v[i]), m))
 			}
 		}
 	}
@@ -219,12 +223,16 @@ func (h *nodeHash) mergeFrom(o *nodeHash) {
 			case relation.AggSum, relation.AggCount:
 				v[i] = math.Float64bits(math.Float64frombits(v[i]) + math.Float64frombits(ov[i]))
 			case relation.AggMin:
-				if first || math.Float64frombits(ov[i]) < math.Float64frombits(v[i]) {
+				if first {
 					v[i] = ov[i]
+				} else {
+					v[i] = math.Float64bits(min(math.Float64frombits(v[i]), math.Float64frombits(ov[i])))
 				}
 			case relation.AggMax:
-				if first || math.Float64frombits(ov[i]) > math.Float64frombits(v[i]) {
+				if first {
 					v[i] = ov[i]
+				} else {
+					v[i] = math.Float64bits(max(math.Float64frombits(v[i]), math.Float64frombits(ov[i])))
 				}
 			}
 		}

@@ -6,27 +6,30 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"cure/internal/core"
-	"cure/internal/cubetest"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/obsv"
 	"cure/internal/relation"
 )
 
-// buildBlockCube builds a cube over ft with small (32-row) blocks, so
-// that the extents of the test table span many of them.
+// buildBlockCube builds a cube over ft, written to a fact file beside it
+// for Verify, with small (32-row) blocks, so that the extents of the test
+// table span many of them.
 func buildBlockCube(t *testing.T, ft *relation.FactTable, hier *hierarchy.Schema, plus bool) string {
 	t.Helper()
-	dir := filepath.Join(t.TempDir(), "cube")
-	if _, err := core.BuildFromTable(ft, core.Options{
-		Dir: dir, Hier: hier, AggSpecs: testAggSpecs(),
+	base := t.TempDir()
+	factPath := filepath.Join(base, "fact.bin")
+	if err := relation.WriteFactFile(factPath, ft); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(base, "cube")
+	if _, err := core.Build(core.Options{
+		Dir: dir, FactPath: factPath, Hier: hier, AggSpecs: testAggSpecs(),
 		Plus:          plus,
 		ZoneBlockRows: 32,
 	}); err != nil {
@@ -40,9 +43,10 @@ func testAggSpecs() []relation.AggSpec {
 }
 
 // TestCompressedQueryEquivalence: a cube read through the block decode
-// paths answers every node query like the brute-force group-by, at C = 1,
-// 4, 16 concurrent clients (an undersized decoded-block cache keeps
-// evictions racing shared-block readers under -race).
+// paths answers every node query like the brute-force group-by (Verify),
+// and identically at C = 1, 4, 16 concurrent clients (an undersized
+// decoded-block cache keeps evictions racing shared-block readers under
+// -race).
 func TestCompressedQueryEquivalence(t *testing.T) {
 	for _, plus := range []bool{false, true} {
 		t.Run(fmt.Sprintf("plus=%v", plus), func(t *testing.T) {
@@ -56,39 +60,14 @@ func TestCompressedQueryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-
-			nodes := eng.Enum().AllNodes()
-			want := make([][]string, len(nodes))
-			for i, id := range nodes {
-				for k, aggrs := range cubetest.ReferenceNode(hier, eng.Enum(), ft, testAggSpecs(), id) {
-					want[i] = append(want[i], fmt.Sprintf("%s%v", k, aggrs))
-				}
-				sort.Strings(want[i])
+			rep, err := eng.Verify(0, 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, c := range []int{1, 4, 16} {
-				got := make([][]string, len(nodes))
-				var mu sync.Mutex
-				if err := eng.NodeQueryBatch(c, nodes, func(qi int, r Row) error {
-					s := fmt.Sprintf("%s%v", cubetest.RowKey(r.Dims), r.Aggrs)
-					mu.Lock()
-					got[qi] = append(got[qi], s)
-					mu.Unlock()
-					return nil
-				}); err != nil {
-					t.Fatalf("C=%d: %v", c, err)
-				}
-				for qi := range nodes {
-					sort.Strings(got[qi])
-					if len(got[qi]) != len(want[qi]) {
-						t.Fatalf("C=%d node %d: %d rows, want %d", c, qi, len(got[qi]), len(want[qi]))
-					}
-					for i := range want[qi] {
-						if got[qi][i] != want[qi][i] {
-							t.Fatalf("C=%d node %d row %d: %q != %q", c, qi, i, got[qi][i], want[qi][i])
-						}
-					}
-				}
+			if !rep.OK() || rep.NodesChecked != len(eng.Enum().AllNodes()) {
+				t.Fatalf("verified %d nodes: %v", rep.NodesChecked, rep.Errors)
 			}
+			checkBatchMatchesSequential(t, eng)
 			snap := reg.Snapshot()
 			if snap.Counters["query.bytes_decoded"] == 0 {
 				t.Error("scans attributed no decoded bytes")

@@ -26,25 +26,16 @@ func collectNode(t *testing.T, eng *Engine, id int64) []string {
 	return rows
 }
 
-// TestConcurrentNodeQueryEquivalence runs the same node-query workload at
-// C = 1, 4, 16 concurrent clients over one engine with an undersized
-// cache (so evictions race reads) and requires byte-identical results at
-// every concurrency level.
-func TestConcurrentNodeQueryEquivalence(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
-	eng, err := Open(dir, Options{CacheFraction: 0.3, PinAggregates: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
+// checkBatchMatchesSequential runs every node query of eng at C = 1, 4, 16
+// concurrent clients and requires byte-identical results to the
+// sequential NodeQuery at every concurrency level.
+func checkBatchMatchesSequential(t *testing.T, eng *Engine) {
+	t.Helper()
 	nodes := eng.Enum().AllNodes()
-	// Sequential ground truth.
 	want := make([][]string, len(nodes))
 	for i := range nodes {
 		want[i] = collectNode(t, eng, int64(i))
 	}
-
 	for _, c := range []int{1, 4, 16} {
 		got := make([][]string, len(nodes))
 		var mu sync.Mutex
@@ -69,6 +60,20 @@ func TestConcurrentNodeQueryEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentNodeQueryEquivalence runs the same node-query workload at
+// C = 1, 4, 16 concurrent clients over one engine with an undersized
+// cache (so evictions race reads) and requires byte-identical results at
+// every concurrency level.
+func TestConcurrentNodeQueryEquivalence(t *testing.T) {
+	dir, _, _ := buildTestCube(t, false)
+	eng, err := Open(dir, Options{CacheFraction: 0.3, PinAggregates: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	checkBatchMatchesSequential(t, eng)
 }
 
 // TestConcurrentMixedOps hammers one engine with every public query

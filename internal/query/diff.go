@@ -64,7 +64,7 @@ func Diff(a, b *Engine) (*DiffReport, error) {
 			}
 			matched++
 			for i := range w {
-				if w[i] != row.Aggrs[i] {
+				if !sameAggr(w[i], row.Aggrs[i]) {
 					rep.addDiff("node %s tuple %v: aggregate %d differs (%v vs %v)",
 						a.Enum().Name(id), row.Dims, i, w[i], row.Aggrs[i])
 					return nil

@@ -3,6 +3,7 @@ package query
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"cure/internal/lattice"
@@ -31,7 +32,9 @@ const maxVerifyErrors = 20
 // fact table and compares them against the cube's query results — an
 // end-to-end integrity check over every storage component (TT sharing,
 // NT references, CAT indirection, AGGREGATES, bitmaps). Iceberg cubes
-// are verified against the thresholded ground truth.
+// are verified against the thresholded ground truth. It is the one
+// brute-force CUBE operator in the repository: the build tests check
+// every variant, path and worker count against it too.
 func (e *Engine) Verify(sampleNodes int, seed int64) (*VerifyReport, error) {
 	// The manifest pins the cube's row count; load exactly that prefix via
 	// the chunked scan path, ignoring rows appended later (incremental
@@ -119,7 +122,7 @@ func (e *Engine) Verify(sampleNodes int, seed int64) (*VerifyReport, error) {
 			seen[k] = true
 			vals := g.agg.Values(nil)
 			for i := range vals {
-				if vals[i] != row.Aggrs[i] {
+				if !sameAggr(vals[i], row.Aggrs[i]) {
 					report.addError("node %s tuple %v: aggregate %d is %v, want %v",
 						e.enum.Name(id), row.Dims, i, row.Aggrs[i], vals[i])
 					return nil
@@ -143,6 +146,10 @@ func (e *Engine) Verify(sampleNodes int, seed int64) (*VerifyReport, error) {
 	}
 	return report, nil
 }
+
+// sameAggr reports whether two aggregate values agree: equal, or both
+// NaN (a NaN measure makes every SUM, MIN and MAX over it NaN).
+func sameAggr(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 
 func (r *VerifyReport) addError(format string, args ...any) {
 	if len(r.Errors) < maxVerifyErrors {

@@ -128,7 +128,9 @@ func (t *FactTable) Validate() error {
 
 // Aggregator accumulates aggregate values for one group of fact tuples
 // according to a list of AggSpecs. The zero Aggregator is not usable; call
-// NewAggregator.
+// NewAggregator. MIN and MAX fold with Go's min and max, so a NaN input
+// makes them NaN whatever the row order (every fold site in the engine
+// does the same).
 type Aggregator struct {
 	specs []AggSpec
 	vals  []float64
@@ -159,14 +161,16 @@ func (a *Aggregator) Add(t *FactTable, r int) {
 		case AggCount:
 			a.vals[i]++
 		case AggMin:
-			v := t.Measures[s.Measure][r]
-			if first || v < a.vals[i] {
+			if v := t.Measures[s.Measure][r]; first {
 				a.vals[i] = v
+			} else {
+				a.vals[i] = min(a.vals[i], v)
 			}
 		case AggMax:
-			v := t.Measures[s.Measure][r]
-			if first || v > a.vals[i] {
+			if v := t.Measures[s.Measure][r]; first {
 				a.vals[i] = v
+			} else {
+				a.vals[i] = max(a.vals[i], v)
 			}
 		}
 	}
@@ -187,14 +191,16 @@ func (a *Aggregator) AddValues(measures []float64) {
 		case AggCount:
 			a.vals[i]++
 		case AggMin:
-			v := measures[s.Measure]
-			if first || v < a.vals[i] {
+			if v := measures[s.Measure]; first {
 				a.vals[i] = v
+			} else {
+				a.vals[i] = min(a.vals[i], v)
 			}
 		case AggMax:
-			v := measures[s.Measure]
-			if first || v > a.vals[i] {
+			if v := measures[s.Measure]; first {
 				a.vals[i] = v
+			} else {
+				a.vals[i] = max(a.vals[i], v)
 			}
 		}
 	}
@@ -235,18 +241,14 @@ func AggregateRange(t *FactTable, specs []AggSpec, idx []int32, lo, hi int, dst 
 			col := t.Measures[s.Measure]
 			v := col[idx[lo]]
 			for j := lo + 1; j < hi; j++ {
-				if col[idx[j]] < v {
-					v = col[idx[j]]
-				}
+				v = min(v, col[idx[j]])
 			}
 			dst[i] = v
 		case AggMax:
 			col := t.Measures[s.Measure]
 			v := col[idx[lo]]
 			for j := lo + 1; j < hi; j++ {
-				if col[idx[j]] > v {
-					v = col[idx[j]]
-				}
+				v = max(v, col[idx[j]])
 			}
 			dst[i] = v
 		}

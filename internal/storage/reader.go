@@ -85,7 +85,8 @@ func (r *Reader) account(io *IOStats, n int64) {
 }
 
 // OpenReader loads the manifest and hierarchy of a cube directory and
-// opens its relation files.
+// opens its relation files, refusing any whose size differs from the
+// manifest's record of it (a truncated or extended file).
 func OpenReader(dir string) (*Reader, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
@@ -99,10 +100,20 @@ func OpenReader(dir string) (*Reader, error) {
 	for _, x := range []struct {
 		name string
 		dst  **os.File
+		size int64
 	}{
-		{NTFile, &r.ntF}, {TTFile, &r.ttF}, {CATFile, &r.catF}, {AggFile, &r.aggF},
+		{NTFile, &r.ntF, m.Sizes.NT}, {TTFile, &r.ttF, m.Sizes.TT},
+		{CATFile, &r.catF, m.Sizes.CAT}, {AggFile, &r.aggF, m.Sizes.Agg},
 	} {
 		if *x.dst, err = os.Open(filepath.Join(dir, x.name)); err != nil {
+			r.Close()
+			return nil, err
+		}
+		fi, err := (*x.dst).Stat()
+		if err == nil && fi.Size() != x.size {
+			err = fmt.Errorf("storage: %s in %s holds %d bytes, the manifest records %d", x.name, dir, fi.Size(), x.size)
+		}
+		if err != nil {
 			r.Close()
 			return nil, err
 		}

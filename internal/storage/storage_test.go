@@ -711,29 +711,48 @@ func TestOpenReaderMissingFiles(t *testing.T) {
 	}
 }
 
+// TestReaderTruncatedExtent: a relation file whose size differs from the
+// manifest's record — cut below its extents, or grown by one byte — does
+// not open, and the error names the file.
 func TestReaderTruncatedExtent(t *testing.T) {
-	dir := t.TempDir()
-	w := newTestWriter(t, Options{Dir: dir})
-	node := w.Enum().Encode([]int{0, 0})
-	for i := 0; i < 50; i++ {
-		if err := w.WriteNT(node, int64(i), []float64{1, 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Finalize(signature.FormatNT); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate the NT file below the recorded extent.
-	if err := os.Truncate(filepath.Join(dir, NTFile), 10); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.NTRows(node, func(NTRow) error { return nil }); err == nil {
-		t.Error("truncated extent read without error")
+	for name, resize := range map[string]func(path string) error{
+		"truncated": func(path string) error { return os.Truncate(path, 10) },
+		"appended": func(path string) error {
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				return err
+			}
+			if _, err := f.Write([]byte{0}); err != nil {
+				f.Close()
+				return err
+			}
+			return f.Close()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := newTestWriter(t, Options{Dir: dir})
+			node := w.Enum().Encode([]int{0, 0})
+			for i := 0; i < 50; i++ {
+				if err := w.WriteNT(node, int64(i), []float64{1, 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := w.Finalize(signature.FormatNT); err != nil {
+				t.Fatal(err)
+			}
+			if err := resize(filepath.Join(dir, NTFile)); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenReader(dir)
+			if err == nil {
+				r.Close()
+				t.Fatal("a resized nt.bin opened")
+			}
+			if !strings.Contains(err.Error(), NTFile) {
+				t.Errorf("error %q does not name %s", err, NTFile)
+			}
+		})
 	}
 }
 
