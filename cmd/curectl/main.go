@@ -1,6 +1,6 @@
 // Command curectl builds, inspects, and queries CURE cubes.
 //
-//	curectl build -fact apb.bin -hier apb.bin.hier.json -out cube/ [-plus] [-dr] [-flat] [-mem 268435456]
+//	curectl build -fact apb.bin -hier apb.bin.hier.json -out cube/ [-dr] [-flat] [-mem 268435456]
 //	curectl info  -cube cube/
 //	curectl nodes -cube cube/
 //	curectl query -cube cube/ -levels "Class,Retailer,ALL,ALL" [-limit 20]
@@ -197,7 +197,6 @@ func cmdBuild(args []string) {
 	agg := fs.String("agg", "", "aggregates, e.g. sum:0,count (default: sum of measure 0 + count)")
 	mem := fs.Int64("mem", 0, "memory budget in bytes (0 = in-memory build)")
 	pool := fs.Int("pool", 0, "signature pool capacity (0 = default 1,000,000; -1 disables)")
-	plus := fs.Bool("plus", false, "CURE+: post-process row-ids and bitmaps")
 	dr := fs.Bool("dr", false, "CURE_DR: store NT dimension values inline")
 	flat := fs.Bool("flat", false, "FCURE: flat cube at base levels only")
 	iceberg := fs.Int64("iceberg", 0, "min-count threshold (iceberg cube)")
@@ -224,7 +223,6 @@ func cmdBuild(args []string) {
 		AggSpecs:     parseAggs(*agg, numMeasures),
 		MemoryBudget: *mem,
 		PoolCapacity: *pool,
-		Plus:         *plus,
 		DimsInline:   *dr,
 		Flat:         *flat,
 		Iceberg:      *iceberg,
@@ -276,7 +274,7 @@ func cmdInfo(args []string) {
 	fmt.Printf("fact table:     %s (%d rows)\n", m.FactFile, m.FactRows)
 	fmt.Printf("aggregates:     %d\n", m.NumAggrs())
 	fmt.Printf("CAT format:     %v\n", m.CatFormat)
-	fmt.Printf("variants:       plus=%v dims-inline=%v iceberg=%d\n", m.Plus, m.DimsInline, m.Iceberg)
+	fmt.Printf("variants:       dims-inline=%v iceberg=%d\n", m.DimsInline, m.Iceberg)
 	if m.PartitionLevel >= 0 {
 		fmt.Printf("partitioned at: level %d of %s\n", m.PartitionLevel, eng.Hier().Dims[0].Name)
 	}

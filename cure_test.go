@@ -29,7 +29,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 			{Func: cure.AggSum, Measure: 1},
 			{Func: cure.AggCount},
 		},
-		Plus: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,15 +13,16 @@ import (
 	"cure/internal/query"
 )
 
-// apbVariants are the CURE variants of Figures 23–25.
+// apbVariants are the CURE variants of Figures 23–25. Builds write CURE+;
+// the CURE columns are the plain layout's baseline.
 var apbVariants = []struct {
 	label string
 	mod   func(*core.Options)
 }{
-	{"CURE", func(o *core.Options) {}},
-	{"CURE+", func(o *core.Options) { o.Plus = true }},
-	{"CURE_DR", func(o *core.Options) { o.DimsInline = true }},
-	{"CURE_DR+", func(o *core.Options) { o.DimsInline = true; o.Plus = true }},
+	{"CURE", core.PlainLayout},
+	{"CURE+", func(o *core.Options) {}},
+	{"CURE_DR", func(o *core.Options) { o.DimsInline = true; core.PlainLayout(o) }},
+	{"CURE_DR+", func(o *core.Options) { o.DimsInline = true }},
 }
 
 // buildAPBVariant streams an APB fact table at the given density (cached

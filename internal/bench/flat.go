@@ -58,10 +58,10 @@ func (h *Harness) runFlatHier() (map[string]*Result, error) {
 		sub   string
 		mod   func(*core.Options)
 	}{
-		{"FCURE", "fcure", func(o *core.Options) { o.Flat = true }},
-		{"FCURE+", "fcureplus", func(o *core.Options) { o.Flat = true; o.Plus = true }},
-		{"CURE", "cure", func(o *core.Options) {}},
-		{"CURE+", "cureplus", func(o *core.Options) { o.Plus = true }},
+		{"FCURE", "fcure", func(o *core.Options) { o.Flat = true; core.PlainLayout(o) }},
+		{"FCURE+", "fcureplus", func(o *core.Options) { o.Flat = true }},
+		{"CURE", "cure", core.PlainLayout},
+		{"CURE+", "cureplus", nil},
 	}
 	for _, cb := range cureBuilds {
 		stats, err := h.buildCURE(filepath.Join(dir, cb.sub), ft, hier, cb.mod)

@@ -69,11 +69,11 @@ func (h *Harness) runReal() (map[string]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cureStats, err := h.buildCURE(filepath.Join(dir, "cure"), ds.ft, ds.hier, nil)
+		cureStats, err := h.buildCURE(filepath.Join(dir, "cure"), ds.ft, ds.hier, core.PlainLayout)
 		if err != nil {
 			return nil, err
 		}
-		curePlusStats, err := h.buildCURE(filepath.Join(dir, "cureplus"), ds.ft, ds.hier, func(o *core.Options) { o.Plus = true })
+		curePlusStats, err := h.buildCURE(filepath.Join(dir, "cureplus"), ds.ft, ds.hier, nil)
 		if err != nil {
 			return nil, err
 		}

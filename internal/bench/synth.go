@@ -56,13 +56,13 @@ func (h *Harness) runDims() (map[string]*Result, error) {
 		}
 		timeCells = append(timeCells, fmtDur(st.Elapsed.Seconds()))
 		sizeCells = append(sizeCells, fmtBytes(st.Bytes))
-		cs, err := h.buildCURE(filepath.Join(dir, "cure"), ft, hier, nil)
+		cs, err := h.buildCURE(filepath.Join(dir, "cure"), ft, hier, core.PlainLayout)
 		if err != nil {
 			return nil, err
 		}
 		timeCells = append(timeCells, fmtDur(cs.Elapsed.Seconds()))
 		sizeCells = append(sizeCells, fmtBytes(cs.Sizes.Total()))
-		cps, err := h.buildCURE(filepath.Join(dir, "cureplus"), ft, hier, func(o *core.Options) { o.Plus = true })
+		cps, err := h.buildCURE(filepath.Join(dir, "cureplus"), ft, hier, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -107,13 +107,13 @@ func (h *Harness) runSkew() (map[string]*Result, error) {
 		}
 		timeCells = append(timeCells, fmtDur(bs.Elapsed.Seconds()))
 		sizeCells = append(sizeCells, fmtBytes(bs.Bytes))
-		cs, err := h.buildCURE(filepath.Join(dir, "cure"), ft, hier, nil)
+		cs, err := h.buildCURE(filepath.Join(dir, "cure"), ft, hier, core.PlainLayout)
 		if err != nil {
 			return nil, err
 		}
 		timeCells = append(timeCells, fmtDur(cs.Elapsed.Seconds()))
 		sizeCells = append(sizeCells, fmtBytes(cs.Sizes.Total()))
-		cps, err := h.buildCURE(filepath.Join(dir, "cureplus"), ft, hier, func(o *core.Options) { o.Plus = true })
+		cps, err := h.buildCURE(filepath.Join(dir, "cureplus"), ft, hier, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -2,9 +2,11 @@
 // bottom-up depth-first traversal of the hierarchical execution plan
 // (ExecutePlan / FollowEdge), trivial-tuple pruning, signature collection,
 // the in-memory and externally partitioned build paths, iceberg cubes,
-// and all the paper's variants — CURE, CURE+ (post-processed row-ids /
-// bitmaps), CURE_DR / CURE_DR+ (NTs with inline dimension values), and
-// FCURE / FCURE+ (flat cubes over hierarchical data).
+// and the paper's variants — CURE_DR (NTs with inline dimension values)
+// and FCURE (flat cubes over hierarchical data). Every build writes §5.3's
+// CURE+ layout: sorted row-ids, and bitmaps where they are shorter. The
+// plain CURE layout is only the baseline arm of the paper's exhibits,
+// reached through PlainLayout.
 package core
 
 import (
@@ -49,8 +51,6 @@ type Options struct {
 	PoolCapacity int
 	// DimsInline selects CURE_DR (NTs store projected dimension values).
 	DimsInline bool
-	// Plus selects CURE+ (post-processing: sorted row-ids, bitmaps).
-	Plus bool
 	// Flat selects FCURE: the hierarchy is flattened to base levels and
 	// only the 2^D flat nodes are built.
 	Flat bool
@@ -101,7 +101,15 @@ type Options struct {
 	// streams plan-traversal events to any attached trace sink. nil (the
 	// default) disables all instrumentation at zero overhead.
 	Metrics *obsv.Registry
+
+	// plainLayout is set by PlainLayout only.
+	plainLayout bool
 }
+
+// PlainLayout makes a build write plain CURE's row-id layout instead of
+// CURE+'s (see storage.PlainLayout). It is the baseline arm of the paper's
+// CURE-versus-CURE+ exhibits, and its signature fits their variant tables.
+func PlainLayout(o *Options) { o.plainLayout = true }
 
 // NoPool is the PoolCapacity sentinel for a zero-length signature pool
 // (disables CAT identification entirely).
@@ -233,21 +241,24 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 	}
 	resolver := func(rowids []int64, dims [][]int32) error { return facts.Deref(rowids, dims, nil, nil) }
 	setupSpan := root.Child("setup")
-	w, err := storage.NewWriter(storage.Options{
+	wopts := storage.Options{
 		Dir:           opts.Dir,
 		Hier:          effHier,
 		AggSpecs:      opts.AggSpecs,
 		FactFile:      factRef(opts.Dir, opts.FactPath),
 		FactRows:      rows,
 		DimsInline:    opts.DimsInline,
-		Plus:          opts.Plus,
 		ShortPlan:     opts.ShortPlan,
 		Resolver:      resolver,
 		Iceberg:       opts.Iceberg,
 		ZoneBlockRows: opts.ZoneBlockRows,
 		Parallelism:   finPar,
 		Metrics:       reg,
-	})
+	}
+	if opts.plainLayout {
+		storage.PlainLayout(&wopts)
+	}
+	w, err := storage.NewWriter(wopts)
 	if err != nil {
 		return nil, err
 	}

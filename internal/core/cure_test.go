@@ -68,10 +68,10 @@ func TestBuildVariantsMatchReference(t *testing.T) {
 		name string
 		mod  func(*Options)
 	}{
-		{"plain", func(o *Options) {}},
-		{"plus", func(o *Options) { o.Plus = true }},
-		{"dr", func(o *Options) { o.DimsInline = true }},
-		{"dr_plus", func(o *Options) { o.DimsInline = true; o.Plus = true }},
+		{"plain", PlainLayout},
+		{"plus", func(o *Options) {}},
+		{"dr", func(o *Options) { o.DimsInline = true; PlainLayout(o) }},
+		{"dr_plus", func(o *Options) { o.DimsInline = true }},
 		{"no_pool", func(o *Options) { o.PoolCapacity = NoPool }},
 		{"tiny_pool", func(o *Options) { o.PoolCapacity = 7 }},
 		{"force_format_a", func(o *Options) { o.ForceFormat = signature.FormatA }},
@@ -104,7 +104,7 @@ func TestBuildPartitionedVariants(t *testing.T) {
 		name string
 		mod  func(*Options)
 	}{
-		{"plus", func(o *Options) { o.Plus = true }},
+		{"plus", func(o *Options) {}},
 		{"dr", func(o *Options) { o.DimsInline = true }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
@@ -467,7 +467,7 @@ func TestPairPartitionedVariantsAndSkew(t *testing.T) {
 		mod  func(*Options)
 		seed int64
 	}{
-		{"plus", func(o *Options) { o.Plus = true }, 3},
+		{"plus", func(o *Options) {}, 3},
 		{"iceberg", func(o *Options) { o.Iceberg = 3 }, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

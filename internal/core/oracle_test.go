@@ -10,14 +10,17 @@ import (
 	"testing"
 
 	"cure/internal/hierarchy"
+	"cure/internal/lattice"
 	"cure/internal/query"
 	"cure/internal/relation"
 	"cure/internal/signature"
+	"cure/internal/storage"
 )
 
 // This file is the equivalence harness. Every cube the table below builds
 // — each variant, build path and worker count — must answer every node
-// exactly as query.Verify's brute-force CUBE of its fact file does.
+// exactly as query.Verify's brute-force CUBE of its fact file does, and
+// every cube but the plain-layout rows' must have §5.3's sorted row-ids.
 // Adding a variant is adding one row to oracleVariants.
 
 // checkCube is the harness's one oracle: query.Verify recomputes every node
@@ -79,7 +82,50 @@ func buildChecked(t *testing.T, ft *relation.FactTable, opts Options) *BuildStat
 	dir := t.TempDir()
 	stats := buildAt(t, dir, ft, opts)
 	checkCube(t, filepath.Join(dir, "cube"))
+	checkLayout(t, filepath.Join(dir, "cube"), opts)
 	return stats
+}
+
+// checkLayout holds the cube built into dir under opts to §5.3's layout,
+// which every build but the exhibits' plain arm writes: each TT extent,
+// and each CAT extent under format (a), decodes to strictly ascending
+// row-ids.
+func checkLayout(t *testing.T, dir string, opts Options) {
+	t.Helper()
+	if opts.plainLayout {
+		return
+	}
+	r, err := storage.OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check := func(id lattice.NodeID, rel string, ids []int64) {
+		for i := 1; i < len(ids); i++ {
+			if ids[i] <= ids[i-1] {
+				t.Fatalf("node %s: %s row-id %d follows %d", r.Enum().Name(id), rel, ids[i], ids[i-1])
+			}
+		}
+	}
+	formatA := r.Manifest().CatFormat == signature.FormatA
+	var ids []int64
+	for _, id := range r.Enum().AllNodes() {
+		if ids, err = r.TTRowIDs(id, ids); err != nil {
+			t.Fatal(err)
+		}
+		check(id, "TT", ids)
+		if !formatA {
+			continue
+		}
+		ids = ids[:0]
+		if err := r.CATRows(id, func(row storage.CATRow) error {
+			ids = append(ids, row.ARowid)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check(id, "CAT", ids)
+	}
 }
 
 func diffCubes(t *testing.T, dirA, dirB string) {
@@ -343,9 +389,9 @@ type oracleVariant struct {
 
 var oracleVariants = []oracleVariant{
 	{"plain", 53, func(*Options, *oracleCase) {}},
-	{"plus", 5, func(o *Options, _ *oracleCase) { o.Plus = true }},
+	{"plain-layout", 5, func(o *Options, _ *oracleCase) { PlainLayout(o) }},
 	{"dr", 8, func(o *Options, _ *oracleCase) { o.DimsInline = true }},
-	{"dr+plus", 10, func(o *Options, _ *oracleCase) { o.DimsInline, o.Plus = true, true }},
+	{"dr+plain-layout", 10, func(o *Options, _ *oracleCase) { o.DimsInline = true; PlainLayout(o) }},
 	{"flat", 24, func(o *Options, _ *oracleCase) { o.Flat = true }},
 	{"shortplan", 55, func(o *Options, _ *oracleCase) { o.ShortPlan = true }},
 	{"no-pool", 44, func(o *Options, _ *oracleCase) { o.PoolCapacity = NoPool }},
@@ -406,6 +452,7 @@ func checkVariant(t *testing.T, v oracleVariant, seed int64) {
 						par, stats.Partitioned, stats.PartitionLevelB, stats.NumPartitions)
 				}
 				checkCube(t, filepath.Join(dir, "cube"))
+				checkLayout(t, filepath.Join(dir, "cube"), opts)
 				switch {
 				case opts.Iceberg > 1 && stats.TTs != 0:
 					t.Errorf("P=%d: iceberg cube stored %d TTs", par, stats.TTs)

@@ -25,7 +25,7 @@ func queryAll(t *testing.T, eng *Engine) {
 // track the engine's own CacheStats exactly: with the full table cached a
 // second pass is all hits and nothing is ever evicted.
 func TestCacheMetricsFullCache(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	reg := obsv.NewRegistry()
 	eng, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, Metrics: reg})
 	if err != nil {
@@ -135,7 +135,7 @@ func TestCacheMetricsEviction(t *testing.T) {
 // TestCacheMetricsDisabledCache checks that with caching off every access
 // is a miss and nothing is stored or evicted.
 func TestCacheMetricsDisabledCache(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	reg := obsv.NewRegistry()
 	eng, err := Open(dir, Options{CacheFraction: 0, PinAggregates: true, Metrics: reg})
 	if err != nil {
@@ -160,7 +160,7 @@ func TestCacheMetricsDisabledCache(t *testing.T) {
 // TestQueryNilRegistry checks that the engine works (and stays silent)
 // without a registry — the zero-overhead default path.
 func TestQueryNilRegistry(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	eng, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true})
 	if err != nil {
 		t.Fatal(err)

@@ -19,8 +19,8 @@ import (
 
 // buildBlockCube builds a cube over ft, written to a fact file beside it
 // for Verify, with small (32-row) blocks, so that the extents of the test
-// table span many of them.
-func buildBlockCube(t *testing.T, ft *relation.FactTable, hier *hierarchy.Schema, plus bool) string {
+// table span many of them, and modified by mods.
+func buildBlockCube(t *testing.T, ft *relation.FactTable, hier *hierarchy.Schema, mods ...func(*core.Options)) string {
 	t.Helper()
 	base := t.TempDir()
 	factPath := filepath.Join(base, "fact.bin")
@@ -28,11 +28,14 @@ func buildBlockCube(t *testing.T, ft *relation.FactTable, hier *hierarchy.Schema
 		t.Fatal(err)
 	}
 	dir := filepath.Join(base, "cube")
-	if _, err := core.Build(core.Options{
+	opts := core.Options{
 		Dir: dir, FactPath: factPath, Hier: hier, AggSpecs: testAggSpecs(),
-		Plus:          plus,
 		ZoneBlockRows: 32,
-	}); err != nil {
+	}
+	for _, mod := range mods {
+		mod(&opts)
+	}
+	if _, err := core.Build(opts); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -50,9 +53,13 @@ func testAggSpecs() []relation.AggSpec {
 func TestCompressedQueryEquivalence(t *testing.T) {
 	for _, plus := range []bool{false, true} {
 		t.Run(fmt.Sprintf("plus=%v", plus), func(t *testing.T) {
-			_, hier, ft := buildTestCube(t, plus)
+			var mods []func(*core.Options)
+			if !plus {
+				mods = append(mods, core.PlainLayout)
+			}
+			_, hier, ft := buildTestCube(t, mods...)
 			reg := obsv.NewRegistry()
-			eng, err := Open(buildBlockCube(t, ft, hier, plus), Options{
+			eng, err := Open(buildBlockCube(t, ft, hier, mods...), Options{
 				CacheFraction: 1, PinAggregates: true, Metrics: reg,
 				DecodedCacheBytes: 64 << 10, // undersized: force evictions
 			})
@@ -83,7 +90,7 @@ func TestCompressedQueryEquivalence(t *testing.T) {
 // whose manifest says version 1 must not open, and the error must say
 // what to do about it.
 func TestV1ManifestRejected(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	v1 := `{"version": 1, "agg_specs": [{"Func": 0, "Measure": 0}], "nodes": {"0": {"nt_rows": 3}}}`
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(v1), 0o644); err != nil {
 		t.Fatal(err)
@@ -152,9 +159,9 @@ func TestExplainCompressedEstimates(t *testing.T) {
 // TestBlockCacheDisabled pins the negative budget: the engine attaches
 // no decoded-block cache, and every block read decodes.
 func TestBlockCacheDisabled(t *testing.T) {
-	_, hier, ft := buildTestCube(t, false)
+	_, hier, ft := buildTestCube(t)
 	reg := obsv.NewRegistry()
-	eng, err := Open(buildBlockCube(t, ft, hier, false), Options{
+	eng, err := Open(buildBlockCube(t, ft, hier), Options{
 		CacheFraction: 1, PinAggregates: true, Metrics: reg,
 		DecodedCacheBytes: -1,
 	})
@@ -189,7 +196,7 @@ func TestBitmapTTRepeatQueryHitsBlockCache(t *testing.T) {
 		ft.Append([]int32{int32(rng.Intn(1000)), int32(rng.Intn(50))}, []float64{float64(rng.Intn(9))})
 	}
 	reg := obsv.NewRegistry()
-	eng, err := Open(buildBlockCube(t, ft, hier, true), Options{
+	eng, err := Open(buildBlockCube(t, ft, hier), Options{
 		CacheFraction: 1, PinAggregates: true, Metrics: reg, DecodedCacheBytes: 8 << 20,
 	})
 	if err != nil {

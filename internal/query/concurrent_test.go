@@ -67,7 +67,7 @@ func checkBatchMatchesSequential(t *testing.T, eng *Engine) {
 // cache (so evictions race reads) and requires byte-identical results at
 // every concurrency level.
 func TestConcurrentNodeQueryEquivalence(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	eng, err := Open(dir, Options{CacheFraction: 0.3, PinAggregates: true})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestConcurrentNodeQueryEquivalence(t *testing.T) {
 // thread-safety regression test, and the tiny cache keeps evictions
 // racing the copied-out reads (the aliasing bug this PR fixes).
 func TestConcurrentMixedOps(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	reg := obsv.NewRegistry()
 	eng, err := Open(dir, Options{CacheFraction: 0.2, PinAggregates: true, Metrics: reg})
 	if err != nil {

@@ -52,7 +52,7 @@ func buildComplexCube(t *testing.T) (string, *hierarchy.Schema) {
 // borders: ALL cannot roll up further, base levels cannot drill deeper,
 // and each successful step moves exactly one level.
 func TestRollUpDrillDownBoundaries(t *testing.T) {
-	dir, hier, _ := buildTestCube(t, false)
+	dir, hier, _ := buildTestCube(t)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -11,9 +11,9 @@ import (
 	"cure/internal/relation"
 )
 
-// buildTestCube builds a small hierarchical cube and returns its
-// directory.
-func buildTestCube(t *testing.T, plus bool) (string, *hierarchy.Schema, *relation.FactTable) {
+// buildTestCube builds a small hierarchical cube, modified by mods, and
+// returns its directory.
+func buildTestCube(t *testing.T, mods ...func(*core.Options)) (string, *hierarchy.Schema, *relation.FactTable) {
 	t.Helper()
 	m := hierarchy.BuildContiguousMap(10, 5)
 	a, err := hierarchy.NewLinearDim("A", []string{"A0", "A1"}, []int32{10, 5}, [][]int32{m})
@@ -35,16 +35,18 @@ func buildTestCube(t *testing.T, plus bool) (string, *hierarchy.Schema, *relatio
 	}
 	dir := t.TempDir()
 	cubeDir := filepath.Join(dir, "cube")
-	_, err = core.BuildFromTable(ft, core.Options{
+	opts := core.Options{
 		Dir:  cubeDir,
 		Hier: hier,
 		AggSpecs: []relation.AggSpec{
 			{Func: relation.AggSum, Measure: 0},
 			{Func: relation.AggCount},
 		},
-		Plus: plus,
-	})
-	if err != nil {
+	}
+	for _, mod := range mods {
+		mod(&opts)
+	}
+	if _, err = core.BuildFromTable(ft, opts); err != nil {
 		t.Fatal(err)
 	}
 	return cubeDir, hier, ft
@@ -57,7 +59,7 @@ func TestOpenErrors(t *testing.T) {
 }
 
 func TestNodeQueryInvalidID(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +74,7 @@ func TestNodeQueryInvalidID(t *testing.T) {
 }
 
 func TestCacheFractionsAgree(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	// All cache settings must return identical result multisets.
 	counts := map[float64]int{}
 	sums := map[float64]float64{}
@@ -108,7 +110,7 @@ func TestCacheFractionsAgree(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	eng, err := Open(dir, Options{CacheFraction: 0.4, PinAggregates: true})
 	if err != nil {
 		t.Fatal(err)
@@ -130,20 +132,20 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestManifestAndFormatExposed(t *testing.T) {
-	dir, _, _ := buildTestCube(t, true)
+	dir, _, _ := buildTestCube(t)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if eng.Manifest() == nil || !eng.Manifest().Plus {
-		t.Error("manifest not exposed or Plus lost")
+	if eng.Manifest() == nil || eng.Manifest().Sizes.Total() == 0 {
+		t.Error("manifest not exposed")
 	}
 	_ = eng.Format() // any locked format is fine; must not panic
 }
 
 func TestNodeCountWithoutMaterialization(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +167,7 @@ func TestNodeCountWithoutMaterialization(t *testing.T) {
 }
 
 func TestVerifyCleanCube(t *testing.T) {
-	dir, _, _ := buildTestCube(t, true)
+	dir, _, _ := buildTestCube(t)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +194,7 @@ func TestVerifyCleanCube(t *testing.T) {
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
-	dir, _, _ := buildTestCube(t, false)
+	dir, _, _ := buildTestCube(t)
 	// Corrupt the NT relation: flip bytes in the middle of the file.
 	ntPath := filepath.Join(dir, "nt.bin")
 	data, err := os.ReadFile(ntPath)
@@ -223,8 +225,8 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 }
 
 func TestDiffEquivalentAndDivergent(t *testing.T) {
-	dirA, hier, ft := buildTestCube(t, false)
-	// Same data, different variant (CURE+): query-equivalent.
+	dirA, hier, ft := buildTestCube(t, core.PlainLayout)
+	// Same data, the other row-id layout (CURE+): query-equivalent.
 	dirB := filepath.Join(t.TempDir(), "plus")
 	if _, err := core.BuildFromTable(ft, core.Options{
 		Dir: dirB, Hier: hier,
@@ -232,7 +234,6 @@ func TestDiffEquivalentAndDivergent(t *testing.T) {
 			{Func: relation.AggSum, Measure: 0},
 			{Func: relation.AggCount},
 		},
-		Plus: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestDiffEquivalentAndDivergent(t *testing.T) {
 // legal: update.Apply appends the delta once the refreshed cube is
 // finalized, and the cube it superseded keeps reading its own prefix.
 func TestOpenChecksFactFile(t *testing.T) {
-	dir, _, ft := buildTestCube(t, false)
+	dir, _, ft := buildTestCube(t)
 	factPath := filepath.Join(dir, "fact.bin")
 	head := func(schema *relation.Schema, rows int) *relation.FactTable {
 		out := relation.NewFactTable(schema, rows)

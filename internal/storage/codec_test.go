@@ -280,7 +280,7 @@ func TestCubeRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			w := newTestWriter(t, Options{
-				Dir: dir, Plus: tc.plus, DimsInline: tc.dr, FactRows: 5000,
+				Dir: dir, plainLayout: !tc.plus, DimsInline: tc.dr, FactRows: 5000,
 				ZoneBlockRows: 64, Resolver: perRow(finalizeTestResolver),
 			})
 			m, want := writeWorkload(t, w, tc.formatA)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
@@ -21,10 +22,10 @@ import (
 
 // Finalize is one pass per relation file. For each node in ascending id a
 // worker gathers the node's rows from the construction log, applies the
-// node-local transform (CURE_DR projection, format-(a) narrowing, the
-// CURE+ sorts), encodes the rows into blocks — or, for a CURE+ TT extent
-// whose §5.3 bitmap is shorter, into one bitmap block — and folds the
-// same in-memory rows into the extent's zone map.
+// node-local transform (CURE_DR projection, format-(a) narrowing, §5.3's
+// row-id sort), encodes the rows into blocks — or, for a TT extent whose
+// §5.3 bitmap is shorter, into one bitmap block — and folds the same
+// in-memory rows into the extent's zone map.
 // Whoever holds the commit lock appends every ready prefix result to the
 // relation file in node order, which keeps the output byte-identical at
 // every worker count. Nothing is written twice and nothing written is
@@ -126,7 +127,6 @@ func (w *Writer) finalize(catFormat signature.Format) (*Manifest, error) {
 		AggSpecs:        w.opts.AggSpecs,
 		CatFormat:       w.catFormat,
 		DimsInline:      w.opts.DimsInline,
-		Plus:            w.opts.Plus,
 		PartitionLevel:  w.partLevel,
 		PartitionLevelB: w.partLevelB,
 		ShortPlan:       w.opts.ShortPlan,
@@ -176,6 +176,8 @@ func (w *Writer) finalize(catFormat signature.Format) (*Manifest, error) {
 			m.Sizes.CAT = f.size
 		case AggFile:
 			m.Sizes.Agg = f.size
+		case HierFile:
+			m.Sizes.Hier = f.size
 		}
 	}
 	if reg := w.opts.Metrics; reg != nil {
@@ -425,7 +427,8 @@ func (fin *finState) writeRelation(rel relKind) error {
 // the extents the worker claims.
 type finalizeWorker struct {
 	raw, xform []byte
-	ids        []int64 // sortInt64Rows output, read by encodeBitmapBlock
+	ids        []int64  // sortExtent output, read by encodeBitmapBlock
+	words      []uint64 // sortRowIDs' bitset
 	levels     []int
 	rowids     []int64   // the chunk being resolved
 	base       [][]int32 // its base-level codes, one column per dimension
@@ -444,6 +447,7 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 		return nil, err
 	}
 	res := &extentResult{id: id}
+	plus := !fin.w.opts.plainLayout
 	var kinds []colKind
 	zone := zoneSpec{mode: zoneRowID}
 	switch rel {
@@ -457,8 +461,8 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 		kinds = m.ntKinds(arity)
 	case relTT:
 		kinds = ttKinds()
-		if m.Plus {
-			fw.sortInt64Rows(raw)
+		if plus {
+			err = fw.sortExtent(raw, rel, id)
 		}
 	case relAgg:
 		kinds = m.aggKinds()
@@ -471,10 +475,13 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 		if m.CatFormat == signature.FormatA {
 			raw = dropLeadingColumn(raw, catLogRowWidth)
 			zone.mode = zoneAggRef
-			if m.Plus {
-				fw.sortInt64Rows(raw)
+			if plus {
+				err = fw.sortExtent(raw, rel, id)
 			}
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	width := 0
 	for _, k := range kinds {
@@ -501,10 +508,10 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 			codec.Encodings[encName(tag)]++
 		}
 	}
-	// §5.3: a CURE+ TT extent becomes a bitmap over [first, last] when
-	// that one block is shorter than the id blocks. It is encoded past
-	// the end of enc, then moved to its front.
-	if rel == relTT && m.Plus {
+	// §5.3: a TT extent becomes a bitmap over [first, last] when that one
+	// block is shorter than the id blocks. It is encoded past the end of
+	// enc, then moved to its front.
+	if rel == relTT && plus {
 		if bm, ok := encodeBitmapBlock(enc[len(enc):], fw.ids, len(enc)); ok {
 			enc = append(enc[:0], bm...)
 			codec = &ExtentCodec{
@@ -585,18 +592,68 @@ func (fin *finState) projectNT(fw *finalizeWorker, id lattice.NodeID, raw []byte
 	return out, arity, zone, nil
 }
 
-// sortInt64Rows sorts an extent of bare int64 rows in place (§5.3: CURE+
-// TT row-ids and format-(a) CAT A-rowids, for sequential scans) and
-// leaves the sorted values in fw.ids.
-func (fw *finalizeWorker) sortInt64Rows(raw []byte) {
+// sortExtent sorts node id's extent of bare int64 rows in place — TT
+// R-rowids or format-(a) CAT A-rowids, which §5.3 sorts for sequential
+// scans — and leaves the sorted values in fw.ids.
+func (fw *finalizeWorker) sortExtent(raw []byte, rel relKind, id lattice.NodeID) (err error) {
 	fw.ids = fw.ids[:0]
 	for off := 0; off < len(raw); off += 8 {
 		fw.ids = append(fw.ids, getInt64(raw[off:]))
 	}
-	slices.Sort(fw.ids)
+	if fw.words, err = sortRowIDs(fw.ids, fw.words); err != nil {
+		return fmt.Errorf("storage: finalize: %s extent of node %d: %w", relFiles[rel], id, err)
+	}
 	for i, v := range fw.ids {
 		putInt64(raw[8*i:], v)
 	}
+	return nil
+}
+
+// sortRowIDs sorts ids ascending in place. A node's TT R-rowids, and its
+// format-(a) A-rowids, are distinct by construction, so a repeated id is
+// an error. When the ids span fewer than 64 values per id — exactly where
+// a bitmap block can still be shorter than the id blocks (see
+// encodeBitmapBlock) — the sort is that bitmap: each id sets its bit in a
+// bitset over [min, max], and a pass over the words reads them back in
+// order, in O(n + span/64). Sparser ids take slices.Sort. words is the
+// bitset's scratch; the grown slice is returned for reuse.
+func sortRowIDs(ids []int64, words []uint64) ([]uint64, error) {
+	if len(ids) < 2 {
+		return words, nil
+	}
+	lo, hi := ids[0], ids[0]
+	for _, v := range ids[1:] {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	span := uint64(hi) - uint64(lo)
+	if span >= 64*uint64(len(ids)) {
+		slices.Sort(ids)
+		for i := 1; i < len(ids); i++ {
+			if ids[i] == ids[i-1] {
+				return words, fmt.Errorf("row-id %d repeats", ids[i])
+			}
+		}
+		return words, nil
+	}
+	n := int(span/64) + 1
+	words = slices.Grow(words[:0], n)[:n]
+	clear(words)
+	for _, v := range ids {
+		off := uint64(v) - uint64(lo)
+		bit := uint64(1) << (off & 63)
+		if words[off>>6]&bit != 0 {
+			return words, fmt.Errorf("row-id %d repeats", v)
+		}
+		words[off>>6] |= bit
+	}
+	k := 0
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			ids[k] = lo + int64(i<<6+bits.TrailingZeros64(w))
+			k++
+		}
+	}
+	return words, nil
 }
 
 // dropLeadingColumn removes the first 8-byte column of every width-byte

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,7 +48,7 @@ func perRow(fn func(rrowid int64, dst []int32) error) DimResolver {
 func buildFinalizeCube(t *testing.T, dir string, par int, plus, formatA bool) *Manifest {
 	t.Helper()
 	w := newTestWriter(t, Options{
-		Dir: dir, Plus: plus, FactRows: 5000, ZoneBlockRows: 64,
+		Dir: dir, plainLayout: !plus, FactRows: 5000, ZoneBlockRows: 64,
 		Parallelism: par, Resolver: perRow(finalizeTestResolver),
 	})
 	m, _ := writeWorkload(t, w, formatA)
@@ -174,7 +176,7 @@ func TestZoneMapsMatchBruteForce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			w := newTestWriter(t, Options{
-				Dir: dir, Plus: tc.plus, DimsInline: tc.dr, FactRows: tc.factRows,
+				Dir: dir, plainLayout: !tc.plus, DimsInline: tc.dr, FactRows: tc.factRows,
 				ZoneBlockRows: 64, Parallelism: 4, Resolver: perRow(finalizeTestResolver),
 			})
 			hier := w.opts.Hier
@@ -319,7 +321,7 @@ func TestFinalizeIsOnePass(t *testing.T) {
 		return finalizeTestResolver(rrowid, dst)
 	}
 	w := newTestWriter(t, Options{
-		Dir: dir, Plus: true, FactRows: 5000, ZoneBlockRows: 64,
+		Dir: dir, FactRows: 5000, ZoneBlockRows: 64,
 		Parallelism: 4, Resolver: perRow(resolver),
 	})
 	writeWorkload(t, w, true)
@@ -442,4 +444,94 @@ func TestFinalizeStatsSidecar(t *testing.T) {
 	if _, err := ReadFinalizeStats(t.TempDir()); err == nil {
 		t.Error("sidecar read from empty dir succeeded")
 	}
+}
+
+// TestSortRowIDs holds §5.3's row-id sort to slices.Sort on both sides of
+// its rule — a bitset when the ids span fewer than 64 values per id, a
+// comparison sort otherwise — and requires a repeated id to be an error.
+func TestSortRowIDs(t *testing.T) {
+	const factRows = 123_930
+	rng := rand.New(rand.NewSource(5))
+	// spread returns n distinct ids whose max − min is exactly span.
+	spread := func(lo int64, n int, span int64) []int64 {
+		ids := []int64{lo, lo + span}
+		for _, off := range rng.Perm(int(span) - 1)[:n-2] {
+			ids = append(ids, lo+1+int64(off))
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		return ids
+	}
+	for _, tc := range []struct {
+		name   string
+		ids    []int64
+		bitset bool // the rule's side
+	}{
+		{"empty", nil, false},
+		{"one id", []int64{42}, false},
+		{"dense span", spread(1000, 900, 999), true},
+		{"span 64n-1", spread(7, 50, 64*50-1), true},
+		{"span 64n", spread(7, 50, 64*50), false},
+		{"ids at 0 and FactRows-1", spread(0, 3000, factRows-1), true},
+		{"sparse ids at 0 and FactRows-1", spread(0, 100, factRows-1), false},
+		{"near MaxInt64", []int64{math.MaxInt64, math.MaxInt64 - 64, math.MaxInt64 - 3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := slices.Clone(tc.ids)
+			slices.Sort(want)
+			got := slices.Clone(tc.ids)
+			words, err := sortRowIDs(got, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("sorted %v, want %v", got, want)
+			}
+			if (len(words) > 0) != tc.bitset {
+				t.Errorf("bitset of %d words; want the bitset side = %v", len(words), tc.bitset)
+			}
+		})
+	}
+	for _, ids := range [][]int64{{5, 9, 5, 7}, {factRows - 1, 0, factRows - 1}} {
+		if _, err := sortRowIDs(ids, nil); err == nil || !strings.Contains(err.Error(), "repeats") {
+			t.Errorf("%v: error %v, want the repeated id reported", ids, err)
+		}
+	}
+}
+
+// TestFinalizeRejectsRepeatedRowID: a node's TT row-ids are distinct by
+// construction, so a repeat is a finalize error that names the node.
+func TestFinalizeRejectsRepeatedRowID(t *testing.T) {
+	w := newTestWriter(t, Options{})
+	node := w.Enum().Encode([]int{1, 0})
+	for _, id := range []int64{4, 8, 4} {
+		if err := w.WriteTT(node, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := w.Finalize(signature.FormatNT)
+	if err == nil || !strings.Contains(err.Error(), "node "+strconv.Itoa(int(node))) {
+		t.Fatalf("Finalize error %v, want one naming node %d", err, node)
+	}
+}
+
+// BenchmarkSortRowIDs sorts the shape of the largest TT extent of an APB
+// density-0.01 cube: 88,144 ids spread over 123,930 fact rows.
+func BenchmarkSortRowIDs(b *testing.B) {
+	const n, span = 88_144, 123_930
+	src := make([]int64, n)
+	for i, v := range rand.New(rand.NewSource(1)).Perm(span)[:n] {
+		src[i] = int64(v)
+	}
+	ids := make([]int64, n)
+	words, _ := sortRowIDs(slices.Clone(src), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		copy(ids, src)
+		var err error
+		if words, err = sortRowIDs(ids, words); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/id")
 }

@@ -1,6 +1,7 @@
 // Package storage implements CURE's relational cube store (§5): per-node
 // NT, TT, and CAT relations, the shared AGGREGATES relation, and the
-// CURE+ post-processing step (sorted row-ids, bitmap indices).
+// CURE+ layout of §5.3 — sorted row-ids, bitmaps for dense TT extents —
+// which every cube has (PlainLayout keeps the paper's baseline reachable).
 //
 // During construction, classified tuples arrive interleaved across nodes
 // (the signature pool flushes whenever it fills), so the writer appends
@@ -46,23 +47,26 @@ type NodeMeta struct {
 	NTZones  *ZoneIndex `json:"nt_zones,omitempty"`
 	TTZones  *ZoneIndex `json:"tt_zones,omitempty"`
 	CATZones *ZoneIndex `json:"cat_zones,omitempty"`
-	// Block records of the extents (nil when the extent is empty). A
-	// CURE+ TT extent may be one bitmap block (see encodeBitmapBlock).
+	// Block records of the extents (nil when the extent is empty). A TT
+	// extent may be one bitmap block (see encodeBitmapBlock).
 	NTCodec  *ExtentCodec `json:"nt_codec,omitempty"`
 	TTCodec  *ExtentCodec `json:"tt_codec,omitempty"`
 	CATCodec *ExtentCodec `json:"cat_codec,omitempty"`
 }
 
 // Sizes breaks down the on-disk footprint of a cube, the quantity the
-// paper's storage-space figures report.
+// paper's storage-space figures report, and records the size of every
+// file OpenReader opens so that it can refuse one that was cut or grown.
 type Sizes struct {
 	NT  int64 `json:"nt"`
 	TT  int64 `json:"tt"`
 	CAT int64 `json:"cat"`
 	Agg int64 `json:"agg"`
+	// Hier is the size of the hierarchy sidecar; Total leaves it out.
+	Hier int64 `json:"hier"`
 }
 
-// Total returns the cube data footprint in bytes.
+// Total returns the cube data footprint in bytes: the four relations.
 func (s Sizes) Total() int64 { return s.NT + s.TT + s.CAT + s.Agg }
 
 // Manifest is the catalog of a cube directory.
@@ -75,8 +79,6 @@ type Manifest struct {
 	// DimsInline marks the CURE_DR variant: NT rows carry projected
 	// dimension values instead of an R-rowid.
 	DimsInline bool `json:"dims_inline"`
-	// Plus marks CURE+ post-processing (sorted row-ids / bitmaps).
-	Plus bool `json:"plus"`
 	// PartitionLevel is the level L of dimension 0 the build partitioned
 	// on, or -1 for an in-memory build. It bounds trivial-tuple sharing
 	// (see lattice.PlanPathFrom).

@@ -85,14 +85,22 @@ func (r *Reader) account(io *IOStats, n int64) {
 }
 
 // OpenReader loads the manifest and hierarchy of a cube directory and
-// opens its relation files, refusing any whose size differs from the
+// opens its relation files, refusing any file whose size differs from the
 // manifest's record of it (a truncated or extended file).
 func OpenReader(dir string) (*Reader, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	hier, err := hierarchy.ReadSchemaFile(filepath.Join(dir, HierFile))
+	hierPath := filepath.Join(dir, HierFile)
+	fi, err := os.Stat(hierPath)
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() != m.Sizes.Hier {
+		return nil, sizeMismatch(dir, HierFile, fi.Size(), m.Sizes.Hier)
+	}
+	hier, err := hierarchy.ReadSchemaFile(hierPath)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +119,7 @@ func OpenReader(dir string) (*Reader, error) {
 		}
 		fi, err := (*x.dst).Stat()
 		if err == nil && fi.Size() != x.size {
-			err = fmt.Errorf("storage: %s in %s holds %d bytes, the manifest records %d", x.name, dir, fi.Size(), x.size)
+			err = sizeMismatch(dir, x.name, fi.Size(), x.size)
 		}
 		if err != nil {
 			r.Close()
@@ -119,6 +127,10 @@ func OpenReader(dir string) (*Reader, error) {
 		}
 	}
 	return r, nil
+}
+
+func sizeMismatch(dir, name string, got, want int64) error {
+	return fmt.Errorf("storage: %s in %s holds %d bytes, the manifest records %d", name, dir, got, want)
 }
 
 // Close releases the reader's file handles.

@@ -309,7 +309,7 @@ func TestDimsInlineProjection(t *testing.T) {
 
 func TestPlusSortsTTIDs(t *testing.T) {
 	dir := t.TempDir()
-	w := newTestWriter(t, Options{Dir: dir, Plus: true, FactRows: 1 << 20})
+	w := newTestWriter(t, Options{Dir: dir, FactRows: 1 << 20})
 	node := w.Enum().Encode([]int{0, 0})
 	for _, id := range []int64{50, 3, 17, 99, 1} {
 		if err := w.WriteTT(node, id); err != nil {
@@ -339,7 +339,7 @@ func TestPlusSortsTTIDs(t *testing.T) {
 func TestPlusConvertsDenseTTsToBitmap(t *testing.T) {
 	dir := t.TempDir()
 	const factRows = 256
-	w := newTestWriter(t, Options{Dir: dir, Plus: true, FactRows: factRows})
+	w := newTestWriter(t, Options{Dir: dir, FactRows: factRows})
 	node := w.Enum().Encode([]int{0, 0})
 	// 200 of 256 rows are TTs: dense, so one bitmap block (about 40 bytes)
 	// beats the delta-encoded ids (about 200).
@@ -394,7 +394,7 @@ func TestPlusTTKeepsTheSmallerForm(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w := newTestWriter(t, Options{Dir: dir, Plus: true, FactRows: n * tc.stride})
+			w := newTestWriter(t, Options{Dir: dir, FactRows: n * tc.stride})
 			node := w.Enum().Encode([]int{0, 0})
 			want := make([]int64, n)
 			for i := range want {
@@ -453,7 +453,7 @@ func TestPlusTTKeepsTheSmallerForm(t *testing.T) {
 
 func TestPlusSortsCATFormatA(t *testing.T) {
 	dir := t.TempDir()
-	w := newTestWriter(t, Options{Dir: dir, Plus: true})
+	w := newTestWriter(t, Options{Dir: dir})
 	node := w.Enum().Encode([]int{0, 0})
 	// Append aggregates 0..4, reference them in reverse order.
 	var arowids []int64
@@ -486,7 +486,7 @@ func TestPlusSortsCATFormatA(t *testing.T) {
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
-			t.Fatalf("CAT A-rowids not sorted after Plus: %v", got)
+			t.Fatalf("CAT A-rowids not sorted: %v", got)
 		}
 	}
 }
@@ -711,9 +711,10 @@ func TestOpenReaderMissingFiles(t *testing.T) {
 	}
 }
 
-// TestReaderTruncatedExtent: a relation file whose size differs from the
-// manifest's record — cut below its extents, or grown by one byte — does
-// not open, and the error names the file.
+// TestReaderTruncatedExtent: a relation file or hierarchy sidecar whose
+// size differs from the manifest's record — cut short, or grown by one
+// byte — does not open, and the error names the file. The sidecar is one
+// gob value, which decodes the same with bytes appended to it.
 func TestReaderTruncatedExtent(t *testing.T) {
 	for name, resize := range map[string]func(path string) error{
 		"truncated": func(path string) error { return os.Truncate(path, 10) },
@@ -730,27 +731,31 @@ func TestReaderTruncatedExtent(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			w := newTestWriter(t, Options{Dir: dir})
-			node := w.Enum().Encode([]int{0, 0})
-			for i := 0; i < 50; i++ {
-				if err := w.WriteNT(node, int64(i), []float64{1, 1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := w.Finalize(signature.FormatNT); err != nil {
-				t.Fatal(err)
-			}
-			if err := resize(filepath.Join(dir, NTFile)); err != nil {
-				t.Fatal(err)
-			}
-			r, err := OpenReader(dir)
-			if err == nil {
-				r.Close()
-				t.Fatal("a resized nt.bin opened")
-			}
-			if !strings.Contains(err.Error(), NTFile) {
-				t.Errorf("error %q does not name %s", err, NTFile)
+			for _, file := range []string{NTFile, HierFile} {
+				t.Run(file, func(t *testing.T) {
+					dir := t.TempDir()
+					w := newTestWriter(t, Options{Dir: dir})
+					node := w.Enum().Encode([]int{0, 0})
+					for i := 0; i < 50; i++ {
+						if err := w.WriteNT(node, int64(i), []float64{1, 1}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := w.Finalize(signature.FormatNT); err != nil {
+						t.Fatal(err)
+					}
+					if err := resize(filepath.Join(dir, file)); err != nil {
+						t.Fatal(err)
+					}
+					r, err := OpenReader(dir)
+					if err == nil {
+						r.Close()
+						t.Fatalf("a resized %s opened", file)
+					}
+					if !strings.Contains(err.Error(), file) {
+						t.Errorf("error %q does not name %s", err, file)
+					}
+				})
 			}
 		})
 	}
@@ -880,7 +885,7 @@ func TestRandomizedWriteReadRoundTrip(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		dir := t.TempDir()
 		plus := trial%2 == 0
-		w := newTestWriter(t, Options{Dir: dir, Plus: plus, StageBudget: int64(64 + rng.Intn(4096)), FactRows: 10_000})
+		w := newTestWriter(t, Options{Dir: dir, plainLayout: !plus, StageBudget: int64(64 + rng.Intn(4096)), FactRows: 10_000})
 		enum := w.Enum()
 		numNodes := int(enum.NumNodes())
 

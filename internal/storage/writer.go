@@ -40,8 +40,6 @@ type Options struct {
 	FactRows int64
 	// DimsInline selects the CURE_DR variant.
 	DimsInline bool
-	// Plus selects CURE+ post-processing at Finalize.
-	Plus bool
 	// ShortPlan records that the build used the shortest plan (P2).
 	ShortPlan bool
 	// Resolver is required when DimsInline is set.
@@ -64,7 +62,16 @@ type Options struct {
 	// and byte counters (storage.nt.*, storage.tt.*, storage.cat.*,
 	// storage.agg.*) and final size gauges. nil disables it.
 	Metrics *obsv.Registry
+
+	// plainLayout is set by PlainLayout only.
+	plainLayout bool
 }
+
+// PlainLayout makes o write plain CURE's row-id layout instead of §5.3's
+// CURE+ one: TT and format-(a) CAT row-ids stay in the order the build
+// emitted them, and no TT extent becomes a bitmap block. It exists for
+// the baseline arm of the paper's CURE-versus-CURE+ exhibits.
+func PlainLayout(o *Options) { o.plainLayout = true }
 
 // Writer materializes a cube. It implements signature.Sink for NT/CAT
 // traffic and additionally receives trivial tuples directly (they bypass

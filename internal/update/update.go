@@ -16,9 +16,9 @@
 //     the rows its manifest counts, so a crash between 2 and 3 leaves the
 //     old cube and nothing that answers wrongly.
 //
-// The refreshed cube is finalized with ascending TT row-ids (Plus) and
-// without zone maps, whatever the old cube had: DESIGN.md §11 gives the
-// byte ratios behind both choices.
+// The refreshed cube has the one layout every build writes (§5.3's sorted
+// row-ids and bitmaps) and no zone maps, whatever the old cube had:
+// DESIGN.md §11 gives the byte ratios behind the second choice.
 package update
 
 import (
@@ -119,9 +119,8 @@ func Apply(opts Options) (_ *Stats, err error) {
 		DimsInline:   m.DimsInline,
 		Iceberg:      m.Iceberg,
 		ShortPlan:    m.ShortPlan,
-		// Both become "as the old manifest says" once every cube sorts its
-		// TTs (ROADMAP 2(b)) and zone maps leave the JSON manifest (2(d)).
-		Plus:          true,
+		// Becomes "as the old manifest says" once zone maps leave the JSON
+		// manifest.
 		ZoneBlockRows: -1,
 	})
 	if err != nil {
