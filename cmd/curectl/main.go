@@ -97,25 +97,30 @@ type hierSpec struct {
 	} `json:"dims"`
 }
 
-func loadHier(path string) *hierarchy.Schema {
+// loadHier reads a hierSpec file. A level's map is the step from the
+// level below it: one code in [0, card) per member of that level.
+func loadHier(path string) (*hierarchy.Schema, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
 	var spec hierSpec
 	if err := json.Unmarshal(data, &spec); err != nil {
-		fatalf("parsing %s: %v", path, err)
+		return nil, fmt.Errorf("parsing %s: %v", path, err)
 	}
 	var dims []*hierarchy.Dim
 	for _, ds := range spec.Dims {
 		if len(ds.Levels) == 0 {
-			fatalf("dimension %q has no levels", ds.Name)
+			return nil, fmt.Errorf("dimension %q has no levels", ds.Name)
 		}
 		var names []string
 		var cards []int32
 		var maps [][]int32
 		var acc []int32
 		for i, ls := range ds.Levels {
+			if ls.Card <= 0 {
+				return nil, fmt.Errorf("dimension %q level %q: card %d", ds.Name, ls.Name, ls.Card)
+			}
 			names = append(names, ls.Name)
 			cards = append(cards, ls.Card)
 			if i == 0 {
@@ -124,6 +129,15 @@ func loadHier(path string) *hierarchy.Schema {
 			step := ls.Map
 			if step == nil {
 				step = hierarchy.BuildContiguousMap(cards[i-1], ls.Card)
+			}
+			if len(step) != int(cards[i-1]) {
+				return nil, fmt.Errorf("dimension %q level %q: map has %d entries, want one per %s member (%d)",
+					ds.Name, ls.Name, len(step), names[i-1], cards[i-1])
+			}
+			for j, c := range step {
+				if c < 0 || c >= ls.Card {
+					return nil, fmt.Errorf("dimension %q level %q: map[%d] = %d outside [0,%d)", ds.Name, ls.Name, j, c, ls.Card)
+				}
 			}
 			if acc == nil {
 				acc = step
@@ -134,15 +148,11 @@ func loadHier(path string) *hierarchy.Schema {
 		}
 		d, err := hierarchy.NewLinearDim(ds.Name, names, cards, maps)
 		if err != nil {
-			fatalf("%v", err)
+			return nil, err
 		}
 		dims = append(dims, d)
 	}
-	s, err := hierarchy.NewSchema(dims...)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return s
+	return hierarchy.NewSchema(dims...)
 }
 
 // parseAggs parses "-agg sum:0,count,min:1" into specs.
@@ -215,7 +225,10 @@ func cmdBuild(args []string) {
 	if err := obs.Start(os.Stderr); err != nil {
 		fatalf("%v", err)
 	}
-	hier := loadHier(*hierPath)
+	hier, err := loadHier(*hierPath)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	stats, err := core.Build(core.Options{
 		Dir:          *out,
 		FactPath:     *fact,
@@ -815,7 +828,10 @@ func cmdEstimate(args []string) {
 	if *hierPath == "" || *rows <= 0 {
 		fatalf("estimate needs -hier and -rows")
 	}
-	hier := loadHier(*hierPath)
+	hier, err := loadHier(*hierPath)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	schema := &relation.Schema{}
 	for _, d := range hier.Dims {
 		schema.DimNames = append(schema.DimNames, d.Name)

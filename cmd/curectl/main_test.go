@@ -53,6 +53,44 @@ func TestParseLevelsErrors(t *testing.T) {
 	}
 }
 
+// TestLoadHierRejectsBadStepMaps: a step map must hold one code per
+// member of the level below, each inside its own level's range; a bad
+// one is an error naming the dimension and level, not a panic.
+func TestLoadHierRejectsBadStepMaps(t *testing.T) {
+	cases := []struct {
+		name, product, want string
+	}{
+		{"short", `{"name":"Group","card":3,"map":[0,1,2]}`, `dimension "Product" level "Group": map has 3 entries, want one per Class member (5)`},
+		{"out-of-range", `{"name":"Group","card":3,"map":[0,1,2,3,0]}`, `dimension "Product" level "Group": map[3] = 3 outside [0,3)`},
+		{"negative", `{"name":"Group","card":3,"map":[0,-1,2,2,0]}`, `dimension "Product" level "Group": map[1] = -1 outside [0,3)`},
+		{"bad-card", `{"name":"Group","card":-1}`, `dimension "Product" level "Group": card -1`},
+		{"good", `{"name":"Group","card":3,"map":[0,0,1,2,2]}`, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "hier.json")
+			spec := `{"dims":[{"name":"Product","levels":[{"name":"Code","card":20},{"name":"Class","card":5},` +
+				tc.product + `]},{"name":"Outlet","levels":[{"name":"Store","card":4}]}]}`
+			if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			hier, err := loadHier(path)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := hier.Dims[0].MapCode(19, 2); got != 2 {
+					t.Fatalf("Code 19 → Group %d, want 2", got)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("loadHier = %v, want error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestParseWhereErrors(t *testing.T) {
 	hier := testHier(t)
 	cases := []struct {

@@ -171,6 +171,10 @@ func (d *Dim) Finalize() error {
 			if p <= i || p >= len(d.Levels) {
 				return fmt.Errorf("hierarchy: %s/%s: rolls up to invalid level %d", d.Name, lv.Name, p)
 			}
+			if m := d.splitMember(i, p); m >= 0 {
+				return fmt.Errorf("hierarchy: %s/%s: rolls up to %s, but its member %d maps to two %s members",
+					d.Name, lv.Name, d.Levels[p].Name, m, d.Levels[p].Name)
+			}
 		}
 	}
 	return d.computeDashTree()
@@ -334,11 +338,15 @@ func ComposeMaps(baseToMid, midToTop []int32) []int32 {
 // consistent hierarchy (each lower-level member rolls up to a single
 // upper-level member).
 func (d *Dim) FactorsThrough(lower, upper int) bool {
-	if upper <= lower {
-		return false
-	}
+	return upper > lower && d.splitMember(lower, upper) < 0
+}
+
+// splitMember returns a level-lower code whose base codes reach two
+// different level-upper codes, or -1 when every one reaches a single
+// code (upper's map factors through lower's).
+func (d *Dim) splitMember(lower, upper int) int32 {
 	if d.IsAll(upper) {
-		return true
+		return -1
 	}
 	rep := make([]int32, d.Card(lower))
 	for i := range rep {
@@ -350,8 +358,8 @@ func (d *Dim) FactorsThrough(lower, upper int) bool {
 		if rep[lo] == -1 {
 			rep[lo] = up
 		} else if rep[lo] != up {
-			return false
+			return lo
 		}
 	}
-	return true
+	return -1
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -167,11 +168,21 @@ func TestFinalizeRejectsBadDims(t *testing.T) {
 			{Name: "l0", Card: 2, RollsUpTo: []int{2}},
 			{Name: "l1", Card: 2, Map: []int32{0, 1}},
 		}},
+		{Name: "nofactor", Levels: []Level{
+			// x1 member 0 holds base codes 0 and 1, which x2 splits.
+			{Name: "x0", Card: 4, RollsUpTo: []int{1}},
+			{Name: "x1", Card: 2, Map: []int32{0, 0, 1, 1}, RollsUpTo: []int{2}},
+			{Name: "x2", Card: 2, Map: []int32{0, 1, 0, 1}},
+		}},
 	}
 	for _, d := range bad {
 		if err := d.Finalize(); err == nil {
 			t.Errorf("%s: invalid dim accepted", d.Name)
 		}
+	}
+	err := bad[len(bad)-1].Finalize()
+	if err == nil || !strings.Contains(err.Error(), "nofactor/x1: rolls up to x2, but its member 0 maps to two x2 members") {
+		t.Errorf("non-factoring edge: error %v does not name the dimension, both levels and member 0", err)
 	}
 }
 

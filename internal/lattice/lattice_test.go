@@ -382,16 +382,18 @@ func TestPlanCoverageRandomComplexHierarchies(t *testing.T) {
 			levels := make([]hierarchy.Level, numLevels)
 			baseCard := int32(8 + rng.Intn(24))
 			levels[0] = hierarchy.Level{Name: "l0", Card: baseCard}
+			// Each level's map composes the one below it with a step
+			// map, so every level-to-coarser-level edge factors.
 			for l := 1; l < numLevels; l++ {
 				card := baseCard / int32(1<<l)
 				if card < 1 {
 					card = 1
 				}
-				levels[l] = hierarchy.Level{
-					Name: string(rune('a' + l)),
-					Card: card,
-					Map:  hierarchy.BuildContiguousMap(baseCard, card),
+				m := hierarchy.BuildContiguousMap(levels[l-1].Card, card)
+				if l > 1 {
+					m = hierarchy.ComposeMaps(levels[l-1].Map, m)
 				}
+				levels[l] = hierarchy.Level{Name: string(rune('a' + l)), Card: card, Map: m}
 			}
 			// Random roll-up DAG: every level rolls up into one or two
 			// strictly coarser levels.

@@ -245,6 +245,20 @@ type zoneConfig struct {
 	blockRows int
 	offs      []int
 	slots     int
+	// derived holds the levels above a base whose Map is non-decreasing,
+	// as every generator's contiguous numbering makes it: their bounds
+	// follow from the base bounds at the end of an extent. folded[d]
+	// holds dimension d's other levels (csvload's dictionary order, a
+	// user map), which are folded block by block from the mapped codes.
+	derived []zoneLevel
+	folded  [][]zoneLevel
+}
+
+// zoneLevel is one real level above a dimension's base: its zone slot,
+// the slot of its dimension's base level, and its base→level map.
+type zoneLevel struct {
+	slot, base int
+	m          []int32
 }
 
 func (w *Writer) zoneConfig() *zoneConfig {
@@ -255,11 +269,64 @@ func (w *Writer) zoneConfig() *zoneConfig {
 	if blockRows < 0 || w.opts.Resolver == nil {
 		return nil
 	}
-	offs, slots := ZoneSlots(w.opts.Hier)
+	hier := w.opts.Hier
+	offs, slots := ZoneSlots(hier)
 	if slots == 0 {
 		return nil
 	}
-	return &zoneConfig{blockRows: blockRows, offs: offs, slots: slots}
+	zc := &zoneConfig{blockRows: blockRows, offs: offs, slots: slots, folded: make([][]zoneLevel, hier.NumDims())}
+	for d, dim := range hier.Dims {
+		for l := 1; l < dim.AllLevel(); l++ {
+			zl := zoneLevel{slot: offs[d] + l, base: offs[d], m: dim.Levels[l].Map}
+			if slices.IsSorted(zl.m) {
+				zc.derived = append(zc.derived, zl)
+			} else {
+				zc.folded[d] = append(zc.folded[d], zl)
+			}
+		}
+	}
+	return zc
+}
+
+// foldBase folds n resolved rows into zb — base[d][i] is row i's base
+// code in dimension d — keeping running bounds of each base code and of
+// each folded level. A block may straddle two calls: zb's fill carries
+// across them.
+func (zc *zoneConfig) foldBase(zb *zoneBuilder, base [][]int32, n int) {
+	for i := 0; i < n; {
+		b, k := zb.claim(n - i)
+		for d, col := range base {
+			col := col[i : i+k]
+			s := b + zc.offs[d]
+			lo, hi := zb.lo[s], zb.hi[s]
+			for _, c := range col {
+				lo, hi = min(lo, c), max(hi, c)
+			}
+			zb.lo[s], zb.hi[s] = lo, hi
+			for _, zl := range zc.folded[d] {
+				s := b + zl.slot
+				lo, hi := zb.lo[s], zb.hi[s]
+				for _, c := range col {
+					v := zl.m[c]
+					lo, hi = min(lo, v), max(hi, v)
+				}
+				zb.lo[s], zb.hi[s] = lo, hi
+			}
+		}
+		i += k
+	}
+}
+
+// deriveLevels sets the bounds of every derived level in every block of
+// zb from its base bounds: for a non-decreasing map, min Map(S) =
+// Map(min S) and max Map(S) = Map(max S), so the result is exactly what
+// folding the mapped codes would give.
+func (zc *zoneConfig) deriveLevels(zb *zoneBuilder) {
+	for b := 0; b < len(zb.lo); b += zc.slots {
+		for _, zl := range zc.derived {
+			zb.lo[b+zl.slot], zb.hi[b+zl.slot] = zl.m[zb.lo[b+zl.base]], zl.m[zb.hi[b+zl.base]]
+		}
+	}
 }
 
 // resolveChunkRows caps the row-ids handed to Options.Resolver in one
@@ -671,7 +738,9 @@ func dropLeadingColumn(raw []byte, width int) []byte {
 // already in memory for encoding, in their final order — exactly the
 // order query-time scans visit. A bitmap TT extent folds in zone-sized
 // blocks like any other: its ids are sorted in raw, the order the bitmap
-// decodes to.
+// decodes to. Row-id extents fold base codes only (plus any folded
+// level) and derive the coarser levels once at the end; CURE_DR rows
+// carry the node's own level codes and fold them directly.
 func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneSpec, raw []byte, width int) (*ZoneIndex, error) {
 	zc := fin.zcfg
 	zb := newZoneBuilder(zc.blockRows, zc.slots)
@@ -683,8 +752,6 @@ func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneSpec, raw []by
 		}
 		return zb.finish(), nil
 	}
-	hier := fin.w.opts.Hier
-	fw.codes = slices.Grow(fw.codes[:0], zc.slots)[:zc.slots]
 	for len(raw) > 0 {
 		chunk := raw[:min(len(raw), resolveChunkRows*width)]
 		raw = raw[len(chunk):]
@@ -702,15 +769,9 @@ func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneSpec, raw []by
 		if err := fin.resolve(fw, fw.rowids); err != nil {
 			return nil, fmt.Errorf("storage: zone map: %w", err)
 		}
-		for i := range fw.rowids {
-			for d, dim := range hier.Dims {
-				for l := 0; l < dim.AllLevel(); l++ {
-					fw.codes[zc.offs[d]+l] = dim.MapCode(fw.base[d][i], l)
-				}
-			}
-			zb.addAll(fw.codes)
-		}
+		zc.foldBase(zb, fw.base, len(fw.rowids))
 	}
+	zc.deriveLevels(zb)
 	return zb.finish(), nil
 }
 

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 
+	"cure/internal/gen"
+	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/signature"
 )
@@ -162,7 +164,6 @@ func bruteZones(blockRows, slots int, rows [][]int32) *ZoneIndex {
 // sparse slots, CURE+ sorted ids, CURE+ bitmap blocks and format-(a)
 // CATs.
 func TestZoneMapsMatchBruteForce(t *testing.T) {
-	const unknown = math.MinInt32
 	for _, tc := range []struct {
 		name              string
 		plus, formatA, dr bool
@@ -179,90 +180,8 @@ func TestZoneMapsMatchBruteForce(t *testing.T) {
 				Dir: dir, plainLayout: !tc.plus, DimsInline: tc.dr, FactRows: tc.factRows,
 				ZoneBlockRows: 64, Parallelism: 4, Resolver: perRow(finalizeTestResolver),
 			})
-			hier := w.opts.Hier
 			m, _ := writeWorkload(t, w, tc.formatA)
-			r, err := OpenReader(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			offs, slots := ZoneSlots(hier)
-			rowCodes := func(rrowid int64) []int32 {
-				base := make([]int32, hier.NumDims())
-				if err := finalizeTestResolver(rrowid, base); err != nil {
-					t.Fatal(err)
-				}
-				codes := make([]int32, slots)
-				for d, dim := range hier.Dims {
-					for l := 0; l < dim.AllLevel(); l++ {
-						codes[offs[d]+l] = dim.MapCode(base[d], l)
-					}
-				}
-				return codes
-			}
-			zones, bitmaps := 0, 0
-			for k, nm := range m.Nodes {
-				n, _ := strconv.ParseInt(k, 10, 64)
-				id := lattice.NodeID(n)
-				var nt, tt, cat [][]int32
-				if err := r.NTRows(id, func(row NTRow) error {
-					if !tc.dr {
-						nt = append(nt, rowCodes(row.RRowid))
-						return nil
-					}
-					codes := make([]int32, slots)
-					for s := range codes {
-						codes[s] = unknown
-					}
-					i := 0
-					for d, l := range r.Enum().Decode(id, nil) {
-						if !hier.Dims[d].IsAll(l) {
-							codes[offs[d]+l] = row.Dims[i]
-							i++
-						}
-					}
-					nt = append(nt, codes)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				ids, err := r.TTRowIDs(id, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, rrowid := range ids {
-					tt = append(tt, rowCodes(rrowid))
-				}
-				aggs := make([]float64, m.NumAggrs())
-				if err := r.CATRows(id, func(row CATRow) error {
-					rrowid := row.RRowid
-					if tc.formatA {
-						if rrowid, err = r.ReadAggregate(row.ARowid, aggs); err != nil {
-							return err
-						}
-					}
-					cat = append(cat, rowCodes(rrowid))
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				for _, z := range []struct {
-					rel  string
-					got  *ZoneIndex
-					rows [][]int32
-				}{{"nt", nm.NTZones, nt}, {"tt", nm.TTZones, tt}, {"cat", nm.CATZones, cat}} {
-					want := bruteZones(64, slots, z.rows)
-					if !reflect.DeepEqual(z.got, want) {
-						t.Errorf("node %s %s zones:\ngot  %+v\nwant %+v", k, z.rel, z.got, want)
-					}
-					if want != nil {
-						zones++
-					}
-				}
-				if nm.TTCodec != nil && nm.TTCodec.Encodings[encName(encBitmap)] > 0 && nm.TTZones != nil {
-					bitmaps++
-				}
-			}
+			zones, bitmaps := checkZonesBruteForce(t, dir, m, 64, finalizeTestResolver)
 			if zones < 3 {
 				t.Fatalf("workload produced %d zone maps; the comparison is vacuous", zones)
 			}
@@ -271,6 +190,204 @@ func TestZoneMapsMatchBruteForce(t *testing.T) {
 			}
 		})
 	}
+	// Levels above the base either derive from the base bounds (a
+	// non-decreasing map) or fold block by block: this schema has both,
+	// and an NT extent long enough that a block straddles two resolve
+	// chunks.
+	t.Run("derived-and-folded-levels", func(t *testing.T) {
+		const blockRows, ntRows = 100, resolveChunkRows + 4_464
+		if resolveChunkRows%blockRows == 0 {
+			t.Fatal("no block straddles a resolve chunk")
+		}
+		hier := zoneOracleSchema(t)
+		dir := t.TempDir()
+		w := newTestWriter(t, Options{
+			Dir: dir, Hier: hier, FactRows: 2 * ntRows, ZoneBlockRows: blockRows,
+			Parallelism: 4, Resolver: perRow(zoneOracleResolver),
+		})
+		zc := w.zoneConfig()
+		var derived []int
+		for _, zl := range zc.derived {
+			derived = append(derived, zl.slot)
+		}
+		if !slices.Equal(derived, []int{1, 2, 3, 5, 8, 9, 10}) || len(zc.folded[1]) != 1 || zc.folded[1][0].slot != 6 {
+			t.Fatalf("derived slots %v, folded %v: want every level but Parity (slot 6) derived", derived, zc.folded)
+		}
+		enum := w.Enum()
+		rng := rand.New(rand.NewSource(5))
+		aggrs := []float64{1, 1}
+		ntNode := enum.Encode([]int{1, 2, 1})
+		for i := int64(0); i < ntRows; i++ {
+			if err := w.WriteNT(ntNode, 2*i, aggrs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ttNode := enum.Encode([]int{0, 1, 2})
+		for _, id := range rng.Perm(2 * ntRows)[:3000] {
+			if err := w.WriteTT(ttNode, int64(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		catNode := enum.Encode([]int{2, 0, 0})
+		for i := 0; i < 700; i++ {
+			a, err := w.AppendAggregate(int64(rng.Intn(2*ntRows)), aggrs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteCAT(catNode, -1, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := w.Finalize(signature.FormatA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if zones, _ := checkZonesBruteForce(t, dir, m, blockRows, zoneOracleResolver); zones != 3 {
+			t.Fatalf("%d zone maps, want NT, TT and CAT", zones)
+		}
+	})
+}
+
+// zoneOracleSchema has a dimension of non-decreasing levels, one with a
+// non-monotone sibling level (code parity), and Figure 5a's complex time
+// dimension, whose day rolls up to week and to month.
+func zoneOracleSchema(t *testing.T) *hierarchy.Schema {
+	t.Helper()
+	m1 := hierarchy.BuildContiguousMap(1000, 100)
+	m2 := hierarchy.ComposeMaps(m1, hierarchy.BuildContiguousMap(100, 10))
+	m3 := hierarchy.ComposeMaps(m2, hierarchy.BuildContiguousMap(10, 3))
+	mono, err := hierarchy.NewLinearDim("M", []string{"M0", "M1", "M2", "M3"}, []int32{1000, 100, 10, 3}, [][]int32{m1, m2, m3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parity := make([]int32, 64)
+	for c := range parity {
+		parity[c] = int32(c % 2)
+	}
+	sib := &hierarchy.Dim{Name: "P", Levels: []hierarchy.Level{
+		{Name: "P0", Card: 64, RollsUpTo: []int{1, 2}},
+		{Name: "P1", Card: 8, Map: hierarchy.BuildContiguousMap(64, 8)},
+		{Name: "Parity", Card: 2, Map: parity},
+	}}
+	const days = 60
+	tm := &hierarchy.Dim{Name: "T", Levels: []hierarchy.Level{
+		{Name: "day", Card: days, RollsUpTo: []int{1, 2}},
+		{Name: "week", Card: 9, Map: hierarchy.BuildContiguousMap(days, 9), RollsUpTo: []int{3}},
+		{Name: "month", Card: 3, Map: hierarchy.BuildContiguousMap(days, 3), RollsUpTo: []int{3}},
+		{Name: "year", Card: 1, Map: make([]int32, days)},
+	}}
+	for _, d := range []*hierarchy.Dim{sib, tm} {
+		if err := d.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hier, err := hierarchy.NewSchema(mono, sib, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hier
+}
+
+// zoneOracleResolver gives neighbouring R-rowids neighbouring base codes,
+// so a block spans a narrow code range: one that starts on an odd P0 or
+// straddles an M1 boundary is where a wrong level rule shows.
+func zoneOracleResolver(rrowid int64, dst []int32) error {
+	dst[0] = int32(rrowid / 3 % 1000)
+	dst[1] = int32(rrowid / 5 % 64)
+	dst[2] = int32(rrowid / 50 % 60)
+	return nil
+}
+
+// checkZonesBruteForce compares every zone map of the cube in dir with
+// bruteZones of blockRows-row blocks over the rows a Reader returns,
+// coded through resolve. It
+// returns the number of zone maps and of zone-mapped bitmap TT extents.
+func checkZonesBruteForce(t *testing.T, dir string, m *Manifest, blockRows int, resolve func(int64, []int32) error) (zones, bitmaps int) {
+	t.Helper()
+	const unknown = math.MinInt32
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	hier := r.Hier()
+	offs, slots := ZoneSlots(hier)
+	rowCodes := func(rrowid int64) []int32 {
+		base := make([]int32, hier.NumDims())
+		if err := resolve(rrowid, base); err != nil {
+			t.Fatal(err)
+		}
+		codes := make([]int32, slots)
+		for d, dim := range hier.Dims {
+			for l := 0; l < dim.AllLevel(); l++ {
+				codes[offs[d]+l] = dim.MapCode(base[d], l)
+			}
+		}
+		return codes
+	}
+	for k, nm := range m.Nodes {
+		n, _ := strconv.ParseInt(k, 10, 64)
+		id := lattice.NodeID(n)
+		var nt, tt, cat [][]int32
+		if err := r.NTRows(id, func(row NTRow) error {
+			if !m.DimsInline {
+				nt = append(nt, rowCodes(row.RRowid))
+				return nil
+			}
+			codes := make([]int32, slots)
+			for s := range codes {
+				codes[s] = unknown
+			}
+			i := 0
+			for d, l := range r.Enum().Decode(id, nil) {
+				if !hier.Dims[d].IsAll(l) {
+					codes[offs[d]+l] = row.Dims[i]
+					i++
+				}
+			}
+			nt = append(nt, codes)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ids, err := r.TTRowIDs(id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rrowid := range ids {
+			tt = append(tt, rowCodes(rrowid))
+		}
+		aggs := make([]float64, m.NumAggrs())
+		if err := r.CATRows(id, func(row CATRow) error {
+			rrowid := row.RRowid
+			if m.CatFormat == signature.FormatA {
+				if rrowid, err = r.ReadAggregate(row.ARowid, aggs); err != nil {
+					return err
+				}
+			}
+			cat = append(cat, rowCodes(rrowid))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, z := range []struct {
+			rel  string
+			got  *ZoneIndex
+			rows [][]int32
+		}{{"nt", nm.NTZones, nt}, {"tt", nm.TTZones, tt}, {"cat", nm.CATZones, cat}} {
+			want := bruteZones(blockRows, slots, z.rows)
+			if !reflect.DeepEqual(z.got, want) {
+				t.Errorf("node %s %s zones:\ngot  %+v\nwant %+v", k, z.rel, z.got, want)
+			}
+			if want != nil {
+				zones++
+			}
+		}
+		if nm.TTCodec != nil && nm.TTCodec.Encodings[encName(encBitmap)] > 0 && nm.TTZones != nil {
+			bitmaps++
+		}
+	}
+	return zones, bitmaps
 }
 
 // TestFinalizeIsOnePass watches the cube directory from inside Finalize:
@@ -534,4 +651,51 @@ func BenchmarkSortRowIDs(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/id")
+}
+
+// BenchmarkFoldExtentZones folds one resolved 64k-row chunk of APB base
+// codes into a zone map at the default block size: per-block bounds of
+// every base code, then every derived level. With Product's Class map
+// permuted, Class is no longer non-decreasing and folds per block from
+// its mapped codes instead.
+func BenchmarkFoldExtentZones(b *testing.B) {
+	for _, permuted := range []bool{false, true} {
+		name := "monotone"
+		if permuted {
+			name = "permuted-class"
+		}
+		b.Run(name, func(b *testing.B) {
+			hier := gen.APBSchema()
+			rng := rand.New(rand.NewSource(1))
+			if permuted {
+				class := hier.Dims[0].Levels[1].Map
+				perm := rng.Perm(int(hier.Dims[0].Card(1)))
+				for i, c := range class {
+					class[i] = int32(perm[c])
+				}
+			}
+			w := &Writer{opts: Options{Hier: hier, Resolver: func([]int64, [][]int32) error { return nil }}}
+			zc := w.zoneConfig()
+			if folded := len(zc.folded[0]) == 1; folded != permuted {
+				b.Fatalf("Class folded per block = %v, want %v", folded, permuted)
+			}
+			const rows = resolveChunkRows
+			base := make([][]int32, hier.NumDims())
+			for d := range base {
+				base[d] = make([]int32, rows)
+				for i := range base[d] {
+					base[d][i] = rng.Int31n(hier.Dims[d].Card(0))
+				}
+			}
+			zb := newZoneBuilder(zc.blockRows, zc.slots)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				zb.lo, zb.hi, zb.n = zb.lo[:0], zb.hi[:0], 0
+				zc.foldBase(zb, base, rows)
+				zc.deriveLevels(zb)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
 }

@@ -185,48 +185,26 @@ func newZoneBuilder(blockRows, slots int) *zoneBuilder {
 	return &zoneBuilder{blockRows: blockRows, slots: slots}
 }
 
-// openBlock appends a fresh block with empty (inverted) bounds.
-func (b *zoneBuilder) openBlock() int {
-	base := len(b.lo)
-	for s := 0; s < b.slots; s++ {
-		b.lo = append(b.lo, zoneWideHi)
-		b.hi = append(b.hi, zoneWideLo)
-	}
-	return base
-}
-
-func (b *zoneBuilder) blockBase() int {
+// claim takes up to n rows into the current block — opening a fresh one,
+// with empty (inverted) bounds, when the last is full — and returns the
+// block's base index and the rows taken; it stops at the block's end.
+func (b *zoneBuilder) claim(n int) (base, k int) {
 	if b.n == 0 {
-		return b.openBlock()
-	}
-	return len(b.lo) - b.slots
-}
-
-func (b *zoneBuilder) endRow() {
-	b.n++
-	if b.n == b.blockRows {
-		b.n = 0
-	}
-}
-
-// addAll folds one row whose code is known in every slot.
-func (b *zoneBuilder) addAll(codes []int32) {
-	base := b.blockBase()
-	for s, c := range codes {
-		if c < b.lo[base+s] {
-			b.lo[base+s] = c
-		}
-		if c > b.hi[base+s] {
-			b.hi[base+s] = c
+		for s := 0; s < b.slots; s++ {
+			b.lo = append(b.lo, zoneWideHi)
+			b.hi = append(b.hi, zoneWideLo)
 		}
 	}
-	b.endRow()
+	base = len(b.lo) - b.slots
+	k = min(n, b.blockRows-b.n)
+	b.n = (b.n + k) % b.blockRows
+	return base, k
 }
 
 // addSparse folds one row known only in the listed slots (codes[i] is
 // the value of slot slotIdx[i]); the rest stay unknown.
 func (b *zoneBuilder) addSparse(slotIdx []int, codes []int32) {
-	base := b.blockBase()
+	base, _ := b.claim(1)
 	for i, s := range slotIdx {
 		c := codes[i]
 		if c < b.lo[base+s] {
@@ -236,7 +214,6 @@ func (b *zoneBuilder) addSparse(slotIdx []int, codes []int32) {
 			b.hi[base+s] = c
 		}
 	}
-	b.endRow()
 }
 
 // finish widens never-touched slots to the full range (unknown must not

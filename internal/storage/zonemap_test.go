@@ -36,8 +36,12 @@ func TestZoneSlots(t *testing.T) {
 // through the zone builder.
 func buildIndex(blockRows int, rows [][]int32) *ZoneIndex {
 	zb := newZoneBuilder(blockRows, len(rows[0]))
+	all := make([]int, len(rows[0]))
+	for s := range all {
+		all[s] = s
+	}
 	for _, r := range rows {
-		zb.addAll(r)
+		zb.addSparse(all, r)
 	}
 	return zb.finish()
 }
