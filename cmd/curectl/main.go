@@ -288,8 +288,12 @@ func cmdInfo(args []string) {
 	fmt.Printf("aggregates:     %d\n", m.NumAggrs())
 	fmt.Printf("CAT format:     %v\n", m.CatFormat)
 	fmt.Printf("variants:       dims-inline=%v iceberg=%d\n", m.DimsInline, m.Iceberg)
-	if m.PartitionLevel >= 0 {
-		fmt.Printf("partitioned at: level %d of %s\n", m.PartitionLevel, eng.Hier().Dims[0].Name)
+	if roots := eng.PlanRoots(); len(roots) > 0 {
+		names := make([]string, len(roots))
+		for i, id := range roots {
+			names[i] = eng.Enum().Name(id)
+		}
+		fmt.Printf("plan roots:     %s\n", strings.Join(names, " "))
 	}
 	fmt.Printf("lattice nodes:  %d total, %d materialized\n", eng.Enum().NumNodes(), len(m.Nodes))
 	fmt.Printf("AGGREGATES:     %d tuples\n", m.AggRows)

@@ -146,8 +146,7 @@ func (h *Harness) runSortAblation() (map[string]*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs, err := h.buildCURE(filepath.Join(h.cfg.WorkDir, fmt.Sprintf("abl_qck_%.0f", z)), ft, hier,
-			func(o *core.Options) { o.ForceQuickSort = true })
+		qs, err := h.buildCURE(filepath.Join(h.cfg.WorkDir, fmt.Sprintf("abl_qck_%.0f", z)), ft, hier, core.QuickSortOnly)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +255,7 @@ func (h *Harness) runHeightAblation() (map[string]*Result, error) {
 		return nil, err
 	}
 	res.AddRow("P3 (tallest, CURE)", fmtDur(tall.Elapsed.Seconds()), fmtBytes(tall.Sizes.Total()))
-	short, err := h.buildCURE(filepath.Join(h.cfg.WorkDir, "height_p2"), ft, hier, func(o *core.Options) { o.ShortPlan = true })
+	short, err := h.buildCURE(filepath.Join(h.cfg.WorkDir, "height_p2"), ft, hier, core.ShortestPlan)
 	if err != nil {
 		return nil, err
 	}

@@ -34,9 +34,8 @@ const (
 
 // Options configures a BU-BST build.
 type Options struct {
-	Dir            string
-	Iceberg        int64
-	ForceQuickSort bool
+	Dir     string
+	Iceberg int64
 }
 
 // Stats reports a build.
@@ -91,7 +90,6 @@ func Build(t *relation.FactTable, hier *hierarchy.Schema, specs []relation.AggSp
 	if b.minCount < 1 {
 		b.minCount = 1
 	}
-	b.sorter.ForceQuick = opts.ForceQuickSort
 	for d := range b.dims {
 		b.dims[d] = allCode
 		b.levels[d] = 1

@@ -36,8 +36,6 @@ type Options struct {
 	Dir string
 	// Iceberg is the min-count threshold (≤1 builds the complete cube).
 	Iceberg int64
-	// ForceQuickSort disables counting sort (skew ablation).
-	ForceQuickSort bool
 }
 
 // Stats reports a build.
@@ -97,7 +95,6 @@ func Build(t *relation.FactTable, hier *hierarchy.Schema, specs []relation.AggSp
 	if b.minCount < 1 {
 		b.minCount = 1
 	}
-	b.sorter.ForceQuick = opts.ForceQuickSort
 	for d := range b.dims {
 		b.dims[d] = allCode
 		b.levels[d] = 1 // flat ALL level

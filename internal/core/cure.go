@@ -19,6 +19,7 @@ import (
 
 	"cure/internal/factstore"
 	"cure/internal/hierarchy"
+	"cure/internal/lattice"
 	"cure/internal/obsv"
 	"cure/internal/partition"
 	"cure/internal/relation"
@@ -58,12 +59,6 @@ type Options struct {
 	// are neither stored nor refined (BUC-style iceberg cubes). Values
 	// ≤ 1 build the complete cube.
 	Iceberg int64
-	// ForceQuickSort disables counting sort (skew ablation).
-	ForceQuickSort bool
-	// ShortPlan builds with the shortest hierarchical plan (the paper's
-	// P2, Figure 3) instead of CURE's tallest plan (P3) — the §3.1 plan
-	// ablation. In-memory builds only.
-	ShortPlan bool
 	// Parallelism caps the number of concurrent workers for the whole
 	// build (≤1 = sequential, the paper's setting). It accelerates every
 	// path: multi-partition builds cube partition files concurrently,
@@ -83,8 +78,6 @@ type Options struct {
 	// at every setting — the knob exists so benchmarks and tests can vary
 	// finalize concurrency while holding the build itself fixed.
 	FinalizeParallelism int
-	// ForceFormat overrides the dynamic CAT-format decision.
-	ForceFormat signature.Format
 	// ZoneBlockRows is the rows per extent block and per zone-map block,
 	// so zone pruning skips whole blocks (0 =
 	// storage.DefaultZoneBlockRows, negative keeps default blocks and
@@ -104,12 +97,27 @@ type Options struct {
 
 	// plainLayout is set by PlainLayout only.
 	plainLayout bool
+	// shortPlan is set by ShortestPlan only.
+	shortPlan bool
+	// forceQuickSort is set by QuickSortOnly only.
+	forceQuickSort bool
+	// forceFormat overrides the dynamic CAT-format decision. Parallel
+	// builds pin it; otherwise only tests set it.
+	forceFormat signature.Format
 }
 
 // PlainLayout makes a build write plain CURE's row-id layout instead of
 // CURE+'s (see storage.PlainLayout). It is the baseline arm of the paper's
 // CURE-versus-CURE+ exhibits, and its signature fits their variant tables.
 func PlainLayout(o *Options) { o.plainLayout = true }
+
+// ShortestPlan makes a build traverse the shortest hierarchical plan (the
+// paper's P2, Figure 3) instead of CURE's tallest plan (P3) — the §3.1
+// plan-height ablation. In-memory builds only.
+func ShortestPlan(o *Options) { o.shortPlan = true }
+
+// QuickSortOnly disables counting sort — the skew ablation.
+func QuickSortOnly(o *Options) { o.forceQuickSort = true }
 
 // NoPool is the PoolCapacity sentinel for a zero-length signature pool
 // (disables CAT identification entirely).
@@ -231,8 +239,8 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 	}
 	loadSpan.End()
 
-	if opts.ShortPlan && !inMemory {
-		return nil, errors.New("core: ShortPlan (P2 ablation) supports in-memory builds only")
+	if opts.shortPlan && !inMemory {
+		return nil, errors.New("core: the shortest plan (P2 ablation) supports in-memory builds only")
 	}
 	lim := newParLimiter(opts.Parallelism)
 	finPar := opts.FinalizeParallelism
@@ -248,7 +256,6 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 		FactFile:      factRef(opts.Dir, opts.FactPath),
 		FactRows:      rows,
 		DimsInline:    opts.DimsInline,
-		ShortPlan:     opts.ShortPlan,
 		Resolver:      resolver,
 		Iceberg:       opts.Iceberg,
 		ZoneBlockRows: opts.ZoneBlockRows,
@@ -269,13 +276,13 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 	case poolCap == 0:
 		poolCap = DefaultPoolCapacity
 	}
-	if opts.Parallelism > 1 && opts.ForceFormat == signature.FormatUndecided {
+	if opts.Parallelism > 1 && opts.forceFormat == signature.FormatUndecided {
 		// Independent worker pools cannot share the dynamic format
 		// decision; pin the always-correct format up front.
 		if len(opts.AggSpecs) == 1 {
-			opts.ForceFormat = signature.FormatNT
+			opts.forceFormat = signature.FormatNT
 		} else {
-			opts.ForceFormat = signature.FormatB
+			opts.forceFormat = signature.FormatB
 		}
 	}
 	pool, err := signature.NewPool(len(opts.AggSpecs), poolCap, w)
@@ -283,7 +290,7 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 		w.Abort()
 		return nil, err
 	}
-	pool.ForceFormat = opts.ForceFormat
+	pool.ForceFormat = opts.forceFormat
 	pool.Metrics = reg
 	setupSpan.End()
 
@@ -406,13 +413,44 @@ func buildInMemory(table *relation.FactTable, hier *hierarchy.Schema, opts Optio
 	span := root.Child("cube")
 	span.AddRowsIn(int64(table.Len()))
 	defer span.End()
-	ex := newExecutor(table, hier, opts.AggSpecs, -1, pool, w, opts.Iceberg, opts.ForceQuickSort, opts.Metrics)
-	ex.shortPlan = opts.ShortPlan
+	ex := newExecutor(table, hier, opts.AggSpecs, -1, pool, w, opts.Iceberg, opts.forceQuickSort, opts.Metrics)
+	if opts.shortPlan {
+		ex.shortPlan = true
+		recordShortPlan(w)
+	}
 	attachPar(ex, lim, span, &opts)
 	if err := ex.run(stats); err != nil {
 		return err
 	}
 	return ex.finishPar(stats)
+}
+
+// recordShortPlan makes the shortest-plan ablation's one walk over the
+// lattice: it records every node whose P2 parent differs from its P3 one,
+// so queries share trivial tuples along the tree the build ran.
+func recordShortPlan(w *storage.Writer) {
+	enum := w.Enum()
+	for id := lattice.NodeID(0); int64(id) < enum.NumNodes(); id++ {
+		short, ok := planParentShort(enum, id)
+		if tall, _ := enum.PlanParent(id); ok && short != tall {
+			w.SetPlanParent(id, short)
+		}
+	}
+}
+
+// planParentShort returns a node's parent under the shortest BUC-style
+// hierarchical plan (P2), where every edge adds one grouping dimension at
+// some level and no dashed refinements exist: the parent drops the
+// rightmost grouping dimension. It returns false for ∅.
+func planParentShort(enum *lattice.Enum, id lattice.NodeID) (lattice.NodeID, bool) {
+	levels := enum.Decode(id, nil)
+	for d := len(levels) - 1; d >= 0; d-- {
+		if dim := enum.Schema().Dims[d]; !dim.IsAll(levels[d]) {
+			levels[d] = dim.AllLevel()
+			return enum.Encode(levels), true
+		}
+	}
+	return 0, false
 }
 
 // partitionReadBytes charges the phase-1 re-read of a partition file to
@@ -487,7 +525,6 @@ func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Cho
 	}
 	splitSpan.End()
 	levels := choice.Levels
-	w.SetPartitionLevels(levels)
 	stats.Partitioned = true
 	stats.PartitionLevel = levels[0]
 	if len(levels) > 1 {
@@ -511,7 +548,7 @@ func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Cho
 			continue
 		}
 		nSpan.AddRowsIn(int64(n.Len()))
-		ex := newExecutor(n, hier, res.NSpecs, res.NCountCol, pool, w, opts.Iceberg, opts.ForceQuickSort, reg)
+		ex := newExecutor(n, hier, res.NSpecs, res.NCountCol, pool, w, opts.Iceberg, opts.forceQuickSort, reg)
 		attachPar(ex, lim, nSpan, &opts)
 		if j == 0 {
 			ex.baseLevel[0] = levels[0] + 1
@@ -567,12 +604,12 @@ func runPartitions(paths []string, levels []int, hier *hierarchy.Schema, opts Op
 			if pool, err = signature.NewPool(len(opts.AggSpecs), poolCap, w); err != nil {
 				return fmt.Errorf("core: partition %s: %w", pp, err)
 			}
-			pool.ForceFormat = opts.ForceFormat
+			pool.ForceFormat = opts.forceFormat
 			pool.Metrics = reg
 		}
 		ps := cubeSpan.Child("part")
 		ps.AddRowsIn(int64(pt.Len()))
-		ex := newExecutor(pt, hier, opts.AggSpecs, -1, pool, w, opts.Iceberg, opts.ForceQuickSort, reg)
+		ex := newExecutor(pt, hier, opts.AggSpecs, -1, pool, w, opts.Iceberg, opts.forceQuickSort, reg)
 		attachPar(ex, lim, ps, &opts)
 		var local BuildStats
 		if len(levels) == 1 {

@@ -74,9 +74,9 @@ func TestBuildVariantsMatchReference(t *testing.T) {
 		{"dr_plus", func(o *Options) { o.DimsInline = true }},
 		{"no_pool", func(o *Options) { o.PoolCapacity = NoPool }},
 		{"tiny_pool", func(o *Options) { o.PoolCapacity = 7 }},
-		{"force_format_a", func(o *Options) { o.ForceFormat = signature.FormatA }},
-		{"force_format_b", func(o *Options) { o.ForceFormat = signature.FormatB }},
-		{"quicksort", func(o *Options) { o.ForceQuickSort = true }},
+		{"force_format_a", func(o *Options) { o.forceFormat = signature.FormatA }},
+		{"force_format_b", func(o *Options) { o.forceFormat = signature.FormatB }},
+		{"quicksort", QuickSortOnly},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			opts := Options{Hier: paperHier(t), AggSpecs: testSpecs()}
@@ -393,16 +393,16 @@ func TestShortPlanRejectsPartitioned(t *testing.T) {
 	if err := relation.WriteFactFile(factPath, ft); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Build(Options{
+	opts := Options{
 		Dir:          filepath.Join(dir, "cube"),
 		FactPath:     factPath,
 		Hier:         hier,
 		AggSpecs:     testSpecs(),
 		MemoryBudget: 16_000,
-		ShortPlan:    true,
-	})
-	if err == nil {
-		t.Error("ShortPlan with partitioning accepted")
+	}
+	ShortestPlan(&opts)
+	if _, err := Build(opts); err == nil {
+		t.Error("the shortest plan with partitioning accepted")
 	}
 }
 
@@ -448,15 +448,8 @@ func pairEquivFact(t *testing.T, seed int64) *relation.FactTable {
 func TestPairPartitionedBuildMatchesReference(t *testing.T) {
 	dir := t.TempDir()
 	stats := buildAt(t, dir, pairEquivFact(t, 8), Options{Hier: pairHier(t), AggSpecs: testSpecs(), MemoryBudget: 5_600})
-	if !stats.Partitioned {
-		t.Fatal("expected a partitioned build")
-	}
-	m, err := storage.ReadManifest(filepath.Join(dir, "cube"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.PartitionLevelB < 0 {
-		t.Fatal("expected pair partitioning (PartitionLevelB set)")
+	if !stats.Partitioned || stats.PartitionLevelB < 0 {
+		t.Fatalf("expected pair partitioning: partitioned=%v levelB=%d", stats.Partitioned, stats.PartitionLevelB)
 	}
 	checkCube(t, filepath.Join(dir, "cube"))
 }
@@ -519,12 +512,11 @@ func TestFailedPartitionedBuildLeavesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := storage.ReadManifest(opts.Dir)
-			if err != nil {
+			if _, err := storage.ReadManifest(opts.Dir); err != nil {
 				t.Fatal(err)
 			}
-			if !stats.Partitioned || (m.PartitionLevelB >= 0) != (tc.name == "pair") {
-				t.Fatalf("fixture took the wrong path: partitioned=%v levelB=%d", stats.Partitioned, m.PartitionLevelB)
+			if !stats.Partitioned || (stats.PartitionLevelB >= 0) != (tc.name == "pair") {
+				t.Fatalf("fixture took the wrong path: partitioned=%v levelB=%d", stats.Partitioned, stats.PartitionLevelB)
 			}
 			if err := os.RemoveAll(opts.Dir); err != nil {
 				t.Fatal(err)

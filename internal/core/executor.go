@@ -146,18 +146,20 @@ func (ex *executor) run(stats *BuildStats) error {
 // 13 lines 12–15), covering exactly the nodes with dimension 0 at levels
 // ≤ level. The N_1 phase of a pair build pins dimension 0 with
 // base = {level, M+1}: dimension 0 never descends, and dimension 1 stops
-// at M+1.
+// at M+1. Either way {A_level} is a phase root, recorded as such: its
+// trivial tuples belong to this phase only.
 func (ex *executor) runRoot(level int, base []int, stats *BuildStats) error {
 	ex.ttWritten = &stats.TTs
-	if ex.table.Len() == 0 {
-		return nil
-	}
 	ex.levels[0] = level
 	copy(ex.baseLevel, base)
 	defer func() {
 		ex.levels[0] = ex.hier.Dims[0].AllLevel()
 		clear(ex.baseLevel)
 	}()
+	ex.w.SetPlanParent(ex.enum.Encode(ex.levels), storage.PlanRoot)
+	if ex.table.Len() == 0 {
+		return nil
+	}
 	return ex.followEdge(0, len(ex.idx), 0, edgeSolid)
 }
 
@@ -333,18 +335,19 @@ func runEnd(keys []int32, lo, hi int) int {
 // dimension 0 at level la and enters dimension 1 at level lb, covering
 // exactly the plan subtree rooted at that node (§4's pair extension).
 // Dimension 0 never descends here — it is never the rightmost grouping
-// dimension inside this subtree.
+// dimension inside this subtree. The node is recorded as a phase root.
 func (ex *executor) runPartitionPair(la, lb int, stats *BuildStats) error {
 	ex.ttWritten = &stats.TTs
-	if ex.table.Len() == 0 {
-		return nil
-	}
 	ex.levels[0] = la
 	ex.levels[1] = lb
 	defer func() {
 		ex.levels[0] = ex.hier.Dims[0].AllLevel()
 		ex.levels[1] = ex.hier.Dims[1].AllLevel()
 	}()
+	ex.w.SetPlanParent(ex.enum.Encode(ex.levels), storage.PlanRoot)
+	if ex.table.Len() == 0 {
+		return nil
+	}
 	ex.sortSegment(0, len(ex.idx), 0)
 	for lo := 0; lo < len(ex.idx); {
 		hi := runEnd(ex.keys, lo, len(ex.idx))

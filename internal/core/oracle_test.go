@@ -393,14 +393,14 @@ var oracleVariants = []oracleVariant{
 	{"dr", 8, func(o *Options, _ *oracleCase) { o.DimsInline = true }},
 	{"dr+plain-layout", 10, func(o *Options, _ *oracleCase) { o.DimsInline = true; PlainLayout(o) }},
 	{"flat", 24, func(o *Options, _ *oracleCase) { o.Flat = true }},
-	{"shortplan", 55, func(o *Options, _ *oracleCase) { o.ShortPlan = true }},
+	{"shortplan", 55, func(o *Options, _ *oracleCase) { ShortestPlan(o) }},
 	{"no-pool", 44, func(o *Options, _ *oracleCase) { o.PoolCapacity = NoPool }},
 	{"pool-1", 13, func(o *Options, _ *oracleCase) { o.PoolCapacity = 1 }},
 	{"pool-2", 60, func(o *Options, _ *oracleCase) { o.PoolCapacity = 2 }},
 	{"pool-7", 9, func(o *Options, _ *oracleCase) { o.PoolCapacity = 7 }},
-	{"format-a", 29, func(o *Options, _ *oracleCase) { o.ForceFormat = signature.FormatA }},
-	{"format-b", 23, func(o *Options, _ *oracleCase) { o.ForceFormat = signature.FormatB }},
-	{"quicksort", 1, func(o *Options, _ *oracleCase) { o.ForceQuickSort = true }},
+	{"format-a", 29, func(o *Options, _ *oracleCase) { o.forceFormat = signature.FormatA }},
+	{"format-b", 23, func(o *Options, _ *oracleCase) { o.forceFormat = signature.FormatB }},
+	{"quicksort", 1, func(o *Options, _ *oracleCase) { QuickSortOnly(o) }},
 	{"zone-32", 7, func(o *Options, _ *oracleCase) { o.ZoneBlockRows = 32 }},
 	{"iceberg-k", 40, func(o *Options, c *oracleCase) { o.Iceberg = c.groupSize }},
 	{"iceberg-k+1", 40, func(o *Options, c *oracleCase) { o.Iceberg = c.groupSize + 1 }},
@@ -413,7 +413,7 @@ var oracleVariants = []oracleVariant{
 // partitions with every node N under budget.
 func paths(opts Options, rows int) []oraclePath {
 	switch {
-	case opts.ShortPlan || rows == 0:
+	case opts.shortPlan || rows == 0:
 		return []oraclePath{inMemory}
 	case opts.Flat || rows == 1:
 		return []oraclePath{inMemory, partitioned}
@@ -476,7 +476,7 @@ func checkVariant(t *testing.T, v oracleVariant, seed int64) {
 				}
 				// Workers fix the CAT format up front; a cube shows it once it
 				// holds CATs.
-				if want := opts.ForceFormat; stats.Pool.CatGroups > 0 {
+				if want := opts.forceFormat; stats.Pool.CatGroups > 0 {
 					if want == signature.FormatUndecided {
 						want = signature.FormatB
 						if len(c.specs) == 1 {

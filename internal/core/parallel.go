@@ -229,7 +229,6 @@ func (p *parCtx) newSegWorker(parent *executor) (*segWorker, error) {
 		cIcePruned:    parent.cIcePruned,
 	}
 	ex.sorter.ForceQuick = parent.sorter.ForceQuick
-	ex.sorter.ForceCounting = parent.sorter.ForceCounting
 	w.ex = ex
 	return w, nil
 }

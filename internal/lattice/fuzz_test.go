@@ -32,8 +32,5 @@ func FuzzEncodeDecode(f *testing.F) {
 		if p, ok := e.PlanParent(id); ok && !e.Valid(p) {
 			t.Fatalf("plan parent of %d is invalid: %d", id, p)
 		}
-		if p, ok := e.PlanParentShort(id); ok && !e.Valid(p) {
-			t.Fatalf("short plan parent of %d is invalid: %d", id, p)
-		}
 	})
 }

@@ -169,42 +169,6 @@ func (e *Enum) PlanPath(id NodeID) []NodeID {
 	return rev
 }
 
-// PlanPathFrom is PlanPath restricted to the subtree rooted at the node
-// whose level vector has dimension 0 at level rootLv0 and every other
-// dimension at ALL. It is used in partitioned builds, where nodes with
-// dimension 0 at level ≤ L are constructed inside partitions whose
-// recursion roots at that node, so trivial-tuple sharing must not cross
-// into the N-phase part of the plan.
-func (e *Enum) PlanPathFrom(id NodeID, rootLv0 int) []NodeID {
-	full := e.PlanPath(id)
-	rootLevels := make([]int, e.schema.NumDims())
-	rootLevels[0] = rootLv0
-	for i := 1; i < len(rootLevels); i++ {
-		rootLevels[i] = e.schema.Dims[i].AllLevel()
-	}
-	root := e.Encode(rootLevels)
-	for i, n := range full {
-		if n == root {
-			return full[i:]
-		}
-	}
-	return full
-}
-
-// PlanPathFromNode truncates PlanPath(id) at the given subtree root: the
-// returned path starts at root when root lies on the path, and is the
-// full path otherwise. Partitioned builds use it to bound trivial-tuple
-// sharing at their phase roots.
-func (e *Enum) PlanPathFromNode(id, root NodeID) []NodeID {
-	full := e.PlanPath(id)
-	for i, n := range full {
-		if n == root {
-			return full[i:]
-		}
-	}
-	return full
-}
-
 // AllNodes enumerates every node id of the lattice. It materializes the
 // full node set and must only be used when NumNodes is small (query
 // workloads, plan inspection); construction never calls it.
@@ -278,42 +242,4 @@ func (e *Enum) Refines(a, b NodeID) bool {
 		}
 	}
 	return true
-}
-
-// PlanParentShort returns a node's parent under the *shortest* BUC-style
-// hierarchical plan (the paper's P2, Figure 3), where every edge adds one
-// grouping dimension at some level and no dashed refinements exist: the
-// parent simply drops the rightmost grouping dimension. Used only by the
-// plan-height ablation; CURE's production plan is the tallest one (P3).
-func (e *Enum) PlanParentShort(id NodeID) (NodeID, bool) {
-	levels := e.Decode(id, nil)
-	dmax := -1
-	for i, l := range levels {
-		if !e.schema.Dims[i].IsAll(l) {
-			dmax = i
-		}
-	}
-	if dmax < 0 {
-		return 0, false
-	}
-	levels[dmax] = e.schema.Dims[dmax].AllLevel()
-	return e.Encode(levels), true
-}
-
-// PlanPathShort is PlanPath under the shortest plan (P2).
-func (e *Enum) PlanPathShort(id NodeID) []NodeID {
-	var rev []NodeID
-	cur := id
-	for {
-		rev = append(rev, cur)
-		p, ok := e.PlanParentShort(cur)
-		if !ok {
-			break
-		}
-		cur = p
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }

@@ -196,23 +196,6 @@ func TestPlanPath(t *testing.T) {
 	}
 }
 
-func TestPlanPathFrom(t *testing.T) {
-	e := NewEnum(paperSchema(t))
-	// Partitioned build with L = 1: nodes with dim A at level ≤ 1 are
-	// built inside partitions rooted at A1; their trivial-tuple sharing
-	// must not cross above A1.
-	got := e.PlanPathFrom(0, 1) // A0B0C0, root at A1
-	want := []NodeID{21, 20, 16, 12, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PlanPathFrom = %v, want %v", got, want)
-	}
-	// A node outside the subtree keeps its full path.
-	full := e.PlanPath(11)
-	if got := e.PlanPathFrom(11, 1); !reflect.DeepEqual(got, full) {
-		t.Errorf("PlanPathFrom outside subtree = %v, want full %v", got, full)
-	}
-}
-
 func TestRefines(t *testing.T) {
 	e := NewEnum(paperSchema(t))
 	if !e.Refines(0, 23) { // base refines ∅
@@ -435,28 +418,6 @@ func TestPlanCoverageRandomComplexHierarchies(t *testing.T) {
 				if !e.Refines(id, anc) {
 					t.Fatalf("trial %d: %s does not refine plan ancestor %s", trial, e.Name(id), e.Name(anc))
 				}
-			}
-		}
-	}
-}
-
-func TestPlanPathShort(t *testing.T) {
-	e := NewEnum(paperSchema(t))
-	// Under P2 the parent chain drops the rightmost dimension whole:
-	// A0B0C0 → A0B0 → A0 → ∅ (compare P3's seven-node path).
-	got := e.PlanPathShort(0)
-	want := []NodeID{23, 20, 12, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PlanPathShort(A0B0C0) = %v, want %v", got, want)
-	}
-	if _, ok := e.PlanParentShort(e.RootID()); ok {
-		t.Error("root has a short-plan parent")
-	}
-	// Every node still refines its short-plan ancestors.
-	for _, id := range e.AllNodes() {
-		for _, anc := range e.PlanPathShort(id) {
-			if !e.Refines(id, anc) {
-				t.Errorf("%s does not refine short-plan ancestor %s", e.Name(id), e.Name(anc))
 			}
 		}
 	}

@@ -184,6 +184,10 @@ func (e *Engine) FactPath() string { return e.r.FactPath() }
 // Manifest exposes the cube catalog.
 func (e *Engine) Manifest() *storage.Manifest { return e.r.Manifest() }
 
+// PlanRoots returns the phase roots the cube's build recorded, in id
+// order; an in-memory build has none.
+func (e *Engine) PlanRoots() []lattice.NodeID { return e.r.PlanRoots() }
+
 // CacheStats returns the fact store's hits and misses over the queries
 // completed so far, counted per distinct fact page per dereferenced batch.
 func (e *Engine) CacheStats() (hits, misses int64) { return e.cacheHits.Load(), e.cacheMisses.Load() }
@@ -510,10 +514,9 @@ func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qct
 	}
 
 	// 1. Trivial tuples: stored once at the least detailed node they
-	// belong to; collect them along the plan path (bounded to the
-	// partition subtree when the cube was built partitioned). Each
-	// ancestor extent prunes against its own zone map.
-	ttPath := e.planPath(id, levels)
+	// belong to; collect them along the plan path. Each ancestor extent
+	// prunes against its own zone map.
+	ttPath := e.planPath(id)
 	if iceberg {
 		ttPath = nil // a count of 1 exceeds no threshold
 	}
@@ -641,42 +644,23 @@ func (e *Engine) readAggregate(arowid int64, aggrs []float64, io *storage.IOStat
 }
 
 // planPath returns the plan nodes whose TT relations contribute to node
-// id, respecting the partition boundary of partitioned builds and the
-// plan style the cube was built with.
-func (e *Engine) planPath(id lattice.NodeID, levels []int) []lattice.NodeID {
-	if e.r.Manifest().ShortPlan {
-		return e.enum.PlanPathShort(id)
+// id, root first: the walk up the plan tree the cube records, from id to
+// ∅ or to the phase root id was built under.
+func (e *Engine) planPath(id lattice.NodeID) []lattice.NodeID {
+	path := []lattice.NodeID{id}
+	for p, ok := e.r.PlanParent(id); ok; p, ok = e.r.PlanParent(p) {
+		path = append(path, p)
 	}
-	L := e.r.Manifest().PartitionLevel
-	M := e.r.Manifest().PartitionLevelB
-	if M >= 0 && levels[0] <= L {
-		// Pair-partitioned build: nodes with both partitioned dimensions
-		// at fine levels root at {A_l0, B_M}; nodes with dimension 1
-		// coarser root at {A_l0} (the N2 phase).
-		hier := e.r.Hier()
-		rootLevels := make([]int, hier.NumDims())
-		rootLevels[0] = levels[0]
-		for d := 1; d < len(rootLevels); d++ {
-			rootLevels[d] = hier.Dims[d].AllLevel()
-		}
-		if levels[1] <= M {
-			rootLevels[1] = M
-		}
-		return e.enum.PlanPathFromNode(id, e.enum.Encode(rootLevels))
-	}
-	if L >= 0 && levels[0] <= L {
-		return e.enum.PlanPathFrom(id, L)
-	}
-	return e.enum.PlanPath(id)
+	slices.Reverse(path)
+	return path
 }
 
 // NodeCount returns the number of result tuples of a node query without
 // materializing dimension values (TTs still require plan-path metadata
 // but no fact access).
 func (e *Engine) NodeCount(id lattice.NodeID) (int64, error) {
-	levels := e.enum.Decode(id, nil)
 	var n int64
-	for _, anc := range e.planPath(id, levels) {
+	for _, anc := range e.planPath(id) {
 		nm, ok := e.r.Manifest().NodeMeta(anc)
 		if !ok {
 			continue

@@ -87,7 +87,7 @@ func (e *Engine) Explain(id lattice.NodeID, preds []Predicate, analyze bool) (*P
 	if err != nil {
 		return nil, err
 	}
-	plan := e.buildPlan(id, levels, f)
+	plan := e.buildPlan(id, f)
 	plan.Where = e.whereString(preds)
 	if !analyze {
 		return plan, nil
@@ -116,7 +116,7 @@ func (e *Engine) Explain(id lattice.NodeID, preds []Predicate, analyze bool) (*P
 // evaluating each extent's zone map the same way scanNode's prune does
 // — same inputs, same verdicts — so a plan's kept/skipped numbers match
 // the counters of the query it describes.
-func (e *Engine) buildPlan(id lattice.NodeID, levels []int, f *scanFilter) *Plan {
+func (e *Engine) buildPlan(id lattice.NodeID, f *scanFilter) *Plan {
 	m := e.r.Manifest()
 	op := "node"
 	if f != nil {
@@ -152,7 +152,7 @@ func (e *Engine) buildPlan(id lattice.NodeID, levels []int, f *scanFilter) *Plan
 			return "zone"
 		}
 	}
-	for _, anc := range e.planPath(id, levels) {
+	for _, anc := range e.planPath(id) {
 		nm, ok := m.NodeMeta(anc)
 		if !ok || nm.TTRows == 0 {
 			continue

@@ -284,8 +284,8 @@ func TestCubeRoundTrip(t *testing.T) {
 				ZoneBlockRows: 64, Resolver: perRow(finalizeTestResolver),
 			})
 			m, want := writeWorkload(t, w, tc.formatA)
-			if m.Version != 2 || m.Compression != "block" {
-				t.Errorf("manifest: version %d, compression %q", m.Version, m.Compression)
+			if m.Version != manifestVersion {
+				t.Errorf("manifest: version %d", m.Version)
 			}
 			if m.AggCodec == nil {
 				t.Error("cube without AggCodec")

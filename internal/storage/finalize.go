@@ -123,19 +123,16 @@ func (w *Writer) finalize(catFormat signature.Format) (*Manifest, error) {
 		w.catFormat = signature.FormatNT // no CATs anywhere; pick the degenerate format
 	}
 	m := &Manifest{
-		Version:         manifestVersion,
-		AggSpecs:        w.opts.AggSpecs,
-		CatFormat:       w.catFormat,
-		DimsInline:      w.opts.DimsInline,
-		PartitionLevel:  w.partLevel,
-		PartitionLevelB: w.partLevelB,
-		ShortPlan:       w.opts.ShortPlan,
-		FactFile:        w.opts.FactFile,
-		FactRows:        w.opts.FactRows,
-		AggRows:         w.aggRows,
-		Nodes:           map[string]NodeMeta{},
-		Iceberg:         w.opts.Iceberg,
-		Compression:     "block",
+		Version:     manifestVersion,
+		AggSpecs:    w.opts.AggSpecs,
+		CatFormat:   w.catFormat,
+		DimsInline:  w.opts.DimsInline,
+		PlanParents: w.planParents,
+		FactFile:    w.opts.FactFile,
+		FactRows:    w.opts.FactRows,
+		AggRows:     w.aggRows,
+		Nodes:       map[string]NodeMeta{},
+		Iceberg:     w.opts.Iceberg,
 	}
 	// A cube being rebuilt in place stops being one before its files change.
 	if err := os.Remove(filepath.Join(w.opts.Dir, ManifestFile)); err != nil && !os.IsNotExist(err) {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"cure/internal/lattice"
 	"cure/internal/relation"
@@ -79,17 +80,12 @@ type Manifest struct {
 	// DimsInline marks the CURE_DR variant: NT rows carry projected
 	// dimension values instead of an R-rowid.
 	DimsInline bool `json:"dims_inline"`
-	// PartitionLevel is the level L of dimension 0 the build partitioned
-	// on, or -1 for an in-memory build. It bounds trivial-tuple sharing
-	// (see lattice.PlanPathFrom).
-	PartitionLevel int `json:"partition_level"`
-	// PartitionLevelB is the level M of dimension 1 when the build used
-	// pair partitioning (§4's omitted extension), or -1 otherwise.
-	PartitionLevelB int `json:"partition_level_b"`
-	// ShortPlan marks a cube built with the shortest hierarchical plan
-	// (the paper's P2, used only by the plan-height ablation); trivial
-	// tuples are then shared along drop-rightmost-dimension chains.
-	ShortPlan bool `json:"short_plan,omitempty"`
+	// PlanParents records the plan tree the build ran wherever it differs
+	// from lattice.PlanParent, keyed like Nodes: PlanRoot at each phase
+	// root a partitioned build entered, and the P2 parent of every node
+	// whose parent the shortest-plan ablation changes. A trivial tuple
+	// is shared along the recorded tree (see Reader.PlanParent).
+	PlanParents map[string]lattice.NodeID `json:"plan_parents,omitempty"`
 	// FactFile is the path of the fact table the cube's row-ids point
 	// into (relative paths are resolved against the cube directory).
 	FactFile string `json:"fact_file"`
@@ -110,8 +106,6 @@ type Manifest struct {
 	// Iceberg is the min-count threshold the cube was built with (1 for
 	// a complete cube).
 	Iceberg int64 `json:"iceberg"`
-	// Compression names the extent codec; always "block".
-	Compression string `json:"compression,omitempty"`
 	// AggCodec is the block record of the AGGREGATES relation (one extent
 	// covering all AggRows rows), nil when the relation is empty.
 	AggCodec *ExtentCodec `json:"agg_codec,omitempty"`
@@ -119,7 +113,7 @@ type Manifest struct {
 
 // NodeMeta returns the extent record for a node.
 func (m *Manifest) NodeMeta(id lattice.NodeID) (NodeMeta, bool) {
-	nm, ok := m.Nodes[fmt.Sprintf("%d", id)]
+	nm, ok := m.Nodes[nodeKey(id)]
 	return nm, ok
 }
 
@@ -186,8 +180,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(data, m); err != nil {
 		return nil, fmt.Errorf("storage: parsing manifest in %s: %w", dir, err)
 	}
-	if m.Version == 1 {
-		return nil, fmt.Errorf("storage: %s is a version-1 cube: the fixed-width extent format is retired, rebuild the cube", dir)
+	if why, ok := retiredVersions[m.Version]; ok {
+		return nil, fmt.Errorf("storage: %s is a version-%d cube: %s, rebuild the cube", dir, m.Version, why)
 	}
 	if m.Version != manifestVersion {
 		return nil, fmt.Errorf("storage: manifest version %d, want %d", m.Version, manifestVersion)
@@ -211,8 +205,38 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 // manifestVersion is the one manifest format this build writes and reads:
-// block-columnar extents. Version 1 was the fixed-width layout.
-const manifestVersion = 2
+// block-columnar extents and the recorded plan.
+const manifestVersion = 3
+
+// retiredVersions says why each older manifest version no longer opens.
+var retiredVersions = map[int]string{
+	1: "the fixed-width extent format is retired",
+	2: "it does not record the plan its trivial tuples are shared along",
+}
+
+// PlanRoot is the PlanParents value of a phase root: a node a build phase
+// entered the plan at, whose trivial tuples no ancestor shares.
+const PlanRoot lattice.NodeID = -1
+
+// decodePlanParents turns PlanParents into a map by node id. It refuses a
+// key that is not a node of enum in nodeKey's form, and a parent that is
+// neither PlanRoot nor a strictly coarser node, so every walk up the
+// recorded tree ends.
+func (m *Manifest) decodePlanParents(enum *lattice.Enum) (map[lattice.NodeID]lattice.NodeID, error) {
+	out := make(map[lattice.NodeID]lattice.NodeID, len(m.PlanParents))
+	for k, p := range m.PlanParents {
+		v, err := strconv.ParseInt(k, 10, 64)
+		id := lattice.NodeID(v)
+		if err != nil || nodeKey(id) != k || !enum.Valid(id) {
+			return nil, fmt.Errorf("storage: plan_parents key %q is not a node", k)
+		}
+		if p != PlanRoot && (p == id || !enum.Valid(p) || !enum.Refines(id, p)) {
+			return nil, fmt.Errorf("storage: plan_parents: %d is not a parent of node %d", p, id)
+		}
+		out[id] = p
+	}
+	return out, nil
+}
 
 // resolveFactPath resolves the manifest's fact-file reference against the
 // cube directory.

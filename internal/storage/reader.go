@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"cure/internal/hierarchy"
@@ -20,6 +21,8 @@ type Reader struct {
 	m    *Manifest
 	hier *hierarchy.Schema
 	enum *lattice.Enum
+	// planParents is the manifest's PlanParents by node id.
+	planParents map[lattice.NodeID]lattice.NodeID
 
 	ntF, ttF, catF, aggF *os.File
 
@@ -105,6 +108,9 @@ func OpenReader(dir string) (*Reader, error) {
 		return nil, err
 	}
 	r := &Reader{dir: dir, m: m, hier: hier, enum: lattice.NewEnum(hier)}
+	if r.planParents, err = m.decodePlanParents(r.enum); err != nil {
+		return nil, fmt.Errorf("%w in %s", err, dir)
+	}
 	for _, x := range []struct {
 		name string
 		dst  **os.File
@@ -457,6 +463,29 @@ func (r *Reader) nodeArity(id lattice.NodeID) int {
 		}
 	}
 	return arity
+}
+
+// PlanParent returns the parent of node id in the plan tree the cube was
+// built with — the recorded one, else lattice.PlanParent — or false at ∅
+// and at a phase root. The trivial tuples of id are stored along this
+// walk.
+func (r *Reader) PlanParent(id lattice.NodeID) (lattice.NodeID, bool) {
+	if p, ok := r.planParents[id]; ok {
+		return p, p != PlanRoot
+	}
+	return r.enum.PlanParent(id)
+}
+
+// PlanRoots returns the phase roots the build recorded, in id order.
+func (r *Reader) PlanRoots() []lattice.NodeID {
+	var roots []lattice.NodeID
+	for id, p := range r.planParents {
+		if p == PlanRoot {
+			roots = append(roots, id)
+		}
+	}
+	slices.Sort(roots)
+	return roots
 }
 
 // NodeTupleCount returns the number of materialized tuples stored AT node

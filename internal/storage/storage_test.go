@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -549,12 +551,12 @@ func TestStageSpillPreservesData(t *testing.T) {
 func TestManifestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	m := &Manifest{
-		Version:        manifestVersion,
-		AggSpecs:       []relation.AggSpec{{Func: relation.AggSum}},
-		CatFormat:      signature.FormatA,
-		PartitionLevel: 2,
-		FactFile:       "fact.bin",
-		FactRows:       1234,
+		Version:     manifestVersion,
+		AggSpecs:    []relation.AggSpec{{Func: relation.AggSum}},
+		CatFormat:   signature.FormatA,
+		PlanParents: map[string]lattice.NodeID{"7": PlanRoot, "3": 5},
+		FactFile:    "fact.bin",
+		FactRows:    1234,
 		Nodes: map[string]NodeMeta{"7": {NTRows: 3, NTOff: 24,
 			NTCodec: &ExtentCodec{BlockRows: 256, RawBytes: 72, Offs: []int64{0, 40}}}},
 		Iceberg: 1,
@@ -566,7 +568,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.PartitionLevel != 2 || back.FactRows != 1234 {
+	if !maps.Equal(back.PlanParents, m.PlanParents) || back.FactRows != 1234 {
 		t.Errorf("manifest fields lost: %+v", back)
 	}
 	nm, ok := back.NodeMeta(7)
@@ -607,7 +609,7 @@ func TestReadManifestRejectsUnreadableExtents(t *testing.T) {
 // block index; it is refused with an error.
 func TestReadManifestRefusesBitmapTTKind(t *testing.T) {
 	dir := t.TempDir()
-	old := `{"version":2,"nodes":{"7":{"tt_off":0,"tt_rows":200,"tt_kind":1,"tt_bm_len":48}}}`
+	old := `{"version":3,"nodes":{"7":{"tt_off":0,"tt_rows":200,"tt_kind":1,"tt_bm_len":48}}}`
 	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +620,7 @@ func TestReadManifestRefusesBitmapTTKind(t *testing.T) {
 
 func TestReadManifestRejectsBadVersion(t *testing.T) {
 	dir := t.TempDir()
-	for _, v := range []string{"0", "3", "99"} {
+	for _, v := range []string{"0", "4", "99"} {
 		if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(`{"version": `+v+`}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -626,18 +628,78 @@ func TestReadManifestRejectsBadVersion(t *testing.T) {
 			t.Errorf("version %s accepted", v)
 		}
 	}
-	// Version 1 was the fixed-width format: the error must say what to do.
-	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(`{"version": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(dir); err == nil || !strings.Contains(err.Error(), "rebuild the cube") {
-		t.Errorf("version 1: error = %v, want one that says to rebuild", err)
+	// Version 1 was the fixed-width format. Version 2 recorded partition
+	// levels, not the plan: read as version 3 it would share trivial tuples
+	// across its phase roots and count them twice. The error must name the
+	// version and say what to do.
+	for v, old := range map[int]string{
+		1: `{"version": 1}`,
+		2: `{"version":2,"partition_level":1,"partition_level_b":-1,"compression":"block","nodes":{"7":{"nt_rows":3}}}`,
+	} {
+		if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadManifest(dir)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version-%d cube", v)) || !strings.Contains(err.Error(), "rebuild the cube") {
+			t.Errorf("version %d: error = %v, want one that names the version and says to rebuild", v, err)
+		}
 	}
 	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(`{not json`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadManifest(dir); err == nil {
 		t.Error("bad json accepted")
+	}
+}
+
+// TestOpenReaderDecodesPlanParents: the reader walks the recorded plan
+// tree — a recorded parent, PlanRoot, else lattice.PlanParent — and
+// refuses a record whose walk could leave the lattice or never end.
+func TestOpenReaderDecodesPlanParents(t *testing.T) {
+	// testHier's nodes: A0B0 0, A1B0 1, B0 2, A0 3, A1 4, ∅ 5.
+	dir := t.TempDir()
+	w := newTestWriter(t, Options{Dir: dir})
+	w.SetPlanParent(3, PlanRoot)
+	w.SetPlanParent(0, 3)
+	m, err := w.Finalize(signature.FormatNT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		id, want lattice.NodeID
+		ok       bool
+	}{{0, 3, true}, {3, 0, false}, {1, 4, true}, {4, 5, true}, {5, 0, false}} { // want is unused when !ok
+		if p, ok := r.PlanParent(c.id); ok != c.ok || ok && p != c.want {
+			t.Errorf("PlanParent(%d) = %d, %v; want %d, %v", c.id, p, ok, c.want, c.ok)
+		}
+	}
+	if got := r.PlanRoots(); !slices.Equal(got, []lattice.NodeID{3}) {
+		t.Errorf("PlanRoots = %v, want [3]", got)
+	}
+	r.Close()
+	for name, bad := range map[string]map[string]lattice.NodeID{
+		"self":          {"0": 0},
+		"finer":         {"3": 0},
+		"incomparable":  {"3": 2},
+		"padded key":    {"03": PlanRoot},
+		"node outside":  {"6": PlanRoot},
+		"parent beyond": {"0": 99},
+		"negative":      {"0": -2},
+	} {
+		m.PlanParents = bad
+		if err := WriteManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := OpenReader(dir); err == nil || !strings.Contains(err.Error(), "plan_parents") {
+			t.Errorf("%s: OpenReader error = %v, want plan_parents refused", name, err)
+			if err == nil {
+				r.Close()
+			}
+		}
 	}
 }
 

@@ -40,8 +40,6 @@ type Options struct {
 	FactRows int64
 	// DimsInline selects the CURE_DR variant.
 	DimsInline bool
-	// ShortPlan records that the build used the shortest plan (P2).
-	ShortPlan bool
 	// Resolver is required when DimsInline is set.
 	Resolver DimResolver
 	// StageBudget bounds the bytes buffered across per-node stages
@@ -91,9 +89,9 @@ type Writer struct {
 	logs    [numRels]*blockLog // construction logs, by relation
 	aggRows int64
 
-	catFormat  signature.Format
-	partLevel  int
-	partLevelB int
+	catFormat signature.Format
+	// planParents is Manifest.PlanParents, filled by SetPlanParent.
+	planParents map[string]lattice.NodeID
 
 	// Bound instruments (nil-safe no-ops when no registry is attached).
 	cNTRows, cNTBytes   *obsv.Counter
@@ -131,7 +129,7 @@ func NewWriter(opts Options) (*Writer, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &Writer{opts: opts, enum: lattice.NewEnum(opts.Hier), partLevel: -1, partLevelB: -1}
+	w := &Writer{opts: opts, enum: lattice.NewEnum(opts.Hier), planParents: map[string]lattice.NodeID{}}
 	share := &stageBudget{limit: opts.StageBudget}
 	y := len(opts.AggSpecs)
 	for rel, width := range [numRels]int{relNT: ntLogRowWidth(y), relTT: ttLogRowWidth, relAgg: aggLogRowWidth(y), relCAT: catLogRowWidth} {
@@ -154,14 +152,13 @@ func NewWriter(opts Options) (*Writer, error) {
 // Enum returns the node enumeration of the cube's schema.
 func (w *Writer) Enum() *lattice.Enum { return w.enum }
 
-// SetPartitionLevels records the external-partitioning prefix levels —
-// L of dimension 0, and M of dimension 1 on a pair — so queries can bound
-// trivial-tuple sharing correctly.
-func (w *Writer) SetPartitionLevels(levels []int) {
-	w.partLevel = levels[0]
-	if len(levels) > 1 {
-		w.partLevelB = levels[1]
-	}
+// SetPlanParent records that the build's plan tree enters node from
+// parent rather than from lattice.PlanParent(node); parent PlanRoot marks
+// a phase root. Queries share trivial tuples along the recorded tree.
+func (w *Writer) SetPlanParent(node, parent lattice.NodeID) {
+	w.lock()
+	defer w.unlock()
+	w.planParents[nodeKey(node)] = parent
 }
 
 // Lock arms internal locking so several construction workers may share

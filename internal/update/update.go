@@ -118,7 +118,6 @@ func Apply(opts Options) (_ *Stats, err error) {
 		PoolCapacity: opts.PoolCapacity,
 		DimsInline:   m.DimsInline,
 		Iceberg:      m.Iceberg,
-		ShortPlan:    m.ShortPlan,
 		// Becomes "as the old manifest says" once zone maps leave the JSON
 		// manifest.
 		ZoneBlockRows: -1,

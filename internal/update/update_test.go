@@ -287,7 +287,7 @@ func TestApplyKeepsVariant(t *testing.T) {
 		{"iceberg", core.Options{AggSpecs: specs(), Iceberg: 3}},
 		{"nocount", core.Options{AggSpecs: []relation.AggSpec{{Func: relation.AggSum, Measure: 0}}}},
 		{"flat", core.Options{AggSpecs: specs(), Flat: true}},
-		{"shortplan", core.Options{AggSpecs: specs(), ShortPlan: true}},
+		{"shortplan", func() core.Options { o := core.Options{AggSpecs: specs()}; core.ShortestPlan(&o); return o }()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -305,7 +305,7 @@ func TestApplyKeepsVariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.DimsInline != tc.opts.DimsInline || m.Iceberg != max(tc.opts.Iceberg, 1) || m.ShortPlan != tc.opts.ShortPlan {
+			if m.DimsInline != tc.opts.DimsInline || m.Iceberg != max(tc.opts.Iceberg, 1) {
 				t.Errorf("refreshed manifest is not the old variant: %+v", m)
 			}
 			opts.Dir = filepath.Join(dir, "ref")
