@@ -21,6 +21,7 @@ import (
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/obsv"
+	"cure/internal/par"
 	"cure/internal/partition"
 	"cure/internal/relation"
 	"cure/internal/signature"
@@ -242,7 +243,13 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 	if opts.shortPlan && !inMemory {
 		return nil, errors.New("core: the shortest plan (P2 ablation) supports in-memory builds only")
 	}
-	lim := newParLimiter(opts.Parallelism)
+	// One limiter serves every cubing site — partition workers, the
+	// in-memory root fan-out, the node-N phase and the nested fan-out
+	// inside each partition — so total concurrency never exceeds
+	// Parallelism however the sites compose. The partitioning scan and
+	// finalize make their own: the scan runs before any cubing site and
+	// finalize after the last, so this one would grant them every slot.
+	lim := par.NewLimiter(opts.Parallelism)
 	finPar := opts.FinalizeParallelism
 	if finPar == 0 {
 		finPar = opts.Parallelism
@@ -409,7 +416,7 @@ func factRef(dir, factPath string) string {
 	return absFact
 }
 
-func buildInMemory(table *relation.FactTable, hier *hierarchy.Schema, opts Options, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
+func buildInMemory(table *relation.FactTable, hier *hierarchy.Schema, opts Options, lim *par.Limiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
 	span := root.Child("cube")
 	span.AddRowsIn(int64(table.Len()))
 	defer span.End()
@@ -510,7 +517,7 @@ func ChooseStrategy(hier *hierarchy.Schema, rBytes, memoryBudget int64, reg *obs
 // dimension 0 at its top level, never descend below L_0+1); N_1 yields the
 // nodes with dimension 0 at a level ≤ L_0 and dimension 1 above L_1, one
 // root {A_i} per level i ≤ L_0.
-func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Choice, rBytes int64, lim *parLimiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
+func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Choice, rBytes int64, lim *par.Limiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
 	reg := opts.Metrics
 	// Partition files live in Dir/tmp and go on every return path, a
 	// failed scan included.
@@ -569,7 +576,7 @@ func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Cho
 }
 
 // runPartitions is phase 1: it cubes the partition files on the prefix
-// levels. Every partition is one runTasks task. Without a limiter the
+// levels. Every partition is one par.Do task. Without a limiter the
 // tasks run in order on the calling goroutine and share the build's pool.
 // With one, partitions are disjoint and sound, so concurrent tasks each
 // own a signature pool (flushed when the partition is done) and
@@ -578,7 +585,7 @@ func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Cho
 // whenever limiter slots are idle (fewer partitions than workers, or a
 // skewed straggler). Errors from all partitions are aggregated with
 // errors.Join, each wrapped with its path.
-func runPartitions(paths []string, levels []int, hier *hierarchy.Schema, opts Options, lim *parLimiter, shared *signature.Pool, w *storage.Writer, stats *BuildStats, cubeSpan *obsv.Span) error {
+func runPartitions(paths []string, levels []int, hier *hierarchy.Schema, opts Options, lim *par.Limiter, shared *signature.Pool, w *storage.Writer, stats *BuildStats, cubeSpan *obsv.Span) error {
 	reg := opts.Metrics
 	poolCap := shardedPoolCap(&opts)
 	type taskResult struct {
@@ -586,7 +593,7 @@ func runPartitions(paths []string, levels []int, hier *hierarchy.Schema, opts Op
 		pool signature.Stats
 	}
 	results := make([]taskResult, len(paths))
-	err := runTasks(lim, len(paths), func(slot, i int) error {
+	err := par.Do(lim, len(paths), func(slot, i int) error {
 		pp := paths[i]
 		defer obsv.CapturePanic(reg, func() string {
 			return fmt.Sprintf("partition worker slot=%d partition=%s", slot, pp)

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"cure/internal/par"
 )
 
 // TestRunTasksPropagatesPanic pins the crash contract of the build's
@@ -13,12 +15,12 @@ import (
 // on the calling goroutine.
 func TestRunTasksPropagatesPanic(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		lim := newParLimiter(p)
+		lim := par.NewLimiter(p)
 		var ran atomic.Int32
 		var recovered any
 		func() {
 			defer func() { recovered = recover() }()
-			runTasks(lim, 16, func(slot, i int) error {
+			par.Do(lim, 16, func(slot, i int) error {
 				if i == 2 {
 					panic("kaboom-2")
 				}
@@ -34,12 +36,8 @@ func TestRunTasksPropagatesPanic(t *testing.T) {
 		}
 		// Every limiter slot must come back even through the panic path —
 		// a partitioned build reuses the limiter for its next fan-out.
-		free := 0
-		for lim.tryAcquire() {
-			free++
-		}
-		if p > 1 && free != p-1 {
-			t.Fatalf("p=%d: %d slots free after panic, want %d", p, free, p-1)
+		if !fullWidthAgain(lim, p) {
+			t.Fatalf("p=%d: the limiter cannot run %d workers at once after a panic", p, p)
 		}
 	}
 }

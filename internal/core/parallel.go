@@ -10,135 +10,9 @@ import (
 	"sync/atomic"
 
 	"cure/internal/obsv"
+	"cure/internal/par"
 	"cure/internal/signature"
 )
-
-// parLimiter caps the extra goroutines a build may run beyond the ones
-// that already own its phases. One limiter is shared by every cubing
-// site — partition workers, the in-memory root fan-out, the node-N
-// phase, and the nested fan-out inside each partition — so total
-// concurrency never exceeds Options.Parallelism no matter how the
-// sites compose. The partitioning scan and finalize start their own
-// Parallelism-1 helpers: the scan runs before any cubing site and
-// finalize after the last one, so the limiter would always grant them
-// every slot.
-type parLimiter struct {
-	slots chan struct{}
-}
-
-// newParLimiter returns the limiter for a build, or nil (sequential
-// everywhere) when the requested parallelism allows no extra workers.
-func newParLimiter(parallelism int) *parLimiter {
-	if parallelism <= 1 {
-		return nil
-	}
-	l := &parLimiter{slots: make(chan struct{}, parallelism-1)}
-	for i := 0; i < parallelism-1; i++ {
-		l.slots <- struct{}{}
-	}
-	return l
-}
-
-// tryAcquire claims one extra-worker slot without blocking. The nil
-// limiter never grants one, which is what makes sequential builds take
-// the inline path at every site.
-func (l *parLimiter) tryAcquire() bool {
-	if l == nil {
-		return false
-	}
-	select {
-	case <-l.slots:
-		return true
-	default:
-		return false
-	}
-}
-
-func (l *parLimiter) release() { l.slots <- struct{}{} }
-
-// maxSlots is the worker-state capacity a site must provision: slot 0
-// is the calling goroutine, slots 1..cap(slots) are limiter grants.
-func (l *parLimiter) maxSlots() int {
-	if l == nil {
-		return 1
-	}
-	return cap(l.slots) + 1
-}
-
-// runTasks runs task(slot, i) for every i in [0, n). The calling
-// goroutine is slot 0 and always participates; up to n-1 helpers join
-// on limiter grants. Work is claimed from a shared atomic counter —
-// there is no channel hand-off, so a failing worker cannot strand a
-// producer the way a jobs-channel pool can. The first error stops new
-// claims; every error that did occur is reported via errors.Join.
-//
-// A panicking task does not kill its goroutine silently: the first
-// panic (from any slot) is captured, remaining claims stop, the helpers
-// drain, and the panic is re-raised on the calling goroutine — so it
-// propagates up the build's own stack with whatever context the task's
-// own deferred obsv.CapturePanic attached, instead of crashing the
-// process from an anonymous worker.
-func runTasks(lim *parLimiter, n int, task func(slot, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	errs := make([]error, n)
-	var panicMu sync.Mutex
-	var panicVal any
-	capture := func(v any) {
-		panicMu.Lock()
-		if panicVal == nil {
-			panicVal = v
-		}
-		panicMu.Unlock()
-		failed.Store(true)
-	}
-	loop := func(slot int) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || failed.Load() {
-				return
-			}
-			if err := task(slot, i); err != nil {
-				errs[i] = err
-				failed.Store(true)
-			}
-		}
-	}
-	extra := 0
-	for extra < n-1 && lim.tryAcquire() {
-		extra++
-	}
-	var wg sync.WaitGroup
-	for s := 1; s <= extra; s++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			defer lim.release()
-			defer func() {
-				if v := recover(); v != nil {
-					capture(v)
-				}
-			}()
-			loop(slot)
-		}(s)
-	}
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				capture(v)
-			}
-		}()
-		loop(0)
-	}()
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	return errors.Join(errs...)
-}
 
 // Test hook: CURE_TEST_PANIC=worker makes the first parallel cube
 // worker task panic, so the exec-based flight-recorder test can crash a
@@ -178,7 +52,7 @@ type segRun struct{ lo, hi int }
 // span that parents the per-batch "seg" spans, and the lazily built
 // per-slot worker executors.
 type parCtx struct {
-	lim      *parLimiter
+	lim      *par.Limiter
 	span     *obsv.Span
 	reg      *obsv.Registry
 	poolCap  int          // per-worker signature-pool capacity (pre-sharded)
@@ -257,7 +131,7 @@ func (ex *executor) fanOut(dim int) (bool, error) {
 	// batches.
 	levels := append([]int(nil), ex.levels...)
 	base := append([]int(nil), ex.baseLevel...)
-	err := runTasks(p.lim, len(batches), func(slot, bi int) error {
+	err := par.Do(p.lim, len(batches), func(slot, bi int) error {
 		wex := ex
 		// wex rebinds to the slot's worker below; the closure sees the
 		// rebound value, so a panic names the worker that actually ran.
@@ -311,7 +185,7 @@ func (ex *executor) fanOut(dim int) (bool, error) {
 // batchRuns packs runs into at most maxBatches size-balanced batches
 // (greedy longest-processing-time: biggest run first, into the lightest
 // batch). Oversubscribing the workers ~4× lets the dynamic claiming in
-// runTasks smooth whatever imbalance the packing leaves.
+// par.Do smooth whatever imbalance the packing leaves.
 func batchRuns(runs []segRun, maxBatches int) [][]segRun {
 	if maxBatches < 2 {
 		maxBatches = 2
@@ -351,7 +225,7 @@ func batchRuns(runs []segRun, maxBatches int) [][]segRun {
 // signature budget is sharded across Parallelism workers exactly like
 // the partition-worker pools. A nil limiter leaves the executor
 // sequential.
-func attachPar(ex *executor, lim *parLimiter, span *obsv.Span, opts *Options) {
+func attachPar(ex *executor, lim *par.Limiter, span *obsv.Span, opts *Options) {
 	if lim == nil {
 		return
 	}
@@ -361,7 +235,7 @@ func attachPar(ex *executor, lim *parLimiter, span *obsv.Span, opts *Options) {
 		reg:      opts.Metrics,
 		poolCap:  shardedPoolCap(opts),
 		batching: 4 * opts.Parallelism,
-		workers:  make([]*segWorker, lim.maxSlots()),
+		workers:  make([]*segWorker, lim.Slots()),
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cure/internal/par"
 	"cure/internal/relation"
 	"cure/internal/signature"
 )
@@ -109,7 +110,7 @@ func TestRunPartitionsParallelErrorAggregation(t *testing.T) {
 		paths[i] = filepath.Join(t.TempDir(), "part-missing.bin")
 	}
 	opts := Options{Hier: hier, AggSpecs: testSpecs(), Parallelism: 2}
-	lim := newParLimiter(opts.Parallelism)
+	lim := par.NewLimiter(opts.Parallelism)
 	done := make(chan error, 1)
 	go func() {
 		var stats BuildStats
@@ -128,13 +129,16 @@ func TestRunPartitionsParallelErrorAggregation(t *testing.T) {
 	}
 }
 
+// TestRunTasksRunsEverything pins the contract core's partition and
+// segment fan-outs rely on from par.Do: every task runs once, on a slot
+// the per-slot worker state covers, and every grant comes back.
 func TestRunTasksRunsEverything(t *testing.T) {
 	for _, p := range []int{1, 3, 8} {
-		lim := newParLimiter(p)
+		lim := par.NewLimiter(p)
 		var ran [50]atomic.Int32
-		err := runTasks(lim, len(ran), func(slot, i int) error {
-			if slot < 0 || slot >= p {
-				t.Errorf("slot %d outside [0, %d)", slot, p)
+		err := par.Do(lim, len(ran), func(slot, i int) error {
+			if slot < 0 || slot >= lim.Slots() {
+				t.Errorf("slot %d outside [0, %d)", slot, lim.Slots())
 			}
 			ran[i].Add(1)
 			return nil
@@ -147,15 +151,34 @@ func TestRunTasksRunsEverything(t *testing.T) {
 				t.Fatalf("p=%d: task %d ran %d times", p, i, got)
 			}
 		}
-		// Every limiter slot must be back: a full build reuses the
-		// limiter across many fan-outs.
-		free := 0
-		for lim.tryAcquire() {
-			free++
+		if !fullWidthAgain(lim, p) {
+			t.Fatalf("p=%d: the limiter cannot run %d workers at once after Do", p, p)
 		}
-		if p > 1 && free != p-1 {
-			t.Fatalf("p=%d: %d slots free after runTasks, want %d", p, free, p-1)
-		}
+	}
+}
+
+// fullWidthAgain reports whether lim can again run p workers at once:
+// p tasks that each wait until all p have started finish only if every
+// grant came back. A build reuses one limiter across all its fan-outs,
+// so a lost grant would quietly narrow every later one.
+func fullWidthAgain(lim *par.Limiter, p int) bool {
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- par.Do(lim, p, func(slot, i int) error {
+			if arrived.Add(1) == int32(p) {
+				close(all)
+			}
+			<-all
+			return nil
+		})
+	}()
+	select {
+	case <-done:
+		return true
+	case <-time.After(10 * time.Second):
+		return false
 	}
 }
 
@@ -163,7 +186,7 @@ func TestRunTasksAggregatesErrors(t *testing.T) {
 	// Sequential (nil limiter): the first failure stops later claims and
 	// is the one reported.
 	ran := 0
-	err := runTasks(nil, 10, func(slot, i int) error {
+	err := par.Do(nil, 10, func(slot, i int) error {
 		ran++
 		if i == 2 {
 			return errors.New("boom-2")
@@ -177,8 +200,8 @@ func TestRunTasksAggregatesErrors(t *testing.T) {
 		t.Fatalf("ran %d tasks after failure at task 2, want 3", ran)
 	}
 	// Concurrent failures all surface through errors.Join.
-	lim := newParLimiter(4)
-	err = runTasks(lim, 4, func(slot, i int) error {
+	lim := par.NewLimiter(4)
+	err = par.Do(lim, 4, func(slot, i int) error {
 		return errors.New("boom-all")
 	})
 	if err == nil {

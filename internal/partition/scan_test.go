@@ -1,11 +1,14 @@
 package partition
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"testing"
 
 	"cure/internal/hierarchy"
@@ -152,7 +155,7 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 			for _, par := range []int{1, 2, 8} {
 				reg := obsv.NewRegistry()
 				res, err := PartitionScan(path, t.TempDir(), hier, specs, cfg.choice,
-					ScanConfig{Parallelism: par, BatchRows: 37, ShardRows: 111, Reg: reg})
+					ScanConfig{Parallelism: par, batchRows: 37, shardRows: 111, Reg: reg})
 				if err != nil {
 					t.Fatalf("P=%d: %v", par, err)
 				}
@@ -168,6 +171,48 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// explodingRow is a rowFunc that panics on the first row it sees.
+func explodingRow(*relation.Batch, int, int64, *scanWorker, []*nodeHash) (int, error) {
+	panic("row fold exploded")
+}
+
+// TestScanWorkerPanicKeepsContext: a panic inside a scan worker reaches
+// the caller as an *obsv.PanicError that names the shard and its row
+// range and carries the panicking worker's own stack, inline (P=1) and
+// on a helper (P=2).
+func TestScanWorkerPanicKeepsContext(t *testing.T) {
+	path, _ := hierTestFact(t, 900)
+	specs := []relation.AggSpec{{Func: relation.AggCount}}
+	ctxRE := regexp.MustCompile(`^scan worker slot=\d+ shard=(\d+) rows=(\d+)-(\d+)$`)
+	for _, p := range []int{1, 2} {
+		fr, err := relation.OpenFactReader(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			runScanPipeline(fr, ScanConfig{Parallelism: p, batchRows: 37, shardRows: 111}, nil, 1, specs, 3, explodingRow)
+			return nil
+		}()
+		fr.Close()
+		pe, ok := got.(*obsv.PanicError)
+		if !ok {
+			t.Fatalf("P=%d: recovered %T %v, want *obsv.PanicError", p, got, got)
+		}
+		m := ctxRE.FindStringSubmatch(pe.Context)
+		if m == nil {
+			t.Fatalf("P=%d: panic context %q names no shard and row range", p, pe.Context)
+		}
+		shard, _ := strconv.Atoi(m[1])
+		if want := fmt.Sprintf("%d-%d", shard*111, min(shard*111+111, 900)); m[2]+"-"+m[3] != want {
+			t.Fatalf("P=%d: shard %d reported rows %s-%s, want %s", p, shard, m[2], m[3], want)
+		}
+		if pe.Value != "row fold exploded" || !bytes.Contains(pe.Stack, []byte("partition.explodingRow")) {
+			t.Fatalf("P=%d: value %v, stack lacks the panicking frame:\n%s", p, pe.Value, pe.Stack)
+		}
 	}
 }
 

@@ -148,30 +148,41 @@ func TestConcurrentMixedOps(t *testing.T) {
 }
 
 func TestForEach(t *testing.T) {
+	eng, ids := batchOf(t, 100)
+	want := len(collectNode(t, eng, 0))
 	for _, workers := range []int{0, 1, 3, 16} {
+		rows := make([]atomic.Int64, len(ids))
 		var sum atomic.Int64
-		if err := ForEach(workers, 100, func(i int) error {
-			sum.Add(int64(i))
+		if err := eng.NodeQueryBatch(workers, ids, func(qi int, _ Row) error {
+			if rows[qi].Add(1) == 1 {
+				sum.Add(int64(qi))
+			}
 			return nil
 		}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if got := sum.Load(); got != 4950 {
-			t.Errorf("workers=%d: sum = %d, want 4950", workers, got)
+			t.Errorf("workers=%d: sum of answered qi = %d, want 4950", workers, got)
+		}
+		for qi := range rows {
+			if got := rows[qi].Load(); got != int64(want) {
+				t.Fatalf("workers=%d: query %d delivered %d rows, want %d", workers, qi, got, want)
+			}
 		}
 	}
-	// n <= 0 is a no-op.
-	if err := ForEach(4, 0, func(int) error { t.Error("task ran"); return nil }); err != nil {
+	// An empty batch is a no-op.
+	if err := eng.NodeQueryBatch(4, nil, func(int, Row) error { t.Error("fn ran"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestForEachError(t *testing.T) {
 	boom := errors.New("boom")
-	var ran atomic.Int64
-	err := ForEach(4, 1000, func(i int) error {
-		ran.Add(1)
-		if i == 10 {
+	eng, ids := batchOf(t, 1000)
+	ran := newFirstRows(len(ids))
+	err := eng.NodeQueryBatch(4, ids, func(qi int, _ Row) error {
+		ran.first(qi)
+		if qi == 10 {
 			return boom
 		}
 		return nil
@@ -179,22 +190,22 @@ func TestForEachError(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	// The error must stop new claims well before all 1000 tasks run.
-	if n := ran.Load(); n == 1000 {
-		t.Error("error did not stop the pool")
+	// The error must stop new claims well before all 1000 queries run.
+	if n := ran.n.Load(); n == int64(len(ids)) {
+		t.Error("error did not stop the batch")
 	}
 	// Sequential mode stops at the first error.
-	ran.Store(0)
-	if err := ForEach(1, 100, func(i int) error {
-		ran.Add(1)
-		if i == 5 {
+	ran = newFirstRows(len(ids))
+	if err := eng.NodeQueryBatch(1, ids[:100], func(qi int, _ Row) error {
+		ran.first(qi)
+		if qi == 5 {
 			return boom
 		}
 		return nil
 	}); !errors.Is(err, boom) {
 		t.Fatalf("sequential err = %v", err)
 	}
-	if ran.Load() != 6 {
-		t.Errorf("sequential ran %d tasks, want 6", ran.Load())
+	if ran.n.Load() != 6 {
+		t.Errorf("sequential ran %d queries, want 6", ran.n.Load())
 	}
 }

@@ -1,107 +1,22 @@
 package query
 
 import (
-	"errors"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"cure/internal/lattice"
+	"cure/internal/par"
 )
 
-// ForEach runs task(i) for i in [0, n) on up to `workers` goroutines
-// (workers <= 0 uses GOMAXPROCS; workers == 1 runs sequentially). Work
-// is claimed from a shared atomic counter, so cheap and expensive tasks
-// interleave without static partitioning skew. The first error stops
-// new claims; in-flight tasks finish. All errors are joined.
-func ForEach(workers, n int, task func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
+// NodeQueryBatch answers the given node queries concurrently on up to
+// `workers` goroutines (workers <= 0 uses GOMAXPROCS; 1 runs them in
+// order) over one shared engine, which is safe for concurrent use. fn
+// is invoked concurrently for different qi but sequentially within
+// one. The first error stops new queries; every error is returned.
+func (e *Engine) NodeQueryBatch(workers int, ids []lattice.NodeID, fn func(qi int, row Row) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := task(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		mu     sync.Mutex
-		errs   []error
-		wg     sync.WaitGroup
-		// First task panic (from any worker); re-raised on the calling
-		// goroutine after the others drain, so a panicking query batch
-		// surfaces through the caller's stack — with the *obsv.PanicError
-		// context the engine's own capture wrappers attached — instead of
-		// crashing the process from an anonymous goroutine.
-		panicVal any
-	)
-	capture := func(v any) {
-		mu.Lock()
-		if panicVal == nil {
-			panicVal = v
-		}
-		mu.Unlock()
-		failed.Store(true)
-	}
-	run := func() {
-		for {
-			i := next.Add(1) - 1
-			if i >= int64(n) || failed.Load() {
-				return
-			}
-			if err := task(int(i)); err != nil {
-				failed.Store(true)
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
-				return
-			}
-		}
-	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					capture(v)
-				}
-			}()
-			run()
-		}()
-	}
-	func() {
-		defer func() {
-			if v := recover(); v != nil {
-				capture(v)
-			}
-		}()
-		run() // the calling goroutine participates
-	}()
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	return errors.Join(errs...)
-}
-
-// NodeQueryBatch answers the given node queries concurrently on up to
-// `workers` goroutines over one shared engine (the engine is safe for
-// concurrent use; results of different queries interleave only across
-// distinct qi values — fn is invoked concurrently for different qi but
-// sequentially within one).
-func (e *Engine) NodeQueryBatch(workers int, ids []lattice.NodeID, fn func(qi int, row Row) error) error {
-	return ForEach(workers, len(ids), func(qi int) error {
+	return par.Do(par.NewLimiter(workers), len(ids), func(_, qi int) error {
 		return e.NodeQuery(ids[qi], func(r Row) error { return fn(qi, r) })
 	})
 }

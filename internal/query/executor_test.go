@@ -3,19 +3,57 @@ package query
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"cure/internal/lattice"
 	"cure/internal/obsv"
 )
 
+// batchOf opens the predicate test cube and returns it with n copies of
+// one node's id, so a NodeQueryBatch over them runs n small queries
+// whose tasks are told apart by qi.
+func batchOf(t *testing.T, n int) (*Engine, []lattice.NodeID) {
+	t.Helper()
+	dir, _, _ := buildPredCube(t, false)
+	eng, err := Open(dir, Options{CacheFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	ids := make([]lattice.NodeID, n)
+	for i := range ids {
+		ids[i] = eng.Enum().AllNodes()[0]
+	}
+	return eng, ids
+}
+
+// firstRows counts the queries of a batch that delivered a row: fn
+// reports qi's first row to first, which returns whether it was.
+type firstRows struct {
+	seen []atomic.Bool
+	n    atomic.Int64
+}
+
+func newFirstRows(n int) *firstRows { return &firstRows{seen: make([]atomic.Bool, n)} }
+
+func (f *firstRows) first(qi int) bool {
+	if f.seen[qi].CompareAndSwap(false, true) {
+		f.n.Add(1)
+		return true
+	}
+	return false
+}
+
 func TestForEachStopsOnFirstError(t *testing.T) {
 	boom := errors.New("boom")
+	eng, ids := batchOf(t, 1000)
 	for _, workers := range []int{1, 4, 16} {
-		var ran atomic.Int64
-		err := ForEach(workers, 1000, func(i int) error {
-			ran.Add(1)
-			if i == 3 {
+		ran := newFirstRows(len(ids))
+		err := eng.NodeQueryBatch(workers, ids, func(qi int, r Row) error {
+			ran.first(qi)
+			if qi == 3 {
 				return boom
 			}
 			return nil
@@ -23,88 +61,61 @@ func TestForEachStopsOnFirstError(t *testing.T) {
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, boom)
 		}
-		// The first error stops new claims; only in-flight tasks finish,
-		// so nothing close to the full range runs.
-		if n := ran.Load(); n >= 1000 {
-			t.Fatalf("workers=%d: %d tasks ran after the error", workers, n)
+		// The first error stops new claims; only in-flight queries
+		// finish, so nothing close to the full batch runs.
+		if n := ran.n.Load(); n >= int64(len(ids)) {
+			t.Fatalf("workers=%d: %d queries ran after the error", workers, n)
 		}
 	}
 }
 
 func TestForEachJoinsConcurrentErrors(t *testing.T) {
-	// Force several workers to fail in the same round: everyone blocks on
-	// the barrier until all claims are taken, then all fail at once.
+	// Force several workers to fail in the same round: every query blocks
+	// on its first row until all are claimed, then all fail at once.
 	const workers = 4
+	eng, ids := batchOf(t, workers)
 	barrier := make(chan struct{})
 	var arrived atomic.Int64
-	err := ForEach(workers, workers, func(i int) error {
+	err := eng.NodeQueryBatch(workers, ids, func(qi int, r Row) error {
 		if arrived.Add(1) == workers {
 			close(barrier)
 		}
 		<-barrier
-		return fmt.Errorf("task %d failed", i)
+		return fmt.Errorf("task %d failed", qi)
 	})
 	if err == nil {
-		t.Fatal("ForEach swallowed the errors")
+		t.Fatal("NodeQueryBatch swallowed the errors")
 	}
 	for i := 0; i < workers; i++ {
-		want := fmt.Sprintf("task %d failed", i)
-		if !containsError(err, want) {
+		if want := fmt.Sprintf("task %d failed", i); !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error %q missing %q", err, want)
 		}
 	}
 }
 
-func containsError(err error, msg string) bool {
-	if err == nil {
-		return false
-	}
-	if err.Error() == msg {
-		return true
-	}
-	// errors.Join concatenates messages with newlines.
-	for _, line := range splitLines(err.Error()) {
-		if line == msg {
-			return true
-		}
-	}
-	return false
-}
-
-func splitLines(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			out = append(out, s[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, s[start:])
-}
-
 func TestForEachEdgeCases(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
-		t.Fatalf("n=0: %v", err)
+	eng, ids := batchOf(t, 10)
+	if err := eng.NodeQueryBatch(4, nil, func(int, Row) error { return errors.New("must not run") }); err != nil {
+		t.Fatalf("no ids: %v", err)
 	}
-	var seen atomic.Int64
-	if err := ForEach(0, 10, func(int) error { seen.Add(1); return nil }); err != nil {
+	ran := newFirstRows(len(ids))
+	if err := eng.NodeQueryBatch(0, ids, func(qi int, _ Row) error { ran.first(qi); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if seen.Load() != 10 {
-		t.Fatalf("workers=0 ran %d of 10 tasks", seen.Load())
+	if ran.n.Load() != 10 {
+		t.Fatalf("workers=0 ran %d of 10 queries", ran.n.Load())
 	}
-	// Sequential path returns the error immediately.
-	calls := 0
-	err := ForEach(1, 10, func(i int) error {
-		calls++
-		if i == 2 {
+	// The sequential path returns the error immediately.
+	calls := newFirstRows(len(ids))
+	err := eng.NodeQueryBatch(1, ids, func(qi int, _ Row) error {
+		calls.first(qi)
+		if qi == 2 {
 			return errors.New("stop")
 		}
 		return nil
 	})
-	if err == nil || calls != 3 {
-		t.Fatalf("sequential: err=%v calls=%d", err, calls)
+	if err == nil || calls.n.Load() != 3 {
+		t.Fatalf("sequential: err=%v calls=%d", err, calls.n.Load())
 	}
 }
 
@@ -124,7 +135,7 @@ func TestNodeQueryBatchErrorPaths(t *testing.T) {
 	defer eng.Close()
 
 	ids := eng.Enum().AllNodes()
-	for _, workers := range []int{1, 4, 16} {
+	for _, workers := range []int{0, 1, 4, 16} {
 		cancel := errors.New("consumer gave up")
 		err := eng.NodeQueryBatch(workers, ids, func(qi int, r Row) error {
 			if qi == len(ids)/2 {

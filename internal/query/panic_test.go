@@ -3,33 +3,33 @@ package query
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
-// TestForEachPropagatesPanic pins the parallel scan pool's crash
-// contract: a panic in any worker stops new claims, the pool drains,
-// and the first panic value re-raises on the calling goroutine (where
-// the engine's obsv.CapturePanic wrapper can annotate it).
+// TestForEachPropagatesPanic pins the batch's crash contract: a panic
+// in any query's consumer stops new claims, the workers drain, and the
+// first panic re-raises on the calling goroutine, annotated by the
+// engine's obsv.CapturePanic wrapper.
 func TestForEachPropagatesPanic(t *testing.T) {
+	eng, ids := batchOf(t, 100)
 	for _, workers := range []int{1, 4} {
-		var ran atomic.Int32
+		ran := newFirstRows(len(ids))
 		var recovered any
 		func() {
 			defer func() { recovered = recover() }()
-			ForEach(workers, 100, func(i int) error {
-				if i == 3 {
+			eng.NodeQueryBatch(workers, ids, func(qi int, _ Row) error {
+				if qi == 3 {
 					panic("kaboom-3")
 				}
-				ran.Add(1)
+				ran.first(qi)
 				return nil
 			})
 		}()
 		if recovered == nil || !strings.Contains(fmt.Sprint(recovered), "kaboom-3") {
-			t.Fatalf("workers=%d: recovered %v, want the task's panic value", workers, recovered)
+			t.Fatalf("workers=%d: recovered %v, want the consumer's panic value", workers, recovered)
 		}
-		if n := ran.Load(); n >= 100 {
-			t.Fatalf("workers=%d: all %d tasks ran despite a panic stopping claims", workers, n)
+		if n := ran.n.Load(); n >= int64(len(ids)) {
+			t.Fatalf("workers=%d: all %d queries ran despite a panic stopping claims", workers, n)
 		}
 	}
 }

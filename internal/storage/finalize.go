@@ -17,6 +17,7 @@ import (
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/obsv"
+	"cure/internal/par"
 	"cure/internal/signature"
 )
 
@@ -851,102 +852,48 @@ func (fin *finState) finish() error {
 	return WriteFinalizeStats(fin.w.opts.Dir, st)
 }
 
-// runExtents runs one relation's extents through the worker/committer
-// pipeline. Workers claim nodes (ascending id) from a shared cursor,
-// bounded by a lookahead window so buffered results never exceed ~2
-// extents per worker; whoever holds the commit lock commits every ready
-// prefix result, so bytes reach the file in exactly the sequential pass's
-// order at any worker count.
+// runExtents runs one relation's extents through par.Ordered: workers
+// build extents in any order and the commits append them in ascending
+// node id, so the file holds the sequential pass's bytes at any worker
+// count (DESIGN.md "Workers"). A committed result's encode buffer goes
+// back to spare for the next extent a worker builds.
 func (fin *finState) runExtents(rel relKind, ids []lattice.NodeID, out *extentFile) error {
-	workers := fin.workers(len(ids))
-	window := 2 * workers
-
+	lim := par.NewLimiter(fin.workers(len(ids)))
+	fws := make([]*finalizeWorker, lim.Slots())
 	var (
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		next      int
-		committed int
-		results   = make([]*extentResult, len(ids))
-		spare     [][]byte // recycled encode buffers of committed results
-		firstErr  error
-		panicVal  any
+		spareMu sync.Mutex
+		spare   [][]byte
 	)
-	commitReady := func() {
-		for firstErr == nil && committed < len(ids) && results[committed] != nil {
-			res := results[committed]
-			if firstErr = fin.commit(rel, res, out); firstErr != nil {
-				break
-			}
-			spare = append(spare, res.enc)
-			results[committed] = nil
-			committed++
+	relName := strings.TrimSuffix(relFiles[rel], ".bin")
+	stalls, err := par.Ordered(lim, len(ids), func(slot, i int) (*extentResult, error) {
+		defer obsv.CapturePanic(fin.w.opts.Metrics, func() string {
+			return fmt.Sprintf("finalize worker slot=%d relation=%s node=%d", slot, relName, ids[i])
+		})
+		if fws[slot] == nil {
+			fws[slot] = &finalizeWorker{}
 		}
-	}
-	worker := func(slot int) {
-		defer func() {
-			if v := recover(); v != nil {
-				mu.Lock()
-				if panicVal == nil {
-					panicVal = v
-				}
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-		fw := &finalizeWorker{}
-		for {
-			mu.Lock()
-			if firstErr == nil && panicVal == nil && next < len(ids) && next-committed >= window {
-				fin.cStalls.Inc()
-				fin.stats.CommitStalls++
-				for firstErr == nil && panicVal == nil && next < len(ids) && next-committed >= window {
-					cond.Wait()
-				}
-			}
-			if firstErr != nil || panicVal != nil || next >= len(ids) {
-				mu.Unlock()
-				return
-			}
-			i := next
-			next++
-			var buf []byte
-			if n := len(spare); n > 0 {
-				buf, spare = spare[n-1], spare[:n-1]
-			}
-			mu.Unlock()
-
-			res, err := fin.buildExtent(fw, rel, ids[i], buf)
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				res.slot = slot
-				results[i] = res
-				commitReady()
-			}
-			cond.Broadcast()
-			mu.Unlock()
+		var buf []byte
+		spareMu.Lock()
+		if n := len(spare); n > 0 {
+			buf, spare = spare[n-1], spare[:n-1]
 		}
-	}
-
-	if workers <= 1 {
-		worker(0)
-	} else {
-		var wg sync.WaitGroup
-		for s := 1; s < workers; s++ {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				worker(slot)
-			}(s)
+		spareMu.Unlock()
+		res, err := fin.buildExtent(fws[slot], rel, ids[i], buf)
+		if err != nil {
+			return nil, err
 		}
-		worker(0)
-		wg.Wait()
-	}
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	return firstErr
+		res.slot = slot
+		return res, nil
+	}, func(_ int, res *extentResult) error {
+		if err := fin.commit(rel, res, out); err != nil {
+			return err
+		}
+		spareMu.Lock()
+		spare = append(spare, res.enc)
+		spareMu.Unlock()
+		return nil
+	})
+	fin.cStalls.Add(stalls)
+	fin.stats.CommitStalls += stalls
+	return err
 }

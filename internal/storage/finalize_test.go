@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"cure/internal/gen"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
+	"cure/internal/obsv"
 	"cure/internal/signature"
 )
 
@@ -468,6 +470,45 @@ func TestFinalizeIsOnePass(t *testing.T) {
 	for _, e := range entries {
 		if n := e.Name(); !allowed[n] && n != ManifestFile && n != FinalizeStatsFile || strings.HasSuffix(n, ".log") {
 			t.Errorf("finalized cube holds %s", n)
+		}
+	}
+}
+
+// explodingResolver is a DimResolver that panics on its first call.
+func explodingResolver([]int64, [][]int32) error {
+	panic("resolver exploded")
+}
+
+// TestFinalizeWorkerPanicKeepsContext: a panicking Resolver reaches the
+// caller of Finalize as an *obsv.PanicError that names the relation and
+// the node being built and carries the worker's own stack, inline (P=1)
+// and on a helper (P=2).
+func TestFinalizeWorkerPanicKeepsContext(t *testing.T) {
+	ctxRE := regexp.MustCompile(`^finalize worker slot=\d+ relation=nt node=(\d+)$`)
+	for _, p := range []int{1, 2} {
+		w := newTestWriter(t, Options{
+			Dir: t.TempDir(), FactRows: 5000, ZoneBlockRows: 64,
+			Parallelism: p, Resolver: explodingResolver,
+		})
+		enum := w.Enum()
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			writeWorkload(t, w, false)
+			return nil
+		}()
+		pe, ok := got.(*obsv.PanicError)
+		if !ok {
+			t.Fatalf("P=%d: recovered %T %v, want *obsv.PanicError", p, got, got)
+		}
+		m := ctxRE.FindStringSubmatch(pe.Context)
+		if m == nil {
+			t.Fatalf("P=%d: panic context %q names no NT node", p, pe.Context)
+		}
+		if node := m[1]; node != strconv.Itoa(int(enum.Encode([]int{0, 0}))) && node != strconv.Itoa(int(enum.Encode([]int{1, 1}))) {
+			t.Fatalf("P=%d: panic names node %s, which has no NT extent", p, node)
+		}
+		if pe.Value != "resolver exploded" || !bytes.Contains(pe.Stack, []byte("storage.explodingResolver")) {
+			t.Fatalf("P=%d: value %v, stack lacks the resolver's frame:\n%s", p, pe.Value, pe.Stack)
 		}
 	}
 }
