@@ -33,9 +33,11 @@ func writeTestFact(t *testing.T, dir string) (factPath, hierPath string) {
 	return factPath, hierPath
 }
 
-// TestFlightBundleOnWorkerPanic crashes a real parallel build through
-// the production panic path (CURE_TEST_PANIC=worker makes the first
-// cube worker task panic) and checks the whole flight-recorder loop:
+// TestFlightBundleOnWorkerPanic crashes a real parallel partitioned
+// build through the production panic path (CURE_TEST_PANIC=worker makes
+// the first cube task panic; the -mem budget makes the build partition,
+// so its cube tasks run on workers) and checks the whole flight-recorder
+// loop:
 // the process dies naming the node path and the bundle it wrote, the
 // bundle is complete on disk, and `curectl doctor` parses it back into
 // a report that names the panicking worker's node path.
@@ -50,7 +52,7 @@ func TestFlightBundleOnWorkerPanic(t *testing.T) {
 
 	cmd := exec.Command(bin, "build",
 		"-fact", fact, "-hier", hier, "-out", filepath.Join(dir, "cube"),
-		"-parallelism", "2", "-flight-dir", flightDir)
+		"-mem", "1500", "-parallelism", "2", "-flight-dir", flightDir)
 	cmd.Env = append(os.Environ(), "CURE_TEST_PANIC=worker")
 	out, err := cmd.CombinedOutput()
 	if err == nil {

@@ -210,7 +210,7 @@ func cmdBuild(args []string) {
 	dr := fs.Bool("dr", false, "CURE_DR: store NT dimension values inline")
 	flat := fs.Bool("flat", false, "FCURE: flat cube at base levels only")
 	iceberg := fs.Int64("iceberg", 0, "min-count threshold (iceberg cube)")
-	par := fs.Int("parallelism", 0, "worker count for the build (0/1 = sequential; >1 fans the cubing recursion and the partitioning scan across cores)")
+	par := fs.Int("parallelism", 0, "worker count for the build (0/1 = sequential; >1 cubes the partitions and N_j nodes of an out-of-core build concurrently and runs the partitioning scan and finalize across cores)")
 	obs := obsv.RegisterFlags(fs)
 	fs.Parse(args)
 	if *fact == "" || *hierPath == "" || *out == "" {

@@ -61,17 +61,17 @@ type Options struct {
 	// ≤ 1 build the complete cube.
 	Iceberg int64
 	// Parallelism caps the number of concurrent workers for the whole
-	// build (≤1 = sequential, the paper's setting). It accelerates every
-	// path: multi-partition builds cube partition files concurrently,
-	// and after any root sort — the in-memory build, the node-N phase,
-	// and each partition's own recursion — the resulting runs fan out
-	// across the same worker budget (one shared semaphore caps the
-	// total, so nested sites never oversubscribe). Each worker owns a
-	// sorter and a shard of the signature-pool budget; parallel builds
-	// therefore fix the CAT format up front (format (b), or the NT
-	// fallback for a single aggregate) instead of deciding it from
-	// statistics — the formats differ only in size, never in
-	// correctness.
+	// build (≤1 = sequential, the paper's setting). It means one thing
+	// for cubing: a partitioned build cubes its independent roots — the
+	// partition files and the in-memory nodes N_j — as concurrent tasks,
+	// each a sequential Figure 13 recursion with its own shard of the
+	// signature-pool budget. Those builds therefore fix the CAT format up
+	// front (format (b), or the NT fallback for a single aggregate)
+	// instead of deciding it from statistics; the formats differ only in
+	// size, never in correctness. The partitioning scan and the finalize
+	// pipeline run on the same number of workers. An in-memory build
+	// cubes sequentially, and its cube is byte-identical at every
+	// setting.
 	Parallelism int
 	// FinalizeParallelism overrides the worker cap of the finalize extent
 	// pipeline. 0 inherits Parallelism;
@@ -102,8 +102,9 @@ type Options struct {
 	shortPlan bool
 	// forceQuickSort is set by QuickSortOnly only.
 	forceQuickSort bool
-	// forceFormat overrides the dynamic CAT-format decision. Parallel
-	// builds pin it; otherwise only tests set it.
+	// forceFormat overrides the dynamic CAT-format decision. Partitioned
+	// builds with concurrent cube tasks pin it; otherwise only tests set
+	// it.
 	forceFormat signature.Format
 }
 
@@ -153,9 +154,8 @@ type BuildStats struct {
 	// Elapsed is the wall-clock build time.
 	Elapsed time.Duration
 
-	// workerPool accumulates the signature statistics of per-worker
-	// pools (partition workers and segment fan-out); Build folds it
-	// into Pool.
+	// workerPool accumulates the signature statistics of the per-task
+	// pools of concurrent cube tasks; Build folds it into Pool.
 	workerPool signature.Stats
 }
 
@@ -243,12 +243,10 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 	if opts.shortPlan && !inMemory {
 		return nil, errors.New("core: the shortest plan (P2 ablation) supports in-memory builds only")
 	}
-	// One limiter serves every cubing site — partition workers, the
-	// in-memory root fan-out, the node-N phase and the nested fan-out
-	// inside each partition — so total concurrency never exceeds
-	// Parallelism however the sites compose. The partitioning scan and
-	// finalize make their own: the scan runs before any cubing site and
-	// finalize after the last, so this one would grant them every slot.
+	// One limiter serves the cube tasks of a partitioned build. The
+	// partitioning scan and finalize make their own: the scan runs before
+	// the first task and finalize after the last, so this one would grant
+	// them every slot.
 	lim := par.NewLimiter(opts.Parallelism)
 	finPar := opts.FinalizeParallelism
 	if finPar == 0 {
@@ -283,8 +281,9 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 	case poolCap == 0:
 		poolCap = DefaultPoolCapacity
 	}
-	if opts.Parallelism > 1 && opts.forceFormat == signature.FormatUndecided {
-		// Independent worker pools cannot share the dynamic format
+	concurrent := !inMemory && lim != nil
+	if concurrent && opts.forceFormat == signature.FormatUndecided {
+		// Independent task pools cannot share the dynamic format
 		// decision; pin the always-correct format up front.
 		if len(opts.AggSpecs) == 1 {
 			opts.forceFormat = signature.FormatNT
@@ -301,13 +300,13 @@ func build(opts Options, table *relation.FactTable, storeRows int64) (*BuildStat
 	pool.Metrics = reg
 	setupSpan.End()
 
-	if lim != nil {
-		// Concurrent workers append through the shared writer.
+	if concurrent {
+		// Concurrent cube tasks append through the shared writer.
 		w.Lock()
 	}
 	stats := &BuildStats{PartitionLevel: -1, PartitionLevelB: -1}
 	if inMemory {
-		err = buildInMemory(table, effHier, opts, lim, pool, w, stats, root)
+		err = buildInMemory(table, effHier, opts, pool, w, stats, root)
 	} else {
 		err = buildPartitioned(opts, effHier, strategy.Choice, rBytes, lim, pool, w, stats, root)
 	}
@@ -416,7 +415,7 @@ func factRef(dir, factPath string) string {
 	return absFact
 }
 
-func buildInMemory(table *relation.FactTable, hier *hierarchy.Schema, opts Options, lim *par.Limiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
+func buildInMemory(table *relation.FactTable, hier *hierarchy.Schema, opts Options, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
 	span := root.Child("cube")
 	span.AddRowsIn(int64(table.Len()))
 	defer span.End()
@@ -425,11 +424,7 @@ func buildInMemory(table *relation.FactTable, hier *hierarchy.Schema, opts Optio
 		ex.shortPlan = true
 		recordShortPlan(w)
 	}
-	attachPar(ex, lim, span, &opts)
-	if err := ex.run(stats); err != nil {
-		return err
-	}
-	return ex.finishPar(stats)
+	return ex.run(stats)
 }
 
 // recordShortPlan makes the shortest-plan ablation's one walk over the
@@ -516,7 +511,8 @@ func ChooseStrategy(hier *hierarchy.Schema, rBytes, memoryBudget int64, reg *obs
 // yields every node with dimension 0 above L_0 (lines 17–20: start
 // dimension 0 at its top level, never descend below L_0+1); N_1 yields the
 // nodes with dimension 0 at a level ≤ L_0 and dimension 1 above L_1, one
-// root {A_i} per level i ≤ L_0.
+// root {A_i} per level i ≤ L_0. The two phases share no node, so their
+// roots are one set of independent tasks (runPartitions).
 func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Choice, rBytes int64, lim *par.Limiter, pool *signature.Pool, w *storage.Writer, stats *BuildStats, root *obsv.Span) error {
 	reg := opts.Metrics
 	// Partition files live in Dir/tmp and go on every return path, a
@@ -543,106 +539,6 @@ func buildPartitioned(opts Options, hier *hierarchy.Schema, choice partition.Cho
 	}
 
 	cubeSpan := root.Child("partition.cube")
-	if err := runPartitions(res.PartitionPaths, levels, hier, opts, lim, pool, w, stats, cubeSpan); err != nil {
-		return err
-	}
-	cubeSpan.End()
-
-	nSpan := root.Child("n.cube")
-	defer nSpan.End()
-	for j, n := range res.N {
-		if n.Len() == 0 {
-			continue
-		}
-		nSpan.AddRowsIn(int64(n.Len()))
-		ex := newExecutor(n, hier, res.NSpecs, res.NCountCol, pool, w, opts.Iceberg, opts.forceQuickSort, reg)
-		attachPar(ex, lim, nSpan, &opts)
-		if j == 0 {
-			ex.baseLevel[0] = levels[0] + 1
-			err = ex.run(stats)
-		} else {
-			for la := 0; la <= levels[0] && err == nil; la++ {
-				err = ex.runRoot(la, []int{la, levels[1] + 1}, stats)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if err := ex.finishPar(stats); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runPartitions is phase 1: it cubes the partition files on the prefix
-// levels. Every partition is one par.Do task. Without a limiter the
-// tasks run in order on the calling goroutine and share the build's pool.
-// With one, partitions are disjoint and sound, so concurrent tasks each
-// own a signature pool (flushed when the partition is done) and
-// classification needs no cross-worker coordination; the shared writer
-// is already armed for locking, and a task's executor may itself fan out
-// whenever limiter slots are idle (fewer partitions than workers, or a
-// skewed straggler). Errors from all partitions are aggregated with
-// errors.Join, each wrapped with its path.
-func runPartitions(paths []string, levels []int, hier *hierarchy.Schema, opts Options, lim *par.Limiter, shared *signature.Pool, w *storage.Writer, stats *BuildStats, cubeSpan *obsv.Span) error {
-	reg := opts.Metrics
-	poolCap := shardedPoolCap(&opts)
-	type taskResult struct {
-		tts  int64
-		pool signature.Stats
-	}
-	results := make([]taskResult, len(paths))
-	err := par.Do(lim, len(paths), func(slot, i int) error {
-		pp := paths[i]
-		defer obsv.CapturePanic(reg, func() string {
-			return fmt.Sprintf("partition worker slot=%d partition=%s", slot, pp)
-		})
-		pt, err := relation.ReadFactFile(pp)
-		if err != nil {
-			return fmt.Errorf("core: partition %s: %w", pp, err)
-		}
-		partitionReadBytes(reg, pp)
-		if pt.Len() == 0 {
-			return nil
-		}
-		pool := shared
-		if lim != nil {
-			if pool, err = signature.NewPool(len(opts.AggSpecs), poolCap, w); err != nil {
-				return fmt.Errorf("core: partition %s: %w", pp, err)
-			}
-			pool.ForceFormat = opts.forceFormat
-			pool.Metrics = reg
-		}
-		ps := cubeSpan.Child("part")
-		ps.AddRowsIn(int64(pt.Len()))
-		ex := newExecutor(pt, hier, opts.AggSpecs, -1, pool, w, opts.Iceberg, opts.forceQuickSort, reg)
-		attachPar(ex, lim, ps, &opts)
-		var local BuildStats
-		if len(levels) == 1 {
-			err = ex.runRoot(levels[0], nil, &local)
-		} else {
-			for la := 0; la <= levels[0] && err == nil; la++ {
-				err = ex.runPartitionPair(la, levels[1], &local)
-			}
-		}
-		if err == nil {
-			err = ex.finishPar(&local)
-		}
-		if err == nil && pool != shared {
-			err = pool.Flush()
-			local.workerPool = local.workerPool.Add(pool.Stats())
-		}
-		if err != nil {
-			return fmt.Errorf("core: partition %s: %w", pp, err)
-		}
-		ps.End()
-		results[i] = taskResult{tts: local.TTs, pool: local.workerPool}
-		return nil
-	})
-	for _, r := range results {
-		stats.TTs += r.tts
-		stats.workerPool = stats.workerPool.Add(r.pool)
-	}
-	return err
+	defer cubeSpan.End()
+	return runPartitions(res, levels, hier, opts, lim, pool, w, stats, cubeSpan)
 }

@@ -64,7 +64,6 @@ type executor struct {
 	// the edge that last sorted position j. A recursion overwrites only
 	// the subrange it was handed, and every run loop finds a run's end
 	// before descending into it, so one array serves the whole depth.
-	// Owned by this executor, never shared (see parallel.go).
 	keys []int32
 	// levels[d] is the hierarchy level of dimension d in the node being
 	// computed; AllLevel means the dimension is aggregated away.
@@ -74,12 +73,6 @@ type executor struct {
 	baseLevel []int
 	aggBuf    []float64
 	ttWritten *int64
-
-	// par, when non-nil, fans the runs of every full-table root sort out
-	// across a bounded worker pool (see parallel.go). Worker executors
-	// cloned from this one always have par == nil: their segments are
-	// strict subranges, cubed inline.
-	par *parCtx
 
 	// Instrumentation: nil-safe counters (no-ops without a registry) and
 	// an optional plan-traversal trace sink.
@@ -273,13 +266,6 @@ func (ex *executor) followEdge(lo, hi, dim int, edge edgeKind) error {
 			Level: ex.levels[dim],
 			Rows:  hi - lo,
 		})
-	}
-	if ex.par != nil && lo == 0 && hi == len(ex.idx) {
-		// A root sort over the whole table: its runs are independent
-		// subproblems, so fan them out instead of recursing inline.
-		if handled, err := ex.fanOut(dim); handled {
-			return err
-		}
 	}
 	for lo < hi {
 		end := runEnd(ex.keys, lo, hi)

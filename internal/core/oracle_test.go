@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -66,13 +67,36 @@ func buildAt(t *testing.T, dir string, ft *relation.FactTable, opts Options) *Bu
 	if err := relation.WriteFactFile(factPath, ft); err != nil {
 		t.Fatal(err)
 	}
-	opts.Dir = filepath.Join(dir, "cube")
-	opts.FactPath = factPath
+	return buildFrom(t, factPath, filepath.Join(dir, "cube"), opts)
+}
+
+// buildFrom builds the cube of the fact file at factPath into dir. Cubes
+// built from one fact file record the same fact reference, so their
+// manifests can be compared byte for byte.
+func buildFrom(t *testing.T, factPath, dir string, opts Options) *BuildStats {
+	t.Helper()
+	opts.Dir, opts.FactPath = dir, factPath
 	stats, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return stats
+}
+
+// sameCubeFiles fails unless the cubes in dirA and dirB hold the same
+// bytes in every format file (goldenFiles).
+func sameCubeFiles(t *testing.T, dirA, dirB string) {
+	t.Helper()
+	for _, name := range goldenFiles {
+		a, errA := os.ReadFile(filepath.Join(dirA, name))
+		b, errB := os.ReadFile(filepath.Join(dirB, name))
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v / %v", name, errA, errB)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s differs: %s has %d bytes, %s %d", name, dirA, len(a), dirB, len(b))
+		}
+	}
 }
 
 // buildChecked builds ft's cube under opts in a fresh directory and holds
@@ -423,8 +447,9 @@ func paths(opts Options, rows int) []oraclePath {
 
 // checkVariant builds variant v over the case of seed on every path it
 // takes, at one worker and at four, and holds each cube to the oracle, the
-// path and the stats the variant pins; the P = 4 build must also answer,
-// classify and pin its CAT format like the P = 1 one.
+// path and the stats the variant pins; the P = 4 build must also answer
+// and classify like the P = 1 one. In memory it must write the same bytes;
+// partitioned, it must pin its CAT format.
 func checkVariant(t *testing.T, v oracleVariant, seed int64) {
 	c := genCase(t, seed, inMemory)
 	var variant Options
@@ -441,18 +466,22 @@ func checkVariant(t *testing.T, v oracleVariant, seed int64) {
 			}
 			opts.MemoryBudget = budgetFor(t, effHier, c.ft, p)
 			base := t.TempDir()
+			factPath := filepath.Join(base, "fact.bin")
+			if err := relation.WriteFactFile(factPath, c.ft); err != nil {
+				t.Fatal(err)
+			}
 			var seq *BuildStats
 			for _, par := range []int{1, 4} {
 				opts.Parallelism = par
 				dir := filepath.Join(base, fmt.Sprintf("P%d", par))
-				stats := buildAt(t, dir, c.ft, opts)
+				stats := buildFrom(t, factPath, dir, opts)
 				if stats.Partitioned != (p != inMemory) || (stats.PartitionLevelB >= 0) != (p == pairPartitioned) ||
 					(p != inMemory && stats.NumPartitions < 2) {
 					t.Fatalf("P=%d took another path: partitioned=%v level_b=%d partitions=%d",
 						par, stats.Partitioned, stats.PartitionLevelB, stats.NumPartitions)
 				}
-				checkCube(t, filepath.Join(dir, "cube"))
-				checkLayout(t, filepath.Join(dir, "cube"), opts)
+				checkCube(t, dir)
+				checkLayout(t, dir, opts)
 				switch {
 				case opts.Iceberg > 1 && stats.TTs != 0:
 					t.Errorf("P=%d: iceberg cube stored %d TTs", par, stats.TTs)
@@ -469,13 +498,21 @@ func checkVariant(t *testing.T, v oracleVariant, seed int64) {
 					seq = stats
 					continue
 				}
-				diffCubes(t, filepath.Join(base, "P1", "cube"), filepath.Join(dir, "cube"))
+				diffCubes(t, filepath.Join(base, "P1"), dir)
 				if stats.TTs != seq.TTs || stats.Pool.Total != seq.Pool.Total {
 					t.Errorf("P=%d wrote %d TTs from %d signatures, P=1 %d from %d",
 						par, stats.TTs, stats.Pool.Total, seq.TTs, seq.Pool.Total)
 				}
-				// Workers fix the CAT format up front; a cube shows it once it
-				// holds CATs.
+				if opts.PoolCapacity == NoPool && stats.Pool.NTs != seq.Pool.NTs {
+					t.Errorf("P=%d without a pool wrote %d NTs, P=1 %d", par, stats.Pool.NTs, seq.Pool.NTs)
+				}
+				if p == inMemory {
+					// An in-memory build cubes sequentially at every P.
+					sameCubeFiles(t, filepath.Join(base, "P1"), dir)
+					continue
+				}
+				// Concurrent cube tasks fix the CAT format up front; a cube
+				// shows it once it holds CATs.
 				if want := opts.forceFormat; stats.Pool.CatGroups > 0 {
 					if want == signature.FormatUndecided {
 						want = signature.FormatB
@@ -486,9 +523,6 @@ func checkVariant(t *testing.T, v oracleVariant, seed int64) {
 					if stats.CatFormat != want {
 						t.Errorf("P=%d CAT format %v, want pinned %v", par, stats.CatFormat, want)
 					}
-				}
-				if opts.PoolCapacity == NoPool && stats.Pool.NTs != seq.Pool.NTs {
-					t.Errorf("P=%d without a pool wrote %d NTs, P=1 %d", par, stats.Pool.NTs, seq.Pool.NTs)
 				}
 			}
 		})

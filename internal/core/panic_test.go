@@ -9,10 +9,11 @@ import (
 	"cure/internal/par"
 )
 
-// TestRunTasksPropagatesPanic pins the crash contract of the build's
-// worker pool: a panicking task stops new claims, the helpers drain,
-// every limiter slot is released, and the first panic value re-raises
-// on the calling goroutine.
+// TestRunTasksPropagatesPanic pins the crash contract the partition task
+// loop relies on from par.Do: a panicking task stops new claims, the
+// helpers drain, every limiter slot is released, and the first panic
+// value re-raises on the calling goroutine, where the build's flight
+// recorder sees it.
 func TestRunTasksPropagatesPanic(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		lim := par.NewLimiter(p)
@@ -34,8 +35,8 @@ func TestRunTasksPropagatesPanic(t *testing.T) {
 		if n := ran.Load(); n >= 16 {
 			t.Fatalf("p=%d: all %d tasks ran despite a panic stopping claims", p, n)
 		}
-		// Every limiter slot must come back even through the panic path —
-		// a partitioned build reuses the limiter for its next fan-out.
+		// Every limiter slot must come back even through the panic path,
+		// or every later par.Do on the limiter runs narrower.
 		if !fullWidthAgain(lim, p) {
 			t.Fatalf("p=%d: the limiter cannot run %d workers at once after a panic", p, p)
 		}

@@ -9,16 +9,18 @@ import (
 	"time"
 
 	"cure/internal/par"
+	"cure/internal/partition"
 	"cure/internal/relation"
-	"cure/internal/signature"
 )
 
-// TestParallelEquivalence is the correctness contract of the segment
-// fan-out: for every build path — in-memory hierarchical, flat, iceberg,
-// and externally partitioned — Parallelism 2 and 8 must answer every
-// node query identically to the sequential build, write the same number
-// of trivial tuples, and classify the same total number of signatures.
-// Run with -race this is also the fan-out's data-race regression test.
+// TestParallelEquivalence is the correctness contract of Parallelism: for
+// every build path — in-memory hierarchical, flat, iceberg, and externally
+// partitioned — Parallelism 2 and 8 must answer every node query
+// identically to the sequential build, write the same number of trivial
+// tuples, and classify the same total number of signatures. In memory,
+// where cubing stays sequential, they must write the same bytes too. Run
+// with -race this is also the data-race regression test of the partition
+// task loop.
 func TestParallelEquivalence(t *testing.T) {
 	hier := paperHier(t)
 	configs := []struct {
@@ -35,16 +37,20 @@ func TestParallelEquivalence(t *testing.T) {
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			base := t.TempDir()
+			factPath := filepath.Join(base, "fact.bin")
+			if err := relation.WriteFactFile(factPath, cfg.ft); err != nil {
+				t.Fatal(err)
+			}
 			seqOpts := cfg.opts
 			seqOpts.Parallelism = 1
 			seqDir := filepath.Join(base, "p1")
-			seqStats := buildAt(t, seqDir, cfg.ft, seqOpts)
+			seqStats := buildFrom(t, factPath, seqDir, seqOpts)
 			for _, p := range []int{2, 8} {
 				parOpts := cfg.opts
 				parOpts.Parallelism = p
 				parDir := filepath.Join(base, "p"+string(rune('0'+p)))
-				parStats := buildAt(t, parDir, cfg.ft, parOpts)
-				diffCubes(t, filepath.Join(seqDir, "cube"), filepath.Join(parDir, "cube"))
+				parStats := buildFrom(t, factPath, parDir, parOpts)
+				diffCubes(t, seqDir, parDir)
 				if parStats.TTs != seqStats.TTs {
 					t.Errorf("P=%d wrote %d TTs, sequential %d", p, parStats.TTs, seqStats.TTs)
 				}
@@ -53,6 +59,9 @@ func TestParallelEquivalence(t *testing.T) {
 				}
 				if cfg.opts.MemoryBudget > 0 && !parStats.Partitioned {
 					t.Errorf("P=%d did not take the external path", p)
+				}
+				if cfg.opts.MemoryBudget == 0 {
+					sameCubeFiles(t, seqDir, parDir)
 				}
 			}
 		})
@@ -87,39 +96,46 @@ func TestParallelNoPoolStatsEquality(t *testing.T) {
 
 // TestParallelInMemoryMatchesReference ties the parallel in-memory build
 // to ground truth computed straight from the fact table (not just to the
-// sequential build).
+// sequential build), and to the sequential build's dynamic CAT format:
+// nothing cubes concurrently in memory, so nothing pins it.
 func TestParallelInMemoryMatchesReference(t *testing.T) {
-	stats := buildChecked(t, randomFact(t, 900, 33), Options{Hier: paperHier(t), AggSpecs: testSpecs(), Parallelism: 4})
+	ft := randomFact(t, 900, 33)
+	opts := Options{Hier: paperHier(t), AggSpecs: testSpecs(), Parallelism: 4}
+	stats := buildChecked(t, ft, opts)
 	if stats.Partitioned {
 		t.Fatal("expected an in-memory build")
 	}
-	if stats.CatFormat != signature.FormatB {
-		t.Errorf("parallel in-memory format = %v, want pinned B", stats.CatFormat)
+	opts.Parallelism = 1
+	seq := buildAt(t, t.TempDir(), ft, opts)
+	if stats.CatFormat != seq.CatFormat {
+		t.Errorf("parallel in-memory format = %v, sequential %v", stats.CatFormat, seq.CatFormat)
 	}
 }
 
 // TestRunPartitionsParallelErrorAggregation is the regression test for
-// the worker-pool deadlock: with more partitions than workers and every
-// read failing, the old channel-fed pool blocked forever on the jobs
-// send once all workers had exited. The rewrite must return promptly
-// with the failing partition's path in the error.
+// the worker-pool deadlock: with more tasks than workers and every task
+// failing, the old channel-fed pool blocked forever on the jobs send once
+// all workers had exited. The partition task loop must return promptly
+// with the failing root in the error: a partition's path, or N_0, whose
+// task fails to make its pool (it is given no aggregates).
 func TestRunPartitionsParallelErrorAggregation(t *testing.T) {
 	hier := paperHier(t)
 	paths := make([]string, 6)
 	for i := range paths {
 		paths[i] = filepath.Join(t.TempDir(), "part-missing.bin")
 	}
+	res := &partition.Result{PartitionPaths: paths, N: []*relation.FactTable{randomFact(t, 10, 3)}, NCountCol: -1}
 	opts := Options{Hier: hier, AggSpecs: testSpecs(), Parallelism: 2}
 	lim := par.NewLimiter(opts.Parallelism)
 	done := make(chan error, 1)
 	go func() {
 		var stats BuildStats
-		done <- runPartitions(paths, []int{0}, hier, opts, lim, nil, nil, &stats, nil)
+		done <- runPartitions(res, []int{0}, hier, opts, lim, nil, nil, &stats, nil)
 	}()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("reading nonexistent partitions succeeded")
+			t.Fatal("every task failed, runPartitions succeeded")
 		}
 		if !strings.Contains(err.Error(), "partition") || !strings.Contains(err.Error(), "part-missing.bin") {
 			t.Fatalf("error lacks per-partition context: %v", err)
@@ -127,11 +143,26 @@ func TestRunPartitionsParallelErrorAggregation(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("runPartitions deadlocked on worker errors")
 	}
+	// The first failure stops further claims, so N_0 may not have run
+	// above: on its own its failure must name it.
+	done2 := make(chan error, 1)
+	go func() {
+		var stats BuildStats
+		done2 <- runPartitions(&partition.Result{N: res.N, NCountCol: -1}, []int{0}, hier, opts, lim, nil, nil, &stats, nil)
+	}()
+	select {
+	case err := <-done2:
+		if err == nil || !strings.Contains(err.Error(), "N_0") {
+			t.Fatalf("failing N_0 task: err = %v, want its root named", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("runPartitions deadlocked on a failing N task")
+	}
 }
 
-// TestRunTasksRunsEverything pins the contract core's partition and
-// segment fan-outs rely on from par.Do: every task runs once, on a slot
-// the per-slot worker state covers, and every grant comes back.
+// TestRunTasksRunsEverything pins the contract core's partition task loop
+// relies on from par.Do: every task runs once, on a slot inside the
+// limiter's width, and every grant comes back.
 func TestRunTasksRunsEverything(t *testing.T) {
 	for _, p := range []int{1, 3, 8} {
 		lim := par.NewLimiter(p)
@@ -159,8 +190,8 @@ func TestRunTasksRunsEverything(t *testing.T) {
 
 // fullWidthAgain reports whether lim can again run p workers at once:
 // p tasks that each wait until all p have started finish only if every
-// grant came back. A build reuses one limiter across all its fan-outs,
-// so a lost grant would quietly narrow every later one.
+// grant came back. A lost grant would quietly narrow every later par.Do
+// on the same limiter.
 func fullWidthAgain(lim *par.Limiter, p int) bool {
 	var arrived atomic.Int32
 	all := make(chan struct{})
@@ -206,43 +237,5 @@ func TestRunTasksAggregatesErrors(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("no error reported")
-	}
-}
-
-func TestBatchRunsBalanceAndCoverage(t *testing.T) {
-	runs := []segRun{{0, 100}, {100, 101}, {101, 103}, {103, 106}, {106, 110}, {110, 115}}
-	batches := batchRuns(runs, 4)
-	if len(batches) < 2 || len(batches) > 4 {
-		t.Fatalf("got %d batches, want 2..4", len(batches))
-	}
-	seen := map[segRun]int{}
-	hotAlone := false
-	for _, b := range batches {
-		if len(b) == 0 {
-			t.Fatal("empty batch")
-		}
-		rows := 0
-		for _, r := range b {
-			seen[r]++
-			rows += r.hi - r.lo
-		}
-		if len(b) == 1 && b[0] == (segRun{0, 100}) {
-			hotAlone = true
-		}
-		_ = rows
-	}
-	for _, r := range runs {
-		if seen[r] != 1 {
-			t.Fatalf("run %v assigned %d times", r, seen[r])
-		}
-	}
-	if !hotAlone {
-		t.Fatalf("hot run not isolated in its own batch: %v", batches)
-	}
-	// Two runs never collapse into one batch — that would silently
-	// serialize the fan-out.
-	two := batchRuns([]segRun{{0, 1}, {1, 500}}, 8)
-	if len(two) != 2 {
-		t.Fatalf("two runs packed into %d batches, want 2", len(two))
 	}
 }

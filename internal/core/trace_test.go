@@ -194,14 +194,28 @@ func TestPartitionedBuildObservability(t *testing.T) {
 			root := snap.Spans[0]
 			names := map[string]bool{}
 			var childSum float64
+			var nRows, nTasks int64
 			for _, c := range root.Children {
 				childSum += c.ElapsedSec
 				names[c.Name] = true
+				if c.Name != "partition.cube" {
+					continue
+				}
+				// Each N_j is a cube task beside the partitions.
+				for _, task := range c.Children {
+					if task.Name == "n" {
+						nTasks++
+						nRows += task.RowsIn
+					}
+				}
 			}
-			for _, want := range []string{"load", "partition.split", "partition.cube", "n.cube", "pool.flush", "finalize"} {
+			for _, want := range []string{"load", "partition.split", "partition.cube", "pool.flush", "finalize"} {
 				if !names[want] {
 					t.Fatalf("missing phase span %q (have %v)", want, names)
 				}
+			}
+			if nTasks == 0 || nRows != int64(stats.NRows) {
+				t.Fatalf("%d n tasks under partition.cube took %d rows, N holds %d", nTasks, nRows, stats.NRows)
 			}
 			elapsed := stats.Elapsed.Seconds()
 			if childSum <= 0 || childSum > elapsed {

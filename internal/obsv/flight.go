@@ -144,7 +144,9 @@ func (f *FlightRecorder) write(reason, note, panicMsg string, stack []byte) stri
 	f.mu.Unlock()
 
 	// One last history point so the final window ends at the incident.
-	hist.Record()
+	// It skips the budget check: a crossing found here would write a
+	// second bundle from inside this one, while a crashing process dies.
+	hist.record(false)
 
 	now := time.Now()
 	dir := filepath.Join(f.dir, fmt.Sprintf("bundle-%s-%03d-%s",
@@ -250,7 +252,7 @@ func (r *Registry) Flight() *FlightRecorder {
 
 // PanicError wraps a panic captured in an instrumented worker: the
 // original panic value, the stack of the panicking goroutine, the
-// capture-site context ("cube worker slot=2 batch=5 span=build/cube",
+// capture-site context ("cube worker slot=1 N_0 node=Product.ALL,Store.ALL",
 // "query id=17 op=node"), and the bundle directory the flight recorder
 // wrote, when one was attached. CapturePanic re-panics with it, so an
 // uncaught worker panic still crashes the process — but the crash

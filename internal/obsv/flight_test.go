@@ -127,6 +127,41 @@ func TestFlightBundleContentsAndDoctor(t *testing.T) {
 	}
 }
 
+// TestBundleSampleSkipsBudgetCheck pins that the history point a bundle
+// takes at the incident does not write a second, mem_budget bundle from
+// inside the first (a crashing partitioned build is always over its
+// budget), while the next tick still reports the crossing.
+func TestBundleSampleSkipsBudgetCheck(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge(BudgetGaugeName).Set(1) // every heap is over it
+	h := newHistory(r)
+	dir := t.TempDir()
+	f := NewFlightRecorder(dir, r)
+	r.SetFlight(f)
+	f.Attach(h, nil)
+	if f.Trigger("test", "") == "" {
+		t.Fatal("Trigger wrote nothing")
+	}
+	bundles := func() []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		return names
+	}
+	if got := bundles(); len(got) != 1 {
+		t.Fatalf("one trigger wrote %v", got)
+	}
+	h.Record()
+	if got := bundles(); len(got) != 2 || !strings.HasSuffix(got[1], "-mem_budget") {
+		t.Fatalf("the next tick left %v, want the test bundle and a mem_budget one", got)
+	}
+}
+
 func TestFlightTriggerOnceAndNil(t *testing.T) {
 	r := NewRegistry()
 	f := NewFlightRecorder(t.TempDir(), r)

@@ -130,10 +130,15 @@ func (h *History) Stop() {
 }
 
 // Record takes one tick now: runtime gauges, mem_sample event, budget
-// check, one ring point (no-op on nil). The flight recorder calls it
-// once more at bundle time so the final window always ends at the
-// incident. Safe for concurrent use with the ticker.
-func (h *History) Record() {
+// check, one ring point (no-op on nil). The flight recorder takes one
+// more point at bundle time, without the budget check, so the final
+// window always ends at the incident. Safe for concurrent use with the
+// ticker.
+func (h *History) Record() { h.record(true) }
+
+// record is Record; checkBudget false skips the budget check, which
+// leaves a crossing for the next tick to see.
+func (h *History) record(checkBudget bool) {
 	if h == nil {
 		return
 	}
@@ -157,7 +162,7 @@ func (h *History) Record() {
 		GCPauseNanos: ms.PauseTotalNs,
 		Span:         span,
 	})
-	if budget := h.gBudget.Value(); budget > 0 {
+	if budget := h.gBudget.Value(); checkBudget && budget > 0 {
 		over := ms.HeapInuse > uint64(budget)
 		h.mu.Lock()
 		crossed := over != h.over

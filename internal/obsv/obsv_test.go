@@ -331,8 +331,8 @@ func TestProgressLine(t *testing.T) {
 	s.End()
 }
 
-// TestConcurrentSegSpans models the build's segment fan-out: many
-// goroutines attach "seg" children to one phase span, tally rows, and
+// TestConcurrentSegSpans models the build's concurrent cube tasks: many
+// goroutines attach children to one phase span, tally rows, and
 // end them while a scraper keeps snapshotting. All children must
 // survive into the snapshot with their row counts.
 func TestConcurrentSegSpans(t *testing.T) {

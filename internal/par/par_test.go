@@ -11,8 +11,8 @@ import (
 )
 
 // freeSlots drains lim and reports how many grants were free, then
-// returns them: every grant must come back after a call, since a build
-// reuses one limiter across all its fan-outs.
+// returns them: every grant must come back after a call, since a limiter
+// is reused across calls.
 func freeSlots(lim *Limiter) int {
 	n := lim.grant(lim.Slots())
 	for i := 0; i < n; i++ {

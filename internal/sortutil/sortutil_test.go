@@ -332,7 +332,7 @@ func TestSorterGrowsGeometrically(t *testing.T) {
 	}
 }
 
-// BenchmarkSorterManySmallSegments is the fan-out workload: one sorter
+// BenchmarkSorterManySmallSegments is the deep-recursion workload: one sorter
 // handling a stream of small segments of varying size, through the Keyer
 // adapter (what buc and bubst call) and through the keyed kernel the way
 // the executor drives it (Codes into its own key array, then SortKeyed). The report must
