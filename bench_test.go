@@ -117,7 +117,7 @@ func BenchmarkNodeQuery(b *testing.B) {
 	b.ResetTimer()
 	var rows int64
 	for i := 0; i < b.N; i++ {
-		if err := eng.NodeQuery(node, func(cure.Row) error { rows++; return nil }); err != nil {
+		if err := eng.Query(cure.Spec{Node: node}, func(cure.Row) error { rows++; return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

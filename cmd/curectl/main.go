@@ -429,6 +429,22 @@ func parseWhere(hier *hierarchy.Schema, s string) ([]query.Predicate, error) {
 	return preds, nil
 }
 
+// querySpec builds the one query.Spec the query, iceberg and explain
+// subcommands run: the node of a -levels expression, the -where
+// predicates, and an iceberg threshold (0 for none). The node's levels
+// are returned alongside.
+func querySpec(eng *query.Engine, levelsExpr, whereExpr string, minCount float64) (query.Spec, []int, error) {
+	levels, err := parseLevels(eng.Hier(), levelsExpr)
+	if err != nil {
+		return query.Spec{}, nil, err
+	}
+	preds, err := parseWhere(eng.Hier(), whereExpr)
+	if err != nil {
+		return query.Spec{}, nil, err
+	}
+	return query.Spec{Node: eng.Enum().Encode(levels), Where: preds, MinCount: minCount}, levels, nil
+}
+
 func cmdQuery(args []string, iceberg bool) {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	cube := fs.String("cube", "", "cube directory")
@@ -451,19 +467,22 @@ func cmdQuery(args []string, iceberg bool) {
 	if *levelsFlag == "" {
 		fatalf("missing -levels")
 	}
-	levels, err := parseLevels(eng.Hier(), *levelsFlag)
+	threshold := 0.0
+	if iceberg {
+		threshold = *minCount
+	}
+	spec, levels, err := querySpec(eng, *levelsFlag, *whereFlag, threshold)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	id := eng.Enum().Encode(levels)
+	id := spec.Node
 	if err := obs.Start(os.Stderr); err != nil {
 		fatalf("%v", err)
 	}
 	diag("node %d (%s)\n", id, eng.Enum().Name(id))
 
 	// Optional dictionary decoding: base-level codes print as their
-	// original strings (coarser levels have no dictionary entries unless
-	// the hierarchy was derived with csvload.BuildDim).
+	// original strings (coarser levels have no dictionary entries).
 	var dict *csvload.Dictionary
 	if *dictPath != "" {
 		var err error
@@ -504,30 +523,7 @@ func cmdQuery(args []string, iceberg bool) {
 		}
 		return nil
 	}
-	preds, err := parseWhere(eng.Hier(), *whereFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if iceberg {
-		if len(preds) > 0 {
-			fatalf("-where is not supported with iceberg queries")
-		}
-		countIdx := -1
-		for i, s := range eng.Manifest().AggSpecs {
-			if s.Func == relation.AggCount {
-				countIdx = i
-				break
-			}
-		}
-		if countIdx < 0 {
-			fatalf("cube has no COUNT aggregate; iceberg queries need one")
-		}
-		err = eng.IcebergQuery(id, countIdx, *minCount, emit)
-	} else if len(preds) > 0 {
-		err = eng.NodeQueryWhere(id, preds, emit)
-	} else {
-		err = eng.NodeQuery(id, emit)
-	}
+	err = eng.Query(spec, emit)
 	if ferr := obs.Finish(); ferr != nil && err == nil {
 		err = ferr
 	}
@@ -565,19 +561,14 @@ func cmdExplain(args []string) {
 		fatalf("%v", err)
 	}
 	defer eng.Close()
-	levels, err := parseLevels(eng.Hier(), *levelsFlag)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	preds, err := parseWhere(eng.Hier(), *whereFlag)
+	spec, _, err := querySpec(eng, *levelsFlag, *whereFlag, 0)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	if err := obs.Start(os.Stderr); err != nil {
 		fatalf("%v", err)
 	}
-	id := eng.Enum().Encode(levels)
-	plan, err := eng.Explain(id, preds, *analyze)
+	plan, err := eng.Explain(spec, *analyze)
 	if ferr := obs.Finish(); ferr != nil && err == nil {
 		err = ferr
 	}

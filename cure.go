@@ -12,7 +12,8 @@
 //   - internal/hierarchy — dimensions, levels, roll-up maps
 //   - internal/relation  — fact tables and their binary persistence
 //   - internal/core      — the CURE algorithm and its variants
-//   - internal/query     — node queries over materialized cubes
+//   - internal/query     — the one query op, Engine.Query(Spec), over
+//     materialized cubes
 //   - internal/gen       — benchmark dataset generators
 //   - internal/bench     — the paper's experiment suite
 //
@@ -25,7 +26,8 @@
 //	    AggSpecs: []cure.AggSpec{{Func: cure.AggSum, Measure: 0}},
 //	})
 //	eng, err := cure.OpenCube("cube/")
-//	err = eng.NodeQuery(id, func(row cure.Row) error { ... })
+//	err = eng.Query(cure.Spec{Node: id}, func(row cure.Row) error { ... })
+//	err = eng.Query(cure.Spec{Node: id, Where: preds, MinCount: 10}, fn)
 //
 // See the runnable examples in example_test.go and the experiment
 // harness in cmd/cubebench.
@@ -51,10 +53,15 @@ type (
 	AggSpec = relation.AggSpec
 	// FactTable is the in-memory columnar fact table.
 	FactTable = relation.FactTable
-	// Engine answers node queries over a cube directory.
+	// Engine answers queries over a cube directory.
 	Engine = query.Engine
-	// Row is one node-query result tuple.
+	// Row is one query result tuple.
 	Row = query.Row
+	// Spec is one query: a node, optional predicates, an optional
+	// iceberg threshold; see Engine.Query.
+	Spec = query.Spec
+	// Predicate restricts a Spec to a code range of one dimension level.
+	Predicate = query.Predicate
 	// NodeID identifies a lattice node.
 	NodeID = lattice.NodeID
 	// QueryOptions configures cache behaviour of a query engine.

@@ -43,17 +43,18 @@ func TestFacadeEndToEnd(t *testing.T) {
 	defer eng.Close()
 
 	// A roll-up walk from base Product level to Division.
-	node := eng.Enum().Encode([]int{0, 2, 3, 1})
+	levels := []int{0, 2, 3, 1}
+	product := eng.Hier().Dims[0]
 	for lvl := 0; lvl < 5; lvl++ {
-		up, ok := eng.RollUp(node, 0)
-		if !ok {
+		if product.IsAll(levels[0]) {
 			t.Fatalf("roll-up stopped at level %d", lvl)
 		}
-		node = up
+		levels[0] = product.DashParent(levels[0])
 	}
+	node := eng.Enum().Encode(levels)
 	var rows int
 	var total float64
-	if err := eng.NodeQuery(node, func(row cure.Row) error {
+	if err := eng.Query(cure.Spec{Node: node}, func(row cure.Row) error {
 		rows++
 		total += row.Aggrs[0]
 		return nil
@@ -65,7 +66,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	// The division totals must sum to the grand total.
 	var grand float64
-	if err := eng.NodeQuery(eng.Enum().RootID(), func(row cure.Row) error {
+	apex := make([]int, eng.Hier().NumDims()) // every dimension at ALL
+	for d, dim := range eng.Hier().Dims {
+		apex[d] = dim.AllLevel()
+	}
+	if err := eng.Query(cure.Spec{Node: eng.Enum().Encode(apex)}, func(row cure.Row) error {
 		grand = row.Aggrs[0]
 		return nil
 	}); err != nil {

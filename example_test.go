@@ -68,7 +68,7 @@ func ExampleBuildFromTable() {
 		sum float64
 	}
 	var rows []pair
-	if err := eng.NodeQuery(nodeA, func(row cure.Row) error {
+	if err := eng.Query(cure.Spec{Node: nodeA}, func(row cure.Row) error {
 		rows = append(rows, pair{row.Dims[0], row.Aggrs[0]})
 		return nil
 	}); err != nil {
@@ -85,7 +85,7 @@ func ExampleBuildFromTable() {
 	// A=2 SUM(M)=90
 }
 
-func ExampleEngine_IcebergQuery() {
+func ExampleEngine_Query() {
 	hier, err := hierarchy.NewSchema(
 		hierarchy.NewFlatDim("A", 3),
 		hierarchy.NewFlatDim("B", 3),
@@ -114,11 +114,11 @@ func ExampleEngine_IcebergQuery() {
 		log.Fatal(err)
 	}
 	defer eng.Close()
-	// Groups of node A with count(*) > 1 — trivial tuples are skipped
-	// without ever being read.
+	// Groups of node A with count(*) > 1 — an iceberg query: trivial
+	// tuples are skipped without ever being read.
 	nodeA := eng.Enum().Encode([]int{0, 1, 1})
 	var lines []string
-	if err := eng.IcebergQuery(nodeA, 1, 1, func(row cure.Row) error {
+	if err := eng.Query(cure.Spec{Node: nodeA, MinCount: 1}, func(row cure.Row) error {
 		lines = append(lines, fmt.Sprintf("A=%d count=%g sum=%g", row.Dims[0], row.Aggrs[1], row.Aggrs[0]))
 		return nil
 	}); err != nil {
@@ -169,7 +169,7 @@ func Example_quickstart() {
 	defer eng.Close()
 	for _, id := range eng.Enum().AllNodes() {
 		var rows []string
-		if err := eng.NodeQuery(id, func(row cure.Row) error {
+		if err := eng.Query(cure.Spec{Node: id}, func(row cure.Row) error {
 			rows = append(rows, fmt.Sprintf("  dims=%v SUM(M)=%g", row.Dims, row.Aggrs[0]))
 			return nil
 		}); err != nil {
@@ -278,7 +278,7 @@ func Example_outofcore() {
 	}
 	defer b.Close()
 	total := func(e *cure.Engine, id cure.NodeID) (sum float64, n int) {
-		if err := e.NodeQuery(id, func(row cure.Row) error {
+		if err := e.Query(cure.Spec{Node: id}, func(row cure.Row) error {
 			sum += row.Aggrs[0]
 			n++
 			return nil

@@ -44,7 +44,7 @@ func (q bubstQuerier) Close() error { return q.e.Close() }
 type cureQuerier struct{ e *query.Engine }
 
 func (q cureQuerier) Query(id lattice.NodeID, fn func([]int32, []float64) error) error {
-	return q.e.NodeQuery(id, func(row query.Row) error { return fn(row.Dims, row.Aggrs) })
+	return q.e.Query(query.Spec{Node: id}, func(row query.Row) error { return fn(row.Dims, row.Aggrs) })
 }
 func (q cureQuerier) Close() error { return q.e.Close() }
 

@@ -145,7 +145,7 @@ func (h *Harness) runAPBQuery() (map[string]*Result, error) {
 			}
 			start := time.Now()
 			for _, ns := range nodes[lo:hi] {
-				if err := e.NodeQuery(ns.id, func(query.Row) error { return nil }); err != nil {
+				if err := e.Query(query.Spec{Node: ns.id}, func(query.Row) error { return nil }); err != nil {
 					e.Close()
 					return nil, err
 				}

@@ -244,19 +244,6 @@ func (h *Harness) Run(id string) (*Result, error) {
 	return res, nil
 }
 
-// RunAll executes every experiment and returns the results in id order.
-func (h *Harness) RunAll() ([]*Result, error) {
-	var out []*Result
-	for _, id := range h.IDs() {
-		res, err := h.Run(id)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // Formatting helpers shared by the experiment files.
 
 func fmtDur(sec float64) string {

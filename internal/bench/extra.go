@@ -117,7 +117,7 @@ func (h *Harness) runIceberg() (map[string]*Result, error) {
 		}
 		start := time.Now()
 		for _, id := range nodes {
-			if err := ce.IcebergQuery(id, 1, minCount, func(query.Row) error { return nil }); err != nil {
+			if err := ce.Query(query.Spec{Node: id, MinCount: minCount}, func(query.Row) error { return nil }); err != nil {
 				return nil, err
 			}
 		}

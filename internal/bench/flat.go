@@ -137,7 +137,7 @@ func (h *Harness) runFlatHier() (map[string]*Result, error) {
 		start := time.Now()
 		for _, levels := range workload {
 			id := hierEnum.Encode(levels)
-			if err := he.NodeQuery(id, func(query.Row) error { return nil }); err != nil {
+			if err := he.Query(query.Spec{Node: id}, func(query.Row) error { return nil }); err != nil {
 				he.Close()
 				return nil, err
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"cure/internal/gen"
 	"cure/internal/hierarchy"
+	"cure/internal/lattice"
 	"cure/internal/query"
 	"cure/internal/relation"
 	"cure/internal/signature"
@@ -120,7 +122,7 @@ func TestBuildPartitionedVariants(t *testing.T) {
 func TestFlatBuildMatchesFlatReference(t *testing.T) {
 	dir := t.TempDir()
 	buildAt(t, dir, randomFact(t, 400, 3), Options{Hier: paperHier(t), AggSpecs: testSpecs(), Flat: true})
-	checkCube(t, filepath.Join(dir, "cube"))
+	checkCube(t, filepath.Join(dir, "cube"), 3)
 	// The flat cube is the cube of the flattened schema: 2^3 nodes.
 	eng, err := query.OpenDefault(filepath.Join(dir, "cube"))
 	if err != nil {
@@ -184,7 +186,9 @@ func TestBuildWithSortedDimsHeuristic(t *testing.T) {
 	// the same query results as the natural order (contents are order-
 	// independent; only performance differs).
 	hier := paperHier(t)
-	permHier, permFt := permuted(t, hier.Dims, randomFact(t, 300, 31), hier.SortByCardinality())
+	order := []int{0, 1, 2}
+	slices.SortStableFunc(order, func(a, b int) int { return int(hier.Dims[b].Levels[0].Card - hier.Dims[a].Levels[0].Card) })
+	permHier, permFt := permuted(t, hier.Dims, randomFact(t, 300, 31), order)
 	buildChecked(t, permFt, Options{Hier: permHier, AggSpecs: testSpecs()})
 }
 
@@ -200,7 +204,7 @@ func TestParallelPartitionedBuildMatchesReference(t *testing.T) {
 	}
 }
 
-// TestIcebergQueryOnCompleteCube: IcebergQuery over a complete cube
+// TestIcebergQueryOnCompleteCube: an iceberg Spec over a complete cube
 // answers exactly the node's rows whose COUNT is above the threshold.
 func TestIcebergQueryOnCompleteCube(t *testing.T) {
 	opts := Options{Dir: t.TempDir(), Hier: paperHier(t), AggSpecs: testSpecs()}
@@ -217,7 +221,7 @@ func TestIcebergQueryOnCompleteCube(t *testing.T) {
 	render := func(row query.Row) string { return fmt.Sprint(row.Dims, row.Aggrs) }
 	for _, id := range enum.AllNodes() {
 		var want, got []string
-		if err := eng.NodeQuery(id, func(row query.Row) error {
+		if err := eng.Query(query.Spec{Node: id}, func(row query.Row) error {
 			if row.Aggrs[1] > minCount {
 				want = append(want, render(row))
 			}
@@ -225,7 +229,7 @@ func TestIcebergQueryOnCompleteCube(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.IcebergQuery(id, 1, minCount, func(row query.Row) error {
+		if err := eng.Query(query.Spec{Node: id, MinCount: minCount}, func(row query.Row) error {
 			got = append(got, render(row))
 			return nil
 		}); err != nil {
@@ -237,12 +241,22 @@ func TestIcebergQueryOnCompleteCube(t *testing.T) {
 			t.Fatalf("node %s: iceberg returned %v, want %v", enum.Name(id), got, want)
 		}
 	}
-	// Bad arguments are rejected.
-	if err := eng.IcebergQuery(0, 0, 5, func(query.Row) error { return nil }); err == nil {
-		t.Error("non-COUNT aggregate accepted")
-	}
-	if err := eng.IcebergQuery(0, 1, 0, func(query.Row) error { return nil }); err == nil {
+	// Bad arguments are rejected: a threshold below 1, and any threshold
+	// on a cube without a COUNT.
+	if err := eng.Query(query.Spec{Node: 0, MinCount: 0.5}, func(query.Row) error { return nil }); err == nil {
 		t.Error("threshold below 1 accepted")
+	}
+	sumOnly := Options{Dir: t.TempDir(), Hier: opts.Hier, AggSpecs: testSpecs()[:1]}
+	if _, err := BuildFromTable(randomFact(t, 50, 13), sumOnly); err != nil {
+		t.Fatal(err)
+	}
+	noCount, err := query.OpenDefault(sumOnly.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer noCount.Close()
+	if err := noCount.Query(query.Spec{Node: 0, MinCount: 5}, func(query.Row) error { return nil }); err == nil {
+		t.Error("cube without a COUNT answered an iceberg query")
 	}
 }
 
@@ -317,6 +331,10 @@ func TestBuildStatsAndValidation(t *testing.T) {
 	}
 }
 
+// TestRollUpDrillDown: rolling node A0B0C0 up along A's dashed tree to
+// A1B0C0 and drilling back down lands on the node it started from, and
+// the rolled-up node's answer is the finer answer re-aggregated through
+// A's roll-up map (SUM and COUNT are distributive).
 func TestRollUpDrillDown(t *testing.T) {
 	hier := paperHier(t)
 	ft := randomFact(t, 100, 17)
@@ -330,21 +348,33 @@ func TestRollUpDrillDown(t *testing.T) {
 	}
 	defer eng.Close()
 	enum := eng.Enum()
-	base := enum.Encode([]int{0, 0, 0})
-	up, ok := eng.RollUp(base, 0)
-	if !ok || up != enum.Encode([]int{1, 0, 0}) {
-		t.Errorf("RollUp = %d ok=%v", up, ok)
-	}
-	down, ok := eng.DrillDown(up, 0)
-	if !ok || down != base {
-		t.Errorf("DrillDown = %d ok=%v", down, ok)
-	}
-	root := enum.RootID()
-	if _, ok := eng.DrillDown(base, 0); ok {
+	a := hier.Dims[0]
+	if len(a.DashChildren(0)) != 0 {
 		t.Error("drill below base succeeded")
 	}
-	if _, ok := eng.RollUp(root, 0); ok {
-		t.Error("roll above ALL succeeded")
+	base := enum.Encode([]int{0, 0, 0})
+	up := enum.Encode([]int{a.DashParent(0), 0, 0})
+	if up != enum.Encode([]int{1, 0, 0}) {
+		t.Errorf("roll-up of %s = %s", enum.Name(base), enum.Name(up))
+	}
+	if down := enum.Encode([]int{a.DashChildren(1)[0], 0, 0}); down != base {
+		t.Errorf("drill-down of %s = %s, want %s", enum.Name(up), enum.Name(down), enum.Name(base))
+	}
+	answer := func(id lattice.NodeID, roll func([]int32) []int32) map[string][2]float64 {
+		got := map[string][2]float64{}
+		if err := eng.Query(query.Spec{Node: id}, func(row query.Row) error {
+			k := fmt.Sprint(roll(row.Dims))
+			g := got[k]
+			got[k] = [2]float64{g[0] + row.Aggrs[0], g[1] + row.Aggrs[1]}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	rolled := answer(base, func(dims []int32) []int32 { return append([]int32{a.MapCode(dims[0], 1)}, dims[1:]...) })
+	if want := answer(up, func(dims []int32) []int32 { return dims }); !maps.Equal(rolled, want) {
+		t.Errorf("%s re-aggregated = %v, %s answers %v", enum.Name(base), rolled, enum.Name(up), want)
 	}
 }
 
@@ -371,7 +401,7 @@ func TestConcurrentEngines(t *testing.T) {
 			}
 			defer eng.Close()
 			for _, id := range eng.Enum().AllNodes() {
-				if err := eng.NodeQuery(id, func(query.Row) error { return nil }); err != nil {
+				if err := eng.Query(query.Spec{Node: id}, func(query.Row) error { return nil }); err != nil {
 					errs <- err
 					return
 				}
@@ -451,7 +481,7 @@ func TestPairPartitionedBuildMatchesReference(t *testing.T) {
 	if !stats.Partitioned || stats.PartitionLevelB < 0 {
 		t.Fatalf("expected pair partitioning: partitioned=%v levelB=%d", stats.Partitioned, stats.PartitionLevelB)
 	}
-	checkCube(t, filepath.Join(dir, "cube"))
+	checkCube(t, filepath.Join(dir, "cube"), 8)
 }
 
 func TestPairPartitionedVariantsAndSkew(t *testing.T) {

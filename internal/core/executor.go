@@ -268,7 +268,7 @@ func (ex *executor) followEdge(lo, hi, dim int, edge edgeKind) error {
 		})
 	}
 	for lo < hi {
-		end := runEnd(ex.keys, lo, hi)
+		end := sortutil.RunEnd(ex.keys, lo, hi)
 		if err := ex.executePlan(lo, end, dim+1); err != nil {
 			return err
 		}
@@ -305,17 +305,6 @@ func (ex *executor) sortSegment(lo, hi, dim int) sortutil.Alg {
 	return alg
 }
 
-// runEnd returns the end of the run of equal codes that starts at
-// keys[lo], within keys[lo:hi].
-func runEnd(keys []int32, lo, hi int) int {
-	code := keys[lo]
-	end := lo + 1
-	for end < hi && keys[end] == code {
-		end++
-	}
-	return end
-}
-
 // runPartitionPair executes one pair-partitioning root {A_la, B_lb}, the
 // k = 2 prefix pin of the partition phase: the segment tree fixes
 // dimension 0 at level la and enters dimension 1 at level lb, covering
@@ -336,7 +325,7 @@ func (ex *executor) runPartitionPair(la, lb int, stats *BuildStats) error {
 	}
 	ex.sortSegment(0, len(ex.idx), 0)
 	for lo := 0; lo < len(ex.idx); {
-		hi := runEnd(ex.keys, lo, len(ex.idx))
+		hi := sortutil.RunEnd(ex.keys, lo, len(ex.idx))
 		// Inner segmentation on dimension 1 at level lb.
 		if err := ex.followEdge(lo, hi, 1, edgeSolid); err != nil {
 			return err

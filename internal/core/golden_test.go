@@ -188,7 +188,7 @@ func TestCubeGoldenDigests(t *testing.T) {
 						t.Errorf("%q: %q,", key, got)
 					}
 				}
-				checkCube(t, dir)
+				checkCube(t, dir, tc.seed+int64(p))
 				checkLayout(t, dir, opts)
 			})
 		}

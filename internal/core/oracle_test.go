@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"testing"
 
+	"cure/internal/factstore"
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/query"
@@ -25,34 +27,59 @@ import (
 // Adding a variant is adding one row to oracleVariants.
 
 // checkCube is the harness's one oracle: query.Verify recomputes every node
-// of the cube in dir from its fact file and compares tuples and
-// aggregates, iceberg threshold included. On top, NodeCount must agree
-// with the tuples each node enumerates.
-func checkCube(t *testing.T, dir string) {
+// of the cube in dir from its fact file and compares tuples, aggregates
+// and NodeCount, iceberg threshold included, for the whole node and for
+// one Spec it draws per node. The engine it verifies through is drawn
+// from seed: a fact cache of nothing, two pages or everything, the
+// decoded block cache off, at 64 KiB or at its default, AGGREGATES pinned
+// or not, zone pruning on or off; and C ∈ {1, 4} goroutines verify on it
+// at once, each from its own seed, the first every node and the others a
+// sample.
+func checkCube(t *testing.T, dir string, seed int64) {
 	t.Helper()
-	eng, err := query.OpenDefault(dir)
+	m, err := storage.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	opts := query.Options{
+		CacheFraction:     []float64{0, 2 * factstore.PageRows / max(float64(m.FactRows), 1), 1}[rng.Intn(3)],
+		DecodedCacheBytes: []int64{-1, 64 << 10, 0}[rng.Intn(3)],
+		PinAggregates:     rng.Intn(2) == 0,
+		NoIndex:           rng.Intn(2) == 0,
+	}
+	eng, err := query.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	rep, err := eng.Verify(0, 1)
-	if err != nil {
-		t.Fatal(err)
+	clients := []int{1, 4}[rng.Intn(2)]
+	reps := make([]*query.VerifyReport, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Client 0 verifies every node; the others a quarter each.
+			sample := 0
+			if c > 0 {
+				sample = max(int(eng.Enum().NumNodes())/4, 1)
+			}
+			reps[c], errs[c] = eng.Verify(sample, seed+int64(c))
+		}()
 	}
-	if !rep.OK() {
-		t.Fatalf("cube disagrees with its fact table: %v", rep.Errors)
-	}
+	wg.Wait()
 	enum := eng.Enum()
-	if int64(rep.NodesChecked) != enum.NumNodes() {
-		t.Fatalf("verified %d of %d nodes", rep.NodesChecked, enum.NumNodes())
-	}
-	for _, id := range enum.AllNodes() {
-		var rows int64
-		if err := eng.NodeQuery(id, func(query.Row) error { rows++; return nil }); err != nil {
-			t.Fatal(err)
+	for c, rep := range reps {
+		if errs[c] != nil {
+			t.Fatal(errs[c])
 		}
-		if n, err := eng.NodeCount(id); err != nil || n != rows {
-			t.Fatalf("node %s: NodeCount = %d (err %v), enumerated %d", enum.Name(id), n, err, rows)
+		if !rep.OK() {
+			t.Fatalf("engine %+v, client %d of %d: cube disagrees with its fact table: %v", opts, c, clients, rep.Errors)
+		}
+		if c == 0 && int64(rep.NodesChecked) != enum.NumNodes() {
+			t.Fatalf("verified %d of %d nodes", rep.NodesChecked, enum.NumNodes())
 		}
 	}
 }
@@ -105,7 +132,7 @@ func buildChecked(t *testing.T, ft *relation.FactTable, opts Options) *BuildStat
 	t.Helper()
 	dir := t.TempDir()
 	stats := buildAt(t, dir, ft, opts)
-	checkCube(t, filepath.Join(dir, "cube"))
+	checkCube(t, filepath.Join(dir, "cube"), int64(ft.Len()))
 	checkLayout(t, filepath.Join(dir, "cube"), opts)
 	return stats
 }
@@ -480,7 +507,7 @@ func checkVariant(t *testing.T, v oracleVariant, seed int64) {
 					t.Fatalf("P=%d took another path: partitioned=%v level_b=%d partitions=%d",
 						par, stats.Partitioned, stats.PartitionLevelB, stats.NumPartitions)
 				}
-				checkCube(t, dir)
+				checkCube(t, dir, seed+int64(par))
 				checkLayout(t, dir, opts)
 				switch {
 				case opts.Iceberg > 1 && stats.TTs != 0:
@@ -580,7 +607,7 @@ func caseFeatures(c *oracleCase) map[string]bool {
 			}
 		}
 		f["a cardinality-1 dimension"] = f["a cardinality-1 dimension"] || dim.Levels[0].Card == 1
-		f["a complex hierarchy"] = f["a complex hierarchy"] || !dim.IsLinear()
+		f["a complex hierarchy"] = f["a complex hierarchy"] || slices.ContainsFunc(dim.Levels, func(l hierarchy.Level) bool { return len(l.RollsUpTo) > 1 })
 		f["code MaxInt32−1"] = f["code MaxInt32−1"] || slices.Contains(c.ft.Dims[d], math.MaxInt32-1)
 	}
 	return f
@@ -605,7 +632,7 @@ func FuzzCubeMatchesOracle(f *testing.F) {
 func TestVerifyCatchesWrongAnswers(t *testing.T) {
 	dir := t.TempDir()
 	buildAt(t, dir, randomFact(t, 600, 42), Options{Hier: paperHier(t), AggSpecs: testSpecs()})
-	checkCube(t, filepath.Join(dir, "cube"))
+	checkCube(t, filepath.Join(dir, "cube"), 42)
 	for name, edit := range map[string]func(*relation.FactTable){
 		"measure":   func(ft *relation.FactTable) { ft.Measures[0][10]++ },
 		"dimension": func(ft *relation.FactTable) { ft.Dims[2][20] = (ft.Dims[2][20] + 1) % 4 },

@@ -93,7 +93,7 @@ func TestPlanPathShort(t *testing.T) {
 	if got, want := path(0), []lattice.NodeID{0, 12, 20, 23}; !slices.Equal(got, want) {
 		t.Errorf("P2 path of A0B0C0 = %v, want %v", got, want)
 	}
-	if _, ok := planParentShort(e, e.RootID()); ok {
+	if _, ok := planParentShort(e, lattice.NodeID(e.NumNodes()-1)); ok {
 		t.Error("∅ has a P2 parent")
 	}
 	for _, id := range e.AllNodes() {

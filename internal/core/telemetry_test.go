@@ -186,7 +186,7 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := eng.Enum().Encode([]int{0, 0, 0})
-	if err := eng.NodeQuery(id, func(query.Row) error { return nil }); err != nil {
+	if err := eng.Query(query.Spec{Node: id}, func(query.Row) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Close()
@@ -245,5 +245,5 @@ func TestLiveTelemetryDuringPartitionedBuild(t *testing.T) {
 		t.Fatal("/healthz never reported degraded despite the heap sitting above the forced budget")
 	}
 
-	checkCube(t, filepath.Join(dir, "cube"))
+	checkCube(t, filepath.Join(dir, "cube"), 1)
 }

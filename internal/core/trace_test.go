@@ -290,7 +290,7 @@ func TestPartitionedBuildObservability(t *testing.T) {
 				t.Fatalf("%d pool-flush events, pool.flushes = %d", flushes, n)
 			}
 
-			checkCube(t, filepath.Join(dir, "cube"))
+			checkCube(t, filepath.Join(dir, "cube"), 1)
 		})
 	}
 }

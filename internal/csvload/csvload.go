@@ -2,10 +2,7 @@
 // format: dimension columns are dictionary-encoded into dense int32 codes
 // (first-seen order), measure columns are parsed as floats, and the
 // resulting dictionaries can be persisted alongside the fact file and
-// used to decode query results back into the original strings. It also
-// derives hierarchy levels from classification functions over the raw
-// values (e.g. "2024-03-15" → "2024-03" → "2024"), producing the level
-// maps the cube builder consumes.
+// used to decode query results back into the original strings.
 package csvload
 
 import (
@@ -17,7 +14,6 @@ import (
 	"os"
 	"strconv"
 
-	"cure/internal/hierarchy"
 	"cure/internal/relation"
 )
 
@@ -45,13 +41,6 @@ type DimDict struct {
 
 // Card returns the number of distinct values.
 func (d *DimDict) Card() int32 { return int32(len(d.Values)) }
-
-// Code returns the code of a raw value.
-func (d *DimDict) Code(value string) (int32, bool) {
-	d.ensureIndex()
-	c, ok := d.index[value]
-	return c, ok
-}
 
 // Value returns the raw string of a code ("" when out of range).
 func (d *DimDict) Value(code int32) string {
@@ -194,61 +183,4 @@ func LoadFile(path string, spec Spec) (*relation.FactTable, *Dictionary, error) 
 	}
 	defer f.Close()
 	return Load(f, spec)
-}
-
-// LevelSpec derives one hierarchy level from raw dimension values:
-// Classify maps a base value to its member at this level (e.g. a date
-// string to its month).
-type LevelSpec struct {
-	Name     string
-	Classify func(value string) string
-}
-
-// BuildDim turns a base dictionary plus derived-level specs (ordered fine
-// to coarse) into a hierarchy dimension with consistent level maps and a
-// dictionary per level. The classification of level i+1 is applied to the
-// *base* values, and consistency (each level-i member maps to exactly one
-// level-i+1 member) is enforced.
-func BuildDim(base *DimDict, levels []LevelSpec) (*hierarchy.Dim, []*DimDict, error) {
-	dim := &hierarchy.Dim{Name: base.Name}
-	dim.Levels = append(dim.Levels, hierarchy.Level{Name: base.Name, Card: base.Card()})
-	dicts := []*DimDict{base}
-	prevMap := make([]int32, base.Card()) // base → previous level (identity initially)
-	for i := range prevMap {
-		prevMap[i] = int32(i)
-	}
-	prevDict := base
-	for li, ls := range levels {
-		levelDict := &DimDict{Name: ls.Name}
-		m := make([]int32, base.Card())
-		// memberOf[prevCode] remembers the level code each previous-level
-		// member maps to, enforcing consistency.
-		memberOf := make([]int32, prevDict.Card())
-		for i := range memberOf {
-			memberOf[i] = -1
-		}
-		for baseCode := int32(0); baseCode < base.Card(); baseCode++ {
-			val := ls.Classify(base.Value(baseCode))
-			code := levelDict.add(val)
-			m[baseCode] = code
-			prev := prevMap[baseCode]
-			if memberOf[prev] == -1 {
-				memberOf[prev] = code
-			} else if memberOf[prev] != code {
-				return nil, nil, fmt.Errorf(
-					"csvload: level %q is inconsistent: %s member %q maps to both %q and %q",
-					ls.Name, dim.Levels[li].Name, prevDict.Value(prev),
-					levelDict.Value(memberOf[prev]), levelDict.Value(code))
-			}
-		}
-		dim.Levels[li].RollsUpTo = []int{li + 1}
-		dim.Levels = append(dim.Levels, hierarchy.Level{Name: ls.Name, Card: levelDict.Card(), Map: m})
-		dicts = append(dicts, levelDict)
-		prevMap = m
-		prevDict = levelDict
-	}
-	if err := dim.Finalize(); err != nil {
-		return nil, nil, err
-	}
-	return dim, dicts, nil
 }

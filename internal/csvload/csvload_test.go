@@ -42,10 +42,10 @@ func TestLoadBasics(t *testing.T) {
 	if city.Value(0) != "London" || city.Value(1) != "Paris" || city.Value(2) != "Berlin" {
 		t.Errorf("city values = %v", city.Values)
 	}
-	if c, ok := city.Code("Paris"); !ok || c != 1 {
-		t.Errorf("Code(Paris) = %d,%v", c, ok)
+	if c, ok := city.index["Paris"]; !ok || c != 1 {
+		t.Errorf("code of Paris = %d,%v", c, ok)
 	}
-	if _, ok := city.Code("Tokyo"); ok {
+	if _, ok := city.index["Tokyo"]; ok {
 		t.Error("unknown value resolved")
 	}
 	if city.Value(99) != "" {
@@ -100,7 +100,7 @@ func TestDictionarySaveLoad(t *testing.T) {
 	if back.Dims[0].Value(2) != "Berlin" {
 		t.Errorf("round-tripped dict = %v", back.Dims[0].Values)
 	}
-	if c, ok := back.Dims[0].Code("London"); !ok || c != 0 {
+	if c := back.Dims[0].add("London"); c != 0 || back.Dims[0].Card() != 3 {
 		t.Error("index not rebuilt after load")
 	}
 	if _, err := LoadDictionary(filepath.Join(t.TempDir(), "absent.json")); err == nil {
@@ -108,6 +108,29 @@ func TestDictionarySaveLoad(t *testing.T) {
 	}
 }
 
+// deriveDim builds a hierarchy dimension over a base dictionary: level
+// i+1 classifies each base value (e.g. "2024-03-15" → "2024-03") into a
+// member of its own dictionary, and Finalize holds the levels to a
+// consistent roll-up.
+func deriveDim(base *DimDict, names []string, classify ...func(string) string) (*hierarchy.Dim, []*DimDict, error) {
+	dim := &hierarchy.Dim{Name: base.Name, Levels: []hierarchy.Level{{Name: base.Name, Card: base.Card()}}}
+	dicts := []*DimDict{base}
+	for li, f := range classify {
+		level := &DimDict{Name: names[li]}
+		m := make([]int32, base.Card())
+		for code := range m {
+			m[code] = level.add(f(base.Value(int32(code))))
+		}
+		dim.Levels[li].RollsUpTo = []int{li + 1}
+		dim.Levels = append(dim.Levels, hierarchy.Level{Name: names[li], Card: level.Card(), Map: m})
+		dicts = append(dicts, level)
+	}
+	return dim, dicts, dim.Finalize()
+}
+
+// TestBuildDimDateHierarchy: a date hierarchy derived from an imported
+// dictionary cubes the imported table, and the month node answers "qty
+// per month" through the level dictionaries.
 func TestBuildDimDateHierarchy(t *testing.T) {
 	ft, dict, err := Load(strings.NewReader(sampleCSV), Spec{
 		DimCols:     []string{"date", "city"},
@@ -116,10 +139,9 @@ func TestBuildDimDateHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dateDim, dicts, err := BuildDim(dict.Dims[0], []LevelSpec{
-		{Name: "month", Classify: func(v string) string { return v[:7] }},
-		{Name: "year", Classify: func(v string) string { return v[:4] }},
-	})
+	dateDim, dicts, err := deriveDim(dict.Dims[0], []string{"month", "year"},
+		func(v string) string { return v[:7] },
+		func(v string) string { return v[:4] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +181,7 @@ func TestBuildDimDateHierarchy(t *testing.T) {
 	defer eng.Close()
 	monthNode := eng.Enum().Encode([]int{1, 1}) // month × ALL
 	got := map[string]float64{}
-	if err := eng.NodeQuery(monthNode, func(row query.Row) error {
+	if err := eng.Query(query.Spec{Node: monthNode}, func(row query.Row) error {
 		got[dicts[1].Value(row.Dims[0])] = row.Aggrs[0]
 		return nil
 	}); err != nil {
@@ -173,14 +195,15 @@ func TestBuildDimDateHierarchy(t *testing.T) {
 	}
 }
 
+// TestBuildDimRejectsInconsistentLevels: levels derived so that one
+// level-1 member splits across two level-2 members are not a hierarchy.
 func TestBuildDimRejectsInconsistentLevels(t *testing.T) {
 	base := &DimDict{Name: "x", Values: []string{"a1", "a2", "b1"}}
 	// Level 1 groups by first letter; level 2 groups by last character —
 	// "a1" and "a2" share a level-1 member but split at level 2.
-	_, _, err := BuildDim(base, []LevelSpec{
-		{Name: "first", Classify: func(v string) string { return v[:1] }},
-		{Name: "last", Classify: func(v string) string { return v[1:] }},
-	})
+	_, _, err := deriveDim(base, []string{"first", "last"},
+		func(v string) string { return v[:1] },
+		func(v string) string { return v[1:] })
 	if err == nil {
 		t.Error("inconsistent hierarchy accepted")
 	}

@@ -119,25 +119,6 @@ func (d *Dim) LevelName(l int) string {
 	return d.Levels[l].Name
 }
 
-// IsLinear reports whether the hierarchy is a simple chain.
-func (d *Dim) IsLinear() bool {
-	for i, lv := range d.Levels {
-		switch len(lv.RollsUpTo) {
-		case 0:
-			if i != len(d.Levels)-1 {
-				return false
-			}
-		case 1:
-			if lv.RollsUpTo[0] != i+1 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // Finalize validates the dimension and computes the dashed-edge tree. It
 // must be called after the Levels slice is fully populated and before the
 // dimension is used to build a plan.
@@ -275,24 +256,6 @@ func (s *Schema) NumNodes() int {
 		n *= d.NumLevels()
 	}
 	return n
-}
-
-// SortByCardinality returns a permutation of dimension indices in
-// decreasing base-level cardinality — the BUC heuristic the paper adopts,
-// which also makes CURE's partitioning more effective (it maximizes
-// |A0|/|A(L+1)| for the first dimension).
-func (s *Schema) SortByCardinality() []int {
-	perm := make([]int, len(s.Dims))
-	for i := range perm {
-		perm[i] = i
-	}
-	// Insertion sort: D is small.
-	for i := 1; i < len(perm); i++ {
-		for j := i; j > 0 && s.Dims[perm[j]].Levels[0].Card > s.Dims[perm[j-1]].Levels[0].Card; j-- {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-		}
-	}
-	return perm
 }
 
 // Flatten returns a copy of the schema with every dimension reduced to its

@@ -36,8 +36,10 @@ func TestLinearDimBasics(t *testing.T) {
 	if d.Card(0) != 8 || d.Card(1) != 4 || d.Card(2) != 2 || d.Card(3) != 1 {
 		t.Errorf("Card sequence wrong: %d %d %d %d", d.Card(0), d.Card(1), d.Card(2), d.Card(3))
 	}
-	if !d.IsLinear() {
-		t.Error("linear dim not recognized as linear")
+	for l := 0; l < d.AllLevel(); l++ {
+		if d.DashParent(l) != l+1 {
+			t.Errorf("linear dim: DashParent(%d) = %d, want %d", l, d.DashParent(l), l+1)
+		}
 	}
 	if d.LevelName(3) != "ALL" || d.LevelName(0) != "A0" {
 		t.Error("LevelName wrong")
@@ -103,8 +105,8 @@ func complexTimeDim(t *testing.T) *Dim {
 
 func TestComplexHierarchyModifiedRule2(t *testing.T) {
 	d := complexTimeDim(t)
-	if d.IsLinear() {
-		t.Error("complex dim classified linear")
+	if len(d.Levels[0].RollsUpTo) < 2 {
+		t.Error("complex dim: day rolls up into one level only")
 	}
 	// day's incoming dashed edge must come from week (card 104 > 24).
 	if got := d.DashParent(0); got != 1 {
@@ -235,19 +237,6 @@ func TestPaperNodeCount(t *testing.T) {
 	}
 	if s.NumNodes() != 24 {
 		t.Errorf("NumNodes = %d, want 24", s.NumNodes())
-	}
-}
-
-func TestSortByCardinality(t *testing.T) {
-	a := NewFlatDim("A", 10)
-	b := NewFlatDim("B", 1000)
-	c := NewFlatDim("C", 100)
-	s, err := NewSchema(a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SortByCardinality(); !reflect.DeepEqual(got, []int{1, 2, 0}) {
-		t.Errorf("SortByCardinality = %v, want [1 2 0]", got)
 	}
 }
 

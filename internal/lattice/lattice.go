@@ -101,16 +101,6 @@ func (e *Enum) Name(id NodeID) string {
 	return b.String()
 }
 
-// RootID returns the id of the all-ALL node (∅), the root of CURE's
-// execution plan.
-func (e *Enum) RootID() NodeID {
-	levels := make([]int, e.schema.NumDims())
-	for i, d := range e.schema.Dims {
-		levels[i] = d.AllLevel()
-	}
-	return e.Encode(levels)
-}
-
 // GroupingArity returns the number of dimensions present (not at ALL) in
 // the node.
 func (e *Enum) GroupingArity(id NodeID) int {

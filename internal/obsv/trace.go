@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"sync/atomic"
 )
 
 // TraceWriter is a line-oriented JSON event sink: every Emit marshals
@@ -19,8 +18,6 @@ type TraceWriter struct {
 	err      error
 	max      int64 // byte budget, 0 = unlimited
 	written  int64
-	events   atomic.Int64
-	dropped  atomic.Int64
 	cDropped *Counter
 
 	// Tail ring of the most recent marshalled event lines (without the
@@ -99,14 +96,6 @@ func (t *TraceWriter) Tail() [][]byte {
 	return append(out, t.tail[:t.tailNext]...)
 }
 
-// Dropped returns the number of events dropped at the byte cap.
-func (t *TraceWriter) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
 // Emit appends one event as a JSON line. Marshal or write errors are
 // sticky and reported by Flush; tracing never fails a build. Past the
 // SetMaxBytes budget, events are dropped (and counted) instead.
@@ -133,7 +122,6 @@ func (t *TraceWriter) Emit(ev any) {
 		}
 	}
 	if t.max > 0 && t.written+int64(len(data))+1 > t.max {
-		t.dropped.Add(1)
 		t.cDropped.Inc()
 		return
 	}
@@ -146,15 +134,6 @@ func (t *TraceWriter) Emit(ev any) {
 		return
 	}
 	t.written += int64(len(data)) + 1
-	t.events.Add(1)
-}
-
-// Events returns the number of events emitted so far.
-func (t *TraceWriter) Events() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.events.Load()
 }
 
 // Flush drains the buffer and returns the first error encountered, if

@@ -3,7 +3,6 @@ package query
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"cure/internal/obsv"
 	"cure/internal/storage"
@@ -22,8 +21,6 @@ const defaultBlockCacheBytes = 32 << 20
 // blocks when a cache is attached, never into reused scratch.
 type blockCache struct {
 	shards []blockShard
-	hits   atomic.Int64
-	misses atomic.Int64
 	// Bound registry counters (nil-safe no-ops without a registry).
 	cHits, cMisses, cEvicts *obsv.Counter
 }
@@ -91,12 +88,10 @@ func (c *blockCache) GetBlock(rel uint8, node int64, block int) *storage.Decoded
 		s.lru.MoveToFront(el)
 		db := el.Value.(*blockEntry).db
 		s.mu.Unlock()
-		c.hits.Add(1)
 		c.cHits.Inc()
 		return db
 	}
 	s.mu.Unlock()
-	c.misses.Add(1)
 	c.cMisses.Inc()
 	return nil
 }
@@ -129,6 +124,3 @@ func (c *blockCache) PutBlock(rel uint8, node int64, block int, db *storage.Deco
 	s.bytes += decodedBytes
 	s.mu.Unlock()
 }
-
-// Stats returns decoded-block cache hits and misses.
-func (c *blockCache) Stats() (hits, misses int64) { return c.hits.Load(), c.misses.Load() }

@@ -3,6 +3,7 @@ package query
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cure/internal/core"
@@ -15,15 +16,21 @@ import (
 func queryAll(t *testing.T, eng *Engine) {
 	t.Helper()
 	for _, id := range eng.Enum().AllNodes() {
-		if err := eng.NodeQuery(id, func(Row) error { return nil }); err != nil {
+		if err := eng.Query(Spec{Node: id}, func(Row) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestCacheMetricsFullCache checks that the registry's cache counters
-// track the engine's own CacheStats exactly: with the full table cached a
-// second pass is all hits and nothing is ever evicted.
+// cacheStats reads the fact store's hits and misses off the registry.
+func cacheStats(reg *obsv.Registry) (hits, misses int64) {
+	c := reg.Snapshot().Counters
+	return c["query.cache.hits"], c["query.cache.misses"]
+}
+
+// TestCacheMetricsFullCache checks the registry's fact-store counters:
+// with the full table cached a second pass is all hits and nothing is
+// ever evicted.
 func TestCacheMetricsFullCache(t *testing.T) {
 	dir, _, _ := buildTestCube(t)
 	reg := obsv.NewRegistry()
@@ -50,13 +57,6 @@ func TestCacheMetricsFullCache(t *testing.T) {
 	}
 	if snap.Counters["query.cache.hits"] == 0 {
 		t.Fatal("warm pass recorded no hits")
-	}
-
-	// The counters must agree with the engine's CacheStats API.
-	hits, misses := eng.CacheStats()
-	if snap.Counters["query.cache.hits"] != hits || snap.Counters["query.cache.misses"] != misses {
-		t.Fatalf("registry (%d, %d) != CacheStats (%d, %d)",
-			snap.Counters["query.cache.hits"], snap.Counters["query.cache.misses"], hits, misses)
 	}
 
 	// Query-level metrics ride along: one count per node query, rows and
@@ -157,8 +157,8 @@ func TestCacheMetricsDisabledCache(t *testing.T) {
 	}
 }
 
-// TestQueryNilRegistry checks that the engine works (and stays silent)
-// without a registry — the zero-overhead default path.
+// TestQueryNilRegistry checks that the engine works without a registry —
+// the zero-overhead default path — and answers like one with a registry.
 func TestQueryNilRegistry(t *testing.T) {
 	dir, _, _ := buildTestCube(t)
 	eng, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true})
@@ -166,8 +166,14 @@ func TestQueryNilRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	queryAll(t, eng)
-	if hits, misses := eng.CacheStats(); hits+misses == 0 {
-		t.Fatal("CacheStats empty — queries did not touch the fact cache")
+	metered, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, Metrics: obsv.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer metered.Close()
+	for _, id := range eng.Enum().AllNodes() {
+		if got, want := collectSpec(t, eng, Spec{Node: id}), collectSpec(t, metered, Spec{Node: id}); !slices.Equal(got, want) {
+			t.Fatalf("node %d: %v without a registry, %v with one", id, got, want)
+		}
 	}
 }

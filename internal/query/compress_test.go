@@ -130,21 +130,19 @@ func TestExplainCompressedEstimates(t *testing.T) {
 	node := eng.Enum().Encode([]int{0, 0})
 	preds := []Predicate{{Dim: 0, Level: 0, Lo: 5, Hi: 10}}
 	before := reg.Snapshot().Counters
-	plan, err := eng.Explain(node, preds, true)
+	plan, err := eng.Explain(Spec{Node: node, Where: preds}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := reg.Snapshot().Counters
 
-	m := eng.Manifest()
-	arity := 2
 	for _, ext := range plan.Extents {
 		if ext.EstBytes <= 0 {
 			t.Errorf("extent %s/%d: est %d bytes", ext.Relation, ext.Node, ext.EstBytes)
 		}
-		if ext.Relation == "nt" && ext.EstBytes >= ext.Rows*int64(m.NTRowWidth(arity)) {
-			t.Errorf("nt estimate %d not below raw extent size %d",
-				ext.EstBytes, ext.Rows*int64(m.NTRowWidth(arity)))
+		nm, _ := eng.Manifest().NodeMeta(lattice.NodeID(ext.Node))
+		if ext.Relation == "nt" && ext.EstBytes >= nm.NTCodec.RawBytes {
+			t.Errorf("nt estimate %d not below raw extent size %d", ext.EstBytes, nm.NTCodec.RawBytes)
 		}
 	}
 	io := plan.Actual.IO
@@ -216,7 +214,7 @@ func TestBitmapTTRepeatQueryHitsBlockCache(t *testing.T) {
 	node := lattice.NodeID(slices.Min(bitmaps))
 	query := func() (read, decoded int64) {
 		before := reg.Snapshot().Counters
-		if err := eng.NodeQuery(node, func(Row) error { return nil }); err != nil {
+		if err := eng.Query(Spec{Node: node}, func(Row) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
 		after := reg.Snapshot().Counters

@@ -46,7 +46,7 @@ func Diff(a, b *Engine) (*DiffReport, error) {
 	for _, id := range a.Enum().AllNodes() {
 		rep.NodesCompared++
 		rowsA := map[string][]float64{}
-		if err := a.NodeQuery(id, func(row Row) error {
+		if err := a.Query(Spec{Node: id}, func(row Row) error {
 			rep.TuplesA++
 			rowsA[key(row.Dims)] = append([]float64(nil), row.Aggrs...)
 			return nil
@@ -54,7 +54,7 @@ func Diff(a, b *Engine) (*DiffReport, error) {
 			return nil, err
 		}
 		matched := 0
-		if err := b.NodeQuery(id, func(row Row) error {
+		if err := b.Query(Spec{Node: id}, func(row Row) error {
 			rep.TuplesB++
 			k := key(row.Dims)
 			w, ok := rowsA[k]

@@ -1,11 +1,16 @@
-// Package query answers node queries over materialized CURE cubes: it
-// reassembles each node's tuples from its NT/TT/CAT relations (collecting
-// shared trivial tuples along the execution-plan path), dereferences
+// Package query answers queries over materialized CURE cubes. There is
+// one op, Engine.Query(Spec): the tuples of one lattice node, optionally
+// restricted by predicates at any level the node's grouping rolls up into
+// (Spec.Where) and by an iceberg threshold on the cube's COUNT
+// (Spec.MinCount). It reassembles the node's tuples from its NT/TT/CAT
+// relations (collecting shared trivial tuples along the execution-plan
+// path), prunes extent blocks by their zone maps, and dereferences
 // R-rowids against the original fact table a block at a time through a
 // budgeted factstore.Store (§5.3 identifies the fact table and AGGREGATES
-// as the two relations worth caching), and provides iceberg count queries
-// and roll-up / drill-down navigation. The engine is safe for concurrent
-// use: any number of goroutines may run queries over one Engine.
+// as the two relations worth caching). Explain plans the same Spec, and
+// Verify checks whole nodes and drawn Specs against a brute-force CUBE of
+// the fact table. The engine is safe for concurrent use: any number of
+// goroutines may run queries over one Engine.
 package query
 
 import (
@@ -60,28 +65,26 @@ type Engine struct {
 	bufs   sync.Pool        // of *scanBufs
 	aggRaw []byte           // pinned AGGREGATES, nil when not pinned
 	enum   *lattice.Enum
-	// reg is nil when no registry is attached; hLatency/cRows are then
-	// inert, and latency clocking is skipped entirely.
+	// countAgg is the index of the cube's first COUNT aggregate, the one
+	// an iceberg Spec thresholds; -1 when the cube has none.
+	countAgg int
+	// reg is nil when no registry is attached; every instrument is then
+	// nil and inert, and a query without a plan skips the clock.
 	reg      *obsv.Registry
-	hLatency *obsv.Histogram
-	cQueries *obsv.Counter
+	ops      map[string]opStats // per-op counter and latency histogram
 	cRows    *obsv.Counter
 	cTTScan  *obsv.Counter
 	cNTScan  *obsv.Counter
 	cCATScan *obsv.Counter
-	// Fact-store accounting: the registry counters, and the totals behind
-	// CacheStats, which must work without a registry. Both settle once per
-	// query, like every other query.* counter.
+	// Fact-store accounting; it settles once per query, like every other
+	// query.* counter.
 	cHits, cMisses, cEvicts *obsv.Counter
-	cacheHits, cacheMisses  atomic.Int64
 	// Zone-map index accounting and the umbrella latency histogram every
-	// public query op observes.
+	// query op observes.
 	cIdxHits    *obsv.Counter
 	cIdxSkipped *obsv.Counter
 	cBytes      *obsv.Counter
 	cDecoded    *obsv.Counter
-	cWhere      *obsv.Counter
-	hWhere      *obsv.Histogram
 	hQuery      *obsv.Histogram
 	noIndex     bool
 	zoneOffs    []int // dimension → first zone slot (storage.ZoneSlots)
@@ -108,9 +111,9 @@ func Open(dir string, opts Options) (*Engine, error) {
 		fact:     fact,
 		facts:    factstore.New(fact, int64(min(max(opts.CacheFraction, 0), 1)*float64(fact.Rows()))),
 		enum:     r.Enum(),
+		countAgg: -1,
 		reg:      opts.Metrics,
-		hLatency: opts.Metrics.Histogram("query.node.latency_us"),
-		cQueries: opts.Metrics.Counter("query.node.count"),
+		ops:      make(map[string]opStats, len(queryOps)),
 		cRows:    opts.Metrics.Counter("query.rows"),
 		cTTScan:  opts.Metrics.Counter("query.scan.tt_rows"),
 		cNTScan:  opts.Metrics.Counter("query.scan.nt_rows"),
@@ -123,8 +126,6 @@ func Open(dir string, opts Options) (*Engine, error) {
 		cIdxSkipped: opts.Metrics.Counter("query.index.blocks_skipped"),
 		cBytes:      opts.Metrics.Counter("query.bytes_read"),
 		cDecoded:    opts.Metrics.Counter("query.bytes_decoded"),
-		cWhere:      opts.Metrics.Counter("query.where.count"),
-		hWhere:      opts.Metrics.Histogram("query.where.latency_us"),
 		hQuery:      opts.Metrics.Histogram("query.latency_us"),
 		noIndex:     opts.NoIndex,
 		queries:     opts.Queries,
@@ -138,6 +139,18 @@ func Open(dir string, opts Options) (*Engine, error) {
 		e.Close()
 		return nil, fmt.Errorf("query: fact file %s has %d rows × %d dims, the cube references %d rows × %d dims",
 			r.FactPath(), fact.Rows(), fact.Schema().NumDims(), r.Manifest().FactRows, r.Hier().NumDims())
+	}
+	for _, op := range queryOps {
+		e.ops[op] = opStats{
+			count: opts.Metrics.Counter("query." + op + ".count"),
+			lat:   opts.Metrics.Histogram("query." + op + ".latency_us"),
+		}
+	}
+	for i, s := range r.Manifest().AggSpecs {
+		if s.Func == relation.AggCount {
+			e.countAgg = i
+			break
+		}
 	}
 	e.zoneOffs, _ = storage.ZoneSlots(r.Hier())
 	opts.Metrics.Gauge("query.cache.fraction_pct").Set(int64(opts.CacheFraction * 100))
@@ -188,11 +201,7 @@ func (e *Engine) Manifest() *storage.Manifest { return e.r.Manifest() }
 // order; an in-memory build has none.
 func (e *Engine) PlanRoots() []lattice.NodeID { return e.r.PlanRoots() }
 
-// CacheStats returns the fact store's hits and misses over the queries
-// completed so far, counted per distinct fact page per dereferenced batch.
-func (e *Engine) CacheStats() (hits, misses int64) { return e.cacheHits.Load(), e.cacheMisses.Load() }
-
-// Row is one result tuple of a node query: the node's grouping-attribute
+// Row is one result tuple of a query: the node's grouping-attribute
 // codes (at the node's levels, in dimension order) and the aggregates.
 // RRowid is the minimum fact-table row-id of the tuple's source set (-1
 // for CURE_DR normal tuples, whose storage drops the reference);
@@ -245,10 +254,10 @@ func (q *qctx) queryIO() obsv.QueryIO {
 
 // beginQuery opens the per-query context: a fresh tally, a monotonic
 // query id, and (when a tracker is attached) the in-flight registration.
-func (e *Engine) beginQuery(op string, id lattice.NodeID, where string) *qctx {
+func (e *Engine) beginQuery(op string, s Spec) *qctx {
 	q := &qctx{}
 	if e.queries != nil {
-		q.active = e.queries.Begin(op, int64(id), e.nodeName(id), where)
+		q.active = e.queries.Begin(op, int64(s.Node), e.nodeName(s.Node), e.whereString(s))
 		q.id = q.active.ID()
 	} else {
 		q.id = e.qid.Add(1)
@@ -271,8 +280,6 @@ func (e *Engine) endQuery(q *qctx, err error) error {
 	e.cHits.Add(q.facts.Hits)
 	e.cMisses.Add(q.facts.Faults)
 	e.cEvicts.Add(q.facts.Evictions)
-	e.cacheHits.Add(q.facts.Hits)
-	e.cacheMisses.Add(q.facts.Faults)
 	if e.queries != nil {
 		var plan any
 		if q.plan != nil {
@@ -283,9 +290,9 @@ func (e *Engine) endQuery(q *qctx, err error) error {
 	return err
 }
 
-// panicCtx is the capture context the public query ops defer: a panic
-// anywhere under the op is attributed to this query's id, op, and node
-// in the diagnostic bundle and the re-raised *obsv.PanicError.
+// panicCtx is the capture context runQuery defers: a panic anywhere
+// under the op is attributed to this query's id, op, and node in the
+// diagnostic bundle and the re-raised *obsv.PanicError.
 func (e *Engine) panicCtx(q *qctx, op string, id lattice.NodeID) func() string {
 	return func() string {
 		return fmt.Sprintf("query id=%d op=%s node=%s", q.id, op, e.nodeName(id))
@@ -318,16 +325,13 @@ func (e *Engine) nodeName(id lattice.NodeID) string {
 	return b.String()
 }
 
-// whereString renders validated predicates for query records
-// ("dim.Level=code" / "dim.Level in [lo,hi]", " and "-joined).
-func (e *Engine) whereString(preds []Predicate) string {
-	if len(preds) == 0 {
-		return ""
-	}
+// whereString renders a validated spec's selection for query records
+// ("dim.Level=code" / "dim.Level in [lo,hi]" / "count>n", " and "-joined).
+func (e *Engine) whereString(s Spec) string {
 	hier := e.r.Hier()
 	var b strings.Builder
-	for i, p := range preds {
-		if i > 0 {
+	for _, p := range s.Where {
+		if b.Len() > 0 {
 			b.WriteString(" and ")
 		}
 		d := hier.Dims[p.Dim]
@@ -340,46 +344,103 @@ func (e *Engine) whereString(preds []Predicate) string {
 			fmt.Fprintf(&b, " in [%d,%d]", p.Lo, p.Hi)
 		}
 	}
+	if s.MinCount > 0 {
+		if b.Len() > 0 {
+			b.WriteString(" and ")
+		}
+		fmt.Fprintf(&b, "count>%v", s.MinCount)
+	}
 	return b.String()
 }
 
-// runQuery is the frame every public scan op shares — they differ only in
-// the filter they hand scanNode: the per-query context and panic
-// attribution, and with a registry a root span "query.<op>" (so in-flight
-// queries show up in /metrics and /progress next to build phases; the
-// registry caps retained root spans, keeping long query workloads
-// bounded), the op's counter and its latency histogram.
-func (e *Engine) runQuery(op string, id lattice.NodeID, where string, count *obsv.Counter, lat *obsv.Histogram,
-	fn func(Row) error, scan func(q *qctx, fn func(Row) error) error) error {
-	q := e.beginQuery(op, id, where)
-	defer obsv.CapturePanic(e.reg, e.panicCtx(q, op, id))
-	cfn := func(r Row) error { q.rows++; return fn(r) }
-	if e.reg == nil {
-		return e.endQuery(q, scan(q, cfn))
-	}
-	sp := e.reg.StartSpan("query." + op)
-	defer sp.End()
-	start := time.Now()
-	err := scan(q, cfn)
-	sp.AddRowsOut(q.rows)
-	count.Inc()
-	us := time.Since(start).Microseconds()
-	lat.Observe(us)
-	e.hQuery.Observe(us)
-	return e.endQuery(q, err)
+// Spec is one query: the tuples of lattice node Node, restricted to those
+// that satisfy every predicate of Where and, when MinCount > 0, whose
+// COUNT exceeds MinCount.
+type Spec struct {
+	Node lattice.NodeID
+	// Where selects tuples by the codes of their source rows; see
+	// Predicate for the levels a predicate may reference.
+	Where []Predicate
+	// MinCount > 0 makes the query an iceberg query (HAVING count(*) >
+	// MinCount) over the cube's first COUNT aggregate; a cube without one
+	// refuses it. It must be at least 1 (0 means no threshold).
+	MinCount float64
 }
 
-// NodeQuery streams every tuple of node id to fn. The Row passed to fn
-// reuses internal buffers. This is the "node query, no selection"
-// workload of the paper's §7. Safe for concurrent use — any number of
-// goroutines may query one Engine simultaneously.
+// queryOps are the op names a query runs under: the three a Spec picks
+// (see op) and EXPLAIN ANALYZE's.
+var queryOps = []string{"node", "where", "iceberg", "explain"}
+
+// op names the spec in metrics, spans and query records: "iceberg" with a
+// threshold, else "where" with predicates, else "node".
+func (s Spec) op() string {
+	switch {
+	case s.MinCount > 0:
+		return "iceberg"
+	case len(s.Where) > 0:
+		return "where"
+	}
+	return "node"
+}
+
+// opStats are one op's query.<op>.count counter and query.<op>.latency_us
+// histogram.
+type opStats struct {
+	count *obsv.Counter
+	lat   *obsv.Histogram
+}
+
+// Query streams the tuples of s.Node that pass s's selection to fn; the
+// Row passed to fn reuses internal buffers. It is the one query op: the
+// paper's §7 node queries, selections over ranges at any hierarchy level,
+// and iceberg queries. An iceberg spec skips trivial tuples wholesale
+// (their count is always 1), the property that makes iceberg queries on
+// CURE cubes orders of magnitude cheaper than on formats that materialize
+// them. Safe for concurrent use.
+func (e *Engine) Query(s Spec, fn func(Row) error) error {
+	f, levels, err := e.compileFilter(s)
+	if err != nil {
+		return err
+	}
+	return e.runQuery(s.op(), s, f, levels, nil, fn)
+}
+
+// NodeQuery is Query(Spec{Node: id}). It exists only for
+// benchmarks/cubemark, until that harness calls Query.
 func (e *Engine) NodeQuery(id lattice.NodeID, fn func(Row) error) error {
-	return e.runQuery("node", id, "", e.cQueries, e.hLatency, fn, func(q *qctx, fn func(Row) error) error {
-		if !e.enum.Valid(id) {
-			return fmt.Errorf("query: invalid node id %d", id)
-		}
-		return e.scanNode(id, e.enum.Decode(id, nil), nil, q, fn)
-	})
+	return e.Query(Spec{Node: id}, fn)
+}
+
+// runQuery is the one frame every scan runs in: the per-query context and
+// panic attribution, and with a registry a root span "query.<op>" (so
+// in-flight queries show up in /metrics and /progress next to build
+// phases; the registry caps retained root spans, keeping long query
+// workloads bounded), the op's counter and latency histogram and the
+// all-ops one. A non-nil plan is EXPLAIN ANALYZE's: it receives the
+// query id and the actuals before the query record is completed.
+func (e *Engine) runQuery(op string, s Spec, f *scanFilter, levels []int, plan *Plan, fn func(Row) error) error {
+	q := e.beginQuery(op, s)
+	q.plan = plan
+	defer obsv.CapturePanic(e.reg, e.panicCtx(q, op, s.Node))
+	cfn := func(r Row) error { q.rows++; return fn(r) }
+	if e.reg == nil && plan == nil {
+		return e.endQuery(q, e.scanNode(s.Node, levels, f, q, cfn))
+	}
+	sp := e.reg.StartSpan("query." + op) // nil without a registry
+	defer sp.End()
+	start := time.Now()
+	err := e.scanNode(s.Node, levels, f, q, cfn)
+	us := time.Since(start).Microseconds()
+	sp.AddRowsOut(q.rows)
+	st := e.ops[op]
+	st.count.Inc()
+	st.lat.Observe(us)
+	e.hQuery.Observe(us)
+	if plan != nil {
+		plan.QueryID = q.id
+		plan.Actual = &PlanActuals{Rows: q.rows, ElapsedUs: us, IO: q.queryIO()}
+	}
+	return e.endQuery(q, err)
 }
 
 // scanFilter is a per-query selection threaded through scanNode: the
@@ -425,7 +486,6 @@ const derefChunkRows = 16 << 10
 func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qctx, fn func(Row) error) error {
 	hier := e.r.Hier()
 	specs := e.r.Manifest().AggSpecs
-	iceberg := f != nil && f.minCount > 0
 	activeDims := make([]int, 0, len(levels))
 	for d, l := range levels {
 		if !hier.Dims[d].IsAll(l) {
@@ -500,14 +560,10 @@ func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qct
 		row.RRowid = rrowid
 		return fn(row)
 	}
-	// prune lowers the filter onto one extent's zone map; a nil result
-	// means scan everything (no filter, no map, or indexing disabled).
-	// Verdicts tally into q and settle into the registry at query end.
+	// prune lowers the filter onto one extent's zone map (nil: scan it
+	// all) and tallies the verdict into q.
 	prune := func(z *storage.ZoneIndex, rows int64) []storage.RowRange {
-		if f == nil || len(f.zp) == 0 || z == nil || e.noIndex {
-			return nil
-		}
-		ranges, st := storage.PruneZonesStats(z, rows, f.zp)
+		ranges, st := e.prune(f, z, rows)
 		q.zoneKept += int64(st.Kept)
 		q.zoneSkipped += int64(st.Skipped)
 		return ranges
@@ -516,12 +572,8 @@ func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qct
 	// 1. Trivial tuples: stored once at the least detailed node they
 	// belong to; collect them along the plan path. Each ancestor extent
 	// prunes against its own zone map.
-	ttPath := e.planPath(id)
-	if iceberg {
-		ttPath = nil // a count of 1 exceeds no threshold
-	}
 	var tt []int64 // not pooled: an ancestor's whole list has no bound
-	for _, anc := range ttPath {
+	for _, anc := range e.ttPath(id, f) {
 		q.active.SetExtent(obsv.ExtentTT, int64(anc))
 		var err error
 		if tt, err = e.r.TTRowIDsIO(anc, tt, &q.io); err != nil {
@@ -562,6 +614,7 @@ func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qct
 	// 2. Normal tuples. sel holds the block positions that pass the
 	// iceberg threshold (all of them otherwise), ids their row-ids.
 	q.active.SetExtent(obsv.ExtentNT, int64(id))
+	iceberg := f != nil && f.minCount > 0
 	if err := e.r.NTBlocks(id, prune(nm.NTZones, nm.NTRows), &q.io, func(b *storage.NTBlock) error {
 		q.ntScanned += int64(b.Len())
 		sb.sel, sb.ids = sb.sel[:0], sb.ids[:0]
@@ -604,11 +657,15 @@ func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qct
 	// the AGGREGATES tuple under format (a)). aggrs keeps the surviving
 	// rows' aggregates until their fact rows are in.
 	q.active.SetExtent(obsv.ExtentCAT, int64(id))
+	var aggs *storage.AggCursor // unpinned AGGREGATES are read through it
+	if e.aggRaw == nil {
+		aggs = e.r.AggCursor()
+	}
 	return e.r.CATBlocks(id, prune(nm.CATZones, nm.CATRows), &q.io, func(b *storage.CATBlock) error {
 		q.catScanned += int64(len(b.ARowids))
 		sb.ids, sb.aggrs = sb.ids[:0], sb.aggrs[:0]
 		for i, arowid := range b.ARowids {
-			rrowid, err := e.readAggregate(arowid, row.Aggrs, &q.io)
+			rrowid, err := e.readAggregate(aggs, arowid, row.Aggrs, &q.io)
 			if err != nil {
 				return err
 			}
@@ -634,13 +691,35 @@ func (e *Engine) scanNode(id lattice.NodeID, levels []int, f *scanFilter, q *qct
 	})
 }
 
-// readAggregate fetches AGGREGATES tuple arowid through the pin if
-// present; unpinned reads are attributed to io.
-func (e *Engine) readAggregate(arowid int64, aggrs []float64, io *storage.IOStats) (int64, error) {
-	if e.aggRaw != nil {
+// readAggregate fetches AGGREGATES tuple arowid from the pin, or without
+// one through the scan's cursor, attributing its reads to io.
+func (e *Engine) readAggregate(aggs *storage.AggCursor, arowid int64, aggrs []float64, io *storage.IOStats) (int64, error) {
+	if aggs == nil {
 		return e.r.DecodeAggregate(e.aggRaw, arowid, aggrs), nil
 	}
-	return e.r.ReadAggregateIO(arowid, aggrs, io)
+	return aggs.Read(arowid, aggrs, io)
+}
+
+// prune lowers f onto one extent's zone map: the extent-row ranges left
+// to scan and the pruning verdict. Nil ranges and a zero verdict mean the
+// whole extent: no predicate with a zone slot, no map, or indexing off.
+// scanNode and buildPlan both call it, so a plan's verdicts are the ones
+// the query it describes tallies.
+func (e *Engine) prune(f *scanFilter, z *storage.ZoneIndex, rows int64) ([]storage.RowRange, storage.ZoneStats) {
+	if f == nil || len(f.zp) == 0 || z == nil || e.noIndex {
+		return nil, storage.ZoneStats{}
+	}
+	return storage.PruneZonesStats(z, rows, f.zp)
+}
+
+// ttPath returns the plan nodes whose trivial tuples the scan of node id
+// under f visits, root first: none for an iceberg query, as a count of 1
+// exceeds no threshold.
+func (e *Engine) ttPath(id lattice.NodeID, f *scanFilter) []lattice.NodeID {
+	if f != nil && f.minCount > 0 {
+		return nil
+	}
+	return e.planPath(id)
 }
 
 // planPath returns the plan nodes whose TT relations contribute to node
@@ -659,6 +738,9 @@ func (e *Engine) planPath(id lattice.NodeID) []lattice.NodeID {
 // materializing dimension values (TTs still require plan-path metadata
 // but no fact access).
 func (e *Engine) NodeCount(id lattice.NodeID) (int64, error) {
+	if !e.enum.Valid(id) {
+		return 0, fmt.Errorf("query: invalid node id %d", id)
+	}
 	var n int64
 	for _, anc := range e.planPath(id) {
 		nm, ok := e.r.Manifest().NodeMeta(anc)
@@ -671,54 +753,6 @@ func (e *Engine) NodeCount(id lattice.NodeID) (int64, error) {
 		n += nm.NTRows + nm.CATRows
 	}
 	return n, nil
-}
-
-// IcebergQuery streams the tuples of node id whose count aggregate
-// exceeds minCount. countAgg is the index of a COUNT aggregate in the
-// cube's specs. Trivial tuples are skipped wholesale (their count is
-// always 1) — the property that makes iceberg queries on CURE cubes
-// orders of magnitude cheaper than on formats that materialize TTs.
-func (e *Engine) IcebergQuery(id lattice.NodeID, countAgg int, minCount float64, fn func(Row) error) error {
-	return e.runQuery("iceberg", id, fmt.Sprintf("count>%v", minCount),
-		e.reg.Counter("query.iceberg.count"), e.reg.Histogram("query.iceberg.latency_us"), fn,
-		func(q *qctx, fn func(Row) error) error {
-			specs := e.r.Manifest().AggSpecs
-			if countAgg < 0 || countAgg >= len(specs) || specs[countAgg].Func != relation.AggCount {
-				return fmt.Errorf("query: aggregate %d is not a COUNT", countAgg)
-			}
-			if minCount < 1 {
-				return fmt.Errorf("query: iceberg threshold %v below 1 matches everything", minCount)
-			}
-			if !e.enum.Valid(id) {
-				return fmt.Errorf("query: invalid node id %d", id)
-			}
-			return e.scanNode(id, e.enum.Decode(id, nil), &scanFilter{countAgg: countAgg, minCount: minCount}, q, fn)
-		})
-}
-
-// RollUp returns the node id with dimension dim one hierarchy level
-// coarser (towards ALL), and false when dim is already at ALL.
-func (e *Engine) RollUp(id lattice.NodeID, dim int) (lattice.NodeID, bool) {
-	levels := e.enum.Decode(id, nil)
-	d := e.r.Hier().Dims[dim]
-	if d.IsAll(levels[dim]) {
-		return id, false
-	}
-	levels[dim]++
-	return e.enum.Encode(levels), true
-}
-
-// DrillDown returns the node id with dimension dim one level finer along
-// the dashed-edge tree, and false when dim is already at a base level.
-func (e *Engine) DrillDown(id lattice.NodeID, dim int) (lattice.NodeID, bool) {
-	levels := e.enum.Decode(id, nil)
-	d := e.r.Hier().Dims[dim]
-	children := d.DashChildren(levels[dim])
-	if len(children) == 0 {
-		return id, false
-	}
-	levels[dim] = children[0]
-	return e.enum.Encode(levels), true
 }
 
 // Format reports the cube's CAT storage format.

@@ -1,28 +1,26 @@
 package query
 
 import (
-	"time"
-
-	"cure/internal/lattice"
 	"cure/internal/obsv"
 	"cure/internal/storage"
 )
 
-// EXPLAIN: the engine can describe how it would answer a node query —
-// which extents it touches (TT extents along the plan path, then the
-// node's NT and CAT extents), what each extent's zone map prunes for the
-// given predicates, whether the sorted-slot binary search narrowed the
-// block range, and what the scan is estimated to cost in rows and
-// bytes. With Analyze the query actually runs and the plan carries the
-// measured rows, elapsed time, and per-query I/O — taken from the same
-// per-query tally that settles into the registry counters, so the
-// actuals equal the cure_query_* counter deltas for that query id.
+// EXPLAIN: the engine can describe how it would answer a Spec — which
+// extents it touches (TT extents along the plan path, none for an
+// iceberg spec, then the node's NT and CAT extents), what each extent's
+// zone map prunes for the spec's predicates, whether the sorted-slot
+// binary search narrowed the block range, and what the scan is estimated
+// to cost in rows and bytes. With Analyze the query actually runs and the
+// plan carries the measured rows, elapsed time, and per-query I/O — taken
+// from the same per-query tally that settles into the registry counters,
+// so the actuals equal the cure_query_* counter deltas for that query id.
 
-// Plan is the structured EXPLAIN output for one node query.
+// Plan is the structured EXPLAIN output for one Spec.
 type Plan struct {
 	// QueryID is the query's id: the tracker-assigned id when the query
 	// ran (Analyze), 0 for a plan-only EXPLAIN.
-	QueryID  int64  `json:"query_id,omitempty"`
+	QueryID int64 `json:"query_id,omitempty"`
+	// Op is the op the spec runs as: "node", "where" or "iceberg".
 	Op       string `json:"op"`
 	Node     int64  `json:"node"`
 	NodeName string `json:"node_name"`
@@ -78,69 +76,50 @@ type PlanActuals struct {
 	IO        obsv.QueryIO `json:"io"`
 }
 
-// Explain plans the node query with the given predicates (nil for a
-// plain node query). With analyze the query also runs — results are
-// discarded — and the plan carries its actuals; the run is tracked and
-// counted like any other query, under op "explain".
-func (e *Engine) Explain(id lattice.NodeID, preds []Predicate, analyze bool) (*Plan, error) {
-	f, levels, err := e.compileFilter(id, preds)
+// Explain plans the query s. With analyze the query also runs — results
+// are discarded — through Query's frame under op "explain", and the plan
+// carries its actuals.
+func (e *Engine) Explain(s Spec, analyze bool) (*Plan, error) {
+	f, levels, err := e.compileFilter(s)
 	if err != nil {
 		return nil, err
 	}
-	plan := e.buildPlan(id, f)
-	plan.Where = e.whereString(preds)
+	plan := e.buildPlan(s, f)
 	if !analyze {
 		return plan, nil
 	}
-	q := e.beginQuery("explain", id, plan.Where)
-	defer obsv.CapturePanic(e.reg, e.panicCtx(q, "explain", id))
-	q.plan = plan
-	start := time.Now()
-	serr := e.scanNode(id, levels, f, q, func(Row) error { q.rows++; return nil })
-	plan.QueryID = q.id
-	plan.Actual = &PlanActuals{
-		Rows:      q.rows,
-		ElapsedUs: time.Since(start).Microseconds(),
-		IO:        q.queryIO(),
-	}
-	if e.reg != nil {
-		e.hQuery.Observe(plan.Actual.ElapsedUs)
-	}
-	if err := e.endQuery(q, serr); err != nil {
+	if err := e.runQuery("explain", s, f, levels, plan, func(Row) error { return nil }); err != nil {
 		return nil, err
 	}
 	return plan, nil
 }
 
-// buildPlan assembles the extent list the scan of (id, f) will visit,
-// evaluating each extent's zone map the same way scanNode's prune does
-// — same inputs, same verdicts — so a plan's kept/skipped numbers match
-// the counters of the query it describes.
-func (e *Engine) buildPlan(id lattice.NodeID, f *scanFilter) *Plan {
+// buildPlan assembles the extent list the scan of s under its compiled
+// filter f will visit, with each extent's pruning verdict from the prune
+// call scanNode makes, so a plan's kept/skipped numbers match the
+// counters of the query it describes.
+func (e *Engine) buildPlan(s Spec, f *scanFilter) *Plan {
+	id := s.Node
 	m := e.r.Manifest()
-	op := "node"
-	if f != nil {
-		op = "where"
-	}
 	plan := &Plan{
-		Op:       op,
+		Op:       s.op(),
 		Node:     int64(id),
 		NodeName: e.nodeName(id),
+		Where:    e.whereString(s),
 		NoIndex:  e.noIndex,
 	}
 	zones := func(z *storage.ZoneIndex, rows int64) (*PlanZones, int64) {
-		if f == nil || len(f.zp) == 0 || z == nil || e.noIndex {
+		ranges, st := e.prune(f, z, rows)
+		if ranges == nil {
 			return nil, rows
 		}
-		ranges, st := storage.PruneZonesStats(z, rows, f.zp)
-		pz := &PlanZones{
+		return &PlanZones{
 			Blocks:   st.Blocks,
 			Kept:     st.Kept,
 			Skipped:  st.Skipped,
 			Narrowed: st.Narrowed,
 			Ranges:   ranges,
-		}
-		return pz, st.ScanRows
+		}, st.ScanRows
 	}
 	access := func(pz *PlanZones) string {
 		switch {
@@ -152,7 +131,7 @@ func (e *Engine) buildPlan(id lattice.NodeID, f *scanFilter) *Plan {
 			return "zone"
 		}
 	}
-	for _, anc := range e.planPath(id) {
+	for _, anc := range e.ttPath(id, f) {
 		nm, ok := m.NodeMeta(anc)
 		if !ok || nm.TTRows == 0 {
 			continue

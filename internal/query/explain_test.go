@@ -10,29 +10,48 @@ import (
 // TestExplainAnalyzeMatchesCounters is the EXPLAIN acceptance check: the
 // plan's actuals — zone blocks kept/skipped, bytes read, rows — must
 // equal the registry counter deltas attributed to that query, because
-// both come from the same per-query tally.
+// both come from the same per-query tally. It holds for a range
+// selection, a slice at a coarser level and an iceberg spec, whose plan
+// lists no TT extent because its scan visits none.
 func TestExplainAnalyzeMatchesCounters(t *testing.T) {
 	dir, _, _ := buildIndexedCube(t, false)
-	reg := obsv.NewRegistry()
-	tracker := obsv.NewQueryTracker(reg, 8)
-	eng, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, Metrics: reg, Queries: tracker})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		where []Predicate
+		min   float64
+	}{
+		{"range", []Predicate{{Dim: 0, Level: 0, Lo: 5, Hi: 10}}, 0},
+		{"slice", []Predicate{{Dim: 0, Level: 1, Lo: 2, Hi: 2}}, 0},
+		{"iceberg", nil, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obsv.NewRegistry()
+			tracker := obsv.NewQueryTracker(reg, 8)
+			eng, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, Metrics: reg, Queries: tracker})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			checkExplainAnalyze(t, eng, reg, tracker, Spec{Node: eng.Enum().Encode([]int{0, 0}), Where: tc.where, MinCount: tc.min})
+		})
 	}
-	defer eng.Close()
+}
 
-	node := eng.Enum().Encode([]int{0, 0})
-	preds := []Predicate{{Dim: 0, Level: 0, Lo: 5, Hi: 10}}
+// checkExplainAnalyze runs EXPLAIN ANALYZE of s on a fresh engine and
+// holds its actuals to the counter deltas, its plan to its actuals, and
+// its row count to a direct Query.
+func checkExplainAnalyze(t *testing.T, eng *Engine, reg *obsv.Registry, tracker *obsv.QueryTracker, s Spec) {
+	t.Helper()
 	before := reg.Snapshot().Counters
-	plan, err := eng.Explain(node, preds, true)
+	plan, err := eng.Explain(s, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := reg.Snapshot().Counters
 	delta := func(name string) int64 { return after[name] - before[name] }
 
-	if plan.Actual == nil || plan.QueryID == 0 {
-		t.Fatalf("analyze plan lacks actuals: %+v", plan)
+	if plan.Actual == nil || plan.QueryID == 0 || plan.Op != s.op() {
+		t.Fatalf("analyze plan lacks actuals or op %q: %+v", s.op(), plan)
 	}
 	io := plan.Actual.IO
 	if io.ZoneBlocksKept != delta("query.index.hits") {
@@ -55,19 +74,23 @@ func TestExplainAnalyzeMatchesCounters(t *testing.T) {
 			io.TTScanned, io.NTScanned, io.CATScanned,
 			delta("query.scan.tt_rows"), delta("query.scan.nt_rows"), delta("query.scan.cat_rows"))
 	}
-	// The selective predicate must actually have pruned — otherwise this
-	// test exercises nothing.
-	if io.ZoneBlocksSkipped == 0 {
-		t.Error("selective range predicate skipped no zone blocks")
-	}
 	if io.BytesRead == 0 {
 		t.Error("query attributed no bytes read")
 	}
+	// A selection must actually have pruned — otherwise this exercises
+	// nothing.
+	if len(s.Where) > 0 && io.ZoneBlocksSkipped == 0 {
+		t.Error("selective predicate skipped no zone blocks")
+	}
 
 	// The plan side of the same verdicts: per-extent kept/skipped totals
-	// agree with the measured query (same zone maps, same predicates).
+	// agree with the measured query (same zone maps, same predicates),
+	// and an iceberg plan lists no TT extent, as its scan reads none.
 	var kept, skipped int64
 	for _, ext := range plan.Extents {
+		if ext.Relation == "tt" && s.MinCount > 0 {
+			t.Errorf("iceberg plan lists TT extent %d", ext.Node)
+		}
 		if ext.Zones != nil {
 			kept += int64(ext.Zones.Kept)
 			skipped += int64(ext.Zones.Skipped)
@@ -80,11 +103,13 @@ func TestExplainAnalyzeMatchesCounters(t *testing.T) {
 	if kept != io.ZoneBlocksKept || skipped != io.ZoneBlocksSkipped {
 		t.Errorf("plan zones kept/skipped = %d/%d, actuals %d/%d", kept, skipped, io.ZoneBlocksKept, io.ZoneBlocksSkipped)
 	}
+	if s.MinCount > 0 && io.TTScanned != 0 {
+		t.Errorf("iceberg query scanned %d TT rows", io.TTScanned)
+	}
 
 	// Analyze runs count as real queries: the row volume matches a direct
-	// NodeQueryWhere and the tracker ring holds the record with the plan.
-	direct := collectWhere(t, eng, node, preds)
-	if plan.Actual.Rows != int64(len(direct)) {
+	// Query and the tracker ring holds the record with the plan.
+	if direct := collectSpec(t, eng, s); plan.Actual.Rows != int64(len(direct)) || len(direct) == 0 {
 		t.Errorf("analyze saw %d rows, direct query %d", plan.Actual.Rows, len(direct))
 	}
 	recent := tracker.Recent()
@@ -111,7 +136,7 @@ func TestExplainPlanOnly(t *testing.T) {
 	defer eng.Close()
 
 	node := eng.Enum().Encode([]int{0, 0})
-	plan, err := eng.Explain(node, []Predicate{{Dim: 0, Level: 0, Lo: 5, Hi: 10}}, false)
+	plan, err := eng.Explain(Spec{Node: node, Where: []Predicate{{Dim: 0, Level: 0, Lo: 5, Hi: 10}}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +175,7 @@ func TestExplainPlanOnly(t *testing.T) {
 
 	// Without predicates the plan is a plain node scan: every extent
 	// linear, no where clause.
-	plan, err = eng.Explain(node, nil, false)
+	plan, err = eng.Explain(Spec{Node: node}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +196,7 @@ func TestExplainNoIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	plan, err := eng.Explain(eng.Enum().Encode([]int{0, 0}), []Predicate{{Dim: 0, Level: 0, Lo: 5, Hi: 10}}, false)
+	plan, err := eng.Explain(Spec{Node: eng.Enum().Encode([]int{0, 0}), Where: []Predicate{{Dim: 0, Level: 0, Lo: 5, Hi: 10}}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,16 +218,19 @@ func TestExplainRejectsBadQuery(t *testing.T) {
 	}
 	defer eng.Close()
 	node := eng.Enum().Encode([]int{0, 0})
-	if _, err := eng.Explain(node, []Predicate{{Dim: 9, Level: 0, Lo: 0, Hi: 0}}, false); err == nil {
+	if _, err := eng.Explain(Spec{Node: node, Where: []Predicate{{Dim: 9, Level: 0, Lo: 0, Hi: 0}}}, false); err == nil {
 		t.Error("Explain accepted an out-of-range dimension")
 	}
-	if _, err := eng.Explain(node, []Predicate{{Dim: 0, Level: 99, Lo: 0, Hi: 0}}, false); err == nil {
+	if _, err := eng.Explain(Spec{Node: node, Where: []Predicate{{Dim: 0, Level: 99, Lo: 0, Hi: 0}}}, false); err == nil {
 		t.Error("Explain accepted an out-of-range level")
 	}
 	// A predicate at a level finer than the node's grouping is invalid.
 	coarse := eng.Enum().Encode([]int{1, 0})
-	if _, err := eng.Explain(coarse, []Predicate{{Dim: 0, Level: 0, Lo: 0, Hi: 0}}, false); err == nil {
+	if _, err := eng.Explain(Spec{Node: coarse, Where: []Predicate{{Dim: 0, Level: 0, Lo: 0, Hi: 0}}}, false); err == nil {
 		t.Error("Explain accepted a predicate finer than the grouping")
+	}
+	if _, err := eng.Explain(Spec{Node: node, MinCount: 0.5}, false); err == nil {
+		t.Error("Explain accepted an iceberg threshold below 1")
 	}
 }
 
@@ -217,10 +245,10 @@ func TestExplainWhereString(t *testing.T) {
 	}
 	defer eng.Close()
 	node := eng.Enum().Encode([]int{0, 0})
-	plan, err := eng.Explain(node, []Predicate{
+	plan, err := eng.Explain(Spec{Node: node, Where: []Predicate{
 		{Dim: 0, Level: 1, Lo: 2, Hi: 2},
 		{Dim: 1, Level: 0, Lo: 1, Hi: 3},
-	}, false)
+	}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,12 @@
 package query
 
 import (
-	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"cure/internal/core"
 	"cure/internal/hierarchy"
-	"cure/internal/lattice"
 	"cure/internal/obsv"
 	"cure/internal/relation"
 )
@@ -46,21 +43,6 @@ func buildIndexedCube(t *testing.T, dr bool) (string, *hierarchy.Schema, *relati
 	return dir, hier, ft
 }
 
-// collectWhere renders a predicate query's result multiset to sorted
-// strings.
-func collectWhere(t *testing.T, eng *Engine, node lattice.NodeID, preds []Predicate) []string {
-	t.Helper()
-	var rows []string
-	if err := eng.NodeQueryWhere(node, preds, func(r Row) error {
-		rows = append(rows, fmt.Sprintf("%v|%v", r.Dims, r.Aggrs))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(rows)
-	return rows
-}
-
 func TestZoneMapsWrittenToManifest(t *testing.T) {
 	dir, _, _ := buildIndexedCube(t, false)
 	eng, err := OpenDefault(dir)
@@ -86,10 +68,11 @@ func TestZoneMapsWrittenToManifest(t *testing.T) {
 }
 
 // TestSliceQueryZonePruning is the headline acceptance check: a selective
-// slice over a hierarchical cube skips blocks, and the indexed results
-// are identical to a full-scan (-no-index) run over the same store.
+// slice over a hierarchical cube skips blocks and answers like the
+// brute-force group-by, while a -no-index engine over the same store
+// skips nothing and answers the same.
 func TestSliceQueryZonePruning(t *testing.T) {
-	dir, _, _ := buildIndexedCube(t, false)
+	dir, _, ft := buildIndexedCube(t, false)
 	regIdx := obsv.NewRegistry()
 	idx, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, Metrics: regIdx})
 	if err != nil {
@@ -103,30 +86,11 @@ func TestSliceQueryZonePruning(t *testing.T) {
 	}
 	defer full.Close()
 
-	slice := func(eng *Engine) []string {
-		var rows []string
-		base := eng.Enum().Encode([]int{0, 0})
-		if err := eng.SliceQuery(base, 0, 0, 17, func(r Row) error {
-			rows = append(rows, fmt.Sprintf("%v|%v", r.Dims, r.Aggrs))
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		sort.Strings(rows)
-		return rows
-	}
-	got, want := slice(idx), slice(full)
-	if len(got) == 0 {
+	s := Spec{Node: idx.Enum().Encode([]int{0, 0}), Where: []Predicate{{Dim: 0, Level: 0, Lo: 17, Hi: 17}}}
+	if checkSpec(t, idx, ft, s) == 0 {
 		t.Fatal("slice returned nothing — selection is vacuous")
 	}
-	if len(got) != len(want) {
-		t.Fatalf("indexed %d rows, full scan %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: indexed %q != full %q", i, got[i], want[i])
-		}
-	}
+	checkSpec(t, full, ft, s)
 	if skipped := regIdx.Snapshot().Counters["query.index.blocks_skipped"]; skipped == 0 {
 		t.Error("selective slice skipped no blocks")
 	}
@@ -136,70 +100,48 @@ func TestSliceQueryZonePruning(t *testing.T) {
 }
 
 // TestZonePruningCoarserLevel checks pruning through a coarser-level
-// predicate (the zone map has one slot per level, so the A1 slot prunes
-// directly).
+// predicate (the A1 slot prunes directly) on every node that groups A at
+// A0 or A1, each held to the brute-force answer.
 func TestZonePruningCoarserLevel(t *testing.T) {
-	dir, _, _ := buildIndexedCube(t, false)
+	dir, _, ft := buildIndexedCube(t, false)
 	reg := obsv.NewRegistry()
 	idx, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	full, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, NoIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
 
 	preds := []Predicate{{Dim: 0, Level: 1, Lo: 2, Hi: 3}}
-	for n, id := range idx.Enum().AllNodes() {
+	for _, id := range idx.Enum().AllNodes() {
 		// The predicate references A1; nodes grouping A more coarsely
 		// reject it by design.
 		if idx.Enum().Decode(id, nil)[0] > 1 {
 			continue
 		}
-		got := collectWhere(t, idx, id, preds)
-		want := collectWhere(t, full, id, preds)
-		if len(got) != len(want) {
-			t.Fatalf("node %d: indexed %d rows, full %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("node %d row %d: %q != %q", n, i, got[i], want[i])
-			}
-		}
+		checkSpec(t, idx, ft, Spec{Node: id, Where: preds})
 	}
-	if reg.Snapshot().Counters["query.index.hits"] == 0 {
-		t.Error("no zone map was ever consulted")
+	snap := reg.Snapshot().Counters
+	if snap["query.index.hits"] == 0 || snap["query.index.blocks_skipped"] == 0 {
+		t.Errorf("zone maps kept %d and skipped %d blocks", snap["query.index.hits"], snap["query.index.blocks_skipped"])
 	}
 }
 
-// TestZonePruningDR checks indexed vs full-scan equivalence on a CURE_DR
-// cube, whose NT zone maps are built from the inline codes.
+// TestZonePruningDR checks pruning on a CURE_DR cube, whose NT zone maps
+// are built from the inline codes.
 func TestZonePruningDR(t *testing.T) {
-	dir, _, _ := buildIndexedCube(t, true)
-	idx, err := OpenDefault(dir)
+	dir, _, ft := buildIndexedCube(t, true)
+	reg := obsv.NewRegistry()
+	idx, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	full, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, NoIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full.Close()
 	// DR predicates target the node's own level.
-	preds := []Predicate{{Dim: 0, Level: 0, Lo: 10, Hi: 20}}
-	base := idx.Enum().Encode([]int{0, 0})
-	got := collectWhere(t, idx, base, preds)
-	want := collectWhere(t, full, base, preds)
-	if len(got) == 0 || len(got) != len(want) {
-		t.Fatalf("DR indexed %d rows, full %d", len(got), len(want))
+	s := Spec{Node: idx.Enum().Encode([]int{0, 0}), Where: []Predicate{{Dim: 0, Level: 0, Lo: 10, Hi: 20}}}
+	if checkSpec(t, idx, ft, s) == 0 {
+		t.Fatal("DR selection answered nothing")
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DR row %d: %q != %q", i, got[i], want[i])
-		}
+	if reg.Snapshot().Counters["query.index.blocks_skipped"] == 0 {
+		t.Error("DR selection skipped no blocks")
 	}
 }

@@ -7,13 +7,14 @@ import (
 
 	"cure/internal/core"
 	"cure/internal/hierarchy"
+	"cure/internal/lattice"
 	"cure/internal/relation"
 )
 
 // buildComplexCube builds a cube whose first dimension has a complex
 // hierarchy: Day rolls up into both Week and Month (siblings, neither a
 // refinement of the other), the shape CURE's modified rule 2 handles.
-func buildComplexCube(t *testing.T) (string, *hierarchy.Schema) {
+func buildComplexCube(t *testing.T) (string, *hierarchy.Schema, *relation.FactTable) {
 	t.Helper()
 	weekMap := hierarchy.BuildContiguousMap(12, 4)
 	monthMap := hierarchy.BuildContiguousMap(12, 3)
@@ -45,72 +46,60 @@ func buildComplexCube(t *testing.T) (string, *hierarchy.Schema) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return dir, hier
+	return dir, hier, ft
 }
 
-// TestRollUpDrillDownBoundaries exercises navigation at the lattice
-// borders: ALL cannot roll up further, base levels cannot drill deeper,
-// and each successful step moves exactly one level.
+// TestRollUpDrillDownBoundaries walks the lattice the way roll-up and
+// drill-down navigate it — a level's dashed-tree parent and first child,
+// re-encoded as a node id — and holds every node on the way to the
+// brute-force answer: ALL cannot roll up further, base levels cannot
+// drill deeper, and the climb from base to ALL inverts exactly.
 func TestRollUpDrillDownBoundaries(t *testing.T) {
-	dir, hier, _ := buildTestCube(t)
+	dir, hier, ft := buildTestCube(t)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	enum := eng.Enum()
-	allA := hier.Dims[0].AllLevel()
-	allB := hier.Dims[1].AllLevel()
-
-	top := enum.Encode([]int{allA, allB}) // apex: every dimension at ALL
-	for dim := 0; dim < 2; dim++ {
-		if id, ok := eng.RollUp(top, dim); ok || id != top {
-			t.Errorf("dim %d: rolled up beyond ALL to %d", dim, id)
-		}
-	}
-	base := enum.Encode([]int{0, 0}) // finest grouping
-	for dim := 0; dim < 2; dim++ {
-		if id, ok := eng.DrillDown(base, dim); ok || id != base {
-			t.Errorf("dim %d: drilled below base to %d", dim, id)
-		}
+	a := hier.Dims[0]
+	if len(a.DashChildren(0)) != 0 || len(hier.Dims[1].DashChildren(0)) != 0 {
+		t.Fatal("a base level drills down")
 	}
 
 	// Climb dimension A from base to ALL one level at a time, then walk
 	// back down; every step must invert exactly.
-	id := base
-	var path []int64
+	levels := []int{0, 0}
+	var path []lattice.NodeID
 	for {
-		path = append(path, int64(id))
-		next, ok := eng.RollUp(id, 0)
-		if !ok {
+		id := enum.Encode(levels)
+		path = append(path, id)
+		if checkSpec(t, eng, ft, Spec{Node: id}) == 0 {
+			t.Fatalf("node %s answered nothing", enum.Name(id))
+		}
+		if a.IsAll(levels[0]) {
 			break
 		}
-		if next == id {
-			t.Fatal("RollUp reported progress without moving")
-		}
-		id = next
+		levels[0] = a.DashParent(levels[0])
 	}
-	if len(path) != allA+1 {
-		t.Fatalf("climbed %d steps, want %d", len(path)-1, allA)
+	if len(path) != a.AllLevel()+1 {
+		t.Fatalf("climbed %d steps, want %d", len(path)-1, a.AllLevel())
 	}
 	for i := len(path) - 1; i > 0; i-- {
-		down, ok := eng.DrillDown(id, 0)
-		if !ok {
-			t.Fatalf("stuck at step %d of the descent", i)
+		levels[0] = a.DashChildren(levels[0])[0]
+		if id := enum.Encode(levels); id != path[i-1] {
+			t.Fatalf("descent step %d reached node %d, want %d", i, id, path[i-1])
 		}
-		id = down
-	}
-	if int64(id) != path[0] {
-		t.Errorf("descent ended at %d, want %d", id, path[0])
 	}
 }
 
-// TestNavigationComplexHierarchy checks the dashed-edge tree boundaries
-// when a base level rolls up into two sibling levels: drill-down from
-// ALL lands on one top-under-ALL sibling, the other sibling is reachable
-// by roll-up, and both siblings' node queries aggregate correctly.
+// TestNavigationComplexHierarchy checks navigation when a base level
+// rolls up into two sibling levels: both hang under ALL in the dashed
+// tree, neither aggregates the other — so a Week-grouped query cannot
+// select by Month — and both siblings answer like the brute-force
+// group-by.
 func TestNavigationComplexHierarchy(t *testing.T) {
-	dir, hier := buildComplexCube(t)
+	dir, hier, ft := buildComplexCube(t)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -118,52 +107,28 @@ func TestNavigationComplexHierarchy(t *testing.T) {
 	defer eng.Close()
 	enum := eng.Enum()
 	d := hier.Dims[0]
-	if d.IsLinear() {
-		t.Fatal("test hierarchy is linear")
+	tops := d.DashChildren(d.AllLevel())
+	if len(tops) != 2 || d.DashParent(1) != d.AllLevel() || d.DashParent(2) != d.AllLevel() {
+		t.Fatalf("Week and Month do not both hang under ALL: %v", tops)
 	}
 
-	// Both Week (1) and Month (2) hang under ALL (neither refines the
-	// other), so the apex has two drill-down targets on T; the engine
-	// follows the first dashed child.
-	apex := enum.Encode([]int{d.AllLevel(), hier.Dims[1].AllLevel()})
-	down, ok := eng.DrillDown(apex, 0)
-	if !ok {
-		t.Fatal("cannot drill below ALL")
+	// Week (1) does not lie inside Month (2): a Month predicate cannot be
+	// decided per Week tuple, so the engine refuses it at the Week node
+	// and accepts it at the Day node, which rolls up into both.
+	allB := hier.Dims[1].AllLevel()
+	month := []Predicate{{Dim: 0, Level: 2, Lo: 1, Hi: 1}}
+	if err := eng.Query(Spec{Node: enum.Encode([]int{1, allB}), Where: month}, func(Row) error { return nil }); err == nil {
+		t.Error("Week node accepted a Month predicate")
 	}
-	gotLevel := enum.Decode(down, nil)[0]
-	tops := d.TopUnderAll()
-	if len(tops) != 2 {
-		t.Fatalf("TopUnderAll = %v, want two siblings", tops)
-	}
-	if gotLevel != tops[0] {
-		t.Errorf("drill-down landed on level %d, want first dashed child %d", gotLevel, tops[0])
-	}
-
-	// Roll-up from Week (level 1) moves to Month (level 2) — the next
-	// coarser level index, even though Week does not map into Month.
-	week := enum.Encode([]int{1, hier.Dims[1].AllLevel()})
-	up, ok := eng.RollUp(week, 0)
-	if !ok || enum.Decode(up, nil)[0] != 2 {
-		t.Errorf("roll-up from Week: ok=%v level=%d, want Month (2)", ok, enum.Decode(up, nil)[0])
+	if checkSpec(t, eng, ft, Spec{Node: enum.Encode([]int{0, allB}), Where: month}) == 0 {
+		t.Error("Day node under a Month predicate answered nothing")
 	}
 
 	// Each sibling level aggregates the full fact table independently.
 	for _, level := range tops {
-		node := enum.Encode([]int{level, hier.Dims[1].AllLevel()})
-		var count float64
-		groups := 0
-		if err := eng.NodeQuery(node, func(r Row) error {
-			groups++
-			count += r.Aggrs[1]
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if count != 500 {
-			t.Errorf("level %s: counts sum to %v, want 500", d.LevelName(level), count)
-		}
-		if groups == 0 || groups > int(d.Card(level)) {
-			t.Errorf("level %s: %d groups for cardinality %d", d.LevelName(level), groups, d.Card(level))
+		node := enum.Encode([]int{level, allB})
+		if n := checkSpec(t, eng, ft, Spec{Node: node}); n == 0 || n > int64(d.Card(level)) {
+			t.Errorf("level %s: %d groups for cardinality %d", d.LevelName(level), n, d.Card(level))
 		}
 	}
 

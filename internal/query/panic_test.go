@@ -1,35 +1,62 @@
 package query
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+
+	"cure/internal/obsv"
 )
 
-// TestForEachPropagatesPanic pins the batch's crash contract: a panic
-// in any query's consumer stops new claims, the workers drain, and the
-// first panic re-raises on the calling goroutine, annotated by the
-// engine's obsv.CapturePanic wrapper.
+// TestForEachPropagatesPanic pins the query frame's error and crash
+// contract: a consumer error ends the query with that error, recorded in
+// the tracker ring, with nothing left in flight; a panic under Query
+// reaches the caller as an *obsv.PanicError naming the query id, op and
+// node.
 func TestForEachPropagatesPanic(t *testing.T) {
-	eng, ids := batchOf(t, 100)
-	for _, workers := range []int{1, 4} {
-		ran := newFirstRows(len(ids))
-		var recovered any
-		func() {
-			defer func() { recovered = recover() }()
-			eng.NodeQueryBatch(workers, ids, func(qi int, _ Row) error {
-				if qi == 3 {
-					panic("kaboom-3")
-				}
-				ran.first(qi)
-				return nil
-			})
-		}()
-		if recovered == nil || !strings.Contains(fmt.Sprint(recovered), "kaboom-3") {
-			t.Fatalf("workers=%d: recovered %v, want the consumer's panic value", workers, recovered)
+	dir, _, _ := buildPredCube(t, false)
+	reg := obsv.NewRegistry()
+	tracker := obsv.NewQueryTracker(reg, 32)
+	eng, err := Open(dir, Options{CacheFraction: 1, PinAggregates: true, Metrics: reg, Queries: tracker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	s := Spec{Node: eng.Enum().Encode([]int{0, 0}), Where: []Predicate{{Dim: 1, Level: 0, Lo: 0, Hi: 3}}}
+
+	cancel := errors.New("consumer gave up")
+	if err := eng.Query(Spec{Node: s.Node}, func(Row) error { return cancel }); !errors.Is(err, cancel) {
+		t.Fatalf("err = %v, want %v", err, cancel)
+	}
+	if n := len(tracker.Inflight()); n != 0 {
+		t.Fatalf("%d queries in flight after a failed one", n)
+	}
+	recent := tracker.Recent()
+	if len(recent) != 1 || recent[0].Err != cancel.Error() || recent[0].Op != "node" {
+		t.Fatalf("tracker ring = %+v, want the failed node query", recent)
+	}
+
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		eng.Query(s, func(Row) error { panic("kaboom") })
+	}()
+	pe, ok := recovered.(*obsv.PanicError)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *obsv.PanicError", recovered, recovered)
+	}
+	for _, want := range []string{"query id=", "op=where", "node=" + eng.nodeName(s.Node)} {
+		if !strings.Contains(pe.Context, want) {
+			t.Errorf("panic context %q lacks %q", pe.Context, want)
 		}
-		if n := ran.n.Load(); n >= int64(len(ids)) {
-			t.Fatalf("workers=%d: all %d queries ran despite a panic stopping claims", workers, n)
-		}
+	}
+	if fmt.Sprint(pe.Value) != "kaboom" {
+		t.Errorf("panic value = %v", pe.Value)
+	}
+	// The engine keeps answering after both.
+	var rows int
+	if err := eng.Query(s, func(Row) error { rows++; return nil }); err != nil || rows == 0 {
+		t.Fatalf("query after the failures: %d rows, err %v", rows, err)
 	}
 }

@@ -3,15 +3,19 @@ package query
 import (
 	"fmt"
 
+	"cure/internal/hierarchy"
 	"cure/internal/lattice"
 	"cure/internal/storage"
 )
 
-// Predicate restricts a node query to tuples whose value of one dimension
-// at some hierarchy level falls into a code set or range — the paper's
-// "queries combined with some selection of specific ranges" (§7). The
-// predicate level may be the node's own level or any coarser one (e.g.
-// select a Division while grouping by Code).
+// Predicate restricts a query to tuples whose value of one dimension at
+// some hierarchy level falls into a code range — the paper's "queries
+// combined with some selection of specific ranges" (§7). Predicates are
+// evaluated on the tuples' base-level source rows, so the level may be
+// the node's own level for the dimension or any level it rolls up into
+// (e.g. select a Division while grouping by Code). CURE_DR cubes evaluate
+// predicates on their inline codes and therefore accept only predicates
+// at exactly the node's level of a grouped dimension.
 type Predicate struct {
 	// Dim is the dimension index.
 	Dim int
@@ -25,40 +29,36 @@ type Predicate struct {
 // Match reports whether a code satisfies the predicate.
 func (p Predicate) Match(code int32) bool { return code >= p.Lo && code <= p.Hi }
 
-// NodeQueryWhere streams the tuples of node id that satisfy every
-// predicate. Predicates are evaluated against the tuples' base-level
-// source rows, so they may reference any level at or above the node's
-// granularity for the dimension. CURE_DR cubes evaluate predicates on
-// their inline codes and therefore only accept predicates at exactly the
-// node's level for grouped dimensions.
+// NodeQueryWhere is Query(Spec{Node: id, Where: preds}). It exists only
+// for benchmarks/cubemark, until that harness calls Query.
 func (e *Engine) NodeQueryWhere(id lattice.NodeID, preds []Predicate, fn func(Row) error) error {
-	if len(preds) == 0 {
-		return e.NodeQuery(id, fn)
-	}
-	f, levels, err := e.compileFilter(id, preds)
-	if err != nil {
-		return err
-	}
-	var where string
-	if e.queries != nil {
-		where = e.whereString(preds)
-	}
-	return e.runQuery("where", id, where, e.cWhere, e.hWhere, fn, func(q *qctx, fn func(Row) error) error {
-		return e.scanNode(id, levels, f, q, fn)
-	})
+	return e.Query(Spec{Node: id, Where: preds}, fn)
 }
 
-// compileFilter validates preds against node id and lowers them into a
-// scanFilter: tuple predicates, the CURE_DR dimension→position map, and
-// (unless indexing is disabled) the zone-map slot predicates block
-// pruning uses. The node's decoded levels are returned alongside.
-func (e *Engine) compileFilter(id lattice.NodeID, preds []Predicate) (*scanFilter, []int, error) {
-	if !e.enum.Valid(id) {
-		return nil, nil, fmt.Errorf("query: invalid node id %d", id)
+// compileFilter is the one compile step of a query: it validates s — the
+// node, each predicate against the node's levels, the iceberg threshold —
+// and lowers it into a scanFilter (nil when s selects the whole node): the
+// tuple predicates, the CURE_DR dimension→position map, the zone-map slot
+// predicates block pruning uses (unless indexing is disabled) and the
+// COUNT threshold. The node's decoded levels are returned alongside.
+func (e *Engine) compileFilter(s Spec) (*scanFilter, []int, error) {
+	if !e.enum.Valid(s.Node) {
+		return nil, nil, fmt.Errorf("query: invalid node id %d", s.Node)
 	}
-	levels := e.enum.Decode(id, nil)
-	if len(preds) == 0 {
+	levels := e.enum.Decode(s.Node, nil)
+	if len(s.Where) == 0 && s.MinCount == 0 {
 		return nil, levels, nil
+	}
+	preds := s.Where
+	f := &scanFilter{preds: preds}
+	if s.MinCount != 0 {
+		if !(s.MinCount >= 1) {
+			return nil, nil, fmt.Errorf("query: iceberg threshold %v below 1 matches everything", s.MinCount)
+		}
+		if e.countAgg < 0 {
+			return nil, nil, fmt.Errorf("query: iceberg queries need a COUNT aggregate; the cube has none")
+		}
+		f.countAgg, f.minCount = e.countAgg, s.MinCount
 	}
 	hier := e.r.Hier()
 	for _, p := range preds {
@@ -69,16 +69,15 @@ func (e *Engine) compileFilter(id lattice.NodeID, preds []Predicate) (*scanFilte
 		if p.Level < 0 || p.Level > d.AllLevel() {
 			return nil, nil, fmt.Errorf("query: predicate level %d out of range for %s", p.Level, d.Name)
 		}
-		if p.Level < levels[p.Dim] {
-			return nil, nil, fmt.Errorf("query: predicate on %s at level %s is finer than the node's level %s",
+		if !rollsInto(d, levels[p.Dim], p.Level) {
+			return nil, nil, fmt.Errorf("query: predicate on %s at level %s does not aggregate the node's level %s",
 				d.Name, d.LevelName(p.Level), d.LevelName(levels[p.Dim]))
 		}
 		if p.Lo > p.Hi {
 			return nil, nil, fmt.Errorf("query: empty predicate range [%d,%d]", p.Lo, p.Hi)
 		}
 	}
-	f := &scanFilter{preds: preds}
-	if e.r.Manifest().DimsInline {
+	if e.r.Manifest().DimsInline && len(preds) > 0 {
 		// CURE_DR: predicates evaluate against inline codes, so each must
 		// target exactly the node's level of a grouped dimension (coarser
 		// levels would need base codes, which DR rows no longer
@@ -113,23 +112,42 @@ func (e *Engine) compileFilter(id lattice.NodeID, preds []Predicate) (*scanFilte
 	return f, levels, nil
 }
 
+// rollsInto reports whether every level-l member of d lies inside one
+// level-u member: u is l itself, ALL, or reached from l along declared
+// roll-up edges. Only then is a level-u predicate decided by a level-l
+// tuple's source row; a coarser index alone is not enough in a complex
+// hierarchy (a week need not lie inside one month).
+func rollsInto(d *hierarchy.Dim, l, u int) bool {
+	if l == u || d.IsAll(u) {
+		return true
+	}
+	if d.IsAll(l) {
+		return false
+	}
+	for _, p := range d.Levels[l].RollsUpTo {
+		if p <= u && rollsInto(d, p, u) {
+			return true
+		}
+	}
+	return false
+}
+
 // SliceQuery is the common OLAP slice: the grouping of node id with
-// dimension dim additionally fixed to a single value at the given level.
-// A node that aggregates dim away cannot be filtered on it after the
-// fact (its tuples mix all of dim's values), so the query is answered
-// from the node that still groups dim at that level; the returned rows
-// therefore include the fixed dimension's (constant) code among their
-// grouping attributes.
+// dimension dim fixed to one code at the given level, answered from the
+// node that still groups dim at that level (a node that aggregates dim
+// away cannot be filtered on it after the fact), so the rows include the
+// fixed dimension's constant code. It exists only for
+// benchmarks/cubemark, until that harness calls Query.
 func (e *Engine) SliceQuery(id lattice.NodeID, dim, level int, code int32, fn func(Row) error) error {
-	if dim < 0 || dim >= e.r.Hier().NumDims() {
+	_, levels, err := e.compileFilter(Spec{Node: id})
+	if err != nil {
+		return err
+	}
+	if dim < 0 || dim >= len(levels) {
 		return fmt.Errorf("query: slice dimension %d out of range", dim)
 	}
-	levels := e.enum.Decode(id, nil)
-	if level < levels[dim] {
-		// The node aggregates dim more coarsely than the slice asks for:
-		// refine the grouping so the selection is answerable.
+	if level >= 0 && level < levels[dim] {
 		levels[dim] = level
 	}
-	target := e.enum.Encode(levels)
-	return e.NodeQueryWhere(target, []Predicate{{Dim: dim, Level: level, Lo: code, Hi: code}}, fn)
+	return e.Query(Spec{Node: e.enum.Encode(levels), Where: []Predicate{{Dim: dim, Level: level, Lo: code, Hi: code}}}, fn)
 }

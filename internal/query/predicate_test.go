@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"cure/internal/core"
@@ -51,45 +52,16 @@ func TestPredicateMatch(t *testing.T) {
 }
 
 func TestNodeQueryWhereCoarserLevel(t *testing.T) {
-	dir, hier, ft := buildPredCube(t, false)
+	dir, _, ft := buildPredCube(t, false)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	// Group by A0 × B, select A1 = 1 (a coarser level than the grouping).
-	node := eng.Enum().Encode([]int{0, 0})
-	pred := Predicate{Dim: 0, Level: 1, Lo: 1, Hi: 1}
-	// Ground truth.
-	type key struct{ a, b int32 }
-	want := map[key][2]float64{}
-	for r := 0; r < ft.Len(); r++ {
-		if hier.Dims[0].MapCode(ft.Dims[0][r], 1) != 1 {
-			continue
-		}
-		k := key{ft.Dims[0][r], ft.Dims[1][r]}
-		agg := want[k]
-		agg[0] += ft.Measures[0][r]
-		agg[1]++
-		want[k] = agg
-	}
-	got := 0
-	if err := eng.NodeQueryWhere(node, []Predicate{pred}, func(row Row) error {
-		k := key{row.Dims[0], row.Dims[1]}
-		w, ok := want[k]
-		if !ok {
-			return fmt.Errorf("tuple %v outside selection", row.Dims)
-		}
-		if w[0] != row.Aggrs[0] || w[1] != row.Aggrs[1] {
-			return fmt.Errorf("tuple %v: %v want %v", row.Dims, row.Aggrs, w)
-		}
-		got++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got != len(want) {
-		t.Fatalf("selected %d tuples, want %d", got, len(want))
+	s := Spec{Node: eng.Enum().Encode([]int{0, 0}), Where: []Predicate{{Dim: 0, Level: 1, Lo: 1, Hi: 1}}}
+	if checkSpec(t, eng, ft, s) == 0 {
+		t.Fatal("selection answered nothing")
 	}
 }
 
@@ -101,21 +73,10 @@ func TestNodeQueryWhereRange(t *testing.T) {
 	}
 	defer eng.Close()
 	// Node B (A at ALL), range predicate on B itself.
-	node := eng.Enum().Encode([]int{2, 0})
-	got := 0
-	if err := eng.NodeQueryWhere(node, []Predicate{{Dim: 1, Level: 0, Lo: 1, Hi: 3}}, func(row Row) error {
-		if row.Dims[0] < 1 || row.Dims[0] > 3 {
-			return fmt.Errorf("tuple %v outside range", row.Dims)
-		}
-		got++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	s := Spec{Node: eng.Enum().Encode([]int{2, 0}), Where: []Predicate{{Dim: 1, Level: 0, Lo: 1, Hi: 3}}}
+	if n := checkSpec(t, eng, ft, s); n != 3 {
+		t.Errorf("range selected %d B-groups, want 3", n)
 	}
-	if got != 3 {
-		t.Errorf("range selected %d B-groups, want 3", got)
-	}
-	_ = ft
 }
 
 func TestNodeQueryWhereValidation(t *testing.T) {
@@ -127,24 +88,24 @@ func TestNodeQueryWhereValidation(t *testing.T) {
 	defer eng.Close()
 	node := eng.Enum().Encode([]int{1, 1}) // A1, B at ALL
 	nop := func(Row) error { return nil }
-	if err := eng.NodeQueryWhere(node, []Predicate{{Dim: 5, Level: 0, Lo: 0, Hi: 0}}, nop); err == nil {
-		t.Error("bad dim accepted")
+	for name, s := range map[string]Spec{
+		"bad dim":                          {Node: node, Where: []Predicate{{Dim: 5, Level: 0, Lo: 0, Hi: 0}}},
+		"bad level":                        {Node: node, Where: []Predicate{{Dim: 0, Level: 9, Lo: 0, Hi: 0}}},
+		"predicate finer than node level":  {Node: node, Where: []Predicate{{Dim: 0, Level: 0, Lo: 0, Hi: 0}}},
+		"empty range":                      {Node: node, Where: []Predicate{{Dim: 0, Level: 1, Lo: 3, Hi: 1}}},
+		"invalid node":                     {Node: -1, Where: []Predicate{{Dim: 0, Level: 1, Lo: 0, Hi: 0}}},
+		"threshold below 1":                {Node: node, MinCount: 0.5},
+		"negative threshold":               {Node: node, MinCount: -1},
+		"predicate on an ungrouped dim":    {Node: node, Where: []Predicate{{Dim: 1, Level: 0, Lo: 0, Hi: 0}}},
+		"threshold below 1 with predicate": {Node: node, Where: []Predicate{{Dim: 0, Level: 1, Lo: 0, Hi: 0}}, MinCount: 0.9},
+	} {
+		if err := eng.Query(s, nop); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if err := eng.NodeQueryWhere(node, []Predicate{{Dim: 0, Level: 9, Lo: 0, Hi: 0}}, nop); err == nil {
-		t.Error("bad level accepted")
-	}
-	if err := eng.NodeQueryWhere(node, []Predicate{{Dim: 0, Level: 0, Lo: 0, Hi: 0}}, nop); err == nil {
-		t.Error("predicate finer than node level accepted")
-	}
-	if err := eng.NodeQueryWhere(node, []Predicate{{Dim: 0, Level: 1, Lo: 3, Hi: 1}}, nop); err == nil {
-		t.Error("empty range accepted")
-	}
-	if err := eng.NodeQueryWhere(-1, []Predicate{{Dim: 0, Level: 1, Lo: 0, Hi: 0}}, nop); err == nil {
-		t.Error("invalid node accepted")
-	}
-	// Empty predicate list degrades to a plain node query.
+	// An empty predicate list is a plain node query.
 	count := 0
-	if err := eng.NodeQueryWhere(node, nil, func(Row) error { count++; return nil }); err != nil {
+	if err := eng.Query(Spec{Node: node, Where: []Predicate{}}, func(Row) error { count++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if count == 0 {
@@ -164,13 +125,9 @@ func TestNodeQueryWhereEdgeCases(t *testing.T) {
 	}
 	defer eng.Close()
 	node := eng.Enum().Encode([]int{0, 0})
-	count := func(preds []Predicate) int {
+	count := func(preds []Predicate) int64 {
 		t.Helper()
-		n := 0
-		if err := eng.NodeQueryWhere(node, preds, func(Row) error { n++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		return n
+		return checkSpec(t, eng, ft, Spec{Node: node, Where: preds})
 	}
 
 	total := count(nil)
@@ -199,7 +156,7 @@ func TestNodeQueryWhereEdgeCases(t *testing.T) {
 	}
 	// Point ranges at the domain edges are inclusive; together with the
 	// interior they partition the total.
-	edges := 0
+	var edges int64
 	for _, p := range []Predicate{
 		{Dim: 1, Level: 0, Lo: 0, Hi: 0},
 		{Dim: 1, Level: 0, Lo: 1, Hi: 3},
@@ -217,33 +174,32 @@ func TestNodeQueryWhereEdgeCases(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("contradictory predicates selected %d rows", n)
 	}
-	_ = ft
 }
 
+// TestSliceQuery: a slice at a level finer than the node's grouping is
+// answered from the refined node, exactly as the query of that node
+// under the slice's predicate.
 func TestSliceQuery(t *testing.T) {
-	dir, hier, ft := buildPredCube(t, false)
+	dir, _, ft := buildPredCube(t, false)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// Slice: group by B, fix A1 = 0.
+	// Slice: group by B, fix A1 = 0; answered from A1 × B.
 	node := eng.Enum().Encode([]int{2, 0})
-	var gotSum float64
-	if err := eng.SliceQuery(node, 0, 1, 0, func(row Row) error {
-		gotSum += row.Aggrs[0]
+	s := Spec{Node: eng.Enum().Encode([]int{1, 0}), Where: []Predicate{{Dim: 0, Level: 1, Lo: 0, Hi: 0}}}
+	want := collectSpec(t, eng, s)
+	var got []string
+	if err := eng.SliceQuery(node, 0, 1, 0, func(r Row) error {
+		got = append(got, fmt.Sprintf("%v|%v|%d", r.Dims, r.Aggrs, r.RRowid))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var wantSum float64
-	for r := 0; r < ft.Len(); r++ {
-		if hier.Dims[0].MapCode(ft.Dims[0][r], 1) == 0 {
-			wantSum += ft.Measures[0][r]
-		}
-	}
-	if gotSum != wantSum {
-		t.Errorf("slice sum = %v, want %v", gotSum, wantSum)
+	slices.Sort(got)
+	if !slices.Equal(got, want) || checkSpec(t, eng, ft, s) == 0 {
+		t.Errorf("slice answered %v, want %v", got, want)
 	}
 }
 
@@ -255,25 +211,14 @@ func TestNodeQueryWhereDR(t *testing.T) {
 	}
 	defer eng.Close()
 	// DR: predicate at the node's own level works…
-	node := eng.Enum().Encode([]int{1, 0}) // A1 × B
-	got := 0
-	if err := eng.NodeQueryWhere(node, []Predicate{{Dim: 0, Level: 1, Lo: 2, Hi: 2}}, func(row Row) error {
-		if row.Dims[0] != 2 {
-			return fmt.Errorf("tuple %v outside slice", row.Dims)
-		}
-		got++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got == 0 {
+	s := Spec{Node: eng.Enum().Encode([]int{1, 0}), Where: []Predicate{{Dim: 0, Level: 1, Lo: 2, Hi: 2}}} // A1 × B
+	if checkSpec(t, eng, ft, s) == 0 {
 		t.Error("DR slice empty")
 	}
 	// …but coarser-level predicates are rejected (the rows have no
 	// base-code reference to re-project).
 	base := eng.Enum().Encode([]int{0, 0})
-	if err := eng.NodeQueryWhere(base, []Predicate{{Dim: 0, Level: 1, Lo: 0, Hi: 0}}, func(Row) error { return nil }); err == nil {
+	if err := eng.Query(Spec{Node: base, Where: []Predicate{{Dim: 0, Level: 1, Lo: 0, Hi: 0}}}, func(Row) error { return nil }); err == nil {
 		t.Error("DR coarser-level predicate accepted")
 	}
-	_ = ft
 }

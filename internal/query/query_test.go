@@ -8,6 +8,8 @@ import (
 
 	"cure/internal/core"
 	"cure/internal/hierarchy"
+	"cure/internal/lattice"
+	"cure/internal/obsv"
 	"cure/internal/relation"
 )
 
@@ -58,18 +60,46 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
+// checkSpec holds the engine's answer to s to the brute-force one over
+// ft, the cube's fact table (Verify's verifySpec), and returns the number
+// of tuples the answer held.
+func checkSpec(t *testing.T, eng *Engine, ft *relation.FactTable, s Spec) int64 {
+	t.Helper()
+	rep := &VerifyReport{}
+	eng.verifySpec(ft, s, rep)
+	if !rep.OK() {
+		t.Fatalf("spec %+v: %v", s, rep.Errors)
+	}
+	return rep.TuplesChecked
+}
+
+// TestNodeQueryInvalidID: every entry point refuses a node id outside the
+// lattice with an error and no rows — not another node's answer, and not
+// a panic.
 func TestNodeQueryInvalidID(t *testing.T) {
-	dir, _, _ := buildTestCube(t)
+	dir, hier, _ := buildPredCube(t, false)
 	eng, err := OpenDefault(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if err := eng.NodeQuery(-1, func(Row) error { return nil }); err == nil {
-		t.Error("negative node id accepted")
-	}
-	if err := eng.NodeQuery(999, func(Row) error { return nil }); err == nil {
-		t.Error("out-of-range node id accepted")
+	n := eng.Enum().NumNodes()
+	all := Predicate{Dim: 0, Level: hier.Dims[0].AllLevel(), Lo: 0, Hi: 0}
+	for _, id := range []lattice.NodeID{-1, lattice.NodeID(n), lattice.NodeID(n + 1), 1 << 40} {
+		for name, call := range map[string]func(fn func(Row) error) error{
+			"Query":          func(fn func(Row) error) error { return eng.Query(Spec{Node: id}, fn) },
+			"Query iceberg":  func(fn func(Row) error) error { return eng.Query(Spec{Node: id, MinCount: 1}, fn) },
+			"Explain":        func(func(Row) error) error { _, err := eng.Explain(Spec{Node: id}, true); return err },
+			"NodeCount":      func(func(Row) error) error { _, err := eng.NodeCount(id); return err },
+			"NodeQuery":      func(fn func(Row) error) error { return eng.NodeQuery(id, fn) },
+			"NodeQueryWhere": func(fn func(Row) error) error { return eng.NodeQueryWhere(id, []Predicate{all}, fn) },
+			"SliceQuery":     func(fn func(Row) error) error { return eng.SliceQuery(id, 1, 0, 1, fn) },
+		} {
+			rows := 0
+			if err := call(func(Row) error { rows++; return nil }); err == nil || rows != 0 {
+				t.Errorf("%s(%d): %d rows, err %v; want an error and no rows", name, id, rows, err)
+			}
+		}
 	}
 }
 
@@ -79,12 +109,13 @@ func TestCacheFractionsAgree(t *testing.T) {
 	counts := map[float64]int{}
 	sums := map[float64]float64{}
 	for _, frac := range []float64{0, 0.3, 1} {
-		eng, err := Open(dir, Options{CacheFraction: frac, PinAggregates: frac > 0.5})
+		reg := obsv.NewRegistry()
+		eng, err := Open(dir, Options{CacheFraction: frac, PinAggregates: frac > 0.5, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for id := int64(0); id < 6; id++ {
-			if err := eng.NodeQuery(eng.Enum().AllNodes()[id], func(row Row) error {
+		for id := lattice.NodeID(0); id < 6; id++ {
+			if err := eng.Query(Spec{Node: id}, func(row Row) error {
 				counts[frac]++
 				sums[frac] += row.Aggrs[0]
 				return nil
@@ -92,7 +123,7 @@ func TestCacheFractionsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		hits, misses := eng.CacheStats()
+		hits, misses := cacheStats(reg)
 		if frac == 0 && hits != 0 {
 			t.Errorf("zero cache recorded %d hits", hits)
 		}
@@ -111,7 +142,8 @@ func TestCacheFractionsAgree(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	dir, _, _ := buildTestCube(t)
-	eng, err := Open(dir, Options{CacheFraction: 0.4, PinAggregates: true})
+	reg := obsv.NewRegistry()
+	eng, err := Open(dir, Options{CacheFraction: 0.4, PinAggregates: true, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +151,9 @@ func TestCacheLRUEviction(t *testing.T) {
 	// Run several node queries; the cache must stay within its budget
 	// and keep answering correctly.
 	for pass := 0; pass < 3; pass++ {
-		for _, id := range eng.Enum().AllNodes() {
-			if err := eng.NodeQuery(id, func(Row) error { return nil }); err != nil {
-				t.Fatal(err)
-			}
-		}
+		queryAll(t, eng)
 	}
-	hits, misses := eng.CacheStats()
+	hits, misses := cacheStats(reg)
 	if hits == 0 || misses == 0 {
 		t.Errorf("partial cache produced hits=%d misses=%d", hits, misses)
 	}
@@ -153,7 +181,7 @@ func TestNodeCountWithoutMaterialization(t *testing.T) {
 	defer eng.Close()
 	for _, id := range eng.Enum().AllNodes() {
 		want := 0
-		if err := eng.NodeQuery(id, func(Row) error { want++; return nil }); err != nil {
+		if err := eng.Query(Spec{Node: id}, func(Row) error { want++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		got, err := eng.NodeCount(id)

@@ -253,26 +253,13 @@ func NewFactWriter(path string, schema *Schema, withRowIDs bool) (*FactWriter, e
 	return fw, nil
 }
 
-// Write appends one row (only for writers without row-ids).
+// Write appends one row (only for writers without row-ids; a row-id-tagged
+// file is written whole, by WriteRawRows).
 func (fw *FactWriter) Write(dims []int32, measures []float64) error {
 	if fw.withRowIDs {
-		return errors.New("relation: writer expects WriteWithRowID")
+		return errors.New("relation: a row-id writer takes raw rows")
 	}
 	encodeRow(fw.buf, dims, measures)
-	if _, err := fw.w.Write(fw.buf); err != nil {
-		return err
-	}
-	fw.rows++
-	return nil
-}
-
-// WriteWithRowID appends one row tagged with its original row-id.
-func (fw *FactWriter) WriteWithRowID(dims []int32, measures []float64, id int64) error {
-	if !fw.withRowIDs {
-		return errors.New("relation: writer was opened without row-ids")
-	}
-	encodeRow(fw.buf, dims, measures)
-	binary.LittleEndian.PutUint64(fw.buf[fw.schema.RowWidth():], uint64(id))
 	if _, err := fw.w.Write(fw.buf); err != nil {
 		return err
 	}
@@ -366,17 +353,6 @@ func (fr *FactReader) ReadRawAt(id int64, count int, buf []byte) error {
 
 // HasRowIDs reports whether rows carry an explicit original row-id.
 func (fr *FactReader) HasRowIDs() bool { return fr.hasIDs }
-
-// RowIDOf extracts the original row-id from a raw row buffer of a file
-// with explicit row-ids.
-func (fr *FactReader) RowIDOf(buf []byte) int64 {
-	return int64(binary.LittleEndian.Uint64(buf[fr.schema.RowWidth():]))
-}
-
-// DecodeRow decodes one raw row buffer previously filled by ReadRaw.
-func (fr *FactReader) DecodeRow(buf []byte, dims []int32, measures []float64) {
-	decodeRow(buf, dims, measures)
-}
 
 // Close closes the underlying file.
 func (fr *FactReader) Close() error { return fr.f.Close() }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
@@ -100,13 +101,24 @@ func TestFactTableRowIDs(t *testing.T) {
 	}
 }
 
+// TestFactTableSizeBytes: a table's bytes are Len × Schema.RowWidth() —
+// 4 per dimension and 8 per measure — after the file header, the volume
+// the build's memory budget and the partitioner account with.
 func TestFactTableSizeBytes(t *testing.T) {
 	ft := NewFactTable(testSchema(), 0)
 	for i := 0; i < 10; i++ {
 		ft.Append([]int32{0, 0, 0}, []float64{0, 0})
 	}
-	if got, want := ft.SizeBytes(), int64(10*(3*4+2*8)); got != want {
-		t.Errorf("SizeBytes = %d, want %d", got, want)
+	path := filepath.Join(t.TempDir(), "size.bin")
+	if err := WriteFactFile(path, ft); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := info.Size()-int64(headerSize(ft.Schema)), int64(ft.Len()*ft.Schema.RowWidth()); got != want || want != 10*(3*4+2*8) {
+		t.Errorf("fact file holds %d row bytes, want %d = 10 × (3×4 + 2×8)", got, want)
 	}
 }
 
@@ -123,7 +135,7 @@ func TestAggregator(t *testing.T) {
 	ft.Append([]int32{1, 1, 1}, []float64{30, 8})
 	a := NewAggregator(specs)
 	for r := 0; r < 3; r++ {
-		a.Add(ft, r)
+		a.AddValues(ft.MeasureRow(r, nil))
 	}
 	got := a.Values(nil)
 	want := []float64{60, 3, -3, 8}
@@ -133,10 +145,7 @@ func TestAggregator(t *testing.T) {
 	if a.Count() != 3 {
 		t.Errorf("Count = %d", a.Count())
 	}
-	a.Reset()
-	if a.Count() != 0 {
-		t.Error("Reset did not clear count")
-	}
+	a = NewAggregator(specs)
 	a.AddValues([]float64{5, 2})
 	a.AddValues([]float64{7, 9})
 	got = a.Values(got)
@@ -162,7 +171,7 @@ func TestAggregateRange(t *testing.T) {
 }
 
 func TestAggregateRangeMatchesAggregator(t *testing.T) {
-	// Property: AggregateRange over a segment equals incremental Add.
+	// Property: AggregateRange over a segment equals incremental AddValues.
 	specs := []AggSpec{{Func: AggSum, Measure: 0}, {Func: AggMin, Measure: 1}, {Func: AggMax, Measure: 0}, {Func: AggCount}}
 	rng := rand.New(rand.NewSource(1))
 	ft := NewFactTable(testSchema(), 100)
@@ -179,7 +188,7 @@ func TestAggregateRangeMatchesAggregator(t *testing.T) {
 		fast := AggregateRange(ft, specs, idx, lo, hi, nil)
 		a := NewAggregator(specs)
 		for j := lo; j < hi; j++ {
-			a.Add(ft, int(idx[j]))
+			a.AddValues(ft.MeasureRow(int(idx[j]), nil))
 		}
 		slow := a.Values(nil)
 		for k := range fast {
@@ -275,7 +284,7 @@ func TestFactReaderRandomAccess(t *testing.T) {
 		if err := fr.ReadRaw(id, row); err != nil {
 			t.Fatalf("ReadRaw(%d): %v", id, err)
 		}
-		fr.DecodeRow(row, dims, meas)
+		decodeRow(row, dims, meas)
 		if dims[0] != int32(id) || dims[1] != int32(id*id) || meas[1] != float64(-id) {
 			t.Errorf("row %d decoded as dims=%v meas=%v", id, dims, meas)
 		}
@@ -291,7 +300,7 @@ func TestFactReaderRandomAccess(t *testing.T) {
 	if err := fr.ReadRawAt(10, 3, buf); err != nil {
 		t.Fatalf("ReadRawAt: %v", err)
 	}
-	fr.DecodeRow(buf[fr.RowWidth():2*fr.RowWidth()], dims, meas)
+	decodeRow(buf[fr.RowWidth():2*fr.RowWidth()], dims, meas)
 	if dims[0] != 11 {
 		t.Errorf("batch middle row dims=%v", dims)
 	}
@@ -364,8 +373,8 @@ func TestFactFileWithRowIDsRoundTrip(t *testing.T) {
 	if err := fr.ReadRaw(3, buf); err != nil {
 		t.Fatal(err)
 	}
-	if fr.RowIDOf(buf) != 307 {
-		t.Errorf("RowIDOf = %d, want 307", fr.RowIDOf(buf))
+	if id := int64(binary.LittleEndian.Uint64(buf[fr.Schema().RowWidth():])); id != 307 {
+		t.Errorf("row 3 carries row-id %d, want 307", id)
 	}
 }
 
@@ -379,7 +388,10 @@ func TestFactWriterRowIDModeEnforced(t *testing.T) {
 	if err := fw.Write([]int32{0, 0, 0}, []float64{0, 0}); err == nil {
 		t.Error("Write accepted on row-id writer")
 	}
-	if err := fw.WriteWithRowID([]int32{0, 0, 0}, []float64{0, 0}, 5); err != nil {
+	raw := make([]byte, s.RowWidth()+8)
+	encodeRow(raw, []int32{0, 0, 0}, []float64{0, 0})
+	binary.LittleEndian.PutUint64(raw[s.RowWidth():], 5)
+	if err := fw.WriteRawRows(raw, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Close(); err != nil {
@@ -389,8 +401,8 @@ func TestFactWriterRowIDModeEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw2.WriteWithRowID([]int32{0, 0, 0}, []float64{0, 0}, 5); err == nil {
-		t.Error("WriteWithRowID accepted on plain writer")
+	if err := fw2.WriteRawRows(raw, 1); err == nil {
+		t.Error("row-id-tagged raw row accepted by a plain writer")
 	}
 	fw2.Close()
 }

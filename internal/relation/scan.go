@@ -192,8 +192,9 @@ func LoadFactRows(path string, rows int64) (*FactTable, error) {
 	return t, nil
 }
 
-// WriteRawRows appends n pre-encoded rows (each RawRowWidth bytes,
-// encoded exactly as Write/WriteWithRowID would) in one buffered write.
+// WriteRawRows appends n pre-encoded rows (each the schema's row width,
+// plus 8 bytes of row-id for a row-id-tagged file, as a FactReader reads
+// them) in one buffered write.
 // It is the flush half of the partitioner's per-worker write buffers.
 func (fw *FactWriter) WriteRawRows(raw []byte, n int) error {
 	width := fw.schema.RowWidth()
@@ -208,13 +209,4 @@ func (fw *FactWriter) WriteRawRows(raw []byte, n int) error {
 	}
 	fw.rows += int64(n)
 	return nil
-}
-
-// RawRowWidth is the byte width of one encoded row as this writer
-// expects it (including the trailing row-id for row-id-tagged files).
-func (fw *FactWriter) RawRowWidth() int {
-	if fw.withRowIDs {
-		return fw.schema.RowWidth() + 8
-	}
-	return fw.schema.RowWidth()
 }

@@ -68,7 +68,7 @@ func TestScanBatchesMatchesRowReads(t *testing.T) {
 					// Raw bytes must round-trip through the row decoder too.
 					dims := make([]int32, 3)
 					meas := make([]float64, 2)
-					fr.DecodeRow(b.Raw[i*b.Width:(i+1)*b.Width], dims, meas)
+					decodeRow(b.Raw[i*b.Width:(i+1)*b.Width], dims, meas)
 					if dims[0] != want.Dims[0][r] {
 						t.Fatalf("row %d raw decode mismatch", r)
 					}
@@ -167,9 +167,6 @@ func TestWriteRawRowsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewFactWriter: %v", err)
 		}
-		if fw.RawRowWidth() != fr.RowWidth() {
-			t.Fatalf("RawRowWidth %d != reader width %d", fw.RawRowWidth(), fr.RowWidth())
-		}
 		if err := fr.ScanBatches(0, fr.Rows(), 32, func(b *Batch) error {
 			return fw.WriteRawRows(b.Raw[:b.N*b.Width], b.N)
 		}); err != nil {
@@ -206,7 +203,7 @@ func TestWriteRawRowsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewFactWriter: %v", err)
 		}
-		if err := fw2.WriteRawRows(make([]byte, fw2.RawRowWidth()+1), 1); err == nil {
+		if err := fw2.WriteRawRows(make([]byte, fr.RowWidth()+1), 1); err == nil {
 			t.Fatal("mis-sized raw batch accepted")
 		}
 		fw2.Close()

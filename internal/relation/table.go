@@ -95,17 +95,6 @@ func (t *FactTable) MeasureRow(r int, dst []float64) []float64 {
 	return dst
 }
 
-// SizeBytes returns the approximate in-memory footprint of the table, used
-// by the partitioner to honour the memory budget.
-func (t *FactTable) SizeBytes() int64 {
-	n := int64(t.Len())
-	per := int64(4*len(t.Dims) + 8*len(t.Measures))
-	if t.RowIDs != nil {
-		per += 8
-	}
-	return n * per
-}
-
 // Validate checks internal consistency: all columns the same length and
 // row-ids (if present) covering every row.
 func (t *FactTable) Validate() error {
@@ -140,40 +129,6 @@ type Aggregator struct {
 // NewAggregator creates an aggregator for the given specs.
 func NewAggregator(specs []AggSpec) *Aggregator {
 	return &Aggregator{specs: specs, vals: make([]float64, len(specs))}
-}
-
-// Reset clears the accumulated state so the aggregator can be reused.
-func (a *Aggregator) Reset() {
-	a.count = 0
-	for i := range a.vals {
-		a.vals[i] = 0
-	}
-}
-
-// Add accumulates row r of table t.
-func (a *Aggregator) Add(t *FactTable, r int) {
-	first := a.count == 0
-	a.count++
-	for i, s := range a.specs {
-		switch s.Func {
-		case AggSum:
-			a.vals[i] += t.Measures[s.Measure][r]
-		case AggCount:
-			a.vals[i]++
-		case AggMin:
-			if v := t.Measures[s.Measure][r]; first {
-				a.vals[i] = v
-			} else {
-				a.vals[i] = min(a.vals[i], v)
-			}
-		case AggMax:
-			if v := t.Measures[s.Measure][r]; first {
-				a.vals[i] = v
-			} else {
-				a.vals[i] = max(a.vals[i], v)
-			}
-		}
-	}
 }
 
 // AddValues accumulates a pre-aggregated tuple (measures already at some

@@ -223,12 +223,6 @@ func (p *Pool) Format() Format { return p.format }
 // Stats returns cumulative classification statistics.
 func (p *Pool) Stats() Stats { return p.stats }
 
-// SizeBytes returns the in-memory footprint of a full pool, for memory
-// accounting.
-func (p *Pool) SizeBytes() int64 {
-	return int64(p.capacity) * int64(8*p.width())
-}
-
 const signBit = 1 << 63
 
 // canonical is the float contract's choice of representative: +0 for

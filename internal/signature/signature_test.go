@@ -321,10 +321,14 @@ func TestFormatLockedAcrossFlushes(t *testing.T) {
 
 func TestSizeBytesMatchesPaperFootprint(t *testing.T) {
 	// §5.2: a pool of 1e6 signatures occupies ≈ (Y+2)·4 MB with 4-byte
-	// words; our words are 8 bytes, so (Y+2)·8 MB.
+	// words; our words are 8 bytes, so the pool's first Add reserves
+	// (Y+2)·8 MB.
 	p, _ := NewPool(2, 1_000_000, &recordingSink{})
-	if got, want := p.SizeBytes(), int64(1_000_000*(2+2)*8); got != want {
-		t.Errorf("SizeBytes = %d, want %d", got, want)
+	if err := p.Add(0, 0, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := int64(cap(p.recs))*8, int64(1_000_000*(2+2)*8); got != want {
+		t.Errorf("pool reserves %d bytes, want %d", got, want)
 	}
 }
 

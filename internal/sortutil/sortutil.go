@@ -268,30 +268,16 @@ func insertionSort(idx, keys []int32) {
 	}
 }
 
-// Segments iterates over maximal runs of equal keys in a sorted idx,
-// calling fn(lo, hi, key) for each run idx[lo:hi]. It is the
-// GetNextSegment loop of the paper's FollowEdge in callback form.
-func Segments(idx []int32, key Keyer, fn func(lo, hi int, code int32)) {
-	lo := 0
-	for lo < len(idx) {
-		code := key.Key(idx[lo])
-		hi := lo + 1
-		for hi < len(idx) && key.Key(idx[hi]) == code {
-			hi++
-		}
-		fn(lo, hi, code)
-		lo = hi
+// RunEnd returns the end of the run of equal codes that starts at
+// keys[lo], within keys[lo:hi]: with sorted keys, successive runs are the
+// segments the paper's FollowEdge visits (its GetNextSegment loop).
+func RunEnd(keys []int32, lo, hi int) int {
+	code := keys[lo]
+	end := lo + 1
+	for end < hi && keys[end] == code {
+		end++
 	}
-}
-
-// IsSorted reports whether idx is sorted by key; used by tests.
-func IsSorted(idx []int32, key Keyer) bool {
-	for i := 1; i < len(idx); i++ {
-		if key.Key(idx[i]) < key.Key(idx[i-1]) {
-			return false
-		}
-	}
-	return true
+	return end
 }
 
 // Iota fills dst with 0..n-1, allocating if needed, and returns it.

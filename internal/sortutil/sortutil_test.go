@@ -70,7 +70,7 @@ func TestSortVariants(t *testing.T) {
 				tc.conf(&s)
 				key := SliceKeyer{Col: col, Hi: int32(card)}
 				s.Sort(idx, key)
-				if !IsSorted(idx, key) {
+				if !isSorted(idx, key) {
 					t.Fatalf("trial %d (n=%d card=%d): not sorted", trial, n, card)
 				}
 				// Permutation check: every original index appears once.
@@ -114,7 +114,7 @@ func TestMappedKeyer(t *testing.T) {
 	idx := []int32{0, 1, 2, 3}
 	var s Sorter
 	s.Sort(idx, k)
-	if !IsSorted(idx, k) {
+	if !isSorted(idx, k) {
 		t.Error("not sorted under mapped keys")
 	}
 	if idx[0] != 2 && idx[0] != 3 {
@@ -122,24 +122,47 @@ func TestMappedKeyer(t *testing.T) {
 	}
 }
 
+// segments calls fn(lo, hi, code) for every run keys[lo:hi] of equal
+// codes, walking them with RunEnd as the executor's FollowEdge does.
+func segments(keys []int32, fn func(lo, hi int, code int32)) {
+	for lo := 0; lo < len(keys); {
+		hi := RunEnd(keys, lo, len(keys))
+		fn(lo, hi, keys[lo])
+		lo = hi
+	}
+}
+
+// isSorted reports whether idx is sorted by key.
+func isSorted(idx []int32, key Keyer) bool {
+	for i := 1; i < len(idx); i++ {
+		if key.Key(idx[i]) < key.Key(idx[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestSegments(t *testing.T) {
-	col := []int32{3, 3, 5, 5, 5, 7}
-	idx := []int32{0, 1, 2, 3, 4, 5}
+	keys := []int32{3, 3, 5, 5, 5, 7}
 	type seg struct {
 		lo, hi int
 		code   int32
 	}
 	var got []seg
-	Segments(idx, SliceKeyer{Col: col, Hi: 8}, func(lo, hi int, code int32) {
+	segments(keys, func(lo, hi int, code int32) {
 		got = append(got, seg{lo, hi, code})
 	})
 	want := []seg{{0, 2, 3}, {2, 5, 5}, {5, 6, 7}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Segments = %v, want %v", got, want)
+		t.Errorf("segments = %v, want %v", got, want)
+	}
+	// A run ends at hi even when equal codes follow it.
+	if end := RunEnd(keys, 2, 4); end != 4 {
+		t.Errorf("RunEnd(keys, 2, 4) = %d, want 4", end)
 	}
 	// Empty input yields no segments.
 	got = nil
-	Segments(nil, SliceKeyer{Col: col, Hi: 8}, func(lo, hi int, code int32) {
+	segments(nil, func(lo, hi int, code int32) {
 		got = append(got, seg{lo, hi, code})
 	})
 	if got != nil {
@@ -148,24 +171,25 @@ func TestSegments(t *testing.T) {
 }
 
 func TestSegmentsCoverInput(t *testing.T) {
-	// Property: after sorting, segments tile [0, n) exactly and each
-	// segment is key-homogeneous.
+	// Property: after a keyed sort, the runs RunEnd finds tile [0, n)
+	// exactly and each is key-homogeneous.
 	f := func(seed int64, nRaw, cardRaw uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%500) + 1
 		card := int(cardRaw%40) + 1
 		col, idx := randomCase(rng, n, card)
+		keys := make([]int32, n)
+		Codes(keys, idx, col, nil)
 		var s Sorter
-		key := SliceKeyer{Col: col, Hi: int32(card)}
-		s.Sort(idx, key)
+		s.SortKeyed(idx, keys, card)
 		next := 0
 		ok := true
-		Segments(idx, key, func(lo, hi int, code int32) {
+		segments(keys, func(lo, hi int, code int32) {
 			if lo != next || hi <= lo {
 				ok = false
 			}
 			for i := lo; i < hi; i++ {
-				if key.Key(idx[i]) != code {
+				if col[idx[i]] != code {
 					ok = false
 				}
 			}
@@ -235,7 +259,7 @@ func TestSortKeyedMatchesStableReference(t *testing.T) {
 							t.Fatalf("n=%d card=%d %v: keys[%d]=%d beside row %d with key %d", n, card, alg, i, keys[i], r, key.Key(r))
 						}
 					}
-					if !IsSorted(got, key) {
+					if !isSorted(got, key) {
 						t.Fatalf("n=%d card=%d %v: not sorted", n, card, alg)
 					}
 					if alg != AlgQuick && !reflect.DeepEqual(got, want) {
@@ -264,7 +288,7 @@ func TestHighSkewSort(t *testing.T) {
 	s.ForceQuick = true
 	key := SliceKeyer{Col: col, Hi: 2}
 	s.Sort(idx, key)
-	if !IsSorted(idx, key) {
+	if !isSorted(idx, key) {
 		t.Error("skewed input not sorted")
 	}
 }

@@ -246,7 +246,7 @@ func collectExtents(t *testing.T, dir string) []string {
 	}
 	aggs := make([]float64, m.NumAggrs())
 	for a := int64(0); a < m.AggRows; a++ {
-		rrowid, err := r.ReadAggregate(a, aggs)
+		rrowid, err := r.AggCursor().Read(a, aggs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -363,7 +363,7 @@ func checkZonesBruteForce(t *testing.T, dir string, m *Manifest, blockRows int, 
 		if err := r.CATRows(id, func(row CATRow) error {
 			rrowid := row.RRowid
 			if m.CatFormat == signature.FormatA {
-				if rrowid, err = r.ReadAggregate(row.ARowid, aggs); err != nil {
+				if rrowid, err = r.AggCursor().Read(row.ARowid, aggs, nil); err != nil {
 					return err
 				}
 			}

@@ -120,16 +120,6 @@ func (m *Manifest) NodeMeta(id lattice.NodeID) (NodeMeta, bool) {
 // NumAggrs returns Y, the number of aggregate columns.
 func (m *Manifest) NumAggrs() int { return len(m.AggSpecs) }
 
-// NTRowWidth, CATRowWidth, and AggRowWidth expose the extent row widths
-// for planners (EXPLAIN cost estimates) outside the package.
-func (m *Manifest) NTRowWidth(arity int) int { return m.ntRowWidth(arity) }
-
-// CATRowWidth returns the raw byte width of one CAT row.
-func (m *Manifest) CATRowWidth() int { return m.catRowWidth() }
-
-// AggRowWidth returns the byte width of one AGGREGATES row.
-func (m *Manifest) AggRowWidth() int { return m.aggRowWidth() }
-
 // ntRowWidth returns the byte width of one NT row of the given node.
 // Plain CURE: <R-rowid, aggrs> (8 + 8Y). CURE_DR: <dims…, aggrs>
 // (4·arity + 8Y) where arity is the node's grouping arity.

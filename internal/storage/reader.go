@@ -375,31 +375,42 @@ func (r *Reader) CATRows(id lattice.NodeID, fn func(row CATRow) error) error {
 	})
 }
 
-// ReadAggregate fetches AGGREGATES tuple arowid. Under format (a) the
-// returned rrowid is the shared source row-id; under format (b) it is -1.
-func (r *Reader) ReadAggregate(arowid int64, aggrs []float64) (int64, error) {
-	return r.ReadAggregateIO(arowid, aggrs, nil)
+// AggCursor reads AGGREGATES tuples for one goroutine. It keeps the last
+// block it decoded, so a run of lookups inside one block reads and
+// decodes it once, with or without a block cache.
+type AggCursor struct {
+	bf    *blockFetcher
+	block int
+	db    *DecodedBlock
 }
 
-// ReadAggregateIO is ReadAggregate with per-query I/O attribution.
-func (r *Reader) ReadAggregateIO(arowid int64, aggrs []float64, io *IOStats) (int64, error) {
+// AggCursor returns a cursor over the AGGREGATES relation.
+func (r *Reader) AggCursor() *AggCursor { return &AggCursor{bf: r.aggFetcher(false), block: -1} }
+
+// Read fetches AGGREGATES tuple arowid into aggrs, attributing reads to
+// io. Under format (a) the returned rrowid is the shared source row-id;
+// under format (b) it is -1.
+func (c *AggCursor) Read(arowid int64, aggrs []float64, io *IOStats) (int64, error) {
+	r := c.bf.r
 	if arowid < 0 || arowid >= r.m.AggRows {
 		return 0, fmt.Errorf("storage: A-rowid %d out of range [0,%d)", arowid, r.m.AggRows)
 	}
-	bf := r.aggFetcher(false)
-	db, err := bf.fetch(int(arowid/bf.c.BlockRows), io)
-	if err != nil {
-		return 0, err
+	if b := int(arowid / c.bf.c.BlockRows); b != c.block {
+		db, err := c.bf.fetch(b, io)
+		if err != nil {
+			return 0, err
+		}
+		c.block, c.db = b, db
 	}
-	i := arowid % bf.c.BlockRows
+	i := arowid % c.bf.c.BlockRows
 	rrowid := int64(-1)
 	off := 0
 	if r.m.CatFormat == signature.FormatA {
-		rrowid = db.I64[0][i]
+		rrowid = c.db.I64[0][i]
 		off = 1
 	}
 	for a := 0; a < r.m.NumAggrs(); a++ {
-		aggrs[a] = db.F64[off+a][i]
+		aggrs[a] = c.db.F64[off+a][i]
 	}
 	return rrowid, nil
 }
@@ -486,16 +497,6 @@ func (r *Reader) PlanRoots() []lattice.NodeID {
 	}
 	slices.Sort(roots)
 	return roots
-}
-
-// NodeTupleCount returns the number of materialized tuples stored AT node
-// id (excluding trivial tuples inherited from plan ancestors).
-func (r *Reader) NodeTupleCount(id lattice.NodeID) int64 {
-	nm, ok := r.m.NodeMeta(id)
-	if !ok {
-		return 0
-	}
-	return nm.NTRows + nm.TTRows + nm.CATRows
 }
 
 // VerifyChecksums recomputes the CRC-32 of every checksummed file and

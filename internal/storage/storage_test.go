@@ -161,14 +161,14 @@ func TestRoundTripBasic(t *testing.T) {
 		t.Fatalf("CAT rows = %+v", cats)
 	}
 	aggrs := make([]float64, 2)
-	rrowid, err := r.ReadAggregate(cats[0].ARowid, aggrs)
+	rrowid, err := r.AggCursor().Read(cats[0].ARowid, aggrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rrowid != -1 || aggrs[0] != 33 || aggrs[1] != 4 {
 		t.Errorf("aggregate = rrowid %d, %v", rrowid, aggrs)
 	}
-	if _, err := r.ReadAggregate(99, aggrs); err == nil {
+	if _, err := r.AggCursor().Read(99, aggrs, nil); err == nil {
 		t.Error("out-of-range A-rowid accepted")
 	}
 	// Relational volume (the paper's size unit): an NT row is 8 + 16
@@ -231,7 +231,7 @@ func TestFormatARoundTrip(t *testing.T) {
 		t.Errorf("CAT rows = %+v", got)
 	}
 	aggrs := make([]float64, 2)
-	rrowid, err := r.ReadAggregate(a0, aggrs)
+	rrowid, err := r.AggCursor().Read(a0, aggrs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"cure/internal/core"
 	"cure/internal/hierarchy"
+	"cure/internal/lattice"
 	"cure/internal/query"
 	"cure/internal/relation"
 	"cure/internal/storage"
@@ -91,14 +92,14 @@ func cubesEqual(t *testing.T, gotDir, wantDir string) {
 	}
 	for _, id := range want.Enum().AllNodes() {
 		wantRows := map[string][]float64{}
-		if err := want.NodeQuery(id, func(row query.Row) error {
+		if err := want.Query(query.Spec{Node: id}, func(row query.Row) error {
 			wantRows[key(row)] = append([]float64(nil), row.Aggrs...)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 		count := 0
-		if err := got.NodeQuery(id, func(row query.Row) error {
+		if err := got.Query(query.Spec{Node: id}, func(row query.Row) error {
 			w, ok := wantRows[key(row)]
 			if !ok {
 				return fmt.Errorf("unexpected tuple %v", row.Dims)
@@ -211,7 +212,7 @@ func TestApplyTTTransitions(t *testing.T) {
 	defer eng.Close()
 	node := eng.Enum().Encode([]int{0, 0, 0})
 	found := false
-	if err := eng.NodeQuery(node, func(row query.Row) error {
+	if err := eng.Query(query.Spec{Node: node}, func(row query.Row) error {
 		if row.Dims[0] == 5 && row.Dims[1] == 5 && row.Dims[2] == 1 {
 			found = true
 			if row.Aggrs[1] != 2 || row.Aggrs[0] != 7 {
@@ -494,9 +495,9 @@ func TestOldCubeStillQueryableAfterApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := eng.Enum().RootID()
+	root := lattice.NodeID(eng.Enum().NumNodes() - 1) // the apex: every dimension at ALL
 	var beforeSum float64
-	if err := eng.NodeQuery(root, func(row query.Row) error {
+	if err := eng.Query(query.Spec{Node: root}, func(row query.Row) error {
 		beforeSum = row.Aggrs[0]
 		return nil
 	}); err != nil {
@@ -512,7 +513,7 @@ func TestOldCubeStillQueryableAfterApply(t *testing.T) {
 	}
 	defer eng2.Close()
 	var afterSum float64
-	if err := eng2.NodeQuery(root, func(row query.Row) error {
+	if err := eng2.Query(query.Spec{Node: root}, func(row query.Row) error {
 		afterSum = row.Aggrs[0]
 		return nil
 	}); err != nil {
