@@ -264,9 +264,6 @@ func Open(dir string) (*Engine, error) {
 // Close releases the engine.
 func (e *Engine) Close() error { return e.f.Close() }
 
-// Enum exposes the flat node enumeration.
-func (e *Engine) Enum() *lattice.Enum { return e.enum }
-
 // Row is one result tuple.
 type Row struct {
 	Dims  []int32

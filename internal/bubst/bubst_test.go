@@ -88,7 +88,7 @@ func TestBUBSTMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	enum := eng.Enum()
+	enum := eng.enum
 	for _, id := range enum.AllNodes() {
 		levels := enum.Decode(id, nil)
 		want := reference(ft, sp, levels)

@@ -233,9 +233,6 @@ func Open(dir string) (*Engine, error) {
 // Close releases the engine.
 func (e *Engine) Close() error { return e.f.Close() }
 
-// NumDims returns the cube's dimensionality.
-func (e *Engine) NumDims() int { return e.m.NumDims }
-
 // Row is one BUC result tuple: values of the grouped dimensions in
 // dimension order, then aggregates.
 type Row struct {
@@ -276,9 +273,4 @@ func (e *Engine) NodeQuery(id lattice.NodeID, fn func(Row) error) error {
 		}
 	}
 	return nil
-}
-
-// NodeCount returns the tuple count of a node.
-func (e *Engine) NodeCount(id lattice.NodeID) int64 {
-	return e.m.Nodes[fmt.Sprintf("%d", id)].Rows
 }

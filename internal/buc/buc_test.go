@@ -129,9 +129,6 @@ func TestBUCQueryAllNodes(t *testing.T) {
 		if got != len(want) {
 			t.Fatalf("node %s: %d tuples, want %d", enum.Name(id), got, len(want))
 		}
-		if eng.NodeCount(id) != int64(len(want)) {
-			t.Fatalf("node %s: NodeCount = %d, want %d", enum.Name(id), eng.NodeCount(id), len(want))
-		}
 	}
 }
 

@@ -92,7 +92,7 @@ func TestAPBSchemaMatchesPaper(t *testing.T) {
 		t.Fatalf("dims = %d", hier.NumDims())
 	}
 	// §7: total nodes = (6+1)·(2+1)·(3+1)·(1+1) = 168.
-	if got := hier.NumNodes(); got != 168 {
+	if got := lattice.NewEnum(hier).NumNodes(); got != 168 {
 		t.Errorf("NumNodes = %d, want 168", got)
 	}
 	p := hier.Dims[0]

@@ -247,17 +247,6 @@ func NewSchema(dims ...*Dim) (*Schema, error) {
 // NumDims returns the number of dimensions.
 func (s *Schema) NumDims() int { return len(s.Dims) }
 
-// NumNodes returns the total number of nodes of the hierarchical cube
-// lattice: the product over dimensions of (levels incl. ALL), the paper's
-// ∏(𝓛_i + 1) with 𝓛_i counted excluding ALL.
-func (s *Schema) NumNodes() int {
-	n := 1
-	for _, d := range s.Dims {
-		n *= d.NumLevels()
-	}
-	return n
-}
-
 // Flatten returns a copy of the schema with every dimension reduced to its
 // base level only. It is what the flat-cube variants (BUC, BU-BST, FCURE)
 // operate on.

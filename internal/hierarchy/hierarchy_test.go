@@ -208,8 +208,8 @@ func TestSchema(t *testing.T) {
 		t.Errorf("NumDims = %d", s.NumDims())
 	}
 	// A has 4 levels incl. ALL, B has 2 → 8 nodes.
-	if s.NumNodes() != 8 {
-		t.Errorf("NumNodes = %d, want 8", s.NumNodes())
+	if n := numNodes(s); n != 8 {
+		t.Errorf("nodes = %d, want 8", n)
 	}
 	if _, err := NewSchema(); err == nil {
 		t.Error("empty schema accepted")
@@ -235,9 +235,19 @@ func TestPaperNodeCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumNodes() != 24 {
-		t.Errorf("NumNodes = %d, want 24", s.NumNodes())
+	if n := numNodes(s); n != 24 {
+		t.Errorf("nodes = %d, want 24", n)
 	}
+}
+
+// numNodes is the size of the schema's lattice, the paper's ∏(𝓛_i + 1)
+// with 𝓛_i counted excluding ALL (lattice.Enum holds the real count).
+func numNodes(s *Schema) int {
+	n := 1
+	for _, d := range s.Dims {
+		n *= d.NumLevels()
+	}
+	return n
 }
 
 func TestFlatten(t *testing.T) {
@@ -247,8 +257,8 @@ func TestFlatten(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := s.Flatten()
-	if f.NumNodes() != 4 { // 2 levels each incl. ALL → 2*2
-		t.Errorf("flat NumNodes = %d, want 4", f.NumNodes())
+	if n := numNodes(f); n != 4 { // 2 levels each incl. ALL → 2*2
+		t.Errorf("flat nodes = %d, want 4", n)
 	}
 	if f.Dims[0].Levels[0].Card != 8 {
 		t.Error("flatten lost base cardinality")
@@ -345,8 +355,8 @@ func TestSchemaFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.NumDims() != 3 || back.NumNodes() != s.NumNodes() {
-		t.Fatalf("round trip lost shape: %d dims, %d nodes", back.NumDims(), back.NumNodes())
+	if back.NumDims() != 3 || numNodes(back) != numNodes(s) {
+		t.Fatalf("round trip lost shape: %d dims, %d nodes", back.NumDims(), numNodes(back))
 	}
 	// Maps survive.
 	if back.Dims[0].MapCode(7, 2) != a.MapCode(7, 2) {

@@ -90,14 +90,6 @@ func (f *FlightRecorder) Attach(h *History, q *QueryTracker) {
 	f.queries = q
 }
 
-// Dir returns the recorder's bundle directory ("" for nil).
-func (f *FlightRecorder) Dir() string {
-	if f == nil {
-		return ""
-	}
-	return f.dir
-}
-
 // Trigger writes one bundle and returns its directory path ("" when f
 // is nil or the bundle directory cannot be created). reason is a short
 // machine token ("panic", "sigquit", "mem_budget", "http", ...); note
@@ -288,15 +280,31 @@ func (e *PanicError) Error() string {
 // Note recover() semantics: CapturePanic itself must be the deferred
 // function, not called from inside one.
 func CapturePanic(reg *Registry, ctx func() string) {
-	v := recover()
-	if v == nil {
-		return
+	if v := recover(); v != nil {
+		panic(wrapPanic(reg, ctx, v))
 	}
+}
+
+// CapturePanicEnd is CapturePanic for an operation that keeps a record of
+// its own: before re-raising, it hands the *PanicError to end, so a
+// caller that recovers the panic finds the record closed. The bundle is
+// written first, while the operation is still open.
+func CapturePanicEnd(reg *Registry, ctx func() string, end func(error)) {
+	if v := recover(); v != nil {
+		pe := wrapPanic(reg, ctx, v)
+		end(pe)
+		panic(pe)
+	}
+}
+
+// wrapPanic is the capture both hooks share: wrap v with ctx() and the
+// stack, and write the bundle.
+func wrapPanic(reg *Registry, ctx func() string, v any) *PanicError {
 	if pe, ok := v.(*PanicError); ok {
 		if pe.Bundle == "" {
 			pe.Bundle = reg.Flight().TriggerPanic(pe)
 		}
-		panic(pe)
+		return pe
 	}
 	pe := &PanicError{Value: v}
 	if ctx != nil {
@@ -305,5 +313,5 @@ func CapturePanic(reg *Registry, ctx func() string) {
 	stack := make([]byte, 64<<10)
 	pe.Stack = stack[:runtime.Stack(stack, false)]
 	pe.Bundle = reg.Flight().TriggerPanic(pe)
-	panic(pe)
+	return pe
 }

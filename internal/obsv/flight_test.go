@@ -176,7 +176,7 @@ func TestFlightTriggerOnceAndNil(t *testing.T) {
 	}
 
 	var nilF *FlightRecorder
-	if nilF.Trigger("x", "") != "" || nilF.TriggerOnce("x", "") != "" || nilF.TriggerPanic(&PanicError{}) != "" || nilF.Dir() != "" {
+	if nilF.Trigger("x", "") != "" || nilF.TriggerOnce("x", "") != "" || nilF.TriggerPanic(&PanicError{}) != "" {
 		t.Fatal("nil recorder not inert")
 	}
 	nilF.Attach(nil, nil)
@@ -242,7 +242,7 @@ func TestCapturePanicWritesBundle(t *testing.T) {
 	}
 
 	// Only one bundle for the whole unwind.
-	entries, err := os.ReadDir(f.Dir())
+	entries, err := os.ReadDir(f.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

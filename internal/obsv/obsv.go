@@ -52,14 +52,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is a last-value metric. The nil Gauge is a valid no-op.
 type Gauge struct {
 	name string

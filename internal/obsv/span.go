@@ -101,39 +101,6 @@ func (s *Span) End() {
 	}
 }
 
-// Elapsed returns the span's wall time: frozen for ended spans, running
-// for open ones (0 for the nil Span).
-func (s *Span) Elapsed() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	ended := s.ended
-	s.mu.Unlock()
-	if ended {
-		return time.Duration(s.nanos.Load())
-	}
-	return time.Since(s.start)
-}
-
-// Running reports whether the span is still open (false for nil).
-func (s *Span) Running() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.ended
-}
-
-// Name returns the span's name ("" for the nil Span).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Path returns the slash-joined span path from the root ("" for nil).
 func (s *Span) Path() string {
 	if s == nil {

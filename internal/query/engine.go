@@ -26,7 +26,6 @@ import (
 	"cure/internal/lattice"
 	"cure/internal/obsv"
 	"cure/internal/relation"
-	"cure/internal/signature"
 	"cure/internal/storage"
 )
 
@@ -87,7 +86,7 @@ type Engine struct {
 	cDecoded    *obsv.Counter
 	hQuery      *obsv.Histogram
 	noIndex     bool
-	zoneOffs    []int // dimension → first zone slot (storage.ZoneSlots)
+	zones       *storage.ZoneLayout // lowers predicates onto zone-map slots
 	// queries is the optional per-query tracker; qid numbers queries when
 	// no tracker is attached (EXPLAIN still wants a stable query id).
 	queries *obsv.QueryTracker
@@ -152,7 +151,7 @@ func Open(dir string, opts Options) (*Engine, error) {
 			break
 		}
 	}
-	e.zoneOffs, _ = storage.ZoneSlots(r.Hier())
+	e.zones = storage.NewZoneLayout(r.Hier())
 	opts.Metrics.Gauge("query.cache.fraction_pct").Set(int64(opts.CacheFraction * 100))
 	// Extents are read through a decoded-block cache: a hit costs neither
 	// the pread nor the decode. Attached before any read path runs, per
@@ -421,7 +420,9 @@ func (e *Engine) NodeQuery(id lattice.NodeID, fn func(Row) error) error {
 func (e *Engine) runQuery(op string, s Spec, f *scanFilter, levels []int, plan *Plan, fn func(Row) error) error {
 	q := e.beginQuery(op, s)
 	q.plan = plan
-	defer obsv.CapturePanic(e.reg, e.panicCtx(q, op, s.Node))
+	// A panic ends the query with the panic as its error before it goes
+	// on, so a caller that recovers it leaves nothing in flight.
+	defer obsv.CapturePanicEnd(e.reg, e.panicCtx(q, op, s.Node), func(err error) { e.endQuery(q, err) })
 	cfn := func(r Row) error { q.rows++; return fn(r) }
 	if e.reg == nil && plan == nil {
 		return e.endQuery(q, e.scanNode(s.Node, levels, f, q, cfn))
@@ -754,6 +755,3 @@ func (e *Engine) NodeCount(id lattice.NodeID) (int64, error) {
 	}
 	return n, nil
 }
-
-// Format reports the cube's CAT storage format.
-func (e *Engine) Format() signature.Format { return e.r.Manifest().CatFormat }

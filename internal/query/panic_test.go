@@ -60,3 +60,35 @@ func TestForEachPropagatesPanic(t *testing.T) {
 		t.Fatalf("query after the failures: %d rows, err %v", rows, err)
 	}
 }
+
+// TestRecoveredPanicEndsQuery: a panic under Query that the caller
+// recovers, as an HTTP handler does, still completes the query — nothing
+// stays in flight, the query.inflight gauge is back at 0, and the tracker
+// ring records the panic as the query's error.
+func TestRecoveredPanicEndsQuery(t *testing.T) {
+	dir, _, _ := buildPredCube(t, false)
+	reg := obsv.NewRegistry()
+	tracker := obsv.NewQueryTracker(reg, 32)
+	eng, err := Open(dir, Options{CacheFraction: 1, Metrics: reg, Queries: tracker})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panic did not reach the caller")
+			}
+		}()
+		eng.Query(Spec{Node: eng.Enum().Encode([]int{0, 0})}, func(Row) error { panic("kaboom") })
+	}()
+	if n := len(tracker.Inflight()); n != 0 {
+		t.Fatalf("%d queries in flight after a recovered panic", n)
+	}
+	if v := reg.Gauge("query.inflight").Value(); v != 0 {
+		t.Fatalf("query.inflight = %d, want 0", v)
+	}
+	if recent := tracker.Recent(); len(recent) != 1 || !strings.Contains(recent[0].Err, "kaboom") {
+		t.Fatalf("tracker ring = %+v, want the panicked query with its panic as the error", recent)
+	}
+}

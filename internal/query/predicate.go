@@ -5,7 +5,6 @@ import (
 
 	"cure/internal/hierarchy"
 	"cure/internal/lattice"
-	"cure/internal/storage"
 )
 
 // Predicate restricts a query to tuples whose value of one dimension at
@@ -100,12 +99,13 @@ func (e *Engine) compileFilter(s Spec) (*scanFilter, []int, error) {
 		}
 		f.drPos = pos
 	}
-	// Lower predicates onto zone-map slots. Predicates at the ALL level
-	// accept everything and have no slot; they contribute no pruning.
+	// Lower predicates onto zone-map slots: a coarser level becomes a
+	// base-code range unless it keeps its own slot. Predicates at the ALL
+	// level accept everything and have no slot; they contribute no pruning.
 	if !e.noIndex {
 		for _, p := range preds {
 			if p.Level < hier.Dims[p.Dim].AllLevel() {
-				f.zp = append(f.zp, storage.ZonePred{Slot: e.zoneOffs[p.Dim] + p.Level, Lo: p.Lo, Hi: p.Hi})
+				f.zp = append(f.zp, e.zones.Lower(p.Dim, p.Level, p.Lo, p.Hi))
 			}
 		}
 	}

@@ -169,7 +169,6 @@ func TestManifestAndFormatExposed(t *testing.T) {
 	if eng.Manifest() == nil || eng.Manifest().Sizes.Total() == 0 {
 		t.Error("manifest not exposed")
 	}
-	_ = eng.Format() // any locked format is fine; must not panic
 }
 
 func TestNodeCountWithoutMaterialization(t *testing.T) {

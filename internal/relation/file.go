@@ -177,7 +177,12 @@ func decodeRow(buf []byte, dims []int32, measures []float64) {
 
 // WriteFactFile persists an in-memory fact table to path. Tables with
 // explicit row-ids keep them (the file grows by 8 bytes per row).
+// A table whose columns disagree in length is refused before the file is
+// created.
 func WriteFactFile(path string, t *FactTable) (err error) {
+	if err := t.Validate(); err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

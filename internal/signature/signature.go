@@ -273,9 +273,8 @@ func (p *Pool) Add(node lattice.NodeID, rrowid int64, aggrs []float64) error {
 			return err
 		}
 	}
-	if p.recs == nil {
-		// Huge pools grow by append instead of reserving it all.
-		p.recs = make([]uint64, 0, min(p.capacity, 1<<20)*p.width())
+	if len(p.recs)+p.width() > cap(p.recs) {
+		p.reserve()
 	}
 	for _, v := range aggrs[:p.numAggrs] {
 		p.recs = append(p.recs, floatKey(v))
@@ -283,6 +282,32 @@ func (p *Pool) Add(node lattice.NodeID, rrowid int64, aggrs []float64) error {
 	// The sign flip makes the word order of R-rowids their int64 order.
 	p.recs = append(p.recs, uint64(rrowid)^signBit, uint64(node))
 	return nil
+}
+
+// firstReserve and fullReserve are the signatures recs is sized for: the
+// first Add takes the small buffer, so a build whose pool never fills it
+// neither allocates nor clears more; the first time it fills below
+// capacity, the full buffer replaces it once. Flush boundaries stay at
+// capacity whatever the buffer's size.
+const (
+	firstReserve = 64 << 10
+	fullReserve  = 1 << 20
+)
+
+// reserve sizes recs before an Add that would not fit in it. Past
+// fullReserve, huge pools grow by append instead of reserving it all.
+func (p *Pool) reserve() {
+	n := firstReserve
+	if p.recs != nil {
+		n = fullReserve
+	}
+	n = min(p.capacity, n) * p.width()
+	if n <= cap(p.recs) {
+		return
+	}
+	grown := make([]uint64, len(p.recs), n)
+	copy(grown, p.recs)
+	p.recs = grown
 }
 
 // insertionCutoff is the range length under which sortRecs stops

@@ -321,14 +321,27 @@ func TestFormatLockedAcrossFlushes(t *testing.T) {
 
 func TestSizeBytesMatchesPaperFootprint(t *testing.T) {
 	// §5.2: a pool of 1e6 signatures occupies ≈ (Y+2)·4 MB with 4-byte
-	// words; our words are 8 bytes, so the pool's first Add reserves
-	// (Y+2)·8 MB.
-	p, _ := NewPool(2, 1_000_000, &recordingSink{})
+	// words; our words are 8 bytes, so a pool that fills its small first
+	// buffer reserves (Y+2)·8 MB, once. The first Add reserves 64Ki
+	// signatures only: most pools of a small build never need more.
+	sink := &recordingSink{}
+	p, _ := NewPool(2, 1_000_000, sink)
 	if err := p.Add(0, 0, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
+	if got, want := int64(cap(p.recs))*8, int64(firstReserve*(2+2)*8); got != want {
+		t.Errorf("first Add reserves %d bytes, want %d", got, want)
+	}
+	for i := 1; i <= firstReserve; i++ {
+		if err := p.Add(0, int64(i), []float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got, want := int64(cap(p.recs))*8, int64(1_000_000*(2+2)*8); got != want {
-		t.Errorf("pool reserves %d bytes, want %d", got, want)
+		t.Errorf("pool past its first buffer reserves %d bytes, want %d", got, want)
+	}
+	if p.Len() != firstReserve+1 || len(sink.nts)+len(sink.cats) != 0 {
+		t.Errorf("pool holds %d signatures and emitted %d, want %d and none", p.Len(), len(sink.nts)+len(sink.cats), firstReserve+1)
 	}
 }
 

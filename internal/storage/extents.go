@@ -35,9 +35,6 @@ func NewExtentWriter(logPath string, rowWidth int, budgetBytes int64) (*ExtentWr
 	return &ExtentWriter{log: l, rowWidth: rowWidth}, nil
 }
 
-// RowWidth returns the fixed row width.
-func (w *ExtentWriter) RowWidth() int { return w.rowWidth }
-
 // Append adds one row (must be RowWidth bytes) for node.
 func (w *ExtentWriter) Append(node lattice.NodeID, row []byte) error {
 	if len(row) != w.rowWidth {
@@ -45,9 +42,6 @@ func (w *ExtentWriter) Append(node lattice.NodeID, row []byte) error {
 	}
 	return w.log.append(node, row)
 }
-
-// Rows returns the number of rows appended so far.
-func (w *ExtentWriter) Rows() int64 { return w.log.rows }
 
 // Compact turns the log into the extent file at finalPath — each node's
 // rows contiguous, nodes in ascending id order — removes the log, and

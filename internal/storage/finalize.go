@@ -237,94 +237,16 @@ func (e *extentFile) close() error {
 	return f.Close()
 }
 
-// zoneConfig is the zone-map layout of a build, nil when indexing is off
+// zoneLayout is the zone-map layout of a build, nil when indexing is off
 // (negative ZoneBlockRows, no resolver, or a slot-less schema).
-type zoneConfig struct {
-	blockRows int
-	offs      []int
-	slots     int
-	// derived holds the levels above a base whose Map is non-decreasing,
-	// as every generator's contiguous numbering makes it: their bounds
-	// follow from the base bounds at the end of an extent. folded[d]
-	// holds dimension d's other levels (csvload's dictionary order, a
-	// user map), which are folded block by block from the mapped codes.
-	derived []zoneLevel
-	folded  [][]zoneLevel
-}
-
-// zoneLevel is one real level above a dimension's base: its zone slot,
-// the slot of its dimension's base level, and its base→level map.
-type zoneLevel struct {
-	slot, base int
-	m          []int32
-}
-
-func (w *Writer) zoneConfig() *zoneConfig {
-	blockRows := w.opts.ZoneBlockRows
-	if blockRows == 0 {
-		blockRows = DefaultZoneBlockRows
-	}
-	if blockRows < 0 || w.opts.Resolver == nil {
+func (w *Writer) zoneLayout() *ZoneLayout {
+	if w.opts.ZoneBlockRows < 0 || w.opts.Resolver == nil {
 		return nil
 	}
-	hier := w.opts.Hier
-	offs, slots := ZoneSlots(hier)
-	if slots == 0 {
-		return nil
+	if zl := NewZoneLayout(w.opts.Hier); zl.slots > 0 {
+		return zl
 	}
-	zc := &zoneConfig{blockRows: blockRows, offs: offs, slots: slots, folded: make([][]zoneLevel, hier.NumDims())}
-	for d, dim := range hier.Dims {
-		for l := 1; l < dim.AllLevel(); l++ {
-			zl := zoneLevel{slot: offs[d] + l, base: offs[d], m: dim.Levels[l].Map}
-			if slices.IsSorted(zl.m) {
-				zc.derived = append(zc.derived, zl)
-			} else {
-				zc.folded[d] = append(zc.folded[d], zl)
-			}
-		}
-	}
-	return zc
-}
-
-// foldBase folds n resolved rows into zb — base[d][i] is row i's base
-// code in dimension d — keeping running bounds of each base code and of
-// each folded level. A block may straddle two calls: zb's fill carries
-// across them.
-func (zc *zoneConfig) foldBase(zb *zoneBuilder, base [][]int32, n int) {
-	for i := 0; i < n; {
-		b, k := zb.claim(n - i)
-		for d, col := range base {
-			col := col[i : i+k]
-			s := b + zc.offs[d]
-			lo, hi := zb.lo[s], zb.hi[s]
-			for _, c := range col {
-				lo, hi = min(lo, c), max(hi, c)
-			}
-			zb.lo[s], zb.hi[s] = lo, hi
-			for _, zl := range zc.folded[d] {
-				s := b + zl.slot
-				lo, hi := zb.lo[s], zb.hi[s]
-				for _, c := range col {
-					v := zl.m[c]
-					lo, hi = min(lo, v), max(hi, v)
-				}
-				zb.lo[s], zb.hi[s] = lo, hi
-			}
-		}
-		i += k
-	}
-}
-
-// deriveLevels sets the bounds of every derived level in every block of
-// zb from its base bounds: for a non-decreasing map, min Map(S) =
-// Map(min S) and max Map(S) = Map(max S), so the result is exactly what
-// folding the mapped codes would give.
-func (zc *zoneConfig) deriveLevels(zb *zoneBuilder) {
-	for b := 0; b < len(zb.lo); b += zc.slots {
-		for _, zl := range zc.derived {
-			zb.lo[b+zl.slot], zb.hi[b+zl.slot] = zl.m[zb.lo[b+zl.base]], zl.m[zb.hi[b+zl.base]]
-		}
-	}
+	return nil
 }
 
 // resolveChunkRows caps the row-ids handed to Options.Resolver in one
@@ -350,14 +272,8 @@ type zoneMode uint8
 const (
 	zoneNone   zoneMode = iota
 	zoneRowID           // resolve the int64 R-rowid in column 0 (plain NT, TT ids, format-(b) CAT)
-	zoneSparse          // CURE_DR NT: the leading int32 columns are the node's own level codes
 	zoneAggRef          // format-(a) CAT: column 0 is an A-rowid into AGGREGATES
 )
-
-type zoneSpec struct {
-	mode    zoneMode
-	slotIdx []int
-}
 
 // extentResult is a processed extent waiting for its ordered commit.
 type extentResult struct {
@@ -378,9 +294,9 @@ type extentResult struct {
 // finState carries one Finalize run's pipeline state and metric bindings
 // across the relation passes.
 type finState struct {
-	w    *Writer
-	m    *Manifest
-	zcfg *zoneConfig
+	w     *Writer
+	m     *Manifest
+	zones *ZoneLayout
 	// blockRows is the rows per encoded block (and, whenever zone maps
 	// are on, per zone-map block, so pruning skips whole blocks).
 	blockRows int64
@@ -409,7 +325,7 @@ func (w *Writer) newFinState(m *Manifest) *finState {
 	fin := &finState{
 		w:           w,
 		m:           m,
-		zcfg:        w.zoneConfig(),
+		zones:       w.zoneLayout(),
 		blockRows:   int64(w.opts.ZoneBlockRows),
 		cExtents:    reg.Counter("storage.codec.extents"),
 		cBlocks:     reg.Counter("storage.codec.blocks"),
@@ -497,7 +413,7 @@ type finalizeWorker struct {
 	levels     []int
 	rowids     []int64   // the chunk being resolved
 	base       [][]int32 // its base-level codes, one column per dimension
-	codes      []int32   // one row's codes, by zone slot
+	codes      []int32   // one CURE_DR row's projected codes
 }
 
 // buildExtent produces one node's extent of one relation: gather the rows
@@ -514,14 +430,17 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 	res := &extentResult{id: id}
 	plus := !fin.w.opts.plainLayout
 	var kinds []colKind
-	zone := zoneSpec{mode: zoneRowID}
+	zone := zoneRowID
 	switch rel {
 	case relNT:
 		arity := 0
 		if m.DimsInline {
-			if raw, arity, zone, err = fin.projectNT(fw, id, raw); err != nil {
+			// The projection resolves every row and folds the zone map as
+			// it goes; its rows no longer carry an R-rowid.
+			if raw, arity, err = fin.projectNT(fw, id, raw, res); err != nil {
 				return nil, err
 			}
+			zone = zoneNone
 		}
 		kinds = m.ntKinds(arity)
 	case relTT:
@@ -531,7 +450,7 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 		}
 	case relAgg:
 		kinds = m.aggKinds()
-		zone.mode = zoneNone
+		zone = zoneNone
 		if m.CatFormat != signature.FormatA {
 			raw = dropLeadingColumn(raw, aggLogRowWidth(m.NumAggrs()))
 		}
@@ -539,7 +458,7 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 		kinds = m.catKinds()
 		if m.CatFormat == signature.FormatA {
 			raw = dropLeadingColumn(raw, catLogRowWidth)
-			zone.mode = zoneAggRef
+			zone = zoneAggRef
 			if plus {
 				err = fw.sortExtent(raw, rel, id)
 			}
@@ -555,7 +474,7 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 	res.rows = int64(len(raw) / width)
 	res.rawBytes = int64(len(raw))
 	t1 := time.Now()
-	res.gatherNs = t1.Sub(t0).Nanoseconds()
+	res.gatherNs = t1.Sub(t0).Nanoseconds() - res.zoneNs
 
 	be := newBlockEncoder(kinds)
 	codec := &ExtentCodec{
@@ -591,13 +510,13 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 	t2 := time.Now()
 	res.encodeNs = t2.Sub(t1).Nanoseconds()
 
-	if zc := fin.zcfg; zc != nil && zone.mode != zoneNone && res.rows >= int64(zc.blockRows) {
+	if fin.zones != nil && zone != zoneNone && res.rows >= fin.blockRows {
 		if res.zone, err = fin.foldExtentZones(fw, zone, raw, width); err != nil {
 			return nil, err
 		}
 		res.zoneNs = time.Since(t2).Nanoseconds()
 	}
-	if rel == relAgg && fin.zcfg != nil && m.CatFormat == signature.FormatA {
+	if rel == relAgg && fin.zones != nil && m.CatFormat == signature.FormatA {
 		res.rowIDs = make([]int64, res.rows)
 		for r := range res.rowIDs {
 			res.rowIDs[r] = getInt64(raw[r*width:])
@@ -608,26 +527,26 @@ func (fin *finState) buildExtent(fw *finalizeWorker, rel relKind, id lattice.Nod
 
 // projectNT is the CURE_DR transform: every log row's R-rowid is resolved
 // to base dimension codes and projected onto the node's own levels. It
-// also returns the node's arity and its zone spec: DR rows carry codes
-// only at those levels, the other zone slots stay unknown.
-func (fin *finState) projectNT(fw *finalizeWorker, id lattice.NodeID, raw []byte) ([]byte, int, zoneSpec, error) {
+// returns the node's arity. With zone maps on, each resolved chunk is
+// also folded into res.zone, by the same rule as every other extent, and
+// the fold's time goes to res.zoneNs.
+func (fin *finState) projectNT(fw *finalizeWorker, id lattice.NodeID, raw []byte, res *extentResult) ([]byte, int, error) {
 	w := fin.w
 	hier := w.opts.Hier
 	fw.levels = w.enum.Decode(id, fw.levels)
-	zone := zoneSpec{mode: zoneSparse}
 	arity := 0
 	for d, l := range fw.levels {
-		if hier.Dims[d].IsAll(l) {
-			continue
-		}
-		arity++
-		if fin.zcfg != nil {
-			zone.slotIdx = append(zone.slotIdx, fin.zcfg.offs[d]+l)
+		if !hier.Dims[d].IsAll(l) {
+			arity++
 		}
 	}
 	aggBytes := 8 * len(w.opts.AggSpecs)
 	inW, outW := 8+aggBytes, 4*arity+aggBytes
 	rows := len(raw) / inW
+	var zb *zoneBuilder
+	if fin.zones != nil && int64(rows) >= fin.blockRows {
+		zb = newZoneBuilder(int(fin.blockRows), fin.zones.slots)
+	}
 	if cap(fw.xform) < rows*outW {
 		fw.xform = make([]byte, rows*outW)
 	}
@@ -640,7 +559,7 @@ func (fin *finState) projectNT(fw *finalizeWorker, id lattice.NodeID, raw []byte
 			fw.rowids = append(fw.rowids, getInt64(raw[r*inW:]))
 		}
 		if err := fin.resolve(fw, fw.rowids); err != nil {
-			return nil, 0, zone, fmt.Errorf("storage: resolving dims of node %d: %w", id, err)
+			return nil, 0, fmt.Errorf("storage: resolving dims of node %d: %w", id, err)
 		}
 		for i := 0; i < n; i++ {
 			src, dst := raw[(r0+i)*inW:(r0+i+1)*inW], out[(r0+i)*outW:(r0+i+1)*outW]
@@ -653,8 +572,16 @@ func (fin *finState) projectNT(fw *finalizeWorker, id lattice.NodeID, raw []byte
 			putDims(dst, proj)
 			copy(dst[4*arity:], src[8:])
 		}
+		if zb != nil {
+			t := time.Now()
+			fin.zones.fold(zb, fw.base, n)
+			res.zoneNs += time.Since(t).Nanoseconds()
+		}
 	}
-	return out, arity, zone, nil
+	if zb != nil {
+		res.zone = zb.finish()
+	}
+	return out, arity, nil
 }
 
 // sortExtent sorts node id's extent of bare int64 rows in place — TT
@@ -732,31 +659,20 @@ func dropLeadingColumn(raw []byte, width int) []byte {
 	return raw[:rows*(width-8)]
 }
 
-// foldExtentZones builds the zone map of one extent from the rows
+// foldExtentZones builds the zone map of one row-id extent from the rows
 // already in memory for encoding, in their final order — exactly the
 // order query-time scans visit. A bitmap TT extent folds in zone-sized
 // blocks like any other: its ids are sorted in raw, the order the bitmap
-// decodes to. Row-id extents fold base codes only (plus any folded
-// level) and derive the coarser levels once at the end; CURE_DR rows
-// carry the node's own level codes and fold them directly.
-func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneSpec, raw []byte, width int) (*ZoneIndex, error) {
-	zc := fin.zcfg
-	zb := newZoneBuilder(zc.blockRows, zc.slots)
-	if zone.mode == zoneSparse {
-		fw.codes = slices.Grow(fw.codes[:0], len(zone.slotIdx))[:len(zone.slotIdx)]
-		for off := 0; off < len(raw); off += width {
-			getDims(raw[off:], fw.codes)
-			zb.addSparse(zone.slotIdx, fw.codes)
-		}
-		return zb.finish(), nil
-	}
+// decodes to. Each chunk of rows is resolved to base codes and folded.
+func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneMode, raw []byte, width int) (*ZoneIndex, error) {
+	zb := newZoneBuilder(int(fin.blockRows), fin.zones.slots)
 	for len(raw) > 0 {
 		chunk := raw[:min(len(raw), resolveChunkRows*width)]
 		raw = raw[len(chunk):]
 		fw.rowids = fw.rowids[:0]
 		for off := 0; off < len(chunk); off += width {
 			id := getInt64(chunk[off:])
-			if zone.mode == zoneAggRef {
+			if zone == zoneAggRef {
 				if id < 0 || id >= int64(len(fin.aggRRows)) {
 					return nil, fmt.Errorf("storage: finalize: A-rowid %d outside AGGREGATES (%d rows)", id, len(fin.aggRRows))
 				}
@@ -767,9 +683,8 @@ func (fin *finState) foldExtentZones(fw *finalizeWorker, zone zoneSpec, raw []by
 		if err := fin.resolve(fw, fw.rowids); err != nil {
 			return nil, fmt.Errorf("storage: zone map: %w", err)
 		}
-		zc.foldBase(zb, fw.base, len(fw.rowids))
+		fin.zones.fold(zb, fw.base, len(fw.rowids))
 	}
-	zc.deriveLevels(zb)
 	return zb.finish(), nil
 }
 

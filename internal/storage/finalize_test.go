@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -121,10 +122,8 @@ func TestParallelFinalizeByteIdentity(t *testing.T) {
 }
 
 // bruteZones is the zone map of one extent computed the slow way: rows
-// holds, in scan order, each row's code per slot, with unknown marking a
-// slot the row says nothing about.
+// holds, in scan order, each row's code per slot.
 func bruteZones(blockRows, slots int, rows [][]int32) *ZoneIndex {
-	const unknown = math.MinInt32
 	if len(rows) < blockRows {
 		return nil
 	}
@@ -133,12 +132,7 @@ func bruteZones(blockRows, slots int, rows [][]int32) *ZoneIndex {
 		for s := 0; s < slots; s++ {
 			lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 			for _, row := range rows[r0:min(r0+blockRows, len(rows))] {
-				if row[s] != unknown {
-					lo, hi = min(lo, row[s]), max(hi, row[s])
-				}
-			}
-			if lo > hi { // no row knows the slot: nothing may be pruned on it
-				lo, hi = math.MinInt32, math.MaxInt32
+				lo, hi = min(lo, row[s]), max(hi, row[s])
 			}
 			z.Lo, z.Hi = append(z.Lo, lo), append(z.Hi, hi)
 		}
@@ -162,9 +156,10 @@ func bruteZones(blockRows, slots int, rows [][]int32) *ZoneIndex {
 // TestZoneMapsMatchBruteForce recomputes every zone map from what a
 // Reader returns, in the order it returns it, crossed with the in-memory
 // codes of the rows, and demands equality with the maps Finalize folded
-// while the rows were in flight — over plain row-id extents, CURE_DR's
-// sparse slots, CURE+ sorted ids, CURE+ bitmap blocks and format-(a)
-// CATs.
+// while the rows were in flight — over plain row-id extents, CURE_DR
+// extents, CURE+ sorted ids, CURE+ bitmap blocks and both CAT formats.
+// Each map must also prune like a brute-force index with a slot per
+// dimension level (checkPruneEquivalence).
 func TestZoneMapsMatchBruteForce(t *testing.T) {
 	for _, tc := range []struct {
 		name              string
@@ -177,75 +172,107 @@ func TestZoneMapsMatchBruteForce(t *testing.T) {
 		{name: "plus-bitmap-formatB", plus: true, factRows: 5000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			w := newTestWriter(t, Options{
-				Dir: dir, plainLayout: !tc.plus, DimsInline: tc.dr, FactRows: tc.factRows,
-				ZoneBlockRows: 64, Parallelism: 4, Resolver: perRow(finalizeTestResolver),
-			})
-			m, _ := writeWorkload(t, w, tc.formatA)
-			zones, bitmaps := checkZonesBruteForce(t, dir, m, 64, finalizeTestResolver)
-			if zones < 3 {
-				t.Fatalf("workload produced %d zone maps; the comparison is vacuous", zones)
+			// Base codes rise with the R-rowid, so a block of sorted ids
+			// spans few of them and some predicates split its extent.
+			resolve := func(rrowid int64, dst []int32) error {
+				dst[0] = int32(rrowid * 8 / tc.factRows)
+				dst[1] = int32(rrowid * 4 / tc.factRows)
+				return nil
 			}
-			if wantBitmap := tc.plus && tc.factRows == 5000; wantBitmap != (bitmaps > 0) {
-				t.Fatalf("%d zone-mapped bitmap TT extents, want some = %v", bitmaps, wantBitmap)
+			build := func(dr bool) string {
+				dir := t.TempDir()
+				writeWorkload(t, newTestWriter(t, Options{
+					Dir: dir, plainLayout: !tc.plus, DimsInline: dr, FactRows: tc.factRows,
+					ZoneBlockRows: 64, Parallelism: 4, Resolver: perRow(resolve),
+				}), tc.formatA)
+				return dir
+			}
+			dir := build(tc.dr)
+			var ntIDs map[lattice.NodeID][]int64
+			if tc.dr {
+				// CURE_DR rows keep no R-rowid. A plain twin of the same
+				// workload holds the same rows in the same order.
+				ntIDs = ntRowIDs(t, build(false))
+			}
+			zc := checkZonesBruteForce(t, dir, 64, resolve, ntIDs)
+			if zc.zones < 3 {
+				t.Fatalf("workload produced %d zone maps; the comparison is vacuous", zc.zones)
+			}
+			// Only sorted extents have blocks that narrow code ranges.
+			if tc.plus && zc.split == 0 {
+				t.Fatalf("no predicate set both kept and skipped blocks over %d checks", zc.preds)
+			}
+			if wantBitmap := tc.plus && tc.factRows == 5000; wantBitmap != (zc.bitmaps > 0) {
+				t.Fatalf("%d zone-mapped bitmap TT extents, want some = %v", zc.bitmaps, wantBitmap)
 			}
 		})
 	}
-	// Levels above the base either derive from the base bounds (a
-	// non-decreasing map) or fold block by block: this schema has both,
-	// and an NT extent long enough that a block straddles two resolve
-	// chunks.
+	// A level above the base is lowered to a base range at query time (a
+	// non-decreasing map) or keeps a slot of its own: this schema has
+	// both, and an NT extent long enough that a block straddles two
+	// resolve chunks.
 	t.Run("derived-and-folded-levels", func(t *testing.T) {
 		const blockRows, ntRows = 100, resolveChunkRows + 4_464
 		if resolveChunkRows%blockRows == 0 {
 			t.Fatal("no block straddles a resolve chunk")
 		}
 		hier := zoneOracleSchema(t)
-		dir := t.TempDir()
-		w := newTestWriter(t, Options{
-			Dir: dir, Hier: hier, FactRows: 2 * ntRows, ZoneBlockRows: blockRows,
-			Parallelism: 4, Resolver: perRow(zoneOracleResolver),
-		})
-		zc := w.zoneConfig()
-		var derived []int
-		for _, zl := range zc.derived {
-			derived = append(derived, zl.slot)
-		}
-		if !slices.Equal(derived, []int{1, 2, 3, 5, 8, 9, 10}) || len(zc.folded[1]) != 1 || zc.folded[1][0].slot != 6 {
-			t.Fatalf("derived slots %v, folded %v: want every level but Parity (slot 6) derived", derived, zc.folded)
-		}
-		enum := w.Enum()
-		rng := rand.New(rand.NewSource(5))
-		aggrs := []float64{1, 1}
-		ntNode := enum.Encode([]int{1, 2, 1})
-		for i := int64(0); i < ntRows; i++ {
-			if err := w.WriteNT(ntNode, 2*i, aggrs); err != nil {
-				t.Fatal(err)
+		zl := NewZoneLayout(hier)
+		var own []int
+		for _, lvs := range zl.levels {
+			for _, lv := range lvs[1:] {
+				if lv.slot >= 0 {
+					own = append(own, lv.slot)
+				}
 			}
 		}
-		ttNode := enum.Encode([]int{0, 1, 2})
-		for _, id := range rng.Perm(2 * ntRows)[:3000] {
-			if err := w.WriteTT(ttNode, int64(id)); err != nil {
+		if !slices.Equal(zl.base, []int{0, 1, 3}) || zl.slots != 4 || !slices.Equal(own, []int{2}) {
+			t.Fatalf("base slots %v, own slots %v of %d: want every level but Parity (slot 2) lowered", zl.base, own, zl.slots)
+		}
+		for _, dr := range []bool{false, true} {
+			dir := t.TempDir()
+			w := newTestWriter(t, Options{
+				Dir: dir, Hier: hier, DimsInline: dr, FactRows: 2 * ntRows, ZoneBlockRows: blockRows,
+				Parallelism: 4, Resolver: perRow(zoneOracleResolver),
+			})
+			enum := w.Enum()
+			rng := rand.New(rand.NewSource(5))
+			aggrs := []float64{1, 1}
+			ntNode := enum.Encode([]int{1, 2, 1})
+			ntIDs := map[lattice.NodeID][]int64{}
+			for i := int64(0); i < ntRows; i++ {
+				if err := w.WriteNT(ntNode, 2*i, aggrs); err != nil {
+					t.Fatal(err)
+				}
+				ntIDs[ntNode] = append(ntIDs[ntNode], 2*i)
+			}
+			ttNode := enum.Encode([]int{0, 1, 2})
+			for _, id := range rng.Perm(2 * ntRows)[:3000] {
+				if err := w.WriteTT(ttNode, int64(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			catNode := enum.Encode([]int{2, 0, 0})
+			for i := 0; i < 700; i++ {
+				a, err := w.AppendAggregate(int64(rng.Intn(2*ntRows)), aggrs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.WriteCAT(catNode, -1, a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := w.Finalize(signature.FormatA); err != nil {
 				t.Fatal(err)
 			}
-		}
-		catNode := enum.Encode([]int{2, 0, 0})
-		for i := 0; i < 700; i++ {
-			a, err := w.AppendAggregate(int64(rng.Intn(2*ntRows)), aggrs)
-			if err != nil {
-				t.Fatal(err)
+			if !dr {
+				ntIDs = nil
 			}
-			if err := w.WriteCAT(catNode, -1, a); err != nil {
-				t.Fatal(err)
+			zc := checkZonesBruteForce(t, dir, blockRows, zoneOracleResolver, ntIDs)
+			if zc.zones != 3 || zc.split == 0 {
+				t.Fatalf("DR=%v: %d zone maps (want NT, TT and CAT), %d of %d predicate sets kept some blocks and skipped others",
+					dr, zc.zones, zc.split, zc.preds)
 			}
-		}
-		m, err := w.Finalize(signature.FormatA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if zones, _ := checkZonesBruteForce(t, dir, m, blockRows, zoneOracleResolver); zones != 3 {
-			t.Fatalf("%d zone maps, want NT, TT and CAT", zones)
 		}
 	})
 }
@@ -300,54 +327,110 @@ func zoneOracleResolver(rrowid int64, dst []int32) error {
 	return nil
 }
 
-// checkZonesBruteForce compares every zone map of the cube in dir with
-// bruteZones of blockRows-row blocks over the rows a Reader returns,
-// coded through resolve. It
-// returns the number of zone maps and of zone-mapped bitmap TT extents.
-func checkZonesBruteForce(t *testing.T, dir string, m *Manifest, blockRows int, resolve func(int64, []int32) error) (zones, bitmaps int) {
+// ntRowIDs reads every node's NT R-rowids, in scan order, from a cube
+// without CURE_DR.
+func ntRowIDs(t *testing.T, dir string) map[lattice.NodeID][]int64 {
 	t.Helper()
-	const unknown = math.MinInt32
 	r, err := OpenReader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	out := map[lattice.NodeID][]int64{}
+	for k := range r.Manifest().Nodes {
+		n, _ := strconv.ParseInt(k, 10, 64)
+		id := lattice.NodeID(n)
+		if err := r.NTRows(id, func(row NTRow) error {
+			out[id] = append(out[id], row.RRowid)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// zoneCheck counts what checkZonesBruteForce compared.
+type zoneCheck struct {
+	zones, bitmaps int
+	// preds is the number of predicate sets pruned both ways, split is
+	// how many of them kept some blocks and skipped others.
+	preds, split int
+}
+
+// checkZonesBruteForce compares every zone map of the cube in dir with
+// bruteZones of blockRows-row blocks over the rows a Reader returns,
+// coded through resolve; ntIDs gives a CURE_DR cube's NT R-rowids (nil
+// otherwise). Each map must then prune like a per-level brute-force
+// index (checkPruneEquivalence).
+func checkZonesBruteForce(t *testing.T, dir string, blockRows int, resolve func(int64, []int32) error, ntIDs map[lattice.NodeID][]int64) zoneCheck {
+	t.Helper()
+	r, err := OpenReader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	m := r.Manifest()
 	hier := r.Hier()
-	offs, slots := ZoneSlots(hier)
-	rowCodes := func(rrowid int64) []int32 {
+	zl := NewZoneLayout(hier)
+	// codes returns a row's codes in the layout's slots and in a
+	// per-level layout: one slot per real level of every dimension, the
+	// zone maps' layout before coarser levels were lowered.
+	codes := func(rrowid int64) ([]int32, []int32) {
 		base := make([]int32, hier.NumDims())
 		if err := resolve(rrowid, base); err != nil {
 			t.Fatal(err)
 		}
-		codes := make([]int32, slots)
+		slots := make([]int32, zl.slots)
+		var levels []int32
 		for d, dim := range hier.Dims {
 			for l := 0; l < dim.AllLevel(); l++ {
-				codes[offs[d]+l] = dim.MapCode(base[d], l)
+				c := dim.MapCode(base[d], l)
+				levels = append(levels, c)
+				if s := zl.levels[d][l].slot; s >= 0 {
+					slots[s] = c
+				}
 			}
 		}
-		return codes
+		return slots, levels
 	}
+	rng := rand.New(rand.NewSource(17))
+	var zc zoneCheck
 	for k, nm := range m.Nodes {
 		n, _ := strconv.ParseInt(k, 10, 64)
 		id := lattice.NodeID(n)
-		var nt, tt, cat [][]int32
+		levels := r.Enum().Decode(id, nil)
+		var nt, tt, cat [2][][]int32
+		add := func(rows *[2][][]int32, rrowid int64) {
+			s, l := codes(rrowid)
+			rows[0], rows[1] = append(rows[0], s), append(rows[1], l)
+		}
+		i := 0
 		if err := r.NTRows(id, func(row NTRow) error {
-			if !m.DimsInline {
-				nt = append(nt, rowCodes(row.RRowid))
-				return nil
-			}
-			codes := make([]int32, slots)
-			for s := range codes {
-				codes[s] = unknown
-			}
-			i := 0
-			for d, l := range r.Enum().Decode(id, nil) {
-				if !hier.Dims[d].IsAll(l) {
-					codes[offs[d]+l] = row.Dims[i]
-					i++
+			rrowid := row.RRowid
+			if m.DimsInline {
+				if i >= len(ntIDs[id]) {
+					t.Fatalf("node %s: more NT rows than its twin's %d", k, len(ntIDs[id]))
+				}
+				rrowid = ntIDs[id][i]
+				// The twin's row must be the one DR projected.
+				base := make([]int32, hier.NumDims())
+				if err := resolve(rrowid, base); err != nil {
+					t.Fatal(err)
+				}
+				p := 0
+				for d, l := range levels {
+					if hier.Dims[d].IsAll(l) {
+						continue
+					}
+					if want := hier.Dims[d].MapCode(base[d], l); row.Dims[p] != want {
+						t.Fatalf("node %s row %d: DR code %d, twin's row maps to %d", k, i, row.Dims[p], want)
+					}
+					p++
 				}
 			}
-			nt = append(nt, codes)
+			add(&nt, rrowid)
+			i++
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -357,7 +440,7 @@ func checkZonesBruteForce(t *testing.T, dir string, m *Manifest, blockRows int, 
 			t.Fatal(err)
 		}
 		for _, rrowid := range ids {
-			tt = append(tt, rowCodes(rrowid))
+			add(&tt, rrowid)
 		}
 		aggs := make([]float64, m.NumAggrs())
 		if err := r.CATRows(id, func(row CATRow) error {
@@ -367,7 +450,7 @@ func checkZonesBruteForce(t *testing.T, dir string, m *Manifest, blockRows int, 
 					return err
 				}
 			}
-			cat = append(cat, rowCodes(rrowid))
+			add(&cat, rrowid)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -375,21 +458,83 @@ func checkZonesBruteForce(t *testing.T, dir string, m *Manifest, blockRows int, 
 		for _, z := range []struct {
 			rel  string
 			got  *ZoneIndex
-			rows [][]int32
+			rows [2][][]int32
 		}{{"nt", nm.NTZones, nt}, {"tt", nm.TTZones, tt}, {"cat", nm.CATZones, cat}} {
-			want := bruteZones(blockRows, slots, z.rows)
+			want := bruteZones(blockRows, zl.slots, z.rows[0])
 			if !reflect.DeepEqual(z.got, want) {
 				t.Errorf("node %s %s zones:\ngot  %+v\nwant %+v", k, z.rel, z.got, want)
 			}
-			if want != nil {
-				zones++
+			if want == nil {
+				continue
 			}
+			zc.zones++
+			ref := bruteZones(blockRows, len(z.rows[1][0]), z.rows[1])
+			checkPruneEquivalence(t, fmt.Sprintf("node %s %s", k, z.rel), rng, hier, zl, z.got, ref, int64(len(z.rows[0])), &zc)
 		}
 		if nm.TTCodec != nil && nm.TTCodec.Encodings[encName(encBitmap)] > 0 && nm.TTZones != nil {
-			bitmaps++
+			zc.bitmaps++
 		}
 	}
-	return zones, bitmaps
+	return zc
+}
+
+// checkPruneEquivalence prunes extent z (rows rows, laid out by zl) and
+// ref, the same extent's brute-force index with a slot per real level of
+// every dimension, with random predicates at every real level: ranges in
+// the domain, empty ones, the whole domain, ranges partly and wholly
+// outside it and up to MaxInt32, alone and combined. Kept ranges and
+// block counts must be equal. Narrowed may differ: a level's slot can be
+// sorted where its base slot is not. (A CURE_DR extent's map once held
+// only the node's own levels, the only ones the engine accepts there; ref
+// agrees with it on those.)
+func checkPruneEquivalence(t *testing.T, what string, rng *rand.Rand, hier *hierarchy.Schema, zl *ZoneLayout, z, ref *ZoneIndex, rows int64, zc *zoneCheck) {
+	t.Helper()
+	type pred struct {
+		d, l, refSlot int
+		lo, hi        int32
+	}
+	var cands []pred
+	refSlot := 0
+	for d, dim := range hier.Dims {
+		for l := 0; l < dim.AllLevel(); l++ {
+			card := dim.Card(l)
+			c, a, b := rng.Int31n(card), rng.Int31n(card), rng.Int31n(card)
+			for _, rg := range [][2]int32{
+				{0, card - 1}, {c, c}, {min(a, b), max(a, b)}, {-3, c}, {c, card + 3},
+				{card, card + 7}, {-9, -1}, {c, math.MaxInt32}, {math.MinInt32, math.MaxInt32},
+			} {
+				cands = append(cands, pred{d, l, refSlot, rg[0], rg[1]})
+			}
+			refSlot++
+		}
+	}
+	try := func(ps []pred) {
+		var lowered, perLevel []ZonePred
+		for _, p := range ps {
+			lowered = append(lowered, zl.Lower(p.d, p.l, p.lo, p.hi))
+			perLevel = append(perLevel, ZonePred{Slot: p.refSlot, Lo: p.lo, Hi: p.hi})
+		}
+		got, gs := PruneZonesStats(z, rows, lowered)
+		want, ws := PruneZonesStats(ref, rows, perLevel)
+		gs.Narrowed, ws.Narrowed = false, false
+		if !slices.Equal(got, want) || gs != ws {
+			t.Errorf("%s: predicates %+v lowered to %+v keep %v %+v; per level %v %+v", what, ps, lowered, got, gs, want, ws)
+		}
+		zc.preds++
+		if ws.Kept > 0 && ws.Skipped > 0 {
+			zc.split++
+		}
+	}
+	for _, p := range cands {
+		try([]pred{p})
+	}
+	for range 2 * len(cands) {
+		ps := make([]pred, 2+rng.Intn(2))
+		for i := range ps {
+			ps[i] = cands[rng.Intn(len(cands))]
+		}
+		try(ps)
+	}
 }
 
 // TestFinalizeIsOnePass watches the cube directory from inside Finalize:
@@ -696,9 +841,9 @@ func BenchmarkSortRowIDs(b *testing.B) {
 
 // BenchmarkFoldExtentZones folds one resolved 64k-row chunk of APB base
 // codes into a zone map at the default block size: per-block bounds of
-// every base code, then every derived level. With Product's Class map
-// permuted, Class is no longer non-decreasing and folds per block from
-// its mapped codes instead.
+// every base code. With Product's Class map permuted, Class is no longer
+// non-decreasing and keeps a slot of its own, folded per block from its
+// mapped codes.
 func BenchmarkFoldExtentZones(b *testing.B) {
 	for _, permuted := range []bool{false, true} {
 		name := "monotone"
@@ -715,10 +860,9 @@ func BenchmarkFoldExtentZones(b *testing.B) {
 					class[i] = int32(perm[c])
 				}
 			}
-			w := &Writer{opts: Options{Hier: hier, Resolver: func([]int64, [][]int32) error { return nil }}}
-			zc := w.zoneConfig()
-			if folded := len(zc.folded[0]) == 1; folded != permuted {
-				b.Fatalf("Class folded per block = %v, want %v", folded, permuted)
+			zl := NewZoneLayout(hier)
+			if own := zl.levels[0][1].slot >= 0; own != permuted {
+				b.Fatalf("Class keeps its own slot = %v, want %v", own, permuted)
 			}
 			const rows = resolveChunkRows
 			base := make([][]int32, hier.NumDims())
@@ -728,13 +872,12 @@ func BenchmarkFoldExtentZones(b *testing.B) {
 					base[d][i] = rng.Int31n(hier.Dims[d].Card(0))
 				}
 			}
-			zb := newZoneBuilder(zc.blockRows, zc.slots)
+			zb := newZoneBuilder(DefaultZoneBlockRows, zl.slots)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
 				zb.lo, zb.hi, zb.n = zb.lo[:0], zb.hi[:0], 0
-				zc.foldBase(zb, base, rows)
-				zc.deriveLevels(zb)
+				zl.fold(zb, base, rows)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})

@@ -9,8 +9,8 @@ import (
 // bytes: it must reject garbage with an error, never panic.
 func FuzzReadManifestBytes(f *testing.F) {
 	f.Add([]byte(`{"version":1,"agg_specs":[{"Func":0,"Measure":0}],"nodes":{"7":{"nt_rows":3}}}`))
-	f.Add([]byte(`{"version":3,"nodes":{"7":{"nt_rows":3,"nt_codec":{"block_rows":256,"offs":[0,9]}}}}`))
-	f.Add([]byte(`{"version":3,"nodes":{"7":{"nt_rows":3}}}`))
+	f.Add([]byte(`{"version":4,"nodes":{"7":{"nt_rows":3,"nt_codec":{"block_rows":256,"offs":[0,9]}}}}`))
+	f.Add([]byte(`{"version":4,"nodes":{"7":{"nt_rows":3}}}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{"version":99}`))

@@ -195,13 +195,15 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 // manifestVersion is the one manifest format this build writes and reads:
-// block-columnar extents and the recorded plan.
-const manifestVersion = 3
+// block-columnar extents, the recorded plan, and zone maps in ZoneLayout's
+// slots.
+const manifestVersion = 4
 
 // retiredVersions says why each older manifest version no longer opens.
 var retiredVersions = map[int]string{
 	1: "the fixed-width extent format is retired",
 	2: "it does not record the plan its trivial tuples are shared along",
+	3: "its zone maps keep a slot per level, which this layout would read as other dimensions' bounds",
 }
 
 // PlanRoot is the PlanParents value of a phase root: a node a build phase

@@ -609,7 +609,7 @@ func TestReadManifestRejectsUnreadableExtents(t *testing.T) {
 // block index; it is refused with an error.
 func TestReadManifestRefusesBitmapTTKind(t *testing.T) {
 	dir := t.TempDir()
-	old := `{"version":3,"nodes":{"7":{"tt_off":0,"tt_rows":200,"tt_kind":1,"tt_bm_len":48}}}`
+	old := `{"version":4,"nodes":{"7":{"tt_off":0,"tt_rows":200,"tt_kind":1,"tt_bm_len":48}}}`
 	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +620,7 @@ func TestReadManifestRefusesBitmapTTKind(t *testing.T) {
 
 func TestReadManifestRejectsBadVersion(t *testing.T) {
 	dir := t.TempDir()
-	for _, v := range []string{"0", "4", "99"} {
+	for _, v := range []string{"0", "5", "99"} {
 		if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(`{"version": `+v+`}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -630,11 +630,14 @@ func TestReadManifestRejectsBadVersion(t *testing.T) {
 	}
 	// Version 1 was the fixed-width format. Version 2 recorded partition
 	// levels, not the plan: read as version 3 it would share trivial tuples
-	// across its phase roots and count them twice. The error must name the
-	// version and say what to do.
+	// across its phase roots and count them twice. Version 3 kept a zone
+	// slot per level: read in today's layout, a level's bounds would prune
+	// as another dimension's base. The error must name the version and say
+	// what to do.
 	for v, old := range map[int]string{
 		1: `{"version": 1}`,
 		2: `{"version":2,"partition_level":1,"partition_level_b":-1,"compression":"block","nodes":{"7":{"nt_rows":3}}}`,
+		3: `{"version":3,"nodes":{"7":{"nt_rows":300,"nt_zones":{"block_rows":256,"slots":12,"lo":[0],"hi":[0]}}}}`,
 	} {
 		if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte(old), 0o644); err != nil {
 			t.Fatal(err)

@@ -2,39 +2,32 @@ package storage
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"cure/internal/hierarchy"
 )
 
 // Zone maps are the sparse indexes of the query path: per node, per
-// extent (NT, TT, CAT), Finalize records the min/max code of every
-// dimension-level over blocks of ZoneBlockRows tuples, in the exact
-// order query-time scans visit them. A selective query compares its
-// predicate ranges against the block bounds and skips blocks that cannot
-// match; on extents CURE+ left sorted (TT row-ids, format-(a) CATs) the
-// bounds are monotone and the candidate window narrows by binary search
-// instead of a linear sweep.
+// extent (NT, TT, CAT), Finalize records the min/max base code of every
+// dimension over blocks of ZoneBlockRows tuples, in the exact order
+// query-time scans visit them. A predicate at a coarser level is lowered
+// to a base-code range (ZoneLayout.Lower) before it meets the bounds. A
+// selective query compares its predicate ranges against the block bounds
+// and skips blocks that cannot match; on extents CURE+ left sorted (TT
+// row-ids, format-(a) CATs) the bounds are monotone and the candidate
+// window narrows by binary search instead of a linear sweep.
 
 // DefaultZoneBlockRows is the zone-map block granularity (rows per
 // block). Extents smaller than one block carry no zone map — pruning a
 // sub-block extent saves less than the manifest bytes it costs.
 const DefaultZoneBlockRows = 256
 
-// Sentinel bounds of a slot whose value is unknown for a row (e.g. the
-// non-grouped dimensions of a CURE_DR NT extent): the full int32 range,
-// which no predicate can exclude.
-const (
-	zoneWideLo = math.MinInt32
-	zoneWideHi = math.MaxInt32
-)
-
 // ZoneIndex is the zone map of one extent: for each block of BlockRows
-// consecutive rows and each slot (one per real dimension-level, see
-// ZoneSlots), the inclusive [Lo, Hi] code bounds, stored flat as
-// block-major arrays of numBlocks·Slots entries. Sorted[s] marks slots
-// whose per-block bounds are globally ordered (hi of block b ≤ lo of
-// block b+1), enabling binary search.
+// consecutive rows and each slot (see ZoneLayout), the inclusive [Lo, Hi]
+// code bounds, stored flat as block-major arrays of numBlocks·Slots
+// entries. Sorted[s] marks slots whose per-block bounds are globally
+// ordered (hi of block b ≤ lo of block b+1), enabling binary search.
 type ZoneIndex struct {
 	BlockRows int32   `json:"block_rows"`
 	Slots     int32   `json:"slots"`
@@ -54,18 +47,106 @@ func (z *ZoneIndex) NumBlocks() int {
 // sortedSlot reports whether slot s has globally ordered block bounds.
 func (z *ZoneIndex) sortedSlot(s int) bool { return s < len(z.Sorted) && z.Sorted[s] }
 
-// ZoneSlots returns the slot layout of a schema: slot offs[d]+l holds
-// the bounds of dimension d at real level l (the ALL level needs no
-// slot — it has a single code). The second result is the total slot
-// count.
-func ZoneSlots(hier *hierarchy.Schema) ([]int, int) {
-	offs := make([]int, hier.NumDims())
-	n := 0
+// ZoneLayout is the slot layout of a schema's zone maps, recomputed from
+// the hierarchy wherever a zone map is written or read. Each dimension
+// has a slot for its base codes. A level above the base whose base→level
+// Map is non-decreasing, as every generator's contiguous numbering makes
+// it, has none: a predicate on it lowers to a base-code range. Any other
+// level (csvload's dictionary order, a user map, a parity split) keeps a
+// slot of its own, folded from the mapped codes, right after its
+// dimension's base slot.
+type ZoneLayout struct {
+	base   []int         // dimension → its base slot
+	levels [][]zoneLevel // dimension → real level
+	slots  int
+}
+
+// zoneLevel is one real level of a dimension: its own slot, or -1 when
+// predicates on it lower to the base slot, and its base→level map (nil at
+// the base).
+type zoneLevel struct {
+	slot int
+	m    []int32
+}
+
+// NewZoneLayout returns the zone-map layout of hier.
+func NewZoneLayout(hier *hierarchy.Schema) *ZoneLayout {
+	zl := &ZoneLayout{base: make([]int, hier.NumDims()), levels: make([][]zoneLevel, hier.NumDims())}
 	for d, dim := range hier.Dims {
-		offs[d] = n
-		n += dim.AllLevel()
+		zl.base[d] = zl.slots
+		zl.slots++
+		zl.levels[d] = make([]zoneLevel, dim.AllLevel())
+		zl.levels[d][0].slot = zl.base[d]
+		for l := 1; l < dim.AllLevel(); l++ {
+			lv := zoneLevel{slot: -1, m: dim.Levels[l].Map}
+			if !slices.IsSorted(lv.m) {
+				lv.slot = zl.slots
+				zl.slots++
+			}
+			zl.levels[d][l] = lv
+		}
 	}
-	return offs, n
+	return zl
+}
+
+// ZoneSlots returns each dimension's base slot in the layout of hier, and
+// the layout's slot count.
+func ZoneSlots(hier *hierarchy.Schema) ([]int, int) {
+	zl := NewZoneLayout(hier)
+	return zl.base, zl.slots
+}
+
+// Lower turns the predicate "dimension dim at real level level lies in
+// [lo, hi]" into a zone-map predicate. The base and a level with its own
+// slot keep their range. A non-decreasing level m becomes the base range
+// [first(lo), first(hi+1)−1], where first(c) = min{b : m[b] ≥ c}: a block
+// with base bounds [bLo, bHi] holds a level code in [lo, hi] exactly when
+// m[bHi] ≥ lo, i.e. bHi ≥ first(lo), and m[bLo] ≤ hi, i.e. bLo <
+// first(hi+1). So every block gets the verdict the level's own bounds
+// would give. The searches clamp a range outside the domain by themselves
+// (first is 0 below it, len(m) above it), and first(hi+1) is searched as
+// min{b : m[b] > hi}, which hi = MaxInt32 cannot overflow.
+func (zl *ZoneLayout) Lower(dim, level int, lo, hi int32) ZonePred {
+	lv := zl.levels[dim][level]
+	if lv.slot >= 0 {
+		return ZonePred{Slot: lv.slot, Lo: lo, Hi: hi}
+	}
+	m := lv.m
+	first := sort.Search(len(m), func(b int) bool { return m[b] >= lo })
+	past := sort.Search(len(m), func(b int) bool { return m[b] > hi })
+	return ZonePred{Slot: zl.base[dim], Lo: int32(first), Hi: int32(past - 1)}
+}
+
+// fold folds n resolved rows into zb — base[d][i] is row i's base code in
+// dimension d — keeping running bounds of each base code and of each
+// level with its own slot. A block may straddle two calls: zb's fill
+// carries across them.
+func (zl *ZoneLayout) fold(zb *zoneBuilder, base [][]int32, n int) {
+	for i := 0; i < n; {
+		b, k := zb.claim(n - i)
+		for d, col := range base {
+			col := col[i : i+k]
+			for _, lv := range zl.levels[d] {
+				if lv.slot < 0 {
+					continue
+				}
+				s := b + lv.slot
+				lo, hi := zb.lo[s], zb.hi[s]
+				if lv.m == nil {
+					for _, c := range col {
+						lo, hi = min(lo, c), max(hi, c)
+					}
+				} else {
+					for _, c := range col {
+						v := lv.m[c]
+						lo, hi = min(lo, v), max(hi, v)
+					}
+				}
+				zb.lo[s], zb.hi[s] = lo, hi
+			}
+		}
+		i += k
+	}
 }
 
 // ZonePred is one predicate lowered to zone-map terms: accept rows whose
@@ -191,8 +272,8 @@ func newZoneBuilder(blockRows, slots int) *zoneBuilder {
 func (b *zoneBuilder) claim(n int) (base, k int) {
 	if b.n == 0 {
 		for s := 0; s < b.slots; s++ {
-			b.lo = append(b.lo, zoneWideHi)
-			b.hi = append(b.hi, zoneWideLo)
+			b.lo = append(b.lo, math.MaxInt32)
+			b.hi = append(b.hi, math.MinInt32)
 		}
 	}
 	base = len(b.lo) - b.slots
@@ -201,33 +282,12 @@ func (b *zoneBuilder) claim(n int) (base, k int) {
 	return base, k
 }
 
-// addSparse folds one row known only in the listed slots (codes[i] is
-// the value of slot slotIdx[i]); the rest stay unknown.
-func (b *zoneBuilder) addSparse(slotIdx []int, codes []int32) {
-	base, _ := b.claim(1)
-	for i, s := range slotIdx {
-		c := codes[i]
-		if c < b.lo[base+s] {
-			b.lo[base+s] = c
-		}
-		if c > b.hi[base+s] {
-			b.hi[base+s] = c
-		}
-	}
-}
-
-// finish widens never-touched slots to the full range (unknown must not
-// prune), computes the per-slot sortedness bits, and returns the index
-// (nil when no rows were added).
+// finish computes the per-slot sortedness bits and returns the index
+// (nil when no rows were added). Every slot of a claimed block has been
+// folded: each is a dimension's base or a level mapped from it.
 func (b *zoneBuilder) finish() *ZoneIndex {
 	if len(b.lo) == 0 {
 		return nil
-	}
-	for i := range b.lo {
-		if b.lo[i] > b.hi[i] {
-			b.lo[i] = zoneWideLo
-			b.hi[i] = zoneWideHi
-		}
 	}
 	z := &ZoneIndex{
 		BlockRows: int32(b.blockRows),

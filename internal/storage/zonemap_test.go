@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"testing"
 
 	"cure/internal/hierarchy"
@@ -23,26 +24,80 @@ func zoneTestSchema(t *testing.T) *hierarchy.Schema {
 func TestZoneSlots(t *testing.T) {
 	hier := zoneTestSchema(t)
 	offs, n := ZoneSlots(hier)
-	// A has 2 real levels, B has 1; ALL levels get no slot.
-	if n != 3 {
-		t.Fatalf("slots = %d, want 3", n)
+	// A's A1 map is non-decreasing, so A keeps its base slot only; B is
+	// flat. ALL levels get no slot.
+	if n != 2 {
+		t.Fatalf("slots = %d, want 2", n)
 	}
-	if offs[0] != 0 || offs[1] != 2 {
-		t.Fatalf("offs = %v, want [0 2]", offs)
+	if offs[0] != 0 || offs[1] != 1 {
+		t.Fatalf("offs = %v, want [0 1]", offs)
+	}
+}
+
+// TestZoneLayoutLower pins the lowering rule on a dimension with a
+// non-decreasing level (A1: base codes 4c..4c+3 roll up to c) and a
+// non-monotone one (parity), which keeps its own slot after the base.
+func TestZoneLayoutLower(t *testing.T) {
+	parity := make([]int32, 12)
+	for c := range parity {
+		parity[c] = int32(c % 2)
+	}
+	a := &hierarchy.Dim{Name: "A", Levels: []hierarchy.Level{
+		{Name: "A0", Card: 12, RollsUpTo: []int{1, 2}},
+		{Name: "A1", Card: 3, Map: hierarchy.BuildContiguousMap(12, 3)},
+		{Name: "Parity", Card: 2, Map: parity},
+	}}
+	if err := a.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	hier, err := hierarchy.NewSchema(a, hierarchy.NewFlatDim("B", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zl := NewZoneLayout(hier)
+	if offs, n := ZoneSlots(hier); n != 3 || offs[0] != 0 || offs[1] != 2 {
+		t.Fatalf("ZoneSlots = %v, %d; want [0 2], 3", offs, n)
+	}
+	const maxI, minI = math.MaxInt32, math.MinInt32
+	for _, c := range []struct {
+		dim, level int
+		lo, hi     int32
+		want       ZonePred
+	}{
+		{0, 0, 3, 5, ZonePred{0, 3, 5}},         // the base keeps its range
+		{1, 0, 2, 2, ZonePred{2, 2, 2}},         // B's base slot
+		{0, 2, 1, 1, ZonePred{1, 1, 1}},         // parity keeps its own slot
+		{0, 1, 1, 1, ZonePred{0, 4, 7}},         // one A1 member: its base codes
+		{0, 1, 0, 2, ZonePred{0, 0, 11}},        // the whole domain
+		{0, 1, -5, 0, ZonePred{0, 0, 3}},        // partly below the domain
+		{0, 1, 2, 9, ZonePred{0, 8, 11}},        // partly above it
+		{0, 1, 3, 9, ZonePred{0, 12, 11}},       // wholly above: no base code
+		{0, 1, -9, -1, ZonePred{0, 0, -1}},      // wholly below: no base code
+		{0, 1, 1, maxI, ZonePred{0, 4, 11}},     // hi = MaxInt32 does not overflow
+		{0, 1, minI, maxI, ZonePred{0, 0, 11}},  // everything
+		{0, 1, maxI, maxI, ZonePred{0, 12, 11}}, // nothing
+		{0, 1, minI, minI, ZonePred{0, 0, -1}},  // nothing
+	} {
+		if got := zl.Lower(c.dim, c.level, c.lo, c.hi); got != c.want {
+			t.Errorf("Lower(%d, %d, %d, %d) = %+v, want %+v", c.dim, c.level, c.lo, c.hi, got, c.want)
+		}
 	}
 }
 
 // buildIndex folds rows of codes (one []int32 per row, one code per slot)
-// through the zone builder.
+// through the zone builder, each slot the base of a flat dimension.
 func buildIndex(blockRows int, rows [][]int32) *ZoneIndex {
-	zb := newZoneBuilder(blockRows, len(rows[0]))
-	all := make([]int, len(rows[0]))
-	for s := range all {
-		all[s] = s
+	n := len(rows[0])
+	zl := &ZoneLayout{levels: make([][]zoneLevel, n), slots: n}
+	cols := make([][]int32, n)
+	for s := range cols {
+		zl.levels[s] = []zoneLevel{{slot: s}}
+		for _, r := range rows {
+			cols[s] = append(cols[s], r[s])
+		}
 	}
-	for _, r := range rows {
-		zb.addSparse(all, r)
-	}
+	zb := newZoneBuilder(blockRows, n)
+	zl.fold(zb, cols, len(rows))
 	return zb.finish()
 }
 
@@ -119,32 +174,10 @@ func TestPruneZonesMultiPredicate(t *testing.T) {
 	if len(ranges) != 1 || ranges[0] != (RowRange{4, 6}) {
 		t.Fatalf("ranges = %v, want [{4 6}]", ranges)
 	}
-	// Out-of-bounds slots are ignored (never prune on unknown slots).
+	// Out-of-bounds slots are ignored: the index knows nothing of them.
 	ranges, _, _ = PruneZones(z, 6, []ZonePred{{Slot: 99, Lo: 0, Hi: 0}})
 	if len(ranges) != 1 || ranges[0] != (RowRange{0, 6}) {
 		t.Fatalf("unknown slot pruned: %v", ranges)
-	}
-}
-
-func TestZoneBuilderSparseUnknownSlots(t *testing.T) {
-	// Sparse rows touch only slot 1; slot 0 must widen to the full range
-	// so no predicate can prune it.
-	zb := newZoneBuilder(2, 2)
-	for _, c := range []int32{3, 4, 5, 6} {
-		zb.addSparse([]int{1}, []int32{c})
-	}
-	z := zb.finish()
-	if z.NumBlocks() != 2 {
-		t.Fatalf("blocks = %d", z.NumBlocks())
-	}
-	ranges, kept, _ := PruneZones(z, 4, []ZonePred{{Slot: 0, Lo: 7, Hi: 8}})
-	if kept != 2 || len(ranges) != 1 || ranges[0] != (RowRange{0, 4}) {
-		t.Fatalf("unknown slot pruned: ranges=%v kept=%d", ranges, kept)
-	}
-	// The known slot still prunes.
-	_, kept, skipped := PruneZones(z, 4, []ZonePred{{Slot: 1, Lo: 3, Hi: 4}})
-	if kept != 1 || skipped != 1 {
-		t.Fatalf("known slot: kept=%d skipped=%d", kept, skipped)
 	}
 }
 
